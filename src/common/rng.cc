@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace prefdb {
 
@@ -24,21 +25,34 @@ bool Rng::Bernoulli(double p) {
 
 int64_t Rng::Zipf(int64_t n, double s) {
   assert(n >= 1);
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(static_cast<size_t>(n));
-    double sum = 0.0;
-    for (int64_t k = 1; k <= n; ++k) {
-      sum += 1.0 / std::pow(static_cast<double>(k), s);
-      zipf_cdf_[static_cast<size_t>(k - 1)] = sum;
-    }
-    for (double& v : zipf_cdf_) v /= sum;
+  auto cached = std::find_if(zipf_sums_.begin(), zipf_sums_.end(),
+                             [s](const ZipfSums& z) { return z.s == s; });
+  if (cached == zipf_sums_.end()) {
+    zipf_sums_.push_back(ZipfSums{s, {}});
+    cached = zipf_sums_.end() - 1;
   }
+  // Extend the prefix with the same left-to-right additions a table built
+  // for exactly n would make, so sums[k] is bit-identical either way.
+  std::vector<double>& sums = cached->sums;
+  const size_t count = static_cast<size_t>(n);
+  if (sums.size() < count) {
+    sums.reserve(count);
+    double sum = sums.empty() ? 0.0 : sums.back();
+    for (size_t k = sums.size() + 1; k <= count; ++k) {
+      sum += 1.0 / std::pow(static_cast<double>(k), s);
+      sums.push_back(sum);
+    }
+  }
+  // sums[k] / total is exactly the normalized CDF entry, so comparing the
+  // quotient against u selects the same rank as a normalized table would.
+  const double total = sums[count - 1];
   double u = UniformReal(0.0, 1.0);
-  auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  if (it == zipf_cdf_.end()) --it;
-  return static_cast<int64_t>(it - zipf_cdf_.begin()) + 1;
+  auto end = sums.begin() + static_cast<std::ptrdiff_t>(count);
+  auto it = std::lower_bound(
+      sums.begin(), end, u,
+      [total](double partial, double x) { return partial / total < x; });
+  if (it == end) --it;
+  return static_cast<int64_t>(it - sums.begin()) + 1;
 }
 
 double Rng::Gaussian(double mean, double stddev) {

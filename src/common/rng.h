@@ -24,7 +24,10 @@ class Rng {
   bool Bernoulli(double p);
 
   /// Zipf-distributed rank in [1, n] with exponent `s` (s > 0). Rank 1 is the
-  /// most frequent. Uses an inverse-CDF table built lazily per (n, s).
+  /// most frequent. Inverts the CDF by binary search over the running sums
+  /// of k^-s, cached per exponent and extended on demand, so draws with a
+  /// varying `n` (e.g. "cite one of the p - 1 earlier papers") share one
+  /// table instead of rebuilding an O(n) one per draw.
   int64_t Zipf(int64_t n, double s);
 
   /// Gaussian draw with the given mean and standard deviation.
@@ -35,10 +38,13 @@ class Rng {
 
  private:
   std::mt19937_64 gen_;
-  // Cached inverse-CDF for the last (n, s) Zipf configuration.
-  int64_t zipf_n_ = 0;
-  double zipf_s_ = 0.0;
-  std::vector<double> zipf_cdf_;
+  // Running sums sum_{j<=k+1} j^-s at index k, one prefix per exponent s
+  // seen so far (the generators use a handful of fixed exponents).
+  struct ZipfSums {
+    double s;
+    std::vector<double> sums;
+  };
+  std::vector<ZipfSums> zipf_sums_;
 };
 
 }  // namespace prefdb

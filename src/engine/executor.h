@@ -28,26 +28,27 @@ struct NativeExecMetrics {
 /// Optional execution context for the native executor: the intra-query
 /// parallelism knobs, the delegated-query span the operator spans nest
 /// under, and the metric handles above. Every field is nullable and
-/// defaults off, so direct callers (tests, the ablation oracle) keep the
-/// exact serial, untraced seed behaviour.
+/// defaults off, so direct callers (tests, the ablation oracle) run
+/// serially and untraced.
 struct NativeExecOptions {
   const ParallelContext* parallel = nullptr;  // null = serial.
   obs::Span* span = nullptr;                  // null = no tracing.
   const NativeExecMetrics* metrics = nullptr; // null = no metrics.
   /// At TraceLevel::kMorsel (and with `span` set) every morselized region
   /// additionally records one "morsel[i]" child per morsel, adopted in
-  /// morsel order (see obs::TraceLevel). At threads=1 the region routes
-  /// through the same buffered path with its single covering morsel, so
-  /// the untimed trace stays byte-identical run to run and the output rows
-  /// remain bit-identical to the serial path.
+  /// morsel order (see obs::TraceLevel). At threads=1 the region records
+  /// its single covering morsel, so the untimed trace stays byte-identical
+  /// run to run.
   obs::TraceLevel trace_level = obs::TraceLevel::kOperator;
 };
 
-/// Executes a *conventional* plan (no kPrefer nodes) against the catalog,
-/// materializing every operator's output — the substrate's stand-in for the
-/// black-box DBMS executor of the paper's prototype.
+/// Executes a *conventional* plan (no kPrefer nodes) against the catalog —
+/// the substrate's stand-in for the black-box DBMS executor of the paper's
+/// prototype.
 ///
 /// Physical behaviour:
+///   * Operators pass row ids into the base tables' rows, not copied
+///     tuples; the returned Relation is gathered once, at the root.
 ///   * Select-over-Scan is fused; an equality conjunct on an indexed base
 ///     column uses the table's hash index instead of a full scan.
 ///   * Joins use a hash join when an equi-conjunct links the two sides,

@@ -530,6 +530,53 @@ std::vector<ExprPtr> SplitConjuncts(ExprPtr expr) {
   return out;
 }
 
+namespace {
+
+bool FindEquiConjunctIn(const Expr& predicate, const Schema& left,
+                        const Schema& right, std::string* left_col,
+                        std::string* right_col) {
+  if (predicate.kind() == ExprKind::kLogical) {
+    const auto& logical = static_cast<const LogicalExpr&>(predicate);
+    if (logical.op() != LogicalOp::kAnd) return false;
+    return FindEquiConjunctIn(logical.left(), left, right, left_col, right_col) ||
+           FindEquiConjunctIn(logical.right(), left, right, left_col, right_col);
+  }
+  if (predicate.kind() != ExprKind::kComparison) return false;
+  const auto& cmp = static_cast<const ComparisonExpr&>(predicate);
+  if (cmp.op() != CompareOp::kEq) return false;
+  if (cmp.left().kind() != ExprKind::kColumnRef ||
+      cmp.right().kind() != ExprKind::kColumnRef) {
+    return false;
+  }
+  const std::string& a = static_cast<const ColumnRefExpr&>(cmp.left()).name();
+  const std::string& b = static_cast<const ColumnRefExpr&>(cmp.right()).name();
+  if (left.HasColumn(a) && right.HasColumn(b)) {
+    *left_col = a;
+    *right_col = b;
+    return true;
+  }
+  if (left.HasColumn(b) && right.HasColumn(a)) {
+    *left_col = b;
+    *right_col = a;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool FindEquiConjunct(const Expr& predicate, const Schema& left,
+                      const Schema& right, std::string* left_col,
+                      std::string* right_col, bool* whole) {
+  if (!FindEquiConjunctIn(predicate, left, right, left_col, right_col)) {
+    return false;
+  }
+  // Only a bare comparison can be the conjunct itself; under an AND the
+  // match came from one operand.
+  if (whole != nullptr) *whole = predicate.kind() == ExprKind::kComparison;
+  return true;
+}
+
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {
   if (conjuncts.empty()) {
     return std::make_unique<LiteralExpr>(Value::Int(1));

@@ -285,6 +285,17 @@ std::vector<ExprPtr> SplitConjuncts(ExprPtr expr);
 /// a literal TRUE.
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 
+/// Finds the first conjunct of `predicate` (searching through ANDs, left
+/// operand first) of the form `a = b` over two column references, one
+/// resolving in `left` and the other in `right` — the key of a hash join
+/// between the two sides. Stores the names in (left, right) order. When
+/// `whole` is non-null it is set to whether that conjunct is the entire
+/// predicate, i.e. whether a hash match on the key already decides the
+/// predicate for non-NULL keys. Returns false if there is no such conjunct.
+bool FindEquiConjunct(const Expr& predicate, const Schema& left,
+                      const Schema& right, std::string* left_col,
+                      std::string* right_col, bool* whole = nullptr);
+
 /// Matches SQL LIKE patterns with '%' (any run) and '_' (any one char).
 bool LikeMatch(std::string_view text, std::string_view pattern);
 

@@ -30,7 +30,10 @@ std::string Span::ToString(bool include_timing, int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += name;
   std::string attrs;
-  if (include_timing) attrs += StrFormat("time=%.3fms", micros / 1000.0);
+  if (include_timing) {
+    attrs += StrFormat("time=%.3fms self=%.3fms", micros / 1000.0,
+                       SelfMicros() / 1000.0);
+  }
   if (rows_in != kUnset || rows_out != kUnset) {
     if (!attrs.empty()) attrs += ' ';
     if (rows_in != kUnset && rows_out != kUnset) {
@@ -59,7 +62,10 @@ std::string Span::ToString(bool include_timing, int indent) const {
 
 std::string Span::ToJson(bool include_timing) const {
   std::string out = "{\"name\": \"" + JsonEscape(name) + "\"";
-  if (include_timing) out += StrFormat(", \"micros\": %.1f", micros);
+  if (include_timing) {
+    out += StrFormat(", \"micros\": %.1f, \"self_micros\": %.1f", micros,
+                     SelfMicros());
+  }
   if (rows_in != kUnset) out += StrFormat(", \"rows_in\": %zu", rows_in);
   if (rows_out != kUnset) out += StrFormat(", \"rows_out\": %zu", rows_out);
   if (score_entries != kUnset) {

@@ -66,20 +66,25 @@ struct Span {
   /// parallel task's detached span. No-op on nullptr children.
   void Adopt(SpanPtr child);
 
-  /// Sum of `micros` over this span's direct children (the "self time" of a
-  /// span is micros minus this).
+  /// Sum of `micros` over this span's direct children.
   double ChildMicros() const;
 
+  /// Time spent in this span outside its direct children: micros minus
+  /// ChildMicros(), so self plus the children's time is the span's time.
+  /// Negative when children overlap (concurrent subtrees).
+  double SelfMicros() const { return micros - ChildMicros(); }
+
   /// Multi-line indented rendering:
-  ///   Prefer[p1]  (time=1.203ms rows=1000 -> 1000 score_entries=412)
-  /// `include_timing=false` drops the wall-clock figures — that rendering
+  ///   Prefer[p1]  (time=1.203ms self=0.911ms rows=1000 -> 1000 score_entries=412)
+  /// `include_timing=false` drops the wall-clock figures (time and self) — that rendering
   /// is the determinism contract checked by the tests (byte-identical
   /// across runs for a fixed ParallelContext at threads=1).
   std::string ToString(bool include_timing = true, int indent = 0) const;
 
-  /// JSON object {"name": ..., "micros": ..., "children": [...]} — the
-  /// export the benches embed into BENCH_*.json for per-phase breakdowns.
-  /// Timing fields are omitted when `include_timing` is false.
+  /// JSON object {"name": ..., "micros": ..., "self_micros": ...,
+  /// "children": [...]} — the export the benches embed into BENCH_*.json for
+  /// per-phase breakdowns. Timing fields (micros, self_micros) are omitted
+  /// when `include_timing` is false.
   std::string ToJson(bool include_timing = true) const;
 
   /// Chrome trace-event ("Trace Event Format") document — load it at

@@ -93,39 +93,6 @@ std::vector<uint8_t> ParallelMembership(
   return member;
 }
 
-// Finds an equality conjunct usable for a hash join between the two sides
-// (mirrors the native executor's strategy).
-bool FindEquiConjunct(const Expr& predicate, const Schema& left,
-                      const Schema& right, std::string* left_col,
-                      std::string* right_col) {
-  if (predicate.kind() == ExprKind::kLogical) {
-    const auto& logical = static_cast<const LogicalExpr&>(predicate);
-    if (logical.op() != LogicalOp::kAnd) return false;
-    return FindEquiConjunct(logical.left(), left, right, left_col, right_col) ||
-           FindEquiConjunct(logical.right(), left, right, left_col, right_col);
-  }
-  if (predicate.kind() != ExprKind::kComparison) return false;
-  const auto& cmp = static_cast<const ComparisonExpr&>(predicate);
-  if (cmp.op() != CompareOp::kEq) return false;
-  if (cmp.left().kind() != ExprKind::kColumnRef ||
-      cmp.right().kind() != ExprKind::kColumnRef) {
-    return false;
-  }
-  const std::string& a = static_cast<const ColumnRefExpr&>(cmp.left()).name();
-  const std::string& b = static_cast<const ColumnRefExpr&>(cmp.right()).name();
-  if (left.HasColumn(a) && right.HasColumn(b)) {
-    *left_col = a;
-    *right_col = b;
-    return true;
-  }
-  if (left.HasColumn(b) && right.HasColumn(a)) {
-    *left_col = b;
-    *right_col = a;
-    return true;
-  }
-  return false;
-}
-
 Status CheckSetCompatible(const PRelation& left, const PRelation& right) {
   if (left.rel.schema().size() != right.rel.schema().size()) {
     return Status::InvalidArgument("set operation inputs differ in arity");

@@ -1,5 +1,9 @@
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <unordered_set>
 
+#include "common/hash.h"
 #include "datagen/dblp_gen.h"
 #include "datagen/imdb_gen.h"
 #include "gtest/gtest.h"
@@ -16,6 +20,54 @@ void ExpectUniqueKeys(Catalog& catalog, const std::string& table_name) {
     EXPECT_TRUE(keys.insert(std::move(key)).second)
         << table_name << " has duplicate key in row " << TupleToString(row);
   }
+}
+
+// FNV-1a over a table's name, schema, key and every value (type tag plus
+// exact payload: int64 bits, IEEE-754 double bits, string bytes). Pins the
+// generated data bit for bit, independent of the standard library's hashes.
+uint64_t TableDigest(const Table& table) {
+  uint64_t h = kFnvOffsetBasis;
+  auto mix = [&h](const void* data, size_t n) { h = FnvMixBytes(h, data, n); };
+  auto mix_string = [&mix](const std::string& s) {
+    uint64_t len = s.size();
+    mix(&len, sizeof(len));
+    mix(s.data(), s.size());
+  };
+  mix_string(table.name());
+  for (const Column& c : table.schema().columns()) {
+    mix_string(c.FullName());
+    uint8_t type = static_cast<uint8_t>(c.type);
+    mix(&type, 1);
+  }
+  for (size_t k : table.primary_key()) {
+    uint64_t key = k;
+    mix(&key, sizeof(key));
+  }
+  for (const Tuple& row : table.relation().rows()) {
+    for (const Value& v : row) {
+      uint8_t type = static_cast<uint8_t>(v.type());
+      mix(&type, 1);
+      if (v.is_int()) {
+        int64_t x = v.AsInt();
+        mix(&x, sizeof(x));
+      } else if (v.is_double()) {
+        double d = v.AsDouble();
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        mix(&bits, sizeof(bits));
+      } else if (v.is_string()) {
+        mix_string(v.AsString());
+      }
+    }
+  }
+  return h;
+}
+
+void ExpectDigest(Catalog& catalog, const std::string& table_name,
+                  uint64_t expected) {
+  Table* table = *catalog.GetTable(table_name);
+  EXPECT_EQ(TableDigest(*table), expected)
+      << table_name << " digest 0x" << std::hex << TableDigest(*table);
 }
 
 class ImdbGenTest : public ::testing::Test {
@@ -118,6 +170,18 @@ TEST_F(ImdbGenTest, DeterministicInSeed) {
   }
 }
 
+// Every generated table, bit for bit, as of the seed generator: a change to
+// the random streams (e.g. the Zipf sampler) must leave these unchanged.
+TEST_F(ImdbGenTest, TableDigestsPinned) {
+  ExpectDigest(catalog(), "MOVIES", 0xac21a3f13cc63461ULL);
+  ExpectDigest(catalog(), "DIRECTORS", 0xde9d4ed36af23ad7ULL);
+  ExpectDigest(catalog(), "GENRES", 0x39ffe99668a9958aULL);
+  ExpectDigest(catalog(), "ACTORS", 0xe5bb5157c8da39a2ULL);
+  ExpectDigest(catalog(), "CAST", 0x9d2013c68cd9c41aULL);
+  ExpectDigest(catalog(), "RATINGS", 0xedea3920ba73ff2cULL);
+  ExpectDigest(catalog(), "AWARDS", 0xf7588f697a279403ULL);
+}
+
 class DblpGenTest : public ::testing::Test {
  protected:
   static Catalog& catalog() {
@@ -167,6 +231,15 @@ TEST_F(DblpGenTest, PubTypeMatchesVenueTables) {
   double conf_fraction =
       static_cast<double>(conferences->NumRows()) / pubs->NumRows();
   EXPECT_NEAR(conf_fraction, 0.36, 0.05);
+}
+
+TEST_F(DblpGenTest, TableDigestsPinned) {
+  ExpectDigest(catalog(), "PUBLICATIONS", 0x4b6bba1ce8a48dddULL);
+  ExpectDigest(catalog(), "PUB_AUTHORS", 0x2cb3acb759e46fbcULL);
+  ExpectDigest(catalog(), "AUTHORS", 0x93c935b22f9a9c71ULL);
+  ExpectDigest(catalog(), "CONFERENCES", 0xe84040bb60958f7eULL);
+  ExpectDigest(catalog(), "JOURNALS", 0x8f2df42f0759a386ULL);
+  ExpectDigest(catalog(), "CITATIONS", 0xce2a212d9bbe3aecULL);
 }
 
 TEST_F(DblpGenTest, CitationsPointBackward) {

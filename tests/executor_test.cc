@@ -1,9 +1,13 @@
 #include "engine/executor.h"
 
 #include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace prefdb {
@@ -222,6 +226,206 @@ TEST_F(ExecutorTest, StatsCountMaterializedTuples) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.tuples_materialized, 3u);
   EXPECT_GT(stats.operator_invocations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Row-id join and view edge cases. Every plan runs at threads {1, 2, 8} with
+// one-row morsels, so each morsel path splits; all runs must agree exactly
+// (rows, order, counters, timing-free trace) and match the expected rows.
+
+class RowIdEdgeTest : public ::testing::Test {
+ protected:
+  using PairList = std::vector<std::pair<int64_t, int64_t>>;
+
+  RowIdEdgeTest() {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Schema l({{"", "id", ValueType::kInt}, {"", "k", ValueType::kDouble}});
+    Schema r({{"", "rid", ValueType::kInt},
+              {"", "k", ValueType::kDouble},
+              {"", "tag", ValueType::kString}});
+    Create("L", l,
+           {{I(1), I(2)}, {I(2), N()}, {I(3), D(2.0)}, {I(4), D(nan)},
+            {I(5), I(7)}, {I(6), S("x")}},
+           {"id"});
+    // Duplicate build keys (2, 2.0, 2) keep their insertion order.
+    Create("R", r,
+           {{I(1), I(2), S("a")}, {I(2), N(), S("null")}, {I(3), D(nan), S("nan")},
+            {I(4), D(2.0), S("b")}, {I(5), I(2), S("c")}, {I(6), S("x"), S("s")},
+            {I(7), I(9), S("z")}},
+           {"rid"});
+    Create("EMPTY", l, {}, {"id"});
+    // No primary key, duplicate rows: projections cannot re-add a key.
+    Create("DUP", Schema({{"", "k", ValueType::kInt}, {"", "tag", ValueType::kString}}),
+           {{I(2), S("a")}, {I(2), S("a")}, {I(7), S("b")}}, {});
+  }
+
+  void Create(const std::string& name, Schema schema, std::vector<Tuple> rows,
+              std::vector<std::string> keys) {
+    Status st = catalog_.CreateTable(name, std::move(schema), std::move(rows),
+                                     std::move(keys));
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  // Runs `plan` at threads {1, 2, 8}, checks that every run agrees with the
+  // serial one, and returns the serial result.
+  Relation RunAll(const PlanPtr& plan) {
+    Relation serial;
+    ExecStats serial_stats;
+    std::string serial_trace;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      ParallelContext ctx;
+      ctx.threads = threads;
+      ctx.morsel_size = 1;
+      ctx.min_parallel_rows = 1;
+      obs::SpanPtr root = obs::Span::Detached("root");
+      NativeExecOptions options;
+      options.parallel = &ctx;
+      options.span = root.get();
+      ExecStats stats;
+      auto result = ExecutePlan(*plan, &catalog_, &stats, options);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) return Relation();
+      EXPECT_TRUE(result->CheckWellFormed().ok());
+      std::string trace = root->ToString(/*include_timing=*/false);
+      if (threads == 1) {
+        serial = std::move(*result);
+        serial_stats = stats;
+        serial_trace = trace;
+        continue;
+      }
+      EXPECT_EQ(result->schema(), serial.schema());
+      EXPECT_EQ(result->key_columns(), serial.key_columns());
+      EXPECT_EQ(result->rows(), serial.rows()) << "threads=" << threads;
+      EXPECT_EQ(stats.tuples_materialized, serial_stats.tuples_materialized);
+      EXPECT_EQ(stats.rows_scanned, serial_stats.rows_scanned);
+      EXPECT_EQ(trace, serial_trace) << "threads=" << threads;
+    }
+    last_trace_ = serial_trace;
+    return serial;
+  }
+
+  // (first column, column `c`) of every row: e.g. (L.id, R.rid) pairs.
+  static PairList Pairs(const Relation& rel, size_t c) {
+    PairList out;
+    for (const Tuple& row : rel.rows()) out.push_back({row[0].AsInt(), row[c].AsInt()});
+    return out;
+  }
+
+  static ExprPtr KeyEq() { return Eq(Col("L.k"), Col("R.k")); }
+  static PlanPtr KeyJoin() {
+    return plan::Join(KeyEq(), plan::Scan("L"), plan::Scan("R"));
+  }
+
+  Catalog catalog_;
+  std::string last_trace_;
+};
+
+TEST_F(RowIdEdgeTest, NullKeysNeverMatchAndIntMatchesDoubleAndNanMatchesNan) {
+  Relation rel = RunAll(KeyJoin());
+  // L2's NULL key matches nothing (not even R2's NULL); Int(2) and
+  // Double(2.0) are one key; NaN equals NaN under Value's total order;
+  // each probe row's matches come in build insertion order.
+  EXPECT_EQ(Pairs(rel, 2), (PairList{{1, 1}, {1, 4}, {1, 5}, {3, 1}, {3, 4},
+                                     {3, 5}, {4, 3}, {6, 6}}));
+  EXPECT_EQ(rel.key_columns(), (std::vector<size_t>{0, 2}));
+  // Seven build rows hold five distinct keys: 2, NULL, NaN, 'x', 9.
+  EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
+      << last_trace_;
+}
+
+TEST_F(RowIdEdgeTest, ExtraNonEquiConjunctIsStillApplied) {
+  Relation rel = RunAll(plan::Join(And(KeyEq(), Ne(Col("tag"), Lit("b"))),
+                                   plan::Scan("L"), plan::Scan("R")));
+  EXPECT_EQ(Pairs(rel, 2),
+            (PairList{{1, 1}, {1, 5}, {3, 1}, {3, 5}, {4, 3}, {6, 6}}));
+  // The equi-conjunct may also sit to the right of the residual one.
+  Relation right = RunAll(plan::Join(And(Gt(Col("rid"), Lit(int64_t{1})), KeyEq()),
+                                     plan::Scan("L"), plan::Scan("R")));
+  EXPECT_EQ(Pairs(right, 2), (PairList{{1, 4}, {1, 5}, {3, 4}, {3, 5}, {4, 3}, {6, 6}}));
+}
+
+TEST_F(RowIdEdgeTest, EmptyBuildAndEmptyProbeSides) {
+  Relation no_build = RunAll(plan::Join(Eq(Col("L.k"), Col("EMPTY.k")),
+                                        plan::Scan("L"), plan::Scan("EMPTY")));
+  EXPECT_EQ(no_build.NumRows(), 0u);
+  EXPECT_EQ(no_build.schema().size(), 4u);
+  Relation no_probe = RunAll(plan::Join(Eq(Col("EMPTY.k"), Col("R.k")),
+                                        plan::Scan("EMPTY"), plan::Scan("R")));
+  EXPECT_EQ(no_probe.NumRows(), 0u);
+  EXPECT_EQ(RunAll(plan::SemiJoin(Eq(Col("L.k"), Col("EMPTY.k")), plan::Scan("L"),
+                                  plan::Scan("EMPTY")))
+                .NumRows(),
+            0u);
+}
+
+TEST_F(RowIdEdgeTest, SemiJoinKeepsEachLeftRowOnceInOrder) {
+  Relation rel = RunAll(plan::SemiJoin(KeyEq(), plan::Scan("L"), plan::Scan("R")));
+  ASSERT_EQ(rel.schema().size(), 2u);
+  EXPECT_EQ(Pairs(rel, 0), (PairList{{1, 1}, {3, 3}, {4, 4}, {6, 6}}));
+}
+
+TEST_F(RowIdEdgeTest, NestedLoopJoinAndSemiJoin) {
+  Relation rel = RunAll(plan::Join(Gt(Col("L.id"), Col("R.rid")), plan::Scan("L"),
+                                   plan::Scan("R")));
+  PairList expected;
+  for (int64_t l = 1; l <= 6; ++l) {
+    for (int64_t r = 1; r <= 7; ++r) {
+      if (l > r) expected.push_back({l, r});
+    }
+  }
+  EXPECT_EQ(Pairs(rel, 2), expected);
+  EXPECT_NE(last_trace_.find("nested_loop"), std::string::npos);
+  Relation semi = RunAll(plan::SemiJoin(Gt(Col("L.id"), Col("R.rid")),
+                                        plan::Scan("L"), plan::Scan("R")));
+  EXPECT_EQ(Pairs(semi, 0), (PairList{{2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}}));
+}
+
+TEST_F(RowIdEdgeTest, PredicateFreeScanOfTemporaryTable) {
+  Schema schema({{"M", "m_id", ValueType::kInt}, {"M", "title", ValueType::kString}});
+  std::vector<Tuple> rows = {{I(3), S("Million Dollar Baby")}, {I(1), S("Gran Torino")}};
+  auto table = Table::Create("__gbu_tmp_edge", schema, rows, {"M.m_id"},
+                             /*qualify_with_name=*/false);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  (*table)->MarkTemporary();
+  ASSERT_TRUE(catalog_.AddTable(std::move(*table)).ok());
+  Relation rel = RunAll(plan::Scan("__gbu_tmp_edge"));
+  EXPECT_EQ(rel.schema(), schema);
+  EXPECT_EQ(rel.rows(), rows);
+  EXPECT_EQ(rel.key_columns(), std::vector<size_t>{0});
+  EXPECT_NE(last_trace_.find("table=<temp>"), std::string::npos) << last_trace_;
+}
+
+TEST_F(RowIdEdgeTest, SortAndLimitOverJoinOutput) {
+  Relation sorted = RunAll(plan::Sort({{"tag", /*descending=*/true}}, KeyJoin()));
+  // tag desc: s, nan, c, c, b, b, a, a; ties broken by key (L.id, R.rid).
+  EXPECT_EQ(Pairs(sorted, 2), (PairList{{6, 6}, {4, 3}, {1, 5}, {3, 5}, {1, 4},
+                                        {3, 4}, {1, 1}, {3, 1}}));
+  Relation limited = RunAll(plan::Limit(3, KeyJoin()));
+  EXPECT_EQ(Pairs(limited, 2), (PairList{{1, 1}, {1, 4}, {1, 5}}));
+}
+
+TEST_F(RowIdEdgeTest, DistinctOverJoinOutput) {
+  // DUP's two identical (2, 'a') rows make duplicate join rows per probe.
+  PlanPtr join = plan::Join(Eq(Col("L.k"), Col("DUP.k")), plan::Scan("L"),
+                            plan::Scan("DUP"));
+  EXPECT_EQ(RunAll(join->Clone()).NumRows(), 5u);  // L1 x2, L3 x2, L5 x1.
+  Relation rel = RunAll(plan::Distinct(std::move(join)));
+  EXPECT_EQ(Pairs(rel, 2), (PairList{{1, 2}, {3, 2}, {5, 7}}));
+}
+
+TEST_F(RowIdEdgeTest, IntersectAndExceptOverJoinOutput) {
+  auto without_b = [] {
+    return plan::Join(And(KeyEq(), Ne(Col("tag"), Lit("b"))), plan::Scan("L"),
+                      plan::Scan("R"));
+  };
+  Relation both = RunAll(plan::Intersect(KeyJoin(), without_b()));
+  EXPECT_EQ(Pairs(both, 2),
+            (PairList{{1, 1}, {1, 5}, {3, 1}, {3, 5}, {4, 3}, {6, 6}}));
+  Relation diff = RunAll(plan::Except(KeyJoin(), without_b()));
+  EXPECT_EQ(Pairs(diff, 2), (PairList{{1, 4}, {3, 4}}));
+  Relation all = RunAll(plan::Union(without_b(), KeyJoin()));
+  EXPECT_EQ(Pairs(all, 2), (PairList{{1, 1}, {1, 5}, {3, 1}, {3, 5}, {4, 3},
+                                     {6, 6}, {1, 4}, {3, 4}}));
 }
 
 }  // namespace

@@ -271,6 +271,38 @@ TEST(SpanTest, ScopeTimesItsSpan) {
   EXPECT_GE(root->children[0]->micros, 0.0);
 }
 
+TEST(SpanTest, SelfTimePlusChildrenTimeIsTheSpanTime) {
+  obs::SpanPtr root = obs::Span::Detached("Query");
+  root->micros = 4000.0;
+  root->AddChild("Scan")->micros = 1500.0;
+  obs::Span* join = root->AddChild("Join");
+  join->micros = 1000.0;
+  join->AddChild("Build")->micros = 250.0;
+
+  EXPECT_DOUBLE_EQ(root->SelfMicros(), 1500.0);
+  EXPECT_DOUBLE_EQ(join->SelfMicros(), 750.0);
+  for (const obs::Span* span : {root.get(), join}) {
+    EXPECT_DOUBLE_EQ(span->SelfMicros() + span->ChildMicros(), span->micros)
+        << span->name;
+  }
+
+  std::string timed = root->ToString();
+  EXPECT_NE(timed.find("Query  (time=4.000ms self=1.500ms)"), std::string::npos)
+      << timed;
+  EXPECT_NE(timed.find("Join  (time=1.000ms self=0.750ms)"), std::string::npos)
+      << timed;
+  std::string json = root->ToJson();
+  EXPECT_NE(json.find("\"micros\": 4000.0, \"self_micros\": 1500.0"),
+            std::string::npos)
+      << json;
+  // The timing-free renderings the determinism checks compare carry no
+  // self time either.
+  EXPECT_EQ(root->ToString(/*include_timing=*/false).find("self"),
+            std::string::npos);
+  EXPECT_EQ(root->ToJson(/*include_timing=*/false).find("self_micros"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: EXPLAIN ANALYZE, trace determinism, failure reports.
 
@@ -316,7 +348,14 @@ TEST(ExplainAnalyzeTest, RendersSpanTreeForEveryStrategy) {
               std::string::npos)
         << rendered;
     EXPECT_NE(rendered.find("time="), std::string::npos) << rendered;
+    EXPECT_NE(rendered.find("self="), std::string::npos) << rendered;
     EXPECT_NE(rendered.find("rows="), std::string::npos) << rendered;
+    // Every measured span splits exactly into self time plus its children.
+    std::vector<const obs::Span*> spans = obs::FindSpans(*result->trace, "");
+    for (const obs::Span* span : spans) {
+      EXPECT_DOUBLE_EQ(span->SelfMicros() + span->ChildMicros(), span->micros)
+          << span->name;
+    }
     EXPECT_NE(rendered.find("FilterAndProject"), std::string::npos) << rendered;
     // EXPLAIN ANALYZE still executes: the answer comes back too.
     EXPECT_GT(result->relation.NumRows(), 0u) << StrategyKindName(kind);
