@@ -1,7 +1,7 @@
 // Operator micro-benchmarks (google-benchmark): the cost of the building
 // blocks the end-to-end numbers are made of — aggregate-function
-// combination, prefer evaluation, p-relation joins, score-relation upkeep
-// and the filtering operators.
+// combination, prefer evaluation, p-relation joins, pair lookup and the
+// filtering operators.
 
 #include <benchmark/benchmark.h>
 
@@ -30,9 +30,8 @@ PRelation MakeScoredRelation(size_t n, double scored_fraction, uint64_t seed) {
   PRelation p(std::move(rel));
   for (size_t i = 0; i < n; ++i) {
     if (rng.Bernoulli(scored_fraction)) {
-      p.scores.Set({Value::Int(static_cast<int64_t>(i))},
-                   ScoreConf::Known(rng.UniformReal(0.0, 1.0),
-                                    rng.UniformReal(0.1, 1.0)));
+      p.pairs[i] = ScoreConf::Known(rng.UniformReal(0.0, 1.0),
+                                    rng.UniformReal(0.1, 1.0));
     }
   }
   return p;
@@ -105,15 +104,26 @@ void BM_PJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_PJoin)->Arg(1000)->Arg(10000)->Arg(50000);
 
-void BM_ScoreRelationLookup(benchmark::State& state) {
-  PRelation input = MakeScoredRelation(100000, 0.5, 7);
+// A row's pair: Arg(0) reads the row-aligned pairs by position (inside an
+// operator pipeline), Arg(1) probes the pk-keyed R_P with the row's key read
+// in place (GBU's and the plug-ins' re-association by key).
+void BM_PairLookup(benchmark::State& state) {
+  constexpr size_t kRows = 100000;
+  PRelation input = MakeScoredRelation(kRows, 0.5, 7);
+  ScoreRelation by_key = input.ToScoreRelation();
+  const bool keyed = state.range(0) == 1;
   size_t i = 0;
   for (auto _ : state) {
-    Tuple key{Value::Int(static_cast<int64_t>(i++ % 100000))};
-    benchmark::DoNotOptimize(input.scores.Lookup(key));
+    size_t row = i++ % kRows;
+    if (keyed) {
+      benchmark::DoNotOptimize(by_key.Lookup(
+          RowKey{input.rel.rows()[row], input.rel.key_columns()}));
+    } else {
+      benchmark::DoNotOptimize(input.pairs[row]);
+    }
   }
 }
-BENCHMARK(BM_ScoreRelationLookup);
+BENCHMARK(BM_PairLookup)->Arg(0)->Arg(1);
 
 void BM_TopKFilter(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

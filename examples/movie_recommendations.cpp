@@ -7,6 +7,7 @@
 // addition to PrefSQL, showing how an application embeds the library.
 
 #include <cstdio>
+#include <utility>
 
 #include "datagen/imdb_gen.h"
 #include "exec/runner.h"
@@ -109,7 +110,8 @@ int main() {
   PreferencePtr alice_dir = Preference::Generic(
       "alice_director", "DIRECTORS", Eq(Col("DIRECTORS.d_id"), Lit(int64_t{1})),
       ScoringFunction::Constant(0.9), 1.0);
-  alice_side = *EvalPrefer(*alice_dir, alice_side, fsum, &engine.catalog(), stats);
+  alice_side = *EvalPrefer(*alice_dir, std::move(alice_side), fsum,
+                          &engine.catalog(), stats);
   // Mandatory: keep only movies matching at least one of Alice's
   // preferences (σ_{conf > 0} in the paper).
   {
@@ -132,7 +134,8 @@ int main() {
       }(),
       0.9);
   PRelation bob_side(*base);
-  bob_side = *EvalPrefer(*bob_recent, bob_side, fsum, &engine.catalog(), stats);
+  bob_side = *EvalPrefer(*bob_recent, std::move(bob_side), fsum,
+                        &engine.catalog(), stats);
 
   // Union the two evidence streams: movies liked by both get combined
   // score/confidence via F_S (paper Example 6 semantics).

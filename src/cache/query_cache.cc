@@ -32,12 +32,8 @@ size_t EstimateRelationBytes(const Relation& rel) {
   return bytes;
 }
 
-size_t EstimateScoreRelationBytes(const ScoreRelation& scores) {
-  size_t bytes = sizeof(ScoreRelation);
-  for (const auto& [key, pair] : scores.entries()) {
-    bytes += EstimateTupleBytes(key) + sizeof(pair) + sizeof(void*);
-  }
-  return bytes;
+size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs) {
+  return sizeof(pairs) + pairs.size() * sizeof(ScoreConf);
 }
 
 QueryCache::QueryCache(obs::MetricsRegistry* metrics, size_t max_bytes)
@@ -94,28 +90,28 @@ std::shared_ptr<const CachedResult> QueryCache::Lookup(const CacheKey& key) {
   return result;
 }
 
+bool QueryCache::Admit(size_t bytes, const ExecStats& stats) {
+  // Don't displace useful entries with values that are oversized
+  // (admitting one would evict a whole shard) or trivially cheap to
+  // recompute (a hit saves nothing — the stats delta shows the miss
+  // execution touched no rows).
+  bool oversized = bytes > ShardBudget();
+  bool trivial_recompute = stats.rows_scanned + stats.tuples_materialized == 0;
+  if (!oversized && !trivial_recompute) return true;
+  admission_rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (admission_counter_ != nullptr) admission_counter_->Increment();
+  return false;
+}
+
 void QueryCache::Insert(const CacheKey& key,
                         std::shared_ptr<CachedResult> value) {
   if (value == nullptr) return;
   if (value->bytes == 0) {
     value->bytes = EstimateRelationBytes(value->rel) +
-                   (value->has_scores
-                        ? EstimateScoreRelationBytes(value->scores)
-                        : 0);
+                   (value->has_scores ? EstimatePairsBytes(value->pairs) : 0);
   }
+  if (!Admit(value->bytes, value->stats)) return;
   size_t budget = ShardBudget();
-  // Admission policy: don't displace useful entries with values that are
-  // oversized (admitting one would evict a whole shard) or trivially cheap
-  // to recompute (a hit saves nothing — the stats delta shows the miss
-  // execution touched no rows).
-  bool oversized = value->bytes > budget;
-  bool trivial_recompute =
-      value->stats.rows_scanned + value->stats.tuples_materialized == 0;
-  if (oversized || trivial_recompute) {
-    admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (admission_counter_ != nullptr) admission_counter_->Increment();
-    return;
-  }
 
   Shard& shard = ShardFor(key);
   {

@@ -15,7 +15,7 @@
 #include "common/thread_annotations.h"
 #include "engine/exec_stats.h"
 #include "obs/metrics.h"
-#include "palgebra/score_relation.h"
+#include "prefs/score_conf.h"
 #include "types/relation.h"
 
 namespace prefdb {
@@ -33,18 +33,19 @@ namespace cache {
 /// counter drift the equivalence tests would have to special-case.
 struct CachedResult {
   Relation rel;
-  ScoreRelation scores;
+  /// Row-aligned pairs of a prefer-subtree output (PRelation::pairs).
+  std::vector<ScoreConf> pairs;
   bool has_scores = false;
   ExecStats stats;
   /// Estimated footprint; filled by Insert when left 0.
   size_t bytes = 0;
 };
 
-/// Rough heap footprint of a materialized relation / score relation —
+/// Rough heap footprint of a materialized relation / row-aligned pairs —
 /// consistent (same inputs, same estimate) so the byte budget behaves
 /// deterministically in tests.
 size_t EstimateRelationBytes(const Relation& rel);
-size_t EstimateScoreRelationBytes(const ScoreRelation& scores);
+size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs);
 
 /// A thread-safe, sharded LRU result cache with a byte budget.
 ///
@@ -88,17 +89,19 @@ class QueryCache {
 
   /// Stores `value` under `key` (replacing any existing entry), computing
   /// value->bytes if unset, then evicts LRU-last until the shard fits its
-  /// budget slice.
-  ///
-  /// Admission policy — rejected values are not stored, and each rejection
-  /// increments the pref.cache.admission_rejected counter:
-  ///   * Oversized: value->bytes exceeds a whole shard's budget slice, so
-  ///     admitting it would evict an entire shard for one key.
-  ///   * Trivial recompute: the ExecStats delta records zero rows scanned
-  ///     and zero tuples materialized, meaning a recompute costs nothing —
-  ///     caching it could only displace entries that are expensive to
-  ///     rebuild.
+  /// budget slice. Values that Admit() rejects are not stored.
   void Insert(const CacheKey& key, std::shared_ptr<CachedResult> value);
+
+  /// The admission policy, callable before a value is built so a rejected
+  /// result is never copied. False rejects, and each rejection increments
+  /// the pref.cache.admission_rejected counter:
+  ///   * Oversized: `bytes` exceeds a whole shard's budget slice, so
+  ///     admitting it would evict an entire shard for one key.
+  ///   * Trivial recompute: the ExecStats delta `stats` records zero rows
+  ///     scanned and zero tuples materialized, meaning a recompute costs
+  ///     nothing — caching it could only displace entries that are
+  ///     expensive to rebuild.
+  bool Admit(size_t bytes, const ExecStats& stats);
 
   /// Point-in-time totals (atomics; exact when quiescent).
   struct Stats {

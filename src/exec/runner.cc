@@ -9,34 +9,6 @@
 
 namespace prefdb {
 
-namespace {
-
-// Projects the final scored relation onto the user's requested columns,
-// keeping the trailing score/conf columns. Empty `columns` means keep all.
-StatusOr<Relation> FinalProjection(Relation scored,
-                                   const std::vector<std::string>& columns) {
-  if (columns.empty()) return scored;
-  std::vector<size_t> indices;
-  indices.reserve(columns.size() + 2);
-  for (const std::string& name : columns) {
-    ASSIGN_OR_RETURN(size_t idx, scored.schema().FindColumn(name));
-    indices.push_back(idx);
-  }
-  ASSIGN_OR_RETURN(size_t score_idx, scored.schema().FindColumn("score"));
-  ASSIGN_OR_RETURN(size_t conf_idx, scored.schema().FindColumn("conf"));
-  indices.push_back(score_idx);
-  indices.push_back(conf_idx);
-
-  Relation out(scored.schema().Select(indices));
-  out.Reserve(scored.NumRows());
-  for (const Tuple& row : scored.rows()) {
-    out.AddRow(ProjectTuple(row, indices));
-  }
-  return out;
-}
-
-}  // namespace
-
 StatusOr<QueryResult> Session::Query(std::string_view prefsql,
                                      const QueryOptions& options) {
   ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(prefsql, engine_.catalog()));
@@ -322,9 +294,9 @@ StatusOr<QueryResult> Session::RunInternal(const ParsedQuery& parsed,
 
   obs::SpanScope filter_scope(root, "FilterAndProject");
   obs::SetRowsIn(filter_scope.get(), evaluated.NumRows());
-  ASSIGN_OR_RETURN(Relation filtered, ApplyFilters(evaluated, parsed.filters));
   ASSIGN_OR_RETURN(Relation final_rel,
-                   FinalProjection(std::move(filtered), parsed.output_columns));
+                   ApplyFiltersAndProject(evaluated, parsed.filters,
+                                          parsed.output_columns));
   obs::SetRowsOut(filter_scope.get(), final_rel.NumRows());
 
   QueryResult result;

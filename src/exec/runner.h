@@ -24,9 +24,9 @@ struct QueryOptions {
   bool optimize = true;
   ExtendedOptimizerOptions optimizer;
   /// Intra-query parallelism (thread budget, morsel size, serial-fallback
-  /// threshold). Defaults to serial execution, which is bit-identical to
-  /// pre-parallel builds; every strategy produces the same p-relation at
-  /// any thread count (modulo row order / FP association).
+  /// threshold). Defaults to serial execution; every strategy produces the
+  /// same p-relation, with exactly the same pairs, at any thread count
+  /// (modulo row order).
   ParallelContext parallel;
   /// Collect a hierarchical span trace of the execution (QueryResult::trace).
   /// Off by default: the strategies then see a null span and pay one pointer

@@ -106,7 +106,7 @@ Status ChargePRelation(Engine* engine, const PRelation& p) {
   const QueryGovernor* governor = engine->parallel_context().governor;
   if (governor == nullptr || !governor->memory_armed()) return Status::OK();
   RETURN_IF_ERROR(governor->ChargeBytes(cache::EstimateRelationBytes(p.rel)));
-  return governor->ChargeBytes(cache::EstimateScoreRelationBytes(p.scores));
+  return governor->ChargeBytes(cache::EstimatePairsBytes(p.pairs));
 }
 
 // True if any prefer operator occurs strictly below a set operation — the
@@ -150,7 +150,8 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
     obs::SpanScope scope(span, StrFormat("Prefer[%s]", pref->name().c_str()));
     ScoreWriteScope scores(scope.get(), stats);
     ASSIGN_OR_RETURN(current,
-                     EvalPrefer(*pref, current, agg, &engine->catalog(), stats,
+                     EvalPrefer(*pref, std::move(current), agg,
+                                &engine->catalog(), stats,
                                 &engine->parallel_context(), scope.get()));
     RETURN_IF_ERROR(ChargePRelation(engine, current));
   }
@@ -382,11 +383,16 @@ void StorePreferResult(Engine* engine, const cache::CacheKey& key,
   // have stopped early, and a later warm query must not replay it.
   const QueryGovernor* governor = engine->parallel_context().governor;
   if (governor != nullptr && governor->tripped()) return;
+  // Decide admission on `out` in place: a rejected result is never copied.
+  size_t bytes = cache::EstimateRelationBytes(out.rel) +
+                 cache::EstimatePairsBytes(out.pairs);
+  if (!engine->cache()->Admit(bytes, delta)) return;
   auto entry = std::make_shared<cache::CachedResult>();
   entry->rel = out.rel;
-  entry->scores = out.scores;
+  entry->pairs = out.pairs;
   entry->has_scores = true;
   entry->stats = delta;
+  entry->bytes = bytes;
   engine->cache()->Insert(key, std::move(entry));
 }
 
@@ -596,7 +602,7 @@ class BUStrategy final : public Strategy {
             stats->Merge(entry->stats);
             obs::AppendDetail(span, "cache=hit");
             obs::SetRowsOut(span, entry->rel.NumRows());
-            return PRelation(entry->rel, entry->scores);
+            return PRelation(entry->rel, entry->pairs);
           }
           obs::AppendDetail(span, "cache=miss");
           ExecStats local;
@@ -604,7 +610,7 @@ class BUStrategy final : public Strategy {
               PRelation input,
               Eval(node.child(), agg, engine, &local, span, prefetch));
           ASSIGN_OR_RETURN(PRelation out,
-                           EvalPrefer(*node.preference, input, agg,
+                           EvalPrefer(*node.preference, std::move(input), agg,
                                       &engine->catalog(), &local, parallel,
                                       span));
           stats->Merge(local);
@@ -613,8 +619,8 @@ class BUStrategy final : public Strategy {
         }
         ASSIGN_OR_RETURN(PRelation input,
                          Eval(node.child(), agg, engine, stats, span, prefetch));
-        return EvalPrefer(*node.preference, input, agg, &engine->catalog(),
-                          stats, parallel, span);
+        return EvalPrefer(*node.preference, std::move(input), agg,
+                          &engine->catalog(), stats, parallel, span);
       }
     }
     return Status::Internal("unknown plan kind");
@@ -708,7 +714,7 @@ class GBUStrategy final : public Strategy {
           stats->Merge(entry->stats);
           obs::AppendDetail(scope.get(), "cache=hit");
           obs::SetRowsOut(scope.get(), entry->rel.NumRows());
-          PRelation warm(entry->rel, entry->scores);
+          PRelation warm(entry->rel, entry->pairs);
           RETURN_IF_ERROR(ChargePRelation(engine, warm));
           return warm;
         }
@@ -717,7 +723,7 @@ class GBUStrategy final : public Strategy {
         ASSIGN_OR_RETURN(PRelation input, Eval(node.child(), agg, engine,
                                                &local, scope.get(), prefetch));
         ASSIGN_OR_RETURN(PRelation out,
-                         EvalPrefer(*node.preference, input, agg,
+                         EvalPrefer(*node.preference, std::move(input), agg,
                                     &engine->catalog(), &local,
                                     &engine->parallel_context(), scope.get()));
         stats->Merge(local);
@@ -728,7 +734,7 @@ class GBUStrategy final : public Strategy {
       ASSIGN_OR_RETURN(PRelation input, Eval(node.child(), agg, engine, stats,
                                              scope.get(), prefetch));
       ASSIGN_OR_RETURN(PRelation out,
-                       EvalPrefer(*node.preference, input, agg,
+                       EvalPrefer(*node.preference, std::move(input), agg,
                                   &engine->catalog(), stats,
                                   &engine->parallel_context(), scope.get()));
       RETURN_IF_ERROR(ChargePRelation(engine, out));
@@ -889,7 +895,9 @@ class GBUStrategy final : public Strategy {
     TempInput temp;
     temp.table_name = name;
     temp.contributes_scores = score_contributing;
-    temp.scores = std::move(sub.scores);
+    // Row identity ends here: the region query's output rows find their
+    // pairs again by key, through the paper's pk-keyed R_P.
+    temp.scores = sub.ToScoreRelation();
     for (size_t k : sub.rel.key_columns()) {
       temp.key_column_names.push_back(sub.rel.schema().column(k).FullName());
     }
@@ -942,14 +950,15 @@ class GBUStrategy final : public Strategy {
     }
     if (resolved.empty()) return Status::OK();
 
-    for (const Tuple& row : out->rel.rows()) {
+    for (size_t i = 0; i < out->rel.NumRows(); ++i) {
+      const Tuple& row = out->rel.rows()[i];
       ScoreConf pair;  // Identity.
       for (const ResolvedTemp& rt : resolved) {
-        Tuple key = ProjectTuple(row, rt.key_indices);
-        pair = CombineCounted(agg, pair, rt.temp->scores.Lookup(key));
+        pair = CombineCounted(agg, pair,
+                              rt.temp->scores.Lookup(RowKey{row, rt.key_indices}));
       }
       if (!pair.IsDefault()) {
-        out->scores.Set(out->rel.KeyOf(row), pair);
+        out->pairs[i] = pair;
         ++stats->score_entries_written;
       }
     }
@@ -992,16 +1001,21 @@ class PlugInStrategy final : public Strategy {
                      engine->ExecuteConcurrent(*q_np, stats, q_scope.get()));
     obs::SetRowsOut(q_scope.get(), r_np.NumRows());
     q_scope.Finish();
-    PRelation result(std::move(r_np));
 
+    // The rewritten queries return rows of their own, not positions in
+    // R_NP: their scores accumulate in the pk-keyed R_P, and R_NP's rows
+    // find their pairs in it by key at the end.
     ASSIGN_OR_RETURN(PlanShape np_shape,
                      DerivePlanShape(*q_np, engine->catalog()));
+    ScoreRelation scores;
     if (combined_) {
-      return ExecuteCombined(std::move(result), *q_np, np_shape, prefs, agg,
-                             engine, stats, s);
+      RETURN_IF_ERROR(ExecuteCombined(*q_np, np_shape, prefs, agg, engine,
+                                      stats, s, &scores));
+    } else {
+      RETURN_IF_ERROR(ExecuteBasic(*q_np, np_shape, prefs, agg, engine, stats,
+                                   s, &scores));
     }
-    return ExecuteBasic(std::move(result), *q_np, np_shape, prefs, agg, engine,
-                        stats, s);
+    return PRelation(std::move(r_np), scores);
   }
 
  private:
@@ -1012,11 +1026,10 @@ class PlugInStrategy final : public Strategy {
   // independent, so they are issued to the engine concurrently (up to the
   // parallel context's thread budget); aggregation stays in preference
   // order for deterministic score folding.
-  StatusOr<PRelation> ExecuteBasic(PRelation result, const PlanNode& q_np,
-                                   const PlanShape& np_shape,
-                                   const std::vector<PreferencePtr>& prefs,
-                                   const AggregateFunction& agg, Engine* engine,
-                                   ExecStats* stats, obs::Span* span) {
+  Status ExecuteBasic(const PlanNode& q_np, const PlanShape& np_shape,
+                      const std::vector<PreferencePtr>& prefs,
+                      const AggregateFunction& agg, Engine* engine,
+                      ExecStats* stats, obs::Span* span, ScoreRelation* scores) {
     std::vector<PlanPtr> rewrites;
     std::vector<std::string> labels;
     rewrites.reserve(prefs.size());
@@ -1044,11 +1057,10 @@ class PlugInStrategy final : public Strategy {
       obs::SpanScope merge(
           span, StrFormat("MergePartial[%s]", prefs[i]->name().c_str()));
       obs::SetRowsIn(merge.get(), partials[i].NumRows());
-      ScoreWriteScope scores(merge.get(), stats);
-      RETURN_IF_ERROR(
-          MergePartial(*prefs[i], partials[i], agg, stats, &result));
+      ScoreWriteScope writes(merge.get(), stats);
+      RETURN_IF_ERROR(MergePartial(*prefs[i], partials[i], agg, stats, scores));
     }
-    return result;
+    return Status::OK();
   }
 
   // Combined plug-in: a single rewritten query whose filter is the
@@ -1057,12 +1069,11 @@ class PlugInStrategy final : public Strategy {
   // preferences are handled by materializing the member relation once. The
   // disjunction query and the per-membership queries are mutually
   // independent and issued to the engine concurrently.
-  StatusOr<PRelation> ExecuteCombined(PRelation result, const PlanNode& q_np,
-                                      const PlanShape& np_shape,
-                                      const std::vector<PreferencePtr>& prefs,
-                                      const AggregateFunction& agg,
-                                      Engine* engine, ExecStats* stats,
-                                      obs::Span* span) {
+  Status ExecuteCombined(const PlanNode& q_np, const PlanShape& np_shape,
+                         const std::vector<PreferencePtr>& prefs,
+                         const AggregateFunction& agg, Engine* engine,
+                         ExecStats* stats, obs::Span* span,
+                         ScoreRelation* scores) {
     std::vector<const Preference*> plain;
     std::vector<const Preference*> membership;
     for (const PreferencePtr& pref : prefs) {
@@ -1109,8 +1120,8 @@ class PlugInStrategy final : public Strategy {
         obs::SpanScope merge(span,
                              StrFormat("MergePartial[%s]", pref->name().c_str()));
         obs::SetRowsIn(merge.get(), matched.NumRows());
-        ScoreWriteScope scores(merge.get(), stats);
-        RETURN_IF_ERROR(MergePartial(*pref, matched, agg, stats, &result));
+        ScoreWriteScope writes(merge.get(), stats);
+        RETURN_IF_ERROR(MergePartial(*pref, matched, agg, stats, scores));
       }
     }
     for (const Preference* pref : membership) {
@@ -1118,18 +1129,19 @@ class PlugInStrategy final : public Strategy {
       obs::SpanScope merge(span,
                            StrFormat("MergePartial[%s]", pref->name().c_str()));
       obs::SetRowsIn(merge.get(), matched.NumRows());
-      ScoreWriteScope scores(merge.get(), stats);
-      RETURN_IF_ERROR(MergePartial(*pref, matched, agg, stats, &result));
+      ScoreWriteScope writes(merge.get(), stats);
+      RETURN_IF_ERROR(MergePartial(*pref, matched, agg, stats, scores));
     }
-    return result;
+    return Status::OK();
   }
 
   // Scores the rows of a partial (rewritten-query) result under `pref` and
-  // folds them into the final answer's score relation. Re-checks the
-  // conditional part, since the combined rewrite over-fetches (disjunction).
+  // folds them into the answer's score relation by key, probed in place.
+  // Re-checks the conditional part, since the combined rewrite over-fetches
+  // (disjunction).
   Status MergePartial(const Preference& pref, const Relation& partial,
                       const AggregateFunction& agg, ExecStats* stats,
-                      PRelation* result) {
+                      ScoreRelation* scores) {
     ExprPtr condition = pref.CloneCondition();
     RETURN_IF_ERROR(condition->Bind(partial.schema()));
     ScoringFunction scoring = pref.CloneScoring();
@@ -1138,10 +1150,8 @@ class PlugInStrategy final : public Strategy {
       if (!IsTruthy(condition->Eval(row))) continue;
       std::optional<double> score = scoring.Score(row);
       if (!score.has_value()) continue;
-      Tuple key = partial.KeyOf(row);
-      ScoreConf combined = CombineCounted(agg, result->scores.Lookup(key),
-                                       ScoreConf::Known(*score, pref.confidence()));
-      result->scores.Set(key, combined);
+      scores->Fold(RowKey{row, partial.key_columns()},
+                   ScoreConf::Known(*score, pref.confidence()), agg);
       ++stats->score_entries_written;
     }
     return Status::OK();

@@ -75,10 +75,10 @@ double TargetValue(const Tuple& row, size_t score_idx, size_t conf_idx,
   return v.NumericValue();
 }
 
-Status FindScoreColumns(const Relation& scored, size_t* score_idx,
+Status FindScoreColumns(const Schema& scored, size_t* score_idx,
                         size_t* conf_idx) {
-  ASSIGN_OR_RETURN(*score_idx, scored.schema().FindColumn("score"));
-  ASSIGN_OR_RETURN(*conf_idx, scored.schema().FindColumn("conf"));
+  ASSIGN_OR_RETURN(*score_idx, scored.FindColumn("score"));
+  ASSIGN_OR_RETURN(*conf_idx, scored.FindColumn("conf"));
   return Status::OK();
 }
 
@@ -113,7 +113,7 @@ void SortScored(Relation* rel, size_t score_idx, size_t conf_idx,
 StatusOr<Relation> ApplyFilter(const Relation& scored, const FilterSpec& spec) {
   size_t score_idx = 0;
   size_t conf_idx = 0;
-  RETURN_IF_ERROR(FindScoreColumns(scored, &score_idx, &conf_idx));
+  RETURN_IF_ERROR(FindScoreColumns(scored.schema(), &score_idx, &conf_idx));
   Relation out = scored;
 
   switch (spec.kind) {
@@ -178,36 +178,195 @@ PRelation FilterByMinMatches(const PRelation& input, size_t min_matches) {
   PRelation out;
   out.rel = Relation(input.rel.schema());
   out.rel.set_key_columns(input.rel.key_columns());
-  for (const Tuple& row : input.rel.rows()) {
-    const ScoreConf& pair = input.ScoreOf(row);
-    if (pair.count() >= min_matches) {
-      out.rel.AddRow(row);
-      Tuple key = out.rel.KeyOf(row);
-      if (!pair.IsDefault()) out.scores.Set(key, pair);
+  for (size_t i = 0; i < input.rel.NumRows(); ++i) {
+    if (input.pairs[i].count() >= min_matches) {
+      out.rel.AddRow(input.rel.rows()[i]);
+      out.pairs.push_back(input.pairs[i]);
     }
   }
   return out;
 }
 
-StatusOr<Relation> ApplyFilters(const PRelation& input,
-                                const std::vector<FilterSpec>& specs) {
-  // Match-count filters act on the p-relation itself (the count lives in
-  // the score relation); apply them first, then the scored-form filters in
-  // their written order.
-  const PRelation* current = &input;
-  PRelation counted;
-  for (const FilterSpec& spec : specs) {
-    if (spec.kind == FilterSpec::Kind::kMinMatches) {
-      counted = FilterByMinMatches(*current, spec.k);
-      current = &counted;
+namespace {
+
+// TargetValue of the scored form, read straight from a pair: the `score`
+// column is NULL (ranked as -infinity) for ⟨⊥, 0⟩, `conf` is always set.
+double PairTarget(const ScoreConf& pair, FilterTarget target) {
+  if (target == FilterTarget::kConf) return pair.conf();
+  return pair.has_score() ? pair.score()
+                          : -std::numeric_limits<double>::infinity();
+}
+
+// SortScored's order over row indices of `p`: primary desc, secondary desc,
+// key columns asc, then row index asc. Rows that tie on (score, conf, key)
+// tie under every filter's order, so no filter ever reorders them and the
+// index tie-break reproduces the stable sort — while making the order
+// strict, which lets TOP k use a partial sort.
+class RankOrder {
+ public:
+  RankOrder(const PRelation& p, FilterTarget primary)
+      : p_(p),
+        primary_(primary),
+        secondary_(primary == FilterTarget::kScore ? FilterTarget::kConf
+                                                   : FilterTarget::kScore) {}
+
+  bool operator()(uint32_t a, uint32_t b) const {
+    const ScoreConf& pa = p_.pairs[a];
+    const ScoreConf& pb = p_.pairs[b];
+    double x = PairTarget(pa, primary_);
+    double y = PairTarget(pb, primary_);
+    if (x != y) return x > y;
+    x = PairTarget(pa, secondary_);
+    y = PairTarget(pb, secondary_);
+    if (x != y) return x > y;
+    const Tuple& ra = p_.rel.rows()[a];
+    const Tuple& rb = p_.rel.rows()[b];
+    for (size_t k : p_.rel.key_columns()) {
+      int c = ra[k].Compare(rb[k]);
+      if (c != 0) return c < 0;
+    }
+    return a < b;
+  }
+
+ private:
+  const PRelation& p_;
+  FilterTarget primary_;
+  FilterTarget secondary_;
+};
+
+// One filter over the surviving row indices `ids` of `p`: ApplyFilter's
+// semantics for the scored-form kinds, FilterByMinMatches' for kMinMatches.
+Status FilterIndices(const PRelation& p, const FilterSpec& spec,
+                     std::vector<uint32_t>* ids) {
+  switch (spec.kind) {
+    case FilterSpec::Kind::kTopK: {
+      RankOrder order(p, spec.target);
+      if (ids->size() > spec.k) {
+        std::partial_sort(ids->begin(), ids->begin() + spec.k, ids->end(),
+                          order);
+        ids->resize(spec.k);
+      } else {
+        std::sort(ids->begin(), ids->end(), order);
+      }
+      return Status::OK();
+    }
+    case FilterSpec::Kind::kThreshold: {
+      std::erase_if(*ids, [&](uint32_t i) {
+        double v = PairTarget(p.pairs[i], spec.target);
+        return !(spec.strict ? v > spec.threshold : v >= spec.threshold);
+      });
+      return Status::OK();
+    }
+    case FilterSpec::Kind::kRankAll:
+      std::sort(ids->begin(), ids->end(), RankOrder(p, FilterTarget::kScore));
+      return Status::OK();
+    case FilterSpec::Kind::kMinMatches:
+      std::erase_if(*ids, [&](uint32_t i) { return p.pairs[i].count() < spec.k; });
+      return Status::OK();
+    case FilterSpec::Kind::kNotDominated: {
+      // ApplyFilter's skyline scan, over the pairs of the sorted indices.
+      std::sort(ids->begin(), ids->end(), RankOrder(p, FilterTarget::kScore));
+      double best_conf = -std::numeric_limits<double>::infinity();
+      double best_conf_score = 0.0;
+      size_t kept = 0;
+      for (uint32_t i : *ids) {
+        double score = PairTarget(p.pairs[i], FilterTarget::kScore);
+        double conf = PairTarget(p.pairs[i], FilterTarget::kConf);
+        if (conf > best_conf) {
+          best_conf = conf;
+          best_conf_score = score;
+        } else if (conf != best_conf || score != best_conf_score) {
+          continue;
+        }
+        (*ids)[kept++] = i;
+      }
+      ids->resize(kept);
+      return Status::OK();
     }
   }
-  Relation scored = ToScoredRelation(*current);
+  return Status::Internal("unknown filter kind");
+}
+
+}  // namespace
+
+StatusOr<Relation> ApplyFilters(const PRelation& input,
+                                const std::vector<FilterSpec>& specs) {
+  return ApplyFiltersAndProject(input, specs, {});
+}
+
+StatusOr<Relation> ApplyFiltersAndProject(
+    const PRelation& input, const std::vector<FilterSpec>& specs,
+    const std::vector<std::string>& output_columns) {
+  if (input.pairs.size() != input.rel.NumRows()) {
+    return Status::Internal("p-relation pairs are not row-aligned");
+  }
+  Schema scored_schema = input.rel.schema();
+  scored_schema.AddColumn(Column{"", "score", ValueType::kDouble});
+  scored_schema.AddColumn(Column{"", "conf", ValueType::kDouble});
+
+  // Filters pick and order row indices; nothing is copied until the
+  // survivors are known. Match-count filters come first (see filters.h).
+  std::vector<uint32_t> ids(input.rel.NumRows());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  for (const FilterSpec& spec : specs) {
+    if (spec.kind == FilterSpec::Kind::kMinMatches) {
+      RETURN_IF_ERROR(FilterIndices(input, spec, &ids));
+    }
+  }
+  bool checked_columns = false;
   for (const FilterSpec& spec : specs) {
     if (spec.kind == FilterSpec::Kind::kMinMatches) continue;
-    ASSIGN_OR_RETURN(scored, ApplyFilter(scored, spec));
+    if (!checked_columns) {
+      // The scored-form filters need unambiguous score/conf columns.
+      size_t score_idx = 0;
+      size_t conf_idx = 0;
+      RETURN_IF_ERROR(FindScoreColumns(scored_schema, &score_idx, &conf_idx));
+      checked_columns = true;
+    }
+    RETURN_IF_ERROR(FilterIndices(input, spec, &ids));
   }
-  return scored;
+
+  // Columns of the scored form to emit: all of them, or the requested ones
+  // followed by score and conf.
+  std::vector<size_t> indices;
+  if (output_columns.empty()) {
+    indices.resize(scored_schema.size());
+    for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  } else {
+    indices.reserve(output_columns.size() + 2);
+    for (const std::string& name : output_columns) {
+      ASSIGN_OR_RETURN(size_t idx, scored_schema.FindColumn(name));
+      indices.push_back(idx);
+    }
+    for (const char* name : {"score", "conf"}) {
+      ASSIGN_OR_RETURN(size_t idx, scored_schema.FindColumn(name));
+      indices.push_back(idx);
+    }
+  }
+
+  const size_t score_col = input.rel.schema().size();
+  Relation out(output_columns.empty() ? scored_schema
+                                      : scored_schema.Select(indices));
+  if (output_columns.empty()) out.set_key_columns(input.rel.key_columns());
+  out.Reserve(ids.size());
+  for (uint32_t id : ids) {
+    const Tuple& row = input.rel.rows()[id];
+    const ScoreConf& pair = input.pairs[id];
+    Tuple projected;
+    projected.reserve(indices.size());
+    for (size_t idx : indices) {
+      if (idx < score_col) {
+        projected.push_back(row[idx]);
+      } else if (idx == score_col) {
+        projected.push_back(pair.has_score() ? Value::Double(pair.score())
+                                             : Value::Null());
+      } else {
+        projected.push_back(Value::Double(pair.conf()));
+      }
+    }
+    out.AddRow(std::move(projected));
+  }
+  return out;
 }
 
 }  // namespace prefdb

@@ -47,14 +47,30 @@ struct FilterSpec {
 /// Applies one filter to a scored relation (a relation with trailing
 /// `score` and `conf` columns, as produced by ToScoredRelation). Tuples
 /// with unknown score (NULL) rank below every known score and fail any
-/// score threshold.
+/// score threshold. Ranking filters order by (target desc, the other
+/// dimension desc, key columns asc) with a stable sort.
+///
+/// This is the reference definition of the filters: ApplyFilters computes
+/// the same relation without building the scored form first, and
+/// filters_test checks the two against each other.
 StatusOr<Relation> ApplyFilter(const Relation& scored, const FilterSpec& spec);
 
-/// Converts the p-relation to scored form and applies `specs` in order.
-/// kMinMatches specs are applied first, directly on the p-relation (the
-/// match count lives in the score relation, not in the scored columns).
+/// Applies `specs` in order and returns the surviving tuples in scored form.
+/// kMinMatches specs are applied first (the match count lives in the pairs,
+/// not in the scored columns). Equal to folding ApplyFilter over
+/// ToScoredRelation(FilterByMinMatches(input, ...)), but the filters pick
+/// and order row indices — TOP k by a partial sort — and only the surviving
+/// rows are materialized, once.
 StatusOr<Relation> ApplyFilters(const PRelation& input,
                                 const std::vector<FilterSpec>& specs);
+
+/// ApplyFilters, emitting each surviving row already projected onto
+/// `output_columns` followed by `score` and `conf` (resolved against the
+/// scored schema); empty `output_columns` keeps every column. What a
+/// session returns as the query result.
+StatusOr<Relation> ApplyFiltersAndProject(
+    const PRelation& input, const std::vector<FilterSpec>& specs,
+    const std::vector<std::string>& output_columns);
 
 /// Keeps the tuples whose pair was contributed by at least `min_matches`
 /// preference applications (the paper's "satisfy a minimum number of

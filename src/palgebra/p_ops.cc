@@ -35,65 +35,143 @@ void AnnotateSpan(obs::Span* span, size_t rows_in, size_t rows_out,
   }
 }
 
-// Copies the score entries of surviving rows from `input` into `out`.
-// Used by operators that drop tuples (select, semijoin, set difference).
-// Parallel plans probe the input score relation in concurrent morsels
-// (key extraction + hash lookup per surviving row); each morsel buffers
-// its hits, and the buffers are folded into the output score relation in
-// morsel order — the same entries, in the same order, as the serial scan.
-void CarryScores(const PRelation& input, PRelation* out, ExecStats* stats,
-                 const ParallelContext* parallel = nullptr) {
-  out->scores.Reserve(std::min(input.scores.size(), out->rel.NumRows()));
-  MorselPlan plan = PlanFor(out->rel.NumRows(), parallel);
-  if (plan.serial() || input.scores.empty()) {
-    for (const Tuple& row : out->rel.rows()) {
-      Tuple key = out->rel.KeyOf(row);
-      const ScoreConf& pair = input.scores.Lookup(key);
-      if (!pair.IsDefault()) {
-        out->scores.Set(key, pair);
-        ++stats->score_entries_written;
-      }
-    }
-    return;
-  }
-  const std::vector<Tuple>& rows = out->rel.rows();
-  std::vector<std::vector<std::pair<Tuple, ScoreConf>>> hits(
-      plan.morsel_count());
+// Runs `keep(i)` over the rows of `plan` in morsels and returns the row
+// indices it kept, in input order (per-morsel lists concatenated in morsel
+// order).
+template <typename Keep>
+std::vector<uint32_t> KeptRows(const MorselPlan& plan,
+                               const ParallelContext* parallel,
+                               const Keep& keep) {
+  std::vector<std::vector<uint32_t>> kept(plan.morsel_count());
   ParallelFor(plan, [&](size_t, const Morsel& m) {
     GovernorCheckpoint(parallel);
-    std::vector<std::pair<Tuple, ScoreConf>>& local = hits[m.index];
+    std::vector<uint32_t>& local = kept[m.index];
     for (size_t i = m.begin; i < m.end; ++i) {
-      Tuple key = out->rel.KeyOf(rows[i]);
-      const ScoreConf& pair = input.scores.Lookup(key);
-      if (!pair.IsDefault()) local.emplace_back(std::move(key), pair);
+      if (keep(i)) local.push_back(static_cast<uint32_t>(i));
     }
   });
-  for (std::vector<std::pair<Tuple, ScoreConf>>& local : hits) {
-    for (std::pair<Tuple, ScoreConf>& hit : local) {
-      out->scores.Set(hit.first, hit.second);
-      ++stats->score_entries_written;
-    }
+  if (kept.size() == 1) return std::move(kept[0]);
+  size_t total = 0;
+  for (const std::vector<uint32_t>& local : kept) total += local.size();
+  std::vector<uint32_t> ids;
+  ids.reserve(total);
+  for (const std::vector<uint32_t>& local : kept) {
+    ids.insert(ids.end(), local.begin(), local.end());
+  }
+  return ids;
+}
+
+// An empty p-relation with `like`'s schema and key.
+PRelation EmptyLike(const Relation& like) {
+  PRelation out;
+  out.rel = Relation(like.schema());
+  out.rel.set_key_columns(like.key_columns());
+  return out;
+}
+
+// Appends the rows `ids` of `input` to `out`.
+void CopyRows(const Relation& input, const std::vector<uint32_t>& ids,
+              Relation* out) {
+  out->Reserve(out->NumRows() + ids.size());
+  for (uint32_t i : ids) out->AddRow(input.rows()[i]);
+}
+
+// Appends the pairs of rows `ids` of `input` to `out`: the score carry-over
+// of the operators that drop tuples (select, semijoin, set difference,
+// distinct, limit). Each carried non-default pair counts as a score entry
+// written.
+void CarryScores(const PRelation& input, const std::vector<uint32_t>& ids,
+                 PRelation* out, ExecStats* stats) {
+  out->pairs.reserve(out->pairs.size() + ids.size());
+  for (uint32_t i : ids) {
+    const ScoreConf& pair = input.pairs[i];
+    out->pairs.push_back(pair);
+    if (!pair.IsDefault()) ++stats->score_entries_written;
   }
 }
 
-// Precomputes, in concurrent morsels, whether each row of `rows` occurs in
-// `set` — the hash-probe half of the set operations, hoisted out of their
-// (order-dependent, serial) duplicate-elimination loops.
-std::vector<uint8_t> ParallelMembership(
-    const std::vector<Tuple>& rows,
-    const std::unordered_set<Tuple, TupleHash, TupleEq>& set,
-    const MorselPlan& plan, const ParallelContext* parallel) {
-  std::vector<uint8_t> member(rows.size(), 0);
+// The set operations' and DISTINCT's membership structure: a hash set of
+// positions into `rows`, hashed and compared by row content. It copies no
+// tuple, and a probe by tuple returns the position of the first-inserted
+// equal row — how the set operations reach the other side's pair.
+class RowIndexSet {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  explicit RowIndexSet(const std::vector<Tuple>& rows)
+      : set_(rows.size(), Hash{&rows}, Eq{&rows}) {}
+
+  // Adds row `i`; false if an equal row is already present.
+  bool Insert(uint32_t i) { return set_.insert(i).second; }
+
+  // Position of the first-inserted row equal to `row`, or kAbsent.
+  uint32_t Find(const Tuple& row) const {
+    auto it = set_.find(row);
+    return it == set_.end() ? kAbsent : *it;
+  }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    const std::vector<Tuple>* rows;
+    size_t operator()(uint32_t i) const { return TupleHash()((*rows)[i]); }
+    size_t operator()(const Tuple& t) const { return TupleHash()(t); }
+  };
+  struct Eq {
+    using is_transparent = void;
+    const std::vector<Tuple>* rows;
+    bool operator()(uint32_t a, uint32_t b) const {
+      return TupleEq()((*rows)[a], (*rows)[b]);
+    }
+    bool operator()(uint32_t a, const Tuple& b) const {
+      return TupleEq()((*rows)[a], b);
+    }
+    bool operator()(const Tuple& a, uint32_t b) const {
+      return TupleEq()(a, (*rows)[b]);
+    }
+  };
+  std::unordered_set<uint32_t, Hash, Eq> set_;
+};
+
+// A RowIndexSet over all of `rows`; `first[i]` (when non-null) records
+// whether row i is the first of its value.
+RowIndexSet IndexRows(const std::vector<Tuple>& rows,
+                      std::vector<uint8_t>* first = nullptr) {
+  RowIndexSet set(rows);
+  if (first != nullptr) first->resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    bool inserted = set.Insert(static_cast<uint32_t>(i));
+    if (first != nullptr) (*first)[i] = inserted ? 1 : 0;
+  }
+  return set;
+}
+
+// For every row of `rows`, the position of the equal row in `set` (or
+// RowIndexSet::kAbsent), probed in concurrent morsels: the hash-probe half
+// of the set operations, hoisted out of their serial emit loops.
+std::vector<uint32_t> ProbeMembership(const std::vector<Tuple>& rows,
+                                      const RowIndexSet& set,
+                                      const MorselPlan& plan,
+                                      const ParallelContext* parallel) {
+  std::vector<uint32_t> match(rows.size(), RowIndexSet::kAbsent);
   ParallelFor(plan, [&](size_t, const Morsel& m) {
     GovernorCheckpoint(parallel);
-    for (size_t i = m.begin; i < m.end; ++i) {
-      member[i] = set.count(rows[i]) > 0 ? 1 : 0;
-    }
+    for (size_t i = m.begin; i < m.end; ++i) match[i] = set.Find(rows[i]);
   });
-  return member;
+  return match;
+}
+
+// Operators read pairs by row position: a p-relation whose pairs are not
+// row-aligned is a caller bug, reported here rather than read out of bounds.
+Status CheckAligned(const PRelation& p) {
+  if (p.pairs.size() == p.rel.NumRows()) return Status::OK();
+  return Status::Internal(StrFormat("p-relation has %zu rows but %zu pairs",
+                                    p.rel.NumRows(), p.pairs.size()));
 }
 
 Status CheckSetCompatible(const PRelation& left, const PRelation& right) {
+  RETURN_IF_ERROR(CheckAligned(left));
+  RETURN_IF_ERROR(CheckAligned(right));
   if (left.rel.schema().size() != right.rel.schema().size()) {
     return Status::InvalidArgument("set operation inputs differ in arity");
   }
@@ -109,39 +187,19 @@ StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
                             ExecStats* stats, const ParallelContext* parallel,
                             obs::Span* span) {
   ++stats->operator_invocations;
+  RETURN_IF_ERROR(CheckAligned(input));
   RETURN_IF_ERROR(GovernorCheck(parallel));
   ExprPtr bound = predicate.Clone();
   RETURN_IF_ERROR(bound->Bind(input.rel.schema()));
-  PRelation out;
-  out.rel = Relation(input.rel.schema());
-  out.rel.set_key_columns(input.rel.key_columns());
-  MorselPlan plan = PlanFor(input.rel.NumRows(), parallel);
-  if (plan.serial()) {
-    for (const Tuple& row : input.rel.rows()) {
-      if (IsTruthy(bound->Eval(row))) out.rel.AddRow(row);
-    }
-  } else {
-    // Bound expressions are immutable after Bind, so all slots share
-    // `bound`. Each morsel filters into its own buffer; concatenating the
-    // buffers in morsel order reproduces the serial output row order.
-    const std::vector<Tuple>& rows = input.rel.rows();
-    std::vector<std::vector<Tuple>> kept(plan.morsel_count());
-    ParallelFor(plan, [&](size_t, const Morsel& m) {
-      GovernorCheckpoint(parallel);
-      std::vector<Tuple>& local = kept[m.index];
-      for (size_t i = m.begin; i < m.end; ++i) {
-        if (IsTruthy(bound->Eval(rows[i]))) local.push_back(rows[i]);
-      }
-    });
-    size_t total = 0;
-    for (const std::vector<Tuple>& local : kept) total += local.size();
-    out.rel.Reserve(total);
-    for (std::vector<Tuple>& local : kept) {
-      for (Tuple& row : local) out.rel.AddRow(std::move(row));
-    }
-  }
+  // Bound expressions are immutable after Bind, so all slots share `bound`.
+  const std::vector<Tuple>& rows = input.rel.rows();
+  MorselPlan plan = PlanFor(rows.size(), parallel);
+  std::vector<uint32_t> ids = KeptRows(
+      plan, parallel, [&](size_t i) { return IsTruthy(bound->Eval(rows[i])); });
+  PRelation out = EmptyLike(input.rel);
+  CopyRows(input.rel, ids, &out.rel);
   stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(input, &out, stats, parallel);
+  CarryScores(input, ids, &out, stats);
   AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows(), &plan);
   return out;
 }
@@ -150,8 +208,11 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
                              const PRelation& input, ExecStats* stats,
                              obs::Span* span) {
   ++stats->operator_invocations;
+  RETURN_IF_ERROR(CheckAligned(input));
   PlanShape shape{input.rel.schema(), input.rel.key_columns()};
   ASSIGN_OR_RETURN(ProjectionResolution res, ResolveProjection(shape, columns));
+  // The key columns survive projection by construction, and every row keeps
+  // its position, so the pairs carry over unchanged.
   PRelation out;
   out.rel = Relation(input.rel.schema().Select(res.indices));
   out.rel.set_key_columns(res.key_positions);
@@ -160,35 +221,7 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
     out.rel.AddRow(ProjectTuple(row, res.indices));
   }
   stats->tuples_materialized += out.rel.NumRows();
-  // The key column *set* is preserved by construction, but the canonical
-  // (ascending-position) key order can change when projection permutes
-  // columns, so the score map is re-keyed under that permutation.
-  // perm[i] = position, within the input key order, of the column that the
-  // i-th output key column came from.
-  const std::vector<size_t>& in_keys = input.rel.key_columns();
-  const std::vector<size_t>& out_keys = out.rel.key_columns();
-  std::vector<size_t> perm(out_keys.size());
-  bool identity = true;
-  for (size_t i = 0; i < out_keys.size(); ++i) {
-    size_t source_col = res.indices[out_keys[i]];
-    auto it = std::find(in_keys.begin(), in_keys.end(), source_col);
-    if (it == in_keys.end()) {
-      return Status::Internal("projection lost a key column");
-    }
-    perm[i] = static_cast<size_t>(it - in_keys.begin());
-    if (perm[i] != i) identity = false;
-  }
-  if (identity) {
-    out.scores = input.scores;
-  } else {
-    out.scores.Reserve(input.scores.size());
-    for (const auto& [key, pair] : input.scores.entries()) {
-      Tuple permuted(perm.size());
-      for (size_t i = 0; i < perm.size(); ++i) permuted[i] = key[perm[i]];
-      out.scores.Set(permuted, pair);
-      ++stats->score_entries_written;
-    }
-  }
+  out.pairs = input.pairs;
   AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
   return out;
 }
@@ -198,10 +231,67 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           ExecStats* stats, const ParallelContext* parallel,
                           obs::Span* span) {
   ++stats->operator_invocations;
+  RETURN_IF_ERROR(CheckAligned(left));
+  RETURN_IF_ERROR(CheckAligned(right));
   RETURN_IF_ERROR(GovernorCheck(parallel));
   Schema combined = left.rel.schema().Concat(right.rel.schema());
   ExprPtr bound = predicate.Clone();
   RETURN_IF_ERROR(bound->Bind(combined));
+
+  // Per-morsel buffers: joined rows plus each row's combined pair (an `F`
+  // fold of the two inputs' pairs, read by row position). Concatenating the
+  // buffers in morsel order gives the output row order; the bound
+  // predicate, the build table and both inputs are read-only here.
+  struct MatchBuffer {
+    std::vector<Tuple> rows;
+    std::vector<ScoreConf> pairs;
+  };
+  auto try_emit = [&](MatchBuffer* local, size_t l, size_t r) {
+    Tuple joined = ConcatTuples(left.rel.rows()[l], right.rel.rows()[r]);
+    if (!IsTruthy(bound->Eval(joined))) return;
+    local->rows.push_back(std::move(joined));
+    local->pairs.push_back(CombineCounted(agg, left.pairs[l], right.pairs[r]));
+  };
+
+  const std::vector<Tuple>& lrows = left.rel.rows();
+  const std::vector<Tuple>& rrows = right.rel.rows();
+  MorselPlan plan = PlanFor(lrows.size(), parallel);
+  std::vector<MatchBuffer> buffers(plan.morsel_count());
+  std::string left_col;
+  std::string right_col;
+  if (FindEquiConjunct(predicate, left.rel.schema(), right.rel.schema(),
+                       &left_col, &right_col)) {
+    ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
+    ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
+    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> build;
+    build.reserve(rrows.size());
+    for (size_t i = 0; i < rrows.size(); ++i) {
+      build[rrows[i][ri]].push_back(static_cast<uint32_t>(i));
+    }
+    ParallelFor(plan, [&](size_t, const Morsel& m) {
+      GovernorCheckpoint(parallel);
+      MatchBuffer& local = buffers[m.index];
+      for (size_t i = m.begin; i < m.end; ++i) {
+        auto it = build.find(lrows[i][li]);
+        if (it == build.end()) continue;
+        for (uint32_t pos : it->second) try_emit(&local, i, pos);
+      }
+    });
+  } else {
+    ParallelFor(plan, [&](size_t, const Morsel& m) {
+      GovernorCheckpoint(parallel);
+      // The quadratic path: the ticker bounds cancellation latency by probe
+      // count even when one covering morsel holds every row.
+      GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
+      MatchBuffer& local = buffers[m.index];
+      for (size_t i = m.begin; i < m.end; ++i) {
+        for (size_t r = 0; r < rrows.size(); ++r) {
+          ticker.Tick();
+          try_emit(&local, i, r);
+        }
+      }
+    });
+  }
 
   PRelation out;
   out.rel = Relation(combined);
@@ -210,123 +300,21 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
     keys.push_back(k + left.rel.schema().size());
   }
   out.rel.set_key_columns(std::move(keys));
-
-  auto emit = [&](const Tuple& lrow, const Tuple& rrow, Tuple joined) {
-    ScoreConf pair = CombineCounted(agg, left.ScoreOf(lrow), right.ScoreOf(rrow));
-    out.rel.AddRow(std::move(joined));
-    if (!pair.IsDefault()) {
-      out.scores.Set(out.rel.KeyOf(out.rel.rows().back()), pair);
-      ++stats->score_entries_written;
-    }
-  };
-
-  // Per-morsel buffers for the parallel probe: joined rows plus each row's
-  // combined pair (computed in the morsel — two score lookups and an `F`
-  // fold per match). Concatenating buffers in morsel order reproduces the
-  // serial output row order and score-relation contents exactly; the
-  // bound predicate, the build table, and both inputs are read-only here.
-  struct MatchBuffer {
-    std::vector<Tuple> rows;
-    std::vector<ScoreConf> pairs;
-  };
-  auto emit_local = [&](MatchBuffer* local, const Tuple& lrow,
-                        const Tuple& rrow, Tuple joined) {
-    local->rows.push_back(std::move(joined));
-    local->pairs.push_back(
-        CombineCounted(agg, left.ScoreOf(lrow), right.ScoreOf(rrow)));
-  };
-  auto merge_local = [&](std::vector<MatchBuffer>* buffers) {
-    size_t total = 0;
-    for (const MatchBuffer& local : *buffers) total += local.rows.size();
-    out.rel.Reserve(total);
-    for (MatchBuffer& local : *buffers) {
-      for (size_t i = 0; i < local.rows.size(); ++i) {
-        out.rel.AddRow(std::move(local.rows[i]));
-        if (!local.pairs[i].IsDefault()) {
-          out.scores.Set(out.rel.KeyOf(out.rel.rows().back()), local.pairs[i]);
-          ++stats->score_entries_written;
-        }
-      }
-    }
-  };
-
-  const std::vector<Tuple>& lrows = left.rel.rows();
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::string left_col;
-  std::string right_col;
-  if (FindEquiConjunct(predicate, left.rel.schema(), right.rel.schema(),
-                       &left_col, &right_col)) {
-    ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
-    ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> build;
-    build.reserve(right.rel.NumRows());
-    const std::vector<Tuple>& rrows = right.rel.rows();
-    for (size_t i = 0; i < rrows.size(); ++i) {
-      build[rrows[i][ri]].push_back(static_cast<uint32_t>(i));
-    }
-    if (plan.serial()) {
-      for (const Tuple& lrow : lrows) {
-        auto it = build.find(lrow[li]);
-        if (it == build.end()) continue;
-        for (uint32_t pos : it->second) {
-          Tuple joined = ConcatTuples(lrow, rrows[pos]);
-          if (IsTruthy(bound->Eval(joined))) {
-            emit(lrow, rrows[pos], std::move(joined));
-          }
-        }
-      }
-    } else {
-      std::vector<MatchBuffer> buffers(plan.morsel_count());
-      ParallelFor(plan, [&](size_t, const Morsel& m) {
-        GovernorCheckpoint(parallel);
-        MatchBuffer& local = buffers[m.index];
-        for (size_t i = m.begin; i < m.end; ++i) {
-          const Tuple& lrow = lrows[i];
-          auto it = build.find(lrow[li]);
-          if (it == build.end()) continue;
-          for (uint32_t pos : it->second) {
-            Tuple joined = ConcatTuples(lrow, rrows[pos]);
-            if (IsTruthy(bound->Eval(joined))) {
-              emit_local(&local, lrow, rrows[pos], std::move(joined));
-            }
-          }
-        }
-      });
-      merge_local(&buffers);
-    }
+  if (buffers.size() == 1) {
+    *out.rel.mutable_rows() = std::move(buffers[0].rows);
+    out.pairs = std::move(buffers[0].pairs);
   } else {
-    const std::vector<Tuple>& rrows = right.rel.rows();
-    if (plan.serial()) {
-      // The quadratic serial path: the ticker bounds cancellation latency
-      // by probe count even when one covering morsel holds every row.
-      GovernorTicker ticker(parallel == nullptr ? nullptr
-                                                : parallel->governor);
-      for (const Tuple& lrow : lrows) {
-        for (const Tuple& rrow : rrows) {
-          ticker.Tick();
-          Tuple joined = ConcatTuples(lrow, rrow);
-          if (IsTruthy(bound->Eval(joined))) {
-            emit(lrow, rrow, std::move(joined));
-          }
-        }
-      }
-    } else {
-      std::vector<MatchBuffer> buffers(plan.morsel_count());
-      ParallelFor(plan, [&](size_t, const Morsel& m) {
-        GovernorCheckpoint(parallel);
-        MatchBuffer& local = buffers[m.index];
-        for (size_t i = m.begin; i < m.end; ++i) {
-          const Tuple& lrow = lrows[i];
-          for (const Tuple& rrow : rrows) {
-            Tuple joined = ConcatTuples(lrow, rrow);
-            if (IsTruthy(bound->Eval(joined))) {
-              emit_local(&local, lrow, rrow, std::move(joined));
-            }
-          }
-        }
-      });
-      merge_local(&buffers);
+    size_t total = 0;
+    for (const MatchBuffer& local : buffers) total += local.rows.size();
+    out.rel.Reserve(total);
+    out.pairs.reserve(total);
+    for (MatchBuffer& local : buffers) {
+      for (Tuple& row : local.rows) out.rel.AddRow(std::move(row));
+      out.pairs.insert(out.pairs.end(), local.pairs.begin(), local.pairs.end());
     }
+  }
+  for (const ScoreConf& pair : out.pairs) {
+    if (!pair.IsDefault()) ++stats->score_entries_written;
   }
   stats->tuples_materialized += out.rel.NumRows();
   AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
@@ -339,26 +327,22 @@ StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const ParallelContext* parallel,
                               obs::Span* span) {
   ++stats->operator_invocations;
+  RETURN_IF_ERROR(CheckAligned(left));
+  RETURN_IF_ERROR(CheckAligned(right));
   RETURN_IF_ERROR(GovernorCheck(parallel));
   Schema combined = left.rel.schema().Concat(right.rel.schema());
   ExprPtr bound = predicate.Clone();
   RETURN_IF_ERROR(bound->Bind(combined));
 
-  PRelation out;
-  out.rel = Relation(left.rel.schema());
-  out.rel.set_key_columns(left.rel.key_columns());
-
   // Each left row's qualification is independent, so the probe runs in
-  // morsels; qualified rows are appended serially in input order (the
-  // per-row flag buffer keeps the output row order bit-identical).
+  // morsels; the qualified row indices come back in input order.
   const std::vector<Tuple>& lrows = left.rel.rows();
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  auto emit_qualified = [&](const std::vector<uint8_t>& qualified) {
-    for (size_t i = 0; i < lrows.size(); ++i) {
-      if (qualified[i]) out.rel.AddRow(lrows[i]);
-    }
+  const std::vector<Tuple>& rrows = right.rel.rows();
+  auto qualifies = [&](const Tuple& lrow, uint32_t r) {
+    return IsTruthy(bound->Eval(ConcatTuples(lrow, rrows[r])));
   };
-
+  MorselPlan plan = PlanFor(lrows.size(), parallel);
+  std::vector<uint32_t> ids;
   std::string left_col;
   std::string right_col;
   if (FindEquiConjunct(predicate, left.rel.schema(), right.rel.schema(),
@@ -366,59 +350,29 @@ StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
     ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
     ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
     std::unordered_map<Value, std::vector<uint32_t>, ValueHash> build;
-    const std::vector<Tuple>& rrows = right.rel.rows();
     for (size_t i = 0; i < rrows.size(); ++i) {
       build[rrows[i][ri]].push_back(static_cast<uint32_t>(i));
     }
-    auto matches = [&](const Tuple& lrow) {
-      auto it = build.find(lrow[li]);
+    ids = KeptRows(plan, parallel, [&](size_t i) {
+      auto it = build.find(lrows[i][li]);
       if (it == build.end()) return false;
       for (uint32_t pos : it->second) {
-        Tuple joined = ConcatTuples(lrow, rrows[pos]);
-        if (IsTruthy(bound->Eval(joined))) return true;
+        if (qualifies(lrows[i], pos)) return true;
       }
       return false;
-    };
-    if (plan.serial()) {
-      for (const Tuple& lrow : lrows) {
-        if (matches(lrow)) out.rel.AddRow(lrow);
-      }
-    } else {
-      std::vector<uint8_t> qualified(lrows.size(), 0);
-      ParallelFor(plan, [&](size_t, const Morsel& m) {
-        GovernorCheckpoint(parallel);
-        for (size_t i = m.begin; i < m.end; ++i) {
-          qualified[i] = matches(lrows[i]) ? 1 : 0;
-        }
-      });
-      emit_qualified(qualified);
-    }
+    });
   } else {
-    const std::vector<Tuple>& rrows = right.rel.rows();
-    auto matches = [&](const Tuple& lrow) {
-      for (const Tuple& rrow : rrows) {
-        Tuple joined = ConcatTuples(lrow, rrow);
-        if (IsTruthy(bound->Eval(joined))) return true;
+    ids = KeptRows(plan, parallel, [&](size_t i) {
+      for (size_t r = 0; r < rrows.size(); ++r) {
+        if (qualifies(lrows[i], static_cast<uint32_t>(r))) return true;
       }
       return false;
-    };
-    if (plan.serial()) {
-      for (const Tuple& lrow : lrows) {
-        if (matches(lrow)) out.rel.AddRow(lrow);
-      }
-    } else {
-      std::vector<uint8_t> qualified(lrows.size(), 0);
-      ParallelFor(plan, [&](size_t, const Morsel& m) {
-        GovernorCheckpoint(parallel);
-        for (size_t i = m.begin; i < m.end; ++i) {
-          qualified[i] = matches(lrows[i]) ? 1 : 0;
-        }
-      });
-      emit_qualified(qualified);
-    }
+    });
   }
+  PRelation out = EmptyLike(left.rel);
+  CopyRows(left.rel, ids, &out.rel);
   stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(left, &out, stats, parallel);
+  CarryScores(left, ids, &out, stats);
   AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
                out.rel.NumRows(), &plan);
   return out;
@@ -430,48 +384,40 @@ StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
   ++stats->operator_invocations;
   RETURN_IF_ERROR(GovernorCheck(parallel));
   RETURN_IF_ERROR(CheckSetCompatible(left, right));
-  PRelation out;
-  out.rel = Relation(left.rel.schema());
-  out.rel.set_key_columns(left.rel.key_columns());
-
-  std::unordered_set<Tuple, TupleHash, TupleEq> right_set(right.rel.rows().begin(),
-                                                          right.rel.rows().end());
-  // The right-side membership probes are hoisted into a parallel pass; the
-  // emit loop below stays serial because duplicate elimination is
-  // first-occurrence-wins over the interleaved left/right order. The flags
-  // are pure functions of the inputs, so the emitted rows, pairs and
-  // counters are exactly the serial ones.
+  // Duplicate elimination is first-occurrence-wins over left-then-right
+  // order: a left row is emitted iff it is the first of its value on the
+  // left, a right row iff no left row equals it and it is the first of its
+  // value on the right. The right-side probes of the left rows run in
+  // morsels; the emit loops stay serial.
   const std::vector<Tuple>& lrows = left.rel.rows();
+  const std::vector<Tuple>& rrows = right.rel.rows();
+  std::vector<uint8_t> left_first;
+  std::vector<uint8_t> right_first;
+  RowIndexSet left_set = IndexRows(lrows, &left_first);
+  RowIndexSet right_set = IndexRows(rrows, &right_first);
   MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint8_t> in_right;
-  if (!plan.serial()) {
-    in_right = ParallelMembership(lrows, right_set, plan, parallel);
-  }
+  std::vector<uint32_t> in_right =
+      ProbeMembership(lrows, right_set, plan, parallel);
 
-  std::unordered_set<Tuple, TupleHash, TupleEq> emitted;
+  PRelation out = EmptyLike(left.rel);
+  auto emit = [&](const Tuple& row, const ScoreConf& pair) {
+    out.rel.AddRow(row);
+    out.pairs.push_back(pair);
+    if (!pair.IsDefault()) ++stats->score_entries_written;
+  };
   for (size_t i = 0; i < lrows.size(); ++i) {
-    const Tuple& row = lrows[i];
-    if (!emitted.insert(row).second) continue;
-    out.rel.AddRow(row);
-    ScoreConf pair = left.ScoreOf(row);
-    bool in_both =
-        plan.serial() ? right_set.count(row) > 0 : in_right[i] != 0;
-    if (in_both) {
-      pair = CombineCounted(agg, pair, right.ScoreOf(row));
+    if (!left_first[i]) continue;
+    ScoreConf pair = left.pairs[i];
+    if (in_right[i] != RowIndexSet::kAbsent) {
+      pair = CombineCounted(agg, pair, right.pairs[in_right[i]]);
     }
-    if (!pair.IsDefault()) {
-      out.scores.Set(out.rel.KeyOf(row), pair);
-      ++stats->score_entries_written;
-    }
+    emit(lrows[i], pair);
   }
-  for (const Tuple& row : right.rel.rows()) {
-    if (!emitted.insert(row).second) continue;
-    out.rel.AddRow(row);
-    const ScoreConf& pair = right.ScoreOf(row);
-    if (!pair.IsDefault()) {
-      out.scores.Set(out.rel.KeyOf(row), pair);
-      ++stats->score_entries_written;
+  for (size_t j = 0; j < rrows.size(); ++j) {
+    if (!right_first[j] || left_set.Find(rrows[j]) != RowIndexSet::kAbsent) {
+      continue;
     }
+    emit(rrows[j], right.pairs[j]);
   }
   stats->tuples_materialized += out.rel.NumRows();
   AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
@@ -486,32 +432,22 @@ StatusOr<PRelation> PIntersect(const PRelation& left, const PRelation& right,
   ++stats->operator_invocations;
   RETURN_IF_ERROR(GovernorCheck(parallel));
   RETURN_IF_ERROR(CheckSetCompatible(left, right));
-  PRelation out;
-  out.rel = Relation(left.rel.schema());
-  out.rel.set_key_columns(left.rel.key_columns());
-
-  std::unordered_set<Tuple, TupleHash, TupleEq> right_set(right.rel.rows().begin(),
-                                                          right.rel.rows().end());
   const std::vector<Tuple>& lrows = left.rel.rows();
+  std::vector<uint8_t> left_first;
+  IndexRows(lrows, &left_first);
+  RowIndexSet right_set = IndexRows(right.rel.rows());
   MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint8_t> in_right;
-  if (!plan.serial()) {
-    in_right = ParallelMembership(lrows, right_set, plan, parallel);
-  }
+  std::vector<uint32_t> in_right =
+      ProbeMembership(lrows, right_set, plan, parallel);
 
-  std::unordered_set<Tuple, TupleHash, TupleEq> emitted;
+  PRelation out = EmptyLike(left.rel);
   for (size_t i = 0; i < lrows.size(); ++i) {
-    const Tuple& row = lrows[i];
-    bool in_both =
-        plan.serial() ? right_set.count(row) > 0 : in_right[i] != 0;
-    if (!in_both) continue;
-    if (!emitted.insert(row).second) continue;
-    out.rel.AddRow(row);
-    ScoreConf pair = CombineCounted(agg, left.ScoreOf(row), right.ScoreOf(row));
-    if (!pair.IsDefault()) {
-      out.scores.Set(out.rel.KeyOf(row), pair);
-      ++stats->score_entries_written;
-    }
+    if (in_right[i] == RowIndexSet::kAbsent || !left_first[i]) continue;
+    ScoreConf pair =
+        CombineCounted(agg, left.pairs[i], right.pairs[in_right[i]]);
+    out.rel.AddRow(lrows[i]);
+    out.pairs.push_back(pair);
+    if (!pair.IsDefault()) ++stats->score_entries_written;
   }
   stats->tuples_materialized += out.rel.NumRows();
   AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
@@ -525,29 +461,24 @@ StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
   ++stats->operator_invocations;
   RETURN_IF_ERROR(GovernorCheck(parallel));
   RETURN_IF_ERROR(CheckSetCompatible(left, right));
-  PRelation out;
-  out.rel = Relation(left.rel.schema());
-  out.rel.set_key_columns(left.rel.key_columns());
-  std::unordered_set<Tuple, TupleHash, TupleEq> right_set(right.rel.rows().begin(),
-                                                          right.rel.rows().end());
   const std::vector<Tuple>& lrows = left.rel.rows();
+  std::vector<uint8_t> left_first;
+  IndexRows(lrows, &left_first);
+  RowIndexSet right_set = IndexRows(right.rel.rows());
   MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint8_t> in_right;
-  if (!plan.serial()) {
-    in_right = ParallelMembership(lrows, right_set, plan, parallel);
-  }
+  std::vector<uint32_t> in_right =
+      ProbeMembership(lrows, right_set, plan, parallel);
 
-  std::unordered_set<Tuple, TupleHash, TupleEq> emitted;
+  std::vector<uint32_t> ids;
   for (size_t i = 0; i < lrows.size(); ++i) {
-    const Tuple& row = lrows[i];
-    bool in_both =
-        plan.serial() ? right_set.count(row) > 0 : in_right[i] != 0;
-    if (in_both) continue;
-    if (!emitted.insert(row).second) continue;
-    out.rel.AddRow(row);
+    if (in_right[i] == RowIndexSet::kAbsent && left_first[i]) {
+      ids.push_back(static_cast<uint32_t>(i));
+    }
   }
+  PRelation out = EmptyLike(left.rel);
+  CopyRows(left.rel, ids, &out.rel);
   stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(left, &out, stats, parallel);
+  CarryScores(left, ids, &out, stats);
   AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
                out.rel.NumRows(), &plan);
   return out;
@@ -556,16 +487,17 @@ StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
 StatusOr<PRelation> PDistinct(const PRelation& input, ExecStats* stats,
                               obs::Span* span) {
   ++stats->operator_invocations;
-  PRelation out;
-  out.rel = Relation(input.rel.schema());
-  out.rel.set_key_columns(input.rel.key_columns());
-  std::unordered_set<Tuple, TupleHash, TupleEq> seen;
-  seen.reserve(input.rel.NumRows());
-  for (const Tuple& row : input.rel.rows()) {
-    if (seen.insert(row).second) out.rel.AddRow(row);
+  RETURN_IF_ERROR(CheckAligned(input));
+  std::vector<uint8_t> first;
+  IndexRows(input.rel.rows(), &first);
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < first.size(); ++i) {
+    if (first[i]) ids.push_back(static_cast<uint32_t>(i));
   }
+  PRelation out = EmptyLike(input.rel);
+  CopyRows(input.rel, ids, &out.rel);
   stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(input, &out, stats);
+  CarryScores(input, ids, &out, stats);
   AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
   return out;
 }
@@ -574,6 +506,7 @@ StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
                           const PRelation& input, ExecStats* stats,
                           obs::Span* span) {
   ++stats->operator_invocations;
+  RETURN_IF_ERROR(CheckAligned(input));
   struct ResolvedKey {
     size_t index;
     bool descending;
@@ -584,11 +517,15 @@ StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
     ASSIGN_OR_RETURN(size_t idx, input.rel.schema().FindColumn(k.column));
     resolved.push_back({idx, k.descending});
   }
-  PRelation out = input;
   // Tie-break on the relation key for deterministic order (see ExecSort).
-  const std::vector<size_t>& pk = out.rel.key_columns();
-  std::stable_sort(out.rel.mutable_rows()->begin(), out.rel.mutable_rows()->end(),
-                   [&resolved, &pk](const Tuple& a, const Tuple& b) {
+  const std::vector<Tuple>& rows = input.rel.rows();
+  const std::vector<size_t>& pk = input.rel.key_columns();
+  std::vector<uint32_t> ids(rows.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&resolved, &pk, &rows](uint32_t ia, uint32_t ib) {
+                     const Tuple& a = rows[ia];
+                     const Tuple& b = rows[ib];
                      for (const ResolvedKey& k : resolved) {
                        int c = a[k.index].Compare(b[k.index]);
                        if (c != 0) return k.descending ? c > 0 : c < 0;
@@ -599,6 +536,10 @@ StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
                      }
                      return false;
                    });
+  PRelation out = EmptyLike(input.rel);
+  CopyRows(input.rel, ids, &out.rel);
+  out.pairs.reserve(ids.size());
+  for (uint32_t i : ids) out.pairs.push_back(input.pairs[i]);
   stats->tuples_materialized += out.rel.NumRows();
   AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
   return out;
@@ -607,26 +548,24 @@ StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
 StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
                            obs::Span* span) {
   ++stats->operator_invocations;
-  PRelation out;
-  out.rel = Relation(input.rel.schema());
-  out.rel.set_key_columns(input.rel.key_columns());
-  size_t count = std::min(n, input.rel.NumRows());
-  out.rel.Reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.rel.AddRow(input.rel.rows()[i]);
-  }
+  RETURN_IF_ERROR(CheckAligned(input));
+  std::vector<uint32_t> ids(std::min(n, input.rel.NumRows()));
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  PRelation out = EmptyLike(input.rel);
+  CopyRows(input.rel, ids, &out.rel);
   stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(input, &out, stats);
+  CarryScores(input, ids, &out, stats);
   AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
   return out;
 }
 
-StatusOr<PRelation> EvalPrefer(const Preference& pref, const PRelation& input,
+StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,
                                const ParallelContext* parallel,
                                obs::Span* span) {
   ++stats->operator_invocations;
+  RETURN_IF_ERROR(CheckAligned(input));
   RETURN_IF_ERROR(GovernorCheck(parallel));
   ExprPtr condition = pref.CloneCondition();
   RETURN_IF_ERROR(condition->Bind(input.rel.schema()));
@@ -656,16 +595,22 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, const PRelation& input,
     stats->rows_scanned += member->NumRows();
   }
 
-  PRelation out;
-  out.rel = input.rel;
-  out.scores = input.scores;
-  MorselPlan plan = PlanFor(out.rel.NumRows(), parallel);
-  if (plan.serial()) {
+  // The scoring pass is tuple-local: each morsel folds its rows'
+  // contributions into their own pairs, in place. Writes are disjoint, so
+  // no partials are merged; the condition, scoring function and member-key
+  // set are immutable after binding and shared by all slots.
+  PRelation out = std::move(input);
+  const std::vector<Tuple>& rows = out.rel.rows();
+  MorselPlan plan = PlanFor(rows.size(), parallel);
+  std::vector<size_t> contributions(plan.morsel_count(), 0);
+  ParallelFor(plan, [&](size_t, const Morsel& m) {
+    GovernorCheckpoint(parallel);
     // threads=1 runs one covering morsel, so per-morsel checkpoints never
     // fire mid-loop; the ticker bounds cancellation latency by rows instead.
     GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
-    for (const Tuple& row : out.rel.rows()) {
+    for (size_t i = m.begin; i < m.end; ++i) {
       ticker.Tick();
+      const Tuple& row = rows[i];
       if (local_col >= 0 &&
           member_keys.count(row[static_cast<size_t>(local_col)]) == 0) {
         continue;  // Membership not satisfied: tuple unaffected.
@@ -673,54 +618,14 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, const PRelation& input,
       if (!IsTruthy(condition->Eval(row))) continue;
       std::optional<double> score = scoring.Score(row);
       if (!score.has_value()) continue;  // S(r) = ⊥ contributes nothing.
-      ScoreConf contributed = ScoreConf::Known(*score, pref.confidence());
-      Tuple key = out.rel.KeyOf(row);
-      ScoreConf combined = CombineCounted(agg, out.scores.Lookup(key), contributed);
-      out.scores.Set(key, combined);
-      ++stats->score_entries_written;
+      out.pairs[i] = CombineCounted(
+          agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
+      ++contributions[m.index];
     }
-  } else {
-    // Morsel-parallel scoring pass. Each morsel folds the contributions of
-    // its tuples into a local score relation starting from the identity
-    // ⟨⊥, 0⟩; the condition, scoring function and member-key set are
-    // immutable after binding and shared by all slots. Because F is
-    // associative with identity ⟨⊥, 0⟩, folding the input pair with the
-    // per-morsel partials (in morsel order, below) yields the same pairs as
-    // the serial row-order fold, up to floating-point association.
-    const std::vector<Tuple>& rows = out.rel.rows();
-    std::vector<ScoreRelation> partials(plan.morsel_count());
-    std::vector<size_t> contributions(plan.morsel_count(), 0);
-    ParallelFor(plan, [&](size_t, const Morsel& m) {
-      GovernorCheckpoint(parallel);
-      ScoreRelation& local = partials[m.index];
-      for (size_t i = m.begin; i < m.end; ++i) {
-        const Tuple& row = rows[i];
-        if (local_col >= 0 &&
-            member_keys.count(row[static_cast<size_t>(local_col)]) == 0) {
-          continue;
-        }
-        if (!IsTruthy(condition->Eval(row))) continue;
-        std::optional<double> score = scoring.Score(row);
-        if (!score.has_value()) continue;
-        ScoreConf contributed = ScoreConf::Known(*score, pref.confidence());
-        Tuple key = out.rel.KeyOf(row);
-        local.Set(key, CombineCounted(agg, local.Lookup(key), contributed));
-        ++contributions[m.index];
-      }
-    });
-    // Join point: merge partials in morsel order. Distinct keys are
-    // independent entries, so within one partial the (unordered) iteration
-    // order cannot affect the result.
-    for (size_t i = 0; i < partials.size(); ++i) {
-      for (const auto& [key, pair] : partials[i].entries()) {
-        out.scores.Set(key,
-                       CombineCounted(agg, out.scores.Lookup(key), pair));
-      }
-      stats->score_entries_written += contributions[i];
-    }
-  }
-  stats->tuples_materialized += out.rel.NumRows();
-  AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows(), &plan);
+  });
+  for (size_t count : contributions) stats->score_entries_written += count;
+  stats->tuples_materialized += rows.size();
+  AnnotateSpan(span, rows.size(), rows.size(), &plan);
   return out;
 }
 

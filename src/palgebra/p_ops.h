@@ -18,17 +18,20 @@ namespace prefdb {
 /// prototype: they run in the middle layer, outside the native engine,
 /// against materialized inputs.
 ///
-/// All operators maintain the score relations: only non-default pairs are
-/// stored, keys follow the relation's canonical key order, and binary
-/// operators combine pairs with the aggregate function `F`.
+/// All operators keep each output row's pair at the row's position
+/// (PRelation::pairs): tuple-dropping and reordering operators gather the
+/// pairs of the rows they keep by row index, and binary operators combine
+/// the two inputs' pairs with the aggregate function `F`. No operator
+/// hashes a key to find a pair.
 ///
 /// Operators with a per-tuple hot loop — selection, prefer, the join probe
-/// phase, the set operations' membership checks, and the score carry-over
-/// of tuple-dropping operators — accept an optional ParallelContext and
-/// evaluate the input in concurrent morsels when it is non-null and
-/// non-serial; per-morsel partial results are merged in morsel order, so
-/// output is deterministic for a fixed context. Passing nullptr (or a
-/// serial context) takes the original single-threaded code path.
+/// phase and the set operations' membership checks — accept an optional
+/// ParallelContext and split the input into morsels (MorselPlan). Each
+/// operator has one morsel body: a serial plan (nullptr, a serial context,
+/// or a small input) runs it once over a single covering morsel on the
+/// calling thread, a parallel plan runs it concurrently. Per-morsel
+/// results are merged in morsel order, so rows, row order, pairs and
+/// ExecStats are bit-identical at every thread count.
 ///
 /// Every operator also accepts an optional trace span (obs/trace.h). When
 /// non-null, the operator annotates it with input/output cardinalities and
@@ -36,9 +39,8 @@ namespace prefdb {
 /// each operator call in a SpanScope). A null span costs one pointer test.
 
 /// σ_φ over a p-relation: hard boolean filter; surviving tuples keep their
-/// pairs (score entries of dropped tuples are pruned). Parallel evaluation
-/// preserves the input row order exactly (morsel outputs are concatenated
-/// in order), so results are bit-identical to serial execution.
+/// pairs. Morsels collect the surviving row indices, concatenated in morsel
+/// order, so the input row order is preserved exactly.
 StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
                             ExecStats* stats,
                             const ParallelContext* parallel = nullptr,
@@ -51,11 +53,11 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
                              obs::Span* span = nullptr);
 
 /// Inner join ⋈_{φ,F}: joins tuples and combines their pairs with `F`
-/// (paper Fig. 3). The output key is the concatenation of the input keys.
-/// Parallel evaluation morselizes the probe side (the hash build stays
-/// serial): each morsel emits its joined rows and combined pairs into
-/// local buffers, concatenated in morsel order — row order and the score
-/// relation are bit-identical to serial execution.
+/// (paper Fig. 3), reading `left.pairs` and `right.pairs` by the matched
+/// row positions. The output key is the concatenation of the input keys.
+/// The probe side is morselized (the hash build stays serial): each morsel
+/// emits its joined rows and combined pairs into local buffers,
+/// concatenated in morsel order.
 StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           const PRelation& right, const AggregateFunction& agg,
                           ExecStats* stats,
@@ -70,11 +72,12 @@ StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const ParallelContext* parallel = nullptr,
                               obs::Span* span = nullptr);
 
-/// Set union ∪_F with duplicate elimination; pairs of tuples present in
-/// both inputs are combined with `F`. Parallel evaluation precomputes the
-/// left side's membership probes against the right-side hash set in
-/// concurrent morsels; duplicate elimination (inherently sequential —
-/// first occurrence wins) stays serial over the precomputed flags.
+/// Set union ∪_F with duplicate elimination (first occurrence wins); pairs
+/// of tuples present in both inputs are combined with `F`. The membership
+/// sets hold row indices hashed by row content, so a probe yields the
+/// position of the equal row on the other side — and with it that row's
+/// pair. The left side's probes against the right-side set run in
+/// morsels.
 StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
                            const AggregateFunction& agg, ExecStats* stats,
                            const ParallelContext* parallel = nullptr,
@@ -93,17 +96,18 @@ StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
                           const ParallelContext* parallel = nullptr,
                           obs::Span* span = nullptr);
 
-/// Duplicate elimination over a p-relation (pairs unaffected: duplicate
-/// tuples share a key and therefore a pair).
+/// Duplicate elimination over a p-relation: each distinct tuple keeps the
+/// pair of its first occurrence.
 StatusOr<PRelation> PDistinct(const PRelation& input, ExecStats* stats,
                               obs::Span* span = nullptr);
 
-/// ORDER BY over a p-relation (pairs unaffected).
+/// ORDER BY over a p-relation: sorts row indices, then gathers rows and
+/// pairs in that order.
 StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
                           const PRelation& input, ExecStats* stats,
                           obs::Span* span = nullptr);
 
-/// First-n over a p-relation; pairs of dropped tuples are pruned.
+/// First-n over a p-relation.
 StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
                            obs::Span* span = nullptr);
 
@@ -116,13 +120,11 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
 /// `catalog` is needed only for membership preferences (to probe the member
 /// relation); it may be null otherwise.
 ///
-/// Parallel evaluation exploits that the prefer operator is a tuple-local
-/// scoring pass and `F` is associative with identity ⟨⊥, 0⟩ (paper §IV-A):
-/// each morsel folds its tuples' contributions into a local score relation
-/// starting from the identity, and the partials are merged into the input
-/// pairs in morsel order. Equal to serial evaluation up to floating-point
-/// association (the same latitude the strategy contract already grants).
-StatusOr<PRelation> EvalPrefer(const Preference& pref, const PRelation& input,
+/// Takes its input by value (callers move it in) and updates `pairs[i]` in
+/// place. The prefer operator is a tuple-local scoring pass, so morsels
+/// write disjoint pairs: there are no per-morsel partials to merge, and the
+/// result is bit-identical at every thread count.
+StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,
                                const ParallelContext* parallel = nullptr,

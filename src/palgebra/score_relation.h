@@ -4,27 +4,35 @@
 #include <string>
 #include <unordered_map>
 
+#include "prefs/agg_func.h"
 #include "prefs/score_conf.h"
 #include "types/tuple.h"
 
 namespace prefdb {
 
-/// The side-table implementation of p-relation scores (paper §VI,
-/// "Implementing p-relations"): for a relation R with primary key pk, the
-/// score relation R_P(pk, score, conf) holds the score/confidence pairs of
-/// tuples with *non-default* pairs only, so |R_P| <= |R|. A lookup miss
-/// yields the default pair ⟨⊥, 0⟩.
+/// The paper's pk-keyed score relation (§VI, "Implementing p-relations"):
+/// for a relation R with primary key pk, R_P(pk, score, conf) holds the
+/// score/confidence pairs of tuples with *non-default* pairs only, so
+/// |R_P| <= |R|. A lookup miss yields the default pair ⟨⊥, 0⟩.
 ///
 /// Keys are tuples of the owning relation's key-column values, in the
-/// relation's canonical key order; after a join the key is the
-/// concatenation of the inputs' keys, exactly as the paper composes score
-/// relations over joins and set operations.
+/// relation's canonical key order. Inside an operator pipeline scores are
+/// row-aligned (PRelation::pairs); R_P is built only where row identity is
+/// lost and tuples must be re-associated with their pairs by key: GBU's
+/// temp-table boundary and the plug-ins' merge of rewritten-query rows.
+/// Both probe it with a RowKey, hashing the row's key columns in place.
 class ScoreRelation {
  public:
   ScoreRelation() = default;
 
   /// The pair for `key`; ⟨⊥, 0⟩ if absent.
   const ScoreConf& Lookup(const Tuple& key) const {
+    auto it = map_.find(key);
+    return it == map_.end() ? kDefault : it->second;
+  }
+
+  /// The pair for the key of a row, read in place; ⟨⊥, 0⟩ if absent.
+  const ScoreConf& Lookup(const RowKey& key) const {
     auto it = map_.find(key);
     return it == map_.end() ? kDefault : it->second;
   }
@@ -39,21 +47,34 @@ class ScoreRelation {
     }
   }
 
+  /// Folds `pair` into the entry under the key of a row: the entry becomes
+  /// CombineCounted(agg, entry, pair). An existing entry is updated through
+  /// one hash probe; the key is copied only when a new entry is inserted.
+  void Fold(const RowKey& key, const ScoreConf& pair,
+            const AggregateFunction& agg) {
+    auto it = map_.find(key);
+    ScoreConf combined =
+        CombineCounted(agg, it == map_.end() ? kDefault : it->second, pair);
+    if (it == map_.end()) {
+      if (!combined.IsDefault()) {
+        map_.emplace(ProjectTuple(key.row, key.columns), combined);
+      }
+    } else if (combined.IsDefault()) {
+      map_.erase(it);
+    } else {
+      it->second = combined;
+    }
+  }
+
   /// Number of non-default entries (the paper's |R_P|).
   size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
-
-  void Reserve(size_t n) { map_.reserve(n); }
-  void Clear() { map_.clear(); }
-
-  using Map = std::unordered_map<Tuple, ScoreConf, TupleHash, TupleEq>;
-  const Map& entries() const { return map_; }
 
   std::string ToString(size_t max_entries = 20) const;
 
  private:
   static const ScoreConf kDefault;
-  Map map_;
+  std::unordered_map<Tuple, ScoreConf, TupleHash, TupleEq> map_;
 };
 
 }  // namespace prefdb

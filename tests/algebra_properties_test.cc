@@ -37,15 +37,15 @@ class AlgebraPropertyTest : public ::testing::TestWithParam<PropertyCase> {
                   Value::Double(rng->UniformReal(0.0, 1.0)),
                   Value::String(kTags[rng->Uniform(0, 2)])});
     }
-    PRelation p(std::move(rel));
+    ScoreRelation scores;
     for (size_t i = 0; i < n; ++i) {
       if (rng->Bernoulli(0.4)) {
-        p.scores.Set({Value::Int(static_cast<int64_t>(i))},
-                     ScoreConf::Known(rng->UniformReal(0.0, 1.0),
-                                      rng->UniformReal(0.05, 1.5)));
+        scores.Set({Value::Int(static_cast<int64_t>(i))},
+                   ScoreConf::Known(rng->UniformReal(0.0, 1.0),
+                                    rng->UniformReal(0.05, 1.5)));
       }
     }
-    return p;
+    return PRelation(std::move(rel), scores);
   }
 
   // Random relation T(tid, rid) joining into R on rid = R.id.
@@ -57,15 +57,15 @@ class AlgebraPropertyTest : public ::testing::TestWithParam<PropertyCase> {
       rel.AddRow({Value::Int(static_cast<int64_t>(i)),
                   Value::Int(rng->Uniform(0, static_cast<int64_t>(r_size) - 1))});
     }
-    PRelation p(std::move(rel));
+    ScoreRelation scores;
     for (size_t i = 0; i < n; ++i) {
       if (rng->Bernoulli(0.3)) {
-        p.scores.Set({Value::Int(static_cast<int64_t>(i))},
-                     ScoreConf::Known(rng->UniformReal(0.0, 1.0),
-                                      rng->UniformReal(0.05, 1.0)));
+        scores.Set({Value::Int(static_cast<int64_t>(i))},
+                   ScoreConf::Known(rng->UniformReal(0.0, 1.0),
+                                    rng->UniformReal(0.05, 1.0)));
       }
     }
-    return p;
+    return PRelation(std::move(rel), scores);
   }
 
   // A random preference over R's attributes.
@@ -220,15 +220,15 @@ TEST_P(AlgebraPropertyTest, PreferPushesOverIntersect) {
     // B: a filtered copy of A with different scores.
     auto b_or = PSelect(*RandomSelection(&rng), a, &stats_);
     ASSERT_TRUE(b_or.ok());
-    PRelation b = *b_or;
-    b.scores.Clear();
-    for (const Tuple& row : b.rel.rows()) {
+    ScoreRelation b_scores;
+    for (const Tuple& row : b_or->rel.rows()) {
       if (rng.Bernoulli(0.5)) {
-        b.scores.Set(b.rel.KeyOf(row),
+        b_scores.Set(b_or->rel.KeyOf(row),
                      ScoreConf::Known(rng.UniformReal(0.0, 1.0),
                                       rng.UniformReal(0.05, 1.0)));
       }
     }
+    PRelation b(b_or->rel, b_scores);
     PreferencePtr p = RandomPref(&rng, round);
 
     auto met = PIntersect(a, b, agg, &stats_);

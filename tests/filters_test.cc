@@ -1,5 +1,10 @@
 #include "palgebra/filters.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -135,10 +140,11 @@ TEST(FiltersTest, MinMatchesFiltersOnCount) {
   Relation rel(Schema({{"T", "id", ValueType::kInt}}));
   rel.set_key_columns({0});
   for (int64_t i = 1; i <= 3; ++i) rel.AddRow({I(i)});
-  PRelation p(std::move(rel));
-  p.scores.Set({I(1)}, ScoreConf::Known(0.9, 1.0));               // 1 match.
-  p.scores.Set({I(2)}, ScoreConf::Known(0.5, 2.0).WithCount(2));  // 2 matches.
+  ScoreRelation scores;
+  scores.Set({I(1)}, ScoreConf::Known(0.9, 1.0));               // 1 match.
+  scores.Set({I(2)}, ScoreConf::Known(0.5, 2.0).WithCount(2));  // 2 matches.
   // id 3 unscored: 0 matches.
+  PRelation p(std::move(rel), scores);
 
   PRelation two = FilterByMinMatches(p, 2);
   ASSERT_EQ(two.rel.NumRows(), 1u);
@@ -175,11 +181,12 @@ TEST(FiltersTest, ApplyFiltersChainsInOrder) {
   Relation rel(Schema({{"T", "id", ValueType::kInt}}));
   rel.set_key_columns({0});
   for (int64_t i = 1; i <= 5; ++i) rel.AddRow({I(i)});
-  PRelation p(std::move(rel));
+  ScoreRelation scores;
   for (int64_t i = 1; i <= 5; ++i) {
-    p.scores.Set({I(i)}, ScoreConf::Known(0.1 * static_cast<double>(i),
-                                          0.2 * static_cast<double>(i)));
+    scores.Set({I(i)}, ScoreConf::Known(0.1 * static_cast<double>(i),
+                                        0.2 * static_cast<double>(i)));
   }
+  PRelation p(std::move(rel), scores);
   // Threshold on conf then top-2 by score.
   auto out = ApplyFilters(
       p, {FilterSpec::Threshold(FilterTarget::kConf, 0.6), FilterSpec::TopK(2)});
@@ -187,6 +194,159 @@ TEST(FiltersTest, ApplyFiltersChainsInOrder) {
   ASSERT_EQ(out->NumRows(), 2u);
   EXPECT_EQ(out->rows()[0][0], I(5));
   EXPECT_EQ(out->rows()[1][0], I(4));
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: ApplyFilters (row indices, partial sort, one
+// materialization) against the reference definition — ApplyFilter folded
+// over the scored form of FilterByMinMatches' output.
+
+StatusOr<Relation> ReferenceFilters(const PRelation& input,
+                                    const std::vector<FilterSpec>& specs) {
+  PRelation counted = input;
+  for (const FilterSpec& spec : specs) {
+    if (spec.kind == FilterSpec::Kind::kMinMatches) {
+      counted = FilterByMinMatches(counted, spec.k);
+    }
+  }
+  Relation scored = ToScoredRelation(counted);
+  for (const FilterSpec& spec : specs) {
+    if (spec.kind == FilterSpec::Kind::kMinMatches) continue;
+    ASSIGN_OR_RETURN(scored, ApplyFilter(scored, spec));
+  }
+  return scored;
+}
+
+// A shuffled relation over a composite key (k1, k2), a single key (k1) or
+// no key at all, whose pairs are drawn from a few values so (score, conf)
+// ties are common; about a quarter of the tuples stay at ⟨⊥, 0⟩ (NULL
+// score), and match counts range over 1..3.
+PRelation RandomScored(Rng* rng, size_t n, int key_shape) {
+  Relation rel(Schema({{"T", "k1", ValueType::kInt},
+                       {"T", "k2", ValueType::kString},
+                       {"T", "v", ValueType::kInt}}));
+  if (key_shape == 0) rel.set_key_columns({0, 1});
+  if (key_shape == 1) rel.set_key_columns({0});
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    // Composite keys share k1 across rows; the single-key shape keeps k1
+    // unique.
+    int64_t k1 = key_shape == 1 ? static_cast<int64_t>(i)
+                                : static_cast<int64_t>(i / 3);
+    rows.push_back({I(k1), Value::String(std::string(1, 'a' + i % 3)),
+                    I(rng->Uniform(0, 4))});
+  }
+  for (size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng->Uniform(0, static_cast<int64_t>(i) - 1)]);
+  }
+  for (Tuple& row : rows) rel.AddRow(std::move(row));
+  PRelation p(std::move(rel));
+  static constexpr double kScores[] = {0.0, 0.25, 0.5, 0.5, 0.9};
+  static constexpr double kConfs[] = {0.3, 0.6, 0.6, 1.2};
+  for (ScoreConf& pair : p.pairs) {
+    if (rng->Bernoulli(0.25)) continue;
+    pair = ScoreConf::Known(kScores[rng->Uniform(0, 4)], kConfs[rng->Uniform(0, 3)])
+               .WithCount(static_cast<uint32_t>(rng->Uniform(1, 3)));
+  }
+  return p;
+}
+
+FilterSpec RandomSpec(Rng* rng, size_t n) {
+  FilterTarget target =
+      rng->Bernoulli(0.5) ? FilterTarget::kScore : FilterTarget::kConf;
+  const size_t ks[] = {0, 1, n - 1, n, n + 5};
+  switch (rng->Uniform(0, 4)) {
+    case 0:
+      return FilterSpec::TopK(ks[rng->Uniform(0, 4)], target);
+    case 1:
+      return FilterSpec::Threshold(target, rng->Bernoulli(0.5) ? 0.5 : 0.6,
+                                   rng->Bernoulli(0.5));
+    case 2:
+      return FilterSpec::RankAll();
+    case 3:
+      return FilterSpec::NotDominated();
+    default:
+      return FilterSpec::MinMatches(static_cast<size_t>(rng->Uniform(0, 3)));
+  }
+}
+
+std::string SpecsToString(const std::vector<FilterSpec>& specs) {
+  std::string out;
+  for (const FilterSpec& spec : specs) out += spec.ToString() + "; ";
+  return out;
+}
+
+void ExpectSameFiltered(const PRelation& p, const std::vector<FilterSpec>& specs) {
+  auto expected = ReferenceFilters(p, specs);
+  auto actual = ApplyFilters(p, specs);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual->schema(), expected->schema());
+  EXPECT_EQ(actual->key_columns(), expected->key_columns());
+  EXPECT_EQ(actual->rows(), expected->rows())
+      << SpecsToString(specs) << "\nactual:\n" << actual->ToString(100)
+      << "expected:\n" << expected->ToString(100);
+}
+
+TEST(FiltersDifferentialTest, RandomSequencesMatchReference) {
+  Rng rng(20121);
+  for (int round = 0; round < 300; ++round) {
+    size_t n = static_cast<size_t>(rng.Uniform(1, 40));
+    PRelation p = RandomScored(&rng, n, round % 3);
+    std::vector<FilterSpec> specs;
+    int length = static_cast<int>(rng.Uniform(1, 3));
+    for (int i = 0; i < length; ++i) specs.push_back(RandomSpec(&rng, n));
+    ExpectSameFiltered(p, specs);
+  }
+}
+
+TEST(FiltersDifferentialTest, EveryTopKBoundary) {
+  Rng rng(7);
+  for (int key_shape = 0; key_shape < 3; ++key_shape) {
+    PRelation p = RandomScored(&rng, 25, key_shape);
+    const size_t n = p.NumRows();
+    for (size_t k : {size_t{0}, size_t{1}, n - 1, n, n + 5}) {
+      for (FilterTarget target : {FilterTarget::kScore, FilterTarget::kConf}) {
+        ExpectSameFiltered(p, {FilterSpec::TopK(k, target)});
+      }
+    }
+  }
+}
+
+TEST(FiltersDifferentialTest, TypicalSequences) {
+  Rng rng(11);
+  for (int key_shape = 0; key_shape < 3; ++key_shape) {
+    PRelation p = RandomScored(&rng, 30, key_shape);
+    ExpectSameFiltered(
+        p, {FilterSpec::MinMatches(2),
+            FilterSpec::Threshold(FilterTarget::kScore, 0.25),
+            FilterSpec::TopK(5)});
+    ExpectSameFiltered(p, {FilterSpec::Threshold(FilterTarget::kConf, 0.6),
+                           FilterSpec::NotDominated()});
+    ExpectSameFiltered(p, {FilterSpec::TopK(10, FilterTarget::kConf),
+                           FilterSpec::RankAll()});
+    ExpectSameFiltered(p, {FilterSpec::RankAll(), FilterSpec::MinMatches(1)});
+    ExpectSameFiltered(p, {});
+  }
+}
+
+TEST(FiltersDifferentialTest, ProjectingVariantProjectsTheFilteredRows) {
+  Rng rng(3);
+  PRelation p = RandomScored(&rng, 30, 0);
+  std::vector<FilterSpec> specs = {FilterSpec::TopK(8)};
+  auto full = ApplyFilters(p, specs);
+  auto projected = ApplyFiltersAndProject(p, specs, {"v", "T.k1"});
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  ASSERT_EQ(projected->schema().size(), 4u);
+  EXPECT_EQ(projected->schema().column(2).name, "score");
+  EXPECT_EQ(projected->schema().column(3).name, "conf");
+  ASSERT_EQ(projected->NumRows(), full->NumRows());
+  for (size_t i = 0; i < full->NumRows(); ++i) {
+    const Tuple& f = full->rows()[i];
+    EXPECT_EQ(projected->rows()[i], (Tuple{f[2], f[0], f[3], f[4]}));
+  }
+  EXPECT_FALSE(ApplyFiltersAndProject(p, specs, {"missing"}).ok());
 }
 
 }  // namespace

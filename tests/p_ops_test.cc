@@ -20,9 +20,9 @@ class POpsTest : public ::testing::Test {
   PRelation Load(const std::string& table,
                  std::vector<std::pair<Tuple, ScoreConf>> scores = {}) {
     Table* t = *catalog_.GetTable(table);
-    PRelation p(t->relation());
-    for (auto& [key, pair] : scores) p.scores.Set(key, pair);
-    return p;
+    ScoreRelation by_key;
+    for (auto& [key, pair] : scores) by_key.Set(key, pair);
+    return PRelation(t->relation(), by_key);
   }
 
   Catalog catalog_;
@@ -37,9 +37,9 @@ TEST_F(POpsTest, SelectKeepsPairsOfSurvivors) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 3u);  // m1, m2, m5.
   // m1 survives with its pair; m3's entry is pruned.
-  EXPECT_DOUBLE_EQ(out->scores.Lookup({I(1)}).score(), 0.9);
-  EXPECT_TRUE(out->scores.Lookup({I(3)}).IsDefault());
-  EXPECT_EQ(out->scores.size(), 1u);
+  EXPECT_DOUBLE_EQ(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9);
+  EXPECT_TRUE(out->ToScoreRelation().Lookup({I(3)}).IsDefault());
+  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
 }
 
 TEST_F(POpsTest, ProjectPreservesScoresThroughKeyPermutation) {
@@ -50,7 +50,7 @@ TEST_F(POpsTest, ProjectPreservesScoresThroughKeyPermutation) {
   // Row for m2 is (title, m_id) = ('Wall Street', 2).
   const Tuple& row = out->rel.rows()[1];
   EXPECT_EQ(row[0], S("Wall Street"));
-  EXPECT_DOUBLE_EQ(out->ScoreOf(row).score(), 0.7);
+  EXPECT_DOUBLE_EQ(out->pairs[1].score(), 0.7);
 }
 
 TEST_F(POpsTest, JoinCombinesPairsWithAggregate) {
@@ -62,20 +62,53 @@ TEST_F(POpsTest, JoinCombinesPairsWithAggregate) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 5u);
   // Gran Torino (m1, d1): F_S(⟨1.0, 0.8⟩, ⟨0.5, 0.2⟩) = ⟨0.9, 1.0⟩.
-  for (const Tuple& row : out->rel.rows()) {
+  for (size_t i = 0; i < out->rel.NumRows(); ++i) {
+    const Tuple& row = out->rel.rows()[i];
     if (row[1] == S("Gran Torino")) {
-      const ScoreConf& pair = out->ScoreOf(row);
+      const ScoreConf& pair = out->pairs[i];
       EXPECT_NEAR(pair.score(), 0.9, 1e-12);
       EXPECT_NEAR(pair.conf(), 1.0, 1e-12);
     } else if (row[1] == S("Million Dollar Baby")) {
       // m3 joins d1: only the director's pair contributes.
-      const ScoreConf& pair = out->ScoreOf(row);
+      const ScoreConf& pair = out->pairs[i];
       EXPECT_NEAR(pair.score(), 0.5, 1e-12);
       EXPECT_NEAR(pair.conf(), 0.2, 1e-12);
     } else if (row[1] == S("Wall Street")) {
-      EXPECT_TRUE(out->ScoreOf(row).IsDefault());
+      EXPECT_TRUE(out->pairs[i].IsDefault());
     }
   }
+}
+
+TEST_F(POpsTest, JoinKeepsPerTuplePairsWithoutKeys) {
+  // Key-less inputs: every output row must carry the fold of its own input
+  // rows' pairs, not one pair shared through the (empty) key.
+  Relation l(Schema({{"L", "x", ValueType::kInt}}));
+  l.AddRow({I(1)});
+  l.AddRow({I(2)});
+  Relation r(Schema({{"R", "y", ValueType::kInt}}));
+  r.AddRow({I(1)});
+  r.AddRow({I(2)});
+  PRelation left(std::move(l));
+  left.pairs[0] = ScoreConf::Known(0.8, 1.0);
+  PRelation right(std::move(r));
+  right.pairs[1] = ScoreConf::Known(0.2, 0.5);
+  auto out = PJoin(*Eq(Col("L.x"), Col("R.y")), left, right, fsum_, &stats_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->rel.NumRows(), 2u);
+  ASSERT_EQ(out->pairs.size(), 2u);
+  EXPECT_EQ(out->rel.rows()[0][0], I(1));
+  EXPECT_NEAR(out->pairs[0].score(), 0.8, 1e-12);
+  EXPECT_NEAR(out->pairs[0].conf(), 1.0, 1e-12);
+  EXPECT_EQ(out->rel.rows()[1][0], I(2));
+  EXPECT_NEAR(out->pairs[1].score(), 0.2, 1e-12);
+  EXPECT_NEAR(out->pairs[1].conf(), 0.5, 1e-12);
+}
+
+TEST_F(POpsTest, MisalignedPairsAreRejected) {
+  PRelation movies = Load("MOVIES");
+  movies.pairs.pop_back();
+  EXPECT_FALSE(PSelect(*Lit(int64_t{1}), movies, &stats_).ok());
+  EXPECT_FALSE(PUnion(movies, Load("MOVIES"), fsum_, &stats_).ok());
 }
 
 TEST_F(POpsTest, JoinFallsBackToNestedLoop) {
@@ -85,7 +118,7 @@ TEST_F(POpsTest, JoinFallsBackToNestedLoop) {
                    fsum_, &stats_);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->rel.NumRows(), 1u);  // Only m3 (2004) predates the 2005 award.
-  EXPECT_NEAR(out->ScoreOf(out->rel.rows()[0]).score(), 0.8, 1e-12);
+  EXPECT_NEAR(out->pairs[0].score(), 0.8, 1e-12);
 }
 
 TEST_F(POpsTest, SemiJoinKeepsLeftPairsOnly) {
@@ -97,8 +130,8 @@ TEST_F(POpsTest, SemiJoinKeepsLeftPairsOnly) {
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->rel.NumRows(), 1u);
   // The right side's pair does not contaminate the output.
-  EXPECT_NEAR(out->ScoreOf(out->rel.rows()[0]).score(), 0.6, 1e-12);
-  EXPECT_NEAR(out->ScoreOf(out->rel.rows()[0]).conf(), 0.4, 1e-12);
+  EXPECT_NEAR(out->pairs[0].score(), 0.6, 1e-12);
+  EXPECT_NEAR(out->pairs[0].conf(), 0.4, 1e-12);
 }
 
 TEST_F(POpsTest, UnionCombinesSharedTuples) {
@@ -110,10 +143,10 @@ TEST_F(POpsTest, UnionCombinesSharedTuples) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 5u);  // Same five movies, deduplicated.
   // m1 in both: F_S(⟨0.8,1⟩, ⟨0.2,1⟩) = ⟨0.5, 2⟩.
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).score(), 0.5, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).conf(), 2.0, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.5, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 2.0, 1e-12);
   // m2 only scored on Alice's side.
-  EXPECT_NEAR(out->scores.Lookup({I(2)}).score(), 0.4, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(2)}).score(), 0.4, 1e-12);
 }
 
 TEST_F(POpsTest, UnionOfDisjointSelectionsKeepsAllTuples) {
@@ -133,8 +166,8 @@ TEST_F(POpsTest, IntersectCombinesWithAggregate) {
   auto out = PIntersect(a, b, fsum_, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 5u);
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).score(), 0.5, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).conf(), 2.0, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.5, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 2.0, 1e-12);
 }
 
 TEST_F(POpsTest, DiffKeepsLeftPairs) {
@@ -143,7 +176,7 @@ TEST_F(POpsTest, DiffKeepsLeftPairs) {
   auto out = PDiff(a, recent, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 4u);  // Everything except Wall Street (2010).
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).score(), 0.9, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9, 1e-12);
 }
 
 TEST_F(POpsTest, SetOpsRejectIncompatibleInputs) {
@@ -169,7 +202,7 @@ TEST_F(POpsTest, SortKeepsScores) {
   ASSERT_TRUE(out.ok());
   // First row is the oldest movie, m3 (2004), still scored.
   EXPECT_EQ(out->rel.rows()[0][0], I(3));
-  EXPECT_NEAR(out->ScoreOf(out->rel.rows()[0]).score(), 0.8, 1e-12);
+  EXPECT_NEAR(out->pairs[0].score(), 0.8, 1e-12);
 }
 
 TEST_F(POpsTest, LimitPrunesDroppedScores) {
@@ -178,8 +211,8 @@ TEST_F(POpsTest, LimitPrunesDroppedScores) {
   auto out = PLimit(2, movies, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 2u);  // m1, m2 in storage order.
-  EXPECT_EQ(out->scores.size(), 1u);  // m5's pair pruned.
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).score(), 0.9, 1e-12);
+  EXPECT_EQ(out->ToScoreRelation().size(), 1u);  // m5's pair pruned.
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9, 1e-12);
 }
 
 TEST_F(POpsTest, StatsCountScoreEntries) {

@@ -1,7 +1,7 @@
 // The correctness contract of the parallel subsystem: for every execution
 // strategy, evaluating with threads ∈ {1, 2, 8} produces the same
-// p-relation (modulo row order and floating-point association — the same
-// latitude the Strategy contract already grants between strategies). The
+// p-relation — the same rows with exactly the same scores, modulo row order
+// (the latitude the Strategy contract already grants between strategies). The
 // morsel knobs are shrunk so even the small test datasets split into many
 // morsels, forcing the parallel code paths on every query of the IMDB and
 // DBLP datagen workloads.
@@ -11,6 +11,8 @@
 // children and GBU's per-prefer-subtree temp materializations run as
 // independent tasks when threads > 1.
 
+#include <cmath>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 #include "obs/trace.h"
+#include "palgebra/p_ops.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -85,8 +88,9 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<QuerySpec> {
 
   /// Runs `spec` under `kind` at threads ∈ {1, 2, 8} and checks every run
   /// against the strategy's own serial answer: same schema, same rows and
-  /// scores (up to FP association), same counter totals (guaranteed by the
-  /// ordered join-point merges).
+  /// exactly the same scores (every pair is folded in the same order at any
+  /// thread count), same counter totals (guaranteed by the ordered
+  /// join-point merges).
   void CheckStrategyAcrossThreads(const QuerySpec& spec, StrategyKind kind) {
     QueryOptions reference;
     reference.strategy = kind;
@@ -105,7 +109,7 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<QuerySpec> {
           << StrategyKindName(kind) << " threads=" << threads << ": "
           << actual.status().ToString() << "\n" << spec.sql;
       EXPECT_EQ(actual->relation.schema(), expected->relation.schema());
-      ExpectSameRows(actual->relation, expected->relation, 1e-9);
+      ExpectSameRows(actual->relation, expected->relation, /*eps=*/0.0);
       // Counter semantics are preserved by the ordered join-point merges:
       // parallel runs materialize and score exactly what serial runs do.
       EXPECT_EQ(actual->stats.tuples_materialized,
@@ -493,6 +497,163 @@ TEST(NativeOperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.trace, serial.trace)
           << c.name << " threads=" << threads
           << ": native span tree differs from serial";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The p-algebra operators, called directly under a forced parallel context:
+// selection, the equi and nested-loop join and semijoin probes, the set
+// operations' membership probes and the prefer operator's in-place scoring
+// pass. As for the native operators, rows and their order must be
+// bit-identical at every thread count — and so must every pair (score,
+// confidence and match count) and every ExecStats counter.
+
+// A base table as a p-relation whose every third tuple carries a distinct
+// pair, so a pair attached to the wrong row shows.
+PRelation ScoredTable(const std::string& name, double salt) {
+  Table* table = *NativeOpCatalog()->GetTable(name);
+  PRelation p(table->relation());
+  for (size_t i = 0; i < p.pairs.size(); i += 3) {
+    p.pairs[i] =
+        ScoreConf::Known(std::fmod(0.37 * static_cast<double>(i) + salt, 1.0),
+                         0.2 + 0.1 * static_cast<double>(i % 7));
+  }
+  return p;
+}
+
+PRelation Selected(const Expr& predicate, const PRelation& input) {
+  ExecStats stats;
+  auto out = PSelect(predicate, input, &stats);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::move(*out) : PRelation();
+}
+
+TEST(POperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
+  using namespace eb;  // NOLINT
+  const Catalog* catalog = NativeOpCatalog();
+  FSum fsum;
+  const PRelation movies = ScoredTable("MOVIES", 0.1);
+  const PRelation rescored_movies = ScoredTable("MOVIES", 0.6);
+  const PRelation directors = ScoredTable("DIRECTORS", 0.3);
+  const PRelation genres = ScoredTable("GENRES", 0.5);
+  const PRelation awards = ScoredTable("AWARDS", 0.7);
+  const PRelation recent = Selected(*Ge(Col("year"), Lit(int64_t{2000})), movies);
+  const PRelation older =
+      Selected(*Le(Col("year"), Lit(int64_t{2005})), rescored_movies);
+  const PRelation few_directors =
+      Selected(*Le(Col("d_id"), Lit(int64_t{20})), directors);
+  const PRelation newest = Selected(*Ge(Col("year"), Lit(int64_t{2005})), movies);
+  const PRelation first_movies =
+      Selected(*Le(Col("m_id"), Lit(int64_t{200})), movies);
+  PreferencePtr recency = Preference::Generic(
+      "recency", "MOVIES", Ge(Col("year"), Lit(int64_t{2000})),
+      ScoringFunction(Fn("recency", [] {
+        std::vector<ExprPtr> args;
+        args.push_back(Col("year"));
+        args.push_back(Lit(int64_t{2011}));
+        return args;
+      }())),
+      0.9);
+  PreferencePtr awarded = Preference::Membership(
+      "awarded", "MOVIES", MembershipSpec{"AWARDS", "m_id", "m_id"},
+      Ge(Col("year"), Lit(int64_t{1990})), ScoringFunction::Constant(1.0), 0.8);
+
+  using Op = std::function<StatusOr<PRelation>(const ParallelContext*,
+                                               ExecStats*)>;
+  struct OpCase {
+    const char* name;
+    Op run;
+  };
+  ExprPtr select_pred = Ge(Col("year"), Lit(int64_t{1990}));
+  ExprPtr equi = Eq(Col("MOVIES.d_id"), Col("DIRECTORS.d_id"));
+  ExprPtr residual = And(Eq(Col("MOVIES.m_id"), Col("GENRES.m_id")),
+                         Ge(Col("year"), Lit(int64_t{2000})));
+  ExprPtr theta = Lt(Col("DIRECTORS.d_id"), Col("MOVIES.d_id"));
+  ExprPtr semi_equi = Eq(Col("MOVIES.m_id"), Col("GENRES.m_id"));
+  ExprPtr semi_theta = Gt(Col("MOVIES.year"), Col("AWARDS.year"));
+  std::vector<OpCase> cases = {
+      {"select",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PSelect(*select_pred, movies, stats, ctx);
+       }},
+      {"hash_join",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PJoin(*equi, movies, directors, fsum, stats, ctx);
+       }},
+      {"hash_join_residual",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PJoin(*residual, movies, genres, fsum, stats, ctx);
+       }},
+      {"nested_loop_join",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PJoin(*theta, few_directors, newest, fsum, stats, ctx);
+       }},
+      {"semi_join",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PSemiJoin(*semi_equi, movies, genres, stats, ctx);
+       }},
+      {"nested_loop_semi_join",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PSemiJoin(*semi_theta, first_movies, awards, stats, ctx);
+       }},
+      {"union",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PUnion(recent, older, fsum, stats, ctx);
+       }},
+      {"intersect",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PIntersect(recent, older, fsum, stats, ctx);
+       }},
+      {"except",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return PDiff(recent, older, stats, ctx);
+       }},
+      {"prefer",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return EvalPrefer(*recency, movies, fsum, catalog, stats, ctx);
+       }},
+      {"prefer_membership",
+       [&](const ParallelContext* ctx, ExecStats* stats) {
+         return EvalPrefer(*awarded, movies, fsum, catalog, stats, ctx);
+       }},
+  };
+
+  for (const OpCase& c : cases) {
+    ParallelContext serial_ctx = ForcedContext(1);
+    ExecStats serial_stats;
+    auto serial = c.run(&serial_ctx, &serial_stats);
+    ASSERT_TRUE(serial.ok()) << c.name << ": " << serial.status().ToString();
+    EXPECT_GT(serial->rel.NumRows(), 0u) << c.name;
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+      ParallelContext ctx = ForcedContext(threads);
+      ExecStats stats;
+      auto parallel = c.run(&ctx, &stats);
+      ASSERT_TRUE(parallel.ok()) << c.name << " threads=" << threads;
+      EXPECT_EQ(parallel->rel.schema(), serial->rel.schema()) << c.name;
+      EXPECT_EQ(parallel->rel.key_columns(), serial->rel.key_columns())
+          << c.name;
+      EXPECT_EQ(parallel->rel.rows(), serial->rel.rows())
+          << c.name << " threads=" << threads
+          << ": rows (or their order) differ from serial";
+      ASSERT_EQ(parallel->pairs.size(), serial->pairs.size()) << c.name;
+      for (size_t i = 0; i < serial->pairs.size(); ++i) {
+        const ScoreConf& a = parallel->pairs[i];
+        const ScoreConf& e = serial->pairs[i];
+        EXPECT_TRUE(a == e && a.count() == e.count())
+            << c.name << " threads=" << threads << " row " << i << ": "
+            << a.ToString() << " vs " << e.ToString();
+      }
+      EXPECT_EQ(stats.tuples_materialized, serial_stats.tuples_materialized)
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(stats.rows_scanned, serial_stats.rows_scanned)
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(stats.engine_queries, serial_stats.engine_queries)
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(stats.operator_invocations, serial_stats.operator_invocations)
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(stats.score_entries_written, serial_stats.score_entries_written)
+          << c.name << " threads=" << threads;
     }
   }
 }

@@ -41,10 +41,10 @@ TEST_F(PreferOpTest, Example8PaAssignsRecencyScores) {
   auto out = EvalPrefer(*pa, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // Every movie is from >= 2000, so all five are scored S_m = year/2011.
-  EXPECT_EQ(out->scores.size(), 5u);
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).score(), 2008.0 / 2011.0, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).conf(), 1.0, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(3)}).score(), 2004.0 / 2011.0, 1e-12);
+  EXPECT_EQ(out->ToScoreRelation().size(), 5u);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 2008.0 / 2011.0, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 1.0, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 2004.0 / 2011.0, 1e-12);
 }
 
 TEST_F(PreferOpTest, Example8PbStacksOnPa) {
@@ -65,12 +65,12 @@ TEST_F(PreferOpTest, Example8PbStacksOnPa) {
   double s_pa = 2008.0 / 2011.0;
   double s_pb = 1.0 - 4.0 / 120.0;
   double expected_score = (1.0 * s_pa + 0.5 * s_pb) / 1.5;
-  const ScoreConf& m1 = out->scores.Lookup({I(1)});
+  ScoreConf m1 = out->ToScoreRelation().Lookup({I(1)});
   EXPECT_NEAR(m1.score(), expected_score, 1e-12);
   EXPECT_NEAR(m1.conf(), 1.5, 1e-12);
 
   // Wall Street (m2): 133 min — only p_a applies.
-  const ScoreConf& m2 = out->scores.Lookup({I(2)});
+  ScoreConf m2 = out->ToScoreRelation().Lookup({I(2)});
   EXPECT_NEAR(m2.score(), 2010.0 / 2011.0, 1e-12);
   EXPECT_NEAR(m2.conf(), 1.0, 1e-12);
 }
@@ -85,8 +85,8 @@ TEST_F(PreferOpTest, ConditionalNeverFiltersTuples) {
   auto out = EvalPrefer(*p, genres, fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), before);
-  EXPECT_EQ(out->scores.size(), 1u);  // Only (m5, Comedy) scored.
-  EXPECT_NEAR(out->scores.Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
+  EXPECT_EQ(out->ToScoreRelation().size(), 1u);  // Only (m5, Comedy) scored.
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
 }
 
 TEST_F(PreferOpTest, AtomicPreferenceScoresExactlyOneTuple) {
@@ -94,9 +94,9 @@ TEST_F(PreferOpTest, AtomicPreferenceScoresExactlyOneTuple) {
   PreferencePtr p1 = Preference::Atomic("MOVIES", "m_id", Value::Int(3), 0.8);
   auto out = EvalPrefer(*p1, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->scores.size(), 1u);
-  EXPECT_NEAR(out->scores.Lookup({I(3)}).score(), 0.8, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(3)}).conf(), 1.0, 1e-12);
+  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 0.8, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).conf(), 1.0, 1e-12);
 }
 
 TEST_F(PreferOpTest, NullScoringAttributeContributesNothing) {
@@ -115,8 +115,8 @@ TEST_F(PreferOpTest, NullScoringAttributeContributesNothing) {
   ExecStats stats;
   auto out = EvalPrefer(*p, input, FSum(), &catalog, &stats);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->scores.size(), 1u);
-  EXPECT_TRUE(out->scores.Lookup({I(2)}).IsDefault());
+  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
+  EXPECT_TRUE(out->ToScoreRelation().Lookup({I(2)}).IsDefault());
 }
 
 TEST_F(PreferOpTest, MembershipPreferenceScoresJoinPartners) {
@@ -127,9 +127,9 @@ TEST_F(PreferOpTest, MembershipPreferenceScoresJoinPartners) {
   auto out = EvalPrefer(*p7, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rel.NumRows(), 5u);  // Nothing filtered.
-  EXPECT_EQ(out->scores.size(), 1u);
-  EXPECT_NEAR(out->scores.Lookup({I(3)}).score(), 1.0, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(3)}).conf(), 0.9, 1e-12);
+  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 1.0, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).conf(), 0.9, 1e-12);
 }
 
 TEST_F(PreferOpTest, MembershipWithExtraCondition) {
@@ -139,7 +139,7 @@ TEST_F(PreferOpTest, MembershipWithExtraCondition) {
   auto out = EvalPrefer(*p, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // m3 is 2004, fails the extra condition: nothing scored.
-  EXPECT_EQ(out->scores.size(), 0u);
+  EXPECT_EQ(out->ToScoreRelation().size(), 0u);
 }
 
 TEST_F(PreferOpTest, MembershipRequiresCatalog) {
@@ -168,8 +168,25 @@ TEST_F(PreferOpTest, MaxConfAggregateKeepsStrongestEvidence) {
   ASSERT_TRUE(first.ok());
   auto out = EvalPrefer(*strong, *first, fmax, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).score(), 0.3, 1e-12);
-  EXPECT_NEAR(out->scores.Lookup({I(1)}).conf(), 0.9, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.3, 1e-12);
+  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 0.9, 1e-12);
+}
+
+TEST_F(PreferOpTest, KeylessRelationScoresEachTuple) {
+  // Without key columns every row used to share the empty key, so one match
+  // scored every row. Row-aligned pairs give each tuple its own pair.
+  Relation rel(Schema({{"T", "x", ValueType::kInt}}));
+  rel.AddRow({I(1)});
+  rel.AddRow({I(2)});
+  PreferencePtr p = Preference::Generic("p", "T", Eq(Col("x"), Lit(int64_t{1})),
+                                        ScoringFunction::Constant(0.7), 0.9);
+  auto out = EvalPrefer(*p, PRelation(std::move(rel)), fsum_, nullptr, &stats_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->pairs.size(), 2u);
+  EXPECT_NEAR(out->pairs[0].score(), 0.7, 1e-12);
+  EXPECT_NEAR(out->pairs[0].conf(), 0.9, 1e-12);
+  EXPECT_TRUE(out->pairs[1].IsDefault());
+  EXPECT_EQ(out->pairs[1].conf(), 0.0);
 }
 
 }  // namespace

@@ -54,16 +54,49 @@ TEST(ScoreRelationTest, ToStringShowsEntries) {
   EXPECT_NE(s.find("0.500"), std::string::npos);
 }
 
-TEST(PRelationTest, ScoreOfUsesKeyColumns) {
+TEST(ScoreRelationTest, RowKeyProbesLikeProjectedKey) {
+  ScoreRelation sr;
+  sr.Set({I(1), S("Drama")}, ScoreConf::Known(0.4, 0.6));
+  const Tuple row = {S("ignored"), S("Drama"), I(1)};
+  const std::vector<size_t> key_columns = {2, 1};
+  EXPECT_DOUBLE_EQ(sr.Lookup(RowKey{row, key_columns}).score(), 0.4);
+  const std::vector<size_t> wrong_order = {1, 2};
+  EXPECT_TRUE(sr.Lookup(RowKey{row, wrong_order}).IsDefault());
+  // Fold through a RowKey combines into the existing entry, and inserts a
+  // copy of the key for a new one.
+  FSum fsum;
+  sr.Fold(RowKey{row, key_columns}, ScoreConf::Known(0.8, 0.6), fsum);
+  EXPECT_EQ(sr.size(), 1u);
+  const ScoreConf& folded = sr.Lookup({I(1), S("Drama")});
+  EXPECT_NEAR(folded.score(), 0.6, 1e-12);
+  EXPECT_NEAR(folded.conf(), 1.2, 1e-12);
+  EXPECT_EQ(folded.count(), 2u);
+  const Tuple other = {S("x"), S("Comedy"), I(1)};
+  sr.Fold(RowKey{other, key_columns}, ScoreConf::Known(0.2, 1.0), fsum);
+  EXPECT_EQ(sr.size(), 2u);
+  EXPECT_DOUBLE_EQ(sr.Lookup({I(1), S("Comedy")}).score(), 0.2);
+  // Folding the identity into a missing key stores nothing.
+  const Tuple absent = {S("x"), S("Horror"), I(1)};
+  sr.Fold(RowKey{absent, key_columns}, ScoreConf::Identity(), fsum);
+  EXPECT_EQ(sr.size(), 2u);
+}
+
+TEST(PRelationTest, PairsAreRowAlignedAndBuiltByKey) {
   Relation rel(
       Schema({{"T", "id", ValueType::kInt}, {"T", "x", ValueType::kString}}));
   rel.set_key_columns({0});
   rel.AddRow({I(1), S("a")});
   rel.AddRow({I(2), S("b")});
-  PRelation p(std::move(rel));
-  p.scores.Set({I(2)}, ScoreConf::Known(0.9, 1.0));
-  EXPECT_TRUE(p.ScoreOf(p.rel.rows()[0]).IsDefault());
-  EXPECT_DOUBLE_EQ(p.ScoreOf(p.rel.rows()[1]).score(), 0.9);
+  ScoreRelation scores;
+  scores.Set({I(2)}, ScoreConf::Known(0.9, 1.0));
+  PRelation p(std::move(rel), scores);
+  ASSERT_EQ(p.pairs.size(), 2u);
+  EXPECT_TRUE(p.pairs[0].IsDefault());
+  EXPECT_DOUBLE_EQ(p.pairs[1].score(), 0.9);
+  // And back: R_P holds the non-default pairs only.
+  ScoreRelation round_trip = p.ToScoreRelation();
+  EXPECT_EQ(round_trip.size(), 1u);
+  EXPECT_DOUBLE_EQ(round_trip.Lookup({I(2)}).score(), 0.9);
 }
 
 TEST(PRelationTest, ToScoredRelationAppendsColumns) {
@@ -71,8 +104,9 @@ TEST(PRelationTest, ToScoredRelationAppendsColumns) {
   rel.set_key_columns({0});
   rel.AddRow({I(1)});
   rel.AddRow({I(2)});
-  PRelation p(std::move(rel));
-  p.scores.Set({I(1)}, ScoreConf::Known(0.8, 1.2));
+  ScoreRelation scores;
+  scores.Set({I(1)}, ScoreConf::Known(0.8, 1.2));
+  PRelation p(std::move(rel), scores);
 
   Relation scored = ToScoredRelation(p);
   ASSERT_EQ(scored.schema().size(), 3u);
@@ -92,8 +126,9 @@ TEST(PRelationTest, ToStringShowsScores) {
   Relation rel(Schema({{"T", "id", ValueType::kInt}}));
   rel.set_key_columns({0});
   rel.AddRow({I(1)});
-  PRelation p(std::move(rel));
-  p.scores.Set({I(1)}, ScoreConf::Known(0.8, 1.0));
+  ScoreRelation scores;
+  scores.Set({I(1)}, ScoreConf::Known(0.8, 1.0));
+  PRelation p(std::move(rel), scores);
   std::string s = p.ToString();
   EXPECT_NE(s.find("1 rows, 1 scored"), std::string::npos);
   EXPECT_NE(s.find("<0.800, 1.000>"), std::string::npos);

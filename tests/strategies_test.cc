@@ -60,16 +60,16 @@ TEST_F(StrategiesTest, FtPScoresCorrectTuples) {
   PRelation result = Run(StrategyKind::kFtP, *SimpleExtendedPlan());
   // year >= 2005: m1 (Drama), m2 (Drama), m4 (Thriller), m5 (Comedy).
   EXPECT_EQ(result.rel.NumRows(), 4u);
-  EXPECT_EQ(result.scores.size(), 1u);
+  EXPECT_EQ(result.ToScoreRelation().size(), 1u);
   // Scoop/Comedy got ⟨1.0, 0.8⟩.
   bool found = false;
-  for (const Tuple& row : result.rel.rows()) {
-    if (row[1] == S("Scoop")) {
-      EXPECT_NEAR(result.ScoreOf(row).score(), 1.0, 1e-12);
-      EXPECT_NEAR(result.ScoreOf(row).conf(), 0.8, 1e-12);
+  for (size_t i = 0; i < result.rel.NumRows(); ++i) {
+    if (result.rel.rows()[i][1] == S("Scoop")) {
+      EXPECT_NEAR(result.pairs[i].score(), 1.0, 1e-12);
+      EXPECT_NEAR(result.pairs[i].conf(), 0.8, 1e-12);
       found = true;
     } else {
-      EXPECT_TRUE(result.ScoreOf(row).IsDefault());
+      EXPECT_TRUE(result.pairs[i].IsDefault());
     }
   }
   EXPECT_TRUE(found);
@@ -101,7 +101,7 @@ TEST_F(StrategiesTest, GBUHandlesOperatorsAbovePrefer) {
   PlanPtr p = plan::Project({"title", "genre"}, SimpleExtendedPlan());
   PRelation result = Run(StrategyKind::kGBU, *p);
   EXPECT_EQ(result.rel.NumRows(), 4u);
-  EXPECT_EQ(result.scores.size(), 1u);
+  EXPECT_EQ(result.ToScoreRelation().size(), 1u);
 }
 
 TEST_F(StrategiesTest, PlugInBasicIssuesOneQueryPerPreference) {
@@ -130,7 +130,7 @@ TEST_F(StrategiesTest, SetOpsBelowPreferHandledByBUAndGBU) {
   for (StrategyKind kind : {StrategyKind::kBU, StrategyKind::kGBU}) {
     PRelation result = Run(kind, *p);
     EXPECT_EQ(result.rel.NumRows(), 5u) << StrategyKindName(kind);
-    EXPECT_EQ(result.scores.size(), 3u) << StrategyKindName(kind);
+    EXPECT_EQ(result.ToScoreRelation().size(), 3u) << StrategyKindName(kind);
   }
 
   // FtP and the plug-ins refuse: tuple origin is lost in the flat result.
@@ -154,8 +154,8 @@ TEST_F(StrategiesTest, MembershipPreferenceAcrossStrategies) {
         StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
     PRelation result = Run(kind, *p);
     EXPECT_EQ(result.rel.NumRows(), 5u) << StrategyKindName(kind);
-    ASSERT_EQ(result.scores.size(), 1u) << StrategyKindName(kind);
-    EXPECT_NEAR(result.scores.Lookup({I(3)}).conf(), 0.9, 1e-12)
+    ASSERT_EQ(result.ToScoreRelation().size(), 1u) << StrategyKindName(kind);
+    EXPECT_NEAR(result.ToScoreRelation().Lookup({I(3)}).conf(), 0.9, 1e-12)
         << StrategyKindName(kind);
   }
 }
@@ -173,7 +173,7 @@ TEST_F(StrategiesTest, MultiRelationalPreferenceAcrossStrategies) {
         StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
     PRelation result = Run(kind, *p);
     // Dramas from >= 2008: m1 and m2.
-    EXPECT_EQ(result.scores.size(), 2u) << StrategyKindName(kind);
+    EXPECT_EQ(result.ToScoreRelation().size(), 2u) << StrategyKindName(kind);
   }
 }
 
