@@ -40,6 +40,8 @@ class Engine {
         metrics_.counter(obs::kPrefNativeJoinBuildRows);
     native_metrics_.join_probe_rows =
         metrics_.counter(obs::kPrefNativeJoinProbeRows);
+    native_metrics_.join_index_hits =
+        metrics_.counter(obs::kPrefNativeJoinIndexHits);
     native_metrics_.setop_probe_rows =
         metrics_.counter(obs::kPrefNativeSetopProbeRows);
     native_metrics_.distinct_rows = metrics_.counter(obs::kPrefNativeDistinctRows);

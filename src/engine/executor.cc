@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -38,6 +39,10 @@ struct RowView {
   std::vector<uint32_t> ids;                       // Row-major, width() per row.
   // Keeps gathered sources alive for as long as some view points into them.
   std::vector<std::shared_ptr<const std::vector<Tuple>>> owned;
+  // The base table a predicate-free scan of a non-temporary table read in
+  // full (the view is then the identity id range over its rows), else null.
+  // A join reads it only when this view is straight out of the scan.
+  Table* base_table = nullptr;
 
   // A one-input view with identity columns over `rows`, holding no rows yet.
   static RowView Over(Schema schema, std::vector<size_t> keys,
@@ -124,6 +129,8 @@ class ScratchRow {
 };
 
 constexpr uint32_t kNoRow = UINT32_MAX;
+// How many probe rows ahead an index-served join prefetches.
+constexpr size_t kPrefetchAhead = 8;
 
 // The hash join's build table: open addressing from a key to the chain of
 // build positions holding it, in insertion order, in flat arrays — heads
@@ -348,6 +355,7 @@ class Executor {
 
     if (predicate == nullptr) {
       // A predicate-free scan is the id range over the table's rows.
+      if (!table->temporary()) out.base_table = table;
       stats_->rows_scanned += rows.size();
       Bump(metrics_.scan_rows, rows.size());
       obs::SetRowsIn(scope.get(), rows.size());
@@ -364,7 +372,7 @@ class Executor {
     FindIndexableConjunct(*bound, schema, &index_col, &index_key);
     if (index_col >= 0) {
       const HashIndex& index = table->EnsureIndex(static_cast<size_t>(index_col));
-      const std::vector<uint32_t>& matches = index.Lookup(index_key);
+      std::span<const uint32_t> matches = index.Lookup(index_key);
       obs::AppendDetail(scope.get(), "index");
       stats_->rows_scanned += matches.size();
       Bump(metrics_.scan_rows, matches.size());
@@ -506,51 +514,93 @@ class Executor {
     bool equi_only = false;
     if (FindEquiConjunct(*node.predicate, left.schema, right.schema, &left_col,
                          &right_col, &equi_only)) {
-      // Hash join: build on the right input, probe with the left. The
-      // build stays serial — each key's chain of build positions, in
-      // insertion order, is what makes the probe's match order (and
-      // therefore the output row order) deterministic; the probe is where
-      // the work is, and it parallelizes over morsels of the probe side.
+      // Hash join: build on the right input, probe with the left. A right
+      // input that is a full scan of a base table is already indexed: the
+      // table's persistent HashIndex on the key column (built on first use)
+      // lists the matching row ids, which are that scan's view positions.
+      // Any other right input gets a per-query JoinTable. Both yield each
+      // key's build positions ascending, which makes the probe's match order
+      // (and therefore the output row order) deterministic and the same on
+      // either path; the probe is where the work is, and it parallelizes
+      // over morsels of the probe side.
       obs::AppendDetail(scope.get(), "hash");
       ASSIGN_OR_RETURN(size_t li, left.schema.FindColumn(left_col));
       ASSIGN_OR_RETURN(size_t ri, right.schema.FindColumn(right_col));
-      // With the equi-conjunct as the whole predicate (bound to exactly
-      // these two columns, since the combined bind succeeded), a key match
-      // already decides it, so the probe skips re-evaluating the predicate.
+      Table* indexed =
+          node.child(1).kind == PlanKind::kScan ? right.base_table : nullptr;
+      const HashIndex* index = nullptr;
       std::optional<JoinTable> build;
       {
         obs::SpanScope build_scope(scope.get(), "native.join.build");
         obs::SetRowsIn(build_scope.get(), nr);
-        build.emplace(right, ri);
-        obs::SetRowsOut(build_scope.get(), build->DistinctKeys());
+        if (indexed != nullptr) {
+          obs::AppendDetail(build_scope.get(), "index");
+          index = &indexed->EnsureIndex(right.columns[ri].column);
+          obs::SetRowsOut(build_scope.get(), index->NumKeys());
+          Bump(metrics_.join_index_hits, 1);
+        } else {
+          build.emplace(right, ri);
+          obs::SetRowsOut(build_scope.get(), build->DistinctKeys());
+        }
         Bump(metrics_.join_build_rows, nr);
       }
       obs::SpanScope probe_scope(scope.get(), "native.join.probe");
       obs::SetRowsIn(probe_scope.get(), nl);
       Bump(metrics_.join_probe_rows, nl);
       MorselPlan plan = PlanFor(nl);
-      // Per-morsel id buffers over the probe side; the build table, both
-      // inputs and the bound predicate are read-only here.
+      // Per-morsel id buffers over the probe side; the build structure,
+      // both inputs and the bound predicate are read-only here.
       std::vector<std::vector<uint32_t>> buffers(plan.morsel_count());
-      ParallelForTraced(
-          plan, MorselParent(probe_scope.get()), [&](size_t, const Morsel& m) {
-            GovernorCheckpoint(parallel_);
-            std::vector<uint32_t>& local = buffers[m.index];
-            ScratchRow row(*bound, combined);
-            for (size_t i = m.begin; i < m.end; ++i) {
-              uint32_t j = build->Find(left.At(i, li));
-              if (j == kNoRow) continue;
-              if (!equi_only) row.Load(left, i, 0);
-              for (; j != kNoRow; j = build->Next(j)) {
-                if (!equi_only) {
-                  row.Load(right, j, left_cols);
-                  if (!row.Test()) continue;
-                }
-                emit(i, j, &local);
-                if (semi) break;  // Left row qualifies once.
+      // `for_each_match(i, visit)` calls visit(j) for the build positions j
+      // holding left row i's key, ascending, until it returns true. With the
+      // equi-conjunct as the whole predicate (bound to exactly these two
+      // columns, since the combined bind succeeded), a key match already
+      // decides it, so the probe skips re-evaluating the predicate.
+      auto probe = [&](const auto& for_each_match) {
+        ParallelForTraced(
+            plan, MorselParent(probe_scope.get()), [&](size_t, const Morsel& m) {
+              GovernorCheckpoint(parallel_);
+              std::vector<uint32_t>& local = buffers[m.index];
+              ScratchRow row(*bound, combined);
+              for (size_t i = m.begin; i < m.end; ++i) {
+                bool loaded = false;
+                for_each_match(i, [&](uint32_t j) {
+                  if (!equi_only) {
+                    if (!loaded) {
+                      row.Load(left, i, 0);
+                      loaded = true;
+                    }
+                    row.Load(right, j, left_cols);
+                    if (!row.Test()) return false;
+                  }
+                  emit(i, j, &local);
+                  return semi;  // A semi join's left row qualifies once.
+                });
               }
-            }
-          });
+            });
+      };
+      if (index != nullptr) {
+        probe([&](size_t i, const auto& visit) {
+          // A table index was not just built, so its slots are usually
+          // cold: start loading a later key's slot now, so that the misses
+          // of consecutive probes overlap.
+          if (i + kPrefetchAhead < nl) {
+            index->Prefetch(left.At(i + kPrefetchAhead, li));
+          }
+          const Value& key = left.At(i, li);
+          if (key.is_null()) return;  // `NULL = x` is not true.
+          for (uint32_t j : index->Lookup(key)) {
+            if (visit(j)) return;
+          }
+        });
+      } else {
+        probe([&](size_t i, const auto& visit) {
+          for (uint32_t j = build->Find(left.At(i, li)); j != kNoRow;
+               j = build->Next(j)) {
+            if (visit(j)) return;
+          }
+        });
+      }
       MergeIds(&buffers, &out.ids);
       obs::SetRowsOut(probe_scope.get(), out.NumRows());
     } else {

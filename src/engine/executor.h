@@ -20,6 +20,7 @@ struct NativeExecMetrics {
   obs::Counter* scan_rows = nullptr;         // "pref.native.scan_rows"
   obs::Counter* join_build_rows = nullptr;   // "pref.native.join_build_rows"
   obs::Counter* join_probe_rows = nullptr;   // "pref.native.join_probe_rows"
+  obs::Counter* join_index_hits = nullptr;   // "pref.native.join_index_hits"
   obs::Counter* setop_probe_rows = nullptr;  // "pref.native.setop_probe_rows"
   obs::Counter* distinct_rows = nullptr;     // "pref.native.distinct_rows"
   obs::Counter* parallel_regions = nullptr;  // "pref.native.parallel_regions"
@@ -52,7 +53,10 @@ struct NativeExecOptions {
 ///   * Select-over-Scan is fused; an equality conjunct on an indexed base
 ///     column uses the table's hash index instead of a full scan.
 ///   * Joins use a hash join when an equi-conjunct links the two sides,
-///     falling back to a nested-loop join otherwise.
+///     falling back to a nested-loop join otherwise. A hash join whose
+///     build (right) side is a predicate-free scan of a base table probes
+///     the table's persistent hash index on the key column; any other build
+///     side gets a per-query hash table.
 ///   * Set operations and DISTINCT use whole-tuple hashing.
 ///
 /// Under a parallel context the hot operators evaluate in concurrent

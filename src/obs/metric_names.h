@@ -38,6 +38,9 @@ inline constexpr std::string_view kPrefNativeJoinBuildRows =
     "pref.native.join_build_rows";
 inline constexpr std::string_view kPrefNativeJoinProbeRows =
     "pref.native.join_probe_rows";
+/// Hash joins whose build side a base table's persistent index served.
+inline constexpr std::string_view kPrefNativeJoinIndexHits =
+    "pref.native.join_index_hits";
 inline constexpr std::string_view kPrefNativeSetopProbeRows =
     "pref.native.setop_probe_rows";
 inline constexpr std::string_view kPrefNativeDistinctRows =

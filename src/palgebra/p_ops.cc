@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/string_util.h"
 #include "parallel/morsel.h"
 #include "plan/plan.h"
+#include "storage/hash_index.h"
 
 namespace prefdb {
 
@@ -263,18 +263,14 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                        &left_col, &right_col)) {
     ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
     ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> build;
-    build.reserve(rrows.size());
-    for (size_t i = 0; i < rrows.size(); ++i) {
-      build[rrows[i][ri]].push_back(static_cast<uint32_t>(i));
-    }
+    const HashIndex build(right.rel, ri);
     ParallelFor(plan, [&](size_t, const Morsel& m) {
       GovernorCheckpoint(parallel);
       MatchBuffer& local = buffers[m.index];
       for (size_t i = m.begin; i < m.end; ++i) {
-        auto it = build.find(lrows[i][li]);
-        if (it == build.end()) continue;
-        for (uint32_t pos : it->second) try_emit(&local, i, pos);
+        const Value& key = lrows[i][li];
+        if (key.is_null()) continue;  // `NULL = x` is not true.
+        for (uint32_t pos : build.Lookup(key)) try_emit(&local, i, pos);
       }
     });
   } else {
@@ -349,14 +345,11 @@ StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                        &left_col, &right_col)) {
     ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
     ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> build;
-    for (size_t i = 0; i < rrows.size(); ++i) {
-      build[rrows[i][ri]].push_back(static_cast<uint32_t>(i));
-    }
+    const HashIndex build(right.rel, ri);
     ids = KeptRows(plan, parallel, [&](size_t i) {
-      auto it = build.find(lrows[i][li]);
-      if (it == build.end()) return false;
-      for (uint32_t pos : it->second) {
+      const Value& key = lrows[i][li];
+      if (key.is_null()) return false;  // `NULL = x` is not true.
+      for (uint32_t pos : build.Lookup(key)) {
         if (qualifies(lrows[i], pos)) return true;
       }
       return false;
@@ -573,8 +566,9 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
   RETURN_IF_ERROR(scoring.Bind(input.rel.schema()));
 
   // Membership preferences additionally require a join partner in the
-  // member relation; build the probe set once.
-  std::unordered_set<Value, ValueHash> member_keys;
+  // member relation, found through the member table's persistent index on
+  // the member column. The member relation still counts as scanned.
+  const HashIndex* member_index = nullptr;
   int local_col = -1;
   if (pref.membership() != nullptr) {
     const MembershipSpec& spec = *pref.membership();
@@ -588,17 +582,14 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
     ASSIGN_OR_RETURN(size_t local_idx,
                      input.rel.schema().FindColumn(spec.local_column));
     local_col = static_cast<int>(local_idx);
-    member_keys.reserve(member->NumRows());
-    for (const Tuple& row : member->relation().rows()) {
-      member_keys.insert(row[member_idx]);
-    }
+    member_index = &member->EnsureIndex(member_idx);
     stats->rows_scanned += member->NumRows();
   }
 
   // The scoring pass is tuple-local: each morsel folds its rows'
   // contributions into their own pairs, in place. Writes are disjoint, so
-  // no partials are merged; the condition, scoring function and member-key
-  // set are immutable after binding and shared by all slots.
+  // no partials are merged; the condition, scoring function and member
+  // index are immutable after binding and shared by all slots.
   PRelation out = std::move(input);
   const std::vector<Tuple>& rows = out.rel.rows();
   MorselPlan plan = PlanFor(rows.size(), parallel);
@@ -611,9 +602,14 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
     for (size_t i = m.begin; i < m.end; ++i) {
       ticker.Tick();
       const Tuple& row = rows[i];
-      if (local_col >= 0 &&
-          member_keys.count(row[static_cast<size_t>(local_col)]) == 0) {
-        continue;  // Membership not satisfied: tuple unaffected.
+      if (local_col >= 0) {
+        // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
+        // NULL local key has no member, even when the member relation holds
+        // a NULL key.
+        const Value& key = row[static_cast<size_t>(local_col)];
+        if (key.is_null() || member_index->Lookup(key).empty()) {
+          continue;  // Membership not satisfied: tuple unaffected.
+        }
       }
       if (!IsTruthy(condition->Eval(row))) continue;
       std::optional<double> score = scoring.Score(row);

@@ -55,9 +55,12 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
 /// Inner join ⋈_{φ,F}: joins tuples and combines their pairs with `F`
 /// (paper Fig. 3), reading `left.pairs` and `right.pairs` by the matched
 /// row positions. The output key is the concatenation of the input keys.
-/// The probe side is morselized (the hash build stays serial): each morsel
-/// emits its joined rows and combined pairs into local buffers,
-/// concatenated in morsel order.
+/// With an equi-conjunct it is a hash join: a HashIndex over the right
+/// input's key column (storage/hash_index.h, the native executor's table
+/// index layout) lists each key's right rows in order, and NULL left keys
+/// are skipped (`NULL = x` is never true). The probe side is morselized
+/// (the index build stays serial): each morsel emits its joined rows and
+/// combined pairs into local buffers, concatenated in morsel order.
 StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           const PRelation& right, const AggregateFunction& agg,
                           ExecStats* stats,
@@ -65,8 +68,9 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           obs::Span* span = nullptr);
 
 /// Left semijoin ⋉_φ: keeps left tuples with at least one match; left pairs
-/// are kept unchanged (the right side only qualifies tuples). Parallel
-/// evaluation morselizes the left-side probe like PJoin.
+/// are kept unchanged (the right side only qualifies tuples). Builds and
+/// probes its HashIndex like PJoin, and morselizes the left-side probe the
+/// same way.
 StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const PRelation& right, ExecStats* stats,
                               const ParallelContext* parallel = nullptr,
@@ -117,8 +121,11 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
 /// current pair using `F`; other tuples pass through unchanged. Never
 /// filters tuples.
 ///
-/// `catalog` is needed only for membership preferences (to probe the member
-/// relation); it may be null otherwise.
+/// `catalog` is needed only for membership preferences, which probe the
+/// member table's persistent index on the member column
+/// (Table::EnsureIndex, built on first use); it may be null otherwise.
+/// Membership is SQL `=`: a tuple whose local key is NULL has no member.
+/// The member relation still counts as scanned in `stats->rows_scanned`.
 ///
 /// Takes its input by value (callers move it in) and updates `pairs[i]` in
 /// place. The prefer operator is a tuple-local scoring pass, so morsels

@@ -64,8 +64,12 @@ class Table {
   const std::vector<size_t>& primary_key() const { return relation_.key_columns(); }
 
   /// Returns the hash index on `column_index`, building it on first use.
+  /// The index lives as long as the table and serves every later equality
+  /// scan, hash join and membership probe on the column; it is table state,
+  /// not charged to the memory budget of the query that built it.
   /// Thread-safe: concurrent engine queries (parallel plug-in strategies)
-  /// may race to build the same index; one wins, the rest reuse it.
+  /// may touch the same index first at once; the build runs under the
+  /// table's lock, so exactly one is built and the rest reuse it.
   const HashIndex& EnsureIndex(size_t column_index);
 
   /// True if an index on `column_index` has already been built.

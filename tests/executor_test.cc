@@ -328,9 +328,89 @@ TEST_F(RowIdEdgeTest, NullKeysNeverMatchAndIntMatchesDoubleAndNanMatchesNan) {
   EXPECT_EQ(Pairs(rel, 2), (PairList{{1, 1}, {1, 4}, {1, 5}, {3, 1}, {3, 4},
                                      {3, 5}, {4, 3}, {6, 6}}));
   EXPECT_EQ(rel.key_columns(), (std::vector<size_t>{0, 2}));
-  // Seven build rows hold five distinct keys: 2, NULL, NaN, 'x', 9.
+  // Seven build rows hold five distinct keys: 2, NULL, NaN, 'x', 9. R is a
+  // base table, so its index serves the build, and says so.
+  EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5 index)"),
+            std::string::npos)
+      << last_trace_;
+}
+
+// Copies R into a strategy-style temporary table (qualifiers kept as R's).
+void AddTemporaryCopyOfR(Catalog* catalog, const std::string& name) {
+  Table* source = *catalog->GetTable("R");
+  auto table = Table::Create(name, source->schema(), source->relation().rows(),
+                             {"R.rid"}, /*qualify_with_name=*/false);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  (*table)->MarkTemporary();
+  ASSERT_TRUE(catalog->AddTable(std::move(*table)).ok());
+}
+
+TEST_F(RowIdEdgeTest, IndexServedJoinMatchesPerQueryBuild) {
+  Relation indexed = RunAll(KeyJoin());
+  ASSERT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos);
+  // A temporary table, a filtered scan and a join output as build sides all
+  // take the per-query build, with the same rows in the same order.
+  AddTemporaryCopyOfR(&catalog_, "__gbu_tmp_r");
+  Relation temp = RunAll(plan::Join(KeyEq(), plan::Scan("L"), plan::Scan("__gbu_tmp_r")));
   EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
       << last_trace_;
+  EXPECT_EQ(temp.rows(), indexed.rows());
+  Relation filtered = RunAll(plan::Join(
+      KeyEq(), plan::Scan("L"),
+      plan::Select(Ge(Col("rid"), Lit(int64_t{0})), plan::Scan("R"))));
+  EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
+      << last_trace_;
+  EXPECT_EQ(filtered.rows(), indexed.rows());
+  Relation nested = RunAll(plan::Join(
+      Eq(Col("L.k"), Col("R.k")), plan::Scan("L"),
+      plan::Join(Eq(Col("R.rid"), Col("R2.rid")), plan::Scan("R"),
+                 plan::Scan("R", "R2"))));
+  EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
+      << last_trace_;
+  EXPECT_EQ(Pairs(nested, 2), Pairs(indexed, 2));
+}
+
+TEST_F(RowIdEdgeTest, IndexServedSemiJoinAndResidualConjunct) {
+  Relation semi = RunAll(plan::SemiJoin(KeyEq(), plan::Scan("L"), plan::Scan("R")));
+  EXPECT_NE(last_trace_.find("index"), std::string::npos) << last_trace_;
+  EXPECT_EQ(Pairs(semi, 0), (PairList{{1, 1}, {3, 3}, {4, 4}, {6, 6}}));
+  // A residual conjunct that rejects a left row's first matches: the semi
+  // join still finds the later one.
+  Relation residual = RunAll(plan::SemiJoin(And(KeyEq(), Gt(Col("rid"), Lit(int64_t{4}))),
+                                            plan::Scan("L"), plan::Scan("R")));
+  EXPECT_EQ(Pairs(residual, 0), (PairList{{1, 1}, {3, 3}, {6, 6}}));
+}
+
+TEST_F(RowIdEdgeTest, AliasedSelfJoinThroughIndex) {
+  Relation rel = RunAll(plan::Join(Eq(Col("A.k"), Col("B.k")), plan::Scan("R", "A"),
+                                   plan::Scan("R", "B")));
+  EXPECT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos) << last_trace_;
+  // Each non-NULL row meets every row sharing its key, in row order.
+  EXPECT_EQ(Pairs(rel, 3), (PairList{{1, 1}, {1, 4}, {1, 5}, {3, 3}, {4, 1}, {4, 4},
+                                     {4, 5}, {5, 1}, {5, 4}, {5, 5}, {6, 6}, {7, 7}}));
+}
+
+TEST_F(RowIdEdgeTest, IndexBuiltByEqualityScanServesLaterJoin) {
+  Table* r = *catalog_.GetTable("R");
+  ASSERT_FALSE(r->HasIndex(1));
+  Relation scanned = RunAll(plan::Select(Eq(Col("k"), Lit(int64_t{2})), plan::Scan("R")));
+  EXPECT_EQ(Pairs(scanned, 0), (PairList{{1, 1}, {4, 4}, {5, 5}}));
+  ASSERT_TRUE(r->HasIndex(1));
+  const HashIndex* built = &r->EnsureIndex(1);
+  obs::Counter hits;
+  obs::Counter build_rows;
+  NativeExecMetrics metrics;
+  metrics.join_index_hits = &hits;
+  metrics.join_build_rows = &build_rows;
+  NativeExecOptions options;
+  options.metrics = &metrics;
+  ExecStats stats;
+  auto joined = ExecutePlan(*KeyJoin(), &catalog_, &stats, options);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->rows(), RunAll(KeyJoin()).rows());
+  EXPECT_EQ(&r->EnsureIndex(1), built);  // Reused, not rebuilt.
+  EXPECT_EQ(hits.value(), 1u);
+  EXPECT_EQ(build_rows.value(), 7u);  // Build-side input rows, as before.
 }
 
 TEST_F(RowIdEdgeTest, ExtraNonEquiConjunctIsStillApplied) {

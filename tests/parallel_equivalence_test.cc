@@ -884,5 +884,59 @@ TEST(ConcurrentGbuTest, ConcurrentExecutionsDoNotCollideOnTempTables) {
   }
 }
 
+// Concurrent engine queries (parallel plug-in strategies) may be the first
+// to touch a base table's index at the same time: one join and one
+// equality scan per thread race to build GENRES.m_id's index. Exactly one
+// index must result, and every join must return the answer of a catalog
+// that never raced.
+TEST(ConcurrentIndexTest, FirstTouchBuildsOneIndexUnderRacingQueries) {
+  auto make_catalog = [] {
+    ImdbOptions options;
+    options.scale = 0.0004;
+    options.seed = 7;
+    StatusOr<Catalog> catalog = GenerateImdb(options);
+    EXPECT_TRUE(catalog.ok());
+    return std::move(*catalog);
+  };
+  auto join = [] {
+    return plan::Join(eb::Eq(eb::Col("MOVIES.m_id"), eb::Col("GENRES.m_id")),
+                      plan::Scan("MOVIES"), plan::Scan("GENRES"));
+  };
+  Catalog quiet = make_catalog();
+  ExecStats reference_stats;
+  StatusOr<Relation> reference = ExecutePlan(*join(), &quiet, &reference_stats);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->NumRows(), 0u);
+
+  Catalog catalog = make_catalog();
+  Table* genres = *catalog.GetTable("GENRES");
+  ASSERT_FALSE(genres->HasIndex(0));
+  constexpr int kThreads = 4;
+  std::vector<StatusOr<Relation>> joined(kThreads, Status::Internal("not run"));
+  std::vector<StatusOr<Relation>> scanned(kThreads, Status::Internal("not run"));
+  std::vector<const HashIndex*> seen(kThreads, nullptr);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ExecStats stats;
+      PlanPtr scan = plan::Select(eb::Eq(eb::Col("m_id"), eb::Lit(int64_t{1})),
+                                  plan::Scan("GENRES"));
+      // Half the threads scan first, half join first.
+      if (t % 2 == 0) joined[t] = ExecutePlan(*join(), &catalog, &stats);
+      scanned[t] = ExecutePlan(*scan, &catalog, &stats);
+      if (t % 2 == 1) joined[t] = ExecutePlan(*join(), &catalog, &stats);
+      seen[t] = &genres->EnsureIndex(0);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(joined[t].ok()) << joined[t].status().ToString();
+    ASSERT_TRUE(scanned[t].ok()) << scanned[t].status().ToString();
+    EXPECT_EQ(joined[t]->rows(), reference->rows()) << "thread " << t;
+    EXPECT_EQ(scanned[t]->rows(), scanned[0]->rows()) << "thread " << t;
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+}
+
 }  // namespace
 }  // namespace prefdb

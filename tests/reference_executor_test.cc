@@ -9,6 +9,7 @@
 // comparator, so row order is comparable too.)
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -235,6 +236,75 @@ TEST(ReferenceExecutorTest, ExecutorTestPlans) {
   for (size_t i = 0; i < plans.size(); ++i) {
     ExpectPlanMatchesReference(*plans[i], &catalog, "plan " + std::to_string(i));
   }
+}
+
+// Joins whose build side a base table's persistent index serves, next to
+// the build sides that keep the per-query hash table: NULL probe and build
+// keys, duplicate build keys, Int/Double/NaN keys, residual conjuncts, semi
+// joins, an aliased self-join, a temporary table, and an index that an
+// equality scan built before a join reused it.
+TEST(ReferenceExecutorTest, IndexServedJoinPlans) {
+  using testing_util::D;
+  using testing_util::I;
+  using testing_util::N;
+  using testing_util::S;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .CreateTable("L",
+                               Schema({{"", "id", ValueType::kInt},
+                                       {"", "k", ValueType::kDouble}}),
+                               {{I(1), I(2)}, {I(2), N()}, {I(3), D(2.0)},
+                                {I(4), D(nan)}, {I(5), I(7)}, {I(6), S("x")},
+                                {I(7), N()}},
+                               {"id"})
+                  .ok());
+  Schema r_schema({{"R", "rid", ValueType::kInt},
+                   {"R", "k", ValueType::kDouble},
+                   {"R", "tag", ValueType::kString}});
+  std::vector<Tuple> r_rows = {
+      {I(1), I(2), S("a")}, {I(2), N(), S("n")},  {I(3), D(nan), S("nan")},
+      {I(4), D(2.0), S("b")}, {I(5), I(2), S("c")}, {I(6), S("x"), S("s")},
+      {I(7), I(9), S("z")},   {I(8), N(), S("m")}};
+  ASSERT_TRUE(catalog.CreateTable("R", r_schema, r_rows, {"rid"}).ok());
+  auto temp = Table::Create("__gbu_tmp_ref", r_schema, r_rows, {"R.rid"},
+                            /*qualify_with_name=*/false);
+  ASSERT_TRUE(temp.ok()) << temp.status().ToString();
+  (*temp)->MarkTemporary();
+  ASSERT_TRUE(catalog.AddTable(std::move(*temp)).ok());
+
+  auto key_eq = [] { return Eq(Col("L.k"), Col("R.k")); };
+  std::vector<PlanPtr> plans;
+  // Builds R.k's index through an equality scan; the joins below reuse it.
+  plans.push_back(plan::Select(Eq(Col("k"), Lit(int64_t{2})), plan::Scan("R")));
+  plans.push_back(plan::Join(key_eq(), plan::Scan("L"), plan::Scan("R")));
+  plans.push_back(plan::Join(And(key_eq(), Ne(Col("tag"), Lit("b"))),
+                             plan::Scan("L"), plan::Scan("R")));
+  plans.push_back(plan::Join(And(Gt(Col("rid"), Col("id")), key_eq()),
+                             plan::Scan("L"), plan::Scan("R")));
+  plans.push_back(plan::SemiJoin(key_eq(), plan::Scan("L"), plan::Scan("R")));
+  plans.push_back(plan::SemiJoin(And(key_eq(), Gt(Col("rid"), Lit(int64_t{4}))),
+                                 plan::Scan("L"), plan::Scan("R")));
+  plans.push_back(plan::Join(Eq(Col("A.k"), Col("B.k")), plan::Scan("R", "A"),
+                             plan::Scan("R", "B")));
+  plans.push_back(plan::Join(Eq(Col("A.rid"), Col("B.rid")), plan::Scan("R", "A"),
+                             plan::Scan("R", "B")));
+  // Build side on L (NULL, NaN and Int/Double keys on the build side too).
+  plans.push_back(plan::Join(Eq(Col("R.k"), Col("L.k")), plan::Scan("R"),
+                             plan::Scan("L")));
+  // Per-query builds: a temporary table, a filtered scan, a join output.
+  plans.push_back(plan::Join(key_eq(), plan::Scan("L"), plan::Scan("__gbu_tmp_ref")));
+  plans.push_back(plan::Join(key_eq(), plan::Scan("L"),
+                             plan::Select(Ne(Col("tag"), Lit("z")), plan::Scan("R"))));
+  plans.push_back(plan::Join(
+      key_eq(), plan::Scan("L"),
+      plan::Join(Eq(Col("R.rid"), Col("R2.rid")), plan::Scan("R"),
+                 plan::Scan("R", "R2"))));
+  for (size_t i = 0; i < plans.size(); ++i) {
+    ExpectPlanMatchesReference(*plans[i], &catalog, "plan " + std::to_string(i));
+  }
+  EXPECT_TRUE((*catalog.GetTable("R"))->HasIndex(1));
+  EXPECT_FALSE((*catalog.GetTable("__gbu_tmp_ref"))->HasIndex(1));
 }
 
 Catalog* ImdbCatalog() {

@@ -160,6 +160,48 @@ TEST_F(StrategiesTest, MembershipPreferenceAcrossStrategies) {
   }
 }
 
+// Membership is the SQL `=` of the plug-ins' semijoin: a NULL local key has
+// no member even when the member relation holds a NULL key, so every
+// strategy leaves that tuple at the default pair.
+TEST(MembershipNullTest, NullLocalKeyHasNoMemberInAnyStrategy) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .CreateTable("MOVIES",
+                               Schema({{"", "m_id", ValueType::kInt},
+                                       {"", "title", ValueType::kString}}),
+                               {{I(1), S("a")}, {testing_util::N(), S("b")}, {I(3), S("c")}},
+                               {"title"})
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .CreateTable("AWARDS",
+                               Schema({{"", "m_id", ValueType::kInt},
+                                       {"", "award", ValueType::kString}}),
+                               {{I(1), S("x")}, {testing_util::N(), S("y")}}, {"award"})
+                  .ok());
+  Engine engine(std::move(catalog));
+  const AggregateFunction& agg = **GetAggregateFunction("wsum");
+  PlanPtr p = plan::Prefer(
+      Preference::Membership("p_award", "MOVIES",
+                             MembershipSpec{"AWARDS", "m_id", "m_id"}, True(),
+                             ScoringFunction::Constant(1.0), 0.9),
+      plan::Scan("MOVIES"));
+  for (StrategyKind kind :
+       {StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
+        StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
+    auto result = MakeStrategy(kind)->Execute(*p, agg, &engine);
+    ASSERT_TRUE(result.ok()) << StrategyKindName(kind) << ": "
+                             << result.status().ToString();
+    EXPECT_EQ(result->rel.NumRows(), 3u) << StrategyKindName(kind);
+    ScoreRelation scores = result->ToScoreRelation();
+    const ScoreConf& a = scores.Lookup({S("a")});
+    EXPECT_TRUE(a.has_score()) << StrategyKindName(kind);
+    EXPECT_DOUBLE_EQ(a.score(), 1.0) << StrategyKindName(kind);
+    EXPECT_DOUBLE_EQ(a.conf(), 0.9) << StrategyKindName(kind);
+    EXPECT_TRUE(scores.Lookup({S("b")}).IsDefault()) << StrategyKindName(kind);
+    EXPECT_TRUE(scores.Lookup({S("c")}).IsDefault()) << StrategyKindName(kind);
+  }
+}
+
 TEST_F(StrategiesTest, MultiRelationalPreferenceAcrossStrategies) {
   PreferencePtr multi = Preference::MultiRelational(
       "p6", {"MOVIES", "GENRES"},

@@ -164,7 +164,10 @@ TEST(ThreadPoolTest, WaitJoinsAllSiblingsWhenCancellationRacesCompletion) {
 // Stealing under skew: one task blocks a worker until every short task has
 // run. Round-robin submission parks half the short tasks behind the blocked
 // worker, so the test can only terminate if the other worker steals them —
-// completion itself proves stealing, and the counter confirms it.
+// completion itself proves stealing, and the counter confirms it. The test
+// thread waits for the short tasks before joining: TaskGroup::Wait is a
+// helping join, and draining the parked tasks itself would leave no task for
+// the free worker to steal.
 TEST(ThreadPoolTest, StealsQueuedTasksFromBusyWorker) {
   ThreadPool pool(2);
   constexpr int kShortTasks = 32;
@@ -188,6 +191,12 @@ TEST(ThreadPoolTest, StealsQueuedTasksFromBusyWorker) {
       }
       cv.notify_all();
     });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    bool all_done = cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return done == kShortTasks; });
+    EXPECT_TRUE(all_done) << "short tasks did not finish on the pool";
   }
   group.Wait();
   EXPECT_GE(pool.steal_count(), 1u);
