@@ -10,7 +10,9 @@
 #           (scripts/run_tsan.sh, build-tsan)
 #   bench   bench_scalability fast path (PREFDB_BENCH_ONLY=native at a tiny
 #           scale) — fails if BENCH_native.json stops carrying the
-#           native-operator phase rows and native.* span names
+#           native-operator phase rows and native.* span names — then
+#           perfbench/smoke_test.py: every answer right and the exact
+#           counts stable, at a tiny scale, on all three workloads
 #   telemetry  boots tools/telemetry_smoke (real HTTP server on an ephemeral
 #           port), curls /healthz and /metrics, checks the Prometheus
 #           exposition carries the pref_* metric families, and validates the
@@ -103,6 +105,8 @@ if [ "$RUN_BENCH" -eq 1 ]; then
       exit 1
     fi
   done
+  echo "== bench: perfbench smoke test (answers and exact counts) =="
+  python3 perfbench/smoke_test.py
 fi
 
 if [ "$RUN_FAULTS" -eq 1 ]; then

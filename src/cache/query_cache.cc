@@ -1,5 +1,7 @@
 #include "cache/query_cache.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "obs/metric_names.h"
 
@@ -8,28 +10,52 @@ namespace cache {
 
 namespace {
 
+// The capacity of a copy of `s`: copies allocate exactly the length, or
+// use the in-place buffer when it fits.
+size_t CopyCapacity(const std::string& s) {
+  static const size_t kInPlace = std::string().capacity();
+  return std::max(s.size(), kInPlace);
+}
+
 size_t EstimateValueBytes(const Value& value) {
   size_t bytes = sizeof(Value);
-  if (value.is_string()) bytes += value.AsString().capacity();
+  if (value.is_string()) bytes += CopyCapacity(value.AsString());
   return bytes;
 }
 
-size_t EstimateTupleBytes(const Tuple& tuple) {
-  size_t bytes = sizeof(Tuple);
-  for (const Value& value : tuple) bytes += EstimateValueBytes(value);
+// The one per-row walk behind both estimates, so a view and its gathered
+// relation always estimate the same: `at(r, c)` is the value at row r,
+// column c.
+template <typename ValueAt>
+size_t EstimateRowsBytes(const Schema& schema, size_t rows, ValueAt at) {
+  size_t bytes = sizeof(Relation);
+  for (size_t i = 0; i < schema.size(); ++i) {
+    bytes += sizeof(Column) + CopyCapacity(schema.column(i).name) +
+             CopyCapacity(schema.column(i).qualifier);
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    bytes += sizeof(Tuple);
+    for (size_t c = 0; c < schema.size(); ++c) {
+      bytes += EstimateValueBytes(at(r, c));
+    }
+  }
   return bytes;
 }
 
 }  // namespace
 
 size_t EstimateRelationBytes(const Relation& rel) {
-  size_t bytes = sizeof(Relation);
-  for (size_t i = 0; i < rel.schema().size(); ++i) {
-    bytes += sizeof(Column) + rel.schema().column(i).name.capacity() +
-             rel.schema().column(i).qualifier.capacity();
-  }
-  for (const Tuple& row : rel.rows()) bytes += EstimateTupleBytes(row);
-  return bytes;
+  return EstimateRowsBytes(rel.schema(), rel.NumRows(),
+                           [&](size_t r, size_t c) -> const Value& {
+                             return rel.rows()[r][c];
+                           });
+}
+
+size_t EstimateViewBytes(const RowView& view) {
+  return EstimateRowsBytes(view.schema, view.NumRows(),
+                           [&](size_t r, size_t c) -> const Value& {
+                             return view.At(r, c);
+                           });
 }
 
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs) {

@@ -14,6 +14,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "engine/exec_stats.h"
+#include "engine/row_view.h"
 #include "obs/metrics.h"
 #include "prefs/score_conf.h"
 #include "types/relation.h"
@@ -43,8 +44,11 @@ struct CachedResult {
 
 /// Rough heap footprint of a materialized relation / row-aligned pairs —
 /// consistent (same inputs, same estimate) so the byte budget behaves
-/// deterministically in tests.
+/// deterministically in tests. Strings count at the capacity a copy of
+/// them has, so a view is estimated at exactly the size of its gathered
+/// relation: EstimateViewBytes(v) == EstimateRelationBytes(v.Gather()).
 size_t EstimateRelationBytes(const Relation& rel);
+size_t EstimateViewBytes(const RowView& view);
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs);
 
 /// A thread-safe, sharded LRU result cache with a byte budget.

@@ -8,10 +8,12 @@
 namespace prefdb {
 
 StatusOr<Relation> Engine::Execute(const PlanNode& query) {
-  return ExecuteConcurrent(query, &stats_);
+  ASSIGN_OR_RETURN(RowView view, ExecuteConcurrent(query, &stats_));
+  NoteRowsGathered(view.NumRows());
+  return view.Gather();
 }
 
-StatusOr<Relation> Engine::ExecuteConcurrent(const PlanNode& query,
+StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
                                              ExecStats* stats,
                                              obs::Span* span) {
   // The registry instruments here (and not per-caller) so that every
@@ -23,7 +25,7 @@ StatusOr<Relation> Engine::ExecuteConcurrent(const PlanNode& query,
   RETURN_IF_ERROR(FaultInjection::Global().Hit("engine.execute"));
   const QueryGovernor* governor = parallel_.governor;
   RETURN_IF_ERROR(GovernorCheck(governor));
-  auto run = [&](ExecStats* s) -> StatusOr<Relation> {
+  auto run = [&](ExecStats* s) -> StatusOr<RowView> {
     ++s->engine_queries;
     // The executor inherits this engine's parallel context and span: its
     // hot operators evaluate in concurrent morsels and record `native.*`
@@ -64,17 +66,18 @@ StatusOr<Relation> Engine::ExecuteConcurrent(const PlanNode& query,
     }
   }
 
-  // Cooperative memory accounting: every relation this call materializes
-  // for its caller — warm or cold — is charged against the governor's
-  // budget before it can be admitted to the cache or returned.
-  auto charge = [&](const Relation& rel) -> Status {
+  // Cooperative memory accounting: every result this call hands its
+  // caller — warm or cold — is charged against the governor's budget, at
+  // the size of its gathered rows, before it can be admitted to the cache
+  // or returned.
+  auto charge = [&](const RowView& view) -> Status {
     // The byte estimate walks the rows, so skip it (not just the charge)
     // unless a budget is actually armed.
     if (governor == nullptr || !governor->memory_armed()) return Status::OK();
-    return governor->ChargeBytes(cache::EstimateRelationBytes(rel));
+    return governor->ChargeBytes(cache::EstimateViewBytes(view));
   };
 
-  StatusOr<Relation> result = Status::Internal("unreachable");
+  StatusOr<RowView> result = Status::Internal("unreachable");
   if (use_cache) {
     if (std::shared_ptr<const cache::CachedResult> entry =
             cache_.Lookup(key)) {
@@ -83,8 +86,9 @@ StatusOr<Relation> Engine::ExecuteConcurrent(const PlanNode& query,
       stats->Merge(entry->stats);
       obs::AppendDetail(span, "cache=hit");
       query_micros_->Record(watch.ElapsedMicros());
-      RETURN_IF_ERROR(charge(entry->rel));
-      return entry->rel;
+      RowView hit = RowView::Of(entry->rel, entry);
+      RETURN_IF_ERROR(charge(hit));
+      return hit;
     }
     obs::AppendDetail(span, "cache=miss");
     ExecStats local;
@@ -100,11 +104,12 @@ StatusOr<Relation> Engine::ExecuteConcurrent(const PlanNode& query,
       } else if (governor == nullptr || !governor->tripped()) {
         // Only untripped results are admitted: a query that failed, was
         // cancelled mid-flight or hit a fault point never populates a
-        // shard, so later queries cannot reuse poisoned state.
-        auto entry = std::make_shared<cache::CachedResult>();
-        entry->rel = *result;
-        entry->stats = local;
-        cache_.Insert(key, std::move(entry));
+        // shard, so later queries cannot reuse poisoned state. Admission
+        // is decided on the view, so a rejected result is never copied.
+        if (std::shared_ptr<const cache::CachedResult> entry =
+                InsertGathered(key, *result, local)) {
+          result = RowView::Of(entry->rel, entry);
+        }
       }
     }
   } else {
@@ -118,9 +123,30 @@ StatusOr<Relation> Engine::ExecuteConcurrent(const PlanNode& query,
   return result;
 }
 
+std::shared_ptr<const cache::CachedResult> Engine::InsertGathered(
+    const cache::CacheKey& key, const RowView& view, const ExecStats& stats,
+    const std::vector<ScoreConf>* pairs) {
+  size_t bytes = cache::EstimateViewBytes(view);
+  if (pairs != nullptr) bytes += cache::EstimatePairsBytes(*pairs);
+  if (!cache_.Admit(bytes, stats)) return nullptr;
+  auto entry = std::make_shared<cache::CachedResult>();
+  entry->rel = view.Gather();
+  NoteRowsGathered(view.NumRows());
+  if (pairs != nullptr) {
+    entry->pairs = *pairs;
+    entry->has_scores = true;
+  }
+  entry->stats = stats;
+  entry->bytes = bytes;
+  cache_.Insert(key, entry);
+  return entry;
+}
+
 StatusOr<Relation> Engine::ExecuteUnoptimized(const PlanNode& query) {
   ++stats_.engine_queries;
-  return ExecutePlan(query, &catalog_, &stats_);
+  ASSIGN_OR_RETURN(RowView view, ExecutePlan(query, &catalog_, &stats_));
+  NoteRowsGathered(view.NumRows());
+  return view.Gather();
 }
 
 StatusOr<std::vector<std::string>> Engine::ExplainJoinOrder(

@@ -31,7 +31,8 @@ class Engine {
   explicit Engine(Catalog catalog)
       : catalog_(std::move(catalog)),
         query_count_(metrics_.counter("engine.queries")),
-        query_micros_(metrics_.histogram("engine.query_micros")) {
+        query_micros_(metrics_.histogram("engine.query_micros")),
+        rows_gathered_(metrics_.counter(obs::kPrefExecRowsGathered)) {
     // Resolve the native executor's counters once so each delegated query
     // hands the executor pre-looked-up handles (no registry locking on the
     // per-operator path).
@@ -88,30 +89,44 @@ class Engine {
   /// Drops a temporary registered with RegisterTempTable. No-op if absent.
   void DropTempTable(const std::string& name) { catalog_.DropTable(name); }
 
-  /// Optimizes and executes a conventional plan; counts one engine query.
-  /// Fails if the plan contains prefer operators.
+  /// Optimizes and executes a conventional plan and gathers its rows;
+  /// counts one engine query. Fails if the plan contains prefer operators.
   StatusOr<Relation> Execute(const PlanNode& query);
 
-  /// Like Execute(), but accumulates all counters into the caller-provided
-  /// `stats` instead of the engine's. This is the entry point for
-  /// strategies that issue engine queries concurrently (parallel plug-ins):
-  /// each task executes into its own ExecStats, merged into the engine's
-  /// counters in a deterministic order at the join point. Concurrent calls
-  /// are safe as long as nothing mutates the catalog meanwhile — the
-  /// executor only reads it, and lazy per-table index/statistics builds are
-  /// internally synchronized.
+  /// Like Execute(), but returns the result as the root operator's row-id
+  /// view (no value is copied) and accumulates all counters into the
+  /// caller-provided `stats` instead of the engine's. This is the entry
+  /// point of the strategies, which may issue engine queries concurrently
+  /// (parallel plug-ins): each task executes into its own ExecStats, merged
+  /// into the engine's counters in a deterministic order at the join point.
+  /// Concurrent calls are safe: the executor only reads the catalog, lazy
+  /// per-table index/statistics builds are internally synchronized, and
+  /// the view pins the tables it reads.
   ///
   /// When the result cache is enabled, the query is fingerprinted first: a
-  /// hit returns the cached relation and replays its ExecStats delta into
-  /// `stats` (so counters match an uncached execution exactly); a miss
-  /// executes and stores the result. `span` (nullable) receives a
-  /// "cache=hit" / "cache=miss" annotation — surfaced by EXPLAIN ANALYZE.
-  StatusOr<Relation> ExecuteConcurrent(const PlanNode& query, ExecStats* stats,
-                                       obs::Span* span = nullptr);
+  /// hit returns a view of the cached relation (no copy) and replays its
+  /// ExecStats delta into `stats` (so counters match an uncached execution
+  /// exactly); a miss executes, gathers the result once into a new entry
+  /// when the cache admits it, and returns a view of that entry. `span`
+  /// (nullable) receives a "cache=hit" / "cache=miss" annotation — surfaced
+  /// by EXPLAIN ANALYZE.
+  StatusOr<RowView> ExecuteConcurrent(const PlanNode& query, ExecStats* stats,
+                                      obs::Span* span = nullptr);
 
-  /// Executes without native optimization (for the optimizer-ablation
-  /// benchmarks and as a differential-testing oracle).
+  /// Executes without native optimization and gathers the rows (for the
+  /// optimizer-ablation benchmarks and as a differential-testing oracle).
   StatusOr<Relation> ExecuteUnoptimized(const PlanNode& query);
+
+  /// Gathers `view` (and `pairs`, for a prefer-subtree output) into a new
+  /// cache entry under `key` when the cache admits it — decided on the
+  /// view, so a rejected result is never copied — and returns the entry,
+  /// else null. A view of the entry (RowView::Of) aliases its rows.
+  std::shared_ptr<const cache::CachedResult> InsertGathered(
+      const cache::CacheKey& key, const RowView& view, const ExecStats& stats,
+      const std::vector<ScoreConf>* pairs = nullptr);
+
+  /// Counts rows copied out of a row-id view (pref.exec.rows_gathered).
+  void NoteRowsGathered(size_t rows) { rows_gathered_->Increment(rows); }
 
   /// The paper's `EXPLAIN [query]`: returns the join order the native
   /// optimizer would choose, without executing (negligible overhead). The
@@ -176,6 +191,7 @@ class Engine {
   obs::QueryLog query_log_;
   obs::Counter* query_count_;     // "engine.queries"
   obs::Histogram* query_micros_;  // "engine.query_micros"
+  obs::Counter* rows_gathered_;   // "pref.exec.rows_gathered"
   NativeExecMetrics native_metrics_;  // "pref.native.*"
   bool native_optimizer_enabled_ = true;
   ParallelContext parallel_;

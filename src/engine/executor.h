@@ -2,12 +2,12 @@
 #define PREFDB_ENGINE_EXECUTOR_H_
 
 #include "engine/exec_stats.h"
+#include "engine/row_view.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/parallel_context.h"
 #include "plan/plan.h"
 #include "storage/catalog.h"
-#include "types/relation.h"
 
 namespace prefdb {
 
@@ -49,7 +49,13 @@ struct NativeExecOptions {
 ///
 /// Physical behaviour:
 ///   * Operators pass row ids into the base tables' rows, not copied
-///     tuples; the returned Relation is gathered once, at the root.
+///     tuples, and the result is the root operator's RowView: no value is
+///     copied here. The view pins every table it reads, so it outlives this
+///     call; consumers gather what they need (Engine::Execute gathers the
+///     whole result, the preference layer only the answer's survivors).
+///   * Each operator is a kernel over views (engine/row_view.h) wrapped with
+///     this executor's spans, ExecStats and pref.native.* counters; the
+///     p-algebra wraps the same kernels with its own.
 ///   * Select-over-Scan is fused; an equality conjunct on an indexed base
 ///     column uses the table's hash index instead of a full scan.
 ///   * Joins use a hash join when an equi-conjunct links the two sides,
@@ -70,13 +76,13 @@ struct NativeExecOptions {
 ///
 /// Execution updates `stats` (rows scanned/materialized, operator count).
 /// Returns Unimplemented if the plan contains a kPrefer node.
-StatusOr<Relation> ExecutePlan(const PlanNode& node, Catalog* catalog,
-                               ExecStats* stats,
-                               const NativeExecOptions& options);
+StatusOr<RowView> ExecutePlan(const PlanNode& node, Catalog* catalog,
+                              ExecStats* stats,
+                              const NativeExecOptions& options);
 
 /// Serial, untraced convenience overload (the pre-parallel signature).
-StatusOr<Relation> ExecutePlan(const PlanNode& node, Catalog* catalog,
-                               ExecStats* stats);
+StatusOr<RowView> ExecutePlan(const PlanNode& node, Catalog* catalog,
+                              ExecStats* stats);
 
 }  // namespace prefdb
 

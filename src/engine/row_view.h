@@ -1,0 +1,284 @@
+#ifndef PREFDB_ENGINE_ROW_VIEW_H_
+#define PREFDB_ENGINE_ROW_VIEW_H_
+
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "expr/expr.h"
+#include "obs/trace.h"
+#include "parallel/morsel.h"
+#include "parallel/parallel_context.h"
+#include "plan/plan.h"
+#include "storage/hash_index.h"
+#include "types/relation.h"
+
+namespace prefdb {
+
+class Table;
+
+/// "No row": an absent side of a set-operation match, or an empty chain.
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+/// Output column of a view: column `column` of the rows of input `input`.
+struct ColumnSource {
+  uint32_t input;
+  uint32_t column;
+};
+
+/// An intermediate result as row ids (late materialization), shared by the
+/// native executor and the p-algebra. A row is one uint32_t per joined
+/// input, indexing that input's row source: a table's immutable row vector
+/// or rows some owner keeps alive. `columns` maps each output column to
+/// (input, column). Operators only produce and remap ids; values are copied
+/// when a consumer gathers rows out of the view.
+///
+/// A view pins what it reads: `owned` holds a reference to every table,
+/// cache entry or gathered row vector its sources point into, so a view
+/// stays readable after ExecutePlan returns, after a temp table is dropped,
+/// after a base table is reloaded and after a cache entry is evicted.
+struct RowView {
+  Schema schema;
+  std::vector<size_t> key_columns;
+  std::vector<const std::vector<Tuple>*> sources;  // One per input.
+  std::vector<ColumnSource> columns;               // One per output column.
+  std::vector<uint32_t> ids;                       // Row-major, width() per row.
+  std::vector<std::shared_ptr<const void>> owned;  // Pins of the sources.
+  // The base table this view is the identity over (every row, in order,
+  // through any column remapping) — a predicate-free scan of a
+  // non-temporary table — else null. Operators that change the ids clear
+  // it; a join may then probe the table's persistent index instead of
+  // building a hash table over the view.
+  Table* base_table = nullptr;
+
+  /// A one-input view with identity columns over `rows`, holding no rows.
+  static RowView Over(Schema schema, std::vector<size_t> keys,
+                      const std::vector<Tuple>* rows);
+  /// The identity view over every row of `rel`, pinning `pin` (the owner
+  /// of `rel`); no value is copied.
+  static RowView Of(const Relation& rel, std::shared_ptr<const void> pin);
+  /// Takes `rel` by move and views all of its rows.
+  static RowView Wrap(Relation rel);
+
+  size_t width() const { return sources.size(); }
+  size_t NumRows() const { return sources.empty() ? 0 : ids.size() / width(); }
+  const uint32_t* Row(size_t r) const { return ids.data() + r * width(); }
+  const Value& At(size_t r, size_t c) const {
+    const ColumnSource& src = columns[c];
+    return (*sources[src.input])[ids[r * width() + src.input]][src.column];
+  }
+  void AppendRow(size_t r, std::vector<uint32_t>* out) const {
+    out->insert(out->end(), Row(r), Row(r) + width());
+  }
+  /// The source tuple input `input` contributes to row r.
+  const Tuple& Source(size_t r, size_t input) const {
+    return (*sources[input])[ids[r * width() + input]];
+  }
+
+  /// The view of the rows at `positions`, in that order.
+  RowView Rows(const std::vector<uint32_t>& positions) const;
+  /// Keeps the rows at `positions`, in that order.
+  void Keep(const std::vector<uint32_t>& positions);
+  /// Keeps the first `n` rows.
+  void Truncate(size_t n);
+
+  /// Copies rows out of the view.
+  Tuple GatherRow(size_t r) const;
+  Relation Gather() const;
+};
+
+/// Expressions bound to a view's schema (or to two views' concatenated
+/// schema, for a join predicate) evaluated against rows that exist only as
+/// ids: the columns the expressions read are copied into a reused scratch
+/// tuple, the others stay NULL and are never read.
+class ScratchRow {
+ public:
+  /// `bound` (null entries skipped) are bound to `schema`; `extra` lists
+  /// more columns to load.
+  ScratchRow(const Schema& schema, const std::vector<const Expr*>& bound,
+             const std::vector<size_t>& extra = {});
+
+  /// Copies row `r` of `view` into the scratch row, view column c landing
+  /// at position `offset + c`; only the columns in use are copied.
+  void Load(const RowView& view, size_t r, size_t offset);
+  const Tuple& tuple() const { return scratch_; }
+
+  /// The tuple an expression laid out for `input` (ViewLayout) evaluates
+  /// on for row `r` of `view`: the input's source tuple, or for -1 the
+  /// scratch row, loaded once per row however many expressions read it.
+  const Tuple& Read(const RowView& view, size_t r, int input = -1) {
+    if (input >= 0) return view.Source(r, static_cast<size_t>(input));
+    if (loaded_ != r) {
+      Load(view, r, 0);
+      loaded_ = r;
+    }
+    return scratch_;
+  }
+
+ private:
+  Tuple scratch_;
+  std::vector<size_t> used_;
+  size_t loaded_ = SIZE_MAX;
+};
+
+/// Where an expression bound to a view's schema finds its columns. When
+/// they all come from one input of the view, through distinct source
+/// columns, `input` is that input and `schema` its source layout: the
+/// view's columns at their source positions. Re-bound to `schema`, the
+/// expression evaluates on that input's source tuples in place (see
+/// ScratchRow::Read), copying nothing. Otherwise `input` is -1 and
+/// `schema` the view's own: the expression reads a ScratchRow.
+struct ViewLayout {
+  int input = -1;
+  Schema schema;
+};
+ViewLayout LayoutFor(const RowView& view, const Expr& bound);
+
+/// Where view columns `columns` (a key) are read: when they all come from
+/// one input, `input` is that input and `columns` their positions in its
+/// source tuples, so a RowKey over ScratchRow::Read(view, r, input) finds
+/// them in place; otherwise -1 and the view positions, read from a scratch
+/// row that loads them.
+struct ColumnsAt {
+  int input = -1;
+  std::vector<size_t> columns;
+};
+ColumnsAt ColumnsFor(const RowView& view, const std::vector<size_t>& columns);
+
+/// The hash-join shape of a join predicate: the key column of its first
+/// equi-conjunct on each side, and whether that conjunct is the whole
+/// predicate (a key match then decides the predicate).
+struct EquiKeys {
+  size_t left;
+  size_t right;
+  bool equi_only;
+};
+StatusOr<std::optional<EquiKeys>> FindEquiKeys(const Expr& predicate,
+                                               const Schema& left,
+                                               const Schema& right);
+
+/// A per-query hash table over one column of a view: open addressing from
+/// a key to the chain of positions holding it, ascending, in flat arrays.
+/// Keys stay in the view and are compared in place; NULL keys are never
+/// inserted and never match (`NULL = x` is not true).
+class JoinTable {
+ public:
+  JoinTable(const RowView& build, size_t column);
+
+  /// First position holding `key`, or kNoRow; continue with Next().
+  uint32_t Find(const Value& key) const {
+    if (key.is_null()) return kNoRow;
+    return heads_[Slot(key, key.Hash())];
+  }
+  uint32_t Next(uint32_t pos) const { return next_[pos]; }
+
+  /// Distinct keys, NULL counted as one key.
+  size_t DistinctKeys() const { return distinct_ + (null_key_ ? 1 : 0); }
+
+ private:
+  size_t Slot(const Value& key, size_t hash) const;
+
+  const RowView* build_;
+  size_t column_;
+  size_t mask_ = 0;
+  std::vector<uint32_t> heads_;
+  std::vector<size_t> hashes_;
+  std::vector<uint32_t> next_;
+  size_t distinct_ = 0;
+  bool null_key_ = false;
+};
+
+/// A hash join's build side over the right input: the persistent index of
+/// the base table the right view is the identity over, or else a JoinTable
+/// over the view. Either lists each key's right positions ascending.
+struct JoinBuild {
+  JoinBuild(const RowView& right, const EquiKeys& equi, const HashIndex* table_index)
+      : keys(equi), index(table_index) {
+    if (index == nullptr) table.emplace(right, keys.right);
+  }
+  size_t DistinctKeys() const {
+    return index != nullptr ? index->NumKeys() : table->DistinctKeys();
+  }
+
+  EquiKeys keys;
+  const HashIndex* index;
+  std::optional<JoinTable> table;
+};
+
+// --- Operator kernels ------------------------------------------------------
+//
+// One body per relational operator, over views. A kernel returns output ids
+// (or the positions of its input rows, for the operators that keep, reorder
+// or pair rows) and knows nothing of ExecStats, metrics or span names: the
+// native executor and the p-algebra wrap each kernel with the accounting
+// they record. The per-row loops run over `plan`'s morsels (a serial plan
+// is one covering morsel on the calling thread); per-morsel results merge
+// in morsel order, so output is identical at every thread count. Morsel
+// slices attach to `morsel_parent` when it is non-null.
+
+/// Positions of the rows of `view` satisfying `bound` (bound to
+/// view.schema), in input order.
+std::vector<uint32_t> FilterRows(const RowView& view, const Expr& bound,
+                                 const MorselPlan& plan,
+                                 const ParallelContext* parallel,
+                                 obs::Span* morsel_parent);
+
+/// Projects `view` onto `columns`, implicitly keeping the key columns
+/// (ResolveProjection); only the column map changes.
+Status ProjectView(const std::vector<std::string>& columns, RowView* view);
+
+/// The matched input positions of a join, in output order.
+struct JoinPositions {
+  std::vector<uint32_t> left;
+  std::vector<uint32_t> right;  // Empty for a semi join.
+};
+
+/// Inner join (left ids then right ids per output row) or, with `semi`,
+/// the left rows with at least one match. `bound` is the predicate bound to
+/// left.schema ++ right.schema. With `build` it is a hash join probing the
+/// build side with each left row's key; else a nested loop. Output order:
+/// left order, then each left row's matches in ascending right position.
+/// `positions` (nullable) receives the matched positions.
+RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
+                 bool semi, const JoinBuild* build, const MorselPlan& plan,
+                 const ParallelContext* parallel, obs::Span* morsel_parent,
+                 JoinPositions* positions);
+
+/// One output row of a set operation: the left position, or kNoRow for a
+/// right-only union row, and the position of the equal right row (kNoRow
+/// when the right side has none).
+using SetMatch = std::pair<uint32_t, uint32_t>;
+
+/// UNION / INTERSECT / EXCEPT with duplicate elimination, first occurrence
+/// wins: union keeps left rows, then right rows not on the left; intersect
+/// and except keep left rows by membership on the right. Rows compare by
+/// value through the views. The left side's membership probes run over
+/// `plan`'s morsels.
+StatusOr<std::vector<SetMatch>> MatchSetOp(PlanKind kind, const RowView& left,
+                                           const RowView& right,
+                                           const MorselPlan& plan,
+                                           const ParallelContext* parallel,
+                                           obs::Span* morsel_parent);
+
+/// The output view of MatchSetOp's matches: the left rows kept, or, for a
+/// union with right-only rows, both inputs' kept rows gathered into one
+/// owned source.
+RowView SetOpView(const RowView& left, const RowView& right,
+                  const std::vector<SetMatch>& matches);
+
+/// Positions of the first occurrence of each distinct row, in order. Row
+/// hashing runs over `plan`'s morsels.
+std::vector<uint32_t> DistinctRows(const RowView& view, const MorselPlan& plan,
+                                   const ParallelContext* parallel,
+                                   obs::Span* morsel_parent);
+
+/// Positions in ORDER BY `keys` order: a stable sort, ties broken on the
+/// key columns ascending, so any LIMIT above it is deterministic.
+StatusOr<std::vector<uint32_t>> SortRows(const RowView& view,
+                                         const std::vector<SortKey>& keys);
+
+}  // namespace prefdb
+
+#endif  // PREFDB_ENGINE_ROW_VIEW_H_

@@ -294,9 +294,12 @@ StatusOr<QueryResult> Session::RunInternal(const ParsedQuery& parsed,
 
   obs::SpanScope filter_scope(root, "FilterAndProject");
   obs::SetRowsIn(filter_scope.get(), evaluated.NumRows());
+  // The answer is the one place a preference query copies values out of
+  // the row-id views: the surviving rows, already projected.
   ASSIGN_OR_RETURN(Relation final_rel,
                    ApplyFiltersAndProject(evaluated, parsed.filters,
                                           parsed.output_columns));
+  engine_.NoteRowsGathered(final_rel.NumRows());
   obs::SetRowsOut(filter_scope.get(), final_rel.NumRows());
 
   QueryResult result;

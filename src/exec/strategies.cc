@@ -98,14 +98,15 @@ void AdoptTaskSpans(obs::Span* span, std::vector<obs::SpanPtr>* holders) {
   }
 }
 
-// Charges one materialized p-relation (rows plus score entries) against
-// the governor's memory budget. The byte estimate is an O(rows) walk, so
-// it only runs once a budget is actually armed — ungoverned and
-// unlimited-memory queries pay two loads here and nothing else.
+// Charges one p-relation (its rows, at their gathered size, plus score
+// entries) against the governor's memory budget. The byte estimate is an
+// O(rows) walk, so it only runs once a budget is actually armed —
+// ungoverned and unlimited-memory queries pay two loads here and nothing
+// else.
 Status ChargePRelation(Engine* engine, const PRelation& p) {
   const QueryGovernor* governor = engine->parallel_context().governor;
   if (governor == nullptr || !governor->memory_armed()) return Status::OK();
-  RETURN_IF_ERROR(governor->ChargeBytes(cache::EstimateRelationBytes(p.rel)));
+  RETURN_IF_ERROR(governor->ChargeBytes(cache::EstimateViewBytes(p.view)));
   return governor->ChargeBytes(cache::EstimatePairsBytes(p.pairs));
 }
 
@@ -130,19 +131,19 @@ bool HasPreferUnderSetOp(const PlanNode& node, bool under_setop = false) {
   return false;
 }
 
-// Evaluates the prefer operators collected from an extended plan on a
-// materialized result relation, folding each preference's contribution into
-// one score relation keyed by the result's composite key. Sound because
+// Evaluates the prefer operators collected from an extended plan on the
+// engine's result view, folding each preference's contribution into the
+// result rows' pairs. Sound because
 // every aggregate function is associative and commutative, so evaluating
 // the prefer operators in sequence on the final result is equivalent to
 // evaluating them at their original plan positions — provided no prefer
 // sat below a set operation (checked by the caller).
 StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs,
-                                         Relation result,
+                                         RowView result,
                                          const AggregateFunction& agg,
                                          Engine* engine, ExecStats* stats,
                                          obs::Span* span = nullptr) {
-  // Each prefer pass is itself morsel-parallel over the materialized result
+  // Each prefer pass is itself morsel-parallel over the result
   // (the post-filter sweep of FtP); successive preferences stay ordered so
   // the fold into the score relation is deterministic.
   PRelation current(std::move(result));
@@ -167,7 +168,7 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 //
 // Identical plans (same fingerprint, including referenced-table versions)
 // are detected up front and executed once; each duplicate shares the unique
-// execution's relation and *replays* its ExecStats delta, so per-plan
+// execution's view and *replays* its ExecStats delta, so per-plan
 // deltas and counter totals still match executing every plan. With
 // `per_plan_stats` non-null it receives each plan's delta (duplicates
 // report their representative's), the contract the prefetch layer below
@@ -177,7 +178,7 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 // `labels` (parallel queries build theirs detached, adopted in execution
 // order at the join — same discipline as the stats merge); deduplicated
 // plans get a span annotated "dedup".
-StatusOr<std::vector<Relation>> ExecuteEngineQueries(
+StatusOr<std::vector<RowView>> ExecuteEngineQueries(
     const std::vector<const PlanNode*>& plans, Engine* engine,
     ExecStats* stats, obs::Span* span = nullptr,
     const std::vector<std::string>* labels = nullptr,
@@ -209,7 +210,7 @@ StatusOr<std::vector<Relation>> ExecuteEngineQueries(
     if (rep[i] == i) unique.push_back(i);
   }
 
-  std::vector<std::optional<StatusOr<Relation>>> partials(n);
+  std::vector<std::optional<StatusOr<RowView>>> partials(n);
   std::vector<ExecStats> partial_stats(n);
   const ParallelContext& ctx = engine->parallel_context();
   if (ctx.IsSerial() || unique.size() < 2) {
@@ -241,12 +242,7 @@ StatusOr<std::vector<Relation>> ExecuteEngineQueries(
     AdoptTaskSpans(span, &holders);
   }
 
-  // Last position consuming each representative's relation — everything
-  // before takes a copy, the final consumer moves.
-  std::vector<size_t> last_use(n);
-  for (size_t i = 0; i < n; ++i) last_use[rep[i]] = i;
-
-  std::vector<Relation> results;
+  std::vector<RowView> results;
   results.reserve(n);
   if (per_plan_stats != nullptr) per_plan_stats->assign(n, ExecStats());
   for (size_t i = 0; i < n; ++i) {
@@ -259,11 +255,7 @@ StatusOr<std::vector<Relation>> ExecuteEngineQueries(
       obs::SetDetail(dup.get(), "dedup");
       obs::SetRowsOut(dup.get(), (*partials[r])->NumRows());
     }
-    if (i == last_use[r]) {
-      results.push_back(std::move(**partials[r]));
-    } else {
-      results.push_back(**partials[r]);
-    }
+    results.push_back(**partials[r]);  // A view: copies ids, not values.
   }
   return results;
 }
@@ -281,7 +273,7 @@ StatusOr<std::vector<Relation>> ExecuteEngineQueries(
 class DelegatedQueryPrefetch {
  public:
   struct Entry {
-    std::shared_ptr<const Relation> rel;
+    RowView view;
     ExecStats stats;
   };
 
@@ -298,12 +290,12 @@ class DelegatedQueryPrefetch {
     }
     ExecStats batch;  // Discarded: consumption replays per-root deltas.
     std::vector<ExecStats> per_plan;
-    ASSIGN_OR_RETURN(std::vector<Relation> results,
+    ASSIGN_OR_RETURN(std::vector<RowView> results,
                      ExecuteEngineQueries(roots, engine, &batch, phase.get(),
                                           &labels, &per_plan));
     for (size_t i = 0; i < roots.size(); ++i) {
       Entry entry;
-      entry.rel = std::make_shared<const Relation>(std::move(results[i]));
+      entry.view = std::move(results[i]);
       entry.stats = per_plan[i];
       entries_.emplace(roots[i], std::move(entry));
     }
@@ -377,23 +369,26 @@ std::optional<cache::CacheKey> PreferResultKey(const PlanNode& node,
   return combined.Key();
 }
 
-void StorePreferResult(Engine* engine, const cache::CacheKey& key,
-                       const PRelation& out, const ExecStats& delta) {
-  // Never admit a result computed under a tripped governor: the sweep may
-  // have stopped early, and a later warm query must not replay it.
+// Offers a prefer subtree's output to the cache. An admitted output is
+// gathered once into the entry and comes back as a view of it; a rejected
+// one (or one computed under a tripped governor, whose sweep may have
+// stopped early and must never be replayed) comes back unchanged.
+PRelation StorePreferResult(Engine* engine, const cache::CacheKey& key,
+                            PRelation out, const ExecStats& delta) {
   const QueryGovernor* governor = engine->parallel_context().governor;
-  if (governor != nullptr && governor->tripped()) return;
-  // Decide admission on `out` in place: a rejected result is never copied.
-  size_t bytes = cache::EstimateRelationBytes(out.rel) +
-                 cache::EstimatePairsBytes(out.pairs);
-  if (!engine->cache()->Admit(bytes, delta)) return;
-  auto entry = std::make_shared<cache::CachedResult>();
-  entry->rel = out.rel;
-  entry->pairs = out.pairs;
-  entry->has_scores = true;
-  entry->stats = delta;
-  entry->bytes = bytes;
-  engine->cache()->Insert(key, std::move(entry));
+  if (governor != nullptr && governor->tripped()) return out;
+  std::shared_ptr<const cache::CachedResult> entry =
+      engine->InsertGathered(key, out.view, delta, &out.pairs);
+  if (entry == nullptr) return out;
+  out.view = RowView::Of(entry->rel, entry);
+  return out;
+}
+
+// A prefer subtree's cached output: a view of the entry's rows (no copy)
+// and its pairs.
+PRelation CachedPreferResult(std::shared_ptr<const cache::CachedResult> entry) {
+  RowView view = RowView::Of(entry->rel, entry);
+  return PRelation(std::move(view), entry->pairs);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +414,7 @@ class FtPStrategy final : public Strategy {
     // evaluated directly on R_NP.
     PlanPtr q_np = StripPrefers(plan);
     obs::SpanScope q_scope(s, "EngineQuery[Q_NP]");
-    ASSIGN_OR_RETURN(Relation r_np,
+    ASSIGN_OR_RETURN(RowView r_np,
                      engine->ExecuteConcurrent(*q_np, stats, q_scope.get()));
     size_t np_rows = r_np.NumRows();
     obs::SetRowsOut(q_scope.get(), np_rows);
@@ -527,13 +522,13 @@ class BUStrategy final : public Strategy {
         if (const DelegatedQueryPrefetch::Entry* hit = prefetch->Find(&node)) {
           stats->Merge(hit->stats);
           obs::AppendDetail(span, "prefetched");
-          obs::SetRowsOut(span, hit->rel->NumRows());
-          return PRelation(*hit->rel);
+          obs::SetRowsOut(span, hit->view.NumRows());
+          return PRelation(hit->view);
         }
-        ASSIGN_OR_RETURN(Relation rel,
+        ASSIGN_OR_RETURN(RowView view,
                          engine->ExecuteConcurrent(node, stats, span));
-        obs::SetRowsOut(span, rel.NumRows());
-        return PRelation(std::move(rel));
+        obs::SetRowsOut(span, view.NumRows());
+        return PRelation(std::move(view));
       }
       case PlanKind::kSelect: {
         ASSIGN_OR_RETURN(PRelation input,
@@ -602,7 +597,7 @@ class BUStrategy final : public Strategy {
             stats->Merge(entry->stats);
             obs::AppendDetail(span, "cache=hit");
             obs::SetRowsOut(span, entry->rel.NumRows());
-            return PRelation(entry->rel, entry->pairs);
+            return CachedPreferResult(std::move(entry));
           }
           obs::AppendDetail(span, "cache=miss");
           ExecStats local;
@@ -614,8 +609,7 @@ class BUStrategy final : public Strategy {
                                       &engine->catalog(), &local, parallel,
                                       span));
           stats->Merge(local);
-          StorePreferResult(engine, *key, out, local);
-          return out;
+          return StorePreferResult(engine, *key, std::move(out), local);
         }
         ASSIGN_OR_RETURN(PRelation input,
                          Eval(node.child(), agg, engine, stats, span, prefetch));
@@ -676,11 +670,15 @@ class GBUStrategy final : public Strategy {
 
  private:
   // A prefer-subtree result registered as a temporary table so the engine
-  // can reference it inside a grouped query.
+  // can reference it inside a grouped query. `pairs[i]` is the pair of the
+  // table's row i.
   struct TempInput {
     std::string table_name;
     std::vector<std::string> key_column_names;  // Full names, canonical order.
-    ScoreRelation scores;
+    const std::vector<Tuple>* rows = nullptr;   // The table's rows.
+    std::vector<size_t> key_columns;            // Key positions in `rows`.
+    std::vector<ScoreConf> pairs;
+    bool scored = false;  // Some pair is not ⟨⊥, 0⟩.
     bool contributes_scores = true;
   };
 
@@ -695,13 +693,13 @@ class GBUStrategy final : public Strategy {
       if (const DelegatedQueryPrefetch::Entry* hit = prefetch->Find(&node)) {
         stats->Merge(hit->stats);
         obs::AppendDetail(scope.get(), "prefetched");
-        obs::SetRowsOut(scope.get(), hit->rel->NumRows());
-        return PRelation(*hit->rel);
+        obs::SetRowsOut(scope.get(), hit->view.NumRows());
+        return PRelation(hit->view);
       }
-      ASSIGN_OR_RETURN(Relation rel,
+      ASSIGN_OR_RETURN(RowView view,
                        engine->ExecuteConcurrent(node, stats, scope.get()));
-      obs::SetRowsOut(scope.get(), rel.NumRows());
-      return PRelation(std::move(rel));
+      obs::SetRowsOut(scope.get(), view.NumRows());
+      return PRelation(std::move(view));
     }
     if (node.kind == PlanKind::kPrefer) {
       obs::SpanScope scope(parent, NodeLabel(node));
@@ -714,7 +712,7 @@ class GBUStrategy final : public Strategy {
           stats->Merge(entry->stats);
           obs::AppendDetail(scope.get(), "cache=hit");
           obs::SetRowsOut(scope.get(), entry->rel.NumRows());
-          PRelation warm(entry->rel, entry->pairs);
+          PRelation warm = CachedPreferResult(std::move(entry));
           RETURN_IF_ERROR(ChargePRelation(engine, warm));
           return warm;
         }
@@ -728,8 +726,7 @@ class GBUStrategy final : public Strategy {
                                     &engine->parallel_context(), scope.get()));
         stats->Merge(local);
         RETURN_IF_ERROR(ChargePRelation(engine, out));
-        StorePreferResult(engine, *key, out, local);
-        return out;
+        return StorePreferResult(engine, *key, std::move(out), local);
       }
       ASSIGN_OR_RETURN(PRelation input, Eval(node.child(), agg, engine, stats,
                                              scope.get(), prefetch));
@@ -748,8 +745,8 @@ class GBUStrategy final : public Strategy {
     // replaced by a scan of a freshly registered temporary table, delegate
     // the region to the engine as a single query, then recombine the
     // temporaries' score relations into the region output. The temps are
-    // needed only for the region query, so the guard scopes them to this
-    // region — released even on early error returns.
+    // needed in the catalog only for the region query, so the guard scopes
+    // them to this region — released even on early error returns.
     obs::SpanScope region_scope(parent,
                                 StrFormat("Region[%s]", NodeLabel(node).c_str()));
     obs::Span* span = region_scope.get();
@@ -764,15 +761,17 @@ class GBUStrategy final : public Strategy {
     size_t next_materialized = 0;
     ASSIGN_OR_RETURN(PlanPtr region,
                      CloneRegion(node, engine, &materialized,
-                                 &next_materialized, &temps, &guard,
+                                 &next_materialized, &temps, &guard, span,
                                  /*score_contributing=*/true));
     obs::SpanScope q_scope(span, "RegionQuery");
-    ASSIGN_OR_RETURN(Relation rel,
+    ASSIGN_OR_RETURN(RowView view,
                      engine->ExecuteConcurrent(*region, stats, q_scope.get()));
-    obs::SetRowsOut(q_scope.get(), rel.NumRows());
+    obs::SetRowsOut(q_scope.get(), view.NumRows());
     q_scope.Finish();
 
-    PRelation out(std::move(rel));
+    // The region result reads the temp tables through its view, which pins
+    // them: it stays readable after the guard drops them from the catalog.
+    PRelation out(std::move(view));
     obs::SpanScope recombine(span, "RecombineScores");
     ScoreWriteScope scores(recombine.get(), stats);
     RETURN_IF_ERROR(RecombineScores(temps, agg, &out, stats));
@@ -849,10 +848,11 @@ class GBUStrategy final : public Strategy {
                                 std::vector<PRelation>* materialized,
                                 size_t* next_materialized,
                                 std::vector<TempInput>* temps,
-                                TempTableGuard* guard, bool score_contributing) {
+                                TempTableGuard* guard, obs::Span* span,
+                                bool score_contributing) {
     if (node.kind == PlanKind::kPrefer) {
       PRelation sub = std::move((*materialized)[(*next_materialized)++]);
-      return RegisterTemp(std::move(sub), engine, temps, guard,
+      return RegisterTemp(std::move(sub), engine, temps, guard, span,
                           score_contributing);
     }
     if (!node.ContainsPrefer()) {
@@ -868,16 +868,21 @@ class GBUStrategy final : public Strategy {
             i == 1);
       ASSIGN_OR_RETURN(copy->children[i],
                        CloneRegion(node.child(i), engine, materialized,
-                                   next_materialized, temps, guard,
+                                   next_materialized, temps, guard, span,
                                    child_contributes));
     }
     return copy;
   }
 
+  // Registers a materialized prefer subtree as a temp table: the one place
+  // GBU copies rows out of a view (the region query reads the temp by name,
+  // like any table), under its own span.
   StatusOr<PlanPtr> RegisterTemp(PRelation sub, Engine* engine,
                                  std::vector<TempInput>* temps,
-                                 TempTableGuard* guard,
+                                 TempTableGuard* guard, obs::Span* span,
                                  bool score_contributing) {
+    obs::SpanScope scope(span, "RegisterTemp");
+    obs::SetRowsIn(scope.get(), sub.NumRows());
     // Temp names come from a process-wide counter: concurrent GBU
     // executions against one engine (and concurrent subtree tasks within
     // one execution) must never collide in the shared catalog.
@@ -895,18 +900,22 @@ class GBUStrategy final : public Strategy {
     TempInput temp;
     temp.table_name = name;
     temp.contributes_scores = score_contributing;
-    // Row identity ends here: the region query's output rows find their
-    // pairs again by key, through the paper's pk-keyed R_P.
-    temp.scores = sub.ToScoreRelation();
-    for (size_t k : sub.rel.key_columns()) {
-      temp.key_column_names.push_back(sub.rel.schema().column(k).FullName());
+    temp.key_columns = sub.key_columns();
+    for (size_t k : sub.key_columns()) {
+      temp.key_column_names.push_back(sub.schema().column(k).FullName());
     }
     // Keep the intermediate schema's qualifiers so predicates referring to
     // the original relations still bind inside the grouped query.
+    Relation rows = sub.Gather();
+    engine->NoteRowsGathered(rows.NumRows());
     ASSIGN_OR_RETURN(
         std::unique_ptr<Table> table,
-        Table::Create(name, sub.rel.schema(), std::move(*sub.rel.mutable_rows()),
+        Table::Create(name, sub.schema(), std::move(*rows.mutable_rows()),
                       temp.key_column_names, /*qualify_with_name=*/false));
+    obs::SetRowsOut(scope.get(), table->NumRows());
+    temp.rows = &table->relation().rows();
+    temp.pairs = std::move(sub.pairs);
+    for (const ScoreConf& pair : temp.pairs) temp.scored |= !pair.IsDefault();
     // Plans referencing this table (the region query) must never enter the
     // result cache: the name and version are unique to this evaluation —
     // RegisterTempTable marks it temporary for exactly that reason.
@@ -916,46 +925,69 @@ class GBUStrategy final : public Strategy {
     return plan::Scan(name, name);
   }
 
-  // Combines the temporaries' score relations into the region output: for
-  // each output row, look up each contributing temp by the values of its
-  // key columns (which survive every region operator) and fold with `agg`.
+  // Combines the temporaries' pairs into the region output: for each output
+  // row, find the pair of each contributing temp's row and fold with `agg`.
   // This is the paper's two-step evaluation of joins/set operations on
-  // p-relations: conventional result first, then score combination.
+  // p-relations: conventional result first, then score combination. The
+  // region result is a view whose ids still name the temp rows each output
+  // row came from, so a temp read as one of its inputs gives its pair by
+  // row id. Only where a region operator copied its rows into a new source
+  // (a union keeping right-only rows) is row identity lost; the output rows
+  // then find their pairs by key, through the paper's pk-keyed R_P.
   Status RecombineScores(const std::vector<TempInput>& temps,
                          const AggregateFunction& agg, PRelation* out,
                          ExecStats* stats) {
     struct ResolvedTemp {
-      const TempInput* temp;
-      std::vector<size_t> key_indices;
+      const TempInput* temp = nullptr;
+      int input = -1;        // The view input reading the temp's rows, or -1.
+      ScoreRelation scores;  // R_P of the temp, when `input` is -1.
+      ColumnsAt key;         // Where the output rows' keys are read then.
     };
+    const RowView& view = out->view;
     std::vector<ResolvedTemp> resolved;
+    std::vector<size_t> key_columns;  // Every key index read by key.
     for (const TempInput& temp : temps) {
-      if (!temp.contributes_scores || temp.scores.empty()) continue;
-      ResolvedTemp rt{&temp, {}};
-      bool all_found = true;
+      if (!temp.contributes_scores || !temp.scored) continue;
+      std::vector<size_t> key_indices;
       for (const std::string& key_name : temp.key_column_names) {
-        int idx = out->rel.schema().FindColumnOrNegative(key_name);
+        int idx = out->schema().FindColumnOrNegative(key_name);
         if (idx < 0) {
-          all_found = false;
-          break;
+          return Status::Internal(
+              "GBU: temp key columns missing from region output (projection "
+              "dropped a key?)");
         }
-        rt.key_indices.push_back(static_cast<size_t>(idx));
+        key_indices.push_back(static_cast<size_t>(idx));
       }
-      if (!all_found) {
-        return Status::Internal(
-            "GBU: temp key columns missing from region output (projection "
-            "dropped a key?)");
+      ResolvedTemp rt;
+      rt.temp = &temp;
+      for (size_t j = 0; j < view.width(); ++j) {
+        if (view.sources[j] == temp.rows) rt.input = static_cast<int>(j);
+      }
+      if (rt.input < 0) {
+        for (size_t r = 0; r < temp.pairs.size(); ++r) {
+          if (temp.pairs[r].IsDefault()) continue;
+          rt.scores.Set(ProjectTuple((*temp.rows)[r], temp.key_columns),
+                        temp.pairs[r]);
+        }
+        rt.key = ColumnsFor(view, key_indices);
+        key_columns.insert(key_columns.end(), key_indices.begin(),
+                           key_indices.end());
       }
       resolved.push_back(std::move(rt));
     }
     if (resolved.empty()) return Status::OK();
 
-    for (size_t i = 0; i < out->rel.NumRows(); ++i) {
-      const Tuple& row = out->rel.rows()[i];
+    // Only the keys of the temps found by key are read out of the view.
+    ScratchRow scratch(out->schema(), {}, key_columns);
+    for (size_t i = 0; i < out->NumRows(); ++i) {
       ScoreConf pair;  // Identity.
       for (const ResolvedTemp& rt : resolved) {
-        pair = CombineCounted(agg, pair,
-                              rt.temp->scores.Lookup(RowKey{row, rt.key_indices}));
+        const ScoreConf& temp_pair =
+            rt.input >= 0
+                ? rt.temp->pairs[view.Row(i)[rt.input]]
+                : rt.scores.Lookup(RowKey{scratch.Read(view, i, rt.key.input),
+                                          rt.key.columns});
+        pair = CombineCounted(agg, pair, temp_pair);
       }
       if (!pair.IsDefault()) {
         out->pairs[i] = pair;
@@ -997,7 +1029,7 @@ class PlugInStrategy final : public Strategy {
     // through so the Q_NP query carries its cache=hit/miss annotation in
     // EXPLAIN ANALYZE, like every other delegated query.
     obs::SpanScope q_scope(s, "EngineQuery[Q_NP]");
-    ASSIGN_OR_RETURN(Relation r_np,
+    ASSIGN_OR_RETURN(RowView r_np,
                      engine->ExecuteConcurrent(*q_np, stats, q_scope.get()));
     obs::SetRowsOut(q_scope.get(), r_np.NumRows());
     q_scope.Finish();
@@ -1051,7 +1083,7 @@ class PlugInStrategy final : public Strategy {
     std::vector<const PlanNode*> plans;
     plans.reserve(rewrites.size());
     for (const PlanPtr& plan : rewrites) plans.push_back(plan.get());
-    ASSIGN_OR_RETURN(std::vector<Relation> partials,
+    ASSIGN_OR_RETURN(std::vector<RowView> partials,
                      ExecuteEngineQueries(plans, engine, stats, span, &labels));
     for (size_t i = 0; i < prefs.size(); ++i) {
       obs::SpanScope merge(
@@ -1110,12 +1142,12 @@ class PlugInStrategy final : public Strategy {
     std::vector<const PlanNode*> plans;
     plans.reserve(rewrites.size());
     for (const PlanPtr& plan : rewrites) plans.push_back(plan.get());
-    ASSIGN_OR_RETURN(std::vector<Relation> materialized,
+    ASSIGN_OR_RETURN(std::vector<RowView> materialized,
                      ExecuteEngineQueries(plans, engine, stats, span, &labels));
 
     size_t next = 0;
     if (!plain.empty()) {
-      const Relation& matched = materialized[next++];
+      const RowView& matched = materialized[next++];
       for (const Preference* pref : plain) {
         obs::SpanScope merge(span,
                              StrFormat("MergePartial[%s]", pref->name().c_str()));
@@ -1125,7 +1157,7 @@ class PlugInStrategy final : public Strategy {
       }
     }
     for (const Preference* pref : membership) {
-      const Relation& matched = materialized[next++];
+      const RowView& matched = materialized[next++];
       obs::SpanScope merge(span,
                            StrFormat("MergePartial[%s]", pref->name().c_str()));
       obs::SetRowsIn(merge.get(), matched.NumRows());
@@ -1138,19 +1170,19 @@ class PlugInStrategy final : public Strategy {
   // Scores the rows of a partial (rewritten-query) result under `pref` and
   // folds them into the answer's score relation by key, probed in place.
   // Re-checks the conditional part, since the combined rewrite over-fetches
-  // (disjunction).
-  Status MergePartial(const Preference& pref, const Relation& partial,
+  // (disjunction). Only the columns the preference and the key use are read
+  // out of the partial's view.
+  Status MergePartial(const Preference& pref, const RowView& partial,
                       const AggregateFunction& agg, ExecStats* stats,
                       ScoreRelation* scores) {
-    ExprPtr condition = pref.CloneCondition();
-    RETURN_IF_ERROR(condition->Bind(partial.schema()));
-    ScoringFunction scoring = pref.CloneScoring();
-    RETURN_IF_ERROR(scoring.Bind(partial.schema()));
-    for (const Tuple& row : partial.rows()) {
-      if (!IsTruthy(condition->Eval(row))) continue;
-      std::optional<double> score = scoring.Score(row);
+    ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, partial));
+    ScratchRow scratch = bound.MakeScratch(partial);
+    const ColumnsAt key_at = ColumnsFor(partial, partial.key_columns);
+    ScratchRow key(partial.schema, {}, partial.key_columns);
+    for (size_t i = 0; i < partial.NumRows(); ++i) {
+      std::optional<double> score = bound.Score(partial, i, &scratch);
       if (!score.has_value()) continue;
-      scores->Fold(RowKey{row, partial.key_columns()},
+      scores->Fold(RowKey{key.Read(partial, i, key_at.input), key_at.columns},
                    ScoreConf::Known(*score, pref.confidence()), agg);
       ++stats->score_entries_written;
     }

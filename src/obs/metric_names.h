@@ -48,6 +48,12 @@ inline constexpr std::string_view kPrefNativeDistinctRows =
 inline constexpr std::string_view kPrefNativeParallelRegions =
     "pref.native.parallel_regions";
 
+// --- Preference-aware execution (src/exec, src/engine) ----------------
+/// Rows copied out of row-id views: the answer's survivors, GBU temp
+/// tables, cache inserts and the root of a conventional Engine::Execute.
+inline constexpr std::string_view kPrefExecRowsGathered =
+    "pref.exec.rows_gathered";
+
 // --- Query governor (src/common/governor, folded in by Session::Run) ----
 /// Queries that unwound on an external/internal cancellation request.
 inline constexpr std::string_view kPrefGovernorCancelled =

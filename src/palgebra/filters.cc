@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/string_util.h"
 
@@ -175,15 +176,15 @@ StatusOr<Relation> ApplyFilter(const Relation& scored, const FilterSpec& spec) {
 }
 
 PRelation FilterByMinMatches(const PRelation& input, size_t min_matches) {
+  std::vector<uint32_t> kept;
   PRelation out;
-  out.rel = Relation(input.rel.schema());
-  out.rel.set_key_columns(input.rel.key_columns());
-  for (size_t i = 0; i < input.rel.NumRows(); ++i) {
+  for (size_t i = 0; i < input.NumRows(); ++i) {
     if (input.pairs[i].count() >= min_matches) {
-      out.rel.AddRow(input.rel.rows()[i]);
+      kept.push_back(static_cast<uint32_t>(i));
       out.pairs.push_back(input.pairs[i]);
     }
   }
+  out.view = input.view.Rows(kept);
   return out;
 }
 
@@ -197,15 +198,35 @@ double PairTarget(const ScoreConf& pair, FilterTarget target) {
                           : -std::numeric_limits<double>::infinity();
 }
 
+// Where the key values of the rows `ids` of `p` live: row i's keys at
+// [i * width, (i + 1) * width), located through the view once, since ties
+// on the pairs are common and a ranking's tie-break reads them again per
+// comparison.
+std::vector<const Value*> KeyValues(const PRelation& p,
+                                    const std::vector<uint32_t>& ids) {
+  const std::vector<size_t>& keys = p.key_columns();
+  std::vector<const Value*> values(p.NumRows() * keys.size());
+  for (uint32_t i : ids) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      values[i * keys.size() + k] = &p.view.At(i, keys[k]);
+    }
+  }
+  return values;
+}
+
 // SortScored's order over row indices of `p`: primary desc, secondary desc,
 // key columns asc, then row index asc. Rows that tie on (score, conf, key)
 // tie under every filter's order, so no filter ever reorders them and the
 // index tie-break reproduces the stable sort — while making the order
-// strict, which lets TOP k use a partial sort.
+// strict, which lets TOP k use a partial sort. `keys` is KeyValues of the
+// rows being ordered.
 class RankOrder {
  public:
-  RankOrder(const PRelation& p, FilterTarget primary)
+  RankOrder(const PRelation& p, const std::vector<const Value*>& keys,
+            FilterTarget primary)
       : p_(p),
+        keys_(keys),
+        width_(p.key_columns().size()),
         primary_(primary),
         secondary_(primary == FilterTarget::kScore ? FilterTarget::kConf
                                                    : FilterTarget::kScore) {}
@@ -219,10 +240,8 @@ class RankOrder {
     x = PairTarget(pa, secondary_);
     y = PairTarget(pb, secondary_);
     if (x != y) return x > y;
-    const Tuple& ra = p_.rel.rows()[a];
-    const Tuple& rb = p_.rel.rows()[b];
-    for (size_t k : p_.rel.key_columns()) {
-      int c = ra[k].Compare(rb[k]);
+    for (size_t k = 0; k < width_; ++k) {
+      int c = keys_[a * width_ + k]->Compare(*keys_[b * width_ + k]);
       if (c != 0) return c < 0;
     }
     return a < b;
@@ -230,6 +249,8 @@ class RankOrder {
 
  private:
   const PRelation& p_;
+  const std::vector<const Value*>& keys_;
+  size_t width_;
   FilterTarget primary_;
   FilterTarget secondary_;
 };
@@ -240,7 +261,8 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
                      std::vector<uint32_t>* ids) {
   switch (spec.kind) {
     case FilterSpec::Kind::kTopK: {
-      RankOrder order(p, spec.target);
+      const std::vector<const Value*> keys = KeyValues(p, *ids);
+      RankOrder order(p, keys, spec.target);
       if (ids->size() > spec.k) {
         std::partial_sort(ids->begin(), ids->begin() + spec.k, ids->end(),
                           order);
@@ -257,15 +279,18 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
       });
       return Status::OK();
     }
-    case FilterSpec::Kind::kRankAll:
-      std::sort(ids->begin(), ids->end(), RankOrder(p, FilterTarget::kScore));
+    case FilterSpec::Kind::kRankAll: {
+      const std::vector<const Value*> keys = KeyValues(p, *ids);
+      std::sort(ids->begin(), ids->end(), RankOrder(p, keys, FilterTarget::kScore));
       return Status::OK();
+    }
     case FilterSpec::Kind::kMinMatches:
       std::erase_if(*ids, [&](uint32_t i) { return p.pairs[i].count() < spec.k; });
       return Status::OK();
     case FilterSpec::Kind::kNotDominated: {
       // ApplyFilter's skyline scan, over the pairs of the sorted indices.
-      std::sort(ids->begin(), ids->end(), RankOrder(p, FilterTarget::kScore));
+      const std::vector<const Value*> keys = KeyValues(p, *ids);
+      std::sort(ids->begin(), ids->end(), RankOrder(p, keys, FilterTarget::kScore));
       double best_conf = -std::numeric_limits<double>::infinity();
       double best_conf_score = 0.0;
       size_t kept = 0;
@@ -297,17 +322,17 @@ StatusOr<Relation> ApplyFilters(const PRelation& input,
 StatusOr<Relation> ApplyFiltersAndProject(
     const PRelation& input, const std::vector<FilterSpec>& specs,
     const std::vector<std::string>& output_columns) {
-  if (input.pairs.size() != input.rel.NumRows()) {
+  if (input.pairs.size() != input.NumRows()) {
     return Status::Internal("p-relation pairs are not row-aligned");
   }
-  Schema scored_schema = input.rel.schema();
+  Schema scored_schema = input.schema();
   scored_schema.AddColumn(Column{"", "score", ValueType::kDouble});
   scored_schema.AddColumn(Column{"", "conf", ValueType::kDouble});
 
   // Filters pick and order row indices; nothing is copied until the
   // survivors are known. Match-count filters come first (see filters.h).
-  std::vector<uint32_t> ids(input.rel.NumRows());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  std::vector<uint32_t> ids(input.NumRows());
+  std::iota(ids.begin(), ids.end(), 0u);
   for (const FilterSpec& spec : specs) {
     if (spec.kind == FilterSpec::Kind::kMinMatches) {
       RETURN_IF_ERROR(FilterIndices(input, spec, &ids));
@@ -344,19 +369,19 @@ StatusOr<Relation> ApplyFiltersAndProject(
     }
   }
 
-  const size_t score_col = input.rel.schema().size();
+  // The answer's one copy: each survivor's values, read through the view.
+  const size_t score_col = input.schema().size();
   Relation out(output_columns.empty() ? scored_schema
                                       : scored_schema.Select(indices));
-  if (output_columns.empty()) out.set_key_columns(input.rel.key_columns());
+  if (output_columns.empty()) out.set_key_columns(input.key_columns());
   out.Reserve(ids.size());
   for (uint32_t id : ids) {
-    const Tuple& row = input.rel.rows()[id];
     const ScoreConf& pair = input.pairs[id];
     Tuple projected;
     projected.reserve(indices.size());
     for (size_t idx : indices) {
       if (idx < score_col) {
-        projected.push_back(row[idx]);
+        projected.push_back(input.view.At(id, idx));
       } else if (idx == score_col) {
         projected.push_back(pair.has_score() ? Value::Double(pair.score())
                                              : Value::Null());

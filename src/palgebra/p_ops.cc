@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
 #include "parallel/morsel.h"
 #include "plan/plan.h"
-#include "storage/hash_index.h"
+#include "storage/table.h"
 
 namespace prefdb {
 
 namespace {
-
-// Partitioning decision for a tuple-local operator: serial when no context
-// was supplied, otherwise per the context's knobs.
-MorselPlan PlanFor(size_t n, const ParallelContext* parallel) {
-  return MorselPlan::Make(n, parallel);
-}
 
 // Annotates the caller-provided span with an operator's cardinalities and
 // (when the operator actually split into morsels) its parallel shape. The
@@ -35,153 +30,132 @@ void AnnotateSpan(obs::Span* span, size_t rows_in, size_t rows_out,
   }
 }
 
-// Runs `keep(i)` over the rows of `plan` in morsels and returns the row
-// indices it kept, in input order (per-morsel lists concatenated in morsel
-// order).
-template <typename Keep>
-std::vector<uint32_t> KeptRows(const MorselPlan& plan,
-                               const ParallelContext* parallel,
-                               const Keep& keep) {
-  std::vector<std::vector<uint32_t>> kept(plan.morsel_count());
-  ParallelFor(plan, [&](size_t, const Morsel& m) {
-    GovernorCheckpoint(parallel);
-    std::vector<uint32_t>& local = kept[m.index];
-    for (size_t i = m.begin; i < m.end; ++i) {
-      if (keep(i)) local.push_back(static_cast<uint32_t>(i));
-    }
-  });
-  if (kept.size() == 1) return std::move(kept[0]);
-  size_t total = 0;
-  for (const std::vector<uint32_t>& local : kept) total += local.size();
-  std::vector<uint32_t> ids;
-  ids.reserve(total);
-  for (const std::vector<uint32_t>& local : kept) {
-    ids.insert(ids.end(), local.begin(), local.end());
-  }
-  return ids;
-}
-
-// An empty p-relation with `like`'s schema and key.
-PRelation EmptyLike(const Relation& like) {
-  PRelation out;
-  out.rel = Relation(like.schema());
-  out.rel.set_key_columns(like.key_columns());
-  return out;
-}
-
-// Appends the rows `ids` of `input` to `out`.
-void CopyRows(const Relation& input, const std::vector<uint32_t>& ids,
-              Relation* out) {
-  out->Reserve(out->NumRows() + ids.size());
-  for (uint32_t i : ids) out->AddRow(input.rows()[i]);
-}
-
-// Appends the pairs of rows `ids` of `input` to `out`: the score carry-over
-// of the operators that drop tuples (select, semijoin, set difference,
-// distinct, limit). Each carried non-default pair counts as a score entry
-// written.
-void CarryScores(const PRelation& input, const std::vector<uint32_t>& ids,
+// Appends the pairs of rows `positions` of `input` to `out`: the score
+// carry-over of the operators that drop tuples (select, semijoin, set
+// difference, distinct, limit). Each carried non-default pair counts as a
+// score entry written.
+void CarryScores(const PRelation& input, const std::vector<uint32_t>& positions,
                  PRelation* out, ExecStats* stats) {
-  out->pairs.reserve(out->pairs.size() + ids.size());
-  for (uint32_t i : ids) {
+  out->pairs.reserve(out->pairs.size() + positions.size());
+  for (uint32_t i : positions) {
     const ScoreConf& pair = input.pairs[i];
     out->pairs.push_back(pair);
     if (!pair.IsDefault()) ++stats->score_entries_written;
   }
 }
 
-// The set operations' and DISTINCT's membership structure: a hash set of
-// positions into `rows`, hashed and compared by row content. It copies no
-// tuple, and a probe by tuple returns the position of the first-inserted
-// equal row — how the set operations reach the other side's pair.
-class RowIndexSet {
- public:
-  static constexpr uint32_t kAbsent = UINT32_MAX;
-
-  explicit RowIndexSet(const std::vector<Tuple>& rows)
-      : set_(rows.size(), Hash{&rows}, Eq{&rows}) {}
-
-  // Adds row `i`; false if an equal row is already present.
-  bool Insert(uint32_t i) { return set_.insert(i).second; }
-
-  // Position of the first-inserted row equal to `row`, or kAbsent.
-  uint32_t Find(const Tuple& row) const {
-    auto it = set_.find(row);
-    return it == set_.end() ? kAbsent : *it;
-  }
-
- private:
-  struct Hash {
-    using is_transparent = void;
-    const std::vector<Tuple>* rows;
-    size_t operator()(uint32_t i) const { return TupleHash()((*rows)[i]); }
-    size_t operator()(const Tuple& t) const { return TupleHash()(t); }
-  };
-  struct Eq {
-    using is_transparent = void;
-    const std::vector<Tuple>* rows;
-    bool operator()(uint32_t a, uint32_t b) const {
-      return TupleEq()((*rows)[a], (*rows)[b]);
-    }
-    bool operator()(uint32_t a, const Tuple& b) const {
-      return TupleEq()((*rows)[a], b);
-    }
-    bool operator()(const Tuple& a, uint32_t b) const {
-      return TupleEq()(a, (*rows)[b]);
-    }
-  };
-  std::unordered_set<uint32_t, Hash, Eq> set_;
-};
-
-// A RowIndexSet over all of `rows`; `first[i]` (when non-null) records
-// whether row i is the first of its value.
-RowIndexSet IndexRows(const std::vector<Tuple>& rows,
-                      std::vector<uint8_t>* first = nullptr) {
-  RowIndexSet set(rows);
-  if (first != nullptr) first->resize(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    bool inserted = set.Insert(static_cast<uint32_t>(i));
-    if (first != nullptr) (*first)[i] = inserted ? 1 : 0;
-  }
-  return set;
-}
-
-// For every row of `rows`, the position of the equal row in `set` (or
-// RowIndexSet::kAbsent), probed in concurrent morsels: the hash-probe half
-// of the set operations, hoisted out of their serial emit loops.
-std::vector<uint32_t> ProbeMembership(const std::vector<Tuple>& rows,
-                                      const RowIndexSet& set,
-                                      const MorselPlan& plan,
-                                      const ParallelContext* parallel) {
-  std::vector<uint32_t> match(rows.size(), RowIndexSet::kAbsent);
-  ParallelFor(plan, [&](size_t, const Morsel& m) {
-    GovernorCheckpoint(parallel);
-    for (size_t i = m.begin; i < m.end; ++i) match[i] = set.Find(rows[i]);
-  });
-  return match;
+// The rows `positions` of `input`, with their pairs carried.
+PRelation KeepRows(const PRelation& input, const std::vector<uint32_t>& positions,
+                   ExecStats* stats) {
+  PRelation out;
+  out.view = input.view.Rows(positions);
+  stats->tuples_materialized += out.NumRows();
+  CarryScores(input, positions, &out, stats);
+  return out;
 }
 
 // Operators read pairs by row position: a p-relation whose pairs are not
 // row-aligned is a caller bug, reported here rather than read out of bounds.
 Status CheckAligned(const PRelation& p) {
-  if (p.pairs.size() == p.rel.NumRows()) return Status::OK();
+  if (p.pairs.size() == p.NumRows()) return Status::OK();
   return Status::Internal(StrFormat("p-relation has %zu rows but %zu pairs",
-                                    p.rel.NumRows(), p.pairs.size()));
+                                    p.NumRows(), p.pairs.size()));
 }
 
-Status CheckSetCompatible(const PRelation& left, const PRelation& right) {
+// ⋈ and ⋉ over the join kernel: with an equi-conjunct the right side is
+// served by its base table's persistent index when the view is still that
+// table's identity, else by a JoinTable over the view. `positions`
+// receives the matched rows.
+StatusOr<RowView> JoinViews(const Expr& predicate, const PRelation& left,
+                            const PRelation& right, bool semi,
+                            const MorselPlan& plan,
+                            const ParallelContext* parallel,
+                            JoinPositions* positions) {
   RETURN_IF_ERROR(CheckAligned(left));
   RETURN_IF_ERROR(CheckAligned(right));
-  if (left.rel.schema().size() != right.rel.schema().size()) {
+  RETURN_IF_ERROR(GovernorCheck(parallel));
+  ExprPtr bound = predicate.Clone();
+  RETURN_IF_ERROR(bound->Bind(left.schema().Concat(right.schema())));
+  ASSIGN_OR_RETURN(std::optional<EquiKeys> keys,
+                   FindEquiKeys(predicate, left.schema(), right.schema()));
+  std::optional<JoinBuild> build;
+  if (keys.has_value()) {
+    const RowView& r = right.view;
+    build.emplace(r, *keys,
+                  r.base_table == nullptr
+                      ? nullptr
+                      : &r.base_table->EnsureIndex(r.columns[keys->right].column));
+  }
+  return JoinRows(left.view, right.view, *bound, semi,
+                  build.has_value() ? &*build : nullptr, plan, parallel,
+                  nullptr, positions);
+}
+
+// ∪_F, ∩_F and − over the set kernel: a row present on both sides combines
+// the two pairs with `agg` (never the case for −, which needs no `agg`).
+StatusOr<PRelation> SetOp(PlanKind kind, const PRelation& left,
+                          const PRelation& right, const AggregateFunction* agg,
+                          ExecStats* stats, const ParallelContext* parallel,
+                          obs::Span* span) {
+  ++stats->operator_invocations;
+  RETURN_IF_ERROR(GovernorCheck(parallel));
+  RETURN_IF_ERROR(CheckAligned(left));
+  RETURN_IF_ERROR(CheckAligned(right));
+  if (left.schema().size() != right.schema().size()) {
     return Status::InvalidArgument("set operation inputs differ in arity");
   }
-  if (left.rel.key_columns() != right.rel.key_columns()) {
+  if (left.key_columns() != right.key_columns()) {
     return Status::InvalidArgument("set operation inputs differ in keys");
   }
-  return Status::OK();
+  MorselPlan plan = MorselPlan::Make(left.NumRows(), parallel);
+  ASSIGN_OR_RETURN(std::vector<SetMatch> matches,
+                   MatchSetOp(kind, left.view, right.view, plan, parallel,
+                              nullptr));
+  PRelation out;
+  out.view = SetOpView(left.view, right.view, matches);
+  out.pairs.reserve(matches.size());
+  for (const auto& [l, r] : matches) {
+    ScoreConf pair = l == kNoRow   ? right.pairs[r]
+                     : r == kNoRow ? left.pairs[l]
+                                   : CombineCounted(*agg, left.pairs[l], right.pairs[r]);
+    if (!pair.IsDefault()) ++stats->score_entries_written;
+    out.pairs.push_back(pair);
+  }
+  stats->tuples_materialized += out.NumRows();
+  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows(), &plan);
+  return out;
 }
 
 }  // namespace
+
+StatusOr<ViewPreference> ViewPreference::Bind(const Preference& pref,
+                                              const RowView& view) {
+  ViewPreference out(pref.CloneCondition(), pref.CloneScoring());
+  RETURN_IF_ERROR(out.condition_->Bind(view.schema));
+  RETURN_IF_ERROR(out.scoring_.Bind(view.schema));
+  ViewLayout condition_layout = LayoutFor(view, *out.condition_);
+  if (condition_layout.input >= 0 &&
+      out.condition_->Bind(condition_layout.schema).ok()) {
+    out.condition_at_ = condition_layout.input;
+  } else {
+    RETURN_IF_ERROR(out.condition_->Bind(view.schema));
+  }
+  ViewLayout scoring_layout = LayoutFor(view, out.scoring_.expr());
+  if (scoring_layout.input >= 0 && out.scoring_.Bind(scoring_layout.schema).ok()) {
+    out.scoring_at_ = scoring_layout.input;
+  } else {
+    RETURN_IF_ERROR(out.scoring_.Bind(view.schema));
+  }
+  return out;
+}
+
+ScratchRow ViewPreference::MakeScratch(const RowView& view,
+                                       const std::vector<size_t>& extra) const {
+  return ScratchRow(view.schema,
+                    {condition_at_ < 0 ? condition_.get() : nullptr,
+                     scoring_at_ < 0 ? &scoring_.expr() : nullptr},
+                    extra);
+}
 
 StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
                             ExecStats* stats, const ParallelContext* parallel,
@@ -190,17 +164,11 @@ StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
   RETURN_IF_ERROR(CheckAligned(input));
   RETURN_IF_ERROR(GovernorCheck(parallel));
   ExprPtr bound = predicate.Clone();
-  RETURN_IF_ERROR(bound->Bind(input.rel.schema()));
-  // Bound expressions are immutable after Bind, so all slots share `bound`.
-  const std::vector<Tuple>& rows = input.rel.rows();
-  MorselPlan plan = PlanFor(rows.size(), parallel);
-  std::vector<uint32_t> ids = KeptRows(
-      plan, parallel, [&](size_t i) { return IsTruthy(bound->Eval(rows[i])); });
-  PRelation out = EmptyLike(input.rel);
-  CopyRows(input.rel, ids, &out.rel);
-  stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(input, ids, &out, stats);
-  AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows(), &plan);
+  RETURN_IF_ERROR(bound->Bind(input.schema()));
+  MorselPlan plan = MorselPlan::Make(input.NumRows(), parallel);
+  PRelation out = KeepRows(
+      input, FilterRows(input.view, *bound, plan, parallel, nullptr), stats);
+  AnnotateSpan(span, input.NumRows(), out.NumRows(), &plan);
   return out;
 }
 
@@ -209,20 +177,12 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
                              obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  PlanShape shape{input.rel.schema(), input.rel.key_columns()};
-  ASSIGN_OR_RETURN(ProjectionResolution res, ResolveProjection(shape, columns));
   // The key columns survive projection by construction, and every row keeps
   // its position, so the pairs carry over unchanged.
-  PRelation out;
-  out.rel = Relation(input.rel.schema().Select(res.indices));
-  out.rel.set_key_columns(res.key_positions);
-  out.rel.Reserve(input.rel.NumRows());
-  for (const Tuple& row : input.rel.rows()) {
-    out.rel.AddRow(ProjectTuple(row, res.indices));
-  }
-  stats->tuples_materialized += out.rel.NumRows();
-  out.pairs = input.pairs;
-  AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
+  PRelation out = input;
+  RETURN_IF_ERROR(ProjectView(columns, &out.view));
+  stats->tuples_materialized += out.NumRows();
+  AnnotateSpan(span, input.NumRows(), out.NumRows());
   return out;
 }
 
@@ -231,90 +191,21 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           ExecStats* stats, const ParallelContext* parallel,
                           obs::Span* span) {
   ++stats->operator_invocations;
-  RETURN_IF_ERROR(CheckAligned(left));
-  RETURN_IF_ERROR(CheckAligned(right));
-  RETURN_IF_ERROR(GovernorCheck(parallel));
-  Schema combined = left.rel.schema().Concat(right.rel.schema());
-  ExprPtr bound = predicate.Clone();
-  RETURN_IF_ERROR(bound->Bind(combined));
-
-  // Per-morsel buffers: joined rows plus each row's combined pair (an `F`
-  // fold of the two inputs' pairs, read by row position). Concatenating the
-  // buffers in morsel order gives the output row order; the bound
-  // predicate, the build table and both inputs are read-only here.
-  struct MatchBuffer {
-    std::vector<Tuple> rows;
-    std::vector<ScoreConf> pairs;
-  };
-  auto try_emit = [&](MatchBuffer* local, size_t l, size_t r) {
-    Tuple joined = ConcatTuples(left.rel.rows()[l], right.rel.rows()[r]);
-    if (!IsTruthy(bound->Eval(joined))) return;
-    local->rows.push_back(std::move(joined));
-    local->pairs.push_back(CombineCounted(agg, left.pairs[l], right.pairs[r]));
-  };
-
-  const std::vector<Tuple>& lrows = left.rel.rows();
-  const std::vector<Tuple>& rrows = right.rel.rows();
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<MatchBuffer> buffers(plan.morsel_count());
-  std::string left_col;
-  std::string right_col;
-  if (FindEquiConjunct(predicate, left.rel.schema(), right.rel.schema(),
-                       &left_col, &right_col)) {
-    ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
-    ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
-    const HashIndex build(right.rel, ri);
-    ParallelFor(plan, [&](size_t, const Morsel& m) {
-      GovernorCheckpoint(parallel);
-      MatchBuffer& local = buffers[m.index];
-      for (size_t i = m.begin; i < m.end; ++i) {
-        const Value& key = lrows[i][li];
-        if (key.is_null()) continue;  // `NULL = x` is not true.
-        for (uint32_t pos : build.Lookup(key)) try_emit(&local, i, pos);
-      }
-    });
-  } else {
-    ParallelFor(plan, [&](size_t, const Morsel& m) {
-      GovernorCheckpoint(parallel);
-      // The quadratic path: the ticker bounds cancellation latency by probe
-      // count even when one covering morsel holds every row.
-      GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
-      MatchBuffer& local = buffers[m.index];
-      for (size_t i = m.begin; i < m.end; ++i) {
-        for (size_t r = 0; r < rrows.size(); ++r) {
-          ticker.Tick();
-          try_emit(&local, i, r);
-        }
-      }
-    });
-  }
-
+  MorselPlan plan = MorselPlan::Make(left.NumRows(), parallel);
+  JoinPositions matched;
   PRelation out;
-  out.rel = Relation(combined);
-  std::vector<size_t> keys = left.rel.key_columns();
-  for (size_t k : right.rel.key_columns()) {
-    keys.push_back(k + left.rel.schema().size());
-  }
-  out.rel.set_key_columns(std::move(keys));
-  if (buffers.size() == 1) {
-    *out.rel.mutable_rows() = std::move(buffers[0].rows);
-    out.pairs = std::move(buffers[0].pairs);
-  } else {
-    size_t total = 0;
-    for (const MatchBuffer& local : buffers) total += local.rows.size();
-    out.rel.Reserve(total);
-    out.pairs.reserve(total);
-    for (MatchBuffer& local : buffers) {
-      for (Tuple& row : local.rows) out.rel.AddRow(std::move(row));
-      out.pairs.insert(out.pairs.end(), local.pairs.begin(), local.pairs.end());
-    }
-  }
-  for (const ScoreConf& pair : out.pairs) {
+  ASSIGN_OR_RETURN(out.view, JoinViews(predicate, left, right, /*semi=*/false,
+                                       plan, parallel, &matched));
+  // Score combination: each joined row folds its two input rows' pairs.
+  out.pairs.reserve(matched.left.size());
+  for (size_t k = 0; k < matched.left.size(); ++k) {
+    ScoreConf pair = CombineCounted(agg, left.pairs[matched.left[k]],
+                                    right.pairs[matched.right[k]]);
     if (!pair.IsDefault()) ++stats->score_entries_written;
+    out.pairs.push_back(pair);
   }
-  stats->tuples_materialized += out.rel.NumRows();
-  AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
-               out.rel.NumRows(), &plan);
+  stats->tuples_materialized += out.NumRows();
+  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows(), &plan);
   return out;
 }
 
@@ -323,175 +214,46 @@ StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const ParallelContext* parallel,
                               obs::Span* span) {
   ++stats->operator_invocations;
-  RETURN_IF_ERROR(CheckAligned(left));
-  RETURN_IF_ERROR(CheckAligned(right));
-  RETURN_IF_ERROR(GovernorCheck(parallel));
-  Schema combined = left.rel.schema().Concat(right.rel.schema());
-  ExprPtr bound = predicate.Clone();
-  RETURN_IF_ERROR(bound->Bind(combined));
-
-  // Each left row's qualification is independent, so the probe runs in
-  // morsels; the qualified row indices come back in input order.
-  const std::vector<Tuple>& lrows = left.rel.rows();
-  const std::vector<Tuple>& rrows = right.rel.rows();
-  auto qualifies = [&](const Tuple& lrow, uint32_t r) {
-    return IsTruthy(bound->Eval(ConcatTuples(lrow, rrows[r])));
-  };
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint32_t> ids;
-  std::string left_col;
-  std::string right_col;
-  if (FindEquiConjunct(predicate, left.rel.schema(), right.rel.schema(),
-                       &left_col, &right_col)) {
-    ASSIGN_OR_RETURN(size_t li, left.rel.schema().FindColumn(left_col));
-    ASSIGN_OR_RETURN(size_t ri, right.rel.schema().FindColumn(right_col));
-    const HashIndex build(right.rel, ri);
-    ids = KeptRows(plan, parallel, [&](size_t i) {
-      const Value& key = lrows[i][li];
-      if (key.is_null()) return false;  // `NULL = x` is not true.
-      for (uint32_t pos : build.Lookup(key)) {
-        if (qualifies(lrows[i], pos)) return true;
-      }
-      return false;
-    });
-  } else {
-    ids = KeptRows(plan, parallel, [&](size_t i) {
-      for (size_t r = 0; r < rrows.size(); ++r) {
-        if (qualifies(lrows[i], static_cast<uint32_t>(r))) return true;
-      }
-      return false;
-    });
-  }
-  PRelation out = EmptyLike(left.rel);
-  CopyRows(left.rel, ids, &out.rel);
-  stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(left, ids, &out, stats);
-  AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
-               out.rel.NumRows(), &plan);
+  MorselPlan plan = MorselPlan::Make(left.NumRows(), parallel);
+  JoinPositions matched;
+  PRelation out;
+  ASSIGN_OR_RETURN(out.view, JoinViews(predicate, left, right, /*semi=*/true,
+                                       plan, parallel, &matched));
+  stats->tuples_materialized += out.NumRows();
+  CarryScores(left, matched.left, &out, stats);
+  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows(), &plan);
   return out;
 }
 
 StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
                            const AggregateFunction& agg, ExecStats* stats,
                            const ParallelContext* parallel, obs::Span* span) {
-  ++stats->operator_invocations;
-  RETURN_IF_ERROR(GovernorCheck(parallel));
-  RETURN_IF_ERROR(CheckSetCompatible(left, right));
-  // Duplicate elimination is first-occurrence-wins over left-then-right
-  // order: a left row is emitted iff it is the first of its value on the
-  // left, a right row iff no left row equals it and it is the first of its
-  // value on the right. The right-side probes of the left rows run in
-  // morsels; the emit loops stay serial.
-  const std::vector<Tuple>& lrows = left.rel.rows();
-  const std::vector<Tuple>& rrows = right.rel.rows();
-  std::vector<uint8_t> left_first;
-  std::vector<uint8_t> right_first;
-  RowIndexSet left_set = IndexRows(lrows, &left_first);
-  RowIndexSet right_set = IndexRows(rrows, &right_first);
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint32_t> in_right =
-      ProbeMembership(lrows, right_set, plan, parallel);
-
-  PRelation out = EmptyLike(left.rel);
-  auto emit = [&](const Tuple& row, const ScoreConf& pair) {
-    out.rel.AddRow(row);
-    out.pairs.push_back(pair);
-    if (!pair.IsDefault()) ++stats->score_entries_written;
-  };
-  for (size_t i = 0; i < lrows.size(); ++i) {
-    if (!left_first[i]) continue;
-    ScoreConf pair = left.pairs[i];
-    if (in_right[i] != RowIndexSet::kAbsent) {
-      pair = CombineCounted(agg, pair, right.pairs[in_right[i]]);
-    }
-    emit(lrows[i], pair);
-  }
-  for (size_t j = 0; j < rrows.size(); ++j) {
-    if (!right_first[j] || left_set.Find(rrows[j]) != RowIndexSet::kAbsent) {
-      continue;
-    }
-    emit(rrows[j], right.pairs[j]);
-  }
-  stats->tuples_materialized += out.rel.NumRows();
-  AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
-               out.rel.NumRows(), &plan);
-  return out;
+  return SetOp(PlanKind::kUnion, left, right, &agg, stats, parallel, span);
 }
 
 StatusOr<PRelation> PIntersect(const PRelation& left, const PRelation& right,
                                const AggregateFunction& agg, ExecStats* stats,
                                const ParallelContext* parallel,
                                obs::Span* span) {
-  ++stats->operator_invocations;
-  RETURN_IF_ERROR(GovernorCheck(parallel));
-  RETURN_IF_ERROR(CheckSetCompatible(left, right));
-  const std::vector<Tuple>& lrows = left.rel.rows();
-  std::vector<uint8_t> left_first;
-  IndexRows(lrows, &left_first);
-  RowIndexSet right_set = IndexRows(right.rel.rows());
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint32_t> in_right =
-      ProbeMembership(lrows, right_set, plan, parallel);
-
-  PRelation out = EmptyLike(left.rel);
-  for (size_t i = 0; i < lrows.size(); ++i) {
-    if (in_right[i] == RowIndexSet::kAbsent || !left_first[i]) continue;
-    ScoreConf pair =
-        CombineCounted(agg, left.pairs[i], right.pairs[in_right[i]]);
-    out.rel.AddRow(lrows[i]);
-    out.pairs.push_back(pair);
-    if (!pair.IsDefault()) ++stats->score_entries_written;
-  }
-  stats->tuples_materialized += out.rel.NumRows();
-  AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
-               out.rel.NumRows(), &plan);
-  return out;
+  return SetOp(PlanKind::kIntersect, left, right, &agg, stats, parallel, span);
 }
 
 StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
                           ExecStats* stats, const ParallelContext* parallel,
                           obs::Span* span) {
-  ++stats->operator_invocations;
-  RETURN_IF_ERROR(GovernorCheck(parallel));
-  RETURN_IF_ERROR(CheckSetCompatible(left, right));
-  const std::vector<Tuple>& lrows = left.rel.rows();
-  std::vector<uint8_t> left_first;
-  IndexRows(lrows, &left_first);
-  RowIndexSet right_set = IndexRows(right.rel.rows());
-  MorselPlan plan = PlanFor(lrows.size(), parallel);
-  std::vector<uint32_t> in_right =
-      ProbeMembership(lrows, right_set, plan, parallel);
-
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < lrows.size(); ++i) {
-    if (in_right[i] == RowIndexSet::kAbsent && left_first[i]) {
-      ids.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  PRelation out = EmptyLike(left.rel);
-  CopyRows(left.rel, ids, &out.rel);
-  stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(left, ids, &out, stats);
-  AnnotateSpan(span, left.rel.NumRows() + right.rel.NumRows(),
-               out.rel.NumRows(), &plan);
-  return out;
+  return SetOp(PlanKind::kExcept, left, right, nullptr, stats, parallel, span);
 }
 
 StatusOr<PRelation> PDistinct(const PRelation& input, ExecStats* stats,
                               obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  std::vector<uint8_t> first;
-  IndexRows(input.rel.rows(), &first);
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < first.size(); ++i) {
-    if (first[i]) ids.push_back(static_cast<uint32_t>(i));
-  }
-  PRelation out = EmptyLike(input.rel);
-  CopyRows(input.rel, ids, &out.rel);
-  stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(input, ids, &out, stats);
-  AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
+  PRelation out = KeepRows(
+      input,
+      DistinctRows(input.view, MorselPlan::Make(input.NumRows(), nullptr),
+                   nullptr, nullptr),
+      stats);
+  AnnotateSpan(span, input.NumRows(), out.NumRows());
   return out;
 }
 
@@ -500,41 +262,13 @@ StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
                           obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  struct ResolvedKey {
-    size_t index;
-    bool descending;
-  };
-  std::vector<ResolvedKey> resolved;
-  resolved.reserve(keys.size());
-  for (const SortKey& k : keys) {
-    ASSIGN_OR_RETURN(size_t idx, input.rel.schema().FindColumn(k.column));
-    resolved.push_back({idx, k.descending});
-  }
-  // Tie-break on the relation key for deterministic order (see ExecSort).
-  const std::vector<Tuple>& rows = input.rel.rows();
-  const std::vector<size_t>& pk = input.rel.key_columns();
-  std::vector<uint32_t> ids(rows.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
-  std::stable_sort(ids.begin(), ids.end(),
-                   [&resolved, &pk, &rows](uint32_t ia, uint32_t ib) {
-                     const Tuple& a = rows[ia];
-                     const Tuple& b = rows[ib];
-                     for (const ResolvedKey& k : resolved) {
-                       int c = a[k.index].Compare(b[k.index]);
-                       if (c != 0) return k.descending ? c > 0 : c < 0;
-                     }
-                     for (size_t k : pk) {
-                       int c = a[k].Compare(b[k]);
-                       if (c != 0) return c < 0;
-                     }
-                     return false;
-                   });
-  PRelation out = EmptyLike(input.rel);
-  CopyRows(input.rel, ids, &out.rel);
-  out.pairs.reserve(ids.size());
-  for (uint32_t i : ids) out.pairs.push_back(input.pairs[i]);
-  stats->tuples_materialized += out.rel.NumRows();
-  AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
+  ASSIGN_OR_RETURN(std::vector<uint32_t> order, SortRows(input.view, keys));
+  PRelation out;
+  out.view = input.view.Rows(order);
+  out.pairs.reserve(order.size());
+  for (uint32_t i : order) out.pairs.push_back(input.pairs[i]);
+  stats->tuples_materialized += out.NumRows();
+  AnnotateSpan(span, input.NumRows(), out.NumRows());
   return out;
 }
 
@@ -542,13 +276,10 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
                            obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  std::vector<uint32_t> ids(std::min(n, input.rel.NumRows()));
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
-  PRelation out = EmptyLike(input.rel);
-  CopyRows(input.rel, ids, &out.rel);
-  stats->tuples_materialized += out.rel.NumRows();
-  CarryScores(input, ids, &out, stats);
-  AnnotateSpan(span, input.rel.NumRows(), out.rel.NumRows());
+  std::vector<uint32_t> first(std::min(n, input.NumRows()));
+  std::iota(first.begin(), first.end(), 0u);
+  PRelation out = KeepRows(input, first, stats);
+  AnnotateSpan(span, input.NumRows(), out.NumRows());
   return out;
 }
 
@@ -560,16 +291,13 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
   RETURN_IF_ERROR(GovernorCheck(parallel));
-  ExprPtr condition = pref.CloneCondition();
-  RETURN_IF_ERROR(condition->Bind(input.rel.schema()));
-  ScoringFunction scoring = pref.CloneScoring();
-  RETURN_IF_ERROR(scoring.Bind(input.rel.schema()));
+  ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, input.view));
 
   // Membership preferences additionally require a join partner in the
   // member relation, found through the member table's persistent index on
   // the member column. The member relation still counts as scanned.
   const HashIndex* member_index = nullptr;
-  int local_col = -1;
+  size_t local_col = 0;
   if (pref.membership() != nullptr) {
     const MembershipSpec& spec = *pref.membership();
     if (catalog == nullptr) {
@@ -580,8 +308,8 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
     ASSIGN_OR_RETURN(size_t member_idx,
                      member->schema().FindColumn(spec.member_column));
     ASSIGN_OR_RETURN(size_t local_idx,
-                     input.rel.schema().FindColumn(spec.local_column));
-    local_col = static_cast<int>(local_idx);
+                     input.schema().FindColumn(spec.local_column));
+    local_col = local_idx;
     member_index = &member->EnsureIndex(member_idx);
     stats->rows_scanned += member->NumRows();
   }
@@ -591,37 +319,38 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
   // no partials are merged; the condition, scoring function and member
   // index are immutable after binding and shared by all slots.
   PRelation out = std::move(input);
-  const std::vector<Tuple>& rows = out.rel.rows();
-  MorselPlan plan = PlanFor(rows.size(), parallel);
+  const RowView& view = out.view;
+  const size_t n = view.NumRows();
+  MorselPlan plan = MorselPlan::Make(n, parallel);
   std::vector<size_t> contributions(plan.morsel_count(), 0);
   ParallelFor(plan, [&](size_t, const Morsel& m) {
     GovernorCheckpoint(parallel);
     // threads=1 runs one covering morsel, so per-morsel checkpoints never
     // fire mid-loop; the ticker bounds cancellation latency by rows instead.
     GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
+    ScratchRow scratch = bound.MakeScratch(view);
     for (size_t i = m.begin; i < m.end; ++i) {
       ticker.Tick();
-      const Tuple& row = rows[i];
-      if (local_col >= 0) {
+      if (member_index != nullptr) {
         // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
         // NULL local key has no member, even when the member relation holds
         // a NULL key.
-        const Value& key = row[static_cast<size_t>(local_col)];
+        const Value& key = view.At(i, local_col);
         if (key.is_null() || member_index->Lookup(key).empty()) {
           continue;  // Membership not satisfied: tuple unaffected.
         }
       }
-      if (!IsTruthy(condition->Eval(row))) continue;
-      std::optional<double> score = scoring.Score(row);
-      if (!score.has_value()) continue;  // S(r) = ⊥ contributes nothing.
+      // S(r) = ⊥ contributes nothing.
+      std::optional<double> score = bound.Score(view, i, &scratch);
+      if (!score.has_value()) continue;
       out.pairs[i] = CombineCounted(
           agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
       ++contributions[m.index];
     }
   });
   for (size_t count : contributions) stats->score_entries_written += count;
-  stats->tuples_materialized += rows.size();
-  AnnotateSpan(span, rows.size(), rows.size(), &plan);
+  stats->tuples_materialized += n;
+  AnnotateSpan(span, n, n, &plan);
   return out;
 }
 

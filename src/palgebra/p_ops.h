@@ -15,23 +15,30 @@ namespace prefdb {
 /// Physical implementations of the extended relational operators over
 /// p-relations (paper §IV-B) and of the prefer operator λ_{p,F}
 /// (paper §IV-C). These are the "user defined functions" of the paper's
-/// prototype: they run in the middle layer, outside the native engine,
-/// against materialized inputs.
+/// prototype: they run in the middle layer, outside the native engine —
+/// but over the engine's own row-id views and operator kernels
+/// (engine/row_view.h). Each operator is the paper's "conventional result,
+/// then score combination": the native kernel computes the output rows
+/// (and, for the binary operators, which input rows they pair up), and a
+/// pair hook here carries or combines the pairs. No operator copies a row
+/// value or keeps a hash table, set structure or sort of its own.
 ///
 /// All operators keep each output row's pair at the row's position
-/// (PRelation::pairs): tuple-dropping and reordering operators gather the
-/// pairs of the rows they keep by row index, and binary operators combine
-/// the two inputs' pairs with the aggregate function `F`. No operator
-/// hashes a key to find a pair.
+/// (PRelation::pairs): tuple-dropping and reordering operators carry the
+/// pairs of the rows the kernel kept, by position, and binary operators
+/// combine the two inputs' pairs with the aggregate function `F`. No
+/// operator hashes a key to find a pair. The operators count into
+/// ExecStats only: the native executor's pref.native.* counters are its
+/// own.
 ///
 /// Operators with a per-tuple hot loop — selection, prefer, the join probe
 /// phase and the set operations' membership checks — accept an optional
-/// ParallelContext and split the input into morsels (MorselPlan). Each
-/// operator has one morsel body: a serial plan (nullptr, a serial context,
-/// or a small input) runs it once over a single covering morsel on the
-/// calling thread, a parallel plan runs it concurrently. Per-morsel
-/// results are merged in morsel order, so rows, row order, pairs and
-/// ExecStats are bit-identical at every thread count.
+/// ParallelContext and split the input into morsels (MorselPlan). A serial
+/// plan (nullptr, a serial context, or a small input) runs the kernel once
+/// over a single covering morsel on the calling thread, a parallel plan
+/// runs it concurrently. Per-morsel results are merged in morsel order, so
+/// rows, row order, pairs and ExecStats are bit-identical at every thread
+/// count.
 ///
 /// Every operator also accepts an optional trace span (obs/trace.h). When
 /// non-null, the operator annotates it with input/output cardinalities and
@@ -54,13 +61,13 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
 
 /// Inner join ⋈_{φ,F}: joins tuples and combines their pairs with `F`
 /// (paper Fig. 3), reading `left.pairs` and `right.pairs` by the matched
-/// row positions. The output key is the concatenation of the input keys.
-/// With an equi-conjunct it is a hash join: a HashIndex over the right
-/// input's key column (storage/hash_index.h, the native executor's table
-/// index layout) lists each key's right rows in order, and NULL left keys
-/// are skipped (`NULL = x` is never true). The probe side is morselized
-/// (the index build stays serial): each morsel emits its joined rows and
-/// combined pairs into local buffers, concatenated in morsel order.
+/// row positions the join kernel reports. The output key is the
+/// concatenation of the input keys. With an equi-conjunct it is a hash
+/// join: a right input that is still the identity view of a base table
+/// (BU's Prefer(Scan)) probes the table's persistent index
+/// (Table::EnsureIndex); any other right input gets a per-call JoinTable.
+/// Both list each key's right rows in order, and NULL left keys never
+/// match (`NULL = x` is never true). The probe side is morselized.
 StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           const PRelation& right, const AggregateFunction& agg,
                           ExecStats* stats,
@@ -69,19 +76,17 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
 
 /// Left semijoin ⋉_φ: keeps left tuples with at least one match; left pairs
 /// are kept unchanged (the right side only qualifies tuples). Builds and
-/// probes its HashIndex like PJoin, and morselizes the left-side probe the
-/// same way.
+/// probes like PJoin.
 StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const PRelation& right, ExecStats* stats,
                               const ParallelContext* parallel = nullptr,
                               obs::Span* span = nullptr);
 
 /// Set union ∪_F with duplicate elimination (first occurrence wins); pairs
-/// of tuples present in both inputs are combined with `F`. The membership
-/// sets hold row indices hashed by row content, so a probe yields the
-/// position of the equal row on the other side — and with it that row's
-/// pair. The left side's probes against the right-side set run in
-/// morsels.
+/// of tuples present in both inputs are combined with `F`. The set kernel
+/// (MatchSetOp) reports, per output row, the position of the equal row on
+/// the other side — and with it that row's pair. The left side's probes
+/// against the right side run in morsels.
 StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
                            const AggregateFunction& agg, ExecStats* stats,
                            const ParallelContext* parallel = nullptr,
@@ -105,8 +110,8 @@ StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
 StatusOr<PRelation> PDistinct(const PRelation& input, ExecStats* stats,
                               obs::Span* span = nullptr);
 
-/// ORDER BY over a p-relation: sorts row indices, then gathers rows and
-/// pairs in that order.
+/// ORDER BY over a p-relation: the sort kernel orders row positions; the
+/// view and the pairs follow that order.
 StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
                           const PRelation& input, ExecStats* stats,
                           obs::Span* span = nullptr);
@@ -114,6 +119,41 @@ StatusOr<PRelation> PSort(const std::vector<SortKey>& keys,
 /// First-n over a p-relation.
 StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
                            obs::Span* span = nullptr);
+
+/// A preference's conditional part σ_φ and scoring function S, bound for
+/// the rows of one view: each reads the source tuples in place when its
+/// columns all come from one input (LayoutFor), else a scratch row. Shared
+/// by the prefer operator and the plug-ins' merge of rewritten-query rows.
+class ViewPreference {
+ public:
+  static StatusOr<ViewPreference> Bind(const Preference& pref,
+                                       const RowView& view);
+
+  /// A scratch row for one thread's calls to Score over `view` (it loads
+  /// only the columns of the expressions that cannot read in place, plus
+  /// `extra`).
+  ScratchRow MakeScratch(const RowView& view,
+                         const std::vector<size_t>& extra = {}) const;
+
+  /// S(r) for row `r` of the view when it satisfies φ; nullopt when it
+  /// does not, or when S(r) = ⊥.
+  std::optional<double> Score(const RowView& view, size_t r,
+                              ScratchRow* scratch) const {
+    if (!IsTruthy(condition_->Eval(scratch->Read(view, r, condition_at_)))) {
+      return std::nullopt;
+    }
+    return scoring_.Score(scratch->Read(view, r, scoring_at_));
+  }
+
+ private:
+  ViewPreference(ExprPtr condition, ScoringFunction scoring)
+      : condition_(std::move(condition)), scoring_(std::move(scoring)) {}
+
+  ExprPtr condition_;
+  ScoringFunction scoring_;
+  int condition_at_ = -1;
+  int scoring_at_ = -1;
+};
 
 /// The prefer operator λ_{p,F} (paper Def. in §IV-C): evaluates preference
 /// `pref` on the p-relation. For every tuple satisfying the conditional
@@ -128,9 +168,11 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
 /// The member relation still counts as scanned in `stats->rows_scanned`.
 ///
 /// Takes its input by value (callers move it in) and updates `pairs[i]` in
-/// place. The prefer operator is a tuple-local scoring pass, so morsels
-/// write disjoint pairs: there are no per-morsel partials to merge, and the
-/// result is bit-identical at every thread count.
+/// place; the view passes through untouched, and the condition and scoring
+/// read only the columns they use, through it (ScratchRow). The prefer
+/// operator is a tuple-local scoring pass, so morsels write disjoint pairs:
+/// there are no per-morsel partials to merge, and the result is
+/// bit-identical at every thread count.
 StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,

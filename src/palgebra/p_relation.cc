@@ -1,23 +1,31 @@
 #include "palgebra/p_relation.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/string_util.h"
 
 namespace prefdb {
 
-PRelation::PRelation(Relation relation, const ScoreRelation& score_rel)
-    : rel(std::move(relation)) {
-  pairs.reserve(rel.NumRows());
-  for (const Tuple& row : rel.rows()) {
-    pairs.push_back(score_rel.Lookup(RowKey{row, rel.key_columns()}));
+PRelation::PRelation(RowView rows, const ScoreRelation& score_rel)
+    : view(std::move(rows)) {
+  pairs.reserve(view.NumRows());
+  const ColumnsAt key = ColumnsFor(view, view.key_columns);
+  ScratchRow row(view.schema, {}, view.key_columns);
+  for (size_t i = 0; i < view.NumRows(); ++i) {
+    pairs.push_back(
+        score_rel.Lookup(RowKey{row.Read(view, i, key.input), key.columns}));
   }
 }
 
 ScoreRelation PRelation::ToScoreRelation() const {
   ScoreRelation out;
   for (size_t i = 0; i < pairs.size(); ++i) {
-    if (!pairs[i].IsDefault()) {
-      out.Set(rel.KeyOf(rel.rows()[i]), pairs[i]);
-    }
+    if (pairs[i].IsDefault()) continue;
+    Tuple key;
+    key.reserve(view.key_columns.size());
+    for (size_t k : view.key_columns) key.push_back(view.At(i, k));
+    out.Set(key, pairs[i]);
   }
   return out;
 }
@@ -25,28 +33,33 @@ ScoreRelation PRelation::ToScoreRelation() const {
 std::string PRelation::ToString(size_t max_rows) const {
   size_t scored = 0;
   for (const ScoreConf& pair : pairs) scored += pair.IsDefault() ? 0 : 1;
-  std::string out = rel.schema().ToString() +
-                    StrFormat(" [%zu rows, %zu scored]\n", rel.NumRows(), scored);
-  for (size_t i = 0; i < rel.NumRows(); ++i) {
+  std::string out = schema().ToString() +
+                    StrFormat(" [%zu rows, %zu scored]\n", NumRows(), scored);
+  for (size_t i = 0; i < NumRows(); ++i) {
     if (i >= max_rows) {
-      out += StrFormat("  ... (%zu more)\n", rel.NumRows() - max_rows);
+      out += StrFormat("  ... (%zu more)\n", NumRows() - max_rows);
       break;
     }
-    out += "  " + TupleToString(rel.rows()[i]) + " " + pairs[i].ToString() + "\n";
+    out += "  " + TupleToString(view.GatherRow(i)) + " " + pairs[i].ToString() + "\n";
   }
   return out;
 }
 
 Relation ToScoredRelation(const PRelation& input) {
-  Schema schema = input.rel.schema();
+  if (input.pairs.size() != input.NumRows()) {
+    std::fprintf(stderr, "ToScoredRelation: %zu pairs for %zu rows\n",
+                 input.pairs.size(), input.NumRows());
+    std::abort();
+  }
+  Schema schema = input.schema();
   schema.AddColumn(Column{"", "score", ValueType::kDouble});
   schema.AddColumn(Column{"", "conf", ValueType::kDouble});
   Relation out(std::move(schema));
-  out.set_key_columns(input.rel.key_columns());
-  out.Reserve(input.rel.NumRows());
-  for (size_t i = 0; i < input.rel.NumRows(); ++i) {
+  out.set_key_columns(input.key_columns());
+  out.Reserve(input.NumRows());
+  for (size_t i = 0; i < input.NumRows(); ++i) {
     const ScoreConf& pair = input.pairs[i];
-    Tuple extended = input.rel.rows()[i];
+    Tuple extended = input.view.GatherRow(i);
     extended.push_back(pair.has_score() ? Value::Double(pair.score())
                                         : Value::Null());
     extended.push_back(Value::Double(pair.conf()));

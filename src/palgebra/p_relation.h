@@ -4,33 +4,47 @@
 #include <string>
 #include <vector>
 
+#include "engine/row_view.h"
 #include "palgebra/score_relation.h"
 #include "types/relation.h"
 
 namespace prefdb {
 
 /// A p-relation (paper Def. 2): a relation whose tuples carry score and
-/// confidence. The pairs are row-aligned: `pairs[i]` is the pair of
-/// `rel.rows()[i]`, ⟨⊥, 0⟩ for a tuple no preference has touched. Operators
-/// keep the two vectors in step, so a pair is found by row position, never
-/// by hashing a key. The paper's pk-keyed score relation R_P (§VI) is built
-/// from the pairs only where row identity is lost (ToScoreRelation; see
-/// score_relation.h).
+/// confidence. The relation is a row-id view (engine/row_view.h) — the
+/// native executor's result, handed over without copying a value — and the
+/// pairs are row-aligned: `pairs[i]` is the pair of the view's row i, ⟨⊥, 0⟩
+/// for a tuple no preference has touched. Operators keep the two in step,
+/// so a pair is found by row position, never by hashing a key. The paper's
+/// pk-keyed score relation R_P (§VI) is built only where row identity is
+/// lost (see score_relation.h). Values are copied out of the view once,
+/// for the answer (ApplyFiltersAndProject).
 struct PRelation {
-  Relation rel;
+  RowView view;
   std::vector<ScoreConf> pairs;
 
   PRelation() = default;
   /// Every tuple at ⟨⊥, 0⟩.
+  explicit PRelation(RowView rows)
+      : view(std::move(rows)), pairs(view.NumRows()) {}
+  /// `row_pairs` must hold one pair per row of `rows`.
+  PRelation(RowView rows, std::vector<ScoreConf> row_pairs)
+      : view(std::move(rows)), pairs(std::move(row_pairs)) {}
+  /// Wraps `relation` by move, every tuple at ⟨⊥, 0⟩.
   explicit PRelation(Relation relation)
-      : rel(std::move(relation)), pairs(rel.NumRows()) {}
-  /// `row_pairs` must hold one pair per row of `relation`.
+      : PRelation(RowView::Wrap(std::move(relation))) {}
   PRelation(Relation relation, std::vector<ScoreConf> row_pairs)
-      : rel(std::move(relation)), pairs(std::move(row_pairs)) {}
+      : PRelation(RowView::Wrap(std::move(relation)), std::move(row_pairs)) {}
   /// Re-associates each row with its pair in `score_rel` by the row's key.
-  PRelation(Relation relation, const ScoreRelation& score_rel);
+  PRelation(RowView rows, const ScoreRelation& score_rel);
+  PRelation(Relation relation, const ScoreRelation& score_rel)
+      : PRelation(RowView::Wrap(std::move(relation)), score_rel) {}
 
-  size_t NumRows() const { return rel.NumRows(); }
+  const Schema& schema() const { return view.schema; }
+  const std::vector<size_t>& key_columns() const { return view.key_columns; }
+  size_t NumRows() const { return view.NumRows(); }
+  /// Copies the rows out of the view.
+  Relation Gather() const { return view.Gather(); }
 
   /// The pk-keyed score relation R_P of the non-default pairs.
   ScoreRelation ToScoreRelation() const;
@@ -40,8 +54,9 @@ struct PRelation {
 
 /// Materializes the p-relation as a plain relation with two appended
 /// columns, `score` (DOUBLE; NULL when the pair is ⟨⊥, 0⟩) and `conf`
-/// (DOUBLE): the scored form that ApplyFilter (filters.h) reads and that
-/// query results take.
+/// (DOUBLE): the scored form that ApplyFilter (filters.h) reads. Tests use
+/// it as the reference for ApplyFilters, so it stays a separate loop.
+/// Aborts when `input` is not row-aligned.
 Relation ToScoredRelation(const PRelation& input);
 
 }  // namespace prefdb

@@ -18,8 +18,9 @@ namespace prefdb {
 /// Keys are tuples of the owning relation's key-column values, in the
 /// relation's canonical key order. Inside an operator pipeline scores are
 /// row-aligned (PRelation::pairs); R_P is built only where row identity is
-/// lost and tuples must be re-associated with their pairs by key: GBU's
-/// temp-table boundary and the plug-ins' merge of rewritten-query rows.
+/// lost and tuples must be re-associated with their pairs by key: the
+/// plug-ins' merge of rewritten-query rows, and a GBU region whose union
+/// copied the temp rows into a new source.
 /// Both probe it with a RowKey, hashing the row's key columns in place.
 class ScoreRelation {
  public:

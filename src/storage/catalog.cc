@@ -44,13 +44,18 @@ Status Catalog::CreateTable(std::string name, Schema schema,
 }
 
 StatusOr<Table*> Catalog::GetTable(const std::string& name) const {
+  ASSIGN_OR_RETURN(std::shared_ptr<Table> table, PinTable(name));
+  return table.get();
+}
+
+StatusOr<std::shared_ptr<Table>> Catalog::PinTable(const std::string& name) const {
   std::string key = ToUpper(name);
   MutexLock lock(&mu_);
   auto it = tables_.find(key);
   if (it == tables_.end()) {
     return Status::NotFound("table not found: " + name);
   }
-  return it->second.get();
+  return it->second;
 }
 
 bool Catalog::HasTable(const std::string& name) const {

@@ -22,9 +22,9 @@ namespace prefdb {
 /// run concurrently with the temporary-table registration/drop the GBU
 /// strategy performs from parallel plan-subtree tasks. Table *contents*
 /// are immutable after creation (lazy index/statistics builds are guarded
-/// inside Table), and a table must not be dropped while another thread
-/// still executes against it — temporaries are private to the registering
-/// task until its region query finishes, so this holds by construction.
+/// inside Table). Tables are held by shared_ptr: a reader that pinned a
+/// table (PinTable — every row-id view over it does) keeps it alive after
+/// it is dropped or replaced, so a drop never frees rows still in use.
 class Catalog {
  public:
   Catalog() = default;
@@ -50,6 +50,10 @@ class Catalog {
   /// Looks up a table by name (case-insensitive).
   StatusOr<Table*> GetTable(const std::string& name) const;
 
+  /// Like GetTable, but the returned reference keeps the table alive after
+  /// it is dropped from the catalog.
+  StatusOr<std::shared_ptr<Table>> PinTable(const std::string& name) const;
+
   bool HasTable(const std::string& name) const;
 
   /// Removes a table (used for the temporary relations the execution
@@ -68,7 +72,7 @@ class Catalog {
   // builds are internally synchronized).
   mutable Mutex mu_;
   // Keyed by upper-cased name.
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_
+  std::unordered_map<std::string, std::shared_ptr<Table>> tables_
       PREFDB_GUARDED_BY(mu_);
 };
 

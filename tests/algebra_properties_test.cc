@@ -221,14 +221,15 @@ TEST_P(AlgebraPropertyTest, PreferPushesOverIntersect) {
     auto b_or = PSelect(*RandomSelection(&rng), a, &stats_);
     ASSERT_TRUE(b_or.ok());
     ScoreRelation b_scores;
-    for (const Tuple& row : b_or->rel.rows()) {
+    Relation b_rows = b_or->Gather();
+    for (const Tuple& row : b_rows.rows()) {
       if (rng.Bernoulli(0.5)) {
-        b_scores.Set(b_or->rel.KeyOf(row),
+        b_scores.Set(b_rows.KeyOf(row),
                      ScoreConf::Known(rng.UniformReal(0.0, 1.0),
                                       rng.UniformReal(0.05, 1.0)));
       }
     }
-    PRelation b(b_or->rel, b_scores);
+    PRelation b(std::move(b_rows), b_scores);
     PreferencePtr p = RandomPref(&rng, round);
 
     auto met = PIntersect(a, b, agg, &stats_);

@@ -606,7 +606,7 @@ TEST(CacheConcurrencyTest, ConcurrentHitsAndMissesAreSafe) {
   const PlanNode* plans[] = {parsed->plan.get(), parsed2->plan.get()};
 
   ExecStats serial_stats[2];
-  StatusOr<Relation> serial[] = {
+  StatusOr<RowView> serial[] = {
       engine.ExecuteConcurrent(*plans[0], &serial_stats[0]),
       engine.ExecuteConcurrent(*plans[1], &serial_stats[1])};
   ASSERT_TRUE(serial[0].ok() && serial[1].ok());
@@ -623,13 +623,13 @@ TEST(CacheConcurrencyTest, ConcurrentHitsAndMissesAreSafe) {
       for (int round = 0; round < kRounds; ++round) {
         const int which = (t + round) % 2;
         ExecStats stats;
-        StatusOr<Relation> result =
+        StatusOr<RowView> result =
             engine.ExecuteConcurrent(*plans[which], &stats);
         if (!result.ok()) {
           failures[t] = result.status();
           return;
         }
-        if (result->rows() != serial[which]->rows()) {
+        if (result->Gather().rows() != serial[which]->Gather().rows()) {
           failures[t] = Status::Internal("rows diverged from serial answer");
           return;
         }

@@ -27,8 +27,10 @@ class ExecutorTest : public ::testing::Test {
   Relation Run(const PlanPtr& plan) {
     auto result = ExecutePlan(*plan, &catalog_, &stats_);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->CheckWellFormed().ok());
-    return result.ok() ? std::move(*result) : Relation();
+    if (!result.ok()) return Relation();
+    Relation rel = result->Gather();
+    EXPECT_TRUE(rel.CheckWellFormed().ok());
+    return rel;
   }
 
   Catalog catalog_;
@@ -282,9 +284,10 @@ class RowIdEdgeTest : public ::testing::Test {
       options.parallel = &ctx;
       options.span = root.get();
       ExecStats stats;
-      auto result = ExecutePlan(*plan, &catalog_, &stats, options);
-      EXPECT_TRUE(result.ok()) << result.status().ToString();
-      if (!result.ok()) return Relation();
+      auto view = ExecutePlan(*plan, &catalog_, &stats, options);
+      EXPECT_TRUE(view.ok()) << view.status().ToString();
+      if (!view.ok()) return Relation();
+      StatusOr<Relation> result = view->Gather();
       EXPECT_TRUE(result->CheckWellFormed().ok());
       std::string trace = root->ToString(/*include_timing=*/false);
       if (threads == 1) {
@@ -407,7 +410,7 @@ TEST_F(RowIdEdgeTest, IndexBuiltByEqualityScanServesLaterJoin) {
   ExecStats stats;
   auto joined = ExecutePlan(*KeyJoin(), &catalog_, &stats, options);
   ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  EXPECT_EQ(joined->rows(), RunAll(KeyJoin()).rows());
+  EXPECT_EQ(joined->Gather().rows(), RunAll(KeyJoin()).rows());
   EXPECT_EQ(&r->EnsureIndex(1), built);  // Reused, not rebuilt.
   EXPECT_EQ(hits.value(), 1u);
   EXPECT_EQ(build_rows.value(), 7u);  // Build-side input rows, as before.

@@ -147,14 +147,14 @@ TEST(FiltersTest, MinMatchesFiltersOnCount) {
   PRelation p(std::move(rel), scores);
 
   PRelation two = FilterByMinMatches(p, 2);
-  ASSERT_EQ(two.rel.NumRows(), 1u);
-  EXPECT_EQ(two.rel.rows()[0][0], I(2));
+  ASSERT_EQ(two.NumRows(), 1u);
+  EXPECT_EQ(two.Gather().rows()[0][0], I(2));
 
   PRelation one = FilterByMinMatches(p, 1);
-  EXPECT_EQ(one.rel.NumRows(), 2u);
+  EXPECT_EQ(one.NumRows(), 2u);
 
   PRelation zero = FilterByMinMatches(p, 0);
-  EXPECT_EQ(zero.rel.NumRows(), 3u);
+  EXPECT_EQ(zero.NumRows(), 3u);
 
   // Through ApplyFilters, combined with a top-k.
   auto out = ApplyFilters(p, {FilterSpec::MinMatches(1), FilterSpec::TopK(1)});

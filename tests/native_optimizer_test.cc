@@ -23,14 +23,16 @@ class NativeOptimizerTest : public ::testing::Test {
     ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
     ExecStats s1;
     ExecStats s2;
-    auto r1 = ExecutePlan(original, &catalog_, &s1);
-    auto r2 = ExecutePlan(*optimized->plan, &catalog_, &s2);
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    EXPECT_EQ(r1->schema(), r2->schema())
+    auto v1 = ExecutePlan(original, &catalog_, &s1);
+    auto v2 = ExecutePlan(*optimized->plan, &catalog_, &s2);
+    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+    Relation r1 = v1->Gather();
+    Relation r2 = v2->Gather();
+    EXPECT_EQ(r1.schema(), r2.schema())
         << "optimized:\n" << optimized->plan->ToString();
-    EXPECT_EQ(r1->key_columns(), r2->key_columns());
-    ExpectSameRows(*r2, *r1);
+    EXPECT_EQ(r1.key_columns(), r2.key_columns());
+    ExpectSameRows(r2, r1);
   }
 
   Catalog catalog_;

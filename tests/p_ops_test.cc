@@ -35,7 +35,7 @@ TEST_F(POpsTest, SelectKeepsPairsOfSurvivors) {
                                      {{I(3)}, ScoreConf::Known(0.5, 0.5)}});
   auto out = PSelect(*Ge(Col("year"), Lit(int64_t{2006})), movies, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 3u);  // m1, m2, m5.
+  EXPECT_EQ(out->NumRows(), 3u);  // m1, m2, m5.
   // m1 survives with its pair; m3's entry is pruned.
   EXPECT_DOUBLE_EQ(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9);
   EXPECT_TRUE(out->ToScoreRelation().Lookup({I(3)}).IsDefault());
@@ -46,9 +46,9 @@ TEST_F(POpsTest, ProjectPreservesScoresThroughKeyPermutation) {
   PRelation movies = Load("MOVIES", {{{I(2)}, ScoreConf::Known(0.7, 0.8)}});
   auto out = PProject({"title"}, movies, &stats_);
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->rel.schema().size(), 2u);  // title + implicit m_id.
+  ASSERT_EQ(out->schema().size(), 2u);  // title + implicit m_id.
   // Row for m2 is (title, m_id) = ('Wall Street', 2).
-  const Tuple& row = out->rel.rows()[1];
+  const Tuple row = out->view.GatherRow(1);
   EXPECT_EQ(row[0], S("Wall Street"));
   EXPECT_DOUBLE_EQ(out->pairs[1].score(), 0.7);
 }
@@ -60,10 +60,10 @@ TEST_F(POpsTest, JoinCombinesPairsWithAggregate) {
   auto out = PJoin(*Eq(Col("MOVIES.d_id"), Col("DIRECTORS.d_id")), movies,
                    directors, fsum_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 5u);
+  EXPECT_EQ(out->NumRows(), 5u);
   // Gran Torino (m1, d1): F_S(⟨1.0, 0.8⟩, ⟨0.5, 0.2⟩) = ⟨0.9, 1.0⟩.
-  for (size_t i = 0; i < out->rel.NumRows(); ++i) {
-    const Tuple& row = out->rel.rows()[i];
+  for (size_t i = 0; i < out->NumRows(); ++i) {
+    const Tuple row = out->view.GatherRow(i);
     if (row[1] == S("Gran Torino")) {
       const ScoreConf& pair = out->pairs[i];
       EXPECT_NEAR(pair.score(), 0.9, 1e-12);
@@ -94,12 +94,12 @@ TEST_F(POpsTest, JoinKeepsPerTuplePairsWithoutKeys) {
   right.pairs[1] = ScoreConf::Known(0.2, 0.5);
   auto out = PJoin(*Eq(Col("L.x"), Col("R.y")), left, right, fsum_, &stats_);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->rel.NumRows(), 2u);
+  ASSERT_EQ(out->NumRows(), 2u);
   ASSERT_EQ(out->pairs.size(), 2u);
-  EXPECT_EQ(out->rel.rows()[0][0], I(1));
+  EXPECT_EQ(out->Gather().rows()[0][0], I(1));
   EXPECT_NEAR(out->pairs[0].score(), 0.8, 1e-12);
   EXPECT_NEAR(out->pairs[0].conf(), 1.0, 1e-12);
-  EXPECT_EQ(out->rel.rows()[1][0], I(2));
+  EXPECT_EQ(out->Gather().rows()[1][0], I(2));
   EXPECT_NEAR(out->pairs[1].score(), 0.2, 1e-12);
   EXPECT_NEAR(out->pairs[1].conf(), 0.5, 1e-12);
 }
@@ -117,7 +117,7 @@ TEST_F(POpsTest, JoinFallsBackToNestedLoop) {
   auto out = PJoin(*Lt(Col("MOVIES.year"), Col("AWARDS.year")), movies, awards,
                    fsum_, &stats_);
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->rel.NumRows(), 1u);  // Only m3 (2004) predates the 2005 award.
+  ASSERT_EQ(out->NumRows(), 1u);  // Only m3 (2004) predates the 2005 award.
   EXPECT_NEAR(out->pairs[0].score(), 0.8, 1e-12);
 }
 
@@ -128,7 +128,7 @@ TEST_F(POpsTest, SemiJoinKeepsLeftPairsOnly) {
   auto out = PSemiJoin(*Eq(Col("MOVIES.m_id"), Col("AWARDS.m_id")), movies,
                        awards, &stats_);
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->rel.NumRows(), 1u);
+  ASSERT_EQ(out->NumRows(), 1u);
   // The right side's pair does not contaminate the output.
   EXPECT_NEAR(out->pairs[0].score(), 0.6, 1e-12);
   EXPECT_NEAR(out->pairs[0].conf(), 0.4, 1e-12);
@@ -141,7 +141,7 @@ TEST_F(POpsTest, UnionCombinesSharedTuples) {
   PRelation bob = Load("MOVIES", {{{I(1)}, ScoreConf::Known(0.2, 1.0)}});
   auto out = PUnion(alice, bob, fsum_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 5u);  // Same five movies, deduplicated.
+  EXPECT_EQ(out->NumRows(), 5u);  // Same five movies, deduplicated.
   // m1 in both: F_S(⟨0.8,1⟩, ⟨0.2,1⟩) = ⟨0.5, 2⟩.
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.5, 1e-12);
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 2.0, 1e-12);
@@ -157,7 +157,7 @@ TEST_F(POpsTest, UnionOfDisjointSelectionsKeepsAllTuples) {
   ASSERT_TRUE(old.ok());
   auto out = PUnion(*recent, *old, fsum_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 3u);  // m1, m2 recent; m3 old.
+  EXPECT_EQ(out->NumRows(), 3u);  // m1, m2 recent; m3 old.
 }
 
 TEST_F(POpsTest, IntersectCombinesWithAggregate) {
@@ -165,7 +165,7 @@ TEST_F(POpsTest, IntersectCombinesWithAggregate) {
   PRelation b = Load("MOVIES", {{{I(1)}, ScoreConf::Known(0.0, 1.0)}});
   auto out = PIntersect(a, b, fsum_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 5u);
+  EXPECT_EQ(out->NumRows(), 5u);
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.5, 1e-12);
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 2.0, 1e-12);
 }
@@ -175,7 +175,7 @@ TEST_F(POpsTest, DiffKeepsLeftPairs) {
   PRelation recent = *PSelect(*Ge(Col("year"), Lit(int64_t{2010})), a, &stats_);
   auto out = PDiff(a, recent, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 4u);  // Everything except Wall Street (2010).
+  EXPECT_EQ(out->NumRows(), 4u);  // Everything except Wall Street (2010).
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9, 1e-12);
 }
 
@@ -193,7 +193,7 @@ TEST_F(POpsTest, DistinctSharesPairAcrossDuplicates) {
   ASSERT_TRUE(doubled.ok());
   auto out = PDistinct(*doubled, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 5u);
+  EXPECT_EQ(out->NumRows(), 5u);
 }
 
 TEST_F(POpsTest, SortKeepsScores) {
@@ -201,7 +201,7 @@ TEST_F(POpsTest, SortKeepsScores) {
   auto out = PSort({{"year", false}}, movies, &stats_);
   ASSERT_TRUE(out.ok());
   // First row is the oldest movie, m3 (2004), still scored.
-  EXPECT_EQ(out->rel.rows()[0][0], I(3));
+  EXPECT_EQ(out->Gather().rows()[0][0], I(3));
   EXPECT_NEAR(out->pairs[0].score(), 0.8, 1e-12);
 }
 
@@ -210,7 +210,7 @@ TEST_F(POpsTest, LimitPrunesDroppedScores) {
                                      {{I(5)}, ScoreConf::Known(0.2, 0.5)}});
   auto out = PLimit(2, movies, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 2u);  // m1, m2 in storage order.
+  EXPECT_EQ(out->NumRows(), 2u);  // m1, m2 in storage order.
   EXPECT_EQ(out->ToScoreRelation().size(), 1u);  // m5's pair pruned.
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9, 1e-12);
 }

@@ -406,7 +406,7 @@ NativeRun RunNativePlan(const PlanNode& plan, size_t threads) {
   options.span = root.get();
   auto result = ExecutePlan(plan, NativeOpCatalog(), &run.stats, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  if (result.ok()) run.rel = std::move(*result);
+  if (result.ok()) run.rel = result->Gather();
   run.trace = root->ToString(/*include_timing=*/false);
   return run;
 }
@@ -624,16 +624,16 @@ TEST(POperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
     ExecStats serial_stats;
     auto serial = c.run(&serial_ctx, &serial_stats);
     ASSERT_TRUE(serial.ok()) << c.name << ": " << serial.status().ToString();
-    EXPECT_GT(serial->rel.NumRows(), 0u) << c.name;
+    EXPECT_GT(serial->NumRows(), 0u) << c.name;
     for (size_t threads : {size_t{2}, size_t{8}}) {
       ParallelContext ctx = ForcedContext(threads);
       ExecStats stats;
       auto parallel = c.run(&ctx, &stats);
       ASSERT_TRUE(parallel.ok()) << c.name << " threads=" << threads;
-      EXPECT_EQ(parallel->rel.schema(), serial->rel.schema()) << c.name;
-      EXPECT_EQ(parallel->rel.key_columns(), serial->rel.key_columns())
+      EXPECT_EQ(parallel->schema(), serial->schema()) << c.name;
+      EXPECT_EQ(parallel->key_columns(), serial->key_columns())
           << c.name;
-      EXPECT_EQ(parallel->rel.rows(), serial->rel.rows())
+      EXPECT_EQ(parallel->Gather().rows(), serial->Gather().rows())
           << c.name << " threads=" << threads
           << ": rows (or their order) differ from serial";
       ASSERT_EQ(parallel->pairs.size(), serial->pairs.size()) << c.name;
@@ -871,7 +871,7 @@ TEST(ConcurrentGbuTest, ConcurrentExecutionsDoNotCollideOnTempTables) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(results[t].ok())
         << "thread " << t << ": " << results[t].status().ToString();
-    ExpectSameRows(results[t]->rel, reference->rel, 1e-9);
+    ExpectSameRows(results[t]->Gather(), reference->Gather(), 1e-9);
     EXPECT_EQ(stats[t].engine_queries, kRounds * reference_stats.engine_queries)
         << "thread " << t;
     EXPECT_EQ(stats[t].score_entries_written,
@@ -904,7 +904,7 @@ TEST(ConcurrentIndexTest, FirstTouchBuildsOneIndexUnderRacingQueries) {
   };
   Catalog quiet = make_catalog();
   ExecStats reference_stats;
-  StatusOr<Relation> reference = ExecutePlan(*join(), &quiet, &reference_stats);
+  StatusOr<RowView> reference = ExecutePlan(*join(), &quiet, &reference_stats);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_GT(reference->NumRows(), 0u);
 
@@ -912,8 +912,8 @@ TEST(ConcurrentIndexTest, FirstTouchBuildsOneIndexUnderRacingQueries) {
   Table* genres = *catalog.GetTable("GENRES");
   ASSERT_FALSE(genres->HasIndex(0));
   constexpr int kThreads = 4;
-  std::vector<StatusOr<Relation>> joined(kThreads, Status::Internal("not run"));
-  std::vector<StatusOr<Relation>> scanned(kThreads, Status::Internal("not run"));
+  std::vector<StatusOr<RowView>> joined(kThreads, Status::Internal("not run"));
+  std::vector<StatusOr<RowView>> scanned(kThreads, Status::Internal("not run"));
   std::vector<const HashIndex*> seen(kThreads, nullptr);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
@@ -932,8 +932,10 @@ TEST(ConcurrentIndexTest, FirstTouchBuildsOneIndexUnderRacingQueries) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(joined[t].ok()) << joined[t].status().ToString();
     ASSERT_TRUE(scanned[t].ok()) << scanned[t].status().ToString();
-    EXPECT_EQ(joined[t]->rows(), reference->rows()) << "thread " << t;
-    EXPECT_EQ(scanned[t]->rows(), scanned[0]->rows()) << "thread " << t;
+    EXPECT_EQ(joined[t]->Gather().rows(), reference->Gather().rows())
+        << "thread " << t;
+    EXPECT_EQ(scanned[t]->Gather().rows(), scanned[0]->Gather().rows())
+        << "thread " << t;
     EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
   }
 }

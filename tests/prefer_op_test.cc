@@ -81,10 +81,10 @@ TEST_F(PreferOpTest, ConditionalNeverFiltersTuples) {
       "p", "GENRES", Eq(Col("genre"), Lit("Comedy")),
       ScoringFunction::Constant(1.0), 0.8);
   PRelation genres = Genres();
-  size_t before = genres.rel.NumRows();
+  size_t before = genres.NumRows();
   auto out = EvalPrefer(*p, genres, fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), before);
+  EXPECT_EQ(out->NumRows(), before);
   EXPECT_EQ(out->ToScoreRelation().size(), 1u);  // Only (m5, Comedy) scored.
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
 }
@@ -126,7 +126,7 @@ TEST_F(PreferOpTest, MembershipPreferenceScoresJoinPartners) {
       ScoringFunction::Constant(1.0), 0.9);
   auto out = EvalPrefer(*p7, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rel.NumRows(), 5u);  // Nothing filtered.
+  EXPECT_EQ(out->NumRows(), 5u);  // Nothing filtered.
   EXPECT_EQ(out->ToScoreRelation().size(), 1u);
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 1.0, 1e-12);
   EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).conf(), 0.9, 1e-12);

@@ -177,8 +177,9 @@ void ExpectMatchesReference(const PlanNode& plan, Catalog* catalog,
     NativeExecOptions options;
     options.parallel = &ctx;
     ExecStats stats;
-    StatusOr<Relation> actual = ExecutePlan(plan, catalog, &stats, options);
-    ASSERT_TRUE(actual.ok()) << label << ": " << actual.status().ToString();
+    StatusOr<RowView> view = ExecutePlan(plan, catalog, &stats, options);
+    ASSERT_TRUE(view.ok()) << label << ": " << view.status().ToString();
+    StatusOr<Relation> actual = view->Gather();
     EXPECT_EQ(actual->schema(), expected->schema) << label;
     EXPECT_EQ(actual->key_columns(), expected->keys) << label;
     ASSERT_EQ(actual->NumRows(), expected->rows.size())

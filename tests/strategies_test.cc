@@ -59,12 +59,12 @@ TEST_F(StrategiesTest, NamesAndFactory) {
 TEST_F(StrategiesTest, FtPScoresCorrectTuples) {
   PRelation result = Run(StrategyKind::kFtP, *SimpleExtendedPlan());
   // year >= 2005: m1 (Drama), m2 (Drama), m4 (Thriller), m5 (Comedy).
-  EXPECT_EQ(result.rel.NumRows(), 4u);
+  EXPECT_EQ(result.NumRows(), 4u);
   EXPECT_EQ(result.ToScoreRelation().size(), 1u);
   // Scoop/Comedy got ⟨1.0, 0.8⟩.
   bool found = false;
-  for (size_t i = 0; i < result.rel.NumRows(); ++i) {
-    if (result.rel.rows()[i][1] == S("Scoop")) {
+  for (size_t i = 0; i < result.NumRows(); ++i) {
+    if (result.Gather().rows()[i][1] == S("Scoop")) {
       EXPECT_NEAR(result.pairs[i].score(), 1.0, 1e-12);
       EXPECT_NEAR(result.pairs[i].conf(), 0.8, 1e-12);
       found = true;
@@ -100,7 +100,7 @@ TEST_F(StrategiesTest, GBUDropsTemporaryTables) {
 TEST_F(StrategiesTest, GBUHandlesOperatorsAbovePrefer) {
   PlanPtr p = plan::Project({"title", "genre"}, SimpleExtendedPlan());
   PRelation result = Run(StrategyKind::kGBU, *p);
-  EXPECT_EQ(result.rel.NumRows(), 4u);
+  EXPECT_EQ(result.NumRows(), 4u);
   EXPECT_EQ(result.ToScoreRelation().size(), 1u);
 }
 
@@ -129,7 +129,7 @@ TEST_F(StrategiesTest, SetOpsBelowPreferHandledByBUAndGBU) {
 
   for (StrategyKind kind : {StrategyKind::kBU, StrategyKind::kGBU}) {
     PRelation result = Run(kind, *p);
-    EXPECT_EQ(result.rel.NumRows(), 5u) << StrategyKindName(kind);
+    EXPECT_EQ(result.NumRows(), 5u) << StrategyKindName(kind);
     EXPECT_EQ(result.ToScoreRelation().size(), 3u) << StrategyKindName(kind);
   }
 
@@ -143,6 +143,30 @@ TEST_F(StrategiesTest, SetOpsBelowPreferHandledByBUAndGBU) {
   }
 }
 
+// A union that keeps right-only rows copies its rows into a new source, so
+// GBU's region result no longer names the temp rows by id and finds their
+// pairs by key instead; overlapping rows combine both sides' pairs.
+TEST_F(StrategiesTest, GBUUnionWithRightOnlyRowsMatchesBU) {
+  auto side = [](const char* name, ExprPtr range, double score) {
+    return plan::Prefer(
+        Preference::Generic(name, "MOVIES", Ge(Col("year"), Lit(int64_t{2005})),
+                            ScoringFunction::Constant(score), 0.9),
+        plan::Select(std::move(range), plan::Scan("MOVIES")));
+  };
+  PlanPtr p = plan::Union(side("p_old", Le(Col("year"), Lit(int64_t{2006})), 0.4),
+                          side("p_new", Ge(Col("year"), Lit(int64_t{2004})), 0.8));
+  PRelation bu = Run(StrategyKind::kBU, *p);
+  PRelation gbu = Run(StrategyKind::kGBU, *p);
+  ASSERT_EQ(gbu.NumRows(), bu.NumRows());
+  EXPECT_TRUE(gbu.Gather().rows() == bu.Gather().rows());
+  size_t scored = 0;
+  for (size_t i = 0; i < bu.NumRows(); ++i) {
+    EXPECT_EQ(gbu.pairs[i].ToString(), bu.pairs[i].ToString()) << i;
+    scored += bu.pairs[i].IsDefault() ? 0 : 1;
+  }
+  EXPECT_GT(scored, 0u);
+}
+
 TEST_F(StrategiesTest, MembershipPreferenceAcrossStrategies) {
   PlanPtr p = plan::Prefer(
       Preference::Membership("p7", "MOVIES",
@@ -153,7 +177,7 @@ TEST_F(StrategiesTest, MembershipPreferenceAcrossStrategies) {
        {StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
         StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
     PRelation result = Run(kind, *p);
-    EXPECT_EQ(result.rel.NumRows(), 5u) << StrategyKindName(kind);
+    EXPECT_EQ(result.NumRows(), 5u) << StrategyKindName(kind);
     ASSERT_EQ(result.ToScoreRelation().size(), 1u) << StrategyKindName(kind);
     EXPECT_NEAR(result.ToScoreRelation().Lookup({I(3)}).conf(), 0.9, 1e-12)
         << StrategyKindName(kind);
@@ -191,7 +215,7 @@ TEST(MembershipNullTest, NullLocalKeyHasNoMemberInAnyStrategy) {
     auto result = MakeStrategy(kind)->Execute(*p, agg, &engine);
     ASSERT_TRUE(result.ok()) << StrategyKindName(kind) << ": "
                              << result.status().ToString();
-    EXPECT_EQ(result->rel.NumRows(), 3u) << StrategyKindName(kind);
+    EXPECT_EQ(result->NumRows(), 3u) << StrategyKindName(kind);
     ScoreRelation scores = result->ToScoreRelation();
     const ScoreConf& a = scores.Lookup({S("a")});
     EXPECT_TRUE(a.has_score()) << StrategyKindName(kind);

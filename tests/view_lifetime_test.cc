@@ -1,0 +1,225 @@
+// Row-id views outlive the calls that made them: a view pins every table,
+// cache entry and gathered row vector it reads. These tests read views
+// after what they read is gone from the catalog or the cache (run them
+// under ASan: a view that did not pin its rows reads freed memory), check
+// that a cache hit aliases its entry instead of copying it, and count the
+// rows a preference query copies out of views (pref.exec.rows_gathered).
+
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "cache/fingerprint.h"
+#include "datagen/imdb_gen.h"
+#include "engine/engine.h"
+#include "exec/runner.h"
+#include "exec/strategy.h"
+#include "expr/expr_builder.h"
+#include "gtest/gtest.h"
+#include "obs/metric_names.h"
+#include "palgebra/p_ops.h"
+#include "test_util.h"
+
+namespace prefdb {
+namespace {
+
+using namespace eb;  // NOLINT
+using testing_util::MakeMovieCatalog;
+
+PreferencePtr RecentMovies() {
+  return Preference::Generic("recent", "MOVIES", Ge(Col("year"), Lit(int64_t{2005})),
+                             ScoringFunction::Constant(0.9), 0.8);
+}
+
+PreferencePtr EastwoodFilms() {
+  return Preference::Generic("d1", "DIRECTORS", Eq(Col("DIRECTORS.d_id"), Lit(int64_t{1})),
+                             ScoringFunction::Constant(0.6), 0.5);
+}
+
+// Join(Prefer(Scan MOVIES), Prefer(Scan DIRECTORS)): GBU evaluates it as a
+// region over two temp tables.
+PlanPtr RegionPlan() {
+  return plan::Join(Eq(Col("MOVIES.d_id"), Col("DIRECTORS.d_id")),
+                    plan::Prefer(RecentMovies(), plan::Scan("MOVIES")),
+                    plan::Prefer(EastwoodFilms(), plan::Scan("DIRECTORS")));
+}
+
+StatusOr<PRelation> RunStrategy(StrategyKind kind, const PlanNode& plan,
+                                Engine* engine) {
+  FSum fsum;
+  ExecStats stats;
+  return MakeStrategy(kind)->ExecuteWithStats(plan, fsum, engine, &stats, nullptr);
+}
+
+TEST(ViewLifetimeTest, GbuRegionResultOutlivesItsTempTables) {
+  Engine engine(MakeMovieCatalog());
+  PlanPtr plan = RegionPlan();
+  StatusOr<PRelation> gbu = RunStrategy(StrategyKind::kGBU, *plan, &engine);
+  ASSERT_TRUE(gbu.ok()) << gbu.status().ToString();
+  // The guard dropped the temps; the region result still reads them.
+  for (const std::string& name : engine.catalog().TableNames()) {
+    EXPECT_EQ(name.find("__gbu_tmp"), std::string::npos) << name;
+  }
+  StatusOr<PRelation> bu = RunStrategy(StrategyKind::kBU, *plan, &engine);
+  ASSERT_TRUE(bu.ok());
+  testing_util::ExpectSameRows(ToScoredRelation(*gbu), ToScoredRelation(*bu));
+  EXPECT_EQ(gbu->NumRows(), 5u);
+}
+
+TEST(ViewLifetimeTest, BaseTableDroppedAndReloadedUnderAHeldView) {
+  Engine engine(MakeMovieCatalog());
+  PlanPtr plan = plan::Prefer(RecentMovies(), plan::Scan("MOVIES"));
+  StatusOr<PRelation> held = RunStrategy(StrategyKind::kBU, *plan, &engine);
+  ASSERT_TRUE(held.ok());
+  ASSERT_NE(held->view.base_table, nullptr);  // MOVIES' identity view.
+  const Relation before = ToScoredRelation(*held);
+  PRelation directors(engine.Execute(*plan::Scan("DIRECTORS")).value());
+  ExecStats stats;
+  FSum fsum;
+  auto join = [&] {
+    return PJoin(*Eq(Col("DIRECTORS.d_id"), Col("MOVIES.d_id")), directors,
+                 *held, fsum, &stats);
+  };
+  StatusOr<PRelation> joined_before = join();
+  ASSERT_TRUE(joined_before.ok());
+
+  // Reload MOVIES with one different row.
+  Table* old = *engine.catalog().GetTable("MOVIES");
+  Schema schema = old->schema();
+  std::vector<Tuple> rows = old->relation().rows();
+  rows.pop_back();
+  engine.mutable_catalog()->DropTable("MOVIES");
+  ASSERT_TRUE(engine.mutable_catalog()
+                  ->CreateTable("MOVIES", schema, rows, {"m_id"})
+                  .ok());
+  EXPECT_EQ((*engine.catalog().GetTable("MOVIES"))->NumRows(), 4u);
+
+  // The held view still reads the old table, and its index still serves a
+  // join whose right side it is.
+  EXPECT_TRUE(ToScoredRelation(*held).rows() == before.rows());
+  StatusOr<PRelation> joined_after = join();
+  ASSERT_TRUE(joined_after.ok());
+  EXPECT_TRUE(ToScoredRelation(*joined_after).rows() ==
+              ToScoredRelation(*joined_before).rows());
+  EXPECT_EQ(joined_after->NumRows(), 5u);
+}
+
+class CachedViewTest : public ::testing::Test {
+ protected:
+  CachedViewTest() : engine_(MakeMovieCatalog()) {
+    engine_.cache()->set_enabled(true);
+  }
+
+  PlanPtr Query() const {
+    return plan::Select(Ge(Col("year"), Lit(int64_t{2005})), plan::Scan("MOVIES"));
+  }
+
+  std::shared_ptr<const cache::CachedResult> Entry() {
+    StatusOr<cache::PlanFingerprint> fp =
+        cache::FingerprintPlan(*Query(), engine_.catalog(), 1);
+    EXPECT_TRUE(fp.ok() && fp->cacheable);
+    return engine_.cache()->Lookup(fp->key);
+  }
+
+  Engine engine_;
+};
+
+TEST_F(CachedViewTest, HitAliasesTheEntryRows) {
+  ExecStats stats;
+  StatusOr<RowView> miss = engine_.ExecuteConcurrent(*Query(), &stats);
+  StatusOr<RowView> hit = engine_.ExecuteConcurrent(*Query(), &stats);
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  std::shared_ptr<const cache::CachedResult> entry = Entry();
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(engine_.cache()->snapshot().hits, 2u);  // The hit, then Entry().
+  // Both the admitted miss and the hit read the entry's own row vector.
+  ASSERT_EQ(hit->width(), 1u);
+  EXPECT_EQ(hit->sources[0], &entry->rel.rows());
+  EXPECT_EQ(miss->sources[0], &entry->rel.rows());
+  EXPECT_EQ(&hit->At(0, 0), &entry->rel.rows()[0][0]);
+  EXPECT_EQ(hit->NumRows(), 4u);
+}
+
+TEST_F(CachedViewTest, HitViewOutlivesEviction) {
+  ExecStats stats;
+  ASSERT_TRUE(engine_.ExecuteConcurrent(*Query(), &stats).ok());
+  StatusOr<RowView> hit = engine_.ExecuteConcurrent(*Query(), &stats);
+  ASSERT_TRUE(hit.ok());
+  const Relation expected = hit->Gather();
+  engine_.cache()->Clear();
+  EXPECT_EQ(Entry(), nullptr);
+  EXPECT_TRUE(hit->Gather().rows() == expected.rows());
+  EXPECT_EQ(expected.NumRows(), 4u);
+}
+
+// Readers take hits while another thread evicts everything, over and over:
+// every view stays readable (TSan/ASan: no race, no freed read).
+TEST_F(CachedViewTest, ConcurrentHitsSurviveConcurrentEviction) {
+  ExecStats stats;
+  StatusOr<RowView> first = engine_.ExecuteConcurrent(*Query(), &stats);
+  ASSERT_TRUE(first.ok());
+  const Relation expected = first->Gather();
+  std::atomic<bool> stop{false};
+  std::thread evictor([&] {
+    while (!stop.load()) engine_.cache()->Clear();
+  });
+  constexpr int kReaders = 4;
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 200; ++round) {
+        ExecStats local;
+        StatusOr<RowView> view = engine_.ExecuteConcurrent(*Query(), &local);
+        if (!view.ok() || view->Gather().rows() != expected.rows()) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  stop.store(true);
+  evictor.join();
+  for (int t = 0; t < kReaders; ++t) EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+}
+
+// Every row a TOP 20 preference query copies out of a view is a row of the
+// answer — plus, for GBU, the rows of its temp tables.
+TEST(RowsGatheredTest, TopKQueriesGatherOnlyTheirAnswer) {
+  ImdbOptions options;
+  options.scale = 0.0004;
+  options.seed = 11;
+  StatusOr<Catalog> catalog = GenerateImdb(options);
+  ASSERT_TRUE(catalog.ok());
+  Session session(std::move(*catalog));
+  const std::string sql =
+      "SELECT title, year FROM MOVIES JOIN GENRES ON MOVIES.m_id = GENRES.m_id "
+      "PREFERRING (genre = 'Drama') SCORE 1.0 CONF 0.8, (year >= 2000) SCORE "
+      "recency(year, 2011) CONF 0.9 TOP 20 BY SCORE";
+  obs::Counter* gathered =
+      session.engine().metrics().counter(obs::kPrefExecRowsGathered);
+  for (StrategyKind kind : {StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
+                            StrategyKind::kPlugInBasic,
+                            StrategyKind::kPlugInCombined}) {
+    QueryOptions query;
+    query.strategy = kind;
+    query.trace = true;
+    const uint64_t before = gathered->value();
+    StatusOr<QueryResult> result = session.Query(sql, query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->relation.NumRows(), 20u);
+    // GBU's temp tables are the only other copies; RegisterTemp spans
+    // carry their rows.
+    size_t temp_rows = 0;
+    std::vector<const obs::Span*> stack = {result->trace.get()};
+    while (!stack.empty()) {
+      const obs::Span* span = stack.back();
+      stack.pop_back();
+      if (span->name == "RegisterTemp") temp_rows += span->rows_out;
+      for (const obs::SpanPtr& child : span->children) stack.push_back(child.get());
+    }
+    EXPECT_EQ(temp_rows > 0, kind == StrategyKind::kGBU) << StrategyKindName(kind);
+    EXPECT_EQ(gathered->value() - before, 20u + temp_rows) << StrategyKindName(kind);
+  }
+}
+
+}  // namespace
+}  // namespace prefdb
