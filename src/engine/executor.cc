@@ -113,29 +113,45 @@ class Executor {
     if (!node.alias.empty() && node.alias != node.table_name) {
       schema = schema.WithQualifier(node.alias);
     }
-    const std::vector<Tuple>& rows = table->relation().rows();
-    RowView out = RowView::Over(schema, table->primary_key(), &rows);
-    if (predicate == nullptr && !table->temporary()) out.base_table = table.get();
-    // The view pins the table: it stays readable after a drop or reload.
+    const RowView* temp = table->view();
+    RowView out;
+    if (temp != nullptr) {
+      // A view-backed temporary is read in place: the scan is its view.
+      // An identity view over a base table stays one, so a join can probe
+      // that table's index.
+      out.sources = temp->sources;
+      out.columns = temp->columns;
+      out.key_columns = temp->key_columns;
+      out.schema = schema;
+      if (predicate == nullptr) out.base_table = temp->base_table;
+    } else {
+      out = RowView::Over(schema, table->primary_key(), &table->relation().rows());
+      if (predicate == nullptr) out.base_table = table.get();
+    }
+    // The view pins the table (and so whatever a temp's view pins): it
+    // stays readable after a drop or reload.
     out.owned.push_back(table);
 
-    // Try an index scan: find an `col = literal` conjunct.
+    // Try an index scan: find an `col = literal` conjunct. A view-backed
+    // temp has no index; its rows are filtered in place.
     ExprPtr bound;
     int index_col = -1;
     Value index_key;
     if (predicate != nullptr) {
       bound = predicate->Clone();
       RETURN_IF_ERROR(bound->Bind(schema));
-      FindIndexableConjunct(*bound, schema, &index_col, &index_key);
+      if (temp == nullptr) FindIndexableConjunct(*bound, schema, &index_col, &index_key);
     }
     if (index_col >= 0) {
       const HashIndex& index = table->EnsureIndex(static_cast<size_t>(index_col));
       std::span<const uint32_t> matches = index.Lookup(index_key);
       obs::AppendDetail(scope.get(), "index");
       out.ids.assign(matches.begin(), matches.end());
+    } else if (temp != nullptr) {
+      out.ids = temp->ids;
     } else {
       // A full scan is the id range over the table's rows.
-      out.ids.resize(rows.size());
+      out.ids.resize(table->NumRows());
       std::iota(out.ids.begin(), out.ids.end(), 0u);
     }
     stats_->rows_scanned += out.NumRows();
@@ -217,9 +233,10 @@ class Executor {
                      FindEquiKeys(*node.predicate, left.schema, right.schema));
 
     // Hash join: build on the right input, probe with the left. A right
-    // input that is a full scan of a base table is already indexed: the
-    // table's persistent HashIndex on the key column (built on first use)
-    // lists the matching row ids, which are that scan's view positions.
+    // input that is a full scan of a base table, or of a temp whose view is
+    // the identity over one, is already indexed: the table's persistent
+    // HashIndex on the key column (built on first use) lists the matching
+    // row ids, which are that scan's view positions.
     // Any other right input gets a per-query JoinTable. The probe is where
     // the work is, and it parallelizes over morsels of the probe side.
     // Without an equi-conjunct it is a nested-loop join, whose probe side

@@ -13,81 +13,16 @@
 #include "parallel/parallel_context.h"
 #include "plan/plan.h"
 #include "storage/hash_index.h"
+#include "storage/row_view.h"
 #include "types/relation.h"
+
+// The operator kernels over row-id views (storage/row_view.h), shared by
+// the native executor and the p-algebra.
 
 namespace prefdb {
 
-class Table;
-
 /// "No row": an absent side of a set-operation match, or an empty chain.
 constexpr uint32_t kNoRow = UINT32_MAX;
-
-/// Output column of a view: column `column` of the rows of input `input`.
-struct ColumnSource {
-  uint32_t input;
-  uint32_t column;
-};
-
-/// An intermediate result as row ids (late materialization), shared by the
-/// native executor and the p-algebra. A row is one uint32_t per joined
-/// input, indexing that input's row source: a table's immutable row vector
-/// or rows some owner keeps alive. `columns` maps each output column to
-/// (input, column). Operators only produce and remap ids; values are copied
-/// when a consumer gathers rows out of the view.
-///
-/// A view pins what it reads: `owned` holds a reference to every table,
-/// cache entry or gathered row vector its sources point into, so a view
-/// stays readable after ExecutePlan returns, after a temp table is dropped,
-/// after a base table is reloaded and after a cache entry is evicted.
-struct RowView {
-  Schema schema;
-  std::vector<size_t> key_columns;
-  std::vector<const std::vector<Tuple>*> sources;  // One per input.
-  std::vector<ColumnSource> columns;               // One per output column.
-  std::vector<uint32_t> ids;                       // Row-major, width() per row.
-  std::vector<std::shared_ptr<const void>> owned;  // Pins of the sources.
-  // The base table this view is the identity over (every row, in order,
-  // through any column remapping) — a predicate-free scan of a
-  // non-temporary table — else null. Operators that change the ids clear
-  // it; a join may then probe the table's persistent index instead of
-  // building a hash table over the view.
-  Table* base_table = nullptr;
-
-  /// A one-input view with identity columns over `rows`, holding no rows.
-  static RowView Over(Schema schema, std::vector<size_t> keys,
-                      const std::vector<Tuple>* rows);
-  /// The identity view over every row of `rel`, pinning `pin` (the owner
-  /// of `rel`); no value is copied.
-  static RowView Of(const Relation& rel, std::shared_ptr<const void> pin);
-  /// Takes `rel` by move and views all of its rows.
-  static RowView Wrap(Relation rel);
-
-  size_t width() const { return sources.size(); }
-  size_t NumRows() const { return sources.empty() ? 0 : ids.size() / width(); }
-  const uint32_t* Row(size_t r) const { return ids.data() + r * width(); }
-  const Value& At(size_t r, size_t c) const {
-    const ColumnSource& src = columns[c];
-    return (*sources[src.input])[ids[r * width() + src.input]][src.column];
-  }
-  void AppendRow(size_t r, std::vector<uint32_t>* out) const {
-    out->insert(out->end(), Row(r), Row(r) + width());
-  }
-  /// The source tuple input `input` contributes to row r.
-  const Tuple& Source(size_t r, size_t input) const {
-    return (*sources[input])[ids[r * width() + input]];
-  }
-
-  /// The view of the rows at `positions`, in that order.
-  RowView Rows(const std::vector<uint32_t>& positions) const;
-  /// Keeps the rows at `positions`, in that order.
-  void Keep(const std::vector<uint32_t>& positions);
-  /// Keeps the first `n` rows.
-  void Truncate(size_t n);
-
-  /// Copies rows out of the view.
-  Tuple GatherRow(size_t r) const;
-  Relation Gather() const;
-};
 
 /// Expressions bound to a view's schema (or to two views' concatenated
 /// schema, for a join predicate) evaluated against rows that exist only as

@@ -1,5 +1,6 @@
 #include "exec/strategy.h"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -669,17 +670,16 @@ class GBUStrategy final : public Strategy {
   }
 
  private:
-  // A prefer-subtree result registered as a temporary table so the engine
-  // can reference it inside a grouped query. `pairs[i]` is the pair of the
-  // table's row i.
+  // A prefer-subtree result registered as a view-backed temporary table so
+  // the engine can reference it inside a grouped query. `pairs[i]` is the
+  // pair of row i of the table's view.
   struct TempInput {
-    std::string table_name;
+    const Table* table = nullptr;
     std::vector<std::string> key_column_names;  // Full names, canonical order.
-    const std::vector<Tuple>* rows = nullptr;   // The table's rows.
-    std::vector<size_t> key_columns;            // Key positions in `rows`.
     std::vector<ScoreConf> pairs;
     bool scored = false;  // Some pair is not ⟨⊥, 0⟩.
     bool contributes_scores = true;
+    bool inputs_kept = true;  // The region output keeps its scan's inputs.
   };
 
   StatusOr<PRelation> Eval(const PlanNode& node, const AggregateFunction& agg,
@@ -762,7 +762,8 @@ class GBUStrategy final : public Strategy {
     ASSIGN_OR_RETURN(PlanPtr region,
                      CloneRegion(node, engine, &materialized,
                                  &next_materialized, &temps, &guard, span,
-                                 /*score_contributing=*/true));
+                                 /*score_contributing=*/true,
+                                 /*inputs_kept=*/true));
     obs::SpanScope q_scope(span, "RegionQuery");
     ASSIGN_OR_RETURN(RowView view,
                      engine->ExecuteConcurrent(*region, stats, q_scope.get()));
@@ -849,11 +850,11 @@ class GBUStrategy final : public Strategy {
                                 size_t* next_materialized,
                                 std::vector<TempInput>* temps,
                                 TempTableGuard* guard, obs::Span* span,
-                                bool score_contributing) {
+                                bool score_contributing, bool inputs_kept) {
     if (node.kind == PlanKind::kPrefer) {
       PRelation sub = std::move((*materialized)[(*next_materialized)++]);
       return RegisterTemp(std::move(sub), engine, temps, guard, span,
-                          score_contributing);
+                          score_contributing, inputs_kept);
     }
     if (!node.ContainsPrefer()) {
       return node.Clone();
@@ -866,21 +867,30 @@ class GBUStrategy final : public Strategy {
           score_contributing &&
           !((node.kind == PlanKind::kExcept || node.kind == PlanKind::kSemiJoin) &&
             i == 1);
+      // The region output keeps the inputs of the scans below a child,
+      // except under the right side of a semijoin, intersection or
+      // difference (they keep left rows), and under a union (which copies
+      // its rows when it keeps right-only ones).
+      bool child_kept =
+          inputs_kept && node.kind != PlanKind::kUnion &&
+          !((node.kind == PlanKind::kSemiJoin || node.kind == PlanKind::kIntersect ||
+             node.kind == PlanKind::kExcept) &&
+            i == 1);
       ASSIGN_OR_RETURN(copy->children[i],
                        CloneRegion(node.child(i), engine, materialized,
                                    next_materialized, temps, guard, span,
-                                   child_contributes));
+                                   child_contributes, child_kept));
     }
     return copy;
   }
 
-  // Registers a materialized prefer subtree as a temp table: the one place
-  // GBU copies rows out of a view (the region query reads the temp by name,
-  // like any table), under its own span.
+  // Registers a materialized prefer subtree as a temp table that is its
+  // row-id view: nothing is copied, the region query reads the subtree's
+  // rows in place.
   StatusOr<PlanPtr> RegisterTemp(PRelation sub, Engine* engine,
                                  std::vector<TempInput>* temps,
                                  TempTableGuard* guard, obs::Span* span,
-                                 bool score_contributing) {
+                                 bool score_contributing, bool inputs_kept) {
     obs::SpanScope scope(span, "RegisterTemp");
     obs::SetRowsIn(scope.get(), sub.NumRows());
     // Temp names come from a process-wide counter: concurrent GBU
@@ -891,55 +901,96 @@ class GBUStrategy final : public Strategy {
         StrFormat("__gbu_tmp_%llu",
                   static_cast<unsigned long long>(
                       temp_counter.fetch_add(1, std::memory_order_relaxed) + 1));
-    // The temp table duplicates the materialized subtree in the shared
-    // catalog — charge it like any other materialization, and give fault
-    // tests a hook at the exact point where a temp is about to be
-    // registered (the unwind must drop every earlier temp of this region).
+    // The temp holds the materialized subtree for the region query — charge
+    // it like any other materialization, and give fault tests a hook at the
+    // exact point where a temp is about to be registered (the unwind must
+    // drop every earlier temp of this region).
     RETURN_IF_ERROR(ChargePRelation(engine, sub));
     RETURN_IF_ERROR(FaultInjection::Global().Hit("gbu.register_temp"));
     TempInput temp;
-    temp.table_name = name;
     temp.contributes_scores = score_contributing;
-    temp.key_columns = sub.key_columns();
+    temp.inputs_kept = inputs_kept;
     for (size_t k : sub.key_columns()) {
       temp.key_column_names.push_back(sub.schema().column(k).FullName());
     }
-    // Keep the intermediate schema's qualifiers so predicates referring to
-    // the original relations still bind inside the grouped query.
-    Relation rows = sub.Gather();
-    engine->NoteRowsGathered(rows.NumRows());
-    ASSIGN_OR_RETURN(
-        std::unique_ptr<Table> table,
-        Table::Create(name, sub.schema(), std::move(*rows.mutable_rows()),
-                      temp.key_column_names, /*qualify_with_name=*/false));
-    obs::SetRowsOut(scope.get(), table->NumRows());
-    temp.rows = &table->relation().rows();
+    obs::SetRowsOut(scope.get(), sub.NumRows());
+    obs::AppendDetail(scope.get(), "view");
+    if (sub.view.base_table != nullptr) {
+      obs::AppendDetail(scope.get(), "base=" + sub.view.base_table->name());
+    }
     temp.pairs = std::move(sub.pairs);
     for (const ScoreConf& pair : temp.pairs) temp.scored |= !pair.IsDefault();
-    // Plans referencing this table (the region query) must never enter the
-    // result cache: the name and version are unique to this evaluation —
-    // RegisterTempTable marks it temporary for exactly that reason.
+    // The view keeps the intermediate schema's qualifiers, so predicates
+    // referring to the original relations still bind inside the grouped
+    // query. Plans referencing the table (the region query) must never
+    // enter the result cache: the name and version are unique to this
+    // evaluation — RegisterTempTable marks it temporary for exactly that
+    // reason.
+    std::unique_ptr<Table> table = Table::CreateView(name, std::move(sub.view));
+    temp.table = table.get();
     RETURN_IF_ERROR(engine->RegisterTempTable(std::move(table)));
     guard->Track(name);
     temps->push_back(std::move(temp));
     return plan::Scan(name, name);
   }
 
+  // The first of the region inputs that the temp's scan contributed, or -1
+  // when they are not identifiable: the region dropped them, or another
+  // input reads one of the temp's row sources (a self-join, or a direct
+  // scan of a temp's base table). A temp's inputs stay consecutive: joins
+  // concatenate them.
+  static int TempInputsAt(const RowView& view, const TempInput& temp) {
+    const std::vector<const std::vector<Tuple>*>& own = temp.table->view()->sources;
+    if (!temp.inputs_kept || own.empty()) return -1;
+    for (const std::vector<Tuple>* source : own) {
+      if (std::count(view.sources.begin(), view.sources.end(), source) !=
+          std::count(own.begin(), own.end(), source)) {
+        return -1;
+      }
+    }
+    return static_cast<int>(
+        std::find(view.sources.begin(), view.sources.end(), own.front()) -
+        view.sources.begin());
+  }
+
+  // An input of `rows` whose ids differ from row to row, so that its id
+  // names one row; `position` receives the row of each of its ids. -1 when
+  // every input repeats an id.
+  static int IdentifyingInput(const RowView& rows, std::vector<uint32_t>* position) {
+    const size_t n = rows.NumRows();
+    for (size_t j = 0; j < rows.width(); ++j) {
+      position->assign(rows.sources[j]->size(), kNoRow);
+      size_t r = 0;
+      for (; r < n; ++r) {
+        uint32_t& slot = (*position)[rows.Row(r)[j]];
+        if (slot != kNoRow) break;
+        slot = static_cast<uint32_t>(r);
+      }
+      if (r == n) return static_cast<int>(j);
+    }
+    position->clear();
+    return -1;
+  }
+
   // Combines the temporaries' pairs into the region output: for each output
   // row, find the pair of each contributing temp's row and fold with `agg`.
   // This is the paper's two-step evaluation of joins/set operations on
   // p-relations: conventional result first, then score combination. The
-  // region result is a view whose ids still name the temp rows each output
-  // row came from, so a temp read as one of its inputs gives its pair by
-  // row id. Only where a region operator copied its rows into a new source
-  // (a union keeping right-only rows) is row identity lost; the output rows
-  // then find their pairs by key, through the paper's pk-keyed R_P.
+  // region result is a view whose ids on a temp's inputs are a row of the
+  // temp's view. Where those inputs are identifiable (TempInputsAt) and one
+  // of them has a different id on every temp row, the id finds the row,
+  // and so its pair, through a position array. Otherwise — a temp whose
+  // inputs the region dropped or shares with another input, or whose every
+  // input repeats ids — the output rows find their pairs by key, through
+  // the paper's pk-keyed R_P.
   Status RecombineScores(const std::vector<TempInput>& temps,
                          const AggregateFunction& agg, PRelation* out,
                          ExecStats* stats) {
     struct ResolvedTemp {
       const TempInput* temp = nullptr;
-      int input = -1;        // The view input reading the temp's rows, or -1.
+      int input = -1;  // The region input whose id names the temp row, or
+                       // -1: found by key.
+      std::vector<uint32_t> position;  // Temp row by that input's id.
       ScoreRelation scores;  // R_P of the temp, when `input` is -1.
       ColumnsAt key;         // Where the output rows' keys are read then.
     };
@@ -960,14 +1011,18 @@ class GBUStrategy final : public Strategy {
       }
       ResolvedTemp rt;
       rt.temp = &temp;
-      for (size_t j = 0; j < view.width(); ++j) {
-        if (view.sources[j] == temp.rows) rt.input = static_cast<int>(j);
-      }
-      if (rt.input < 0) {
-        for (size_t r = 0; r < temp.pairs.size(); ++r) {
+      const RowView& rows = *temp.table->view();
+      const int first = TempInputsAt(view, temp);
+      const int identifying = first < 0 ? -1 : IdentifyingInput(rows, &rt.position);
+      if (identifying >= 0) {
+        rt.input = first + identifying;
+      } else {
+        for (size_t r = 0; r < rows.NumRows(); ++r) {
           if (temp.pairs[r].IsDefault()) continue;
-          rt.scores.Set(ProjectTuple((*temp.rows)[r], temp.key_columns),
-                        temp.pairs[r]);
+          Tuple key;
+          key.reserve(rows.key_columns.size());
+          for (size_t k : rows.key_columns) key.push_back(rows.At(r, k));
+          rt.scores.Set(key, temp.pairs[r]);
         }
         rt.key = ColumnsFor(view, key_indices);
         key_columns.insert(key_columns.end(), key_indices.begin(),
@@ -984,7 +1039,7 @@ class GBUStrategy final : public Strategy {
       for (const ResolvedTemp& rt : resolved) {
         const ScoreConf& temp_pair =
             rt.input >= 0
-                ? rt.temp->pairs[view.Row(i)[rt.input]]
+                ? rt.temp->pairs[rt.position[view.Row(i)[rt.input]]]
                 : rt.scores.Lookup(RowKey{scratch.Read(view, i, rt.key.input),
                                           rt.key.columns});
         pair = CombineCounted(agg, pair, temp_pair);

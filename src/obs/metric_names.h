@@ -49,8 +49,8 @@ inline constexpr std::string_view kPrefNativeParallelRegions =
     "pref.native.parallel_regions";
 
 // --- Preference-aware execution (src/exec, src/engine) ----------------
-/// Rows copied out of row-id views: the answer's survivors, GBU temp
-/// tables, cache inserts and the root of a conventional Engine::Execute.
+/// Rows copied out of row-id views: the answer's survivors, cache inserts
+/// and the root of a conventional Engine::Execute.
 inline constexpr std::string_view kPrefExecRowsGathered =
     "pref.exec.rows_gathered";
 

@@ -19,8 +19,10 @@ namespace prefdb {
 /// relation's canonical key order. Inside an operator pipeline scores are
 /// row-aligned (PRelation::pairs); R_P is built only where row identity is
 /// lost and tuples must be re-associated with their pairs by key: the
-/// plug-ins' merge of rewritten-query rows, and a GBU region whose union
-/// copied the temp rows into a new source.
+/// plug-ins' merge of rewritten-query rows, and a GBU region temp whose
+/// region inputs cannot be told apart from others, whose rows no single id
+/// names (a many-to-many join), or whose rows a union copied into a new
+/// source.
 /// Both probe it with a RowKey, hashing the row's key columns in place.
 class ScoreRelation {
  public:

@@ -1,0 +1,85 @@
+#ifndef PREFDB_STORAGE_ROW_VIEW_H_
+#define PREFDB_STORAGE_ROW_VIEW_H_
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "types/relation.h"
+
+namespace prefdb {
+
+class Table;
+
+/// Output column of a view: column `column` of the rows of input `input`.
+struct ColumnSource {
+  uint32_t input;
+  uint32_t column;
+};
+
+/// An intermediate result as row ids (late materialization), shared by the
+/// native executor and the p-algebra, and the contents of a view-backed
+/// temporary table (Table::CreateView). A row is one uint32_t per joined
+/// input, indexing that input's row source: a table's immutable row vector
+/// or rows some owner keeps alive. `columns` maps each output column to
+/// (input, column). Operators only produce and remap ids; values are copied
+/// when a consumer gathers rows out of the view. The operator kernels over
+/// views live in engine/row_view.h.
+///
+/// A view pins what it reads: `owned` holds a reference to every table,
+/// cache entry or gathered row vector its sources point into, so a view
+/// stays readable after ExecutePlan returns, after a temp table is dropped,
+/// after a base table is reloaded and after a cache entry is evicted.
+struct RowView {
+  Schema schema;
+  std::vector<size_t> key_columns;
+  std::vector<const std::vector<Tuple>*> sources;  // One per input.
+  std::vector<ColumnSource> columns;               // One per output column.
+  std::vector<uint32_t> ids;                       // Row-major, width() per row.
+  std::vector<std::shared_ptr<const void>> owned;  // Pins of the sources.
+  // The base table this view is the identity over (every row, in order,
+  // through any column remapping) — a predicate-free scan of a table that
+  // holds rows, or of a view-backed temporary that is such a view — else
+  // null. Operators that change the ids clear it; a join may then probe the
+  // table's persistent index instead of building a hash table over the view.
+  Table* base_table = nullptr;
+
+  /// A one-input view with identity columns over `rows`, holding no rows.
+  static RowView Over(Schema schema, std::vector<size_t> keys,
+                      const std::vector<Tuple>* rows);
+  /// The identity view over every row of `rel`, pinning `pin` (the owner
+  /// of `rel`); no value is copied.
+  static RowView Of(const Relation& rel, std::shared_ptr<const void> pin);
+  /// Takes `rel` by move and views all of its rows.
+  static RowView Wrap(Relation rel);
+
+  size_t width() const { return sources.size(); }
+  size_t NumRows() const { return sources.empty() ? 0 : ids.size() / width(); }
+  const uint32_t* Row(size_t r) const { return ids.data() + r * width(); }
+  const Value& At(size_t r, size_t c) const {
+    const ColumnSource& src = columns[c];
+    return (*sources[src.input])[ids[r * width() + src.input]][src.column];
+  }
+  void AppendRow(size_t r, std::vector<uint32_t>* out) const {
+    out->insert(out->end(), Row(r), Row(r) + width());
+  }
+  /// The source tuple input `input` contributes to row r.
+  const Tuple& Source(size_t r, size_t input) const {
+    return (*sources[input])[ids[r * width() + input]];
+  }
+
+  /// The view of the rows at `positions`, in that order.
+  RowView Rows(const std::vector<uint32_t>& positions) const;
+  /// Keeps the rows at `positions`, in that order.
+  void Keep(const std::vector<uint32_t>& positions);
+  /// Keeps the first `n` rows.
+  void Truncate(size_t n);
+
+  /// Copies rows out of the view.
+  Tuple GatherRow(size_t r) const;
+  Relation Gather() const;
+};
+
+}  // namespace prefdb
+
+#endif  // PREFDB_STORAGE_ROW_VIEW_H_

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -17,13 +19,10 @@ uint64_t Table::NextVersion() {
 
 StatusOr<std::unique_ptr<Table>> Table::Create(std::string name, Schema schema,
                                                std::vector<Tuple> rows,
-                                               std::vector<std::string> primary_key,
-                                               bool qualify_with_name) {
+                                               std::vector<std::string> primary_key) {
   // Base-table columns are qualified with the table name so that joins
   // produce unambiguous schemas (MOVIES.m_id vs GENRES.m_id).
-  Schema qualified =
-      qualify_with_name ? schema.WithQualifier(name) : std::move(schema);
-  Relation relation(std::move(qualified), std::move(rows));
+  Relation relation(schema.WithQualifier(name), std::move(rows));
   std::vector<size_t> key_indices;
   key_indices.reserve(primary_key.size());
   for (const std::string& key_col : primary_key) {
@@ -34,10 +33,24 @@ StatusOr<std::unique_ptr<Table>> Table::Create(std::string name, Schema schema,
   std::sort(key_indices.begin(), key_indices.end());
   relation.set_key_columns(std::move(key_indices));
   RETURN_IF_ERROR(relation.CheckWellFormed());
-  return std::unique_ptr<Table>(new Table(std::move(name), std::move(relation)));
+  return std::unique_ptr<Table>(
+      new Table(std::move(name), std::move(relation), std::nullopt));
+}
+
+std::unique_ptr<Table> Table::CreateView(std::string name, RowView view) {
+  // The relation carries the view's schema and key, and no rows.
+  Relation relation(view.schema, {});
+  relation.set_key_columns(view.key_columns);
+  return std::unique_ptr<Table>(
+      new Table(std::move(name), std::move(relation), std::move(view)));
 }
 
 const HashIndex& Table::EnsureIndex(size_t column_index) {
+  if (view_) {
+    std::fprintf(stderr, "Table::EnsureIndex on view-backed table %s\n",
+                 name_.c_str());
+    std::abort();
+  }
   // Building under the lock serializes concurrent first-touch builds of the
   // same index; index construction is rare (once per column) and the lock
   // is uncontended afterwards.
@@ -57,11 +70,12 @@ const ColumnStats& Table::Stats(size_t column_index) {
   if (it != stats_.end()) return *it->second;
 
   ColumnStats stats;
-  stats.row_count = relation_.NumRows();
+  stats.row_count = NumRows();
   std::unordered_set<Value, ValueHash> distinct;
   bool first_numeric = true;
-  for (const Tuple& row : relation_.rows()) {
-    const Value& v = row[column_index];
+  for (size_t r = 0; r < stats.row_count; ++r) {
+    const Value& v = view_ ? view_->At(r, column_index)
+                           : relation_.rows()[r][column_index];
     if (v.is_null()) {
       ++stats.null_count;
       continue;

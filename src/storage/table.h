@@ -2,6 +2,7 @@
 #define PREFDB_STORAGE_TABLE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "storage/hash_index.h"
+#include "storage/row_view.h"
 #include "types/relation.h"
 
 namespace prefdb {
@@ -30,17 +32,25 @@ struct ColumnStats {
 /// A named base table: schema, rows, a declared primary key, and lazily
 /// built hash indexes. Tables are owned by the Catalog and immutable once
 /// loaded (the workloads are read-only, as in the paper's evaluation).
+///
+/// A view-backed table (CreateView) holds no rows of its own: it *is* a
+/// row-id view over other tables' rows, which the view pins. GBU registers
+/// each materialized prefer subtree this way, so a region query reads the
+/// subtree's rows in place instead of a copy.
 class Table {
  public:
   /// Creates a table; `primary_key` lists key column names (composite keys
   /// allowed, e.g. CAST(m_id, a_id)). Fails if a key column is unknown.
-  /// When `qualify_with_name` is set (the default for base tables), every
-  /// column's qualifier is replaced with the table name; temporary tables
-  /// registered by the execution strategies pass false to keep the
-  /// qualifiers of the intermediate result they materialize.
+  /// Every column's qualifier is replaced with the table name.
   static StatusOr<std::unique_ptr<Table>> Create(
       std::string name, Schema schema, std::vector<Tuple> rows,
-      std::vector<std::string> primary_key, bool qualify_with_name = true);
+      std::vector<std::string> primary_key);
+
+  /// Creates a table that is `view` (schema, key and rows). Its columns
+  /// keep the view's qualifiers. Its relation() holds no rows and it has
+  /// no indexes: a scan reads the view itself (the executor filters it in
+  /// place).
+  static std::unique_ptr<Table> CreateView(std::string name, RowView view);
 
   const std::string& name() const { return name_; }
 
@@ -58,12 +68,17 @@ class Table {
   void MarkTemporary() { temporary_ = true; }
   bool temporary() const { return temporary_; }
 
+  /// The view a view-backed table is, else null.
+  const RowView* view() const { return view_ ? &*view_ : nullptr; }
+  /// The rows of a table that holds rows (view() is null); a view-backed
+  /// table's relation has the view's schema and key, and no rows.
   const Relation& relation() const { return relation_; }
   const Schema& schema() const { return relation_.schema(); }
-  size_t NumRows() const { return relation_.NumRows(); }
+  size_t NumRows() const { return num_rows_; }
   const std::vector<size_t>& primary_key() const { return relation_.key_columns(); }
 
   /// Returns the hash index on `column_index`, building it on first use.
+  /// Only for a table that holds rows; aborts on a view-backed one.
   /// The index lives as long as the table and serves every later equality
   /// scan, hash join and membership probe on the column; it is table state,
   /// not charged to the memory budget of the query that built it.
@@ -83,17 +98,21 @@ class Table {
   const ColumnStats& Stats(size_t column_index);
 
  private:
-  Table(std::string name, Relation relation)
+  Table(std::string name, Relation relation, std::optional<RowView> view)
       : name_(std::move(name)),
         version_(NextVersion()),
-        relation_(std::move(relation)) {}
+        num_rows_(view ? view->NumRows() : relation.NumRows()),
+        relation_(std::move(relation)),
+        view_(std::move(view)) {}
 
   static uint64_t NextVersion();
 
   std::string name_;
   uint64_t version_;
   bool temporary_ = false;
+  size_t num_rows_;
   Relation relation_;
+  std::optional<RowView> view_;
   /// Guards the lazily built indexes and statistics — the only mutable
   /// state of an otherwise read-only table. Entries are heap-allocated so
   /// returned references survive rehashing (the references themselves are

@@ -92,14 +92,12 @@ TEST_F(FingerprintTest, TableVersionInvalidates) {
 }
 
 TEST_F(FingerprintTest, TemporaryTablesAreNotCacheable) {
-  auto table = catalog_.GetTable("MOVIES");
+  auto table = catalog_.PinTable("MOVIES");
   ASSERT_TRUE(table.ok());
-  auto temp = Table::Create("__tmp_probe", (*table)->schema(),
-                            (*table)->relation().rows(), {"m_id"},
-                            /*qualify_with_name=*/false);
-  ASSERT_TRUE(temp.ok());
-  (*temp)->MarkTemporary();
-  ASSERT_TRUE(catalog_.AddTable(std::move(*temp)).ok());
+  std::unique_ptr<Table> temp = Table::CreateView(
+      "__tmp_probe", RowView::Of((*table)->relation(), *table));
+  temp->MarkTemporary();
+  ASSERT_TRUE(catalog_.AddTable(std::move(temp)).ok());
 
   PlanPtr plan = plan::Scan("__tmp_probe");
   auto fp = FingerprintPlan(*plan, catalog_);

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -338,14 +339,18 @@ TEST_F(RowIdEdgeTest, NullKeysNeverMatchAndIntMatchesDoubleAndNanMatchesNan) {
       << last_trace_;
 }
 
-// Copies R into a strategy-style temporary table (qualifiers kept as R's).
-void AddTemporaryCopyOfR(Catalog* catalog, const std::string& name) {
-  Table* source = *catalog->GetTable("R");
-  auto table = Table::Create(name, source->schema(), source->relation().rows(),
-                             {"R.rid"}, /*qualify_with_name=*/false);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  (*table)->MarkTemporary();
-  ASSERT_TRUE(catalog->AddTable(std::move(*table)).ok());
+// Registers a strategy-style temporary table over every row of R, in
+// order (qualifiers kept as R's): a view whose ids were kept by a filter,
+// so it is not marked as the identity over R.
+void AddTemporaryViewOfR(Catalog* catalog, const std::string& name) {
+  std::shared_ptr<Table> source = *catalog->PinTable("R");
+  RowView view = RowView::Of(source->relation(), source);
+  std::vector<uint32_t> all(source->NumRows());
+  std::iota(all.begin(), all.end(), 0u);
+  view.Keep(all);
+  std::unique_ptr<Table> table = Table::CreateView(name, std::move(view));
+  table->MarkTemporary();
+  ASSERT_TRUE(catalog->AddTable(std::move(table)).ok());
 }
 
 TEST_F(RowIdEdgeTest, IndexServedJoinMatchesPerQueryBuild) {
@@ -353,7 +358,7 @@ TEST_F(RowIdEdgeTest, IndexServedJoinMatchesPerQueryBuild) {
   ASSERT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos);
   // A temporary table, a filtered scan and a join output as build sides all
   // take the per-query build, with the same rows in the same order.
-  AddTemporaryCopyOfR(&catalog_, "__gbu_tmp_r");
+  AddTemporaryViewOfR(&catalog_, "__gbu_tmp_r");
   Relation temp = RunAll(plan::Join(KeyEq(), plan::Scan("L"), plan::Scan("__gbu_tmp_r")));
   EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
       << last_trace_;
@@ -466,11 +471,12 @@ TEST_F(RowIdEdgeTest, NestedLoopJoinAndSemiJoin) {
 TEST_F(RowIdEdgeTest, PredicateFreeScanOfTemporaryTable) {
   Schema schema({{"M", "m_id", ValueType::kInt}, {"M", "title", ValueType::kString}});
   std::vector<Tuple> rows = {{I(3), S("Million Dollar Baby")}, {I(1), S("Gran Torino")}};
-  auto table = Table::Create("__gbu_tmp_edge", schema, rows, {"M.m_id"},
-                             /*qualify_with_name=*/false);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  (*table)->MarkTemporary();
-  ASSERT_TRUE(catalog_.AddTable(std::move(*table)).ok());
+  Relation temp_rows(schema, rows);
+  temp_rows.set_key_columns({0});
+  std::unique_ptr<Table> table =
+      Table::CreateView("__gbu_tmp_edge", RowView::Wrap(std::move(temp_rows)));
+  table->MarkTemporary();
+  ASSERT_TRUE(catalog_.AddTable(std::move(table)).ok());
   Relation rel = RunAll(plan::Scan("__gbu_tmp_edge"));
   EXPECT_EQ(rel.schema(), schema);
   EXPECT_EQ(rel.rows(), rows);

@@ -12,7 +12,8 @@
 // Nothing is shared with the engine beyond expression evaluation, the plan
 // and the catalog: no optimizer, no ScoreRelation, no hashing, no cache, no
 // morsels, no temp tables. Every strategy × optimizer {on, off} × threads
-// {1, 2} must return the oracle's answer on ≥500 fuzzed queries and on
+// {1, 2} × result cache {off, cold, warm} must return the oracle's answer
+// on ≥500 fuzzed queries and on
 // Table II at a tiny scale. Scores and confidences match within kMaxUlps:
 // the engine folds the same pairs in a different (optimizer-chosen) order.
 
@@ -434,7 +435,8 @@ std::string RandomQuery(Rng* rng) {
   }
 }
 
-// Every strategy × optimizer × threads configuration against the oracle;
+// Every strategy × optimizer × threads × cache configuration against the
+// oracle;
 // returns how many oracle rows were compared (so a suite can check it did
 // not only compare empty answers).
 size_t CheckAgainstOracle(Session* session, const std::vector<std::string>& queries) {
@@ -449,20 +451,27 @@ size_t CheckAgainstOracle(Session* session, const std::vector<std::string>& quer
                               StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
       for (bool optimize : {false, true}) {
         for (size_t threads : {size_t{1}, size_t{2}}) {
-          QueryOptions options;
-          options.strategy = kind;
-          options.optimize = optimize;
-          options.parallel.threads = threads;
-          options.parallel.morsel_size = 16;
-          options.parallel.min_parallel_rows = 16;
-          std::string label = StrFormat("%s optimize=%d threads=%zu\n%s",
-                                         std::string(StrategyKindName(kind)).c_str(),
-                                         optimize ? 1 : 0, threads, sql.c_str());
-          StatusOr<QueryResult> actual = session->Query(sql, options);
-          EXPECT_TRUE(actual.ok()) << actual.status().ToString() << "\n" << label;
-          if (!actual.ok()) return rows;
-          ExpectOracleRows(actual->relation.rows(), *expected, label);
-          if (::testing::Test::HasFailure()) return rows;
+          // Cache off, then cold (emptied first), then warm (the cold run's
+          // entries): GBU's temps are then views of cache entries.
+          for (const char* cache : {"off", "cold", "warm"}) {
+            QueryOptions options;
+            options.strategy = kind;
+            options.optimize = optimize;
+            options.parallel.threads = threads;
+            options.parallel.morsel_size = 16;
+            options.parallel.min_parallel_rows = 16;
+            options.cache = std::string_view(cache) != "off";
+            if (std::string_view(cache) == "cold") session->engine().cache()->Clear();
+            std::string label =
+                StrFormat("%s optimize=%d threads=%zu cache=%s\n%s",
+                          std::string(StrategyKindName(kind)).c_str(), optimize ? 1 : 0,
+                          threads, cache, sql.c_str());
+            StatusOr<QueryResult> actual = session->Query(sql, options);
+            EXPECT_TRUE(actual.ok()) << actual.status().ToString() << "\n" << label;
+            if (!actual.ok()) return rows;
+            ExpectOracleRows(actual->relation.rows(), *expected, label);
+            if (::testing::Test::HasFailure()) return rows;
+          }
         }
       }
     }

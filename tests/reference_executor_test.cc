@@ -46,7 +46,10 @@ StatusOr<RefRel> RefEval(const PlanNode& node, Catalog* catalog) {
   switch (node.kind) {
     case PlanKind::kScan: {
       ASSIGN_OR_RETURN(Table * table, catalog->GetTable(node.table_name));
-      RefRel out{table->schema(), table->primary_key(), table->relation().rows()};
+      // A view-backed temporary's rows are its view's, gathered.
+      RefRel out{table->schema(), table->primary_key(),
+                 table->view() != nullptr ? table->view()->Gather().rows()
+                                          : table->relation().rows()};
       if (!node.alias.empty() && node.alias != node.table_name) {
         out.schema = out.schema.WithQualifier(node.alias);
       }
@@ -268,11 +271,14 @@ TEST(ReferenceExecutorTest, IndexServedJoinPlans) {
       {I(4), D(2.0), S("b")}, {I(5), I(2), S("c")}, {I(6), S("x"), S("s")},
       {I(7), I(9), S("z")},   {I(8), N(), S("m")}};
   ASSERT_TRUE(catalog.CreateTable("R", r_schema, r_rows, {"rid"}).ok());
-  auto temp = Table::Create("__gbu_tmp_ref", r_schema, r_rows, {"R.rid"},
-                            /*qualify_with_name=*/false);
-  ASSERT_TRUE(temp.ok()) << temp.status().ToString();
-  (*temp)->MarkTemporary();
-  ASSERT_TRUE(catalog.AddTable(std::move(*temp)).ok());
+  // A strategy-style temporary: a view over R's rows in another order,
+  // without the row R.rid = 4 (qualifiers kept as R's).
+  std::shared_ptr<Table> r_table = *catalog.PinTable("R");
+  RowView r_view = RowView::Of(r_table->relation(), r_table);
+  r_view.Keep({7, 5, 0, 2, 6, 1, 4});
+  std::unique_ptr<Table> temp = Table::CreateView("__gbu_tmp_ref", std::move(r_view));
+  temp->MarkTemporary();
+  ASSERT_TRUE(catalog.AddTable(std::move(temp)).ok());
 
   auto key_eq = [] { return Eq(Col("L.k"), Col("R.k")); };
   std::vector<PlanPtr> plans;
@@ -295,6 +301,12 @@ TEST(ReferenceExecutorTest, IndexServedJoinPlans) {
                              plan::Scan("L")));
   // Per-query builds: a temporary table, a filtered scan, a join output.
   plans.push_back(plan::Join(key_eq(), plan::Scan("L"), plan::Scan("__gbu_tmp_ref")));
+  // Equality scans of the temporary filter its view in place (no index).
+  plans.push_back(plan::Select(Eq(Col("k"), Lit(int64_t{2})),
+                               plan::Scan("__gbu_tmp_ref")));
+  plans.push_back(plan::Join(
+      key_eq(), plan::Scan("L"),
+      plan::Select(Eq(Col("tag"), Lit("c")), plan::Scan("__gbu_tmp_ref"))));
   plans.push_back(plan::Join(key_eq(), plan::Scan("L"),
                              plan::Select(Ne(Col("tag"), Lit("z")), plan::Scan("R"))));
   plans.push_back(plan::Join(

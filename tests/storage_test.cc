@@ -41,12 +41,13 @@ TEST(TableTest, CreateQualifiesSchemaWithName) {
   EXPECT_EQ((*table)->primary_key(), std::vector<size_t>{0});
 }
 
-TEST(TableTest, CreateKeepsQualifiersWhenAsked) {
-  auto table = Table::Create(
-      "TMP", Schema({{"MOVIES", "m_id", ValueType::kInt}}), {{I(1)}}, {"m_id"},
-      /*qualify_with_name=*/false);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->schema().column(0).qualifier, "MOVIES");
+TEST(TableTest, CreateViewKeepsTheViewsQualifiers) {
+  Relation rows(Schema({{"MOVIES", "m_id", ValueType::kInt}}), {{I(1)}});
+  rows.set_key_columns({0});
+  std::unique_ptr<Table> table = Table::CreateView("TMP", RowView::Wrap(std::move(rows)));
+  EXPECT_EQ(table->schema().column(0).qualifier, "MOVIES");
+  EXPECT_EQ(table->NumRows(), 1u);
+  EXPECT_EQ(table->primary_key(), std::vector<size_t>{0});
 }
 
 TEST(TableTest, CompositeKeysSortedCanonically) {

@@ -2,6 +2,7 @@
 
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
+#include "obs/metric_names.h"
 #include "optimizer/extended_optimizer.h"
 #include "test_util.h"
 
@@ -165,6 +166,156 @@ TEST_F(StrategiesTest, GBUUnionWithRightOnlyRowsMatchesBU) {
     scored += bu.pairs[i].IsDefault() ? 0 : 1;
   }
   EXPECT_GT(scored, 0u);
+}
+
+// GBU registers each prefer subtree as a temp table that is its row-id
+// view, and finds each temp row's pair by the ids of the region inputs the
+// temp's scan contributed, or by key where those inputs cannot be told
+// apart from others. These plans put other inputs over the same base rows
+// next to a temp; GBU must match BU bit for bit (rows, order, score, conf)
+// at every thread count.
+class GBUViewTempTest : public StrategiesTest {
+ protected:
+  static PlanPtr PreferOn(const char* name, const char* year_column,
+                          int64_t since, double score, PlanPtr input) {
+    return plan::Prefer(
+        Preference::Generic(name, "MOVIES", Ge(Col(year_column), Lit(since)),
+                            ScoringFunction::Constant(score), 0.9),
+        std::move(input));
+  }
+
+  // Runs `plan` under GBU and BU at threads {1, 2, 8} and compares them.
+  void ExpectGbuMatchesBu(const PlanNode& plan) {
+    for (size_t threads : {1, 2, 8}) {
+      ParallelContext ctx;
+      ctx.threads = threads;
+      ctx.morsel_size = 2;
+      ctx.min_parallel_rows = 1;
+      engine_.set_parallel_context(ctx);
+      PRelation bu = Run(StrategyKind::kBU, plan);
+      PRelation gbu = Run(StrategyKind::kGBU, plan);
+      ASSERT_EQ(gbu.NumRows(), bu.NumRows()) << threads;
+      EXPECT_TRUE(gbu.Gather().rows() == bu.Gather().rows()) << threads;
+      size_t scored = 0;
+      for (size_t i = 0; i < bu.NumRows(); ++i) {
+        EXPECT_EQ(gbu.pairs[i].ToString(), bu.pairs[i].ToString())
+            << "row " << i << ", threads " << threads;
+        scored += bu.pairs[i].IsDefault() ? 0 : 1;
+      }
+      EXPECT_GT(scored, 0u) << threads;
+    }
+    engine_.set_parallel_context(ParallelContext{});
+  }
+
+  // The timing-free GBU trace of `plan`.
+  std::string GbuTrace(const PlanNode& plan) {
+    obs::SpanPtr root = obs::Span::Detached("root");
+    ExecStats stats;
+    auto result = MakeStrategy(StrategyKind::kGBU)
+                      ->ExecuteWithStats(plan, agg_, &engine_, &stats, root.get());
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return root->ToString(/*include_timing=*/false);
+  }
+};
+
+// Two preferred subtrees over MOVIES, aliased A and B: both temps are views
+// over the same rows (A filtered, B the identity), so both find their pairs
+// by key.
+TEST_F(GBUViewTempTest, AliasedSelfJoinOfPreferredSubtrees) {
+  PlanPtr p = plan::Join(
+      Eq(Col("A.d_id"), Col("B.d_id")),
+      PreferOn("p_a", "year", 2005, 0.4,
+               plan::Select(Ne(Col("title"), Lit("Match Point")),
+                            plan::Scan("MOVIES", "A"))),
+      PreferOn("p_b", "year", 2008, 0.8, plan::Scan("MOVIES", "B")));
+  ExpectGbuMatchesBu(*p);
+}
+
+// A region that also scans the temp's base table directly: the direct
+// scan reads the same rows as the temp but contributes no pairs.
+TEST_F(GBUViewTempTest, RegionScanningTheTempsBaseTable) {
+  PlanPtr p = plan::Join(Eq(Col("MOVIES.d_id"), Col("M2.d_id")),
+                         PreferOn("p_new", "year", 2006, 0.7, plan::Scan("MOVIES")),
+                         plan::Scan("MOVIES", "M2"));
+  ExpectGbuMatchesBu(*p);
+}
+
+// A union keeps the left input's ids when the right adds no rows, so the
+// region output reads MOVIES through the direct scan only; the temp on the
+// right must not take that scan's ids for its own.
+TEST_F(GBUViewTempTest, UnionDroppingTheTempsInputs) {
+  PlanPtr p = plan::Union(
+      plan::Scan("MOVIES"),
+      PreferOn("p_new", "year", 2000, 0.7,
+               plan::Select(Ge(Col("year"), Lit(int64_t{2006})), plan::Scan("MOVIES"))));
+  ExpectGbuMatchesBu(*p);
+}
+
+// An equality selection directly over a temp's scan filters the temp's
+// view in place: the scan is no index scan (a temp has no indexes).
+TEST_F(GBUViewTempTest, EqualitySelectionOverATempFiltersItsView) {
+  PlanPtr p = plan::Join(
+      Eq(Col("A.d_id"), Col("B.d_id")),
+      plan::Select(Eq(Col("A.d_id"), Lit(int64_t{2})),
+                   PreferOn("p_a", "A.year", 2006, 0.4, plan::Scan("MOVIES", "A"))),
+      PreferOn("p_b", "B.year", 2005, 0.8, plan::Scan("MOVIES", "B")));
+  ExpectGbuMatchesBu(*p);
+  std::string trace = GbuTrace(*p);
+  // A's temp (five rows, two with d_id = 2) is filtered by the scan itself.
+  EXPECT_NE(trace.find("native.scan  (rows=5 -> 2 table=<temp>)"), std::string::npos)
+      << trace;
+  size_t temp_scans = 0;
+  for (size_t at = trace.find("table=<temp>"); at != std::string::npos;
+       at = trace.find("table=<temp>", at + 1)) {
+    ++temp_scans;
+    const size_t line_end = trace.find('\n', at);
+    EXPECT_EQ(trace.substr(at, line_end - at).find("index"), std::string::npos)
+        << trace;
+  }
+  EXPECT_EQ(temp_scans, 2u) << trace;
+}
+
+// Nested regions: the outer region's temp is the view of an inner region's
+// join, several inputs wide. Over MOVIES ⋈ GENRES one input (GENRES) names
+// each temp row; over the self-join on d_id the inputs share MOVIES's rows
+// and repeat ids, and the pairs are found by key.
+TEST_F(GBUViewTempTest, NestedRegionOverMultiInputTemp) {
+  auto outer = [this](PlanPtr inner) {
+    return plan::Join(
+        Eq(Col("DIRECTORS.d_id"), Col("MOVIES.d_id")),
+        plan::Prefer(Preference::Generic("p_dir", "DIRECTORS",
+                                         Eq(Col("director"), Lit("W. Allen")),
+                                         ScoringFunction::Constant(0.6), 0.5),
+                     plan::Scan("DIRECTORS")),
+        plan::Prefer(GenrePref(), std::move(inner)));
+  };
+  ExpectGbuMatchesBu(*outer(plan::Join(
+      Eq(Col("MOVIES.m_id"), Col("GENRES.m_id")),
+      PreferOn("p_year", "year", 2005, 0.3, plan::Scan("MOVIES")),
+      plan::Scan("GENRES"))));
+  ExpectGbuMatchesBu(*outer(plan::Join(
+      Eq(Col("MOVIES.d_id"), Col("M2.d_id")),
+      PreferOn("p_year", "MOVIES.year", 2005, 0.3, plan::Scan("MOVIES")),
+      plan::Join(Eq(Col("M2.m_id"), Col("GENRES.m_id")), plan::Scan("MOVIES", "M2"),
+                 plan::Scan("GENRES")))));
+}
+
+// A temp that is a whole base table keeps the table's identity view, so a
+// region join building on it probes the table's persistent index.
+TEST_F(GBUViewTempTest, BuildOverIdentityTempProbesTheBaseTableIndex) {
+  PlanPtr p = plan::Join(Eq(Col("MOVIES.m_id"), Col("GENRES.m_id")),
+                         PreferOn("p_new", "year", 2006, 0.7, plan::Scan("MOVIES")),
+                         plan::Prefer(GenrePref(), plan::Scan("GENRES")));
+  obs::Counter* hits = engine_.metrics().counter(obs::kPrefNativeJoinIndexHits);
+  const uint64_t before = hits->value();
+  std::string trace = GbuTrace(*p);
+  EXPECT_NE(trace.find("RegisterTemp  (rows=6 -> 6 view base=GENRES)"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("native.join.build  (rows=6 -> 5 index)"), std::string::npos)
+      << trace;
+  EXPECT_EQ(hits->value() - before, 1u);
+  ExpectGbuMatchesBu(*p);
 }
 
 TEST_F(StrategiesTest, MembershipPreferenceAcrossStrategies) {
