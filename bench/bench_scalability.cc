@@ -3,22 +3,12 @@
 // scale roughly linearly in the data size at fixed selectivities; the
 // ordering between strategies is stable across scales.
 //
-// Extension (parallel subsystem): a thread-count sweep of every strategy on
-// the largest scalability dataset, emitting machine-readable rows to
-// BENCH_parallel.json to seed the performance trajectory.
-//
-// Extension (native executor): a native-operator sweep isolating the
-// executor's morsel-parallel operators (scan filtering, hash-join probe)
-// at threads {1,2,4,8}, emitting BENCH_native.json whose traced rows carry
-// the native.* span taxonomy (DESIGN.md §12). scripts/run_checks.sh's
-// bench gate asserts those span names stay present; set
-// PREFDB_BENCH_ONLY=native to run just this sweep.
+// Thread-count and cache behaviour are measured by perfbench's
+// paper_parallel and cache_stream workloads (perfbench/README.md).
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -29,257 +19,6 @@
 namespace prefdb {
 namespace bench {
 namespace {
-
-// Thread counts for the sweep: powers of two from 1 up to the hardware
-// concurrency (always including a parallel point and the hardware
-// concurrency itself, so single-core CI still exercises the morsel path).
-std::vector<size_t> ThreadSweep() {
-  size_t hardware = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<size_t> threads;
-  for (size_t t = 1; t <= hardware; t *= 2) threads.push_back(t);
-  if (threads.back() != hardware) threads.push_back(hardware);
-  if (threads.size() < 2) threads.push_back(2);
-  return threads;
-}
-
-void RunThreadSweep(Session* session, const std::string& sql,
-                    const std::string& workload_name, const BenchEnv& env) {
-  std::vector<size_t> sweep = ThreadSweep();
-  std::printf(
-      "\nThread-count sweep (%s at the largest scale; morsel-driven "
-      "evaluation, hardware_concurrency=%u):\n\n",
-      workload_name.c_str(), std::thread::hardware_concurrency());
-  std::vector<std::string> header = {"strategy"};
-  for (size_t t : sweep) header.push_back(StrFormat("%zu thr ms", t));
-  PrintTableHeader(header);
-
-  ParallelContext defaults;
-  FILE* json =
-      OpenBenchJson("BENCH_parallel.json", "parallel", env, defaults.morsel_size);
-  for (StrategyKind kind : AllStrategies()) {
-    std::vector<std::string> row = {std::string(StrategyKindName(kind))};
-    for (size_t threads : sweep) {
-      QueryOptions options;
-      options.strategy = kind;
-      options.parallel.threads = threads;
-      Measurement m = MeasureQuery(session, sql, options, env.repetitions);
-      row.push_back(FormatMillis(m.millis));
-      if (json != nullptr) {
-        std::fprintf(json,
-                     "{\"bench\": \"parallel\", \"workload\": \"%s\", "
-                     "\"strategy\": \"%s\", \"threads\": %zu, "
-                     "\"morsel_size\": %zu, %s, "
-                     "\"tuples_materialized\": %zu}\n",
-                     workload_name.c_str(),
-                     std::string(StrategyKindName(kind)).c_str(), threads,
-                     options.parallel.morsel_size,
-                     MeasurementJsonFields(m).c_str(),
-                     m.stats.tuples_materialized);
-      }
-    }
-    // One traced run per strategy at each end of the sweep: the per-phase
-    // breakdown (span tree with timings) behind the row above.
-    for (size_t threads : {sweep.front(), sweep.back()}) {
-      QueryOptions options;
-      options.strategy = kind;
-      options.parallel.threads = threads;
-      AppendTraceJson(
-          json, "parallel",
-          StrFormat("\"workload\": \"%s\", \"strategy\": \"%s\", "
-                    "\"threads\": %zu",
-                    workload_name.c_str(),
-                    std::string(StrategyKindName(kind)).c_str(), threads),
-          session, sql, options);
-    }
-    PrintTableRow(row);
-  }
-  if (json != nullptr) {
-    std::fclose(json);
-    std::printf("\nWrote BENCH_parallel.json\n");
-  }
-}
-
-// Native-operator sweep: isolates the executor's own morsel-parallel
-// operators rather than whole-strategy wall time. FtP delegates the
-// relational fragment wholesale, so its delegated subtree is exactly the
-// native operators under measurement: the scan_filter phase is dominated
-// by fused-predicate filtering in ExecScan, the join_probe phase by the
-// serial-build/parallel-probe hash join. The traced rows embed the
-// native.* span names (native.scan, native.join.build, native.join.probe)
-// with per-operator row counts — the machine-readable contract that
-// scripts/run_checks.sh's bench gate greps BENCH_native.json for.
-void RunNativeSweep(Session* session, const BenchEnv& env) {
-  struct Phase {
-    const char* name;
-    const char* sql;
-  };
-  const Phase phases[] = {
-      // Selective scan: the delegated fragment is a single filtered table
-      // scan, so wall time tracks native.scan's morsel loop.
-      {"scan_filter",
-       "SELECT title, year FROM MOVIES WHERE year >= 1990 "
-       "PREFERRING (year >= 2000) SCORE recency(year, 2011) CONF 0.9 "
-       "RANKED"},
-      // Join-heavy: two hash joins per execution; probe-side morsels run
-      // concurrently while each build stays serial (DESIGN.md §12).
-      {"join_probe",
-       "SELECT title, year FROM MOVIES "
-       "JOIN DIRECTORS ON MOVIES.d_id = DIRECTORS.d_id "
-       "JOIN GENRES ON MOVIES.m_id = GENRES.m_id "
-       "WHERE year >= 1990 "
-       "PREFERRING (year >= 2000) SCORE recency(year, 2011) CONF 0.9 "
-       "RANKED"},
-  };
-  const size_t kThreads[] = {1, 2, 4, 8};
-  const std::string strategy = std::string(StrategyKindName(StrategyKind::kFtP));
-
-  std::printf(
-      "\nNative-operator sweep (%s-delegated scan filter and join probe; "
-      "morsel-parallel executor operators):\n\n",
-      strategy.c_str());
-  std::vector<std::string> header = {"phase"};
-  for (size_t t : kThreads) header.push_back(StrFormat("%zu thr ms", t));
-  PrintTableHeader(header);
-
-  ParallelContext defaults;
-  FILE* json =
-      OpenBenchJson("BENCH_native.json", "native", env, defaults.morsel_size);
-  for (const Phase& phase : phases) {
-    std::vector<std::string> row = {phase.name};
-    for (size_t threads : kThreads) {
-      QueryOptions options;
-      options.strategy = StrategyKind::kFtP;
-      options.parallel.threads = threads;
-      Measurement m =
-          MeasureQuery(session, phase.sql, options, env.repetitions);
-      row.push_back(FormatMillis(m.millis));
-      if (json != nullptr) {
-        std::fprintf(json,
-                     "{\"bench\": \"native\", \"phase\": \"%s\", "
-                     "\"strategy\": \"%s\", \"threads\": %zu, "
-                     "\"morsel_size\": %zu, %s, "
-                     "\"tuples_materialized\": %zu}\n",
-                     phase.name, strategy.c_str(), threads,
-                     options.parallel.morsel_size,
-                     MeasurementJsonFields(m).c_str(),
-                     m.stats.tuples_materialized);
-      }
-    }
-    // One traced run per phase at each end of the sweep: the span tree
-    // behind the timings, carrying the native operator rows (with
-    // rows_in/rows_out) that the bench gate asserts on.
-    for (size_t threads : {kThreads[0], kThreads[3]}) {
-      QueryOptions options;
-      options.strategy = StrategyKind::kFtP;
-      options.parallel.threads = threads;
-      AppendTraceJson(
-          json, "native",
-          StrFormat("\"phase\": \"%s\", \"strategy\": \"%s\", "
-                    "\"threads\": %zu",
-                    phase.name, strategy.c_str(), threads),
-          session, phase.sql, options);
-    }
-    PrintTableRow(row);
-  }
-  if (json != nullptr) {
-    std::fclose(json);
-    std::printf("\nWrote BENCH_native.json\n");
-  }
-}
-
-// Warm/cold repeat-query sweep of the preference-aware result cache: per
-// strategy, the wall time of (a) cache off, (b) a cold run into an empty
-// cache, (c) warm repeats that hit. Rows and counters are identical in all
-// three modes (the cache replays stats deltas on hits; see
-// tests/parallel_equivalence_test.cc) — only wall time and the
-// pref.cache.* metrics differ, which is exactly what this sweep records in
-// BENCH_cache.json.
-void RunCacheSweep(Session* session, const std::string& sql,
-                   const std::string& workload_name, const BenchEnv& env) {
-  std::printf("\nResult-cache sweep (%s; repeat-query wall time):\n\n",
-              workload_name.c_str());
-  PrintTableHeader({"strategy", "off ms", "cold ms", "warm ms", "hits"});
-
-  ParallelContext defaults;
-  FILE* json = OpenBenchJson("BENCH_cache.json", "cache", env,
-                             defaults.morsel_size);
-  obs::MetricsRegistry& metrics = session->engine().metrics();
-  for (StrategyKind kind : AllStrategies()) {
-    QueryOptions options;
-    options.strategy = kind;
-
-    options.cache = false;
-    Measurement off = MeasureQuery(session, sql, options, env.repetitions);
-
-    // Cold: every repetition starts from an empty cache (the SET CACHE
-    // pragma is the documented control surface, so use it here too).
-    options.cache = true;
-    std::vector<double> cold_millis;
-    for (int rep = 0; rep < env.repetitions; ++rep) {
-      auto cleared = session->Query("SET CACHE CLEAR");
-      if (!cleared.ok()) {
-        std::fprintf(stderr, "%s\n", cleared.status().ToString().c_str());
-        std::abort();
-      }
-      auto result = session->Query(sql, options);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        std::abort();
-      }
-      cold_millis.push_back(result->millis);
-    }
-    std::sort(cold_millis.begin(), cold_millis.end());
-    Measurement cold;
-    cold.p50_ms = cold_millis[cold_millis.size() / 2];
-    cold.millis = cold.p50_ms;
-    cold.p95_ms = cold_millis[std::min(cold_millis.size() - 1,
-                                       (cold_millis.size() * 95) / 100)];
-    cold.p99_ms = cold_millis[std::min(cold_millis.size() - 1,
-                                       (cold_millis.size() * 99) / 100)];
-    cold.max_ms = cold_millis.back();
-
-    // Warm: the last cold run above primed the cache; every repetition
-    // hits. The hit/miss deltas come from the engine's metrics registry.
-    uint64_t hits_before = metrics.counter("pref.cache.hits")->value();
-    uint64_t misses_before = metrics.counter("pref.cache.misses")->value();
-    Measurement warm = MeasureQuery(session, sql, options, env.repetitions);
-    uint64_t hits = metrics.counter("pref.cache.hits")->value() - hits_before;
-    uint64_t misses =
-        metrics.counter("pref.cache.misses")->value() - misses_before;
-
-    PrintTableRow({std::string(StrategyKindName(kind)), FormatMillis(off.millis),
-                   FormatMillis(cold.millis), FormatMillis(warm.millis),
-                   FormatCount(hits)});
-    if (json != nullptr) {
-      struct ModeRow {
-        const char* mode;
-        const Measurement* m;
-        uint64_t hits;
-        uint64_t misses;
-      };
-      const ModeRow rows[] = {{"off", &off, 0, 0},
-                              {"cold", &cold, 0, 0},
-                              {"warm", &warm, hits, misses}};
-      for (const ModeRow& row : rows) {
-        std::fprintf(json,
-                     "{\"bench\": \"cache\", \"workload\": \"%s\", "
-                     "\"strategy\": \"%s\", \"mode\": \"%s\", %s, "
-                     "\"cache_hits\": %llu, \"cache_misses\": %llu}\n",
-                     workload_name.c_str(),
-                     std::string(StrategyKindName(kind)).c_str(), row.mode,
-                     MeasurementJsonFields(*row.m).c_str(),
-                     static_cast<unsigned long long>(row.hits),
-                     static_cast<unsigned long long>(row.misses));
-      }
-    }
-  }
-  auto off_again = session->Query("SET CACHE CLEAR");
-  if (!off_again.ok()) std::abort();
-  if (json != nullptr) {
-    std::fclose(json);
-    std::printf("\nWrote BENCH_cache.json\n");
-  }
-}
 
 // --trace-out support: one representative workload query runs traced at
 // TraceLevel::kMorsel (per-morsel slices under every operator span) and the
@@ -328,27 +67,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Fast path for CI: PREFDB_BENCH_ONLY=native skips the scalability table
-  // and the strategy/cache sweeps, generating one dataset at the base SF
-  // and running only the native-operator sweep. scripts/run_checks.sh uses
-  // this (with a tiny SF) to gate on BENCH_native.json contents.
-  const char* only = std::getenv("PREFDB_BENCH_ONLY");
-  if (only != nullptr && std::string(only) == "native") {
-    ImdbOptions options;
-    options.scale = env.sf;
-    auto catalog = GenerateImdb(options);
-    if (!catalog.ok()) {
-      std::fprintf(stderr, "%s\n", catalog.status().ToString().c_str());
-      return 1;
-    }
-    Session session(std::move(*catalog));
-    RunNativeSweep(&session, env);
-    if (!trace_out.empty()) {
-      return WriteChromeTrace(&session, ImdbWorkload()[0].sql, trace_out);
-    }
-    return 0;
-  }
-
   std::printf(
       "prefdb :: Fig. 12 [reconstructed]: scalability with dataset size "
       "(IMDB-1; base SF=%.4g)\n\n",
@@ -362,6 +80,8 @@ int Main(int argc, char** argv) {
   }
   PrintTableHeader(header);
 
+  // The session over the largest dataset, kept for --trace-out.
+  std::unique_ptr<Session> largest;
   for (double multiplier : {0.25, 0.5, 1.0, 2.0, 4.0}) {
     ImdbOptions options;
     options.scale = env.sf * multiplier;
@@ -370,15 +90,15 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", catalog.status().ToString().c_str());
       return 1;
     }
-    Session session(std::move(*catalog));
-    size_t movies = (*session.engine().catalog().GetTable("MOVIES"))->NumRows();
+    largest = std::make_unique<Session>(std::move(*catalog));
+    size_t movies = (*largest->engine().catalog().GetTable("MOVIES"))->NumRows();
 
     std::vector<std::string> row = {
         StrFormat("%.2fx (%zu)", multiplier, movies)};
     for (StrategyKind kind : EvaluationStrategies()) {
       QueryOptions query_options;
       query_options.strategy = kind;
-      Measurement m = MeasureQuery(&session, sql, query_options,
+      Measurement m = MeasureQuery(largest.get(), sql, query_options,
                                    env.repetitions);
       row.push_back(FormatMillis(m.millis));
     }
@@ -388,30 +108,8 @@ int Main(int argc, char** argv) {
       "\nExpected shape: near-linear growth for every strategy; the "
       "strategy ordering (hybrids ahead of plug-ins) holds at every "
       "scale.\n");
-
-  // Parallel sweep on the largest scalability dataset.
-  ImdbOptions largest;
-  largest.scale = env.sf * 4.0;
-  auto catalog = GenerateImdb(largest);
-  if (!catalog.ok()) {
-    std::fprintf(stderr, "%s\n", catalog.status().ToString().c_str());
-    return 1;
-  }
-  Session session(std::move(*catalog));
-  RunThreadSweep(&session, sql, "IMDB-1", env);
-  RunNativeSweep(&session, env);
-  RunCacheSweep(&session, sql, "IMDB-1", env);
-  std::printf(
-      "\nExpected shape: FtP and the plug-ins, whose cost is dominated by "
-      "the post-filter prefer sweep over the materialized result, speed up "
-      "with threads until morsel dispatch overhead or the engine-delegated "
-      "fraction (Amdahl) dominates. BU and GBU add subtree concurrency on "
-      "top of the morsel loops — independent join/set-operation children "
-      "(BU) and per-prefer-subtree temp materializations (GBU) evaluate as "
-      "concurrent tasks — so their curves flatten only once the plan runs "
-      "out of independent work.\n");
   if (!trace_out.empty()) {
-    return WriteChromeTrace(&session, sql, trace_out);
+    return WriteChromeTrace(largest.get(), sql, trace_out);
   }
   return 0;
 }

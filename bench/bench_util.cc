@@ -1,24 +1,42 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "common/string_util.h"
 
 namespace prefdb {
 namespace bench {
 
+namespace {
+
+// Exits with status 2 after naming the variable and its bad value.
+[[noreturn]] void BadEnv(const char* name, const char* value, const char* want) {
+  std::fprintf(stderr, "%s=\"%s\" is not %s\n", name, value, want);
+  std::exit(2);
+}
+
+}  // namespace
+
 BenchEnv GetBenchEnv() {
   BenchEnv env;
   if (const char* sf = std::getenv("PREFDB_BENCH_SF")) {
-    env.sf = std::atof(sf);
-    if (env.sf <= 0) env.sf = 0.01;
+    char* end = nullptr;
+    env.sf = std::strtod(sf, &end);
+    if (end == sf || *end != '\0' || !(env.sf > 0) || !std::isfinite(env.sf)) {
+      BadEnv("PREFDB_BENCH_SF", sf, "a positive number");
+    }
   }
   if (const char* reps = std::getenv("PREFDB_BENCH_REPS")) {
-    env.repetitions = std::max(1, std::atoi(reps));
+    char* end = nullptr;
+    const long value = std::strtol(reps, &end, 10);
+    if (end == reps || *end != '\0' || value < 1 || value > INT_MAX) {
+      BadEnv("PREFDB_BENCH_REPS", reps, "a positive integer");
+    }
+    env.repetitions = static_cast<int>(value);
   }
   return env;
 }
@@ -41,59 +59,7 @@ Measurement MeasureQuery(Session* session, const std::string& sql,
   }
   std::sort(runs.begin(), runs.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Nearest-rank percentiles over the sorted repetitions; the reported
-  // measurement is the median run, annotated with the distribution.
-  size_t n = runs.size();
-  auto rank = [n](double q) {
-    size_t r = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
-    return std::min(n - 1, r > 0 ? r - 1 : 0);
-  };
-  Measurement m = runs[n / 2].second;
-  m.p50_ms = m.millis;
-  m.p95_ms = runs[rank(0.95)].first;
-  m.p99_ms = runs[rank(0.99)].first;
-  m.max_ms = runs[n - 1].first;
-  return m;
-}
-
-std::FILE* OpenBenchJson(const std::string& path, const std::string& bench,
-                         const BenchEnv& env, size_t morsel_size) {
-  std::FILE* json = std::fopen(path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "warning: cannot open %s\n", path.c_str());
-    return nullptr;
-  }
-  std::fprintf(json,
-               "{\"bench\": \"%s\", \"meta\": {\"sf\": %g, \"reps\": %d, "
-               "\"morsel_size\": %zu, \"hardware_concurrency\": %u}}\n",
-               bench.c_str(), env.sf, env.repetitions, morsel_size,
-               std::thread::hardware_concurrency());
-  return json;
-}
-
-std::string MeasurementJsonFields(const Measurement& m) {
-  return StrFormat(
-      "\"wall_ms\": %.3f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-      "\"p99_ms\": %.3f, \"max_ms\": %.3f",
-      m.millis, m.p50_ms, m.p95_ms, m.p99_ms, m.max_ms);
-}
-
-void AppendTraceJson(std::FILE* json, const std::string& bench,
-                     const std::string& extra_fields, Session* session,
-                     const std::string& sql, QueryOptions options) {
-  if (json == nullptr) return;
-  options.trace = true;
-  auto result = session->Query(sql, options);
-  if (!result.ok() || result->trace == nullptr) {
-    std::fprintf(stderr, "warning: trace run failed: %s\n",
-                 result.ok() ? "no trace collected"
-                             : result.status().ToString().c_str());
-    return;
-  }
-  std::fprintf(json, "{\"bench\": \"%s_trace\", %s%s\"trace\": %s}\n",
-               bench.c_str(), extra_fields.c_str(),
-               extra_fields.empty() ? "" : ", ",
-               result->trace->ToJson().c_str());
+  return runs[runs.size() / 2].second;
 }
 
 std::vector<StrategyKind> EvaluationStrategies() {

@@ -20,58 +20,29 @@ struct BenchEnv {
   int repetitions = 3;
 };
 
-/// Reads the environment variables above.
+/// Reads the environment variables above. A value that is not a positive
+/// number (a positive integer for the repetitions) is an error: the
+/// process prints it and exits with status 2.
 BenchEnv GetBenchEnv();
 
-/// One measured configuration: the wall-time distribution over the
-/// repetitions (p50/p95/p99/max; nearest-rank percentiles) rather than a
-/// single number — a mean hides the tail that morsel dispatch and pool
-/// contention produce. `millis` stays the median for backward-compatible
-/// callers.
+/// One measured configuration: the median run's wall time and counters.
 struct Measurement {
-  double millis = 0.0;   // == p50_ms.
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-  ExecStats stats;       // Stats of the median run.
+  double millis = 0.0;
+  ExecStats stats;
   size_t result_rows = 0;
 };
 
-/// Runs `sql` `repetitions` times under `options` and reports the wall-time
-/// distribution. Aborts the process with a message on error (benchmarks
-/// have no meaningful recovery).
+/// Runs `sql` `repetitions` times under `options` and reports the median
+/// run. Aborts the process with a message on error (benchmarks have no
+/// meaningful recovery).
 Measurement MeasureQuery(Session* session, const std::string& sql,
                          const QueryOptions& options, int repetitions);
-
-/// Opens a BENCH_*.json output file and stamps it with a metadata header
-/// line recording the bench name and the configuration it ran under
-/// (scale factor, repetitions, morsel size, hardware concurrency), so each
-/// file is self-describing. Returns nullptr (with a stderr warning) when
-/// the file cannot be opened; callers must handle nullptr.
-std::FILE* OpenBenchJson(const std::string& path, const std::string& bench,
-                         const BenchEnv& env, size_t morsel_size);
-
-/// The wall-time distribution of `m` as JSON fields (no braces), e.g.
-///   "wall_ms": 1.234, "p50_ms": 1.234, "p95_ms": 1.9, "max_ms": 2.1
-/// for splicing into a bench's per-row JSON objects.
-std::string MeasurementJsonFields(const Measurement& m);
-
-/// Runs `sql` once with tracing enabled and writes one JSON line
-///   {"bench": "<bench>_trace", <extra_fields>, "trace": {...}}
-/// carrying the query's span tree (with timings) — the per-phase breakdown
-/// export. `extra_fields` must be valid JSON fields (no braces) or empty.
-/// No-op when `json` is null.
-void AppendTraceJson(std::FILE* json, const std::string& bench,
-                     const std::string& extra_fields, Session* session,
-                     const std::string& sql, QueryOptions options);
 
 /// The standard strategy lineup of the evaluation section.
 std::vector<StrategyKind> EvaluationStrategies();
 
 /// Every strategy, including BU (excluded from the paper-figure lineup
-/// because it materializes each intermediate; the thread sweep includes it
-/// since BU's subtree- and morsel-parallelism profile differs from GBU's).
+/// because it materializes each intermediate).
 std::vector<StrategyKind> AllStrategies();
 
 /// printf a row of right-aligned columns. `header` prints a rule under it.

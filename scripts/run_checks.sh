@@ -8,10 +8,7 @@
 #   asan    AddressSanitizer+UBSan build of the full suite  (build-asan)
 #   tsan    ThreadSanitizer pass over the parallel-labeled tests
 #           (scripts/run_tsan.sh, build-tsan)
-#   bench   bench_scalability fast path (PREFDB_BENCH_ONLY=native at a tiny
-#           scale) — fails if BENCH_native.json stops carrying the
-#           native-operator phase rows and native.* span names — then
-#           perfbench/smoke_test.py: every answer right and the exact
+#   bench   perfbench/smoke_test.py: every answer right and the exact
 #           counts stable, at a tiny scale, on all three workloads
 #   telemetry  boots tools/telemetry_smoke (real HTTP server on an ephemeral
 #           port), curls /healthz and /metrics, checks the Prometheus
@@ -89,22 +86,6 @@ if [ "$RUN_TSAN" -eq 1 ]; then
 fi
 
 if [ "$RUN_BENCH" -eq 1 ]; then
-  echo "== bench: native-operator phase rows in BENCH_native.json =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j --target bench_scalability
-  rm -f build/bench/BENCH_native.json
-  (cd build/bench && \
-     PREFDB_BENCH_ONLY=native PREFDB_BENCH_SF=0.002 PREFDB_BENCH_REPS=1 \
-     ./bench_scalability)
-  # The bench must keep emitting its two phase rows and the native-operator
-  # span taxonomy (DESIGN.md §12) that downstream tooling parses.
-  for needle in '"phase": "scan_filter"' '"phase": "join_probe"' \
-                native.scan native.join.build native.join.probe; do
-    if ! grep -q -- "$needle" build/bench/BENCH_native.json; then
-      echo "bench gate: '$needle' missing from BENCH_native.json" >&2
-      exit 1
-    fi
-  done
   echo "== bench: perfbench smoke test (answers and exact counts) =="
   python3 perfbench/smoke_test.py
 fi

@@ -41,7 +41,10 @@ Status Walk(const PlanNode& node, const Catalog& catalog, Fingerprinter* fp,
       for (const std::string& column : node.project_columns) fp->Mix(column);
       break;
     case PlanKind::kPrefer:
-      MixPreference(*node.preference, fp);
+      // The preference's identity is its content hash (see
+      // Preference::ContentHash), not its name.
+      fp->Tag('P');
+      fp->Mix(node.preference->ContentHash());
       break;
     case PlanKind::kSort:
       fp->Tag('S');
@@ -82,11 +85,6 @@ StatusOr<PlanFingerprint> FingerprintPlan(const PlanNode& plan,
   RETURN_IF_ERROR(Walk(plan, catalog, &fp, &out.cacheable));
   out.key = fp.Key();
   return out;
-}
-
-void MixPreference(const Preference& pref, Fingerprinter* fp) {
-  fp->Tag('P');
-  fp->Mix(pref.ContentHash());
 }
 
 }  // namespace cache

@@ -95,11 +95,6 @@ StatusOr<PlanFingerprint> FingerprintPlan(const PlanNode& plan,
                                           const Catalog& catalog,
                                           uint64_t seed = 0);
 
-/// Mixes a preference's identity (content hash; see
-/// Preference::ContentHash) into `fp` — shared by the plan walk (kPrefer
-/// nodes) and strategy-level prefer-output keys.
-void MixPreference(const Preference& pref, Fingerprinter* fp);
-
 }  // namespace cache
 }  // namespace prefdb
 

@@ -116,27 +116,25 @@ std::shared_ptr<const CachedResult> QueryCache::Lookup(const CacheKey& key) {
   return result;
 }
 
-bool QueryCache::Admit(size_t bytes, const ExecStats& stats) {
-  // Don't displace useful entries with values that are oversized
-  // (admitting one would evict a whole shard) or trivially cheap to
-  // recompute (a hit saves nothing — the stats delta shows the miss
-  // execution touched no rows).
-  bool oversized = bytes > ShardBudget();
-  bool trivial_recompute = stats.rows_scanned + stats.tuples_materialized == 0;
-  if (!oversized && !trivial_recompute) return true;
-  admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-  if (admission_counter_ != nullptr) admission_counter_->Increment();
-  return false;
+Admission QueryCache::Admit(size_t bytes, const ExecStats& stats) {
+  Admission verdict = Admission::kAdmitted;
+  if (bytes > ShardBudget()) {
+    verdict = Admission::kOversize;
+  } else if (stats.rows_scanned + stats.tuples_materialized == 0) {
+    verdict = Admission::kTrivial;
+  }
+  if (verdict != Admission::kAdmitted) {
+    admission_rejected_.fetch_add(1, std::memory_order_relaxed);
+    if (admission_counter_ != nullptr) admission_counter_->Increment();
+  }
+  return verdict;
 }
 
 void QueryCache::Insert(const CacheKey& key,
                         std::shared_ptr<CachedResult> value) {
   if (value == nullptr) return;
-  if (value->bytes == 0) {
-    value->bytes = EstimateRelationBytes(value->rel) +
-                   (value->has_scores ? EstimatePairsBytes(value->pairs) : 0);
-  }
-  if (!Admit(value->bytes, value->stats)) return;
+  if (value->bytes == 0) value->bytes = EstimateRelationBytes(value->rel);
+  if (Admit(value->bytes, value->stats) != Admission::kAdmitted) return;
   size_t budget = ShardBudget();
 
   Shard& shard = ShardFor(key);

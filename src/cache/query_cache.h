@@ -22,9 +22,9 @@
 namespace prefdb {
 namespace cache {
 
-/// One cached result: the materialized relation of a delegated engine query
-/// or the full p-relation output of a prefer subtree, plus the ExecStats
-/// delta recorded while computing it on the miss path.
+/// One cached result: the materialized relation of a delegated engine
+/// query, plus the ExecStats delta recorded while computing it on the miss
+/// path.
 ///
 /// The stats delta is the trick that keeps counters deterministic: a hit
 /// *replays* the delta into the caller's ExecStats instead of executing, so
@@ -34,9 +34,6 @@ namespace cache {
 /// counter drift the equivalence tests would have to special-case.
 struct CachedResult {
   Relation rel;
-  /// Row-aligned pairs of a prefer-subtree output (PRelation::pairs).
-  std::vector<ScoreConf> pairs;
-  bool has_scores = false;
   ExecStats stats;
   /// Estimated footprint; filled by Insert when left 0.
   size_t bytes = 0;
@@ -50,6 +47,18 @@ struct CachedResult {
 size_t EstimateRelationBytes(const Relation& rel);
 size_t EstimateViewBytes(const RowView& view);
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs);
+
+/// The admission policy's verdict on one value (QueryCache::Admit).
+enum class Admission {
+  kAdmitted,
+  /// Bigger than a whole shard's budget slice: admitting it would evict an
+  /// entire shard for one key.
+  kOversize,
+  /// The ExecStats delta records zero rows scanned and zero tuples
+  /// materialized: a recompute costs nothing, so caching it could only
+  /// displace entries that are expensive to rebuild.
+  kTrivial,
+};
 
 /// A thread-safe, sharded LRU result cache with a byte budget.
 ///
@@ -97,15 +106,10 @@ class QueryCache {
   void Insert(const CacheKey& key, std::shared_ptr<CachedResult> value);
 
   /// The admission policy, callable before a value is built so a rejected
-  /// result is never copied. False rejects, and each rejection increments
-  /// the pref.cache.admission_rejected counter:
-  ///   * Oversized: `bytes` exceeds a whole shard's budget slice, so
-  ///     admitting it would evict an entire shard for one key.
-  ///   * Trivial recompute: the ExecStats delta `stats` records zero rows
-  ///     scanned and zero tuples materialized, meaning a recompute costs
-  ///     nothing — caching it could only displace entries that are
-  ///     expensive to rebuild.
-  bool Admit(size_t bytes, const ExecStats& stats);
+  /// result is never copied: why a value of `bytes` whose miss execution
+  /// recorded `stats` is not worth a slot (Admission), or kAdmitted. Each
+  /// rejection increments the pref.cache.admission_rejected counter.
+  Admission Admit(size_t bytes, const ExecStats& stats);
 
   /// Point-in-time totals (atomics; exact when quiescent).
   struct Stats {

@@ -63,6 +63,8 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
     if (fp.ok() && fp->cacheable) {
       key = fp->key;
       use_cache = true;
+    } else if (fp.ok()) {
+      obs::AppendDetail(span, "cache=skip(temp)");
     }
   }
 
@@ -90,7 +92,7 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
       RETURN_IF_ERROR(charge(hit));
       return hit;
     }
-    obs::AppendDetail(span, "cache=miss");
+    std::string_view outcome = "cache=miss";
     ExecStats local;
     result = run(&local);
     stats->Merge(local);
@@ -106,12 +108,21 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
         // cancelled mid-flight or hit a fault point never populates a
         // shard, so later queries cannot reuse poisoned state. Admission
         // is decided on the view, so a rejected result is never copied.
-        if (std::shared_ptr<const cache::CachedResult> entry =
-                InsertGathered(key, *result, local)) {
-          result = RowView::Of(entry->rel, entry);
+        const size_t bytes = cache::EstimateViewBytes(*result);
+        switch (cache_.Admit(bytes, local)) {
+          case cache::Admission::kAdmitted:
+            result = InsertGathered(key, *result, local, bytes);
+            break;
+          case cache::Admission::kOversize:
+            outcome = "cache=miss(rejected:oversize)";
+            break;
+          case cache::Admission::kTrivial:
+            outcome = "cache=miss(rejected:trivial)";
+            break;
         }
       }
     }
+    obs::AppendDetail(span, outcome);
   } else {
     result = run(stats);
     if (result.ok()) {
@@ -123,23 +134,15 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
   return result;
 }
 
-std::shared_ptr<const cache::CachedResult> Engine::InsertGathered(
-    const cache::CacheKey& key, const RowView& view, const ExecStats& stats,
-    const std::vector<ScoreConf>* pairs) {
-  size_t bytes = cache::EstimateViewBytes(view);
-  if (pairs != nullptr) bytes += cache::EstimatePairsBytes(*pairs);
-  if (!cache_.Admit(bytes, stats)) return nullptr;
+RowView Engine::InsertGathered(const cache::CacheKey& key, const RowView& view,
+                               const ExecStats& stats, size_t bytes) {
   auto entry = std::make_shared<cache::CachedResult>();
   entry->rel = view.Gather();
   NoteRowsGathered(view.NumRows());
-  if (pairs != nullptr) {
-    entry->pairs = *pairs;
-    entry->has_scores = true;
-  }
   entry->stats = stats;
   entry->bytes = bytes;
   cache_.Insert(key, entry);
-  return entry;
+  return RowView::Of(entry->rel, entry);
 }
 
 StatusOr<Relation> Engine::ExecuteUnoptimized(const PlanNode& query) {

@@ -108,22 +108,17 @@ class Engine {
   /// ExecStats delta into `stats` (so counters match an uncached execution
   /// exactly); a miss executes, gathers the result once into a new entry
   /// when the cache admits it, and returns a view of that entry. `span`
-  /// (nullable) receives a "cache=hit" / "cache=miss" annotation — surfaced
-  /// by EXPLAIN ANALYZE.
+  /// (nullable) receives the outcome, surfaced by EXPLAIN ANALYZE:
+  /// "cache=hit", "cache=miss", "cache=miss(rejected:oversize)" or
+  /// "cache=miss(rejected:trivial)" when the admission policy turned the
+  /// result away, and "cache=skip(temp)" for a plan over a temporary table,
+  /// which is never cached.
   StatusOr<RowView> ExecuteConcurrent(const PlanNode& query, ExecStats* stats,
                                       obs::Span* span = nullptr);
 
   /// Executes without native optimization and gathers the rows (for the
   /// optimizer-ablation benchmarks and as a differential-testing oracle).
   StatusOr<Relation> ExecuteUnoptimized(const PlanNode& query);
-
-  /// Gathers `view` (and `pairs`, for a prefer-subtree output) into a new
-  /// cache entry under `key` when the cache admits it — decided on the
-  /// view, so a rejected result is never copied — and returns the entry,
-  /// else null. A view of the entry (RowView::Of) aliases its rows.
-  std::shared_ptr<const cache::CachedResult> InsertGathered(
-      const cache::CacheKey& key, const RowView& view, const ExecStats& stats,
-      const std::vector<ScoreConf>* pairs = nullptr);
 
   /// Counts rows copied out of a row-id view (pref.exec.rows_gathered).
   void NoteRowsGathered(size_t rows) { rows_gathered_->Increment(rows); }
@@ -171,9 +166,9 @@ class Engine {
   obs::TraceLevel trace_level() const { return trace_level_; }
   void set_trace_level(obs::TraceLevel level) { trace_level_ = level; }
 
-  /// The preference-aware result cache shared by every query against this
-  /// engine: delegated-scan relations and prefer-subtree outputs, keyed by
-  /// plan/preference fingerprints (src/cache). Off by default.
+  /// The result cache shared by every query against this engine: the
+  /// results of delegated conventional queries, keyed by plan fingerprints
+  /// (src/cache). Off by default.
   cache::QueryCache* cache() { return &cache_; }
   const cache::QueryCache& cache() const { return cache_; }
 
@@ -184,6 +179,12 @@ class Engine {
   const obs::QueryLog& query_log() const { return query_log_; }
 
  private:
+  /// Gathers an admitted miss result `view` of `bytes` into a new cache
+  /// entry under `key` and returns a view of the entry (RowView::Of), which
+  /// aliases its rows.
+  RowView InsertGathered(const cache::CacheKey& key, const RowView& view,
+                         const ExecStats& stats, size_t bytes);
+
   Catalog catalog_;
   ExecStats stats_;
   obs::MetricsRegistry metrics_;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cache/fingerprint.h"
@@ -169,11 +168,8 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 //
 // Identical plans (same fingerprint, including referenced-table versions)
 // are detected up front and executed once; each duplicate shares the unique
-// execution's view and *replays* its ExecStats delta, so per-plan
-// deltas and counter totals still match executing every plan. With
-// `per_plan_stats` non-null it receives each plan's delta (duplicates
-// report their representative's), the contract the prefetch layer below
-// consumes.
+// execution's view and *replays* its ExecStats delta, so counter totals
+// still match executing every plan.
 //
 // With a non-null `span`, each executed query gets a child span named by
 // `labels` (parallel queries build theirs detached, adopted in execution
@@ -181,12 +177,7 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 // plans get a span annotated "dedup".
 StatusOr<std::vector<RowView>> ExecuteEngineQueries(
     const std::vector<const PlanNode*>& plans, Engine* engine,
-    ExecStats* stats, obs::Span* span = nullptr,
-    const std::vector<std::string>* labels = nullptr,
-    std::vector<ExecStats>* per_plan_stats = nullptr) {
-  auto label = [labels](size_t i) -> std::string {
-    return labels != nullptr ? (*labels)[i] : "EngineQuery";
-  };
+    ExecStats* stats, obs::Span* span, const std::vector<std::string>& labels) {
   const size_t n = plans.size();
 
   // rep[i] is the index of the first plan with i's fingerprint (i itself
@@ -216,7 +207,7 @@ StatusOr<std::vector<RowView>> ExecuteEngineQueries(
   const ParallelContext& ctx = engine->parallel_context();
   if (ctx.IsSerial() || unique.size() < 2) {
     for (size_t i : unique) {
-      obs::SpanScope scope(span, label(i));
+      obs::SpanScope scope(span, labels[i]);
       partials[i] =
           engine->ExecuteConcurrent(*plans[i], &partial_stats[i], scope.get());
       if (partials[i]->ok()) {
@@ -228,10 +219,10 @@ StatusOr<std::vector<RowView>> ExecuteEngineQueries(
     std::vector<std::function<void()>> tasks;
     tasks.reserve(unique.size());
     for (size_t u = 0; u < unique.size(); ++u) {
-      tasks.push_back([&partials, &partial_stats, &plans, &holders, &label,
+      tasks.push_back([&partials, &partial_stats, &plans, &holders, &labels,
                        &unique, engine, u] {
         const size_t i = unique[u];
-        obs::SpanScope scope(holders[u].get(), label(i));
+        obs::SpanScope scope(holders[u].get(), labels[i]);
         partials[i] =
             engine->ExecuteConcurrent(*plans[i], &partial_stats[i], scope.get());
         if (partials[i]->ok()) {
@@ -245,151 +236,18 @@ StatusOr<std::vector<RowView>> ExecuteEngineQueries(
 
   std::vector<RowView> results;
   results.reserve(n);
-  if (per_plan_stats != nullptr) per_plan_stats->assign(n, ExecStats());
   for (size_t i = 0; i < n; ++i) {
     const size_t r = rep[i];
     stats->Merge(partial_stats[r]);
-    if (per_plan_stats != nullptr) (*per_plan_stats)[i] = partial_stats[r];
     RETURN_IF_ERROR(partials[r]->status());
     if (r != i && span != nullptr) {
-      obs::SpanScope dup(span, label(i));
+      obs::SpanScope dup(span, labels[i]);
       obs::SetDetail(dup.get(), "dedup");
       obs::SetRowsOut(dup.get(), (*partials[r])->NumRows());
     }
     results.push_back(**partials[r]);  // A view: copies ids, not values.
   }
   return results;
-}
-
-// Pre-executes the conventional queries a strategy is about to delegate
-// while recursing over its plan — BU's base-table scans, GBU's maximal
-// conventional subtrees under prefer chains — as one concurrent batch
-// through ExecuteEngineQueries, which also dedups identical queries by
-// fingerprint before dispatch. Consumption sites replay each root's
-// recorded ExecStats delta, so counter totals are identical to executing
-// the queries serially inside the recursion. Only active under a parallel
-// context with at least two delegation roots; a serial context keeps the
-// pre-existing recursive path untouched (threads=1 stays the bit-identical
-// baseline).
-class DelegatedQueryPrefetch {
- public:
-  struct Entry {
-    RowView view;
-    ExecStats stats;
-  };
-
-  Status Run(const std::vector<const PlanNode*>& roots, Engine* engine,
-             obs::Span* span) {
-    const ParallelContext& ctx = engine->parallel_context();
-    if (ctx.IsSerial() || roots.size() < 2) return Status::OK();
-    obs::SpanScope phase(span, "PrefetchDelegatedQueries");
-    std::vector<std::string> labels;
-    labels.reserve(roots.size());
-    for (const PlanNode* root : roots) {
-      labels.push_back(
-          StrFormat("DelegatedQuery[%s]", NodeLabel(*root).c_str()));
-    }
-    ExecStats batch;  // Discarded: consumption replays per-root deltas.
-    std::vector<ExecStats> per_plan;
-    ASSIGN_OR_RETURN(std::vector<RowView> results,
-                     ExecuteEngineQueries(roots, engine, &batch, phase.get(),
-                                          &labels, &per_plan));
-    for (size_t i = 0; i < roots.size(); ++i) {
-      Entry entry;
-      entry.view = std::move(results[i]);
-      entry.stats = per_plan[i];
-      entries_.emplace(roots[i], std::move(entry));
-    }
-    return Status::OK();
-  }
-
-  // The prefetched result for `node`, or null if `node` was not a
-  // delegation root (or prefetch was inactive).
-  const Entry* Find(const PlanNode* node) const {
-    auto it = entries_.find(node);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-
- private:
-  std::unordered_map<const PlanNode*, Entry> entries_;
-};
-
-// BU delegates every base-table scan to the engine.
-void CollectScanLeaves(const PlanNode& node,
-                       std::vector<const PlanNode*>* out) {
-  if (node.kind == PlanKind::kScan) {
-    out->push_back(&node);
-    return;
-  }
-  for (const PlanPtr& child : node.children) CollectScanLeaves(*child, out);
-}
-
-// GBU delegates each maximal conventional subtree its recursion reaches:
-// the node itself when prefer-free, a prefer chain's conventional child,
-// and — inside operator regions — only children that still contain prefer
-// operators (conventional region children fold into the region query,
-// which references per-evaluation temp tables and cannot be prefetched).
-// Mirrors GBUStrategy::Eval / CollectRegionPrefers exactly.
-void CollectGbuDelegationRoots(const PlanNode& node,
-                               std::vector<const PlanNode*>* out) {
-  if (!node.ContainsPrefer()) {
-    out->push_back(&node);
-    return;
-  }
-  if (node.kind == PlanKind::kPrefer) {
-    CollectGbuDelegationRoots(node.child(), out);
-    return;
-  }
-  for (const PlanPtr& child : node.children) {
-    if (!child->ContainsPrefer()) continue;
-    CollectGbuDelegationRoots(*child, out);
-  }
-}
-
-// Key for a prefer subtree's cached p-relation output: the fingerprint of
-// the whole prefer node (child plan + preference content + referenced
-// table versions + the optimizer toggle) combined with the aggregate
-// function and the evaluating strategy. BU and GBU materialize equivalent
-// p-relations but may order rows differently, and a warm result must be
-// bit-identical to the run that stored it *under the same strategy*.
-// nullopt when the cache is off or the subtree is uncacheable (temp
-// tables, unknown relations).
-std::optional<cache::CacheKey> PreferResultKey(const PlanNode& node,
-                                               const AggregateFunction& agg,
-                                               Engine* engine,
-                                               std::string_view strategy) {
-  if (!engine->cache()->enabled()) return std::nullopt;
-  StatusOr<cache::PlanFingerprint> fp = cache::FingerprintPlan(
-      node, engine->catalog(), engine->native_optimizer_enabled() ? 1 : 0);
-  if (!fp.ok() || !fp->cacheable) return std::nullopt;
-  cache::Fingerprinter combined;
-  combined.Mix(std::string_view("prefer-output"));
-  combined.Mix(fp->key);
-  combined.Mix(strategy);
-  combined.Mix(agg.name());
-  return combined.Key();
-}
-
-// Offers a prefer subtree's output to the cache. An admitted output is
-// gathered once into the entry and comes back as a view of it; a rejected
-// one (or one computed under a tripped governor, whose sweep may have
-// stopped early and must never be replayed) comes back unchanged.
-PRelation StorePreferResult(Engine* engine, const cache::CacheKey& key,
-                            PRelation out, const ExecStats& delta) {
-  const QueryGovernor* governor = engine->parallel_context().governor;
-  if (governor != nullptr && governor->tripped()) return out;
-  std::shared_ptr<const cache::CachedResult> entry =
-      engine->InsertGathered(key, out.view, delta, &out.pairs);
-  if (entry == nullptr) return out;
-  out.view = RowView::Of(entry->rel, entry);
-  return out;
-}
-
-// A prefer subtree's cached output: a view of the entry's rows (no copy)
-// and its pairs.
-PRelation CachedPreferResult(std::shared_ptr<const cache::CachedResult> entry) {
-  RowView view = RowView::Of(entry->rel, entry);
-  return PRelation(std::move(view), entry->pairs);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,13 +299,7 @@ class BUStrategy final : public Strategy {
                                        Engine* engine, ExecStats* stats,
                                        obs::Span* span) override {
     obs::SpanScope scope(span, "strategy[BU]");
-    // Dispatch every base-table scan of the plan as one concurrent,
-    // deduplicated batch up front (no-op under a serial context).
-    DelegatedQueryPrefetch prefetch;
-    std::vector<const PlanNode*> roots;
-    CollectScanLeaves(plan, &roots);
-    RETURN_IF_ERROR(prefetch.Run(roots, engine, scope.get()));
-    return Eval(plan, agg, engine, stats, scope.get(), &prefetch);
+    return Eval(plan, agg, engine, stats, scope.get());
   }
 
  private:
@@ -463,14 +315,13 @@ class BUStrategy final : public Strategy {
   // the same discipline: built detached, adopted left-then-right.
   StatusOr<std::pair<PRelation, PRelation>> EvalChildren(
       const PlanNode& node, const AggregateFunction& agg, Engine* engine,
-      ExecStats* stats, obs::Span* span,
-      const DelegatedQueryPrefetch* prefetch) {
+      ExecStats* stats, obs::Span* span) {
     const ParallelContext& ctx = engine->parallel_context();
     if (ctx.IsSerial()) {
       ASSIGN_OR_RETURN(PRelation left,
-                       Eval(node.child(0), agg, engine, stats, span, prefetch));
+                       Eval(node.child(0), agg, engine, stats, span));
       ASSIGN_OR_RETURN(PRelation right,
-                       Eval(node.child(1), agg, engine, stats, span, prefetch));
+                       Eval(node.child(1), agg, engine, stats, span));
       return std::make_pair(std::move(left), std::move(right));
     }
     std::optional<StatusOr<PRelation>> results[2];
@@ -479,9 +330,9 @@ class BUStrategy final : public Strategy {
     std::vector<std::function<void()>> tasks;
     for (size_t i = 0; i < 2; ++i) {
       tasks.push_back([this, &node, &agg, engine, &results, &partial_stats,
-                       &holders, prefetch, i] {
+                       &holders, i] {
         results[i] = Eval(node.child(i), agg, engine, &partial_stats[i],
-                          holders[i].get(), prefetch);
+                          holders[i].get());
       });
     }
     ParallelInvoke(ctx, tasks);
@@ -497,12 +348,11 @@ class BUStrategy final : public Strategy {
   // and attributes the node's score-relation writes to it, then dispatches
   // to the per-operator evaluation.
   StatusOr<PRelation> Eval(const PlanNode& node, const AggregateFunction& agg,
-                           Engine* engine, ExecStats* stats, obs::Span* parent,
-                           const DelegatedQueryPrefetch* prefetch) {
+                           Engine* engine, ExecStats* stats, obs::Span* parent) {
     obs::SpanScope scope(parent, NodeLabel(node));
     ScoreWriteScope scores(scope.get(), stats);
     ASSIGN_OR_RETURN(PRelation out,
-                     EvalNode(node, agg, engine, stats, scope.get(), prefetch));
+                     EvalNode(node, agg, engine, stats, scope.get()));
     // BU materializes every intermediate p-relation; each one is charged
     // against the governor's budget as it comes into existence.
     RETURN_IF_ERROR(ChargePRelation(engine, out));
@@ -511,21 +361,12 @@ class BUStrategy final : public Strategy {
 
   StatusOr<PRelation> EvalNode(const PlanNode& node,
                                const AggregateFunction& agg, Engine* engine,
-                               ExecStats* stats, obs::Span* span,
-                               const DelegatedQueryPrefetch* prefetch) {
+                               ExecStats* stats, obs::Span* span) {
     const ParallelContext* parallel = &engine->parallel_context();
     switch (node.kind) {
       case PlanKind::kScan: {
         // Base access goes through the engine (one trivial query), like the
-        // prototype's UDFs reading base relations from the DBMS. The scan
-        // may have been dispatched up front as part of the prefetch batch —
-        // consume the shared result and replay its counter delta.
-        if (const DelegatedQueryPrefetch::Entry* hit = prefetch->Find(&node)) {
-          stats->Merge(hit->stats);
-          obs::AppendDetail(span, "prefetched");
-          obs::SetRowsOut(span, hit->view.NumRows());
-          return PRelation(hit->view);
-        }
+        // prototype's UDFs reading base relations from the DBMS.
         ASSIGN_OR_RETURN(RowView view,
                          engine->ExecuteConcurrent(node, stats, span));
         obs::SetRowsOut(span, view.NumRows());
@@ -533,87 +374,61 @@ class BUStrategy final : public Strategy {
       }
       case PlanKind::kSelect: {
         ASSIGN_OR_RETURN(PRelation input,
-                         Eval(node.child(), agg, engine, stats, span, prefetch));
+                         Eval(node.child(), agg, engine, stats, span));
         return PSelect(*node.predicate, input, stats, parallel, span);
       }
       case PlanKind::kProject: {
         ASSIGN_OR_RETURN(PRelation input,
-                         Eval(node.child(), agg, engine, stats, span, prefetch));
+                         Eval(node.child(), agg, engine, stats, span));
         return PProject(node.project_columns, input, stats, span);
       }
       case PlanKind::kJoin: {
         ASSIGN_OR_RETURN(auto children,
-                         EvalChildren(node, agg, engine, stats, span, prefetch));
+                         EvalChildren(node, agg, engine, stats, span));
         return PJoin(*node.predicate, children.first, children.second, agg,
                      stats, parallel, span);
       }
       case PlanKind::kSemiJoin: {
         ASSIGN_OR_RETURN(auto children,
-                         EvalChildren(node, agg, engine, stats, span, prefetch));
+                         EvalChildren(node, agg, engine, stats, span));
         return PSemiJoin(*node.predicate, children.first, children.second,
                          stats, parallel, span);
       }
       case PlanKind::kUnion: {
         ASSIGN_OR_RETURN(auto children,
-                         EvalChildren(node, agg, engine, stats, span, prefetch));
+                         EvalChildren(node, agg, engine, stats, span));
         return PUnion(children.first, children.second, agg, stats, parallel,
                       span);
       }
       case PlanKind::kIntersect: {
         ASSIGN_OR_RETURN(auto children,
-                         EvalChildren(node, agg, engine, stats, span, prefetch));
+                         EvalChildren(node, agg, engine, stats, span));
         return PIntersect(children.first, children.second, agg, stats, parallel,
                           span);
       }
       case PlanKind::kExcept: {
         ASSIGN_OR_RETURN(auto children,
-                         EvalChildren(node, agg, engine, stats, span, prefetch));
+                         EvalChildren(node, agg, engine, stats, span));
         return PDiff(children.first, children.second, stats, parallel, span);
       }
       case PlanKind::kDistinct: {
         ASSIGN_OR_RETURN(PRelation input,
-                         Eval(node.child(), agg, engine, stats, span, prefetch));
+                         Eval(node.child(), agg, engine, stats, span));
         return PDistinct(input, stats, span);
       }
       case PlanKind::kSort: {
         ASSIGN_OR_RETURN(PRelation input,
-                         Eval(node.child(), agg, engine, stats, span, prefetch));
+                         Eval(node.child(), agg, engine, stats, span));
         return PSort(node.sort_keys, input, stats, span);
       }
       case PlanKind::kLimit: {
         ASSIGN_OR_RETURN(PRelation input,
-                         Eval(node.child(), agg, engine, stats, span, prefetch));
+                         Eval(node.child(), agg, engine, stats, span));
         return PLimit(node.limit, input, stats, span);
       }
       case PlanKind::kPrefer: {
-        // Whole prefer-subtree outputs (rows *and* score relation) are the
-        // second class of cached values: on a hit, the child evaluation and
-        // the prefer sweep are both skipped and the stored ExecStats delta
-        // is replayed instead.
-        std::optional<cache::CacheKey> key =
-            PreferResultKey(node, agg, engine, "BU");
-        if (key.has_value()) {
-          if (std::shared_ptr<const cache::CachedResult> entry =
-                  engine->cache()->Lookup(*key)) {
-            stats->Merge(entry->stats);
-            obs::AppendDetail(span, "cache=hit");
-            obs::SetRowsOut(span, entry->rel.NumRows());
-            return CachedPreferResult(std::move(entry));
-          }
-          obs::AppendDetail(span, "cache=miss");
-          ExecStats local;
-          ASSIGN_OR_RETURN(
-              PRelation input,
-              Eval(node.child(), agg, engine, &local, span, prefetch));
-          ASSIGN_OR_RETURN(PRelation out,
-                           EvalPrefer(*node.preference, std::move(input), agg,
-                                      &engine->catalog(), &local, parallel,
-                                      span));
-          stats->Merge(local);
-          return StorePreferResult(engine, *key, std::move(out), local);
-        }
         ASSIGN_OR_RETURN(PRelation input,
-                         Eval(node.child(), agg, engine, stats, span, prefetch));
+                         Eval(node.child(), agg, engine, stats, span));
         return EvalPrefer(*node.preference, std::move(input), agg,
                           &engine->catalog(), stats, parallel, span);
       }
@@ -658,15 +473,7 @@ class GBUStrategy final : public Strategy {
                                        Engine* engine, ExecStats* stats,
                                        obs::Span* span) override {
     obs::SpanScope scope(span, "strategy[GBU]");
-    // Dispatch the maximal conventional subtrees the recursion will
-    // delegate as one concurrent, deduplicated batch up front (no-op under
-    // a serial context). Region queries are excluded: they reference
-    // per-evaluation temp tables and only exist after materialization.
-    DelegatedQueryPrefetch prefetch;
-    std::vector<const PlanNode*> roots;
-    CollectGbuDelegationRoots(plan, &roots);
-    RETURN_IF_ERROR(prefetch.Run(roots, engine, scope.get()));
-    return Eval(plan, agg, engine, stats, scope.get(), &prefetch);
+    return Eval(plan, agg, engine, stats, scope.get());
   }
 
  private:
@@ -683,19 +490,11 @@ class GBUStrategy final : public Strategy {
   };
 
   StatusOr<PRelation> Eval(const PlanNode& node, const AggregateFunction& agg,
-                           Engine* engine, ExecStats* stats, obs::Span* parent,
-                           const DelegatedQueryPrefetch* prefetch) {
+                           Engine* engine, ExecStats* stats, obs::Span* parent) {
     if (!node.ContainsPrefer()) {
-      // Maximal non-preference subtree: one grouped query to the engine,
-      // possibly already dispatched by the prefetch batch.
+      // Maximal non-preference subtree: one grouped query to the engine.
       obs::SpanScope scope(parent, "EngineQuery");
       obs::SetDetail(scope.get(), StrFormat("root=%s", NodeLabel(node).c_str()));
-      if (const DelegatedQueryPrefetch::Entry* hit = prefetch->Find(&node)) {
-        stats->Merge(hit->stats);
-        obs::AppendDetail(scope.get(), "prefetched");
-        obs::SetRowsOut(scope.get(), hit->view.NumRows());
-        return PRelation(hit->view);
-      }
       ASSIGN_OR_RETURN(RowView view,
                        engine->ExecuteConcurrent(node, stats, scope.get()));
       obs::SetRowsOut(scope.get(), view.NumRows());
@@ -704,32 +503,8 @@ class GBUStrategy final : public Strategy {
     if (node.kind == PlanKind::kPrefer) {
       obs::SpanScope scope(parent, NodeLabel(node));
       ScoreWriteScope scores(scope.get(), stats);
-      std::optional<cache::CacheKey> key =
-          PreferResultKey(node, agg, engine, "GBU");
-      if (key.has_value()) {
-        if (std::shared_ptr<const cache::CachedResult> entry =
-                engine->cache()->Lookup(*key)) {
-          stats->Merge(entry->stats);
-          obs::AppendDetail(scope.get(), "cache=hit");
-          obs::SetRowsOut(scope.get(), entry->rel.NumRows());
-          PRelation warm = CachedPreferResult(std::move(entry));
-          RETURN_IF_ERROR(ChargePRelation(engine, warm));
-          return warm;
-        }
-        obs::AppendDetail(scope.get(), "cache=miss");
-        ExecStats local;
-        ASSIGN_OR_RETURN(PRelation input, Eval(node.child(), agg, engine,
-                                               &local, scope.get(), prefetch));
-        ASSIGN_OR_RETURN(PRelation out,
-                         EvalPrefer(*node.preference, std::move(input), agg,
-                                    &engine->catalog(), &local,
-                                    &engine->parallel_context(), scope.get()));
-        stats->Merge(local);
-        RETURN_IF_ERROR(ChargePRelation(engine, out));
-        return StorePreferResult(engine, *key, std::move(out), local);
-      }
-      ASSIGN_OR_RETURN(PRelation input, Eval(node.child(), agg, engine, stats,
-                                             scope.get(), prefetch));
+      ASSIGN_OR_RETURN(PRelation input,
+                       Eval(node.child(), agg, engine, stats, scope.get()));
       ASSIGN_OR_RETURN(PRelation out,
                        EvalPrefer(*node.preference, std::move(input), agg,
                                   &engine->catalog(), stats,
@@ -753,8 +528,7 @@ class GBUStrategy final : public Strategy {
     std::vector<const PlanNode*> prefer_roots;
     CollectRegionPrefers(node, &prefer_roots);
     ASSIGN_OR_RETURN(std::vector<PRelation> materialized,
-                     EvalPreferSubtrees(prefer_roots, agg, engine, stats, span,
-                                        prefetch));
+                     EvalPreferSubtrees(prefer_roots, agg, engine, stats, span));
 
     TempTableGuard guard(engine);
     std::vector<TempInput> temps;
@@ -804,8 +578,7 @@ class GBUStrategy final : public Strategy {
   // materialization" phase of the trace).
   StatusOr<std::vector<PRelation>> EvalPreferSubtrees(
       const std::vector<const PlanNode*>& roots, const AggregateFunction& agg,
-      Engine* engine, ExecStats* stats, obs::Span* span,
-      const DelegatedQueryPrefetch* prefetch) {
+      Engine* engine, ExecStats* stats, obs::Span* span) {
     obs::SpanScope phase(span, "MaterializeRegionInputs");
     std::vector<PRelation> results;
     results.reserve(roots.size());
@@ -813,7 +586,7 @@ class GBUStrategy final : public Strategy {
     if (ctx.IsSerial() || roots.size() < 2) {
       for (const PlanNode* root : roots) {
         ASSIGN_OR_RETURN(PRelation sub,
-                         Eval(*root, agg, engine, stats, phase.get(), prefetch));
+                         Eval(*root, agg, engine, stats, phase.get()));
         results.push_back(std::move(sub));
       }
       return results;
@@ -825,9 +598,9 @@ class GBUStrategy final : public Strategy {
     tasks.reserve(roots.size());
     for (size_t i = 0; i < roots.size(); ++i) {
       tasks.push_back([this, &roots, &agg, engine, &partials, &partial_stats,
-                       &holders, prefetch, i] {
+                       &holders, i] {
         partials[i] = Eval(*roots[i], agg, engine, &partial_stats[i],
-                           holders[i].get(), prefetch);
+                           holders[i].get());
       });
     }
     ParallelInvoke(ctx, tasks);
@@ -1139,7 +912,7 @@ class PlugInStrategy final : public Strategy {
     plans.reserve(rewrites.size());
     for (const PlanPtr& plan : rewrites) plans.push_back(plan.get());
     ASSIGN_OR_RETURN(std::vector<RowView> partials,
-                     ExecuteEngineQueries(plans, engine, stats, span, &labels));
+                     ExecuteEngineQueries(plans, engine, stats, span, labels));
     for (size_t i = 0; i < prefs.size(); ++i) {
       obs::SpanScope merge(
           span, StrFormat("MergePartial[%s]", prefs[i]->name().c_str()));
@@ -1198,7 +971,7 @@ class PlugInStrategy final : public Strategy {
     plans.reserve(rewrites.size());
     for (const PlanPtr& plan : rewrites) plans.push_back(plan.get());
     ASSIGN_OR_RETURN(std::vector<RowView> materialized,
-                     ExecuteEngineQueries(plans, engine, stats, span, &labels));
+                     ExecuteEngineQueries(plans, engine, stats, span, labels));
 
     size_t next = 0;
     if (!plain.empty()) {

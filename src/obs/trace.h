@@ -141,7 +141,7 @@ class SpanScope {
 /// adoption order, so for a fixed query the result sequence is stable. The
 /// equivalence tests use this to compare the native-operator subtrees
 /// across thread counts while ignoring strategy-level spans whose details
-/// (morsel counts, prefetch phases) legitimately vary with scheduling.
+/// (morsel counts) legitimately vary with scheduling.
 std::vector<const Span*> FindSpans(const Span& root, std::string_view prefix);
 
 /// Annotation helpers; all no-op on null spans.

@@ -14,6 +14,7 @@
 #include "exec/runner.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "parser/parser.h"
 #include "plan/plan.h"
 #include "test_util.h"
@@ -251,8 +252,7 @@ TEST(QueryCacheTest, AdmissionPolicyRejectsOversizeAndTrivialEntries) {
   EXPECT_EQ(cache.snapshot().insertions, 0u);
 
   // A normally-sized, non-trivial entry is admitted; materialized-only
-  // work (e.g. a prefer subtree over an already-loaded relation) counts as
-  // recompute cost too.
+  // work counts as recompute cost too.
   auto useful = std::make_shared<CachedResult>();
   useful->bytes = 100;
   useful->stats.tuples_materialized = 42;
@@ -262,10 +262,15 @@ TEST(QueryCacheTest, AdmissionPolicyRejectsOversizeAndTrivialEntries) {
   EXPECT_EQ(stats.admission_rejected, 2u);
   EXPECT_EQ(stats.insertions, 1u);
 
+  // Admit names the reason without building a value.
+  EXPECT_EQ(cache.Admit(5000, useful->stats), cache::Admission::kOversize);
+  EXPECT_EQ(cache.Admit(100, ExecStats()), cache::Admission::kTrivial);
+  EXPECT_EQ(cache.Admit(100, useful->stats), cache::Admission::kAdmitted);
+  EXPECT_EQ(cache.snapshot().admission_rejected, 4u);
   // The registry counter mirrors the snapshot field, and ToString surfaces
   // the rejection count for SHOW CACHE-style diagnostics.
-  EXPECT_EQ(metrics.counter("pref.cache.admission_rejected")->value(), 2u);
-  EXPECT_NE(cache.ToString().find("admission_rejected=2"), std::string::npos);
+  EXPECT_EQ(metrics.counter("pref.cache.admission_rejected")->value(), 4u);
+  EXPECT_NE(cache.ToString().find("admission_rejected=4"), std::string::npos);
 }
 
 TEST(QueryCacheTest, HitMissCounters) {
@@ -421,7 +426,7 @@ TEST(CacheEquivalenceTest, FailedQueriesAreNeverAdmitted) {
 
 // Prefer-under-set-operation: only BU and GBU evaluate these; GBU's region
 // queries reference per-execution temp tables and must bypass the cache,
-// while its prefer subtrees still hit.
+// while the delegated queries under its prefer subtrees still hit.
 TEST(CacheEquivalenceTest, SetOpWarmRepeatBitIdentical) {
   const char* kSetOpQuery =
       "SELECT title, year FROM MOVIES WHERE year >= 2004 "
@@ -573,6 +578,118 @@ TEST(CacheEquivalenceTest, PlugInExplainAnalyzeAnnotatesQnpSpan) {
   ASSERT_TRUE(warm.ok());
   std::string warm_line = qnp_line(warm->explain_analyze);
   EXPECT_NE(warm_line.find("cache=hit"), std::string::npos) << warm_line;
+}
+
+// The traced spans named exactly `name`.
+std::vector<const obs::Span*> SpansNamed(const QueryResult& result,
+                                         std::string_view name) {
+  std::vector<const obs::Span*> out;
+  for (const obs::Span* span : obs::FindSpans(*result.trace, name)) {
+    if (span->name == name) out.push_back(span);
+  }
+  return out;
+}
+
+// The timing-free span tree, for failure messages.
+std::string Tree(const QueryResult& result) {
+  return result.trace->ToString(/*include_timing=*/false);
+}
+
+const char* kTwoPreferenceJoin =
+    "SELECT title, year FROM MOVIES JOIN GENRES ON MOVIES.m_id = GENRES.m_id "
+    "PREFERRING (genre = 'Comedy') SCORE 1.0 CONF 0.8, "
+    "(year >= 2005) SCORE recency(year, 2011) CONF 0.9 RANKED";
+
+// The cache holds delegated-query results only. A warm BU or GBU run asks
+// the engine for each of them again, and each hits; the prefer passes above
+// them run again and carry no cache annotation.
+TEST(CacheEquivalenceTest, WarmBuGbuHitEveryDelegatedQueryAndRerunPrefers) {
+  const struct {
+    StrategyKind kind;
+    const char* delegated_span;  // Where the engine annotates the outcome.
+  } kCases[] = {{StrategyKind::kBU, "Scan["}, {StrategyKind::kGBU, "EngineQuery"}};
+  for (const auto& c : kCases) {
+    Session session(MakeMovieCatalog());
+    ASSERT_TRUE(session.Query("SET CACHE ON").ok());
+    QueryOptions options;
+    options.strategy = c.kind;
+    options.trace = true;
+    ASSERT_TRUE(session.Query(kTwoPreferenceJoin, options).ok());
+    auto warm = session.Query(kTwoPreferenceJoin, options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_NE(warm->trace, nullptr);
+    std::vector<const obs::Span*> prefers = obs::FindSpans(*warm->trace, "Prefer[");
+    EXPECT_EQ(prefers.size(), 2u) << Tree(*warm);
+    for (const obs::Span* span : prefers) {
+      EXPECT_EQ(span->detail.find("cache="), std::string::npos)
+          << span->name << ": " << span->detail;
+    }
+    std::vector<const obs::Span*> delegated =
+        obs::FindSpans(*warm->trace, c.delegated_span);
+    EXPECT_GE(delegated.size(), 2u) << Tree(*warm);
+    for (const obs::Span* span : delegated) {
+      EXPECT_NE(span->detail.find("cache=hit"), std::string::npos)
+          << StrategyKindName(c.kind) << " " << span->name << ": " << span->detail;
+    }
+  }
+}
+
+// A plan over a temp table is never cached, and the span says so: GBU's
+// region queries read the region's temps.
+TEST(CacheEquivalenceTest, RegionQueryOverTempsShowsSkip) {
+  Session session(MakeMovieCatalog());
+  ASSERT_TRUE(session.Query("SET CACHE ON").ok());
+  QueryOptions options;
+  options.strategy = StrategyKind::kGBU;
+  options.trace = true;
+  auto result = session.Query(kTwoPreferenceJoin, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<const obs::Span*> regions = SpansNamed(*result, "RegionQuery");
+  ASSERT_FALSE(regions.empty()) << Tree(*result);
+  for (const obs::Span* span : regions) {
+    EXPECT_EQ(span->detail, "cache=skip(temp)") << Tree(*result);
+  }
+}
+
+// A result the admission policy turns away says why on its span; the
+// rejection counter counts it as before.
+TEST(CacheEquivalenceTest, AdmissionRejectionShowsItsReason) {
+  QueryOptions options;
+  options.strategy = StrategyKind::kFtP;
+  options.trace = true;
+
+  // Oversize: an 8-byte budget leaves one byte per shard.
+  Session small(MakeMovieCatalog());
+  ASSERT_TRUE(small.Query("SET CACHE ON").ok());
+  ASSERT_TRUE(small.Query("SET CACHE LIMIT 8").ok());
+  auto oversize = small.Query(kPreferringQuery, options);
+  ASSERT_TRUE(oversize.ok()) << oversize.status().ToString();
+  std::vector<const obs::Span*> q_np = SpansNamed(*oversize, "EngineQuery[Q_NP]");
+  ASSERT_EQ(q_np.size(), 1u) << Tree(*oversize);
+  EXPECT_EQ(q_np[0]->detail, "cache=miss(rejected:oversize)");
+  EXPECT_EQ(small.engine().cache()->snapshot().admission_rejected, 1u);
+  EXPECT_EQ(small.engine().cache()->snapshot().entries, 0u);
+
+  // Trivial: a scan of an empty table reads no row, so a hit would save
+  // nothing.
+  Catalog catalog = MakeMovieCatalog();
+  ASSERT_TRUE(catalog
+                  .CreateTable("NO_MOVIES",
+                               Schema({{"", "m_id", ValueType::kInt},
+                                       {"", "year", ValueType::kInt}}),
+                               {}, {"m_id"})
+                  .ok());
+  Session empty(std::move(catalog));
+  ASSERT_TRUE(empty.Query("SET CACHE ON").ok());
+  auto trivial = empty.Query(
+      "SELECT m_id, year FROM NO_MOVIES "
+      "PREFERRING (year >= 2005) SCORE 1.0 CONF 0.9 RANKED",
+      options);
+  ASSERT_TRUE(trivial.ok()) << trivial.status().ToString();
+  q_np = SpansNamed(*trivial, "EngineQuery[Q_NP]");
+  ASSERT_EQ(q_np.size(), 1u) << Tree(*trivial);
+  EXPECT_EQ(q_np[0]->detail, "cache=miss(rejected:trivial)");
+  EXPECT_EQ(empty.engine().cache()->snapshot().admission_rejected, 1u);
 }
 
 TEST(CacheEquivalenceTest, MetricsRegistryExposesCacheCounters) {

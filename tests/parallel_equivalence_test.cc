@@ -659,8 +659,8 @@ TEST(POperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Strategy-level native-subtree equivalence: whole-query traces legitimately
-// differ across thread counts (prefetch phases, "morsels=" details), but the
+// Strategy-level native-subtree equivalence: whole-query span details
+// legitimately differ across thread counts ("morsels=" annotations), but the
 // `native.*` spans inside the delegated queries carry only
 // scheduling-independent annotations — so their pre-order sequence must be
 // identical at every thread count, for every strategy.
@@ -730,6 +730,51 @@ TEST(NativeSubtreeTraceTest, NativeSpansIdenticalAcrossThreadCounts) {
         EXPECT_EQ(fingerprint, reference)
             << StrategyKindName(kind) << " threads=" << threads
             << ": native subtree differs from serial";
+      }
+    }
+  }
+}
+
+// BU and GBU ask the engine for each conventional result where their
+// recursion reaches it, at every thread count: a second thread runs subtrees
+// concurrently but adds, drops or reorders no span. So the pre-order
+// sequence of all span names (details aside, and per-morsel slices
+// skipped) is the same at threads {1, 2, 8}.
+std::string SpanNameSequence(const obs::Span& root) {
+  std::string out;
+  for (const obs::Span* span : obs::FindSpans(root, "")) {
+    if (span->name.rfind("morsel[", 0) == 0) continue;
+    out += span->name;
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(StrategyTraceTest, BuGbuSpanNamesIdenticalAcrossThreadCounts) {
+  Session* session = SharedImdbSession();
+  std::vector<std::string> queries;
+  for (const WorkloadQuery& query : ImdbWorkload()) queries.push_back(query.sql);
+  queries.push_back(SetOpQueries()[0].sql);
+  for (StrategyKind kind : {StrategyKind::kBU, StrategyKind::kGBU}) {
+    for (const std::string& sql : queries) {
+      std::string reference;
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        QueryOptions options;
+        options.strategy = kind;
+        options.trace = true;
+        options.parallel = ForcedContext(threads);
+        auto result = session->Query(sql, options);
+        ASSERT_TRUE(result.ok()) << StrategyKindName(kind) << " threads="
+                                 << threads << ": " << result.status().ToString();
+        ASSERT_NE(result->trace, nullptr);
+        std::string names = SpanNameSequence(*result->trace);
+        if (threads == 1) {
+          reference = names;
+        } else {
+          EXPECT_EQ(names, reference)
+              << StrategyKindName(kind) << " threads=" << threads << "\n"
+              << sql;
+        }
       }
     }
   }

@@ -184,10 +184,10 @@ TEST_F(CachedViewTest, ConcurrentHitsSurviveConcurrentEviction) {
   for (int t = 0; t < kReaders; ++t) EXPECT_EQ(mismatches[t], 0) << "reader " << t;
 }
 
-// Five preferred self-join inputs over MOVIES (aliases A1..A5, joined on
-// m_id): a GBU region over five temps whose cache entries are all the same
-// size.
-PlanPtr FiveWayRegionPlan() {
+// `inputs` preferred self-join inputs over MOVIES (aliases A1, A2, ...,
+// joined on m_id): a GBU region over that many temps, each the view of a
+// delegated scan whose cache entry has the same size as the others.
+PlanPtr SelfJoinRegionPlan(int inputs) {
   auto input = [](int i) {
     std::string alias = "A" + std::to_string(i);
     return plan::Prefer(
@@ -197,7 +197,7 @@ PlanPtr FiveWayRegionPlan() {
         plan::Scan("MOVIES", alias));
   };
   PlanPtr plan = input(1);
-  for (int i = 2; i <= 5; ++i) {
+  for (int i = 2; i <= inputs; ++i) {
     plan = plan::Join(Eq(Col("A1.m_id"), Col("A" + std::to_string(i) + ".m_id")),
                       std::move(plan), input(i));
   }
@@ -207,23 +207,22 @@ PlanPtr FiveWayRegionPlan() {
 // The rows and exact pairs of a p-relation, in order.
 std::vector<Tuple> Scored(const PRelation& p) { return ToScoredRelation(p).rows(); }
 
-// A cache so small that each shard holds one entry: the region's ten cache
-// inserts (five delegated scans, five prefer results) evict entries that
-// the region's temps are views of while the query runs.
+// A cache so small that each shard holds one entry: the region's ten
+// delegated scans, one per alias, evict entries that the region's temps are
+// views of while the query runs.
 TEST(GbuTempViewTest, TempOverCacheEntryEvictedMidQuery) {
   Engine engine(MakeMovieCatalog());
-  PlanPtr plan = FiveWayRegionPlan();
+  PlanPtr plan = SelfJoinRegionPlan(10);
   StatusOr<PRelation> reference = RunStrategy(StrategyKind::kGBU, *plan, &engine);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_EQ(reference->NumRows(), 5u);
 
-  // The largest entry: a prefer result, MOVIES' rows plus their pairs.
+  // Every entry is one alias' scan of MOVIES.
   StatusOr<Relation> scan = engine.Execute(*plan::Scan("MOVIES", "A1"));
   ASSERT_TRUE(scan.ok());
-  const size_t largest = cache::EstimateRelationBytes(*scan) +
-                         cache::EstimatePairsBytes(std::vector<ScoreConf>(5));
+  const size_t entry = cache::EstimateRelationBytes(*scan);
   engine.cache()->set_enabled(true);
-  engine.cache()->set_max_bytes(cache::QueryCache::shard_count() * largest);
+  engine.cache()->set_max_bytes(cache::QueryCache::shard_count() * entry);
   // Cold, then over whatever survived; the second result is read after the
   // cache is emptied as well.
   for (int round = 0; round < 2; ++round) {
@@ -303,7 +302,7 @@ TEST(GbuTempViewTest, TempOverBaseTableDroppedAndReloadedInTheRegion) {
 // answer matches the uncached one (TSan/ASan: no race, no freed read).
 TEST(GbuTempViewTest, ConcurrentGbuRegionsSurviveConcurrentEviction) {
   Engine engine(MakeMovieCatalog());
-  PlanPtr plan = FiveWayRegionPlan();
+  PlanPtr plan = SelfJoinRegionPlan(5);
   StatusOr<PRelation> reference = RunStrategy(StrategyKind::kGBU, *plan, &engine);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const std::vector<Tuple> expected = Scored(*reference);
