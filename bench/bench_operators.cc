@@ -111,14 +111,13 @@ void BM_PairLookup(benchmark::State& state) {
   constexpr size_t kRows = 100000;
   PRelation input = MakeScoredRelation(kRows, 0.5, 7);
   ScoreRelation by_key = input.ToScoreRelation();
-  const Relation rows = input.Gather();
   const bool keyed = state.range(0) == 1;
   size_t i = 0;
   for (auto _ : state) {
     size_t row = i++ % kRows;
     if (keyed) {
-      benchmark::DoNotOptimize(by_key.Lookup(
-          RowKey{rows.rows()[row], rows.key_columns()}));
+      benchmark::DoNotOptimize(
+          by_key.Lookup(ViewKey{input.view, row, input.key_columns()}));
     } else {
       benchmark::DoNotOptimize(input.pairs[row]);
     }

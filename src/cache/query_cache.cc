@@ -12,50 +12,43 @@ namespace {
 
 // The capacity of a copy of `s`: copies allocate exactly the length, or
 // use the in-place buffer when it fits.
-size_t CopyCapacity(const std::string& s) {
+size_t CopyCapacity(std::string_view s) {
   static const size_t kInPlace = std::string().capacity();
   return std::max(s.size(), kInPlace);
 }
 
-size_t EstimateValueBytes(const Value& value) {
+size_t EstimateValueBytes(const ValueView& value) {
   size_t bytes = sizeof(Value);
-  if (value.is_string()) bytes += CopyCapacity(value.AsString());
+  if (value.type == ValueType::kString) bytes += CopyCapacity(value.s);
   return bytes;
 }
 
-// The one per-row walk behind both estimates, so a view and its gathered
-// relation always estimate the same: `at(r, c)` is the value at row r,
-// column c.
-template <typename ValueAt>
-size_t EstimateRowsBytes(const Schema& schema, size_t rows, ValueAt at) {
-  size_t bytes = sizeof(Relation);
+size_t SchemaBytes(const Schema& schema) {
+  size_t bytes = 0;
   for (size_t i = 0; i < schema.size(); ++i) {
     bytes += sizeof(Column) + CopyCapacity(schema.column(i).name) +
              CopyCapacity(schema.column(i).qualifier);
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    bytes += sizeof(Tuple);
-    for (size_t c = 0; c < schema.size(); ++c) {
-      bytes += EstimateValueBytes(at(r, c));
-    }
   }
   return bytes;
 }
 
 }  // namespace
 
-size_t EstimateRelationBytes(const Relation& rel) {
-  return EstimateRowsBytes(rel.schema(), rel.NumRows(),
-                           [&](size_t r, size_t c) -> const Value& {
-                             return rel.rows()[r][c];
-                           });
+size_t EstimateViewBytes(const RowView& view) {
+  const Schema& schema = view.schema;
+  size_t bytes = sizeof(Relation) + SchemaBytes(schema);
+  for (size_t r = 0; r < view.NumRows(); ++r) {
+    bytes += sizeof(Tuple);
+    for (size_t c = 0; c < schema.size(); ++c) {
+      bytes += EstimateValueBytes(view.View(r, c));
+    }
+  }
+  return bytes;
 }
 
-size_t EstimateViewBytes(const RowView& view) {
-  return EstimateRowsBytes(view.schema, view.NumRows(),
-                           [&](size_t r, size_t c) -> const Value& {
-                             return view.At(r, c);
-                           });
+size_t EstimateEntryBytes(const CachedResult& entry) {
+  return sizeof(CachedResult) + SchemaBytes(entry.schema) +
+         entry.key_columns.size() * sizeof(size_t) + entry.rows.Bytes();
 }
 
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs) {
@@ -133,7 +126,7 @@ Admission QueryCache::Admit(size_t bytes, const ExecStats& stats) {
 void QueryCache::Insert(const CacheKey& key,
                         std::shared_ptr<CachedResult> value) {
   if (value == nullptr) return;
-  if (value->bytes == 0) value->bytes = EstimateRelationBytes(value->rel);
+  if (value->bytes == 0) value->bytes = EstimateEntryBytes(*value);
   if (Admit(value->bytes, value->stats) != Admission::kAdmitted) return;
   size_t budget = ShardBudget();
 

@@ -22,8 +22,9 @@
 namespace prefdb {
 namespace cache {
 
-/// One cached result: the materialized relation of a delegated engine
-/// query, plus the ExecStats delta recorded while computing it on the miss
+/// One cached result: the rows of a delegated engine query, copied into a
+/// column store (one typed column per output column) with their schema and
+/// key, plus the ExecStats delta recorded while computing it on the miss
 /// path.
 ///
 /// The stats delta is the trick that keeps counters deterministic: a hit
@@ -33,18 +34,28 @@ namespace cache {
 /// the savings show up in wall time and the pref.cache.* metrics, never as
 /// counter drift the equivalence tests would have to special-case.
 struct CachedResult {
-  Relation rel;
+  Schema schema;
+  std::vector<size_t> key_columns;
+  ColumnStore rows;
   ExecStats stats;
-  /// Estimated footprint; filled by Insert when left 0.
+  /// The entry's footprint, EstimateEntryBytes; filled by Insert when
+  /// left 0.
   size_t bytes = 0;
+
+  /// The view of every row of the entry, pinning `self` (this entry).
+  RowView View(std::shared_ptr<const CachedResult> self) const {
+    return RowView::Of(schema, key_columns, rows, std::move(self));
+  }
 };
 
-/// Rough heap footprint of a materialized relation / row-aligned pairs —
-/// consistent (same inputs, same estimate) so the byte budget behaves
-/// deterministically in tests. Strings count at the capacity a copy of
-/// them has, so a view is estimated at exactly the size of its gathered
-/// relation: EstimateViewBytes(v) == EstimateRelationBytes(v.Gather()).
-size_t EstimateRelationBytes(const Relation& rel);
+/// What a cache entry costs resident: its column store's arrays
+/// (ColumnStore::Bytes) plus the entry and its schema. Deterministic (same
+/// rows, same estimate), so the byte budget behaves reproducibly in tests.
+size_t EstimateEntryBytes(const CachedResult& entry);
+
+/// Rough heap footprint of a view's rows gathered into a Relation, and of
+/// row-aligned pairs, used by the governor's memory accounting. Strings
+/// count at the capacity a copy of them has.
 size_t EstimateViewBytes(const RowView& view);
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs);
 
@@ -101,8 +112,8 @@ class QueryCache {
   [[nodiscard]] std::shared_ptr<const CachedResult> Lookup(const CacheKey& key);
 
   /// Stores `value` under `key` (replacing any existing entry), computing
-  /// value->bytes if unset, then evicts LRU-last until the shard fits its
-  /// budget slice. Values that Admit() rejects are not stored.
+  /// value->bytes (EstimateEntryBytes) if unset, then evicts LRU-last until
+  /// the shard fits its budget slice. Values that Admit() rejects are not stored.
   void Insert(const CacheKey& key, std::shared_ptr<CachedResult> value);
 
   /// The admission policy, callable before a value is built so a rejected

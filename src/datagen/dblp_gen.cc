@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "storage/table.h"
 
 namespace prefdb {
 
@@ -156,6 +157,7 @@ StatusOr<Catalog> GenerateDblp(const DblpOptions& options) {
       "CITATIONS",
       Schema({{"", "p1_id", ValueType::kInt}, {"", "p2_id", ValueType::kInt}}),
       std::move(citations), {"p1_id", "p2_id"}));
+  ReleaseFreeHeapPages();
   return catalog;
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "storage/table.h"
 
 namespace prefdb {
 
@@ -187,6 +188,7 @@ StatusOr<Catalog> GenerateImdb(const ImdbOptions& options) {
               {"", "award", ValueType::kString},
               {"", "year", ValueType::kInt}}),
       std::move(awards), {"m_id", "award"}));
+  ReleaseFreeHeapPages();
   return catalog;
 }
 

@@ -88,7 +88,7 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
       stats->Merge(entry->stats);
       obs::AppendDetail(span, "cache=hit");
       query_micros_->Record(watch.ElapsedMicros());
-      RowView hit = RowView::Of(entry->rel, entry);
+      RowView hit = entry->View(entry);
       RETURN_IF_ERROR(charge(hit));
       return hit;
     }
@@ -107,11 +107,12 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
         // Only untripped results are admitted: a query that failed, was
         // cancelled mid-flight or hit a fault point never populates a
         // shard, so later queries cannot reuse poisoned state. Admission
-        // is decided on the view, so a rejected result is never copied.
-        const size_t bytes = cache::EstimateViewBytes(*result);
-        switch (cache_.Admit(bytes, local)) {
+        // is decided on the entry's column store, so an oversize result is
+        // copied once and dropped.
+        cache::Admission verdict = cache::Admission::kAdmitted;
+        result = InsertGathered(key, std::move(*result), local, &verdict);
+        switch (verdict) {
           case cache::Admission::kAdmitted:
-            result = InsertGathered(key, *result, local, bytes);
             break;
           case cache::Admission::kOversize:
             outcome = "cache=miss(rejected:oversize)";
@@ -134,15 +135,19 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
   return result;
 }
 
-RowView Engine::InsertGathered(const cache::CacheKey& key, const RowView& view,
-                               const ExecStats& stats, size_t bytes) {
+RowView Engine::InsertGathered(const cache::CacheKey& key, RowView view,
+                               const ExecStats& stats, cache::Admission* verdict) {
   auto entry = std::make_shared<cache::CachedResult>();
-  entry->rel = view.Gather();
+  entry->schema = view.schema;
+  entry->key_columns = view.key_columns;
+  entry->rows = view.GatherColumns();
   NoteRowsGathered(view.NumRows());
   entry->stats = stats;
-  entry->bytes = bytes;
+  entry->bytes = cache::EstimateEntryBytes(*entry);
+  *verdict = cache_.Admit(entry->bytes, stats);
+  if (*verdict != cache::Admission::kAdmitted) return view;
   cache_.Insert(key, entry);
-  return RowView::Of(entry->rel, entry);
+  return entry->View(entry);
 }
 
 StatusOr<Relation> Engine::ExecuteUnoptimized(const PlanNode& query) {

@@ -179,11 +179,12 @@ class Engine {
   const obs::QueryLog& query_log() const { return query_log_; }
 
  private:
-  /// Gathers an admitted miss result `view` of `bytes` into a new cache
-  /// entry under `key` and returns a view of the entry (RowView::Of), which
-  /// aliases its rows.
-  RowView InsertGathered(const cache::CacheKey& key, const RowView& view,
-                         const ExecStats& stats, size_t bytes);
+  /// Copies a miss result `view` into a cache entry (a column store) and
+  /// offers it to the cache under `key`. Returns a view of the entry, which
+  /// aliases its rows, when the cache admitted it; else `view` unchanged,
+  /// with the admission's verdict in `verdict`.
+  RowView InsertGathered(const cache::CacheKey& key, RowView view,
+                         const ExecStats& stats, cache::Admission* verdict);
 
   Catalog catalog_;
   ExecStats stats_;

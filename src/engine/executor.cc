@@ -33,8 +33,8 @@ class Executor {
       case PlanKind::kScan:
         return ExecScan(node, /*predicate=*/nullptr, parent);
       case PlanKind::kSelect:
-        // Fuse Select(Scan) so base predicates can use indexes and test
-        // base rows in place.
+        // Fuse Select(Scan) so base predicates can use indexes and run
+        // compiled over the table's columns.
         if (node.child().kind == PlanKind::kScan) {
           return ExecScan(node.child(), node.predicate.get(), parent);
         }
@@ -125,7 +125,7 @@ class Executor {
       out.schema = schema;
       if (predicate == nullptr) out.base_table = temp->base_table;
     } else {
-      out = RowView::Over(schema, table->primary_key(), &table->relation().rows());
+      out = RowView::Over(schema, table->primary_key(), &table->store());
       if (predicate == nullptr) out.base_table = table.get();
     }
     // The view pins the table (and so whatever a temp's view pins): it
@@ -158,8 +158,8 @@ class Executor {
     Bump(metrics_.scan_rows, out.NumRows());
     obs::SetRowsIn(scope.get(), out.NumRows());
     if (bound != nullptr) {
-      // Index matches are few: they are tested serially. A full scan tests
-      // base rows in place over morsels.
+      // Index matches are few: they are tested serially. A full scan runs
+      // the compiled predicate over the table's columns in morsels.
       MorselPlan plan = index_col >= 0 ? MorselPlan::Make(out.NumRows(), nullptr)
                                        : PlanFor(out.NumRows());
       out.Keep(FilterRows(out, *bound, plan, parallel_,

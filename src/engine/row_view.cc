@@ -16,17 +16,58 @@ constexpr size_t kPrefetchAhead = 8;
 size_t RowHash(const RowView& view, size_t r) {
   size_t h = 0x345678;
   for (size_t c = 0; c < view.columns.size(); ++c) {
-    h = h * 1000003 ^ view.At(r, c).Hash();
+    h = h * 1000003 ^ view.View(r, c).Hash();
   }
   return h;
 }
 
 bool RowEq(const RowView& a, size_t i, const RowView& b, size_t j) {
   for (size_t c = 0; c < a.columns.size(); ++c) {
-    if (a.At(i, c) != b.At(j, c)) return false;
+    if (a.View(i, c) != b.View(j, c)) return false;
   }
   return true;
 }
+
+// The row-id streams of view rows [begin, begin + n) for `program`: one per
+// view input, starting at stream `first`. A one-input view's stream is its
+// ids themselves; otherwise the ids of each input the program reads are
+// copied out of the row-major id array.
+class Streams {
+ public:
+  Streams(const RowView& view, const CompiledPredicate& program, uint32_t first,
+          std::vector<const uint32_t*>* ptrs)
+      : view_(view), program_(program), first_(first), ptrs_(ptrs) {
+    if (ptrs_->size() < first + view.width()) ptrs_->resize(first + view.width());
+    buffers_.resize(view.width());
+  }
+
+  // Points the streams at the rows `rows[0..n)` of the view, or at
+  // [begin, begin + n) when `rows` is null.
+  void Point(size_t begin, size_t n, const uint32_t* rows = nullptr) {
+    const size_t w = view_.width();
+    for (size_t k = 0; k < w; ++k) {
+      const auto s = static_cast<uint32_t>(first_ + k);
+      if (!program_.ReadsStream(s)) continue;
+      if (w == 1 && rows == nullptr) {
+        (*ptrs_)[s] = view_.ids.data() + begin;
+        continue;
+      }
+      std::vector<uint32_t>& buf = buffers_[k];
+      buf.resize(n);
+      for (size_t t = 0; t < n; ++t) {
+        buf[t] = view_.Id(rows != nullptr ? rows[t] : begin + t, k);
+      }
+      (*ptrs_)[s] = buf.data();
+    }
+  }
+
+ private:
+  const RowView& view_;
+  const CompiledPredicate& program_;
+  uint32_t first_;
+  std::vector<const uint32_t*>* ptrs_;
+  std::vector<std::vector<uint32_t>> buffers_;
+};
 
 // Whole-row membership over one view: open addressing from a row value to
 // the first position inserted with it. Rows stay in the view and compare
@@ -71,81 +112,47 @@ class RowSet {
   std::vector<size_t> hashes_;
 };
 
-// The schema positions the non-null `bound` read, plus `extra`, sorted and
-// unique.
-std::vector<size_t> UsedColumns(const Schema& schema,
-                                const std::vector<const Expr*>& bound,
-                                const std::vector<size_t>& extra) {
-  std::vector<std::string> names;
-  for (const Expr* expr : bound) {
-    if (expr != nullptr) expr->CollectColumns(&names);
-  }
-  std::vector<size_t> used = extra;
-  for (const std::string& name : names) {
-    // Bind already resolved every name against `schema`.
-    used.push_back(static_cast<size_t>(schema.FindColumnOrNegative(name)));
-  }
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  return used;
-}
-
 }  // namespace
 
-ScratchRow::ScratchRow(const Schema& schema,
-                       const std::vector<const Expr*>& bound,
-                       const std::vector<size_t>& extra)
-    : scratch_(schema.size()), used_(UsedColumns(schema, bound, extra)) {}
-
-void ScratchRow::Load(const RowView& view, size_t r, size_t offset) {
-  for (size_t c : used_) {
-    if (c >= offset && c < offset + view.columns.size()) {
-      scratch_[c] = view.At(r, c - offset);
-    }
-  }
-}
-
-ViewLayout LayoutFor(const RowView& view, const Expr& bound) {
-  ViewLayout layout;
-  layout.schema = view.schema;
+ScratchRow::ScratchRow(const Schema& schema, const Expr& bound)
+    : scratch_(schema.size()) {
   std::vector<std::string> names;
   bound.CollectColumns(&names);
-  int input = view.width() > 0 ? 0 : -1;  // Any input serves no column.
-  for (size_t i = 0; i < names.size(); ++i) {
-    int c = view.schema.FindColumnOrNegative(names[i]);
-    if (c < 0) return layout;
-    int from = static_cast<int>(view.columns[static_cast<size_t>(c)].input);
-    if (i > 0 && from != input) return layout;
-    input = from;
+  for (const std::string& name : names) {
+    // Bind already resolved every name against `schema`.
+    used_.push_back(static_cast<size_t>(schema.FindColumnOrNegative(name)));
   }
-  if (input < 0) return layout;
-  std::vector<const Column*> at;  // Source position -> view column.
-  for (size_t c = 0; c < view.columns.size(); ++c) {
-    if (view.columns[c].input != static_cast<uint32_t>(input)) continue;
-    const size_t pos = view.columns[c].column;
-    if (pos >= at.size()) at.resize(pos + 1, nullptr);
-    if (at[pos] != nullptr) return layout;  // Two names for one column.
-    at[pos] = &view.schema.column(c);
-  }
-  Schema source;
-  for (const Column* column : at) source.AddColumn(column ? *column : Column{});
-  layout.input = input;
-  layout.schema = std::move(source);
-  return layout;
+  std::sort(used_.begin(), used_.end());
+  used_.erase(std::unique(used_.begin(), used_.end()), used_.end());
 }
 
-ColumnsAt ColumnsFor(const RowView& view, const std::vector<size_t>& columns) {
-  ColumnsAt at;
-  for (size_t c : columns) {
-    const ColumnSource& src = view.columns[c];
-    if (at.input >= 0 && src.input != static_cast<uint32_t>(at.input)) {
-      return {-1, columns};
-    }
-    at.input = static_cast<int>(src.input);
-    at.columns.push_back(src.column);
+void ScratchRow::Load(const RowView& view, size_t r) {
+  for (size_t c : used_) scratch_[c] = view.Get(r, c);
+}
+
+std::vector<ColumnInput> ColumnInputsOf(const RowView& view,
+                                        uint32_t first_stream) {
+  std::vector<ColumnInput> inputs;
+  inputs.reserve(view.columns.size());
+  for (size_t c = 0; c < view.columns.size(); ++c) {
+    inputs.push_back({&view.Column(c), first_stream + view.columns[c].input});
   }
-  if (at.input < 0) at.columns = columns;
-  return at;
+  return inputs;
+}
+
+void ViewPredicate::Select(size_t begin, size_t end,
+                           std::vector<uint32_t>* out) const {
+  std::vector<const uint32_t*> ptrs;
+  Streams streams(*view_, program_, 0, &ptrs);
+  uint32_t sel[CompiledPredicate::kBatch];
+  for (size_t at = begin; at < end; at += CompiledPredicate::kBatch) {
+    const size_t n = std::min(CompiledPredicate::kBatch, end - at);
+    streams.Point(at, n);
+    const size_t kept = program_.Select(ptrs.data(), n, sel);
+    for (size_t k = 0; k < kept; ++k) {
+      out->push_back(static_cast<uint32_t>(at + sel[k]));
+    }
+  }
 }
 
 StatusOr<std::optional<EquiKeys>> FindEquiKeys(const Expr& predicate,
@@ -164,22 +171,38 @@ StatusOr<std::optional<EquiKeys>> FindEquiKeys(const Expr& predicate,
 }
 
 JoinTable::JoinTable(const RowView& build, size_t column)
-    : build_(&build), column_(column), next_(build.NumRows(), kNoRow) {
+    : build_(&build),
+      column_(column),
+      int_keys_(build.Column(column).layout() == ColumnLayout::kInt),
+      next_(build.NumRows(), kNoRow) {
   const size_t n = build.NumRows();
   size_t capacity = 16;
   while (capacity < 2 * n) capacity <<= 1;
   mask_ = capacity - 1;
   heads_.assign(capacity, kNoRow);
   hashes_.resize(capacity);
+  if (int_keys_) keys_.resize(capacity);
+  const TypedColumn& col = build.Column(column);
+  const size_t input = build.columns[column].input;
   // Prepending in reverse position order leaves every chain ascending.
   for (size_t j = n; j-- > 0;) {
-    const Value& key = build.At(j, column);
-    if (key.is_null()) {
+    const uint32_t row = build.Id(j, input);
+    if (col.IsNull(row)) {
       null_key_ = true;
       continue;
     }
-    const size_t hash = key.Hash();
-    size_t slot = Slot(key, hash);
+    size_t slot;
+    size_t hash;
+    if (int_keys_) {
+      const int64_t key = col.ints()[row];
+      hash = HashInt64(key);
+      slot = SlotInt(key, hash);
+      keys_[slot] = key;
+    } else {
+      const ValueView key = col.View(row);
+      hash = key.Hash();
+      slot = SlotView(key, hash);
+    }
     if (heads_[slot] == kNoRow) {
       hashes_[slot] = hash;
       ++distinct_;
@@ -190,40 +213,35 @@ JoinTable::JoinTable(const RowView& build, size_t column)
   }
 }
 
-size_t JoinTable::Slot(const Value& key, size_t hash) const {
-  size_t slot = (hash * 0x9e3779b97f4a7c15ULL >> 17) & mask_;
+size_t JoinTable::SlotView(const ValueView& key, size_t hash) const {
+  size_t slot = Home(hash);
   while (heads_[slot] != kNoRow &&
-         (hashes_[slot] != hash || build_->At(heads_[slot], column_) != key)) {
+         (hashes_[slot] != hash || build_->View(heads_[slot], column_) != key)) {
     slot = (slot + 1) & mask_;
   }
   return slot;
+}
+
+uint32_t JoinTable::Find(const ValueView& key) const {
+  if (key.is_null()) return kNoRow;
+  if (!int_keys_) return heads_[SlotView(key, key.Hash())];
+  if (key.type == ValueType::kInt) return FindInt(key.i);
+  // Only a double holding exactly an int64 equals an int key.
+  int64_t i;
+  if (key.type == ValueType::kDouble && ExactInt64(key.d, &i)) return FindInt(i);
+  return kNoRow;
 }
 
 std::vector<uint32_t> FilterRows(const RowView& view, const Expr& bound,
                                  const MorselPlan& plan,
                                  const ParallelContext* parallel,
                                  obs::Span* morsel_parent) {
-  // The predicate reads the source tuples in place when it can (re-bound
-  // to their layout); bound expressions are immutable after Bind, so all
-  // slots share it.
-  const ViewLayout layout = LayoutFor(view, bound);
-  ExprPtr at_source;
-  if (layout.input >= 0) {
-    at_source = bound.Clone();
-    if (!at_source->Bind(layout.schema).ok()) at_source = nullptr;
-  }
-  const int input = at_source != nullptr ? layout.input : -1;
-  const Expr& predicate = at_source != nullptr ? *at_source : bound;
+  // The program is immutable after compiling, so all slots share it.
+  const ViewPredicate predicate(view, bound);
   std::vector<std::vector<uint32_t>> kept(plan.morsel_count());
   ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
     GovernorCheckpoint(parallel);
-    ScratchRow row(view.schema, {input < 0 ? &bound : nullptr});
-    std::vector<uint32_t>& local = kept[m.index];
-    for (size_t i = m.begin; i < m.end; ++i) {
-      if (IsTruthy(predicate.Eval(row.Read(view, i, input)))) {
-        local.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    predicate.Select(m.begin, m.end, &kept[m.index]);
   });
   if (kept.size() == 1) return std::move(kept[0]);
   std::vector<uint32_t> positions;
@@ -276,18 +294,27 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
   }
 
   // Per-morsel output ids and matched positions; the build side, both
-  // inputs and the bound predicate are read-only here.
+  // inputs and the compiled predicate are read-only here.
   struct Buffer {
     std::vector<uint32_t> ids;
     std::vector<uint32_t> left;
     std::vector<uint32_t> right;
   };
   std::vector<Buffer> buffers(plan.morsel_count());
-  Schema combined = semi ? left.schema.Concat(right.schema) : out.schema;
   // A key match already decides a predicate that is just the equi-conjunct
   // (bound to exactly these two columns, since the combined bind succeeded),
-  // so the probe then skips re-evaluating it.
+  // so the probe then skips re-evaluating it. Otherwise the predicate runs
+  // compiled over both sides' columns: the left inputs' ids are its first
+  // streams, the right inputs' the rest.
   const bool test = build == nullptr || !build->keys.equi_only;
+  std::optional<CompiledPredicate> program;
+  if (test) {
+    std::vector<ColumnInput> inputs = ColumnInputsOf(left);
+    std::vector<ColumnInput> right_inputs =
+        ColumnInputsOf(right, static_cast<uint32_t>(left.width()));
+    inputs.insert(inputs.end(), right_inputs.begin(), right_inputs.end());
+    program.emplace(bound, std::move(inputs));
+  }
   // `for_each_match(i, ticker, visit)` calls visit(j) for the right
   // positions j that may match left row i, ascending, until it returns true.
   auto probe = [&](const auto& for_each_match) {
@@ -298,27 +325,60 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
       // product.
       GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
       Buffer& local = buffers[m.index];
-      ScratchRow row(combined, {&bound});
+      auto emit = [&](uint32_t i, uint32_t j) {
+        left.AppendRow(i, &local.ids);
+        if (!semi) right.AppendRow(j, &local.ids);
+        if (positions != nullptr) {
+          local.left.push_back(i);
+          if (!semi) local.right.push_back(j);
+        }
+      };
+      if (!test) {
+        for (size_t i = m.begin; i < m.end; ++i) {
+          for_each_match(i, ticker, [&](uint32_t j) {
+            emit(static_cast<uint32_t>(i), j);
+            return semi;  // A semi join's left row qualifies once.
+          });
+        }
+        return;
+      }
+      // Candidate pairs collect into a batch that the program tests at
+      // once; the passing pairs are emitted in candidate order. A semi
+      // join emits each left row at its first passing pair.
+      std::vector<uint32_t> cand_left;
+      std::vector<uint32_t> cand_right;
+      cand_left.reserve(CompiledPredicate::kBatch);
+      cand_right.reserve(CompiledPredicate::kBatch);
+      std::vector<const uint32_t*> ptrs;
+      Streams left_streams(left, *program, 0, &ptrs);
+      Streams right_streams(right, *program, static_cast<uint32_t>(left.width()),
+                            &ptrs);
+      uint32_t sel[CompiledPredicate::kBatch];
+      uint32_t last_left = kNoRow;
+      auto flush = [&] {
+        const size_t n = cand_left.size();
+        if (n == 0) return;
+        left_streams.Point(0, n, cand_left.data());
+        right_streams.Point(0, n, cand_right.data());
+        const size_t kept = program->Select(ptrs.data(), n, sel);
+        for (size_t k = 0; k < kept; ++k) {
+          const uint32_t i = cand_left[sel[k]];
+          if (semi && i == last_left) continue;
+          last_left = i;
+          emit(i, cand_right[sel[k]]);
+        }
+        cand_left.clear();
+        cand_right.clear();
+      };
       for (size_t i = m.begin; i < m.end; ++i) {
-        bool loaded = false;
         for_each_match(i, ticker, [&](uint32_t j) {
-          if (test) {
-            if (!loaded) {
-              row.Load(left, i, 0);
-              loaded = true;
-            }
-            row.Load(right, j, left_cols);
-            if (!IsTruthy(bound.Eval(row.tuple()))) return false;
-          }
-          left.AppendRow(i, &local.ids);
-          if (!semi) right.AppendRow(j, &local.ids);
-          if (positions != nullptr) {
-            local.left.push_back(static_cast<uint32_t>(i));
-            if (!semi) local.right.push_back(j);
-          }
-          return semi;  // A semi join's left row qualifies once.
+          cand_left.push_back(static_cast<uint32_t>(i));
+          cand_right.push_back(j);
+          if (cand_left.size() == CompiledPredicate::kBatch) flush();
+          return false;
         });
       }
+      flush();
     });
   };
   if (build == nullptr) {
@@ -328,28 +388,58 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
         if (visit(j)) return;
       }
     });
-  } else if (const HashIndex* index = build->index) {
-    const size_t li = build->keys.left;
-    probe([&](size_t i, GovernorTicker&, const auto& visit) {
-      // A table index was not just built, so its slots are usually cold:
-      // start loading a later key's slot now, so that the misses of
-      // consecutive probes overlap.
-      if (i + kPrefetchAhead < nl) index->Prefetch(left.At(i + kPrefetchAhead, li));
-      const Value& key = left.At(i, li);
-      if (key.is_null()) return;  // `NULL = x` is not true.
-      for (uint32_t j : index->Lookup(key)) {
-        if (visit(j)) return;
-      }
-    });
   } else {
-    const JoinTable* table = &*build->table;
     const size_t li = build->keys.left;
-    probe([&](size_t i, GovernorTicker&, const auto& visit) {
-      for (uint32_t j = table->Find(left.At(i, li)); j != kNoRow;
-           j = table->Next(j)) {
-        if (visit(j)) return;
-      }
-    });
+    const TypedColumn& key_col = left.Column(li);
+    const size_t key_input = left.columns[li].input;
+    // Over an int-keyed build side, a kInt key column is probed with its
+    // int64s; any other pairing probes with the typed cells (the index or
+    // table then compares under Value's equality).
+    const bool ints = key_col.layout() == ColumnLayout::kInt &&
+                      (build->index != nullptr ? build->index->int_keys()
+                                               : build->table->int_keys());
+    const int64_t* keys = key_col.ints();
+    if (const HashIndex* index = build->index) {
+      probe([&](size_t i, GovernorTicker&, const auto& visit) {
+        // A table index was not just built, so its slots are usually cold:
+        // start loading a later key's slot now, so that the misses of
+        // consecutive probes overlap.
+        std::span<const uint32_t> matches;
+        if (ints) {
+          if (i + kPrefetchAhead < nl) {
+            index->PrefetchInt(keys[left.Id(i + kPrefetchAhead, key_input)]);
+          }
+          const uint32_t row = left.Id(i, key_input);
+          if (key_col.NullBit(row)) return;  // `NULL = x` is not true.
+          matches = index->LookupInt(keys[row]);
+        } else {
+          if (i + kPrefetchAhead < nl) {
+            index->Prefetch(left.View(i + kPrefetchAhead, li));
+          }
+          const ValueView key = left.View(i, li);
+          if (key.is_null()) return;
+          matches = index->Lookup(key);
+        }
+        for (uint32_t j : matches) {
+          if (visit(j)) return;
+        }
+      });
+    } else {
+      const JoinTable* table = &*build->table;
+      probe([&](size_t i, GovernorTicker&, const auto& visit) {
+        uint32_t j;
+        if (ints) {
+          const uint32_t row = left.Id(i, key_input);
+          if (key_col.NullBit(row)) return;
+          j = table->FindInt(keys[row]);
+        } else {
+          j = table->Find(left.View(i, li));
+        }
+        for (; j != kNoRow; j = table->Next(j)) {
+          if (visit(j)) return;
+        }
+      });
+    }
   }
 
   if (buffers.size() == 1) {
@@ -435,15 +525,22 @@ RowView SetOpView(const RowView& left, const RowView& right,
   bool right_rows = false;
   for (const SetMatch& m : matches) right_rows = right_rows || m.first == kNoRow;
   if (right_rows) {
-    std::vector<Tuple> rows;
-    rows.reserve(matches.size());
-    for (const SetMatch& m : matches) {
-      rows.push_back(m.first != kNoRow ? left.GatherRow(m.first)
-                                       : right.GatherRow(m.second));
+    // Rows of both inputs in one view: their values are copied, column by
+    // column, into a column store the view owns.
+    std::vector<TypedColumn> columns;
+    columns.reserve(left.columns.size());
+    std::vector<ValueView> cells(matches.size());
+    for (size_t c = 0; c < left.columns.size(); ++c) {
+      for (size_t k = 0; k < matches.size(); ++k) {
+        const SetMatch& m = matches[k];
+        cells[k] = m.first != kNoRow ? left.View(m.first, c)
+                                     : right.View(m.second, c);
+      }
+      columns.push_back(TypedColumn::Build(cells));
     }
-    Relation gathered(left.schema, std::move(rows));
-    gathered.set_key_columns(left.key_columns);
-    return RowView::Wrap(std::move(gathered));
+    auto store = std::make_shared<const ColumnStore>(std::move(columns),
+                                                     matches.size());
+    return RowView::Of(left.schema, left.key_columns, *store, store);
   }
   std::vector<uint32_t> kept;
   kept.reserve(matches.size());
@@ -493,11 +590,11 @@ StatusOr<std::vector<uint32_t>> SortRows(const RowView& view,
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     for (const ResolvedKey& k : resolved) {
-      int c = view.At(a, k.index).Compare(view.At(b, k.index));
+      int c = view.View(a, k.index).Compare(view.View(b, k.index));
       if (c != 0) return k.descending ? c > 0 : c < 0;
     }
     for (size_t k : pk) {
-      int c = view.At(a, k).Compare(view.At(b, k));
+      int c = view.View(a, k).Compare(view.View(b, k));
       if (c != 0) return c < 0;
     }
     return false;

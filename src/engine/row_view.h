@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "expr/compiled_predicate.h"
 #include "expr/expr.h"
 #include "obs/trace.h"
 #include "parallel/morsel.h"
@@ -24,63 +25,44 @@ namespace prefdb {
 /// "No row": an absent side of a set-operation match, or an empty chain.
 constexpr uint32_t kNoRow = UINT32_MAX;
 
-/// Expressions bound to a view's schema (or to two views' concatenated
-/// schema, for a join predicate) evaluated against rows that exist only as
-/// ids: the columns the expressions read are copied into a reused scratch
-/// tuple, the others stay NULL and are never read.
+/// An expression bound to a view's schema, evaluated with Expr::Eval
+/// against rows that exist only as ids: the columns it reads are copied
+/// into a reused scratch tuple, the others stay NULL and are never read.
+/// Scoring expressions read rows this way.
 class ScratchRow {
  public:
-  /// `bound` (null entries skipped) are bound to `schema`; `extra` lists
-  /// more columns to load.
-  ScratchRow(const Schema& schema, const std::vector<const Expr*>& bound,
-             const std::vector<size_t>& extra = {});
+  ScratchRow(const Schema& schema, const Expr& bound);
 
-  /// Copies row `r` of `view` into the scratch row, view column c landing
-  /// at position `offset + c`; only the columns in use are copied.
-  void Load(const RowView& view, size_t r, size_t offset);
+  /// Copies the columns in use of row `r` of `view` into the scratch row.
+  void Load(const RowView& view, size_t r);
   const Tuple& tuple() const { return scratch_; }
-
-  /// The tuple an expression laid out for `input` (ViewLayout) evaluates
-  /// on for row `r` of `view`: the input's source tuple, or for -1 the
-  /// scratch row, loaded once per row however many expressions read it.
-  const Tuple& Read(const RowView& view, size_t r, int input = -1) {
-    if (input >= 0) return view.Source(r, static_cast<size_t>(input));
-    if (loaded_ != r) {
-      Load(view, r, 0);
-      loaded_ = r;
-    }
-    return scratch_;
-  }
 
  private:
   Tuple scratch_;
   std::vector<size_t> used_;
-  size_t loaded_ = SIZE_MAX;
 };
 
-/// Where an expression bound to a view's schema finds its columns. When
-/// they all come from one input of the view, through distinct source
-/// columns, `input` is that input and `schema` its source layout: the
-/// view's columns at their source positions. Re-bound to `schema`, the
-/// expression evaluates on that input's source tuples in place (see
-/// ScratchRow::Read), copying nothing. Otherwise `input` is -1 and
-/// `schema` the view's own: the expression reads a ScratchRow.
-struct ViewLayout {
-  int input = -1;
-  Schema schema;
-};
-ViewLayout LayoutFor(const RowView& view, const Expr& bound);
+/// Where the columns of `view` are read from, for a CompiledPredicate over
+/// its schema: view column c reads its typed column through the ids of its
+/// input, stream `first_stream + input`.
+std::vector<ColumnInput> ColumnInputsOf(const RowView& view,
+                                        uint32_t first_stream = 0);
 
-/// Where view columns `columns` (a key) are read: when they all come from
-/// one input, `input` is that input and `columns` their positions in its
-/// source tuples, so a RowKey over ScratchRow::Read(view, r, input) finds
-/// them in place; otherwise -1 and the view positions, read from a scratch
-/// row that loads them.
-struct ColumnsAt {
-  int input = -1;
-  std::vector<size_t> columns;
+/// A predicate bound to a view's schema, compiled over the view's typed
+/// columns (one row-id stream per view input).
+class ViewPredicate {
+ public:
+  ViewPredicate(const RowView& view, const Expr& bound)
+      : view_(&view), program_(bound, ColumnInputsOf(view)) {}
+
+  /// Appends the positions in [begin, end) of the view's rows that satisfy
+  /// the predicate to `out`, ascending, a batch at a time.
+  void Select(size_t begin, size_t end, std::vector<uint32_t>* out) const;
+
+ private:
+  const RowView* view_;
+  CompiledPredicate program_;
 };
-ColumnsAt ColumnsFor(const RowView& view, const std::vector<size_t>& columns);
 
 /// The hash-join shape of a join predicate: the key column of its first
 /// equi-conjunct on each side, and whether that conjunct is the whole
@@ -96,30 +78,46 @@ StatusOr<std::optional<EquiKeys>> FindEquiKeys(const Expr& predicate,
 
 /// A per-query hash table over one column of a view: open addressing from
 /// a key to the chain of positions holding it, ascending, in flat arrays.
-/// Keys stay in the view and are compared in place; NULL keys are never
-/// inserted and never match (`NULL = x` is not true).
+/// When the column is a kInt column the int64 keys sit inline in the slots
+/// and a probe compares integers; otherwise keys stay in the view and are
+/// compared in place. NULL keys are never inserted and never match
+/// (`NULL = x` is not true).
 class JoinTable {
  public:
   JoinTable(const RowView& build, size_t column);
 
   /// First position holding `key`, or kNoRow; continue with Next().
-  uint32_t Find(const Value& key) const {
-    if (key.is_null()) return kNoRow;
-    return heads_[Slot(key, key.Hash())];
+  uint32_t Find(const ValueView& key) const;
+  /// Find(ValueView::Int(key)); requires int_keys().
+  uint32_t FindInt(int64_t key) const {
+    return heads_[SlotInt(key, HashInt64(key))];
   }
   uint32_t Next(uint32_t pos) const { return next_[pos]; }
+  bool int_keys() const { return int_keys_; }
 
   /// Distinct keys, NULL counted as one key.
   size_t DistinctKeys() const { return distinct_ + (null_key_ ? 1 : 0); }
 
  private:
-  size_t Slot(const Value& key, size_t hash) const;
+  size_t Home(size_t hash) const {
+    return (hash * 0x9e3779b97f4a7c15ULL >> 17) & mask_;
+  }
+  size_t SlotInt(int64_t key, size_t hash) const {
+    size_t slot = Home(hash);
+    while (heads_[slot] != kNoRow && (hashes_[slot] != hash || keys_[slot] != key)) {
+      slot = (slot + 1) & mask_;
+    }
+    return slot;
+  }
+  size_t SlotView(const ValueView& key, size_t hash) const;
 
   const RowView* build_;
   size_t column_;
+  bool int_keys_;
   size_t mask_ = 0;
   std::vector<uint32_t> heads_;
   std::vector<size_t> hashes_;
+  std::vector<int64_t> keys_;  // Per slot, when int_keys_.
   std::vector<uint32_t> next_;
   size_t distinct_ = 0;
   bool null_key_ = false;
@@ -154,7 +152,7 @@ struct JoinBuild {
 // slices attach to `morsel_parent` when it is non-null.
 
 /// Positions of the rows of `view` satisfying `bound` (bound to
-/// view.schema), in input order.
+/// view.schema), in input order: a ViewPredicate run over each morsel.
 std::vector<uint32_t> FilterRows(const RowView& view, const Expr& bound,
                                  const MorselPlan& plan,
                                  const ParallelContext* parallel,
@@ -173,8 +171,10 @@ struct JoinPositions {
 /// Inner join (left ids then right ids per output row) or, with `semi`,
 /// the left rows with at least one match. `bound` is the predicate bound to
 /// left.schema ++ right.schema. With `build` it is a hash join probing the
-/// build side with each left row's key; else a nested loop. Output order:
-/// left order, then each left row's matches in ascending right position.
+/// build side with each left row's key; else a nested loop. Candidate
+/// pairs the key match does not decide are tested a batch at a time by the
+/// predicate compiled over both views' columns. Output order: left order,
+/// then each left row's matches in ascending right position.
 /// `positions` (nullable) receives the matched positions.
 RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
                  bool semi, const JoinBuild* build, const MorselPlan& plan,
@@ -199,7 +199,7 @@ StatusOr<std::vector<SetMatch>> MatchSetOp(PlanKind kind, const RowView& left,
 
 /// The output view of MatchSetOp's matches: the left rows kept, or, for a
 /// union with right-only rows, both inputs' kept rows gathered into one
-/// owned source.
+/// owned column store.
 RowView SetOpView(const RowView& left, const RowView& right,
                   const std::vector<SetMatch>& matches);
 

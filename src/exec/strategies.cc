@@ -713,9 +713,9 @@ class GBUStrategy final : public Strategy {
   // scan of a temp's base table). A temp's inputs stay consecutive: joins
   // concatenate them.
   static int TempInputsAt(const RowView& view, const TempInput& temp) {
-    const std::vector<const std::vector<Tuple>*>& own = temp.table->view()->sources;
+    const std::vector<const ColumnStore*>& own = temp.table->view()->sources;
     if (!temp.inputs_kept || own.empty()) return -1;
-    for (const std::vector<Tuple>* source : own) {
+    for (const ColumnStore* source : own) {
       if (std::count(view.sources.begin(), view.sources.end(), source) !=
           std::count(own.begin(), own.end(), source)) {
         return -1;
@@ -732,7 +732,7 @@ class GBUStrategy final : public Strategy {
   static int IdentifyingInput(const RowView& rows, std::vector<uint32_t>* position) {
     const size_t n = rows.NumRows();
     for (size_t j = 0; j < rows.width(); ++j) {
-      position->assign(rows.sources[j]->size(), kNoRow);
+      position->assign(rows.sources[j]->NumRows(), kNoRow);
       size_t r = 0;
       for (; r < n; ++r) {
         uint32_t& slot = (*position)[rows.Row(r)[j]];
@@ -765,11 +765,10 @@ class GBUStrategy final : public Strategy {
                        // -1: found by key.
       std::vector<uint32_t> position;  // Temp row by that input's id.
       ScoreRelation scores;  // R_P of the temp, when `input` is -1.
-      ColumnsAt key;         // Where the output rows' keys are read then.
+      std::vector<size_t> key;  // The output rows' key columns then.
     };
     const RowView& view = out->view;
     std::vector<ResolvedTemp> resolved;
-    std::vector<size_t> key_columns;  // Every key index read by key.
     for (const TempInput& temp : temps) {
       if (!temp.contributes_scores || !temp.scored) continue;
       std::vector<size_t> key_indices;
@@ -794,27 +793,23 @@ class GBUStrategy final : public Strategy {
           if (temp.pairs[r].IsDefault()) continue;
           Tuple key;
           key.reserve(rows.key_columns.size());
-          for (size_t k : rows.key_columns) key.push_back(rows.At(r, k));
+          for (size_t k : rows.key_columns) key.push_back(rows.Get(r, k));
           rt.scores.Set(key, temp.pairs[r]);
         }
-        rt.key = ColumnsFor(view, key_indices);
-        key_columns.insert(key_columns.end(), key_indices.begin(),
-                           key_indices.end());
+        rt.key = std::move(key_indices);
       }
       resolved.push_back(std::move(rt));
     }
     if (resolved.empty()) return Status::OK();
 
     // Only the keys of the temps found by key are read out of the view.
-    ScratchRow scratch(out->schema(), {}, key_columns);
     for (size_t i = 0; i < out->NumRows(); ++i) {
       ScoreConf pair;  // Identity.
       for (const ResolvedTemp& rt : resolved) {
         const ScoreConf& temp_pair =
             rt.input >= 0
                 ? rt.temp->pairs[rt.position[view.Row(i)[rt.input]]]
-                : rt.scores.Lookup(RowKey{scratch.Read(view, i, rt.key.input),
-                                          rt.key.columns});
+                : rt.scores.Lookup(ViewKey{view, i, rt.key});
         pair = CombineCounted(agg, pair, temp_pair);
       }
       if (!pair.IsDefault()) {
@@ -998,19 +993,19 @@ class PlugInStrategy final : public Strategy {
   // Scores the rows of a partial (rewritten-query) result under `pref` and
   // folds them into the answer's score relation by key, probed in place.
   // Re-checks the conditional part, since the combined rewrite over-fetches
-  // (disjunction). Only the columns the preference and the key use are read
-  // out of the partial's view.
+  // (disjunction), compiled over the partial's columns. Only the columns
+  // the scoring expression and the key use are read out of its view.
   Status MergePartial(const Preference& pref, const RowView& partial,
                       const AggregateFunction& agg, ExecStats* stats,
                       ScoreRelation* scores) {
     ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, partial));
-    ScratchRow scratch = bound.MakeScratch(partial);
-    const ColumnsAt key_at = ColumnsFor(partial, partial.key_columns);
-    ScratchRow key(partial.schema, {}, partial.key_columns);
-    for (size_t i = 0; i < partial.NumRows(); ++i) {
-      std::optional<double> score = bound.Score(partial, i, &scratch);
+    ScratchRow scratch = bound.MakeScratch();
+    std::vector<uint32_t> matching;
+    bound.Matching(0, partial.NumRows(), &matching);
+    for (uint32_t i : matching) {
+      std::optional<double> score = bound.Score(i, &scratch);
       if (!score.has_value()) continue;
-      scores->Fold(RowKey{key.Read(partial, i, key_at.input), key_at.columns},
+      scores->Fold(ViewKey{partial, i, partial.key_columns},
                    ScoreConf::Known(*score, pref.confidence()), agg);
       ++stats->score_entries_written;
     }

@@ -198,35 +198,62 @@ double PairTarget(const ScoreConf& pair, FilterTarget target) {
                           : -std::numeric_limits<double>::infinity();
 }
 
-// Where the key values of the rows `ids` of `p` live: row i's keys at
-// [i * width, (i + 1) * width), located through the view once, since ties
-// on the pairs are common and a ranking's tie-break reads them again per
-// comparison.
-std::vector<const Value*> KeyValues(const PRelation& p,
-                                    const std::vector<uint32_t>& ids) {
-  const std::vector<size_t>& keys = p.key_columns();
-  std::vector<const Value*> values(p.NumRows() * keys.size());
-  for (uint32_t i : ids) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      values[i * keys.size() + k] = &p.view.At(i, keys[k]);
-    }
+// A key column of a view, resolved once: its typed column and the input
+// whose ids index it.
+struct RankKey {
+  const TypedColumn* column;
+  size_t input;
+};
+
+// Value::Compare of key `key` at view rows a and b. Ties on the pairs are
+// common, so a ranking's tie-break compares keys often: a kInt key compares
+// its int64s and a kDict key its codes (NULL first), other layouts their
+// typed cells.
+int CompareKey(const RowView& view, const RankKey& key, uint32_t a, uint32_t b) {
+  const TypedColumn& col = *key.column;
+  const uint32_t ra = view.Id(a, key.input);
+  const uint32_t rb = view.Id(b, key.input);
+  if (col.layout() == ColumnLayout::kInt) {
+    const bool na = col.NullBit(ra);
+    const bool nb = col.NullBit(rb);
+    if (na || nb) return static_cast<int>(nb) - static_cast<int>(na);
+    const int64_t x = col.ints()[ra];
+    const int64_t y = col.ints()[rb];
+    return (x > y) - (x < y);
   }
-  return values;
+  if (col.layout() == ColumnLayout::kDict) {
+    // Codes follow string order; a NULL's code sorts last, NULL first.
+    const uint32_t x = col.codes()[ra];
+    const uint32_t y = col.codes()[rb];
+    if (x == y) return 0;
+    if (x == TypedColumn::kNullCode) return -1;
+    if (y == TypedColumn::kNullCode) return 1;
+    return x < y ? -1 : 1;
+  }
+  return col.View(ra).Compare(col.View(rb));
+}
+
+// The key columns of `p`, resolved.
+std::vector<RankKey> RankKeys(const PRelation& p) {
+  std::vector<RankKey> keys;
+  for (size_t k : p.key_columns()) {
+    keys.push_back({&p.view.Column(k), p.view.columns[k].input});
+  }
+  return keys;
 }
 
 // SortScored's order over row indices of `p`: primary desc, secondary desc,
 // key columns asc, then row index asc. Rows that tie on (score, conf, key)
 // tie under every filter's order, so no filter ever reorders them and the
 // index tie-break reproduces the stable sort — while making the order
-// strict, which lets TOP k use a partial sort. `keys` is KeyValues of the
-// rows being ordered.
+// strict, which lets TOP k use a partial sort. `keys` is RankKeys(p); the
+// sorts copy the order, so it holds them by reference.
 class RankOrder {
  public:
-  RankOrder(const PRelation& p, const std::vector<const Value*>& keys,
+  RankOrder(const PRelation& p, const std::vector<RankKey>& keys,
             FilterTarget primary)
       : p_(p),
         keys_(keys),
-        width_(p.key_columns().size()),
         primary_(primary),
         secondary_(primary == FilterTarget::kScore ? FilterTarget::kConf
                                                    : FilterTarget::kScore) {}
@@ -240,8 +267,8 @@ class RankOrder {
     x = PairTarget(pa, secondary_);
     y = PairTarget(pb, secondary_);
     if (x != y) return x > y;
-    for (size_t k = 0; k < width_; ++k) {
-      int c = keys_[a * width_ + k]->Compare(*keys_[b * width_ + k]);
+    for (const RankKey& key : keys_) {
+      int c = CompareKey(p_.view, key, a, b);
       if (c != 0) return c < 0;
     }
     return a < b;
@@ -249,8 +276,7 @@ class RankOrder {
 
  private:
   const PRelation& p_;
-  const std::vector<const Value*>& keys_;
-  size_t width_;
+  const std::vector<RankKey>& keys_;
   FilterTarget primary_;
   FilterTarget secondary_;
 };
@@ -261,7 +287,7 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
                      std::vector<uint32_t>* ids) {
   switch (spec.kind) {
     case FilterSpec::Kind::kTopK: {
-      const std::vector<const Value*> keys = KeyValues(p, *ids);
+      const std::vector<RankKey> keys = RankKeys(p);
       RankOrder order(p, keys, spec.target);
       if (ids->size() > spec.k) {
         std::partial_sort(ids->begin(), ids->begin() + spec.k, ids->end(),
@@ -280,7 +306,7 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
       return Status::OK();
     }
     case FilterSpec::Kind::kRankAll: {
-      const std::vector<const Value*> keys = KeyValues(p, *ids);
+      const std::vector<RankKey> keys = RankKeys(p);
       std::sort(ids->begin(), ids->end(), RankOrder(p, keys, FilterTarget::kScore));
       return Status::OK();
     }
@@ -289,7 +315,7 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
       return Status::OK();
     case FilterSpec::Kind::kNotDominated: {
       // ApplyFilter's skyline scan, over the pairs of the sorted indices.
-      const std::vector<const Value*> keys = KeyValues(p, *ids);
+      const std::vector<RankKey> keys = RankKeys(p);
       std::sort(ids->begin(), ids->end(), RankOrder(p, keys, FilterTarget::kScore));
       double best_conf = -std::numeric_limits<double>::infinity();
       double best_conf_score = 0.0;
@@ -370,7 +396,15 @@ StatusOr<Relation> ApplyFiltersAndProject(
   }
 
   // The answer's one copy: each survivor's values, read through the view.
+  // Each view column's typed column is resolved once.
+  const RowView& view = input.view;
   const size_t score_col = input.schema().size();
+  std::vector<RankKey> sources(indices.size(), RankKey{nullptr, 0});
+  for (size_t j = 0; j < indices.size(); ++j) {
+    if (indices[j] < score_col) {
+      sources[j] = {&view.Column(indices[j]), view.columns[indices[j]].input};
+    }
+  }
   Relation out(output_columns.empty() ? scored_schema
                                       : scored_schema.Select(indices));
   if (output_columns.empty()) out.set_key_columns(input.key_columns());
@@ -379,10 +413,10 @@ StatusOr<Relation> ApplyFiltersAndProject(
     const ScoreConf& pair = input.pairs[id];
     Tuple projected;
     projected.reserve(indices.size());
-    for (size_t idx : indices) {
-      if (idx < score_col) {
-        projected.push_back(input.view.At(id, idx));
-      } else if (idx == score_col) {
+    for (size_t j = 0; j < indices.size(); ++j) {
+      if (sources[j].column != nullptr) {
+        projected.emplace_back(sources[j].column->View(view.Id(id, sources[j].input)));
+      } else if (indices[j] == score_col) {
         projected.push_back(pair.has_score() ? Value::Double(pair.score())
                                              : Value::Null());
       } else {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "expr/compiled_predicate.h"
 #include "parallel/morsel.h"
 #include "plan/plan.h"
 #include "storage/table.h"
@@ -130,31 +131,11 @@ StatusOr<PRelation> SetOp(PlanKind kind, const PRelation& left,
 
 StatusOr<ViewPreference> ViewPreference::Bind(const Preference& pref,
                                               const RowView& view) {
-  ViewPreference out(pref.CloneCondition(), pref.CloneScoring());
-  RETURN_IF_ERROR(out.condition_->Bind(view.schema));
-  RETURN_IF_ERROR(out.scoring_.Bind(view.schema));
-  ViewLayout condition_layout = LayoutFor(view, *out.condition_);
-  if (condition_layout.input >= 0 &&
-      out.condition_->Bind(condition_layout.schema).ok()) {
-    out.condition_at_ = condition_layout.input;
-  } else {
-    RETURN_IF_ERROR(out.condition_->Bind(view.schema));
-  }
-  ViewLayout scoring_layout = LayoutFor(view, out.scoring_.expr());
-  if (scoring_layout.input >= 0 && out.scoring_.Bind(scoring_layout.schema).ok()) {
-    out.scoring_at_ = scoring_layout.input;
-  } else {
-    RETURN_IF_ERROR(out.scoring_.Bind(view.schema));
-  }
-  return out;
-}
-
-ScratchRow ViewPreference::MakeScratch(const RowView& view,
-                                       const std::vector<size_t>& extra) const {
-  return ScratchRow(view.schema,
-                    {condition_at_ < 0 ? condition_.get() : nullptr,
-                     scoring_at_ < 0 ? &scoring_.expr() : nullptr},
-                    extra);
+  ExprPtr condition = pref.CloneCondition();
+  RETURN_IF_ERROR(condition->Bind(view.schema));
+  ScoringFunction scoring = pref.CloneScoring();
+  RETURN_IF_ERROR(scoring.Bind(view.schema));
+  return ViewPreference(view, std::move(condition), std::move(scoring));
 }
 
 StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
@@ -291,7 +272,9 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
   RETURN_IF_ERROR(GovernorCheck(parallel));
-  ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, input.view));
+  PRelation out = std::move(input);
+  const RowView& view = out.view;
+  ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, view));
 
   // Membership preferences additionally require a join partner in the
   // member relation, found through the member table's persistent index on
@@ -308,7 +291,7 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
     ASSIGN_OR_RETURN(size_t member_idx,
                      member->schema().FindColumn(spec.member_column));
     ASSIGN_OR_RETURN(size_t local_idx,
-                     input.schema().FindColumn(spec.local_column));
+                     view.schema.FindColumn(spec.local_column));
     local_col = local_idx;
     member_index = &member->EnsureIndex(member_idx);
     stats->rows_scanned += member->NumRows();
@@ -318,34 +301,41 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
   // contributions into their own pairs, in place. Writes are disjoint, so
   // no partials are merged; the condition, scoring function and member
   // index are immutable after binding and shared by all slots.
-  PRelation out = std::move(input);
-  const RowView& view = out.view;
   const size_t n = view.NumRows();
   MorselPlan plan = MorselPlan::Make(n, parallel);
   std::vector<size_t> contributions(plan.morsel_count(), 0);
   ParallelFor(plan, [&](size_t, const Morsel& m) {
     GovernorCheckpoint(parallel);
     // threads=1 runs one covering morsel, so per-morsel checkpoints never
-    // fire mid-loop; the ticker bounds cancellation latency by rows instead.
-    GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
-    ScratchRow scratch = bound.MakeScratch(view);
-    for (size_t i = m.begin; i < m.end; ++i) {
+    // fire mid-loop; the ticker bounds cancellation latency by rows instead,
+    // checking once per batch of input rows.
+    GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor,
+                          /*period=*/1);
+    ScratchRow scratch = bound.MakeScratch();
+    std::vector<uint32_t> matching;
+    for (size_t begin = m.begin; begin < m.end;
+         begin += CompiledPredicate::kBatch) {
       ticker.Tick();
-      if (member_index != nullptr) {
-        // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
-        // NULL local key has no member, even when the member relation holds
-        // a NULL key.
-        const Value& key = view.At(i, local_col);
-        if (key.is_null() || member_index->Lookup(key).empty()) {
-          continue;  // Membership not satisfied: tuple unaffected.
+      matching.clear();
+      bound.Matching(begin, std::min(m.end, begin + CompiledPredicate::kBatch),
+                     &matching);
+      for (uint32_t i : matching) {
+        if (member_index != nullptr) {
+          // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
+          // NULL local key has no member, even when the member relation
+          // holds a NULL key.
+          const ValueView key = view.View(i, local_col);
+          if (key.is_null() || member_index->Lookup(key).empty()) {
+            continue;  // Membership not satisfied: tuple unaffected.
+          }
         }
+        // S(r) = ⊥ contributes nothing.
+        std::optional<double> score = bound.Score(i, &scratch);
+        if (!score.has_value()) continue;
+        out.pairs[i] = CombineCounted(
+            agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
+        ++contributions[m.index];
       }
-      // S(r) = ⊥ contributes nothing.
-      std::optional<double> score = bound.Score(view, i, &scratch);
-      if (!score.has_value()) continue;
-      out.pairs[i] = CombineCounted(
-          agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
-      ++contributions[m.index];
     }
   });
   for (size_t count : contributions) stats->score_entries_written += count;

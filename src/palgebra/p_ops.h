@@ -121,38 +121,46 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
                            obs::Span* span = nullptr);
 
 /// A preference's conditional part σ_φ and scoring function S, bound for
-/// the rows of one view: each reads the source tuples in place when its
-/// columns all come from one input (LayoutFor), else a scratch row. Shared
-/// by the prefer operator and the plug-ins' merge of rewritten-query rows.
+/// the rows of one view: the condition compiled over the view's typed
+/// columns (ViewPredicate), the scoring expression evaluated with
+/// Expr::Eval on a scratch row, for matching rows only. Shared by the
+/// prefer operator and the plug-ins' merge of rewritten-query rows. The
+/// view must outlive it.
 class ViewPreference {
  public:
   static StatusOr<ViewPreference> Bind(const Preference& pref,
                                        const RowView& view);
 
-  /// A scratch row for one thread's calls to Score over `view` (it loads
-  /// only the columns of the expressions that cannot read in place, plus
-  /// `extra`).
-  ScratchRow MakeScratch(const RowView& view,
-                         const std::vector<size_t>& extra = {}) const;
+  /// Appends the positions in [begin, end) of the rows satisfying φ to
+  /// `out`, ascending.
+  void Matching(size_t begin, size_t end, std::vector<uint32_t>* out) const {
+    condition_.Select(begin, end, out);
+  }
 
-  /// S(r) for row `r` of the view when it satisfies φ; nullopt when it
-  /// does not, or when S(r) = ⊥.
-  std::optional<double> Score(const RowView& view, size_t r,
-                              ScratchRow* scratch) const {
-    if (!IsTruthy(condition_->Eval(scratch->Read(view, r, condition_at_)))) {
-      return std::nullopt;
-    }
-    return scoring_.Score(scratch->Read(view, r, scoring_at_));
+  /// A scratch row for one thread's calls to Score (it loads only the
+  /// columns the scoring expression reads).
+  ScratchRow MakeScratch() const {
+    return ScratchRow(view_->schema, scoring_.expr());
+  }
+
+  /// S(r) for row `r` of the view; nullopt when S(r) = ⊥. Call it for rows
+  /// that satisfy φ.
+  std::optional<double> Score(size_t r, ScratchRow* scratch) const {
+    scratch->Load(*view_, r);
+    return scoring_.Score(scratch->tuple());
   }
 
  private:
-  ViewPreference(ExprPtr condition, ScoringFunction scoring)
-      : condition_(std::move(condition)), scoring_(std::move(scoring)) {}
+  ViewPreference(const RowView& view, ExprPtr condition, ScoringFunction scoring)
+      : view_(&view),
+        condition_expr_(std::move(condition)),
+        condition_(view, *condition_expr_),
+        scoring_(std::move(scoring)) {}
 
-  ExprPtr condition_;
+  const RowView* view_;
+  ExprPtr condition_expr_;  // Read by the compiled condition's fallbacks.
+  ViewPredicate condition_;
   ScoringFunction scoring_;
-  int condition_at_ = -1;
-  int scoring_at_ = -1;
 };
 
 /// The prefer operator λ_{p,F} (paper Def. in §IV-C): evaluates preference
@@ -168,9 +176,10 @@ class ViewPreference {
 /// The member relation still counts as scanned in `stats->rows_scanned`.
 ///
 /// Takes its input by value (callers move it in) and updates `pairs[i]` in
-/// place; the view passes through untouched, and the condition and scoring
-/// read only the columns they use, through it (ScratchRow). The prefer
-/// operator is a tuple-local scoring pass, so morsels write disjoint pairs:
+/// place; the view passes through untouched. Each morsel runs the compiled
+/// condition over the view's columns a batch at a time, then scores the
+/// matching rows (ViewPreference). The prefer operator is a tuple-local
+/// scoring pass, so morsels write disjoint pairs:
 /// there are no per-morsel partials to merge, and the result is
 /// bit-identical at every thread count.
 StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,

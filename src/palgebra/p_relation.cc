@@ -10,11 +10,8 @@ namespace prefdb {
 PRelation::PRelation(RowView rows, const ScoreRelation& score_rel)
     : view(std::move(rows)) {
   pairs.reserve(view.NumRows());
-  const ColumnsAt key = ColumnsFor(view, view.key_columns);
-  ScratchRow row(view.schema, {}, view.key_columns);
   for (size_t i = 0; i < view.NumRows(); ++i) {
-    pairs.push_back(
-        score_rel.Lookup(RowKey{row.Read(view, i, key.input), key.columns}));
+    pairs.push_back(score_rel.Lookup(ViewKey{view, i, view.key_columns}));
   }
 }
 
@@ -24,7 +21,7 @@ ScoreRelation PRelation::ToScoreRelation() const {
     if (pairs[i].IsDefault()) continue;
     Tuple key;
     key.reserve(view.key_columns.size());
-    for (size_t k : view.key_columns) key.push_back(view.At(i, k));
+    for (size_t k : view.key_columns) key.push_back(view.Get(i, k));
     out.Set(key, pairs[i]);
   }
   return out;

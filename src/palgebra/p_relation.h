@@ -30,15 +30,16 @@ struct PRelation {
   /// `row_pairs` must hold one pair per row of `rows`.
   PRelation(RowView rows, std::vector<ScoreConf> row_pairs)
       : view(std::move(rows)), pairs(std::move(row_pairs)) {}
-  /// Wraps `relation` by move, every tuple at ⟨⊥, 0⟩.
-  explicit PRelation(Relation relation)
-      : PRelation(RowView::Wrap(std::move(relation))) {}
-  PRelation(Relation relation, std::vector<ScoreConf> row_pairs)
-      : PRelation(RowView::Wrap(std::move(relation)), std::move(row_pairs)) {}
+  /// Views `relation`'s rows (converted into an owned column store), every
+  /// tuple at ⟨⊥, 0⟩.
+  explicit PRelation(const Relation& relation)
+      : PRelation(RowView::Wrap(relation)) {}
+  PRelation(const Relation& relation, std::vector<ScoreConf> row_pairs)
+      : PRelation(RowView::Wrap(relation), std::move(row_pairs)) {}
   /// Re-associates each row with its pair in `score_rel` by the row's key.
   PRelation(RowView rows, const ScoreRelation& score_rel);
-  PRelation(Relation relation, const ScoreRelation& score_rel)
-      : PRelation(RowView::Wrap(std::move(relation)), score_rel) {}
+  PRelation(const Relation& relation, const ScoreRelation& score_rel)
+      : PRelation(RowView::Wrap(relation), score_rel) {}
 
   const Schema& schema() const { return view.schema; }
   const std::vector<size_t>& key_columns() const { return view.key_columns; }

@@ -6,6 +6,7 @@
 
 #include "prefs/agg_func.h"
 #include "prefs/score_conf.h"
+#include "storage/row_view.h"
 #include "types/tuple.h"
 
 namespace prefdb {
@@ -23,7 +24,8 @@ namespace prefdb {
 /// region inputs cannot be told apart from others, whose rows no single id
 /// names (a many-to-many join), or whose rows a union copied into a new
 /// source.
-/// Both probe it with a RowKey, hashing the row's key columns in place.
+/// Both probe it with a ViewKey, hashing the view row's key columns in
+/// place.
 class ScoreRelation {
  public:
   ScoreRelation() = default;
@@ -34,8 +36,8 @@ class ScoreRelation {
     return it == map_.end() ? kDefault : it->second;
   }
 
-  /// The pair for the key of a row, read in place; ⟨⊥, 0⟩ if absent.
-  const ScoreConf& Lookup(const RowKey& key) const {
+  /// The pair for the key of a view row, read in place; ⟨⊥, 0⟩ if absent.
+  const ScoreConf& Lookup(const ViewKey& key) const {
     auto it = map_.find(key);
     return it == map_.end() ? kDefault : it->second;
   }
@@ -53,15 +55,17 @@ class ScoreRelation {
   /// Folds `pair` into the entry under the key of a row: the entry becomes
   /// CombineCounted(agg, entry, pair). An existing entry is updated through
   /// one hash probe; the key is copied only when a new entry is inserted.
-  void Fold(const RowKey& key, const ScoreConf& pair,
+  void Fold(const ViewKey& key, const ScoreConf& pair,
             const AggregateFunction& agg) {
     auto it = map_.find(key);
     ScoreConf combined =
         CombineCounted(agg, it == map_.end() ? kDefault : it->second, pair);
     if (it == map_.end()) {
-      if (!combined.IsDefault()) {
-        map_.emplace(ProjectTuple(key.row, key.columns), combined);
-      }
+      if (combined.IsDefault()) return;
+      Tuple copy;
+      copy.reserve(key.columns.size());
+      for (size_t c : key.columns) copy.emplace_back(key.view.View(key.row, c));
+      map_.emplace(std::move(copy), combined);
     } else if (combined.IsDefault()) {
       map_.erase(it);
     } else {
@@ -76,8 +80,23 @@ class ScoreRelation {
   std::string ToString(size_t max_entries = 20) const;
 
  private:
+  // TupleHash / TupleEq, also over view keys.
+  struct KeyHash : TupleHash {
+    using TupleHash::operator();
+    size_t operator()(const ViewKey& key) const { return ViewKeyHash(key); }
+  };
+  struct KeyEq : TupleEq {
+    using TupleEq::operator();
+    bool operator()(const ViewKey& a, const Tuple& b) const {
+      return ViewKeyEquals(a, b);
+    }
+    bool operator()(const Tuple& a, const ViewKey& b) const {
+      return ViewKeyEquals(b, a);
+    }
+  };
+
   static const ScoreConf kDefault;
-  std::unordered_map<Tuple, ScoreConf, TupleHash, TupleEq> map_;
+  std::unordered_map<Tuple, ScoreConf, KeyHash, KeyEq> map_;
 };
 
 }  // namespace prefdb

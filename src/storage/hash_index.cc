@@ -2,24 +2,46 @@
 
 namespace prefdb {
 
-HashIndex::HashIndex(const Relation& relation, size_t column_index) {
-  const std::vector<Tuple>& rows = relation.rows();
+HashIndex::HashIndex(const TypedColumn& column)
+    : column_(&column), int_keys_(column.layout() == ColumnLayout::kInt) {
+  const size_t n = column.size();
   Resize(16);
   // Pass 1 numbers the key groups by first appearance. While it runs, a
-  // used slot's `end` is its group number.
-  std::vector<uint32_t> group_of(rows.size());
+  // used slot's `end` is its group number plus one.
+  std::vector<uint32_t> group_of(n);
   std::vector<uint32_t> group_size;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& key = rows[i][column_index];
-    const size_t hash = key.Hash();
-    Slot& slot = slots_[Find(key, hash)];
-    if (slot.key == nullptr) {
-      slot = {hash, &key, 0, static_cast<uint32_t>(num_keys_++)};
-      group_size.push_back(0);
+  uint32_t null_group = UINT32_MAX;
+  const int64_t* ints = column.ints();
+  for (size_t i = 0; i < n; ++i) {
+    const auto row = static_cast<uint32_t>(i);
+    uint32_t group;
+    if (int_keys_ && column.NullBit(row)) {
+      if (null_group == UINT32_MAX) {
+        null_group = static_cast<uint32_t>(num_keys_++);
+        group_size.push_back(0);
+      }
+      group = null_group;
+    } else {
+      Slot* slot;
+      size_t hash;
+      if (int_keys_) {
+        hash = HashInt64(ints[i]);
+        slot = &slots_[FindInt(ints[i], hash)];
+      } else {
+        const ValueView key = column.View(row);
+        hash = key.Hash();
+        slot = &slots_[FindView(key, hash)];
+      }
+      if (slot->end == 0) {
+        *slot = {hash, int_keys_ ? ints[i] : static_cast<int64_t>(i), 0,
+                 static_cast<uint32_t>(++num_keys_)};
+        group_size.push_back(0);
+      }
+      group = slot->end - 1;
+      if (2 * num_keys_ > slots_.size()) Resize(2 * slots_.size());
     }
-    group_of[i] = slot.end;
-    ++group_size[slot.end];
-    if (2 * num_keys_ > slots_.size()) Resize(2 * slots_.size());
+    group_of[i] = group;
+    ++group_size[group];
   }
   // Pass 2 gives each group a range of `positions_` and fills it in row
   // order, so every key's positions ascend.
@@ -30,22 +52,27 @@ HashIndex::HashIndex(const Relation& relation, size_t column_index) {
     offset += group_size[g];
   }
   std::vector<uint32_t> cursor = group_begin;  // Ends at each range's end.
-  positions_.resize(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
+  positions_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     positions_[cursor[group_of[i]]++] = static_cast<uint32_t>(i);
   }
   for (Slot& slot : slots_) {
-    if (slot.key == nullptr) continue;
-    const uint32_t group = slot.end;
+    if (slot.end == 0) continue;
+    const uint32_t group = slot.end - 1;
     slot.begin = group_begin[group];
     slot.end = cursor[group];
   }
+  if (null_group != UINT32_MAX) {
+    null_begin_ = group_begin[null_group];
+    null_end_ = cursor[null_group];
+  }
 }
 
-size_t HashIndex::Find(const Value& key, size_t hash) const {
+size_t HashIndex::FindView(const ValueView& key, size_t hash) const {
   size_t s = Home(hash);
-  while (slots_[s].key != nullptr &&
-         (slots_[s].hash != hash || *slots_[s].key != key)) {
+  while (slots_[s].end != 0 &&
+         (slots_[s].hash != hash ||
+          column_->View(static_cast<uint32_t>(slots_[s].key)) != key)) {
     s = (s + 1) & mask_;
   }
   return s;
@@ -58,16 +85,31 @@ void HashIndex::Resize(size_t capacity) {
   // Used slots hold distinct keys, so each lands in the first unused slot
   // from its home.
   for (const Slot& slot : old) {
-    if (slot.key == nullptr) continue;
+    if (slot.end == 0) continue;
     size_t s = Home(slot.hash);
-    while (slots_[s].key != nullptr) s = (s + 1) & mask_;
+    while (slots_[s].end != 0) s = (s + 1) & mask_;
     slots_[s] = slot;
   }
 }
 
-std::span<const uint32_t> HashIndex::Lookup(const Value& key) const {
-  const Slot& slot = slots_[Find(key, key.Hash())];
-  if (slot.key == nullptr) return {};
+std::span<const uint32_t> HashIndex::Lookup(const ValueView& key) const {
+  if (int_keys_) {
+    switch (key.type) {
+      case ValueType::kNull:
+        return {positions_.data() + null_begin_, null_end_ - null_begin_};
+      case ValueType::kInt:
+        return LookupInt(key.i);
+      case ValueType::kDouble: {
+        // Only a double holding exactly an int64 equals an int key.
+        int64_t i;
+        if (ExactInt64(key.d, &i)) return LookupInt(i);
+        return {};
+      }
+      case ValueType::kString:
+        return {};
+    }
+  }
+  const Slot& slot = slots_[FindView(key, key.Hash())];
   return {positions_.data() + slot.begin, slot.end - slot.begin};
 }
 

@@ -5,44 +5,61 @@
 #include <span>
 #include <vector>
 
-#include "types/relation.h"
+#include "storage/column_store.h"
 #include "types/value.h"
 
 namespace prefdb {
 
-/// An equality index over one column of a materialized relation: maps a
-/// column value to the row positions holding it. This is the substrate's
+/// An equality index over one typed column (storage/column_store.h): maps
+/// a column value to the row positions holding it. This is the substrate's
 /// stand-in for the B-tree/hash indexes a disk-based engine would expose
 /// (cf. paper heuristic 4's rationale: base relations are likely
 /// index-accessible, join products are not). Base tables keep one per
 /// (table, column) once built (Table::EnsureIndex): the native executor
 /// serves `col = literal` scans and joins whose build side is a full base
 /// table scan from it, and membership preferences probe the member table's.
-/// The p-algebra's hash joins build a transient one over their right input.
 ///
 /// Layout: open addressing over slots `{hash, key, begin, end}`, sized to
 /// about twice the number of distinct keys (not rows). A slot names the
 /// range of one `positions` array that holds its key's row positions,
-/// ascending. Keys are not copied: `key` points at the key's first
-/// occurrence in the relation, and probes compare against it in place. The
-/// indexed relation must therefore outlive the index and stay unmodified.
+/// ascending. Over a kInt column the key is the int64 itself, inline in the
+/// slot, and a probe compares integers; NULL rows are one range of their
+/// own. Over any other layout `key` is the row of the key's first
+/// occurrence, and probes compare against the column in place. The indexed
+/// column must therefore outlive the index.
 ///
-/// Keys match by Value::operator== (Int(1) and Double(1.0) are one key),
-/// and NULL is a key like any other: `Lookup(NULL)` returns the NULL rows
-/// and NumKeys() counts NULL once. Joins, which follow SQL `=`, skip NULL
-/// probe keys themselves.
+/// Keys match by Value::operator== (Int(1) and Double(1.0) are one key,
+/// Int(2^53 + 1) and Double(2^53) are not), and NULL is a key like any
+/// other: `Lookup(NULL)` returns the NULL rows and NumKeys() counts NULL
+/// once. Joins, which follow SQL `=`, skip NULL probe keys themselves.
 class HashIndex {
  public:
-  /// Builds the index over `relation`'s column at `column_index`.
-  HashIndex(const Relation& relation, size_t column_index);
+  /// Builds the index over `column`.
+  explicit HashIndex(const TypedColumn& column);
 
-  /// Row positions whose column equals `key`, ascending (empty if none).
-  std::span<const uint32_t> Lookup(const Value& key) const;
+  /// Row positions whose value equals `key`, ascending (empty if none).
+  std::span<const uint32_t> Lookup(const ValueView& key) const;
+  std::span<const uint32_t> Lookup(const Value& key) const {
+    return Lookup(key.view());
+  }
+  /// Lookup(ValueView::Int(key)); over a kInt column, one inline probe.
+  std::span<const uint32_t> LookupInt(int64_t key) const {
+    if (!int_keys_) return Lookup(ValueView::Int(key));
+    const Slot& slot = slots_[FindInt(key, HashInt64(key))];
+    return {positions_.data() + slot.begin, slot.end - slot.begin};
+  }
 
-  /// Starts loading the slot a Lookup(key) begins at into the cache. A
+  /// True when the index keys are the int64 values of a kInt column, so
+  /// LookupInt and PrefetchInt take the inline path.
+  bool int_keys() const { return int_keys_; }
+
+  /// Starts loading the slot a LookupInt(key) begins at into the cache. A
   /// probe loop over a persistent (hence often cold) index issues it a few
   /// keys ahead, so the slot misses of consecutive probes overlap.
-  void Prefetch(const Value& key) const {
+  void PrefetchInt(int64_t key) const {
+    __builtin_prefetch(&slots_[Home(HashInt64(key))]);
+  }
+  void Prefetch(const ValueView& key) const {
     __builtin_prefetch(&slots_[Home(key.Hash())]);
   }
 
@@ -52,24 +69,39 @@ class HashIndex {
  private:
   struct Slot {
     size_t hash = 0;
-    const Value* key = nullptr;  // Null marks an unused slot.
+    int64_t key = 0;  // The int key, or the row of the key's first occurrence.
     uint32_t begin = 0;
-    uint32_t end = 0;
+    uint32_t end = 0;  // 0 marks an unused slot (a used range is non-empty).
   };
 
   size_t Home(size_t hash) const {
     return (hash * 0x9e3779b97f4a7c15ULL >> 17) & mask_;
   }
-  // The slot holding `key`, or the unused slot where it would go.
-  size_t Find(const Value& key, size_t hash) const;
+  // The slot holding int key `key` of an int-keyed index, or the unused
+  // slot where it would go.
+  size_t FindInt(int64_t key, size_t hash) const {
+    size_t s = Home(hash);
+    while (slots_[s].end != 0 && (slots_[s].hash != hash || slots_[s].key != key)) {
+      s = (s + 1) & mask_;
+    }
+    return s;
+  }
+  // Likewise for a non-NULL key of a column of any other layout.
+  size_t FindView(const ValueView& key, size_t hash) const;
   // Sets the slot table to `capacity` (a power of two) slots and re-inserts
   // the used slots of the old one by hash.
   void Resize(size_t capacity);
 
+  const TypedColumn* column_;
+  bool int_keys_;
   size_t num_keys_ = 0;
   size_t mask_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> positions_;  // Row positions grouped by key.
+  // The NULL rows of an int-keyed index (NULL keys of other layouts have a
+  // slot like any key).
+  uint32_t null_begin_ = 0;
+  uint32_t null_end_ = 0;
 };
 
 }  // namespace prefdb

@@ -5,7 +5,7 @@
 namespace prefdb {
 
 RowView RowView::Over(Schema schema, std::vector<size_t> keys,
-                      const std::vector<Tuple>* rows) {
+                      const ColumnStore* rows) {
   RowView view;
   view.columns.reserve(schema.size());
   for (size_t c = 0; c < schema.size(); ++c) {
@@ -17,17 +17,19 @@ RowView RowView::Over(Schema schema, std::vector<size_t> keys,
   return view;
 }
 
-RowView RowView::Of(const Relation& rel, std::shared_ptr<const void> pin) {
-  RowView view = Over(rel.schema(), rel.key_columns(), &rel.rows());
-  view.ids.resize(rel.NumRows());
+RowView RowView::Of(Schema schema, std::vector<size_t> keys,
+                    const ColumnStore& rows, std::shared_ptr<const void> pin) {
+  RowView view = Over(std::move(schema), std::move(keys), &rows);
+  view.ids.resize(rows.NumRows());
   std::iota(view.ids.begin(), view.ids.end(), 0u);
   view.owned.push_back(std::move(pin));
   return view;
 }
 
-RowView RowView::Wrap(Relation rel) {
-  auto owned = std::make_shared<const Relation>(std::move(rel));
-  return Of(*owned, owned);
+RowView RowView::Wrap(const Relation& rel) {
+  auto owned = std::make_shared<const ColumnStore>(
+      ColumnStore::FromRows(rel.rows(), rel.schema().size()));
+  return Of(rel.schema(), rel.key_columns(), *owned, owned);
 }
 
 RowView RowView::Rows(const std::vector<uint32_t>& positions) const {
@@ -59,7 +61,7 @@ void RowView::Truncate(size_t n) {
 Tuple RowView::GatherRow(size_t r) const {
   Tuple row;
   row.reserve(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) row.push_back(At(r, c));
+  for (size_t c = 0; c < columns.size(); ++c) row.emplace_back(View(r, c));
   return row;
 }
 
@@ -70,6 +72,36 @@ Relation RowView::Gather() const {
   Relation out(schema, std::move(rows));
   out.set_key_columns(key_columns);
   return out;
+}
+
+ColumnStore RowView::GatherColumns() const {
+  const size_t n = NumRows();
+  std::vector<TypedColumn> out;
+  out.reserve(columns.size());
+  std::vector<ValueView> cells(n);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const TypedColumn& col = Column(c);
+    const size_t input = columns[c].input;
+    for (size_t k = 0; k < n; ++k) {
+      cells[k] = col.View(Id(k, input));
+    }
+    out.push_back(TypedColumn::Build(cells));
+  }
+  return ColumnStore(std::move(out), n);
+}
+
+size_t ViewKeyHash(const ViewKey& key) {
+  size_t h = 0x345678;
+  for (size_t c : key.columns) h = h * 1000003 ^ key.view.View(key.row, c).Hash();
+  return h;
+}
+
+bool ViewKeyEquals(const ViewKey& key, const Tuple& tuple) {
+  if (key.columns.size() != tuple.size()) return false;
+  for (size_t i = 0; i < tuple.size(); ++i) {
+    if (key.view.View(key.row, key.columns[i]) != tuple[i].view()) return false;
+  }
+  return true;
 }
 
 }  // namespace prefdb

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "storage/column_store.h"
 #include "types/relation.h"
 
 namespace prefdb {
@@ -20,20 +21,21 @@ struct ColumnSource {
 /// An intermediate result as row ids (late materialization), shared by the
 /// native executor and the p-algebra, and the contents of a view-backed
 /// temporary table (Table::CreateView). A row is one uint32_t per joined
-/// input, indexing that input's row source: a table's immutable row vector
-/// or rows some owner keeps alive. `columns` maps each output column to
-/// (input, column). Operators only produce and remap ids; values are copied
-/// when a consumer gathers rows out of the view. The operator kernels over
-/// views live in engine/row_view.h.
+/// input, indexing that input's column store: a table's, a cache entry's or
+/// one a union gathered. `columns` maps each output column to (input,
+/// column). Operators only produce and remap ids; kernels read cells
+/// through the typed accessors (Column, View), and values are copied when a
+/// consumer gathers rows out of the view. The operator kernels over views
+/// live in engine/row_view.h.
 ///
 /// A view pins what it reads: `owned` holds a reference to every table,
-/// cache entry or gathered row vector its sources point into, so a view
-/// stays readable after ExecutePlan returns, after a temp table is dropped,
-/// after a base table is reloaded and after a cache entry is evicted.
+/// cache entry or gathered store its sources point into, so a view stays
+/// readable after ExecutePlan returns, after a temp table is dropped, after
+/// a base table is reloaded and after a cache entry is evicted.
 struct RowView {
   Schema schema;
   std::vector<size_t> key_columns;
-  std::vector<const std::vector<Tuple>*> sources;  // One per input.
+  std::vector<const ColumnStore*> sources;         // One per input.
   std::vector<ColumnSource> columns;               // One per output column.
   std::vector<uint32_t> ids;                       // Row-major, width() per row.
   std::vector<std::shared_ptr<const void>> owned;  // Pins of the sources.
@@ -46,26 +48,34 @@ struct RowView {
 
   /// A one-input view with identity columns over `rows`, holding no rows.
   static RowView Over(Schema schema, std::vector<size_t> keys,
-                      const std::vector<Tuple>* rows);
-  /// The identity view over every row of `rel`, pinning `pin` (the owner
-  /// of `rel`); no value is copied.
-  static RowView Of(const Relation& rel, std::shared_ptr<const void> pin);
-  /// Takes `rel` by move and views all of its rows.
-  static RowView Wrap(Relation rel);
+                      const ColumnStore* rows);
+  /// The identity view over every row of `rows`, pinning `pin` (the owner
+  /// of `rows`); no value is copied.
+  static RowView Of(Schema schema, std::vector<size_t> keys,
+                    const ColumnStore& rows, std::shared_ptr<const void> pin);
+  /// Converts `rel`'s rows into an owned column store and views all of them.
+  static RowView Wrap(const Relation& rel);
 
   size_t width() const { return sources.size(); }
   size_t NumRows() const { return sources.empty() ? 0 : ids.size() / width(); }
   const uint32_t* Row(size_t r) const { return ids.data() + r * width(); }
-  const Value& At(size_t r, size_t c) const {
+  /// The id row r has on input `input`.
+  uint32_t Id(size_t r, size_t input) const { return ids[r * width() + input]; }
+  /// The typed column output column c reads; index it with Id(r, input of c).
+  const TypedColumn& Column(size_t c) const {
     const ColumnSource& src = columns[c];
-    return (*sources[src.input])[ids[r * width() + src.input]][src.column];
+    return sources[src.input]->column(src.column);
+  }
+  /// The value at row r, column c, read in place.
+  ValueView View(size_t r, size_t c) const {
+    return Column(c).View(Id(r, columns[c].input));
+  }
+  /// An owning copy of the value at row r, column c.
+  Value Get(size_t r, size_t c) const {
+    return Column(c).Get(Id(r, columns[c].input));
   }
   void AppendRow(size_t r, std::vector<uint32_t>* out) const {
     out->insert(out->end(), Row(r), Row(r) + width());
-  }
-  /// The source tuple input `input` contributes to row r.
-  const Tuple& Source(size_t r, size_t input) const {
-    return (*sources[input])[ids[r * width() + input]];
   }
 
   /// The view of the rows at `positions`, in that order.
@@ -78,7 +88,22 @@ struct RowView {
   /// Copies rows out of the view.
   Tuple GatherRow(size_t r) const;
   Relation Gather() const;
+  /// Copies the rows into one column store, column by column, without
+  /// building a Tuple.
+  ColumnStore GatherColumns() const;
 };
+
+/// The values of row `row` of `view` at `columns`, read in place: a key
+/// that hashes (ViewKeyHash) and compares (ViewKeyEquals) like the tuple
+/// ProjectTuple(view.GatherRow(row), columns), so tuple-keyed hash
+/// containers can be probed by a view row's key without copying it.
+struct ViewKey {
+  const RowView& view;
+  size_t row;
+  const std::vector<size_t>& columns;
+};
+size_t ViewKeyHash(const ViewKey& key);
+bool ViewKeyEquals(const ViewKey& key, const Tuple& tuple);
 
 }  // namespace prefdb
 

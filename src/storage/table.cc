@@ -6,9 +6,19 @@
 #include <cstdlib>
 #include <unordered_set>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/string_util.h"
 
 namespace prefdb {
+
+void ReleaseFreeHeapPages() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 uint64_t Table::NextVersion() {
   // Process-wide, so versions stay unique across engines sharing a cache
@@ -31,18 +41,32 @@ StatusOr<std::unique_ptr<Table>> Table::Create(std::string name, Schema schema,
   }
   // Canonical (ascending) key order; see ResolveProjection in plan.cc.
   std::sort(key_indices.begin(), key_indices.end());
-  relation.set_key_columns(std::move(key_indices));
   RETURN_IF_ERROR(relation.CheckWellFormed());
+  ColumnStore store =
+      ColumnStore::FromRows(relation.rows(), relation.schema().size());
   return std::unique_ptr<Table>(
-      new Table(std::move(name), std::move(relation), std::nullopt));
+      new Table(std::move(name), relation.schema(), std::move(key_indices),
+                std::move(store), std::nullopt));
 }
 
 std::unique_ptr<Table> Table::CreateView(std::string name, RowView view) {
-  // The relation carries the view's schema and key, and no rows.
-  Relation relation(view.schema, {});
-  relation.set_key_columns(view.key_columns);
-  return std::unique_ptr<Table>(
-      new Table(std::move(name), std::move(relation), std::move(view)));
+  Schema schema = view.schema;
+  std::vector<size_t> keys = view.key_columns;
+  return std::unique_ptr<Table>(new Table(std::move(name), std::move(schema),
+                                          std::move(keys), ColumnStore(),
+                                          std::move(view)));
+}
+
+Relation Table::Gather() const {
+  if (view_) return view_->Gather();
+  std::vector<Tuple> rows;
+  rows.reserve(num_rows_);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    rows.push_back(store_.Row(static_cast<uint32_t>(r)));
+  }
+  Relation out(schema_, std::move(rows));
+  out.set_key_columns(primary_key_);
+  return out;
 }
 
 const HashIndex& Table::EnsureIndex(size_t column_index) {
@@ -58,7 +82,7 @@ const HashIndex& Table::EnsureIndex(size_t column_index) {
   auto it = indexes_.find(column_index);
   if (it == indexes_.end()) {
     it = indexes_.emplace(column_index,
-                          std::make_unique<HashIndex>(relation_, column_index))
+                          std::make_unique<HashIndex>(store_.column(column_index)))
              .first;
   }
   return *it->second;
@@ -71,18 +95,19 @@ const ColumnStats& Table::Stats(size_t column_index) {
 
   ColumnStats stats;
   stats.row_count = NumRows();
-  std::unordered_set<Value, ValueHash> distinct;
+  std::unordered_set<ValueView, ValueViewHash> distinct;
   bool first_numeric = true;
   for (size_t r = 0; r < stats.row_count; ++r) {
-    const Value& v = view_ ? view_->At(r, column_index)
-                           : relation_.rows()[r][column_index];
+    const ValueView v =
+        view_ ? view_->View(r, column_index)
+              : store_.column(column_index).View(static_cast<uint32_t>(r));
     if (v.is_null()) {
       ++stats.null_count;
       continue;
     }
     distinct.insert(v);
-    if (v.is_numeric()) {
-      double d = v.NumericValue();
+    if (v.type == ValueType::kInt || v.type == ValueType::kDouble) {
+      double d = v.type == ValueType::kInt ? static_cast<double>(v.i) : v.d;
       if (first_numeric) {
         stats.min = stats.max = d;
         stats.has_range = true;

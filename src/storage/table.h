@@ -10,6 +10,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "storage/column_store.h"
 #include "storage/hash_index.h"
 #include "storage/row_view.h"
 #include "types/relation.h"
@@ -41,14 +42,15 @@ class Table {
  public:
   /// Creates a table; `primary_key` lists key column names (composite keys
   /// allowed, e.g. CAST(m_id, a_id)). Fails if a key column is unknown.
-  /// Every column's qualifier is replaced with the table name.
+  /// Every column's qualifier is replaced with the table name. The rows are
+  /// converted once into the table's column store and not kept.
   static StatusOr<std::unique_ptr<Table>> Create(
       std::string name, Schema schema, std::vector<Tuple> rows,
       std::vector<std::string> primary_key);
 
   /// Creates a table that is `view` (schema, key and rows). Its columns
-  /// keep the view's qualifiers. Its relation() holds no rows and it has
-  /// no indexes: a scan reads the view itself (the executor filters it in
+  /// keep the view's qualifiers. Its store() holds no rows and it has no
+  /// indexes: a scan reads the view itself (the executor filters it in
   /// place).
   static std::unique_ptr<Table> CreateView(std::string name, RowView view);
 
@@ -70,14 +72,18 @@ class Table {
 
   /// The view a view-backed table is, else null.
   const RowView* view() const { return view_ ? &*view_ : nullptr; }
-  /// The rows of a table that holds rows (view() is null); a view-backed
-  /// table's relation has the view's schema and key, and no rows.
-  const Relation& relation() const { return relation_; }
-  const Schema& schema() const { return relation_.schema(); }
+  /// The rows of a table that holds rows (view() is null), one typed column
+  /// per schema column; a view-backed table's store is empty.
+  const ColumnStore& store() const { return store_; }
+  const Schema& schema() const { return schema_; }
   size_t NumRows() const { return num_rows_; }
-  const std::vector<size_t>& primary_key() const { return relation_.key_columns(); }
+  const std::vector<size_t>& primary_key() const { return primary_key_; }
 
-  /// Returns the hash index on `column_index`, building it on first use.
+  /// Copies every row out (of the store, or through the view).
+  Relation Gather() const;
+
+  /// Returns the hash index on `column_index`, building it on first use
+  /// over the store's typed column.
   /// Only for a table that holds rows; aborts on a view-backed one.
   /// The index lives as long as the table and serves every later equality
   /// scan, hash join and membership probe on the column; it is table state,
@@ -98,11 +104,14 @@ class Table {
   const ColumnStats& Stats(size_t column_index);
 
  private:
-  Table(std::string name, Relation relation, std::optional<RowView> view)
+  Table(std::string name, Schema schema, std::vector<size_t> primary_key,
+        ColumnStore store, std::optional<RowView> view)
       : name_(std::move(name)),
         version_(NextVersion()),
-        num_rows_(view ? view->NumRows() : relation.NumRows()),
-        relation_(std::move(relation)),
+        num_rows_(view ? view->NumRows() : store.NumRows()),
+        schema_(std::move(schema)),
+        primary_key_(std::move(primary_key)),
+        store_(std::move(store)),
         view_(std::move(view)) {}
 
   static uint64_t NextVersion();
@@ -111,7 +120,9 @@ class Table {
   uint64_t version_;
   bool temporary_ = false;
   size_t num_rows_;
-  Relation relation_;
+  Schema schema_;
+  std::vector<size_t> primary_key_;
+  ColumnStore store_;
   std::optional<RowView> view_;
   /// Guards the lazily built indexes and statistics — the only mutable
   /// state of an otherwise read-only table. Entries are heap-allocated so
@@ -123,6 +134,16 @@ class Table {
   std::unordered_map<size_t, std::unique_ptr<ColumnStats>> stats_
       PREFDB_GUARDED_BY(lazy_mu_);
 };
+
+/// Returns the heap's free pages to the OS (glibc's malloc_trim; a no-op
+/// elsewhere). A bulk loader calls it once after its last Table::Create.
+/// Create frees its input rows right after converting them, and the column
+/// arrays allocated in between sit above them in the heap, so glibc keeps
+/// the rows' pages resident as holes it never trims by itself. How much of
+/// those holes later allocations reuse depends on the data: without the
+/// call, the resident size of a loaded database varied by megabytes from
+/// one generator seed to the next.
+void ReleaseFreeHeapPages();
 
 }  // namespace prefdb
 

@@ -22,17 +22,9 @@ Tuple ProjectTuple(const Tuple& tuple, const std::vector<size_t>& indices);
 /// Renders as "(v1, v2, ...)".
 std::string TupleToString(const Tuple& tuple);
 
-/// The values of `row` at `columns`, read in place: the key of a row
-/// without the ProjectTuple copy. Hashes and compares (through TupleHash /
-/// TupleEq) exactly like ProjectTuple(row, columns), so tuple-keyed hash
-/// containers can be probed by a row's key without allocating.
-struct RowKey {
-  const Tuple& row;
-  const std::vector<size_t>& columns;
-};
-
 /// Hash functor over whole tuples, consistent with element-wise equality.
-/// Transparent: a RowKey hashes like the tuple it stands for.
+/// Transparent, so a container may add lookups by keys that hash and
+/// compare like tuples (ScoreRelation probes by a view row's key).
 struct TupleHash {
   using is_transparent = void;
 
@@ -40,14 +32,6 @@ struct TupleHash {
     size_t h = 0x345678;
     for (const Value& v : t) {
       h = h * 1000003 ^ v.Hash();
-    }
-    return h;
-  }
-
-  size_t operator()(const RowKey& key) const {
-    size_t h = 0x345678;
-    for (size_t c : key.columns) {
-      h = h * 1000003 ^ key.row[c].Hash();
     }
     return h;
   }
@@ -65,16 +49,6 @@ struct TupleEq {
     }
     return true;
   }
-
-  bool operator()(const RowKey& a, const Tuple& b) const {
-    if (a.columns.size() != b.size()) return false;
-    for (size_t i = 0; i < b.size(); ++i) {
-      if (a.row[a.columns[i]] != b[i]) return false;
-    }
-    return true;
-  }
-
-  bool operator()(const Tuple& a, const RowKey& b) const { return (*this)(b, a); }
 };
 
 }  // namespace prefdb

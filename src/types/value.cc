@@ -1,8 +1,8 @@
 #include "types/value.h"
 
 #include <cmath>
+#include <cstring>
 #include <functional>
-#include <limits>
 
 #include "common/string_util.h"
 
@@ -25,75 +25,90 @@ std::string_view ValueTypeName(ValueType type) {
 namespace {
 
 // Rank in the cross-type total order: NULL < numerics < strings.
-int TypeRank(const Value& v) {
-  if (v.is_null()) return 0;
-  if (v.is_numeric()) return 1;
-  return 2;
+int TypeRank(ValueType type) {
+  switch (type) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return 1;
+    case ValueType::kString:
+      return 2;
+  }
+  return 0;
+}
+
+// 2^63: the first double above the int64 range ([-2^63, 2^63) is exact).
+constexpr double kTwo63 = 9223372036854775808.0;
+
+size_t HashDouble(double d) {
+  // All NaN payloads compare equal under Compare(), so they hash alike.
+  if (std::isnan(d)) return 0x7ff8000000000000ULL;
+  // A double holding an integer in int64 range equals that int, so it
+  // hashes like it (this covers -0.0 == 0.0).
+  int64_t i;
+  if (ExactInt64(d, &i)) return HashInt64(i);
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return HashInt64(static_cast<int64_t>(bits)) ^ 0x5bd1e995ULL;
 }
 
 }  // namespace
 
-int Value::Compare(const Value& other) const {
-  int lr = TypeRank(*this);
-  int rr = TypeRank(other);
+int CompareIntDouble(int64_t a, double b) {
+  // IEEE comparisons are all false against NaN, so the naive
+  // `<`/`>`-then-equal scheme would report NaN "equal" to every numeric —
+  // a non-transitive equivalence that breaks the strict weak ordering
+  // std::stable_sort requires. NaN sorts after every other numeric
+  // instead, with NaN == NaN (CompareDoubles), which keeps Compare a total
+  // order.
+  if (std::isnan(b)) return -1;
+  if (b >= kTwo63) return -1;
+  if (b < -kTwo63) return 1;
+  // b is in int64 range, so its integral part converts exactly; comparing
+  // it with `a` as integers avoids rounding `a` to a double.
+  const double t = std::trunc(b);
+  const int64_t bi = static_cast<int64_t>(t);
+  if (a != bi) return a < bi ? -1 : 1;
+  // Equal integral parts: the fraction decides.
+  if (b > t) return -1;
+  if (b < t) return 1;
+  return 0;
+}
+
+int ValueView::Compare(const ValueView& other) const {
+  int lr = TypeRank(type);
+  int rr = TypeRank(other.type);
   if (lr != rr) return lr < rr ? -1 : 1;
   switch (lr) {
     case 0:
       return 0;  // NULL == NULL under the total order (needed for grouping).
-    case 1: {
-      // Compare ints exactly when both are ints to avoid double rounding.
-      if (is_int() && other.is_int()) {
-        int64_t a = AsInt();
-        int64_t b = other.AsInt();
-        return a < b ? -1 : (a > b ? 1 : 0);
+    case 1:
+      if (type == ValueType::kInt) {
+        if (other.type == ValueType::kInt) {
+          return i < other.i ? -1 : (i > other.i ? 1 : 0);
+        }
+        return CompareIntDouble(i, other.d);
       }
-      double a = NumericValue();
-      double b = other.NumericValue();
-      // IEEE comparisons are all false against NaN, so the naive
-      // `<`/`>`-then-equal scheme reports NaN "equal" to every numeric —
-      // a non-transitive equivalence that breaks the strict weak ordering
-      // std::stable_sort requires (UB in ExecSort's comparator, and
-      // NaN-keyed rows landing in arbitrary positions). Order NaN after
-      // every other numeric instead, with NaN == NaN, which keeps Compare
-      // a total order.
-      bool a_nan = std::isnan(a);
-      bool b_nan = std::isnan(b);
-      if (a_nan || b_nan) {
-        if (a_nan && b_nan) return 0;
-        return a_nan ? 1 : -1;
-      }
-      if (a < b) return -1;
-      if (a > b) return 1;
-      return 0;
-    }
+      if (other.type == ValueType::kInt) return -CompareIntDouble(other.i, d);
+      return CompareDoubles(d, other.d);
     default: {
-      int c = AsString().compare(other.AsString());
+      int c = s.compare(other.s);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
 }
 
-size_t Value::Hash() const {
-  switch (type()) {
+size_t ValueView::Hash() const {
+  switch (type) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ULL;
-    case ValueType::kInt: {
-      // Hash via the double representation when it is exact, so that
-      // Int(2) and Double(2.0) — which compare equal — hash identically.
-      int64_t v = AsInt();
-      double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) return std::hash<double>{}(d);
-      return std::hash<int64_t>{}(v);
-    }
-    case ValueType::kDouble: {
-      // All NaN payloads compare equal under Compare(), so they must hash
-      // alike too; canonicalize before hashing.
-      double d = AsDouble();
-      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
-      return std::hash<double>{}(d);
-    }
+    case ValueType::kInt:
+      return HashInt64(i);
+    case ValueType::kDouble:
+      return HashDouble(d);
     case ValueType::kString:
-      return std::hash<std::string>{}(AsString());
+      return std::hash<std::string_view>{}(s);
   }
   return 0;
 }

@@ -81,7 +81,7 @@ TEST_F(FingerprintTest, TableVersionInvalidates) {
   auto table = catalog_.GetTable("MOVIES");
   ASSERT_TRUE(table.ok());
   Schema schema = (*table)->schema();
-  std::vector<Tuple> rows = (*table)->relation().rows();
+  std::vector<Tuple> rows = (*table)->Gather().rows();
   catalog_.DropTable("MOVIES");
   auto rebuilt = Table::Create("MOVIES", schema, std::move(rows), {"m_id"});
   ASSERT_TRUE(rebuilt.ok());
@@ -96,7 +96,7 @@ TEST_F(FingerprintTest, TemporaryTablesAreNotCacheable) {
   auto table = catalog_.PinTable("MOVIES");
   ASSERT_TRUE(table.ok());
   std::unique_ptr<Table> temp = Table::CreateView(
-      "__tmp_probe", RowView::Of((*table)->relation(), *table));
+      "__tmp_probe", testing_util::TableView(*table));
   temp->MarkTemporary();
   ASSERT_TRUE(catalog_.AddTable(std::move(temp)).ok());
 
@@ -229,7 +229,7 @@ TEST(QueryCacheTest, PinnedEntriesSurviveEviction) {
   EXPECT_EQ(cache.Lookup(ShardKey(0, 1)), nullptr);
   // The pinned snapshot is still fully usable.
   EXPECT_EQ(pinned->bytes, 600u);
-  EXPECT_EQ(pinned->rel.NumRows(), 0u);
+  EXPECT_EQ(pinned->rows.NumRows(), 0u);
 }
 
 TEST(QueryCacheTest, AdmissionPolicyRejectsOversizeAndTrivialEntries) {
@@ -471,7 +471,7 @@ TEST(CacheEquivalenceTest, CatalogMutationInvalidates) {
   auto table = catalog->GetTable("MOVIES");
   ASSERT_TRUE(table.ok());
   Schema schema = (*table)->schema();
-  std::vector<Tuple> rows = (*table)->relation().rows();
+  std::vector<Tuple> rows = (*table)->Gather().rows();
   rows.pop_back();
   catalog->DropTable("MOVIES");
   auto rebuilt = Table::Create("MOVIES", schema, std::move(rows), {"m_id"});

@@ -27,9 +27,9 @@ TEST(CsvLoaderTest, LoadsTypedRows) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   Table* table = *catalog.GetTable("BOOKS");
   ASSERT_EQ(table->NumRows(), 2u);
-  EXPECT_EQ(table->relation().rows()[0][0], I(1));
-  EXPECT_EQ(table->relation().rows()[0][1], S("Dune"));
-  EXPECT_EQ(table->relation().rows()[1][2], D(12.50));
+  EXPECT_EQ(table->Gather().rows()[0][0], I(1));
+  EXPECT_EQ(table->Gather().rows()[0][1], S("Dune"));
+  EXPECT_EQ(table->Gather().rows()[1][2], D(12.50));
   EXPECT_EQ(table->primary_key(), std::vector<size_t>{0});
 }
 
@@ -42,8 +42,8 @@ TEST(CsvLoaderTest, QuotedFieldsAndEscapes) {
                             {"id"});
   ASSERT_TRUE(st.ok()) << st.ToString();
   Table* table = *catalog.GetTable("BOOKS");
-  EXPECT_EQ(table->relation().rows()[0][1], S("Dune, Messiah"));
-  EXPECT_EQ(table->relation().rows()[1][1], S("The \"Best\" Book"));
+  EXPECT_EQ(table->Gather().rows()[0][1], S("Dune, Messiah"));
+  EXPECT_EQ(table->Gather().rows()[1][1], S("The \"Best\" Book"));
 }
 
 TEST(CsvLoaderTest, EmptyAndUnparseableFieldsBecomeNull) {
@@ -55,9 +55,9 @@ TEST(CsvLoaderTest, EmptyAndUnparseableFieldsBecomeNull) {
                             {"id"});
   ASSERT_TRUE(st.ok()) << st.ToString();
   Table* table = *catalog.GetTable("BOOKS");
-  EXPECT_TRUE(table->relation().rows()[0][2].is_null());
-  EXPECT_TRUE(table->relation().rows()[1][1].is_null());
-  EXPECT_TRUE(table->relation().rows()[1][2].is_null());
+  EXPECT_TRUE(table->Gather().rows()[0][2].is_null());
+  EXPECT_TRUE(table->Gather().rows()[1][1].is_null());
+  EXPECT_TRUE(table->Gather().rows()[1][2].is_null());
 }
 
 TEST(CsvLoaderTest, CrlfAndBlankLinesTolerated) {
@@ -106,12 +106,50 @@ TEST(CsvLoaderTest, FileRoundTrip) {
                             "2,Hyperion,\n",
                             {"id"})
                   .ok());
-  std::string csv = RelationToCsv((*catalog.GetTable("BOOKS"))->relation());
+  std::string csv = RelationToCsv((*catalog.GetTable("BOOKS"))->Gather());
   Catalog catalog2;
   ASSERT_TRUE(
       LoadCsvString(&catalog2, "BOOKS", BooksSchema(), csv, {"id"}).ok());
-  testing_util::ExpectSameRows((*catalog2.GetTable("BOOKS"))->relation(),
-                               (*catalog.GetTable("BOOKS"))->relation());
+  testing_util::ExpectSameRows((*catalog2.GetTable("BOOKS"))->Gather(),
+                               (*catalog.GetTable("BOOKS"))->Gather());
+}
+
+// Every table the tests above load gathers back out of its column store as
+// exactly the typed rows the loader parsed: type tags (Int vs Double,
+// NULL) and payloads.
+TEST(CsvLoaderTest, GathersBackTheTypedRowsExactly) {
+  using testing_util::N;
+  struct Case {
+    std::string csv;
+    std::vector<Tuple> rows;
+  };
+  const std::vector<Case> cases = {
+      {"id,title,price\n1,Dune,9.99\n2,Hyperion,12.50\n",
+       {{I(1), S("Dune"), D(9.99)}, {I(2), S("Hyperion"), D(12.5)}}},
+      {"id,title,price\n1,\"Dune, Messiah\",9.99\n2,\"The \"\"Best\"\" Book\",1\n",
+       {{I(1), S("Dune, Messiah"), D(9.99)},
+        {I(2), S("The \"Best\" Book"), D(1.0)}}},
+      {"id,title,price\n1,Dune,\n2,,abc\n",
+       {{I(1), S("Dune"), N()}, {I(2), N(), N()}}},
+      {"id,title,price\n1,\"Dune, Messiah\",9.99\n2,Hyperion,\n",
+       {{I(1), S("Dune, Messiah"), D(9.99)}, {I(2), S("Hyperion"), N()}}},
+      {"id,title,price\n1,Dune,9.99\n2,Hyperion,25.00\n3,Neuromancer,7.50\n",
+       {{I(1), S("Dune"), D(9.99)},
+        {I(2), S("Hyperion"), D(25.0)},
+        {I(3), S("Neuromancer"), D(7.5)}}},
+  };
+  for (const Case& c : cases) {
+    Catalog catalog;
+    ASSERT_TRUE(LoadCsvString(&catalog, "BOOKS", BooksSchema(), c.csv, {"id"}).ok());
+    const Relation rel = (*catalog.GetTable("BOOKS"))->Gather();
+    ASSERT_EQ(rel.NumRows(), c.rows.size()) << c.csv;
+    for (size_t r = 0; r < c.rows.size(); ++r) {
+      for (size_t k = 0; k < c.rows[r].size(); ++k) {
+        EXPECT_EQ(rel.rows()[r][k].type(), c.rows[r][k].type()) << c.csv;
+        EXPECT_EQ(rel.rows()[r][k], c.rows[r][k]) << c.csv;
+      }
+    }
+  }
 }
 
 TEST(CsvLoaderTest, MissingFileIsNotFound) {

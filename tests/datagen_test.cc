@@ -15,8 +15,9 @@ namespace {
 void ExpectUniqueKeys(Catalog& catalog, const std::string& table_name) {
   Table* table = *catalog.GetTable(table_name);
   std::unordered_set<Tuple, TupleHash, TupleEq> keys;
-  for (const Tuple& row : table->relation().rows()) {
-    Tuple key = table->relation().KeyOf(row);
+  const Relation table_rel = table->Gather();
+  for (const Tuple& row : table_rel.rows()) {
+    Tuple key = table_rel.KeyOf(row);
     EXPECT_TRUE(keys.insert(std::move(key)).second)
         << table_name << " has duplicate key in row " << TupleToString(row);
   }
@@ -43,7 +44,8 @@ uint64_t TableDigest(const Table& table) {
     uint64_t key = k;
     mix(&key, sizeof(key));
   }
-  for (const Tuple& row : table.relation().rows()) {
+  const Relation table_rel = table.Gather();
+  for (const Tuple& row : table_rel.rows()) {
     for (const Value& v : row) {
       uint8_t type = static_cast<uint8_t>(v.type());
       mix(&type, 1);
@@ -61,6 +63,30 @@ uint64_t TableDigest(const Table& table) {
     }
   }
   return h;
+}
+
+// The table's rows, copied into a new column store and gathered again, are
+// the same rows bit for bit, type tags included. (The digests below pin the
+// first conversion: they hash the gathered rows of the table the generator
+// created, and are unchanged from when tables held their input rows.)
+void ExpectStoreRoundTrip(Catalog& catalog, const std::string& table_name) {
+  const Relation rows = (*catalog.GetTable(table_name))->Gather();
+  const ColumnStore store = ColumnStore::FromRows(rows.rows(), rows.schema().size());
+  ASSERT_EQ(store.NumRows(), rows.NumRows()) << table_name;
+  for (size_t r = 0; r < rows.NumRows(); ++r) {
+    const Tuple back = store.Row(static_cast<uint32_t>(r));
+    for (size_t c = 0; c < back.size(); ++c) {
+      const Value& in = rows.rows()[r][c];
+      ASSERT_EQ(back[c].type(), in.type()) << table_name << " row " << r;
+      if (in.is_double()) {
+        const double a = back[c].AsDouble();
+        const double b = in.AsDouble();
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << table_name << " row " << r;
+      } else {
+        ASSERT_EQ(back[c], in) << table_name << " row " << r;
+      }
+    }
+  }
 }
 
 void ExpectDigest(Catalog& catalog, const std::string& table_name,
@@ -113,14 +139,16 @@ TEST_F(ImdbGenTest, PrimaryKeysUnique) {
 TEST_F(ImdbGenTest, ForeignKeysResolve) {
   Table* movies = *catalog().GetTable("MOVIES");
   size_t n_directors = (*catalog().GetTable("DIRECTORS"))->NumRows();
-  for (const Tuple& row : movies->relation().rows()) {
+  const Relation movies_rel = movies->Gather();
+  for (const Tuple& row : movies_rel.rows()) {
     int64_t d_id = row[4].AsInt();
     ASSERT_GE(d_id, 1);
     ASSERT_LE(d_id, static_cast<int64_t>(n_directors));
   }
   Table* genres = *catalog().GetTable("GENRES");
   size_t n_movies = movies->NumRows();
-  for (const Tuple& row : genres->relation().rows()) {
+  const Relation genres_rel = genres->Gather();
+  for (const Tuple& row : genres_rel.rows()) {
     ASSERT_GE(row[0].AsInt(), 1);
     ASSERT_LE(row[0].AsInt(), static_cast<int64_t>(n_movies));
   }
@@ -128,7 +156,8 @@ TEST_F(ImdbGenTest, ForeignKeysResolve) {
 
 TEST_F(ImdbGenTest, ValueRangesAreSane) {
   Table* movies = *catalog().GetTable("MOVIES");
-  for (const Tuple& row : movies->relation().rows()) {
+  const Relation movies_rel = movies->Gather();
+  for (const Tuple& row : movies_rel.rows()) {
     int64_t year = row[2].AsInt();
     int64_t duration = row[3].AsInt();
     ASSERT_GE(year, 1900);
@@ -137,7 +166,8 @@ TEST_F(ImdbGenTest, ValueRangesAreSane) {
     ASSERT_LE(duration, 280);
   }
   Table* ratings = *catalog().GetTable("RATINGS");
-  for (const Tuple& row : ratings->relation().rows()) {
+  const Relation ratings_rel = ratings->Gather();
+  for (const Tuple& row : ratings_rel.rows()) {
     double rating = row[1].AsDouble();
     ASSERT_GE(rating, 1.0);
     ASSERT_LE(rating, 10.0);
@@ -148,7 +178,8 @@ TEST_F(ImdbGenTest, ValueRangesAreSane) {
 TEST_F(ImdbGenTest, YearsSkewRecent) {
   Table* movies = *catalog().GetTable("MOVIES");
   size_t recent = 0;
-  for (const Tuple& row : movies->relation().rows()) {
+  const Relation movies_rel = movies->Gather();
+  for (const Tuple& row : movies_rel.rows()) {
     if (row[2].AsInt() >= 1990) ++recent;
   }
   EXPECT_GT(recent, movies->NumRows() / 2);
@@ -165,8 +196,10 @@ TEST_F(ImdbGenTest, DeterministicInSeed) {
   Table* ta = *a->GetTable("MOVIES");
   Table* tb = *b->GetTable("MOVIES");
   ASSERT_EQ(ta->NumRows(), tb->NumRows());
+  const Relation ra = ta->Gather();
+  const Relation rb = tb->Gather();
   for (size_t i = 0; i < ta->NumRows(); ++i) {
-    ASSERT_TRUE(TupleEq()(ta->relation().rows()[i], tb->relation().rows()[i]));
+    ASSERT_TRUE(TupleEq()(ra.rows()[i], rb.rows()[i]));
   }
 }
 
@@ -180,6 +213,13 @@ TEST_F(ImdbGenTest, TableDigestsPinned) {
   ExpectDigest(catalog(), "CAST", 0x9d2013c68cd9c41aULL);
   ExpectDigest(catalog(), "RATINGS", 0xedea3920ba73ff2cULL);
   ExpectDigest(catalog(), "AWARDS", 0xf7588f697a279403ULL);
+}
+
+TEST_F(ImdbGenTest, ColumnStoresRoundTripEveryTable) {
+  for (const char* name :
+       {"MOVIES", "DIRECTORS", "GENRES", "ACTORS", "CAST", "RATINGS", "AWARDS"}) {
+    ExpectStoreRoundTrip(catalog(), name);
+  }
 }
 
 class DblpGenTest : public ::testing::Test {
@@ -216,10 +256,13 @@ TEST_F(DblpGenTest, PubTypeMatchesVenueTables) {
   Table* conferences = *catalog().GetTable("CONFERENCES");
   Table* journals = *catalog().GetTable("JOURNALS");
   std::unordered_set<Value, ValueHash> conf_ids;
-  for (const Tuple& row : conferences->relation().rows()) conf_ids.insert(row[0]);
+  const Relation conferences_rel = conferences->Gather();
+  for (const Tuple& row : conferences_rel.rows()) conf_ids.insert(row[0]);
   std::unordered_set<Value, ValueHash> journal_ids;
-  for (const Tuple& row : journals->relation().rows()) journal_ids.insert(row[0]);
-  for (const Tuple& row : pubs->relation().rows()) {
+  const Relation journals_rel = journals->Gather();
+  for (const Tuple& row : journals_rel.rows()) journal_ids.insert(row[0]);
+  const Relation pubs_rel = pubs->Gather();
+  for (const Tuple& row : pubs_rel.rows()) {
     const std::string& type = row[2].AsString();
     if (type == "conference") {
       ASSERT_TRUE(conf_ids.count(row[0]) > 0);
@@ -242,10 +285,18 @@ TEST_F(DblpGenTest, TableDigestsPinned) {
   ExpectDigest(catalog(), "CITATIONS", 0xce2a212d9bbe3aecULL);
 }
 
+TEST_F(DblpGenTest, ColumnStoresRoundTripEveryTable) {
+  for (const char* name : {"PUBLICATIONS", "PUB_AUTHORS", "AUTHORS",
+                           "CONFERENCES", "JOURNALS", "CITATIONS"}) {
+    ExpectStoreRoundTrip(catalog(), name);
+  }
+}
+
 TEST_F(DblpGenTest, CitationsPointBackward) {
   Table* citations = *catalog().GetTable("CITATIONS");
   EXPECT_GT(citations->NumRows(), 0u);
-  for (const Tuple& row : citations->relation().rows()) {
+  const Relation citations_rel = citations->Gather();
+  for (const Tuple& row : citations_rel.rows()) {
     ASSERT_LT(row[1].AsInt(), row[0].AsInt());  // p2 published before p1.
   }
 }

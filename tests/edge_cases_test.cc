@@ -153,12 +153,12 @@ TEST_F(EdgeCasesTest, UnicodeStringsRoundTrip) {
 }
 
 TEST_F(EdgeCasesTest, UnicodeSurvivesCsvRoundTrip) {
-  Relation rel = (*session_.engine().catalog().GetTable("UNI"))->relation();
+  Relation rel = (*session_.engine().catalog().GetTable("UNI"))->Gather();
   std::string csv = RelationToCsv(rel);
   Catalog catalog;
   Schema schema({{"", "id", ValueType::kInt}, {"", "name", ValueType::kString}});
   ASSERT_TRUE(LoadCsvString(&catalog, "UNI2", schema, csv, {"id"}).ok());
-  testing_util::ExpectSameRows((*catalog.GetTable("UNI2"))->relation(), rel);
+  testing_util::ExpectSameRows((*catalog.GetTable("UNI2"))->Gather(), rel);
 }
 
 TEST_F(EdgeCasesTest, ZeroConfidencePreferenceIsInert) {

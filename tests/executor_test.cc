@@ -344,7 +344,7 @@ TEST_F(RowIdEdgeTest, NullKeysNeverMatchAndIntMatchesDoubleAndNanMatchesNan) {
 // so it is not marked as the identity over R.
 void AddTemporaryViewOfR(Catalog* catalog, const std::string& name) {
   std::shared_ptr<Table> source = *catalog->PinTable("R");
-  RowView view = RowView::Of(source->relation(), source);
+  RowView view = testing_util::TableView(source);
   std::vector<uint32_t> all(source->NumRows());
   std::iota(all.begin(), all.end(), 0u);
   view.Keep(all);

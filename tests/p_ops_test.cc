@@ -22,7 +22,7 @@ class POpsTest : public ::testing::Test {
     Table* t = *catalog_.GetTable(table);
     ScoreRelation by_key;
     for (auto& [key, pair] : scores) by_key.Set(key, pair);
-    return PRelation(t->relation(), by_key);
+    return PRelation(t->Gather(), by_key);
   }
 
   Catalog catalog_;

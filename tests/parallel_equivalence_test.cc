@@ -513,7 +513,7 @@ TEST(NativeOperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
 // pair, so a pair attached to the wrong row shows.
 PRelation ScoredTable(const std::string& name, double salt) {
   Table* table = *NativeOpCatalog()->GetTable(name);
-  PRelation p(table->relation());
+  PRelation p(table->Gather());
   for (size_t i = 0; i < p.pairs.size(); i += 3) {
     p.pairs[i] =
         ScoreConf::Known(std::fmod(0.37 * static_cast<double>(i) + salt, 1.0),

@@ -18,8 +18,8 @@ class PreferOpTest : public ::testing::Test {
  protected:
   PreferOpTest() : catalog_(MakeMovieCatalog()) {}
 
-  PRelation Movies() { return PRelation((*catalog_.GetTable("MOVIES"))->relation()); }
-  PRelation Genres() { return PRelation((*catalog_.GetTable("GENRES"))->relation()); }
+  PRelation Movies() { return PRelation((*catalog_.GetTable("MOVIES"))->Gather()); }
+  PRelation Genres() { return PRelation((*catalog_.GetTable("GENRES"))->Gather()); }
 
   static std::vector<ExprPtr> Args(ExprPtr a, ExprPtr b) {
     std::vector<ExprPtr> v;
@@ -111,7 +111,7 @@ TEST_F(PreferOpTest, NullScoringAttributeContributesNothing) {
                   .ok());
   PreferencePtr p = Preference::Generic("p", "T", True(),
                                         ScoringFunction(Col("x")), 0.9);
-  PRelation input((*catalog.GetTable("T"))->relation());
+  PRelation input((*catalog.GetTable("T"))->Gather());
   ExecStats stats;
   auto out = EvalPrefer(*p, input, FSum(), &catalog, &stats);
   ASSERT_TRUE(out.ok());

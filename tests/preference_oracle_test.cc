@@ -102,7 +102,8 @@ StatusOr<PRel> OracleEval(const PlanNode& node, Catalog* catalog,
       if (!node.alias.empty() && node.alias != node.table_name) {
         out.schema = out.schema.WithQualifier(node.alias);
       }
-      for (const Tuple& t : table->relation().rows()) out.rows.push_back({t, {}});
+      const Relation table_rel = table->Gather();
+      for (const Tuple& t : table_rel.rows()) out.rows.push_back({t, {}});
       return out;
     }
     case PlanKind::kSelect: {
@@ -227,7 +228,8 @@ StatusOr<PRel> OracleEval(const PlanNode& node, Catalog* catalog,
           // Membership is SQL `=`: a NULL never has a partner.
           const Value& local = row.values[local_col];
           bool found = false;
-          for (const Tuple& t : member->relation().rows()) {
+          const Relation member_rel = member->Gather();
+          for (const Tuple& t : member_rel.rows()) {
             found = found || (!local.is_null() && !t[member_col].is_null() &&
                               t[member_col] == local);
           }

@@ -17,10 +17,10 @@ class QualitativeTest : public ::testing::Test {
   QualitativeTest() : catalog_(MakeMovieCatalog()) {}
 
   PRelation Genres() {
-    return PRelation((*catalog_.GetTable("GENRES"))->relation());
+    return PRelation((*catalog_.GetTable("GENRES"))->Gather());
   }
   PRelation Movies() {
-    return PRelation((*catalog_.GetTable("MOVIES"))->relation());
+    return PRelation((*catalog_.GetTable("MOVIES"))->Gather());
   }
 
   ScoreConf Eval(const PreferencePtr& pref, const PRelation& input,

@@ -47,9 +47,7 @@ StatusOr<RefRel> RefEval(const PlanNode& node, Catalog* catalog) {
     case PlanKind::kScan: {
       ASSIGN_OR_RETURN(Table * table, catalog->GetTable(node.table_name));
       // A view-backed temporary's rows are its view's, gathered.
-      RefRel out{table->schema(), table->primary_key(),
-                 table->view() != nullptr ? table->view()->Gather().rows()
-                                          : table->relation().rows()};
+      RefRel out{table->schema(), table->primary_key(), table->Gather().rows()};
       if (!node.alias.empty() && node.alias != node.table_name) {
         out.schema = out.schema.WithQualifier(node.alias);
       }
@@ -274,7 +272,7 @@ TEST(ReferenceExecutorTest, IndexServedJoinPlans) {
   // A strategy-style temporary: a view over R's rows in another order,
   // without the row R.rid = 4 (qualifiers kept as R's).
   std::shared_ptr<Table> r_table = *catalog.PinTable("R");
-  RowView r_view = RowView::Of(r_table->relation(), r_table);
+  RowView r_view = testing_util::TableView(r_table);
   r_view.Keep({7, 5, 0, 2, 6, 1, 4});
   std::unique_ptr<Table> temp = Table::CreateView("__gbu_tmp_ref", std::move(r_view));
   temp->MarkTemporary();

@@ -54,30 +54,34 @@ TEST(ScoreRelationTest, ToStringShowsEntries) {
   EXPECT_NE(s.find("0.500"), std::string::npos);
 }
 
-TEST(ScoreRelationTest, RowKeyProbesLikeProjectedKey) {
+TEST(ScoreRelationTest, ViewKeyProbesLikeProjectedKey) {
   ScoreRelation sr;
   sr.Set({I(1), S("Drama")}, ScoreConf::Known(0.4, 0.6));
-  const Tuple row = {S("ignored"), S("Drama"), I(1)};
+  Relation rel(Schema({{"T", "a", ValueType::kString},
+                       {"T", "b", ValueType::kString},
+                       {"T", "c", ValueType::kInt}}));
+  rel.AddRow({S("ignored"), S("Drama"), I(1)});
+  rel.AddRow({S("x"), S("Comedy"), I(1)});
+  rel.AddRow({S("x"), S("Horror"), I(1)});
+  const RowView view = RowView::Wrap(rel);
   const std::vector<size_t> key_columns = {2, 1};
-  EXPECT_DOUBLE_EQ(sr.Lookup(RowKey{row, key_columns}).score(), 0.4);
+  EXPECT_DOUBLE_EQ(sr.Lookup(ViewKey{view, 0, key_columns}).score(), 0.4);
   const std::vector<size_t> wrong_order = {1, 2};
-  EXPECT_TRUE(sr.Lookup(RowKey{row, wrong_order}).IsDefault());
-  // Fold through a RowKey combines into the existing entry, and inserts a
+  EXPECT_TRUE(sr.Lookup(ViewKey{view, 0, wrong_order}).IsDefault());
+  // Fold through a ViewKey combines into the existing entry, and inserts a
   // copy of the key for a new one.
   FSum fsum;
-  sr.Fold(RowKey{row, key_columns}, ScoreConf::Known(0.8, 0.6), fsum);
+  sr.Fold(ViewKey{view, 0, key_columns}, ScoreConf::Known(0.8, 0.6), fsum);
   EXPECT_EQ(sr.size(), 1u);
   const ScoreConf& folded = sr.Lookup({I(1), S("Drama")});
   EXPECT_NEAR(folded.score(), 0.6, 1e-12);
   EXPECT_NEAR(folded.conf(), 1.2, 1e-12);
   EXPECT_EQ(folded.count(), 2u);
-  const Tuple other = {S("x"), S("Comedy"), I(1)};
-  sr.Fold(RowKey{other, key_columns}, ScoreConf::Known(0.2, 1.0), fsum);
+  sr.Fold(ViewKey{view, 1, key_columns}, ScoreConf::Known(0.2, 1.0), fsum);
   EXPECT_EQ(sr.size(), 2u);
   EXPECT_DOUBLE_EQ(sr.Lookup({I(1), S("Comedy")}).score(), 0.2);
   // Folding the identity into a missing key stores nothing.
-  const Tuple absent = {S("x"), S("Horror"), I(1)};
-  sr.Fold(RowKey{absent, key_columns}, ScoreConf::Identity(), fsum);
+  sr.Fold(ViewKey{view, 2, key_columns}, ScoreConf::Identity(), fsum);
   EXPECT_EQ(sr.size(), 2u);
 }
 

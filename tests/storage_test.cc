@@ -25,10 +25,11 @@ Positions ToVector(std::span<const uint32_t> span) {
   return Positions(span.begin(), span.end());
 }
 
-Relation OneColumn(std::vector<Value> keys) {
-  Relation rel(Schema({{"T", "k", ValueType::kInt}}));
-  for (Value& key : keys) rel.AddRow({std::move(key)});
-  return rel;
+// A typed column holding `keys`, in its data-chosen layout.
+TypedColumn OneColumn(const std::vector<Value>& keys) {
+  std::vector<ValueView> cells;
+  for (const Value& key : keys) cells.push_back(key.view());
+  return TypedColumn::Build(cells);
 }
 
 TEST(TableTest, CreateQualifiesSchemaWithName) {
@@ -44,7 +45,7 @@ TEST(TableTest, CreateQualifiesSchemaWithName) {
 TEST(TableTest, CreateViewKeepsTheViewsQualifiers) {
   Relation rows(Schema({{"MOVIES", "m_id", ValueType::kInt}}), {{I(1)}});
   rows.set_key_columns({0});
-  std::unique_ptr<Table> table = Table::CreateView("TMP", RowView::Wrap(std::move(rows)));
+  std::unique_ptr<Table> table = Table::CreateView("TMP", RowView::Wrap(rows));
   EXPECT_EQ(table->schema().column(0).qualifier, "MOVIES");
   EXPECT_EQ(table->NumRows(), 1u);
   EXPECT_EQ(table->primary_key(), std::vector<size_t>{0});
@@ -74,11 +75,8 @@ TEST(TableTest, CreateFailsOnMalformedRow) {
 }
 
 TEST(HashIndexTest, LookupFindsAllPositions) {
-  Relation rel(Schema({{"T", "k", ValueType::kInt}}));
-  rel.AddRow({I(5)});
-  rel.AddRow({I(7)});
-  rel.AddRow({I(5)});
-  HashIndex index(rel, 0);
+  TypedColumn rel = OneColumn({I(5), I(7), I(5)});
+  HashIndex index(rel);
   EXPECT_EQ(index.NumKeys(), 2u);
   EXPECT_EQ(index.Lookup(I(5)).size(), 2u);
   EXPECT_EQ(index.Lookup(I(7)).size(), 1u);
@@ -86,16 +84,16 @@ TEST(HashIndexTest, LookupFindsAllPositions) {
 }
 
 TEST(HashIndexTest, NullIsOneKeyCountedOnce) {
-  Relation rel = OneColumn({N(), I(1), N(), I(1), N()});
-  HashIndex index(rel, 0);
+  TypedColumn rel = OneColumn({N(), I(1), N(), I(1), N()});
+  HashIndex index(rel);
   EXPECT_EQ(index.NumKeys(), 2u);
   EXPECT_EQ(ToVector(index.Lookup(N())), (Positions{0, 2, 4}));
   EXPECT_EQ(ToVector(index.Lookup(I(1))), (Positions{1, 3}));
 }
 
 TEST(HashIndexTest, IntAndEqualDoubleAreOneKey) {
-  Relation rel = OneColumn({D(1.0), I(2), I(1), D(2.5), D(2.0)});
-  HashIndex index(rel, 0);
+  TypedColumn rel = OneColumn({D(1.0), I(2), I(1), D(2.5), D(2.0)});
+  HashIndex index(rel);
   EXPECT_EQ(index.NumKeys(), 3u);
   EXPECT_EQ(ToVector(index.Lookup(I(1))), (Positions{0, 2}));
   EXPECT_EQ(ToVector(index.Lookup(D(1.0))), (Positions{0, 2}));
@@ -106,8 +104,8 @@ TEST(HashIndexTest, IntAndEqualDoubleAreOneKey) {
 TEST(HashIndexTest, PositionsAscendWithinKey) {
   std::vector<Value> keys;
   for (int i = 0; i < 300; ++i) keys.push_back(I((i * 7) % 5));
-  Relation rel = OneColumn(std::move(keys));
-  HashIndex index(rel, 0);
+  TypedColumn rel = OneColumn(std::move(keys));
+  HashIndex index(rel);
   ASSERT_EQ(index.NumKeys(), 5u);
   for (int64_t k = 0; k < 5; ++k) {
     Positions positions = ToVector(index.Lookup(I(k)));
@@ -118,13 +116,13 @@ TEST(HashIndexTest, PositionsAscendWithinKey) {
 }
 
 TEST(HashIndexTest, AbsentKeyAndEmptyRelation) {
-  Relation empty = OneColumn({});
-  HashIndex none(empty, 0);
+  TypedColumn empty = OneColumn({});
+  HashIndex none(empty);
   EXPECT_EQ(none.NumKeys(), 0u);
   EXPECT_TRUE(none.Lookup(I(1)).empty());
   EXPECT_TRUE(none.Lookup(N()).empty());
-  Relation rel = OneColumn({I(1), S("a")});
-  HashIndex index(rel, 0);
+  TypedColumn rel = OneColumn({I(1), S("a")});
+  HashIndex index(rel);
   EXPECT_TRUE(index.Lookup(I(2)).empty());
   EXPECT_TRUE(index.Lookup(S("b")).empty());
   EXPECT_TRUE(index.Lookup(N()).empty());
@@ -134,8 +132,8 @@ TEST(HashIndexTest, GrowsThroughSeveralRehashes) {
   // 5000 distinct keys from a 16-slot start: about nine doublings.
   std::vector<Value> keys;
   for (int64_t i = 0; i < 10000; ++i) keys.push_back(I(i % 5000));
-  Relation rel = OneColumn(std::move(keys));
-  HashIndex index(rel, 0);
+  TypedColumn rel = OneColumn(std::move(keys));
+  HashIndex index(rel);
   EXPECT_EQ(index.NumKeys(), 5000u);
   for (int64_t k = 0; k < 5000; ++k) {
     ASSERT_EQ(ToVector(index.Lookup(I(k))),
@@ -170,8 +168,8 @@ TEST(HashIndexTest, MatchesNaiveMapOnRandomRelations) {
     const int64_t domain = rng.Uniform(1, 2 * rows + 1);
     std::vector<Value> keys;
     for (int64_t i = 0; i < rows; ++i) keys.push_back(random_key(domain));
-    Relation rel = OneColumn(keys);
-    HashIndex index(rel, 0);
+    TypedColumn rel = OneColumn(keys);
+    HashIndex index(rel);
     std::map<Value, Positions> naive;
     for (size_t i = 0; i < keys.size(); ++i) {
       naive[keys[i]].push_back(static_cast<uint32_t>(i));
@@ -187,6 +185,82 @@ TEST(HashIndexTest, MatchesNaiveMapOnRandomRelations) {
       Positions expected = it == naive.end() ? Positions{} : it->second;
       ASSERT_EQ(ToVector(index.Lookup(key)), expected)
           << "round " << round << " probe " << key.ToString();
+    }
+  }
+}
+
+// A probe with Double(2^53) finds the Int(2^53) row and not the
+// Int(2^53 + 1) row: the int-keyed index compares exactly, like Value.
+TEST(HashIndexTest, DoubleProbeMatchesOnlyTheExactInt) {
+  const int64_t two53 = int64_t{1} << 53;
+  TypedColumn col = OneColumn({I(two53 + 1), I(two53), N(), I(7)});
+  ASSERT_EQ(col.layout(), ColumnLayout::kInt);
+  HashIndex index(col);
+  EXPECT_EQ(ToVector(index.Lookup(D(9007199254740992.0))), (Positions{1}));
+  EXPECT_EQ(ToVector(index.Lookup(I(two53 + 1))), (Positions{0}));
+  EXPECT_TRUE(index.Lookup(D(9223372036854775808.0)).empty());  // 2^63.
+  EXPECT_TRUE(index.Lookup(D(7.5)).empty());
+  EXPECT_EQ(ToVector(index.Lookup(D(7.0))), (Positions{3}));
+  EXPECT_EQ(ToVector(index.Lookup(N())), (Positions{2}));
+}
+
+// Each column takes the layout its values select, and gives back exactly
+// the values it was built from, type tags included.
+TEST(ColumnStoreTest, LayoutFollowsTheValuesAndRoundTrips) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    std::vector<Value> values;
+    ColumnLayout layout;
+  };
+  const std::vector<Case> cases = {
+      {{I(1), N(), I(-3)}, ColumnLayout::kInt},
+      {{N(), N()}, ColumnLayout::kInt},
+      {{}, ColumnLayout::kInt},
+      {{D(1.5), N(), D(nan), D(-0.0)}, ColumnLayout::kDouble},
+      {{S("b"), S("a"), S("b"), N(), S(""), S("a")}, ColumnLayout::kDict},
+      {{S("x"), S("y"), N()}, ColumnLayout::kArena},
+      {{I(1), D(1.0), N()}, ColumnLayout::kValue},
+      {{I(2), S("2")}, ColumnLayout::kValue},
+  };
+  for (const Case& c : cases) {
+    TypedColumn col = OneColumn(c.values);
+    EXPECT_EQ(col.layout(), c.layout) << c.values.size();
+    ASSERT_EQ(col.size(), c.values.size());
+    for (size_t r = 0; r < c.values.size(); ++r) {
+      const Value got = col.Get(static_cast<uint32_t>(r));
+      EXPECT_EQ(got.type(), c.values[r].type()) << r;
+      EXPECT_EQ(got.ToString(), c.values[r].ToString()) << r;
+      EXPECT_EQ(col.IsNull(static_cast<uint32_t>(r)), c.values[r].is_null());
+    }
+  }
+  // The dictionary is sorted, so codes follow string order.
+  TypedColumn dict = OneColumn({S("b"), S("a"), S("b"), S(""), S("a"), S("b")});
+  ASSERT_EQ(dict.layout(), ColumnLayout::kDict);
+  EXPECT_EQ(dict.dictionary(), (std::vector<std::string>{"", "a", "b"}));
+  EXPECT_EQ(dict.codes()[0], 2u);
+}
+
+// A table gathers back exactly the rows it was created from, a mixed-type
+// column included.
+TEST(TableTest, GatherRoundTripsTheRowsWithTheirTypes) {
+  std::vector<Tuple> rows = {{I(1), D(2.0), S("a"), I(5)},
+                             {I(2), N(), S("a"), D(5.5)},
+                             {I(3), D(-1.25), N(), S("five")},
+                             {I(4), D(0.0), S("b"), N()}};
+  auto table = Table::Create("T",
+                             Schema({{"", "id", ValueType::kInt},
+                                     {"", "x", ValueType::kDouble},
+                                     {"", "s", ValueType::kString},
+                                     {"", "mixed", ValueType::kInt}}),
+                             rows, {"id"});
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->store().column(3).layout(), ColumnLayout::kValue);
+  const Relation back = (*table)->Gather();
+  ASSERT_EQ(back.NumRows(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < rows[r].size(); ++c) {
+      EXPECT_EQ(back.rows()[r][c].type(), rows[r][c].type()) << r << "," << c;
+      EXPECT_EQ(back.rows()[r][c], rows[r][c]) << r << "," << c;
     }
   }
 }

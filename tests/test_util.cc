@@ -8,6 +8,10 @@
 namespace prefdb {
 namespace testing_util {
 
+RowView TableView(const std::shared_ptr<Table>& table) {
+  return RowView::Of(table->schema(), table->primary_key(), table->store(), table);
+}
+
 Catalog MakeMovieCatalog() {
   Catalog catalog;
   Status st = catalog.CreateTable(

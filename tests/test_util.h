@@ -2,6 +2,7 @@
 #define PREFDB_TESTS_TEST_UTIL_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,10 @@ namespace testing_util {
 ///              m5 Scoop              2006  96min d2
 ///   DIRECTORS: d1 C. Eastwood, d2 W. Allen, d3 O. Stone
 Catalog MakeMovieCatalog();
+
+/// The identity view over every row of `table` (which holds rows), pinning
+/// it.
+RowView TableView(const std::shared_ptr<Table>& table);
 
 /// Convenience constructors for values in table literals.
 inline Value I(int64_t v) { return Value::Int(v); }

@@ -82,6 +82,52 @@ TEST(ValueTest, LargeIntegersCompareExactly) {
   EXPECT_NE(Value::Int(big), Value::Int(big + 1));
 }
 
+// Ints and doubles compare exactly, at every magnitude: an int equals a
+// double only when the double holds exactly that integer. Comparing them as
+// two doubles made Int(2^53 + 1) equal to Double(2^53) while
+// Int(2^53 + 1) != Int(2^53): equality was not transitive.
+TEST(ValueTest, IntAndDoubleCompareExactlyBeyondTwoTo53) {
+  const int64_t two53 = int64_t{1} << 53;
+  const Value d53 = Value::Double(9007199254740992.0);  // 2^53.
+  EXPECT_EQ(Value::Int(two53), d53);
+  EXPECT_NE(Value::Int(two53 + 1), d53);
+  EXPECT_LT(d53, Value::Int(two53 + 1));
+  EXPECT_NE(Value::Int(two53 + 1), Value::Int(two53));
+  // Equal values hash alike; the pair above is no longer equal.
+  EXPECT_EQ(Value::Int(two53).Hash(), d53.Hash());
+  // INT64_MAX is below 2^63, the double it rounds to.
+  const Value d63 = Value::Double(9223372036854775808.0);  // 2^63.
+  const Value max = Value::Int(std::numeric_limits<int64_t>::max());
+  EXPECT_NE(max, d63);
+  EXPECT_LT(max, d63);
+  EXPECT_EQ(Value::Int(std::numeric_limits<int64_t>::min()),
+            Value::Double(-9223372036854775808.0));
+  // Fractions and infinities order around the ints.
+  EXPECT_LT(Value::Int(2), Value::Double(2.5));
+  EXPECT_LT(Value::Double(-2.5), Value::Int(-2));
+  EXPECT_LT(max, Value::Double(std::numeric_limits<double>::infinity()));
+  EXPECT_LT(Value::Double(-std::numeric_limits<double>::infinity()),
+            Value::Int(std::numeric_limits<int64_t>::min()));
+}
+
+// Hashing an int whose double rounds to 2^63 must not convert that double
+// back to int64 (undefined behaviour, caught by UBSan's
+// float-cast-overflow); an int and a double that are not equal need not
+// hash alike, and equal ones must.
+TEST(ValueTest, HashOfExtremeIntsIsDefinedAndConsistent) {
+  const Value max = Value::Int(std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(max.Hash(), Value::Int(std::numeric_limits<int64_t>::max()).Hash());
+  EXPECT_EQ(Value::Int(std::numeric_limits<int64_t>::min()).Hash(),
+            Value::Double(-9223372036854775808.0).Hash());
+  EXPECT_EQ(Value::Double(0.0).Hash(), Value::Double(-0.0).Hash());
+  EXPECT_EQ(Value::Int(0).Hash(), Value::Double(-0.0).Hash());
+  std::unordered_set<Value, ValueHash> set;
+  set.insert(Value::Int(int64_t{1} << 53));
+  set.insert(Value::Int((int64_t{1} << 53) + 1));
+  set.insert(Value::Double(9007199254740992.0));
+  EXPECT_EQ(set.size(), 2u);
+}
+
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(2).Hash(), Value::Double(2.0).Hash());
   EXPECT_EQ(Value::String("x").Hash(), Value::String("x").Hash());

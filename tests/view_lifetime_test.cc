@@ -89,7 +89,7 @@ TEST(ViewLifetimeTest, BaseTableDroppedAndReloadedUnderAHeldView) {
   // Reload MOVIES with one different row.
   Table* old = *engine.catalog().GetTable("MOVIES");
   Schema schema = old->schema();
-  std::vector<Tuple> rows = old->relation().rows();
+  std::vector<Tuple> rows = old->Gather().rows();
   rows.pop_back();
   engine.mutable_catalog()->DropTable("MOVIES");
   ASSERT_TRUE(engine.mutable_catalog()
@@ -135,11 +135,11 @@ TEST_F(CachedViewTest, HitAliasesTheEntryRows) {
   std::shared_ptr<const cache::CachedResult> entry = Entry();
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(engine_.cache()->snapshot().hits, 2u);  // The hit, then Entry().
-  // Both the admitted miss and the hit read the entry's own row vector.
+  // Both the admitted miss and the hit read the entry's own column store.
   ASSERT_EQ(hit->width(), 1u);
-  EXPECT_EQ(hit->sources[0], &entry->rel.rows());
-  EXPECT_EQ(miss->sources[0], &entry->rel.rows());
-  EXPECT_EQ(&hit->At(0, 0), &entry->rel.rows()[0][0]);
+  EXPECT_EQ(hit->sources[0], &entry->rows);
+  EXPECT_EQ(miss->sources[0], &entry->rows);
+  EXPECT_EQ(&hit->Column(0), &entry->rows.column(0));
   EXPECT_EQ(hit->NumRows(), 4u);
 }
 
@@ -220,7 +220,11 @@ TEST(GbuTempViewTest, TempOverCacheEntryEvictedMidQuery) {
   // Every entry is one alias' scan of MOVIES.
   StatusOr<Relation> scan = engine.Execute(*plan::Scan("MOVIES", "A1"));
   ASSERT_TRUE(scan.ok());
-  const size_t entry = cache::EstimateRelationBytes(*scan);
+  cache::CachedResult one;
+  one.schema = scan->schema();
+  one.key_columns = scan->key_columns();
+  one.rows = ColumnStore::FromRows(scan->rows(), scan->schema().size());
+  const size_t entry = cache::EstimateEntryBytes(one);
   engine.cache()->set_enabled(true);
   engine.cache()->set_max_bytes(cache::QueryCache::shard_count() * entry);
   // Cold, then over whatever survived; the second result is read after the
@@ -282,7 +286,7 @@ TEST(GbuTempViewTest, TempOverBaseTableDroppedAndReloadedInTheRegion) {
 
   Table* old = *engine.catalog().GetTable("MOVIES");
   const Schema schema = old->schema();
-  const std::vector<Tuple> rows = old->relation().rows();
+  const std::vector<Tuple> rows = old->Gather().rows();
   bool reloaded = false;
   HookedSum agg([&] {
     engine.mutable_catalog()->DropTable("MOVIES");
