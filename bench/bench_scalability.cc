@@ -20,9 +20,9 @@ namespace prefdb {
 namespace bench {
 namespace {
 
-// --trace-out support: one representative workload query runs traced at
-// TraceLevel::kMorsel (per-morsel slices under every operator span) and the
-// timed Chrome trace-event document is written to `path` — load it at
+// --trace-out support: one representative workload query runs traced (one
+// span per operator) and the timed Chrome trace-event document is written
+// to `path` — load it at
 // ui.perfetto.dev or chrome://tracing. Uses the real timings (unlike the
 // byte-identical untimed EXPLAIN ANALYZE FORMAT CHROME rendering): a bench
 // trace exists to show where the time went.
@@ -30,7 +30,6 @@ int WriteChromeTrace(Session* session, const std::string& sql,
                      const std::string& path) {
   QueryOptions options;
   options.trace = true;
-  options.trace_level = obs::TraceLevel::kMorsel;
   auto result = session->Query(sql, options);
   if (!result.ok() || result->trace == nullptr) {
     std::fprintf(stderr, "--trace-out run failed: %s\n",

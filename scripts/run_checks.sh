@@ -13,7 +13,7 @@
 #   telemetry  boots tools/telemetry_smoke (real HTTP server on an ephemeral
 #           port), curls /healthz and /metrics, checks the Prometheus
 #           exposition carries the pref_* metric families, and validates the
-#           kMorsel Chrome trace it wrote with tools/trace_check
+#           operator-level Chrome trace it wrote with tools/trace_check
 #   faults  resilience gate: the governor/fault-injection/cancellation tests
 #           (governor_test, fault_injection_test, thread_pool_test,
 #           cache_test) under BOTH the ASan+UBSan and TSan builds — unwind
@@ -170,7 +170,7 @@ if [ "$RUN_TELEMETRY" -eq 1 ]; then
     curl -fsS "http://127.0.0.1:$PORT/queries" | grep -qF '"records"' || {
       echo "telemetry gate: /queries missing records array" >&2; exit 1; }
 
-    # The kMorsel EXPLAIN ANALYZE trace the smoke wrote must be a valid
+    # The EXPLAIN ANALYZE trace the smoke wrote must be a valid
     # Chrome trace-event document (independent JSON parser, no prefdb code).
     build/tools/trace_check/trace_check "$TELEMETRY_TMP/trace.json"
 

@@ -3,9 +3,9 @@
 #
 # Configures a dedicated build tree with -DPREFDB_SANITIZE=thread, builds
 # the `parallel`-labeled test targets, and runs `ctest -L parallel`. A data
-# race anywhere in the thread pool, the morsel loops, the strategies'
-# subtree concurrency, the result cache, or the catalog shows up as a TSan
-# report and a failing test.
+# race anywhere in the thread pool, the plug-ins' concurrent delegated
+# queries, the result cache, or the catalog shows up as a TSan report and a
+# failing test.
 #
 # Usage:  scripts/run_tsan.sh [build-dir]     (default: build-tsan)
 set -euo pipefail

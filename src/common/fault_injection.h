@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/governor.h"
 #include "common/mutex.h"
 #include "common/status.h"
 
@@ -46,14 +45,6 @@ class FaultInjection {
   Status Hit(std::string_view point) {
     if (armed_.load(std::memory_order_relaxed) == 0) return Status::OK();
     return HitSlow(point);
-  }
-
-  /// A fault point inside a void context (morsel-loop bodies): rides the
-  /// same QueryAbortedException unwind as governor checkpoints.
-  void HitOrThrow(std::string_view point) {
-    if (armed_.load(std::memory_order_relaxed) == 0) return;
-    Status status = HitSlow(point);
-    if (!status.ok()) throw QueryAbortedException(std::move(status));
   }
 
  private:

@@ -33,9 +33,9 @@ class CancellationToken {
 };
 
 /// Per-query cooperative governor: wall-clock deadline, cooperative memory
-/// budget and cancellation, consulted at checkpoints (morsel-loop bodies,
-/// operator entry, materialization sites). One instance lives on the
-/// session stack for the duration of one query.
+/// budget and cancellation, consulted at checkpoints (operator entry, the
+/// kernels' row loops and governor tickers, materialization sites). One
+/// instance lives on the session stack for the duration of one query.
 ///
 /// Tripping is sticky and first-wins: the first trip's code and message are
 /// what every later Check() reports, so a deadline that fires on one worker
@@ -105,14 +105,13 @@ class QueryGovernor {
   mutable std::string trip_message_ PREFDB_GUARDED_BY(mu_);
 };
 
-/// The unwinding vehicle for governor trips (and injected faults) inside
-/// void contexts — morsel-loop bodies, TaskGroup tasks — where a Status
-/// cannot be returned. It rides the existing exception plumbing (TaskGroup
-/// captures per-task exceptions and Wait() rethrows the first after joining
-/// every sibling; scope guards such as GBU's TempTableGuard release their
-/// resources during the unwind). The public API still never throws:
-/// Session::Run and Engine::ExecuteConcurrent convert it back to the
-/// carried Status at the subsystem boundary.
+/// The unwinding vehicle for governor trips inside void contexts — row
+/// loops, TaskGroup tasks — where a Status cannot be returned. It rides the
+/// existing exception plumbing (TaskGroup captures per-task exceptions and
+/// Wait() rethrows the first after joining every sibling; scope guards such
+/// as GBU's TempTableGuard release their resources during the unwind). The
+/// public API still never throws: Session::Run and Engine::ExecuteConcurrent
+/// convert it back to the carried Status at the subsystem boundary.
 class QueryAbortedException : public std::exception {
  public:
   explicit QueryAbortedException(Status status)
@@ -127,9 +126,8 @@ class QueryAbortedException : public std::exception {
 
 /// Cancellation checkpoint for void contexts: no-op on a null governor (one
 /// pointer test — the untripped/ungoverned fast path); throws
-/// QueryAbortedException once the governor trips. Every ParallelFor /
-/// morsel-loop body in src/ must call this (or a wrapper) at its top —
-/// enforced by the `governor-checkpoint` prefdb_lint rule.
+/// QueryAbortedException once the governor trips. Each operator kernel
+/// calls it once as its row loop starts.
 inline void GovernorCheckpoint(const QueryGovernor* governor) {
   if (governor == nullptr) return;
   Status status = governor->Check();
@@ -142,11 +140,9 @@ inline Status GovernorCheck(const QueryGovernor* governor) {
   return governor->Check();
 }
 
-/// Amortizes GovernorCheckpoint over the rows of a serial inner loop. At
-/// threads=1 the morsel planner emits ONE covering morsel, so per-morsel
-/// checks alone would never fire mid-loop; quadratic-risk row loops (prefer
-/// evaluation) tick this instead, bounding cancellation latency to `period`
-/// rows even single-threaded.
+/// Amortizes GovernorCheckpoint over the iterations of an inner loop, so
+/// long row loops (the nested-loop join, prefer evaluation) notice a trip
+/// mid-loop: cancellation latency is bounded to `period` ticks.
 class GovernorTicker {
  public:
   explicit GovernorTicker(const QueryGovernor* governor,

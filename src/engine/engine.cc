@@ -27,19 +27,16 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
   RETURN_IF_ERROR(GovernorCheck(governor));
   auto run = [&](ExecStats* s) -> StatusOr<RowView> {
     ++s->engine_queries;
-    // The executor inherits this engine's parallel context and span: its
-    // hot operators evaluate in concurrent morsels and record `native.*`
-    // child spans under the delegated-query span, so EXPLAIN ANALYZE shows
-    // where delegated time goes. Nested fork/join is safe even when this
-    // call itself runs on a pool task — TaskGroup::Wait is a helping join.
+    // The executor inherits this engine's governor and span: its operators
+    // record `native.*` child spans under the delegated-query span, so
+    // EXPLAIN ANALYZE shows where delegated time goes.
     NativeExecOptions exec;
-    exec.parallel = &parallel_;
+    exec.governor = governor;
     exec.span = span;
     exec.metrics = &native_metrics_;
-    exec.trace_level = trace_level_;
-    // Governor trips inside morsel-loop bodies unwind as exceptions
-    // (rethrown by TaskGroup::Wait after every sibling joined); this is
-    // the boundary where they become the Status the strategies propagate.
+    // Governor trips inside the kernels' row loops unwind as exceptions;
+    // this is the boundary where they become the Status the strategies
+    // propagate.
     try {
       if (!native_optimizer_enabled_) {
         return ExecutePlan(query, &catalog_, s, exec);

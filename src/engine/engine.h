@@ -46,8 +46,9 @@ class Engine {
     native_metrics_.setop_probe_rows =
         metrics_.counter(obs::kPrefNativeSetopProbeRows);
     native_metrics_.distinct_rows = metrics_.counter(obs::kPrefNativeDistinctRows);
-    native_metrics_.parallel_regions =
-        metrics_.counter(obs::kPrefNativeParallelRegions);
+    // No operator splits into parallel regions: the counter stays
+    // registered, at 0, for the benchmarks that read it.
+    metrics_.counter(obs::kPrefNativeParallelRegions);
     // Live gauges: refreshed at every metrics export (scrape time), so
     // /metrics always reflects the current cache residency, pool pressure
     // and query-log occupancy without the hot paths publishing continuously.
@@ -154,17 +155,12 @@ class Engine {
   }
   bool native_optimizer_enabled() const { return native_optimizer_enabled_; }
 
-  /// Intra-query parallelism settings consulted by the execution strategies
-  /// and the morsel-capable operators. Defaults to serial; the Session
-  /// installs the per-query context before executing (runner.cc).
+  /// The per-query context consulted by the execution strategies: the
+  /// plug-ins' delegated-query fan-out width and the governor. Defaults to
+  /// serial and ungoverned; the Session installs the per-query context
+  /// before executing (runner.cc).
   const ParallelContext& parallel_context() const { return parallel_; }
   void set_parallel_context(const ParallelContext& ctx) { parallel_ = ctx; }
-
-  /// Trace granularity for delegated executions (obs::TraceLevel); at
-  /// kMorsel the native operators record per-morsel slices. Installed per
-  /// query by the Session alongside the parallel context.
-  obs::TraceLevel trace_level() const { return trace_level_; }
-  void set_trace_level(obs::TraceLevel level) { trace_level_ = level; }
 
   /// The result cache shared by every query against this engine: the
   /// results of delegated conventional queries, keyed by plan fingerprints
@@ -197,7 +193,6 @@ class Engine {
   NativeExecMetrics native_metrics_;  // "pref.native.*"
   bool native_optimizer_enabled_ = true;
   ParallelContext parallel_;
-  obs::TraceLevel trace_level_ = obs::TraceLevel::kOperator;
 };
 
 }  // namespace prefdb

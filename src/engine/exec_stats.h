@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace prefdb {
 
@@ -12,13 +11,12 @@ namespace prefdb {
 /// relations, so `tuples_materialized` is the primary instrumented metric;
 /// the benches report it next to wall time.
 ///
-/// Thread-safety discipline for parallel execution: an ExecStats instance
-/// is never written from two threads. Parallel regions give every task (a
-/// morsel worker, a concurrently issued engine query) its own ExecStats
-/// and merge the partials into the owning counters *at the join point, in
-/// task order* — see MergeAll. This keeps the counters' semantics (and
-/// their values) identical to serial execution, with no atomics on the hot
-/// increment paths.
+/// Thread-safety discipline: an ExecStats instance is never written from
+/// two threads. Concurrently issued engine queries (the plug-ins' batches)
+/// each execute into their own ExecStats, merged into the owning counters
+/// at the join point, in query order. This keeps the counters' values
+/// identical to serial execution, with no atomics on the hot increment
+/// paths.
 struct ExecStats {
   /// Rows written into materialized intermediate or final relations.
   size_t tuples_materialized = 0;
@@ -38,12 +36,6 @@ struct ExecStats {
     engine_queries += other.engine_queries;
     operator_invocations += other.operator_invocations;
     score_entries_written += other.score_entries_written;
-  }
-
-  /// Folds per-task partial stats into this instance in container order —
-  /// the deterministic join-point merge of a parallel region.
-  void MergeAll(const std::vector<ExecStats>& parts) {
-    for (const ExecStats& part : parts) Merge(part);
   }
 
   void Reset() { *this = ExecStats(); }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "parallel/morsel.h"
 
 namespace prefdb {
 
@@ -18,16 +17,15 @@ class Executor {
   Executor(Catalog* catalog, ExecStats* stats, const NativeExecOptions& options)
       : catalog_(catalog),
         stats_(stats),
-        parallel_(options.parallel),
-        trace_level_(options.trace_level),
+        governor_(options.governor),
         metrics_(options.metrics == nullptr ? NativeExecMetrics{}
                                             : *options.metrics) {}
 
   StatusOr<RowView> Execute(const PlanNode& node, obs::Span* parent) {
     ++stats_->operator_invocations;
     // Operator-entry checkpoint: bounds cancellation latency to one
-    // operator even when every region below takes a single morsel.
-    RETURN_IF_ERROR(GovernorCheck(parallel_));
+    // operator.
+    RETURN_IF_ERROR(GovernorCheck(governor_));
     RETURN_IF_ERROR(FaultInjection::Global().Hit("exec.operator"));
     switch (node.kind) {
       case PlanKind::kScan:
@@ -73,27 +71,8 @@ class Executor {
     return out;
   }
 
-  // Partitioning decision for one operator region; counts regions that
-  // actually split. The ExecStats block and every span stay owned by the
-  // calling thread — worker slots only ever write their own per-morsel
-  // buffers, and the kernels merge them in morsel order at the join point,
-  // so output (rows, order, counters, trace) is bit-identical at every
-  // thread count. A serial plan is one covering morsel run inline.
-  MorselPlan PlanFor(size_t n) {
-    MorselPlan plan = MorselPlan::Make(n, parallel_);
-    if (plan.slots() > 1) Bump(metrics_.parallel_regions, 1);
-    return plan;
-  }
-
   static void Bump(obs::Counter* counter, size_t n) {
     if (counter != nullptr) counter->Increment(n);
-  }
-
-  // The span the region's per-morsel slices attach to: the operator span at
-  // TraceLevel::kMorsel, null otherwise (ParallelForTraced degrades to a
-  // plain ParallelFor on null).
-  obs::Span* MorselParent(obs::Span* op_span) const {
-    return trace_level_ == obs::TraceLevel::kMorsel ? op_span : nullptr;
   }
 
   StatusOr<RowView> ExecScan(const PlanNode& node, const Expr* predicate,
@@ -158,12 +137,9 @@ class Executor {
     Bump(metrics_.scan_rows, out.NumRows());
     obs::SetRowsIn(scope.get(), out.NumRows());
     if (bound != nullptr) {
-      // Index matches are few: they are tested serially. A full scan runs
-      // the compiled predicate over the table's columns in morsels.
-      MorselPlan plan = index_col >= 0 ? MorselPlan::Make(out.NumRows(), nullptr)
-                                       : PlanFor(out.NumRows());
-      out.Keep(FilterRows(out, *bound, plan, parallel_,
-                          index_col >= 0 ? nullptr : MorselParent(scope.get())));
+      // The compiled predicate runs over the table's columns: the full scan's
+      // rows, or the index matches.
+      out.Keep(FilterRows(out, *bound, governor_));
     }
     return Finish(std::move(out), scope.get());
   }
@@ -203,9 +179,7 @@ class Executor {
     ExprPtr bound = node.predicate->Clone();
     RETURN_IF_ERROR(bound->Bind(input.schema));
     obs::SetRowsIn(scope.get(), input.NumRows());
-    // A select over a non-scan input stays one serial pass.
-    input.Keep(FilterRows(input, *bound, MorselPlan::Make(input.NumRows(), nullptr),
-                          parallel_, nullptr));
+    input.Keep(FilterRows(input, *bound, governor_));
     return Finish(std::move(input), scope.get());
   }
 
@@ -237,10 +211,8 @@ class Executor {
     // the identity over one, is already indexed: the table's persistent
     // HashIndex on the key column (built on first use) lists the matching
     // row ids, which are that scan's view positions.
-    // Any other right input gets a per-query JoinTable. The probe is where
-    // the work is, and it parallelizes over morsels of the probe side.
-    // Without an equi-conjunct it is a nested-loop join, whose probe side
-    // morselizes the same way.
+    // Any other right input gets a per-query JoinTable. Without an
+    // equi-conjunct it is a nested-loop join.
     std::optional<JoinBuild> build;
     if (keys.has_value()) {
       obs::AppendDetail(scope.get(), "hash");
@@ -262,8 +234,8 @@ class Executor {
     obs::SetRowsIn(probe_scope.get(), nl);
     Bump(metrics_.join_probe_rows, nl);
     RowView out = JoinRows(left, right, *bound, semi,
-                           build.has_value() ? &*build : nullptr, PlanFor(nl),
-                           parallel_, MorselParent(probe_scope.get()), nullptr);
+                           build.has_value() ? &*build : nullptr, governor_,
+                           nullptr);
     obs::SetRowsOut(probe_scope.get(), out.NumRows());
     probe_scope.Finish();
     return Finish(std::move(out), scope.get());
@@ -291,15 +263,10 @@ class Executor {
     }
     const size_t nl = left.NumRows();
     obs::SetRowsIn(scope.get(), nl + right.NumRows());
-    // Intersect and except probe the left rows' membership in morsels; the
-    // union stays one serial pass over both inputs.
-    const bool union_op = node.kind == PlanKind::kUnion;
-    if (!union_op) Bump(metrics_.setop_probe_rows, nl);
-    ASSIGN_OR_RETURN(
-        std::vector<SetMatch> matches,
-        MatchSetOp(node.kind, left, right,
-                   union_op ? MorselPlan::Make(nl, nullptr) : PlanFor(nl),
-                   parallel_, union_op ? nullptr : MorselParent(scope.get())));
+    // Intersect and except count the left rows probed for membership.
+    if (node.kind != PlanKind::kUnion) Bump(metrics_.setop_probe_rows, nl);
+    ASSIGN_OR_RETURN(std::vector<SetMatch> matches,
+                     MatchSetOp(node.kind, left, right, governor_));
     return Finish(SetOpView(left, right, matches), scope.get());
   }
 
@@ -309,7 +276,7 @@ class Executor {
     const size_t n = input.NumRows();
     obs::SetRowsIn(scope.get(), n);
     Bump(metrics_.distinct_rows, n);
-    input.Keep(DistinctRows(input, PlanFor(n), parallel_, MorselParent(scope.get())));
+    input.Keep(DistinctRows(input, governor_));
     return Finish(std::move(input), scope.get());
   }
 
@@ -332,9 +299,8 @@ class Executor {
 
   Catalog* catalog_;
   ExecStats* stats_;
-  const ParallelContext* parallel_;  // Null = serial.
-  obs::TraceLevel trace_level_;      // kMorsel = per-morsel slices.
-  NativeExecMetrics metrics_;        // All-null when metrics are off.
+  const QueryGovernor* governor_;  // Null = ungoverned.
+  NativeExecMetrics metrics_;      // All-null when metrics are off.
 };
 
 }  // namespace

@@ -1,11 +1,11 @@
 #ifndef PREFDB_ENGINE_EXECUTOR_H_
 #define PREFDB_ENGINE_EXECUTOR_H_
 
+#include "common/governor.h"
 #include "engine/exec_stats.h"
 #include "engine/row_view.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_context.h"
 #include "plan/plan.h"
 #include "storage/catalog.h"
 
@@ -23,24 +23,16 @@ struct NativeExecMetrics {
   obs::Counter* join_index_hits = nullptr;   // "pref.native.join_index_hits"
   obs::Counter* setop_probe_rows = nullptr;  // "pref.native.setop_probe_rows"
   obs::Counter* distinct_rows = nullptr;     // "pref.native.distinct_rows"
-  obs::Counter* parallel_regions = nullptr;  // "pref.native.parallel_regions"
 };
 
-/// Optional execution context for the native executor: the intra-query
-/// parallelism knobs, the delegated-query span the operator spans nest
-/// under, and the metric handles above. Every field is nullable and
-/// defaults off, so direct callers (tests, the ablation oracle) run
-/// serially and untraced.
+/// Optional execution context for the native executor: the query's
+/// governor, the delegated-query span the operator spans nest under, and
+/// the metric handles above. Every field is nullable and defaults off, so
+/// direct callers (tests, the ablation oracle) run ungoverned and untraced.
 struct NativeExecOptions {
-  const ParallelContext* parallel = nullptr;  // null = serial.
+  const QueryGovernor* governor = nullptr;    // null = ungoverned.
   obs::Span* span = nullptr;                  // null = no tracing.
   const NativeExecMetrics* metrics = nullptr; // null = no metrics.
-  /// At TraceLevel::kMorsel (and with `span` set) every morselized region
-  /// additionally records one "morsel[i]" child per morsel, adopted in
-  /// morsel order (see obs::TraceLevel). At threads=1 the region records
-  /// its single covering morsel, so the untimed trace stays byte-identical
-  /// run to run.
-  obs::TraceLevel trace_level = obs::TraceLevel::kOperator;
 };
 
 /// Executes a *conventional* plan (no kPrefer nodes) against the catalog —
@@ -65,14 +57,10 @@ struct NativeExecOptions {
 ///     side gets a per-query hash table.
 ///   * Set operations and DISTINCT use whole-tuple hashing.
 ///
-/// Under a parallel context the hot operators evaluate in concurrent
-/// morsels with morsel-order merges — full-scan predicate filtering, the
-/// join probe phase (the build stays serial), set-operation membership
-/// probes and DISTINCT hashing — so the output rows, their order, and every
-/// ExecStats counter are bit-identical to serial execution (DESIGN.md §12).
-/// With a span, each operator records a `native.*` child span carrying its
-/// cardinalities; the annotations are scheduling-independent, so the traced
-/// subtree is also identical at every thread count.
+/// Every operator runs one serial body on the calling thread; concurrent
+/// calls (the plug-ins' batches of delegated queries) are safe. With a
+/// span, each operator records a `native.*` child span carrying its
+/// cardinalities.
 ///
 /// Execution updates `stats` (rows scanned/materialized, operator count).
 /// Returns Unimplemented if the plan contains a kPrefer node.
@@ -80,7 +68,7 @@ StatusOr<RowView> ExecutePlan(const PlanNode& node, Catalog* catalog,
                               ExecStats* stats,
                               const NativeExecOptions& options);
 
-/// Serial, untraced convenience overload (the pre-parallel signature).
+/// Ungoverned, untraced convenience overload.
 StatusOr<RowView> ExecutePlan(const PlanNode& node, Catalog* catalog,
                               ExecStats* stats);
 

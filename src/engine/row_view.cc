@@ -71,7 +71,7 @@ class Streams {
 
 // Whole-row membership over one view: open addressing from a row value to
 // the first position inserted with it. Rows stay in the view and compare
-// in place; hashes are passed in (precomputed in morsels by the callers).
+// in place; hashes are passed in (computed once per row by the callers).
 class RowSet {
  public:
   explicit RowSet(const RowView& view) : view_(&view) {
@@ -233,21 +233,11 @@ uint32_t JoinTable::Find(const ValueView& key) const {
 }
 
 std::vector<uint32_t> FilterRows(const RowView& view, const Expr& bound,
-                                 const MorselPlan& plan,
-                                 const ParallelContext* parallel,
-                                 obs::Span* morsel_parent) {
-  // The program is immutable after compiling, so all slots share it.
+                                 const QueryGovernor* governor) {
   const ViewPredicate predicate(view, bound);
-  std::vector<std::vector<uint32_t>> kept(plan.morsel_count());
-  ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-    GovernorCheckpoint(parallel);
-    predicate.Select(m.begin, m.end, &kept[m.index]);
-  });
-  if (kept.size() == 1) return std::move(kept[0]);
+  GovernorCheckpoint(governor);
   std::vector<uint32_t> positions;
-  for (const std::vector<uint32_t>& local : kept) {
-    positions.insert(positions.end(), local.begin(), local.end());
-  }
+  predicate.Select(0, view.NumRows(), &positions);
   return positions;
 }
 
@@ -265,9 +255,8 @@ Status ProjectView(const std::vector<std::string>& columns, RowView* view) {
 }
 
 RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
-                 bool semi, const JoinBuild* build, const MorselPlan& plan,
-                 const ParallelContext* parallel, obs::Span* morsel_parent,
-                 JoinPositions* positions) {
+                 bool semi, const JoinBuild* build,
+                 const QueryGovernor* governor, JoinPositions* positions) {
   const size_t nl = left.NumRows();
   const size_t nr = right.NumRows();
   const size_t left_cols = left.schema.size();
@@ -293,14 +282,6 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
     out.owned.insert(out.owned.end(), right.owned.begin(), right.owned.end());
   }
 
-  // Per-morsel output ids and matched positions; the build side, both
-  // inputs and the compiled predicate are read-only here.
-  struct Buffer {
-    std::vector<uint32_t> ids;
-    std::vector<uint32_t> left;
-    std::vector<uint32_t> right;
-  };
-  std::vector<Buffer> buffers(plan.morsel_count());
   // A key match already decides a predicate that is just the equi-conjunct
   // (bound to exactly these two columns, since the combined bind succeeded),
   // so the probe then skips re-evaluating it. Otherwise the predicate runs
@@ -318,68 +299,64 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
   // `for_each_match(i, ticker, visit)` calls visit(j) for the right
   // positions j that may match left row i, ascending, until it returns true.
   auto probe = [&](const auto& for_each_match) {
-    ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-      GovernorCheckpoint(parallel);
-      // The nested loop is quadratic: it ticks per probe so a single
-      // covering morsel cannot defer cancellation to the end of the cross
-      // product.
-      GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor);
-      Buffer& local = buffers[m.index];
-      auto emit = [&](uint32_t i, uint32_t j) {
-        left.AppendRow(i, &local.ids);
-        if (!semi) right.AppendRow(j, &local.ids);
-        if (positions != nullptr) {
-          local.left.push_back(i);
-          if (!semi) local.right.push_back(j);
-        }
-      };
-      if (!test) {
-        for (size_t i = m.begin; i < m.end; ++i) {
-          for_each_match(i, ticker, [&](uint32_t j) {
-            emit(static_cast<uint32_t>(i), j);
-            return semi;  // A semi join's left row qualifies once.
-          });
-        }
-        return;
+    GovernorCheckpoint(governor);
+    // The nested loop is quadratic: it ticks per probe so that cancellation
+    // need not wait for the end of the cross product.
+    GovernorTicker ticker(governor);
+    auto emit = [&](uint32_t i, uint32_t j) {
+      left.AppendRow(i, &out.ids);
+      if (!semi) right.AppendRow(j, &out.ids);
+      if (positions != nullptr) {
+        positions->left.push_back(i);
+        if (!semi) positions->right.push_back(j);
       }
-      // Candidate pairs collect into a batch that the program tests at
-      // once; the passing pairs are emitted in candidate order. A semi
-      // join emits each left row at its first passing pair.
-      std::vector<uint32_t> cand_left;
-      std::vector<uint32_t> cand_right;
-      cand_left.reserve(CompiledPredicate::kBatch);
-      cand_right.reserve(CompiledPredicate::kBatch);
-      std::vector<const uint32_t*> ptrs;
-      Streams left_streams(left, *program, 0, &ptrs);
-      Streams right_streams(right, *program, static_cast<uint32_t>(left.width()),
-                            &ptrs);
-      uint32_t sel[CompiledPredicate::kBatch];
-      uint32_t last_left = kNoRow;
-      auto flush = [&] {
-        const size_t n = cand_left.size();
-        if (n == 0) return;
-        left_streams.Point(0, n, cand_left.data());
-        right_streams.Point(0, n, cand_right.data());
-        const size_t kept = program->Select(ptrs.data(), n, sel);
-        for (size_t k = 0; k < kept; ++k) {
-          const uint32_t i = cand_left[sel[k]];
-          if (semi && i == last_left) continue;
-          last_left = i;
-          emit(i, cand_right[sel[k]]);
-        }
-        cand_left.clear();
-        cand_right.clear();
-      };
-      for (size_t i = m.begin; i < m.end; ++i) {
+    };
+    if (!test) {
+      for (size_t i = 0; i < nl; ++i) {
         for_each_match(i, ticker, [&](uint32_t j) {
-          cand_left.push_back(static_cast<uint32_t>(i));
-          cand_right.push_back(j);
-          if (cand_left.size() == CompiledPredicate::kBatch) flush();
-          return false;
+          emit(static_cast<uint32_t>(i), j);
+          return semi;  // A semi join's left row qualifies once.
         });
       }
-      flush();
-    });
+      return;
+    }
+    // Candidate pairs collect into a batch that the program tests at
+    // once; the passing pairs are emitted in candidate order. A semi
+    // join emits each left row at its first passing pair.
+    std::vector<uint32_t> cand_left;
+    std::vector<uint32_t> cand_right;
+    cand_left.reserve(CompiledPredicate::kBatch);
+    cand_right.reserve(CompiledPredicate::kBatch);
+    std::vector<const uint32_t*> ptrs;
+    Streams left_streams(left, *program, 0, &ptrs);
+    Streams right_streams(right, *program, static_cast<uint32_t>(left.width()),
+                          &ptrs);
+    uint32_t sel[CompiledPredicate::kBatch];
+    uint32_t last_left = kNoRow;
+    auto flush = [&] {
+      const size_t n = cand_left.size();
+      if (n == 0) return;
+      left_streams.Point(0, n, cand_left.data());
+      right_streams.Point(0, n, cand_right.data());
+      const size_t kept = program->Select(ptrs.data(), n, sel);
+      for (size_t k = 0; k < kept; ++k) {
+        const uint32_t i = cand_left[sel[k]];
+        if (semi && i == last_left) continue;
+        last_left = i;
+        emit(i, cand_right[sel[k]]);
+      }
+      cand_left.clear();
+      cand_right.clear();
+    };
+    for (size_t i = 0; i < nl; ++i) {
+      for_each_match(i, ticker, [&](uint32_t j) {
+        cand_left.push_back(static_cast<uint32_t>(i));
+        cand_right.push_back(j);
+        if (cand_left.size() == CompiledPredicate::kBatch) flush();
+        return false;
+      });
+    }
+    flush();
   };
   if (build == nullptr) {
     probe([&](size_t, GovernorTicker& ticker, const auto& visit) {
@@ -442,43 +419,20 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
     }
   }
 
-  if (buffers.size() == 1) {
-    out.ids = std::move(buffers[0].ids);
-    if (positions != nullptr) {
-      positions->left = std::move(buffers[0].left);
-      positions->right = std::move(buffers[0].right);
-    }
-    return out;
-  }
-  size_t total = 0;
-  for (const Buffer& local : buffers) total += local.ids.size();
-  out.ids.reserve(total);
-  for (const Buffer& local : buffers) {
-    out.ids.insert(out.ids.end(), local.ids.begin(), local.ids.end());
-    if (positions != nullptr) {
-      positions->left.insert(positions->left.end(), local.left.begin(),
-                             local.left.end());
-      positions->right.insert(positions->right.end(), local.right.begin(),
-                              local.right.end());
-    }
-  }
   return out;
 }
 
 StatusOr<std::vector<SetMatch>> MatchSetOp(PlanKind kind, const RowView& left,
                                            const RowView& right,
-                                           const MorselPlan& plan,
-                                           const ParallelContext* parallel,
-                                           obs::Span* morsel_parent) {
+                                           const QueryGovernor* governor) {
   if (kind != PlanKind::kUnion && kind != PlanKind::kIntersect &&
       kind != PlanKind::kExcept) {
     return Status::Internal("not a set operation");
   }
   const size_t nl = left.NumRows();
   const size_t nr = right.NumRows();
-  // The right set builds serially, in input order (first occurrence wins);
-  // hashing the left rows and probing them against it runs in morsels;
-  // the left rows' first-occurrence inserts are serial again.
+  // The right set builds in input order (first occurrence wins); then each
+  // left row is hashed once and probed against it.
   std::vector<size_t> right_hash(nr);
   RowSet right_set(right);
   std::vector<uint8_t> right_first(nr);
@@ -488,13 +442,11 @@ StatusOr<std::vector<SetMatch>> MatchSetOp(PlanKind kind, const RowView& left,
   }
   std::vector<size_t> left_hash(nl);
   std::vector<uint32_t> in_right(nl, kNoRow);
-  ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-    GovernorCheckpoint(parallel);
-    for (size_t i = m.begin; i < m.end; ++i) {
-      left_hash[i] = RowHash(left, i);
-      in_right[i] = right_set.Find(left, static_cast<uint32_t>(i), left_hash[i]);
-    }
-  });
+  GovernorCheckpoint(governor);
+  for (size_t i = 0; i < nl; ++i) {
+    left_hash[i] = RowHash(left, i);
+    in_right[i] = right_set.Find(left, static_cast<uint32_t>(i), left_hash[i]);
+  }
   RowSet left_set(left);
   std::vector<uint8_t> left_first(nl);
   for (size_t i = 0; i < nl; ++i) {
@@ -548,20 +500,14 @@ RowView SetOpView(const RowView& left, const RowView& right,
   return left.Rows(kept);
 }
 
-std::vector<uint32_t> DistinctRows(const RowView& view, const MorselPlan& plan,
-                                   const ParallelContext* parallel,
-                                   obs::Span* morsel_parent) {
-  // Whole-row hashing (the expensive part) precomputes in morsels; the
-  // serial inserts then keep each value's first occurrence, in order.
-  std::vector<size_t> hashes(view.NumRows());
-  ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-    GovernorCheckpoint(parallel);
-    for (size_t i = m.begin; i < m.end; ++i) hashes[i] = RowHash(view, i);
-  });
+std::vector<uint32_t> DistinctRows(const RowView& view,
+                                   const QueryGovernor* governor) {
+  // The inserts keep each value's first occurrence, in order.
+  GovernorCheckpoint(governor);
   RowSet seen(view);
   std::vector<uint32_t> kept;
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    if (seen.Insert(static_cast<uint32_t>(i), hashes[i])) {
+  for (size_t i = 0; i < view.NumRows(); ++i) {
+    if (seen.Insert(static_cast<uint32_t>(i), RowHash(view, i))) {
       kept.push_back(static_cast<uint32_t>(i));
     }
   }

@@ -9,9 +9,7 @@
 
 #include "expr/compiled_predicate.h"
 #include "expr/expr.h"
-#include "obs/trace.h"
-#include "parallel/morsel.h"
-#include "parallel/parallel_context.h"
+#include "common/governor.h"
 #include "plan/plan.h"
 #include "storage/hash_index.h"
 #include "storage/row_view.h"
@@ -144,19 +142,15 @@ struct JoinBuild {
 //
 // One body per relational operator, over views. A kernel returns output ids
 // (or the positions of its input rows, for the operators that keep, reorder
-// or pair rows) and knows nothing of ExecStats, metrics or span names: the
+// or pair rows) and knows nothing of ExecStats, metrics or spans: the
 // native executor and the p-algebra wrap each kernel with the accounting
-// they record. The per-row loops run over `plan`'s morsels (a serial plan
-// is one covering morsel on the calling thread); per-morsel results merge
-// in morsel order, so output is identical at every thread count. Morsel
-// slices attach to `morsel_parent` when it is non-null.
+// they record. Each runs one loop on the calling thread; `governor`
+// (nullable) is checked once as the row loop starts.
 
 /// Positions of the rows of `view` satisfying `bound` (bound to
-/// view.schema), in input order: a ViewPredicate run over each morsel.
+/// view.schema), in input order: one ViewPredicate pass.
 std::vector<uint32_t> FilterRows(const RowView& view, const Expr& bound,
-                                 const MorselPlan& plan,
-                                 const ParallelContext* parallel,
-                                 obs::Span* morsel_parent);
+                                 const QueryGovernor* governor);
 
 /// Projects `view` onto `columns`, implicitly keeping the key columns
 /// (ResolveProjection); only the column map changes.
@@ -175,11 +169,11 @@ struct JoinPositions {
 /// pairs the key match does not decide are tested a batch at a time by the
 /// predicate compiled over both views' columns. Output order: left order,
 /// then each left row's matches in ascending right position.
-/// `positions` (nullable) receives the matched positions.
+/// `positions` (nullable) receives the matched positions. The nested loop
+/// also ticks `governor` per candidate pair.
 RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
-                 bool semi, const JoinBuild* build, const MorselPlan& plan,
-                 const ParallelContext* parallel, obs::Span* morsel_parent,
-                 JoinPositions* positions);
+                 bool semi, const JoinBuild* build,
+                 const QueryGovernor* governor, JoinPositions* positions);
 
 /// One output row of a set operation: the left position, or kNoRow for a
 /// right-only union row, and the position of the equal right row (kNoRow
@@ -189,13 +183,10 @@ using SetMatch = std::pair<uint32_t, uint32_t>;
 /// UNION / INTERSECT / EXCEPT with duplicate elimination, first occurrence
 /// wins: union keeps left rows, then right rows not on the left; intersect
 /// and except keep left rows by membership on the right. Rows compare by
-/// value through the views. The left side's membership probes run over
-/// `plan`'s morsels.
+/// value through the views.
 StatusOr<std::vector<SetMatch>> MatchSetOp(PlanKind kind, const RowView& left,
                                            const RowView& right,
-                                           const MorselPlan& plan,
-                                           const ParallelContext* parallel,
-                                           obs::Span* morsel_parent);
+                                           const QueryGovernor* governor);
 
 /// The output view of MatchSetOp's matches: the left rows kept, or, for a
 /// union with right-only rows, both inputs' kept rows gathered into one
@@ -203,11 +194,9 @@ StatusOr<std::vector<SetMatch>> MatchSetOp(PlanKind kind, const RowView& left,
 RowView SetOpView(const RowView& left, const RowView& right,
                   const std::vector<SetMatch>& matches);
 
-/// Positions of the first occurrence of each distinct row, in order. Row
-/// hashing runs over `plan`'s morsels.
-std::vector<uint32_t> DistinctRows(const RowView& view, const MorselPlan& plan,
-                                   const ParallelContext* parallel,
-                                   obs::Span* morsel_parent);
+/// Positions of the first occurrence of each distinct row, in order.
+std::vector<uint32_t> DistinctRows(const RowView& view,
+                                   const QueryGovernor* governor);
 
 /// Positions in ORDER BY `keys` order: a stable sort, ties broken on the
 /// key columns ascending, so any LIMIT above it is deterministic.

@@ -134,7 +134,6 @@ StatusOr<QueryResult> Session::Run(const ParsedQuery& parsed,
   ParallelContext governed = options.parallel;
   governed.governor = &governor;
   engine_.set_parallel_context(governed);
-  engine_.set_trace_level(options.trace_level);
 
   // Per-query cache override: flip the engine-wide switch for the duration
   // of this query only. Sessions are not re-entrant (one query at a time),
@@ -162,12 +161,10 @@ StatusOr<QueryResult> Session::Run(const ParsedQuery& parsed,
   ExecStats stats;
   const uint64_t faults_before = FaultInjection::Global().fired();
   StatusOr<QueryResult> outcome = Status::Internal("unreachable");
-  // Checkpoints inside void morsel-loop bodies unwind as exceptions
-  // (TaskGroup::Wait joins every sibling, then rethrows the first); most
-  // convert back to Status inside Engine::ExecuteConcurrent, but trips in
-  // strategy-level parallel regions (BU subtree tasks, prefer sweeps)
-  // surface here. This is the outermost boundary — the public API never
-  // throws.
+  // Checkpoints inside void row loops unwind as exceptions; most convert
+  // back to Status inside Engine::ExecuteConcurrent, but trips in the
+  // strategies' own operators (prefer passes, BU's p-operators) surface
+  // here. This is the outermost boundary — the public API never throws.
   try {
     outcome = RunInternal(parsed, options, strategy.get(), &stats, root.get());
   } catch (const QueryAbortedException& aborted) {

@@ -23,10 +23,10 @@ struct QueryOptions {
   /// the plug-ins work from the unoptimized plan, as in the paper).
   bool optimize = true;
   ExtendedOptimizerOptions optimizer;
-  /// Intra-query parallelism (thread budget, morsel size, serial-fallback
-  /// threshold). Defaults to serial execution; every strategy produces the
-  /// same p-relation, with exactly the same pairs, at any thread count
-  /// (modulo row order).
+  /// Parallelism: `threads` is how many of a plug-in strategy's independent
+  /// delegated queries run at once. Defaults to serial execution; every
+  /// strategy produces the same p-relation, rows, row order, pairs and
+  /// counters at any thread count.
   ParallelContext parallel;
   /// Collect a hierarchical span trace of the execution (QueryResult::trace).
   /// Off by default: the strategies then see a null span and pay one pointer
@@ -34,11 +34,6 @@ struct QueryOptions {
   /// armed `SET SLOWLOG` threshold — forces tracing on regardless of this
   /// flag.
   bool trace = false;
-  /// Trace granularity when tracing is on: kOperator (default) records one
-  /// span per operator; kMorsel additionally records per-morsel slices
-  /// inside every parallel region (obs::TraceLevel) — what the Chrome/
-  /// Perfetto export visualizes.
-  obs::TraceLevel trace_level = obs::TraceLevel::kOperator;
   /// Per-query override of the engine's result cache: when set, the cache
   /// is enabled/disabled for this query only (the engine-wide setting —
   /// toggled by the `SET CACHE ON|OFF` pragma — is restored afterwards).

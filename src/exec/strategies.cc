@@ -15,7 +15,6 @@
 #include "common/string_util.h"
 #include "optimizer/extended_optimizer.h"
 #include "palgebra/p_ops.h"
-#include "parallel/morsel.h"
 #include "parallel/thread_pool.h"
 
 namespace prefdb {
@@ -52,9 +51,7 @@ std::string NodeLabel(const PlanNode& node) {
 
 // Attributes the score-relation writes of one traced region to its span:
 // snapshots the counter on entry and records the delta on destruction.
-// Exact even under morsel parallelism, because the region's operators merge
-// their per-task partials into `stats` before returning. No-op (not even a
-// snapshot) when the span is null.
+// No-op (not even a snapshot) when the span is null.
 class ScoreWriteScope {
  public:
   ScoreWriteScope(obs::Span* span, const ExecStats* stats)
@@ -76,27 +73,6 @@ class ScoreWriteScope {
   const ExecStats* stats_;
   size_t before_;
 };
-
-// Allocates one detached holder span per parallel task when tracing is on
-// (all-null otherwise). Each task builds its subtree under its own holder;
-// AdoptTaskSpans splices the holders' children into `span` in task order at
-// the join point — the trace-side mirror of the ExecStats merge discipline,
-// and what keeps parallel traces deterministic for a fixed context.
-std::vector<obs::SpanPtr> MakeTaskSpans(obs::Span* span, size_t count) {
-  std::vector<obs::SpanPtr> holders(count);
-  if (span != nullptr) {
-    for (size_t i = 0; i < count; ++i) holders[i] = obs::Span::Detached("task");
-  }
-  return holders;
-}
-
-void AdoptTaskSpans(obs::Span* span, std::vector<obs::SpanPtr>* holders) {
-  if (span == nullptr) return;
-  for (obs::SpanPtr& holder : *holders) {
-    if (holder == nullptr) continue;
-    for (obs::SpanPtr& child : holder->children) span->Adopt(std::move(child));
-  }
-}
 
 // Charges one p-relation (its rows, at their gathered size, plus score
 // entries) against the governor's memory budget. The byte estimate is an
@@ -143,9 +119,8 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
                                          const AggregateFunction& agg,
                                          Engine* engine, ExecStats* stats,
                                          obs::Span* span = nullptr) {
-  // Each prefer pass is itself morsel-parallel over the result
-  // (the post-filter sweep of FtP); successive preferences stay ordered so
-  // the fold into the score relation is deterministic.
+  // One prefer pass per preference over the result (the post-filter sweep
+  // of FtP), in order, so the fold into the score relation is deterministic.
   PRelation current(std::move(result));
   for (const PreferencePtr& pref : prefs) {
     obs::SpanScope scope(span, StrFormat("Prefer[%s]", pref->name().c_str()));
@@ -153,18 +128,20 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
     ASSIGN_OR_RETURN(current,
                      EvalPrefer(*pref, std::move(current), agg,
                                 &engine->catalog(), stats,
-                                &engine->parallel_context(), scope.get()));
+                                engine->parallel_context().governor,
+                                scope.get()));
     RETURN_IF_ERROR(ChargePRelation(engine, current));
   }
   return current;
 }
 
 // Executes `plans` against the engine and returns their results in plan
-// order. When the engine's parallel context allows, the queries run
-// concurrently (ParallelInvoke: the calling thread plus pool tasks claim
-// plans from a shared cursor), each executing into its own ExecStats; the
-// per-task stats are merged into `stats` in plan order at the join point,
-// so counter totals match serial execution.
+// order: the plug-ins' batches of independent delegated queries, the one
+// concurrent path of query execution. Up to the engine's parallel context's
+// `threads` queries run at once (ParallelInvoke: the calling thread plus
+// pool tasks claim plans from a shared cursor), each executing into its
+// own ExecStats; the per-query stats are merged into `stats` in plan order
+// at the join point, so counter totals match serial execution.
 //
 // Identical plans (same fingerprint, including referenced-table versions)
 // are detected up front and executed once; each duplicate shares the unique
@@ -172,9 +149,10 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 // still match executing every plan.
 //
 // With a non-null `span`, each executed query gets a child span named by
-// `labels` (parallel queries build theirs detached, adopted in execution
-// order at the join — same discipline as the stats merge); deduplicated
-// plans get a span annotated "dedup".
+// `labels`, built under a detached holder of its own and adopted in plan
+// order at the join (the same discipline as the stats merge), so the trace
+// is the same at every thread count; deduplicated plans get a span
+// annotated "dedup".
 StatusOr<std::vector<RowView>> ExecuteEngineQueries(
     const std::vector<const PlanNode*>& plans, Engine* engine,
     ExecStats* stats, obs::Span* span, const std::vector<std::string>& labels) {
@@ -204,34 +182,26 @@ StatusOr<std::vector<RowView>> ExecuteEngineQueries(
 
   std::vector<std::optional<StatusOr<RowView>>> partials(n);
   std::vector<ExecStats> partial_stats(n);
-  const ParallelContext& ctx = engine->parallel_context();
-  if (ctx.IsSerial() || unique.size() < 2) {
-    for (size_t i : unique) {
-      obs::SpanScope scope(span, labels[i]);
+  std::vector<obs::SpanPtr> holders(unique.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(unique.size());
+  for (size_t u = 0; u < unique.size(); ++u) {
+    if (span != nullptr) holders[u] = obs::Span::Detached("task");
+    tasks.push_back([&partials, &partial_stats, &plans, &holders, &labels,
+                     &unique, engine, u] {
+      const size_t i = unique[u];
+      obs::SpanScope scope(holders[u].get(), labels[i]);
       partials[i] =
           engine->ExecuteConcurrent(*plans[i], &partial_stats[i], scope.get());
       if (partials[i]->ok()) {
         obs::SetRowsOut(scope.get(), (*partials[i])->NumRows());
       }
-    }
-  } else {
-    std::vector<obs::SpanPtr> holders = MakeTaskSpans(span, unique.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(unique.size());
-    for (size_t u = 0; u < unique.size(); ++u) {
-      tasks.push_back([&partials, &partial_stats, &plans, &holders, &labels,
-                       &unique, engine, u] {
-        const size_t i = unique[u];
-        obs::SpanScope scope(holders[u].get(), labels[i]);
-        partials[i] =
-            engine->ExecuteConcurrent(*plans[i], &partial_stats[i], scope.get());
-        if (partials[i]->ok()) {
-          obs::SetRowsOut(scope.get(), (*partials[i])->NumRows());
-        }
-      });
-    }
-    ParallelInvoke(ctx, tasks);
-    AdoptTaskSpans(span, &holders);
+    });
+  }
+  ParallelInvoke(engine->parallel_context(), tasks);
+  for (obs::SpanPtr& holder : holders) {
+    if (holder == nullptr) continue;
+    for (obs::SpanPtr& child : holder->children) span->Adopt(std::move(child));
   }
 
   std::vector<RowView> results;
@@ -303,45 +273,16 @@ class BUStrategy final : public Strategy {
   }
 
  private:
-  // Evaluates the two children of a binary operator. Under a serial
-  // context this is the verbatim left-then-right recursion into the shared
-  // counters. Under a parallel context the subtrees — which share only the
-  // internally synchronized catalog and the read-only parallel context —
-  // are evaluated as independent tasks, each into its own ExecStats; the
-  // partials are merged into `stats` in plan order (left, then right) at
-  // the join point, so counter totals are identical to serial evaluation.
-  // Errors also surface in plan order: a left failure wins over a right
-  // one, exactly as serial short-circuiting reports it. Task spans follow
-  // the same discipline: built detached, adopted left-then-right.
+  // Evaluates the two children of a binary operator, left then right, into
+  // the shared counters; a left failure stops before the right child.
   StatusOr<std::pair<PRelation, PRelation>> EvalChildren(
       const PlanNode& node, const AggregateFunction& agg, Engine* engine,
       ExecStats* stats, obs::Span* span) {
-    const ParallelContext& ctx = engine->parallel_context();
-    if (ctx.IsSerial()) {
-      ASSIGN_OR_RETURN(PRelation left,
-                       Eval(node.child(0), agg, engine, stats, span));
-      ASSIGN_OR_RETURN(PRelation right,
-                       Eval(node.child(1), agg, engine, stats, span));
-      return std::make_pair(std::move(left), std::move(right));
-    }
-    std::optional<StatusOr<PRelation>> results[2];
-    ExecStats partial_stats[2];
-    std::vector<obs::SpanPtr> holders = MakeTaskSpans(span, 2);
-    std::vector<std::function<void()>> tasks;
-    for (size_t i = 0; i < 2; ++i) {
-      tasks.push_back([this, &node, &agg, engine, &results, &partial_stats,
-                       &holders, i] {
-        results[i] = Eval(node.child(i), agg, engine, &partial_stats[i],
-                          holders[i].get());
-      });
-    }
-    ParallelInvoke(ctx, tasks);
-    stats->Merge(partial_stats[0]);
-    stats->Merge(partial_stats[1]);
-    AdoptTaskSpans(span, &holders);
-    RETURN_IF_ERROR(results[0]->status());
-    RETURN_IF_ERROR(results[1]->status());
-    return std::make_pair(std::move(**results[0]), std::move(**results[1]));
+    ASSIGN_OR_RETURN(PRelation left,
+                     Eval(node.child(0), agg, engine, stats, span));
+    ASSIGN_OR_RETURN(PRelation right,
+                     Eval(node.child(1), agg, engine, stats, span));
+    return std::make_pair(std::move(left), std::move(right));
   }
 
   // Opens one span per plan node (inclusive of its children's evaluation)
@@ -362,7 +303,7 @@ class BUStrategy final : public Strategy {
   StatusOr<PRelation> EvalNode(const PlanNode& node,
                                const AggregateFunction& agg, Engine* engine,
                                ExecStats* stats, obs::Span* span) {
-    const ParallelContext* parallel = &engine->parallel_context();
+    const QueryGovernor* governor = engine->parallel_context().governor;
     switch (node.kind) {
       case PlanKind::kScan: {
         // Base access goes through the engine (one trivial query), like the
@@ -375,7 +316,7 @@ class BUStrategy final : public Strategy {
       case PlanKind::kSelect: {
         ASSIGN_OR_RETURN(PRelation input,
                          Eval(node.child(), agg, engine, stats, span));
-        return PSelect(*node.predicate, input, stats, parallel, span);
+        return PSelect(*node.predicate, input, stats, governor, span);
       }
       case PlanKind::kProject: {
         ASSIGN_OR_RETURN(PRelation input,
@@ -386,30 +327,30 @@ class BUStrategy final : public Strategy {
         ASSIGN_OR_RETURN(auto children,
                          EvalChildren(node, agg, engine, stats, span));
         return PJoin(*node.predicate, children.first, children.second, agg,
-                     stats, parallel, span);
+                     stats, governor, span);
       }
       case PlanKind::kSemiJoin: {
         ASSIGN_OR_RETURN(auto children,
                          EvalChildren(node, agg, engine, stats, span));
         return PSemiJoin(*node.predicate, children.first, children.second,
-                         stats, parallel, span);
+                         stats, governor, span);
       }
       case PlanKind::kUnion: {
         ASSIGN_OR_RETURN(auto children,
                          EvalChildren(node, agg, engine, stats, span));
-        return PUnion(children.first, children.second, agg, stats, parallel,
+        return PUnion(children.first, children.second, agg, stats, governor,
                       span);
       }
       case PlanKind::kIntersect: {
         ASSIGN_OR_RETURN(auto children,
                          EvalChildren(node, agg, engine, stats, span));
-        return PIntersect(children.first, children.second, agg, stats, parallel,
+        return PIntersect(children.first, children.second, agg, stats, governor,
                           span);
       }
       case PlanKind::kExcept: {
         ASSIGN_OR_RETURN(auto children,
                          EvalChildren(node, agg, engine, stats, span));
-        return PDiff(children.first, children.second, stats, parallel, span);
+        return PDiff(children.first, children.second, stats, governor, span);
       }
       case PlanKind::kDistinct: {
         ASSIGN_OR_RETURN(PRelation input,
@@ -430,7 +371,7 @@ class BUStrategy final : public Strategy {
         ASSIGN_OR_RETURN(PRelation input,
                          Eval(node.child(), agg, engine, stats, span));
         return EvalPrefer(*node.preference, std::move(input), agg,
-                          &engine->catalog(), stats, parallel, span);
+                          &engine->catalog(), stats, governor, span);
       }
     }
     return Status::Internal("unknown plan kind");
@@ -508,14 +449,14 @@ class GBUStrategy final : public Strategy {
       ASSIGN_OR_RETURN(PRelation out,
                        EvalPrefer(*node.preference, std::move(input), agg,
                                   &engine->catalog(), stats,
-                                  &engine->parallel_context(), scope.get()));
+                                  engine->parallel_context().governor,
+                                  scope.get()));
       RETURN_IF_ERROR(ChargePRelation(engine, out));
       return out;
     }
 
     // An operator region above at least one prefer: materialize the
-    // region's prefer-subtrees (concurrently when the parallel context
-    // allows — they are independent and share only the catalog), clone the
+    // region's prefer-subtrees, clone the
     // maximal non-prefer region rooted here with each prefer-subtree
     // replaced by a scan of a freshly registered temporary table, delegate
     // the region to the engine as a single query, then recombine the
@@ -569,46 +510,18 @@ class GBUStrategy final : public Strategy {
     }
   }
 
-  // Materializes the region's prefer-subtrees, in plan order. A serial
-  // context evaluates them left to right into the shared counters — the
-  // exact pre-parallel order. A parallel context evaluates them as
-  // independent tasks, each into its own ExecStats, merged into `stats` in
-  // plan order at the join point; errors likewise surface in plan order,
-  // and task spans are adopted in the same order (the "region
-  // materialization" phase of the trace).
+  // Materializes the region's prefer-subtrees, in plan order, into the
+  // shared counters (the "region materialization" phase of the trace).
   StatusOr<std::vector<PRelation>> EvalPreferSubtrees(
       const std::vector<const PlanNode*>& roots, const AggregateFunction& agg,
       Engine* engine, ExecStats* stats, obs::Span* span) {
     obs::SpanScope phase(span, "MaterializeRegionInputs");
     std::vector<PRelation> results;
     results.reserve(roots.size());
-    const ParallelContext& ctx = engine->parallel_context();
-    if (ctx.IsSerial() || roots.size() < 2) {
-      for (const PlanNode* root : roots) {
-        ASSIGN_OR_RETURN(PRelation sub,
-                         Eval(*root, agg, engine, stats, phase.get()));
-        results.push_back(std::move(sub));
-      }
-      return results;
-    }
-    std::vector<std::optional<StatusOr<PRelation>>> partials(roots.size());
-    std::vector<ExecStats> partial_stats(roots.size());
-    std::vector<obs::SpanPtr> holders = MakeTaskSpans(phase.get(), roots.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(roots.size());
-    for (size_t i = 0; i < roots.size(); ++i) {
-      tasks.push_back([this, &roots, &agg, engine, &partials, &partial_stats,
-                       &holders, i] {
-        partials[i] = Eval(*roots[i], agg, engine, &partial_stats[i],
-                           holders[i].get());
-      });
-    }
-    ParallelInvoke(ctx, tasks);
-    stats->MergeAll(partial_stats);
-    AdoptTaskSpans(phase.get(), &holders);
-    for (std::optional<StatusOr<PRelation>>& partial : partials) {
-      RETURN_IF_ERROR(partial->status());
-      results.push_back(std::move(**partial));
+    for (const PlanNode* root : roots) {
+      ASSIGN_OR_RETURN(PRelation sub,
+                       Eval(*root, agg, engine, stats, phase.get()));
+      results.push_back(std::move(sub));
     }
     return results;
   }
@@ -667,8 +580,8 @@ class GBUStrategy final : public Strategy {
     obs::SpanScope scope(span, "RegisterTemp");
     obs::SetRowsIn(scope.get(), sub.NumRows());
     // Temp names come from a process-wide counter: concurrent GBU
-    // executions against one engine (and concurrent subtree tasks within
-    // one execution) must never collide in the shared catalog.
+    // executions against one engine must never collide in the shared
+    // catalog.
     static std::atomic<uint64_t> temp_counter{0};
     std::string name =
         StrFormat("__gbu_tmp_%llu",

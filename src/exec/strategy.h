@@ -66,10 +66,11 @@ class Strategy {
   /// When `span` is non-null the strategy records its execution as a
   /// hierarchical trace under it: one child span per plan operator /
   /// strategy phase / delegated engine query, with wall time, cardinalities
-  /// and score-relation writes. Parallel regions build each task's subtree
-  /// detached and adopt them at the join point in plan (or morsel) order,
-  /// so the assembled tree is deterministic for a fixed ParallelContext. A
-  /// null span (the default) keeps tracing entirely off the hot paths.
+  /// and score-relation writes. A batch of concurrent delegated queries
+  /// builds each query's spans detached and adopts them at the join point
+  /// in plan order, so the assembled tree is the same at every thread
+  /// count. A null span (the default) keeps tracing entirely off the hot
+  /// paths.
   virtual StatusOr<PRelation> ExecuteWithStats(const PlanNode& plan,
                                                const AggregateFunction& agg,
                                                Engine* engine, ExecStats* stats,

@@ -37,7 +37,7 @@ struct ColumnInput {
 /// A candidate is a tuple of row ids, one per stream: candidate t reads
 /// row streams[s][t] of the columns of stream s. A filter over a view has
 /// one stream per view input; a join residual one per input of either
-/// side. Select is const and keeps no state, so morsels share one program.
+/// side. Select is const and keeps no state.
 class CompiledPredicate {
  public:
   /// Candidates per Select call, at most.

@@ -64,7 +64,7 @@ double Histogram::QuantileUpperBound(double quantile) const {
 }
 
 std::vector<double> Histogram::DefaultLatencyBucketsMicros() {
-  // 10us .. 100s, half-decade steps: wide enough for a morsel dispatch and
+  // 10us .. 100s, half-decade steps: wide enough for a single operator and
   // a full workload query alike.
   std::vector<double> bounds;
   for (double b = 10.0; b <= 1e8; b *= std::sqrt(10.0)) {

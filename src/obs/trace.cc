@@ -99,15 +99,6 @@ double ChromeDuration(const Span& span, bool include_timing) {
   return total;
 }
 
-/// Scheduling annotations ("morsels=6 slots=6") describe how a run was
-/// scheduled, not what it computed: they vary with the ParallelContext's
-/// thread count. The untimed Chrome export is the determinism contract
-/// (byte-identical across thread counts at TraceLevel::kOperator), so it
-/// drops them; data-dependent details ("table=MOVIES", "hash") stay.
-bool IsSchedulingDetail(const std::string& detail) {
-  return detail.compare(0, 8, "morsels=") == 0;
-}
-
 void AppendChromeEvents(const Span& span, bool include_timing, double ts,
                         bool* first, std::string* out) {
   double dur = ChromeDuration(span, include_timing);
@@ -118,8 +109,7 @@ void AppendChromeEvents(const Span& span, bool include_timing, double ts,
       "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": 1",
       JsonEscape(span.name).c_str(), ts, dur);
   std::string args;
-  if (!span.detail.empty() &&
-      (include_timing || !IsSchedulingDetail(span.detail))) {
+  if (!span.detail.empty()) {
     args += "\"detail\": \"" + JsonEscape(span.detail) + "\"";
   }
   if (span.rows_in != Span::kUnset) {

@@ -15,32 +15,17 @@ namespace obs {
 struct Span;
 using SpanPtr = std::unique_ptr<Span>;
 
-/// How much of the execution a trace records.
-///
-///   kOperator — one span per operator / strategy phase / delegated query
-///     (the PR 4 default). Span trees are identical at every thread count.
-///   kMorsel — additionally one span per morsel inside every parallel
-///     region ("morsel[i]" with the row range and per-morsel wall time),
-///     adopted in morsel-index order at the join point. The *set* of morsel
-///     spans is a pure function of (row count, ParallelContext), so the
-///     untimed rendering stays deterministic for a fixed context; at
-///     threads=1 the region records its single covering morsel and remains
-///     byte-identical run to run.
-enum class TraceLevel {
-  kOperator,
-  kMorsel,
-};
-
 /// One node of a query trace: a named region of execution (a plan operator,
 /// a strategy phase, a delegated engine query) with wall time, cardinality
 /// and score-relation telemetry, plus child spans.
 ///
-/// Ownership and threading discipline mirror ExecStats: a span is never
-/// written from two threads. A parallel region gives every task a detached
-/// root (Detached()) and the owner adopts the task roots *at the join
-/// point, in task order* (Adopt()), so for a fixed ParallelContext the
-/// assembled tree — names, nesting, cardinalities — is identical run to
-/// run, and at threads=1 it is the exact serial tree.
+/// One span per operator, strategy phase and delegated query. Ownership and
+/// threading discipline mirror ExecStats: a span is never written from two
+/// threads. A batch of concurrent delegated queries gives every query a
+/// detached root (Detached()) and the owner adopts the roots' children *at
+/// the join point, in query order* (Adopt()), so the assembled tree —
+/// names, nesting, cardinalities, details — is identical run to run and at
+/// every thread count.
 ///
 /// Tracing is disabled by passing null spans: every helper below (and every
 /// annotation site in the executors) no-ops on nullptr, so the disabled
@@ -49,21 +34,21 @@ struct Span {
   static constexpr size_t kUnset = static_cast<size_t>(-1);
 
   std::string name;    // e.g. "Prefer[p1]", "EngineQuery", "strategy[GBU]".
-  std::string detail;  // Optional annotation, e.g. "morsels=8 slots=4".
+  std::string detail;  // Optional annotation, e.g. "table=MOVIES index".
   double micros = 0.0;
   size_t rows_in = kUnset;
   size_t rows_out = kUnset;
   size_t score_entries = kUnset;  // Score-relation writes attributed here.
   std::vector<SpanPtr> children;
 
-  /// Creates an unattached span (a trace root, or a parallel task's root).
+  /// Creates an unattached span (a trace root, or a concurrent task's root).
   static SpanPtr Detached(std::string_view name);
 
   /// Appends a child and returns it (single-threaded on this span).
   Span* AddChild(std::string_view name);
 
   /// Splices `child` in as the next child — the join-point adoption of a
-  /// parallel task's detached span. No-op on nullptr children.
+  /// concurrent task's spans. No-op on nullptr children.
   void Adopt(SpanPtr child);
 
   /// Sum of `micros` over this span's direct children.
@@ -71,14 +56,14 @@ struct Span {
 
   /// Time spent in this span outside its direct children: micros minus
   /// ChildMicros(), so self plus the children's time is the span's time.
-  /// Negative when children overlap (concurrent subtrees).
+  /// Negative when children overlap (concurrent delegated queries).
   double SelfMicros() const { return micros - ChildMicros(); }
 
   /// Multi-line indented rendering:
   ///   Prefer[p1]  (time=1.203ms self=0.911ms rows=1000 -> 1000 score_entries=412)
   /// `include_timing=false` drops the wall-clock figures (time and self) — that rendering
   /// is the determinism contract checked by the tests (byte-identical
-  /// across runs for a fixed ParallelContext at threads=1).
+  /// across runs and thread counts).
   std::string ToString(bool include_timing = true, int indent = 0) const;
 
   /// JSON object {"name": ..., "micros": ..., "self_micros": ...,
@@ -96,11 +81,9 @@ struct Span {
   /// "args". With `include_timing=true` durations are the measured span
   /// micros (what you profile with). With `include_timing=false` durations
   /// are *structural*: every leaf is 1us and every parent the sum of its
-  /// children, and scheduling annotations ("morsels=N slots=S", which vary
-  /// with the ParallelContext's thread count) are dropped from "args" —
-  /// the rendering is then a pure function of the operator tree, so at
-  /// TraceLevel::kOperator it is byte-identical across runs *and* thread
-  /// counts, while still loading in Perfetto.
+  /// children — the rendering is then a pure function of the operator
+  /// tree, byte-identical across runs *and* thread counts, while still
+  /// loading in Perfetto.
   std::string ToChromeTrace(bool include_timing = true) const;
 };
 
@@ -140,8 +123,7 @@ class SpanScope {
 /// whose name starts with `prefix`. Pre-order matches the deterministic
 /// adoption order, so for a fixed query the result sequence is stable. The
 /// equivalence tests use this to compare the native-operator subtrees
-/// across thread counts while ignoring strategy-level spans whose details
-/// (morsel counts) legitimately vary with scheduling.
+/// across thread counts.
 std::vector<const Span*> FindSpans(const Span& root, std::string_view prefix);
 
 /// Annotation helpers; all no-op on null spans.

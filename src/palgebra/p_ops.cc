@@ -8,7 +8,6 @@
 
 #include "common/string_util.h"
 #include "expr/compiled_predicate.h"
-#include "parallel/morsel.h"
 #include "plan/plan.h"
 #include "storage/table.h"
 
@@ -16,19 +15,13 @@ namespace prefdb {
 
 namespace {
 
-// Annotates the caller-provided span with an operator's cardinalities and
-// (when the operator actually split into morsels) its parallel shape. The
+// Annotates the caller-provided span with an operator's cardinalities. The
 // span's wall time is owned by the caller: strategies wrap each operator
 // call in a SpanScope, so a null span here costs only this pointer test.
-void AnnotateSpan(obs::Span* span, size_t rows_in, size_t rows_out,
-                  const MorselPlan* plan = nullptr) {
+void AnnotateSpan(obs::Span* span, size_t rows_in, size_t rows_out) {
   if (span == nullptr) return;
   span->rows_in = rows_in;
   span->rows_out = rows_out;
-  if (plan != nullptr && !plan->serial()) {
-    span->detail = StrFormat("morsels=%zu slots=%zu", plan->morsel_count(),
-                             plan->slots());
-  }
 }
 
 // Appends the pairs of rows `positions` of `input` to `out`: the score
@@ -69,12 +62,11 @@ Status CheckAligned(const PRelation& p) {
 // receives the matched rows.
 StatusOr<RowView> JoinViews(const Expr& predicate, const PRelation& left,
                             const PRelation& right, bool semi,
-                            const MorselPlan& plan,
-                            const ParallelContext* parallel,
+                            const QueryGovernor* governor,
                             JoinPositions* positions) {
   RETURN_IF_ERROR(CheckAligned(left));
   RETURN_IF_ERROR(CheckAligned(right));
-  RETURN_IF_ERROR(GovernorCheck(parallel));
+  RETURN_IF_ERROR(GovernorCheck(governor));
   ExprPtr bound = predicate.Clone();
   RETURN_IF_ERROR(bound->Bind(left.schema().Concat(right.schema())));
   ASSIGN_OR_RETURN(std::optional<EquiKeys> keys,
@@ -88,18 +80,17 @@ StatusOr<RowView> JoinViews(const Expr& predicate, const PRelation& left,
                       : &r.base_table->EnsureIndex(r.columns[keys->right].column));
   }
   return JoinRows(left.view, right.view, *bound, semi,
-                  build.has_value() ? &*build : nullptr, plan, parallel,
-                  nullptr, positions);
+                  build.has_value() ? &*build : nullptr, governor, positions);
 }
 
 // ∪_F, ∩_F and − over the set kernel: a row present on both sides combines
 // the two pairs with `agg` (never the case for −, which needs no `agg`).
 StatusOr<PRelation> SetOp(PlanKind kind, const PRelation& left,
                           const PRelation& right, const AggregateFunction* agg,
-                          ExecStats* stats, const ParallelContext* parallel,
+                          ExecStats* stats, const QueryGovernor* governor,
                           obs::Span* span) {
   ++stats->operator_invocations;
-  RETURN_IF_ERROR(GovernorCheck(parallel));
+  RETURN_IF_ERROR(GovernorCheck(governor));
   RETURN_IF_ERROR(CheckAligned(left));
   RETURN_IF_ERROR(CheckAligned(right));
   if (left.schema().size() != right.schema().size()) {
@@ -108,10 +99,8 @@ StatusOr<PRelation> SetOp(PlanKind kind, const PRelation& left,
   if (left.key_columns() != right.key_columns()) {
     return Status::InvalidArgument("set operation inputs differ in keys");
   }
-  MorselPlan plan = MorselPlan::Make(left.NumRows(), parallel);
   ASSIGN_OR_RETURN(std::vector<SetMatch> matches,
-                   MatchSetOp(kind, left.view, right.view, plan, parallel,
-                              nullptr));
+                   MatchSetOp(kind, left.view, right.view, governor));
   PRelation out;
   out.view = SetOpView(left.view, right.view, matches);
   out.pairs.reserve(matches.size());
@@ -123,7 +112,7 @@ StatusOr<PRelation> SetOp(PlanKind kind, const PRelation& left,
     out.pairs.push_back(pair);
   }
   stats->tuples_materialized += out.NumRows();
-  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows(), &plan);
+  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows());
   return out;
 }
 
@@ -139,17 +128,16 @@ StatusOr<ViewPreference> ViewPreference::Bind(const Preference& pref,
 }
 
 StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
-                            ExecStats* stats, const ParallelContext* parallel,
+                            ExecStats* stats, const QueryGovernor* governor,
                             obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  RETURN_IF_ERROR(GovernorCheck(parallel));
+  RETURN_IF_ERROR(GovernorCheck(governor));
   ExprPtr bound = predicate.Clone();
   RETURN_IF_ERROR(bound->Bind(input.schema()));
-  MorselPlan plan = MorselPlan::Make(input.NumRows(), parallel);
-  PRelation out = KeepRows(
-      input, FilterRows(input.view, *bound, plan, parallel, nullptr), stats);
-  AnnotateSpan(span, input.NumRows(), out.NumRows(), &plan);
+  PRelation out =
+      KeepRows(input, FilterRows(input.view, *bound, governor), stats);
+  AnnotateSpan(span, input.NumRows(), out.NumRows());
   return out;
 }
 
@@ -169,14 +157,13 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
 
 StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           const PRelation& right, const AggregateFunction& agg,
-                          ExecStats* stats, const ParallelContext* parallel,
+                          ExecStats* stats, const QueryGovernor* governor,
                           obs::Span* span) {
   ++stats->operator_invocations;
-  MorselPlan plan = MorselPlan::Make(left.NumRows(), parallel);
   JoinPositions matched;
   PRelation out;
   ASSIGN_OR_RETURN(out.view, JoinViews(predicate, left, right, /*semi=*/false,
-                                       plan, parallel, &matched));
+                                       governor, &matched));
   // Score combination: each joined row folds its two input rows' pairs.
   out.pairs.reserve(matched.left.size());
   for (size_t k = 0; k < matched.left.size(); ++k) {
@@ -186,54 +173,49 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
     out.pairs.push_back(pair);
   }
   stats->tuples_materialized += out.NumRows();
-  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows(), &plan);
+  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows());
   return out;
 }
 
 StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const PRelation& right, ExecStats* stats,
-                              const ParallelContext* parallel,
+                              const QueryGovernor* governor,
                               obs::Span* span) {
   ++stats->operator_invocations;
-  MorselPlan plan = MorselPlan::Make(left.NumRows(), parallel);
   JoinPositions matched;
   PRelation out;
   ASSIGN_OR_RETURN(out.view, JoinViews(predicate, left, right, /*semi=*/true,
-                                       plan, parallel, &matched));
+                                       governor, &matched));
   stats->tuples_materialized += out.NumRows();
   CarryScores(left, matched.left, &out, stats);
-  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows(), &plan);
+  AnnotateSpan(span, left.NumRows() + right.NumRows(), out.NumRows());
   return out;
 }
 
 StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
                            const AggregateFunction& agg, ExecStats* stats,
-                           const ParallelContext* parallel, obs::Span* span) {
-  return SetOp(PlanKind::kUnion, left, right, &agg, stats, parallel, span);
+                           const QueryGovernor* governor, obs::Span* span) {
+  return SetOp(PlanKind::kUnion, left, right, &agg, stats, governor, span);
 }
 
 StatusOr<PRelation> PIntersect(const PRelation& left, const PRelation& right,
                                const AggregateFunction& agg, ExecStats* stats,
-                               const ParallelContext* parallel,
+                               const QueryGovernor* governor,
                                obs::Span* span) {
-  return SetOp(PlanKind::kIntersect, left, right, &agg, stats, parallel, span);
+  return SetOp(PlanKind::kIntersect, left, right, &agg, stats, governor, span);
 }
 
 StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
-                          ExecStats* stats, const ParallelContext* parallel,
+                          ExecStats* stats, const QueryGovernor* governor,
                           obs::Span* span) {
-  return SetOp(PlanKind::kExcept, left, right, nullptr, stats, parallel, span);
+  return SetOp(PlanKind::kExcept, left, right, nullptr, stats, governor, span);
 }
 
 StatusOr<PRelation> PDistinct(const PRelation& input, ExecStats* stats,
                               obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  PRelation out = KeepRows(
-      input,
-      DistinctRows(input.view, MorselPlan::Make(input.NumRows(), nullptr),
-                   nullptr, nullptr),
-      stats);
+  PRelation out = KeepRows(input, DistinctRows(input.view, nullptr), stats);
   AnnotateSpan(span, input.NumRows(), out.NumRows());
   return out;
 }
@@ -267,11 +249,11 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
 StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,
-                               const ParallelContext* parallel,
+                               const QueryGovernor* governor,
                                obs::Span* span) {
   ++stats->operator_invocations;
   RETURN_IF_ERROR(CheckAligned(input));
-  RETURN_IF_ERROR(GovernorCheck(parallel));
+  RETURN_IF_ERROR(GovernorCheck(governor));
   PRelation out = std::move(input);
   const RowView& view = out.view;
   ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, view));
@@ -297,50 +279,42 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
     stats->rows_scanned += member->NumRows();
   }
 
-  // The scoring pass is tuple-local: each morsel folds its rows'
-  // contributions into their own pairs, in place. Writes are disjoint, so
-  // no partials are merged; the condition, scoring function and member
-  // index are immutable after binding and shared by all slots.
+  // The scoring pass is tuple-local: each matching row folds its
+  // contribution into its own pair, in place.
   const size_t n = view.NumRows();
-  MorselPlan plan = MorselPlan::Make(n, parallel);
-  std::vector<size_t> contributions(plan.morsel_count(), 0);
-  ParallelFor(plan, [&](size_t, const Morsel& m) {
-    GovernorCheckpoint(parallel);
-    // threads=1 runs one covering morsel, so per-morsel checkpoints never
-    // fire mid-loop; the ticker bounds cancellation latency by rows instead,
-    // checking once per batch of input rows.
-    GovernorTicker ticker(parallel == nullptr ? nullptr : parallel->governor,
-                          /*period=*/1);
-    ScratchRow scratch = bound.MakeScratch();
-    std::vector<uint32_t> matching;
-    for (size_t begin = m.begin; begin < m.end;
-         begin += CompiledPredicate::kBatch) {
-      ticker.Tick();
-      matching.clear();
-      bound.Matching(begin, std::min(m.end, begin + CompiledPredicate::kBatch),
-                     &matching);
-      for (uint32_t i : matching) {
-        if (member_index != nullptr) {
-          // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
-          // NULL local key has no member, even when the member relation
-          // holds a NULL key.
-          const ValueView key = view.View(i, local_col);
-          if (key.is_null() || member_index->Lookup(key).empty()) {
-            continue;  // Membership not satisfied: tuple unaffected.
-          }
+  GovernorCheckpoint(governor);
+  // The ticker bounds cancellation latency by rows, checking once per batch
+  // of input rows.
+  GovernorTicker ticker(governor, /*period=*/1);
+  ScratchRow scratch = bound.MakeScratch();
+  std::vector<uint32_t> matching;
+  size_t contributions = 0;
+  for (size_t begin = 0; begin < n; begin += CompiledPredicate::kBatch) {
+    ticker.Tick();
+    matching.clear();
+    bound.Matching(begin, std::min(n, begin + CompiledPredicate::kBatch),
+                   &matching);
+    for (uint32_t i : matching) {
+      if (member_index != nullptr) {
+        // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
+        // NULL local key has no member, even when the member relation
+        // holds a NULL key.
+        const ValueView key = view.View(i, local_col);
+        if (key.is_null() || member_index->Lookup(key).empty()) {
+          continue;  // Membership not satisfied: tuple unaffected.
         }
-        // S(r) = ⊥ contributes nothing.
-        std::optional<double> score = bound.Score(i, &scratch);
-        if (!score.has_value()) continue;
-        out.pairs[i] = CombineCounted(
-            agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
-        ++contributions[m.index];
       }
+      // S(r) = ⊥ contributes nothing.
+      std::optional<double> score = bound.Score(i, &scratch);
+      if (!score.has_value()) continue;
+      out.pairs[i] = CombineCounted(
+          agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
+      ++contributions;
     }
-  });
-  for (size_t count : contributions) stats->score_entries_written += count;
+  }
+  stats->score_entries_written += contributions;
   stats->tuples_materialized += n;
-  AnnotateSpan(span, n, n, &plan);
+  AnnotateSpan(span, n, n);
   return out;
 }
 

@@ -1,10 +1,10 @@
 #ifndef PREFDB_PALGEBRA_P_OPS_H_
 #define PREFDB_PALGEBRA_P_OPS_H_
 
+#include "common/governor.h"
 #include "engine/exec_stats.h"
 #include "obs/trace.h"
 #include "palgebra/p_relation.h"
-#include "parallel/parallel_context.h"
 #include "plan/plan.h"
 #include "prefs/agg_func.h"
 #include "prefs/preference.h"
@@ -31,26 +31,21 @@ namespace prefdb {
 /// ExecStats only: the native executor's pref.native.* counters are its
 /// own.
 ///
-/// Operators with a per-tuple hot loop — selection, prefer, the join probe
-/// phase and the set operations' membership checks — accept an optional
-/// ParallelContext and split the input into morsels (MorselPlan). A serial
-/// plan (nullptr, a serial context, or a small input) runs the kernel once
-/// over a single covering morsel on the calling thread, a parallel plan
-/// runs it concurrently. Per-morsel results are merged in morsel order, so
-/// rows, row order, pairs and ExecStats are bit-identical at every thread
-/// count.
+/// Operators with a per-tuple hot loop — selection, prefer, the joins and
+/// the set operations — accept an optional governor, checked on entry and
+/// by the kernel (null means ungoverned). Every operator runs one serial
+/// body on the calling thread.
 ///
 /// Every operator also accepts an optional trace span (obs/trace.h). When
-/// non-null, the operator annotates it with input/output cardinalities and
-/// its morsel shape; the caller owns the span's timing (strategies wrap
-/// each operator call in a SpanScope). A null span costs one pointer test.
+/// non-null, the operator annotates it with input/output cardinalities;
+/// the caller owns the span's timing (strategies wrap each operator call in
+/// a SpanScope). A null span costs one pointer test.
 
 /// σ_φ over a p-relation: hard boolean filter; surviving tuples keep their
-/// pairs. Morsels collect the surviving row indices, concatenated in morsel
-/// order, so the input row order is preserved exactly.
+/// pairs, in input row order.
 StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
                             ExecStats* stats,
-                            const ParallelContext* parallel = nullptr,
+                            const QueryGovernor* governor = nullptr,
                             obs::Span* span = nullptr);
 
 /// π over a p-relation: projects columns, implicitly preserving the key
@@ -67,11 +62,11 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
 /// (BU's Prefer(Scan)) probes the table's persistent index
 /// (Table::EnsureIndex); any other right input gets a per-call JoinTable.
 /// Both list each key's right rows in order, and NULL left keys never
-/// match (`NULL = x` is never true). The probe side is morselized.
+/// match (`NULL = x` is never true).
 StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           const PRelation& right, const AggregateFunction& agg,
                           ExecStats* stats,
-                          const ParallelContext* parallel = nullptr,
+                          const QueryGovernor* governor = nullptr,
                           obs::Span* span = nullptr);
 
 /// Left semijoin ⋉_φ: keeps left tuples with at least one match; left pairs
@@ -79,30 +74,28 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
 /// probes like PJoin.
 StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const PRelation& right, ExecStats* stats,
-                              const ParallelContext* parallel = nullptr,
+                              const QueryGovernor* governor = nullptr,
                               obs::Span* span = nullptr);
 
 /// Set union ∪_F with duplicate elimination (first occurrence wins); pairs
 /// of tuples present in both inputs are combined with `F`. The set kernel
 /// (MatchSetOp) reports, per output row, the position of the equal row on
-/// the other side — and with it that row's pair. The left side's probes
-/// against the right side run in morsels.
+/// the other side — and with it that row's pair.
 StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
                            const AggregateFunction& agg, ExecStats* stats,
-                           const ParallelContext* parallel = nullptr,
+                           const QueryGovernor* governor = nullptr,
                            obs::Span* span = nullptr);
 
-/// Set intersection ∩_F; pairs combined with `F`. Parallelizes like PUnion.
+/// Set intersection ∩_F; pairs combined with `F`.
 StatusOr<PRelation> PIntersect(const PRelation& left, const PRelation& right,
                                const AggregateFunction& agg, ExecStats* stats,
-                               const ParallelContext* parallel = nullptr,
+                               const QueryGovernor* governor = nullptr,
                                obs::Span* span = nullptr);
 
 /// Set difference: tuples of `left` not in `right`, keeping left pairs.
-/// Parallelizes like PUnion.
 StatusOr<PRelation> PDiff(const PRelation& left, const PRelation& right,
                           ExecStats* stats,
-                          const ParallelContext* parallel = nullptr,
+                          const QueryGovernor* governor = nullptr,
                           obs::Span* span = nullptr);
 
 /// Duplicate elimination over a p-relation: each distinct tuple keeps the
@@ -137,8 +130,8 @@ class ViewPreference {
     condition_.Select(begin, end, out);
   }
 
-  /// A scratch row for one thread's calls to Score (it loads only the
-  /// columns the scoring expression reads).
+  /// A scratch row for calls to Score (it loads only the columns the
+  /// scoring expression reads).
   ScratchRow MakeScratch() const {
     return ScratchRow(view_->schema, scoring_.expr());
   }
@@ -176,16 +169,13 @@ class ViewPreference {
 /// The member relation still counts as scanned in `stats->rows_scanned`.
 ///
 /// Takes its input by value (callers move it in) and updates `pairs[i]` in
-/// place; the view passes through untouched. Each morsel runs the compiled
+/// place; the view passes through untouched. The pass runs the compiled
 /// condition over the view's columns a batch at a time, then scores the
-/// matching rows (ViewPreference). The prefer operator is a tuple-local
-/// scoring pass, so morsels write disjoint pairs:
-/// there are no per-morsel partials to merge, and the result is
-/// bit-identical at every thread count.
+/// matching rows (ViewPreference); `governor` ticks once per batch.
 StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,
-                               const ParallelContext* parallel = nullptr,
+                               const QueryGovernor* governor = nullptr,
                                obs::Span* span = nullptr);
 
 }  // namespace prefdb

@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/string_util.h"
-
 namespace prefdb {
 
 size_t ParallelContext::ResolvedThreads() const {
   if (threads != 0) return threads;
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-std::string ParallelContext::ToString() const {
-  return StrFormat("threads=%zu morsel_size=%zu min_parallel_rows=%zu",
-                   ResolvedThreads(), morsel_size, min_parallel_rows);
 }
 
 }  // namespace prefdb

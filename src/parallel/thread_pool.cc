@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/string_util.h"
@@ -194,5 +195,35 @@ void TaskGroup::Wait() {
 }
 
 void TaskGroup::WaitNoThrow() { HelpUntilDone(); }
+
+void ParallelInvoke(const ParallelContext& ctx,
+                    const std::vector<std::function<void()>>& fns) {
+  // Each function's exception lands in its own slot, so a failure neither
+  // stops the batch nor races another one.
+  std::vector<std::exception_ptr> errors(fns.size());
+  std::atomic<size_t> cursor{0};
+  auto drain = [&fns, &errors, &cursor] {
+    size_t i;
+    while ((i = cursor.fetch_add(1, std::memory_order_relaxed)) < fns.size()) {
+      try {
+        fns[i]();
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const size_t workers = std::min(ctx.ResolvedThreads(), fns.size());
+  if (workers <= 1) {
+    drain();
+  } else {
+    TaskGroup group(&ThreadPool::Shared());
+    for (size_t w = 1; w < workers; ++w) group.Run(drain);
+    drain();  // The caller works too.
+    group.Wait();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
 
 }  // namespace prefdb

@@ -7,11 +7,13 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "parallel/parallel_context.h"
 
 namespace prefdb {
 
@@ -73,13 +75,13 @@ class ThreadPool {
   /// Pops one queued task (any queue) and runs it on the calling thread.
   /// Returns false without blocking when every queue is empty. This is the
   /// "helping" half of TaskGroup::Wait: a thread blocked on a join drains
-  /// queued work instead of sleeping, so nested parallel regions (a task
+  /// queued work instead of sleeping, so nested fork/join regions (a task
   /// that itself spawns and joins a group) cannot deadlock even when every
   /// pool worker is parked in a Wait of its own. Not counted as a steal.
   bool TryRunOneTask();
 
   /// The process-wide pool, created on first use and sized to the hardware
-  /// concurrency. Parallel operators cap their concurrency with
+  /// concurrency. ParallelInvoke caps its concurrency with
   /// ParallelContext::threads, so a single shared pool serves every
   /// session without oversubscribing the machine.
   static ThreadPool& Shared();
@@ -124,9 +126,9 @@ class ThreadPool {
 /// empty — at which point all remaining pending tasks are actively running
 /// on other threads. Since a group's tasks are enqueued only by its owner
 /// before it joins, wait-for edges follow the spawn tree and the leaf-most
-/// running tasks always make progress, so nested fork/join regions (plan
-/// subtrees that spawn their own groups, morsel loops inside subtree
-/// tasks) are deadlock-free at any pool size.
+/// running tasks always make progress, so nested fork/join regions (a task
+/// that spawns and joins a group of its own) are deadlock-free at any pool
+/// size.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
@@ -155,6 +157,22 @@ class TaskGroup {
   size_t pending_ PREFDB_GUARDED_BY(mu_) = 0;
   std::exception_ptr error_ PREFDB_GUARDED_BY(mu_);
 };
+
+/// Runs every function in `fns` exactly once, with up to
+/// `ctx.ResolvedThreads()` concurrent workers: the plug-in strategies'
+/// batches of independent delegated queries.
+///
+/// A serial context, or fewer than two functions, runs everything in index
+/// order on the calling thread. Otherwise `workers - 1` tasks go to the
+/// shared pool and the calling thread works too; all workers claim function
+/// indices from a shared atomic cursor, so the caller alone can drain the
+/// batch if the pool is saturated. Functions must be safe to run
+/// concurrently with each other and must communicate results through their
+/// own slots (e.g. a pre-sized vector of optionals). A function that throws
+/// does not stop the others: once all have finished, the exception of the
+/// lowest-indexed function that threw is rethrown here.
+void ParallelInvoke(const ParallelContext& ctx,
+                    const std::vector<std::function<void()>>& fns);
 
 }  // namespace prefdb
 

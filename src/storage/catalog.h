@@ -19,8 +19,8 @@ namespace prefdb {
 /// PostgreSQL.
 ///
 /// The table map is internally synchronized: lookups during execution can
-/// run concurrently with the temporary-table registration/drop the GBU
-/// strategy performs from parallel plan-subtree tasks. Table *contents*
+/// run concurrently with the temporary-table registration/drop of GBU
+/// executions in other sessions against the same engine. Table *contents*
 /// are immutable after creation (lazy index/statistics builds are guarded
 /// inside Table). Tables are held by shared_ptr: a reader that pinned a
 /// table (PinTable — every row-id view over it does) keeps it alive after

@@ -232,9 +232,8 @@ TEST_F(ExecutorTest, StatsCountMaterializedTuples) {
 }
 
 // ---------------------------------------------------------------------------
-// Row-id join and view edge cases. Every plan runs at threads {1, 2, 8} with
-// one-row morsels, so each morsel path splits; all runs must agree exactly
-// (rows, order, counters, timing-free trace) and match the expected rows.
+// Row-id join and view edge cases. Every plan runs traced; each result must
+// be well formed and match the expected rows.
 
 class RowIdEdgeTest : public ::testing::Test {
  protected:
@@ -269,43 +268,19 @@ class RowIdEdgeTest : public ::testing::Test {
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 
-  // Runs `plan` at threads {1, 2, 8}, checks that every run agrees with the
-  // serial one, and returns the serial result.
-  Relation RunAll(const PlanPtr& plan) {
-    Relation serial;
-    ExecStats serial_stats;
-    std::string serial_trace;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      ParallelContext ctx;
-      ctx.threads = threads;
-      ctx.morsel_size = 1;
-      ctx.min_parallel_rows = 1;
-      obs::SpanPtr root = obs::Span::Detached("root");
-      NativeExecOptions options;
-      options.parallel = &ctx;
-      options.span = root.get();
-      ExecStats stats;
-      auto view = ExecutePlan(*plan, &catalog_, &stats, options);
-      EXPECT_TRUE(view.ok()) << view.status().ToString();
-      if (!view.ok()) return Relation();
-      StatusOr<Relation> result = view->Gather();
-      EXPECT_TRUE(result->CheckWellFormed().ok());
-      std::string trace = root->ToString(/*include_timing=*/false);
-      if (threads == 1) {
-        serial = std::move(*result);
-        serial_stats = stats;
-        serial_trace = trace;
-        continue;
-      }
-      EXPECT_EQ(result->schema(), serial.schema());
-      EXPECT_EQ(result->key_columns(), serial.key_columns());
-      EXPECT_EQ(result->rows(), serial.rows()) << "threads=" << threads;
-      EXPECT_EQ(stats.tuples_materialized, serial_stats.tuples_materialized);
-      EXPECT_EQ(stats.rows_scanned, serial_stats.rows_scanned);
-      EXPECT_EQ(trace, serial_trace) << "threads=" << threads;
-    }
-    last_trace_ = serial_trace;
-    return serial;
+  // Runs `plan` traced, keeping the timing-free trace in last_trace_.
+  Relation Run(const PlanPtr& plan) {
+    obs::SpanPtr root = obs::Span::Detached("root");
+    NativeExecOptions options;
+    options.span = root.get();
+    ExecStats stats;
+    auto view = ExecutePlan(*plan, &catalog_, &stats, options);
+    EXPECT_TRUE(view.ok()) << view.status().ToString();
+    if (!view.ok()) return Relation();
+    StatusOr<Relation> result = view->Gather();
+    EXPECT_TRUE(result->CheckWellFormed().ok());
+    last_trace_ = root->ToString(/*include_timing=*/false);
+    return std::move(*result);
   }
 
   // (first column, column `c`) of every row: e.g. (L.id, R.rid) pairs.
@@ -325,7 +300,7 @@ class RowIdEdgeTest : public ::testing::Test {
 };
 
 TEST_F(RowIdEdgeTest, NullKeysNeverMatchAndIntMatchesDoubleAndNanMatchesNan) {
-  Relation rel = RunAll(KeyJoin());
+  Relation rel = Run(KeyJoin());
   // L2's NULL key matches nothing (not even R2's NULL); Int(2) and
   // Double(2.0) are one key; NaN equals NaN under Value's total order;
   // each probe row's matches come in build insertion order.
@@ -354,22 +329,22 @@ void AddTemporaryViewOfR(Catalog* catalog, const std::string& name) {
 }
 
 TEST_F(RowIdEdgeTest, IndexServedJoinMatchesPerQueryBuild) {
-  Relation indexed = RunAll(KeyJoin());
+  Relation indexed = Run(KeyJoin());
   ASSERT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos);
   // A temporary table, a filtered scan and a join output as build sides all
   // take the per-query build, with the same rows in the same order.
   AddTemporaryViewOfR(&catalog_, "__gbu_tmp_r");
-  Relation temp = RunAll(plan::Join(KeyEq(), plan::Scan("L"), plan::Scan("__gbu_tmp_r")));
+  Relation temp = Run(plan::Join(KeyEq(), plan::Scan("L"), plan::Scan("__gbu_tmp_r")));
   EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
       << last_trace_;
   EXPECT_EQ(temp.rows(), indexed.rows());
-  Relation filtered = RunAll(plan::Join(
+  Relation filtered = Run(plan::Join(
       KeyEq(), plan::Scan("L"),
       plan::Select(Ge(Col("rid"), Lit(int64_t{0})), plan::Scan("R"))));
   EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5)"), std::string::npos)
       << last_trace_;
   EXPECT_EQ(filtered.rows(), indexed.rows());
-  Relation nested = RunAll(plan::Join(
+  Relation nested = Run(plan::Join(
       Eq(Col("L.k"), Col("R.k")), plan::Scan("L"),
       plan::Join(Eq(Col("R.rid"), Col("R2.rid")), plan::Scan("R"),
                  plan::Scan("R", "R2"))));
@@ -379,18 +354,18 @@ TEST_F(RowIdEdgeTest, IndexServedJoinMatchesPerQueryBuild) {
 }
 
 TEST_F(RowIdEdgeTest, IndexServedSemiJoinAndResidualConjunct) {
-  Relation semi = RunAll(plan::SemiJoin(KeyEq(), plan::Scan("L"), plan::Scan("R")));
+  Relation semi = Run(plan::SemiJoin(KeyEq(), plan::Scan("L"), plan::Scan("R")));
   EXPECT_NE(last_trace_.find("index"), std::string::npos) << last_trace_;
   EXPECT_EQ(Pairs(semi, 0), (PairList{{1, 1}, {3, 3}, {4, 4}, {6, 6}}));
   // A residual conjunct that rejects a left row's first matches: the semi
   // join still finds the later one.
-  Relation residual = RunAll(plan::SemiJoin(And(KeyEq(), Gt(Col("rid"), Lit(int64_t{4}))),
+  Relation residual = Run(plan::SemiJoin(And(KeyEq(), Gt(Col("rid"), Lit(int64_t{4}))),
                                             plan::Scan("L"), plan::Scan("R")));
   EXPECT_EQ(Pairs(residual, 0), (PairList{{1, 1}, {3, 3}, {6, 6}}));
 }
 
 TEST_F(RowIdEdgeTest, AliasedSelfJoinThroughIndex) {
-  Relation rel = RunAll(plan::Join(Eq(Col("A.k"), Col("B.k")), plan::Scan("R", "A"),
+  Relation rel = Run(plan::Join(Eq(Col("A.k"), Col("B.k")), plan::Scan("R", "A"),
                                    plan::Scan("R", "B")));
   EXPECT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos) << last_trace_;
   // Each non-NULL row meets every row sharing its key, in row order.
@@ -401,7 +376,7 @@ TEST_F(RowIdEdgeTest, AliasedSelfJoinThroughIndex) {
 TEST_F(RowIdEdgeTest, IndexBuiltByEqualityScanServesLaterJoin) {
   Table* r = *catalog_.GetTable("R");
   ASSERT_FALSE(r->HasIndex(1));
-  Relation scanned = RunAll(plan::Select(Eq(Col("k"), Lit(int64_t{2})), plan::Scan("R")));
+  Relation scanned = Run(plan::Select(Eq(Col("k"), Lit(int64_t{2})), plan::Scan("R")));
   EXPECT_EQ(Pairs(scanned, 0), (PairList{{1, 1}, {4, 4}, {5, 5}}));
   ASSERT_TRUE(r->HasIndex(1));
   const HashIndex* built = &r->EnsureIndex(1);
@@ -415,45 +390,45 @@ TEST_F(RowIdEdgeTest, IndexBuiltByEqualityScanServesLaterJoin) {
   ExecStats stats;
   auto joined = ExecutePlan(*KeyJoin(), &catalog_, &stats, options);
   ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  EXPECT_EQ(joined->Gather().rows(), RunAll(KeyJoin()).rows());
+  EXPECT_EQ(joined->Gather().rows(), Run(KeyJoin()).rows());
   EXPECT_EQ(&r->EnsureIndex(1), built);  // Reused, not rebuilt.
   EXPECT_EQ(hits.value(), 1u);
   EXPECT_EQ(build_rows.value(), 7u);  // Build-side input rows, as before.
 }
 
 TEST_F(RowIdEdgeTest, ExtraNonEquiConjunctIsStillApplied) {
-  Relation rel = RunAll(plan::Join(And(KeyEq(), Ne(Col("tag"), Lit("b"))),
+  Relation rel = Run(plan::Join(And(KeyEq(), Ne(Col("tag"), Lit("b"))),
                                    plan::Scan("L"), plan::Scan("R")));
   EXPECT_EQ(Pairs(rel, 2),
             (PairList{{1, 1}, {1, 5}, {3, 1}, {3, 5}, {4, 3}, {6, 6}}));
   // The equi-conjunct may also sit to the right of the residual one.
-  Relation right = RunAll(plan::Join(And(Gt(Col("rid"), Lit(int64_t{1})), KeyEq()),
+  Relation right = Run(plan::Join(And(Gt(Col("rid"), Lit(int64_t{1})), KeyEq()),
                                      plan::Scan("L"), plan::Scan("R")));
   EXPECT_EQ(Pairs(right, 2), (PairList{{1, 4}, {1, 5}, {3, 4}, {3, 5}, {4, 3}, {6, 6}}));
 }
 
 TEST_F(RowIdEdgeTest, EmptyBuildAndEmptyProbeSides) {
-  Relation no_build = RunAll(plan::Join(Eq(Col("L.k"), Col("EMPTY.k")),
+  Relation no_build = Run(plan::Join(Eq(Col("L.k"), Col("EMPTY.k")),
                                         plan::Scan("L"), plan::Scan("EMPTY")));
   EXPECT_EQ(no_build.NumRows(), 0u);
   EXPECT_EQ(no_build.schema().size(), 4u);
-  Relation no_probe = RunAll(plan::Join(Eq(Col("EMPTY.k"), Col("R.k")),
+  Relation no_probe = Run(plan::Join(Eq(Col("EMPTY.k"), Col("R.k")),
                                         plan::Scan("EMPTY"), plan::Scan("R")));
   EXPECT_EQ(no_probe.NumRows(), 0u);
-  EXPECT_EQ(RunAll(plan::SemiJoin(Eq(Col("L.k"), Col("EMPTY.k")), plan::Scan("L"),
+  EXPECT_EQ(Run(plan::SemiJoin(Eq(Col("L.k"), Col("EMPTY.k")), plan::Scan("L"),
                                   plan::Scan("EMPTY")))
                 .NumRows(),
             0u);
 }
 
 TEST_F(RowIdEdgeTest, SemiJoinKeepsEachLeftRowOnceInOrder) {
-  Relation rel = RunAll(plan::SemiJoin(KeyEq(), plan::Scan("L"), plan::Scan("R")));
+  Relation rel = Run(plan::SemiJoin(KeyEq(), plan::Scan("L"), plan::Scan("R")));
   ASSERT_EQ(rel.schema().size(), 2u);
   EXPECT_EQ(Pairs(rel, 0), (PairList{{1, 1}, {3, 3}, {4, 4}, {6, 6}}));
 }
 
 TEST_F(RowIdEdgeTest, NestedLoopJoinAndSemiJoin) {
-  Relation rel = RunAll(plan::Join(Gt(Col("L.id"), Col("R.rid")), plan::Scan("L"),
+  Relation rel = Run(plan::Join(Gt(Col("L.id"), Col("R.rid")), plan::Scan("L"),
                                    plan::Scan("R")));
   PairList expected;
   for (int64_t l = 1; l <= 6; ++l) {
@@ -463,7 +438,7 @@ TEST_F(RowIdEdgeTest, NestedLoopJoinAndSemiJoin) {
   }
   EXPECT_EQ(Pairs(rel, 2), expected);
   EXPECT_NE(last_trace_.find("nested_loop"), std::string::npos);
-  Relation semi = RunAll(plan::SemiJoin(Gt(Col("L.id"), Col("R.rid")),
+  Relation semi = Run(plan::SemiJoin(Gt(Col("L.id"), Col("R.rid")),
                                         plan::Scan("L"), plan::Scan("R")));
   EXPECT_EQ(Pairs(semi, 0), (PairList{{2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}}));
 }
@@ -477,7 +452,7 @@ TEST_F(RowIdEdgeTest, PredicateFreeScanOfTemporaryTable) {
       Table::CreateView("__gbu_tmp_edge", RowView::Wrap(std::move(temp_rows)));
   table->MarkTemporary();
   ASSERT_TRUE(catalog_.AddTable(std::move(table)).ok());
-  Relation rel = RunAll(plan::Scan("__gbu_tmp_edge"));
+  Relation rel = Run(plan::Scan("__gbu_tmp_edge"));
   EXPECT_EQ(rel.schema(), schema);
   EXPECT_EQ(rel.rows(), rows);
   EXPECT_EQ(rel.key_columns(), std::vector<size_t>{0});
@@ -485,11 +460,11 @@ TEST_F(RowIdEdgeTest, PredicateFreeScanOfTemporaryTable) {
 }
 
 TEST_F(RowIdEdgeTest, SortAndLimitOverJoinOutput) {
-  Relation sorted = RunAll(plan::Sort({{"tag", /*descending=*/true}}, KeyJoin()));
+  Relation sorted = Run(plan::Sort({{"tag", /*descending=*/true}}, KeyJoin()));
   // tag desc: s, nan, c, c, b, b, a, a; ties broken by key (L.id, R.rid).
   EXPECT_EQ(Pairs(sorted, 2), (PairList{{6, 6}, {4, 3}, {1, 5}, {3, 5}, {1, 4},
                                         {3, 4}, {1, 1}, {3, 1}}));
-  Relation limited = RunAll(plan::Limit(3, KeyJoin()));
+  Relation limited = Run(plan::Limit(3, KeyJoin()));
   EXPECT_EQ(Pairs(limited, 2), (PairList{{1, 1}, {1, 4}, {1, 5}}));
 }
 
@@ -497,8 +472,8 @@ TEST_F(RowIdEdgeTest, DistinctOverJoinOutput) {
   // DUP's two identical (2, 'a') rows make duplicate join rows per probe.
   PlanPtr join = plan::Join(Eq(Col("L.k"), Col("DUP.k")), plan::Scan("L"),
                             plan::Scan("DUP"));
-  EXPECT_EQ(RunAll(join->Clone()).NumRows(), 5u);  // L1 x2, L3 x2, L5 x1.
-  Relation rel = RunAll(plan::Distinct(std::move(join)));
+  EXPECT_EQ(Run(join->Clone()).NumRows(), 5u);  // L1 x2, L3 x2, L5 x1.
+  Relation rel = Run(plan::Distinct(std::move(join)));
   EXPECT_EQ(Pairs(rel, 2), (PairList{{1, 2}, {3, 2}, {5, 7}}));
 }
 
@@ -507,12 +482,12 @@ TEST_F(RowIdEdgeTest, IntersectAndExceptOverJoinOutput) {
     return plan::Join(And(KeyEq(), Ne(Col("tag"), Lit("b"))), plan::Scan("L"),
                       plan::Scan("R"));
   };
-  Relation both = RunAll(plan::Intersect(KeyJoin(), without_b()));
+  Relation both = Run(plan::Intersect(KeyJoin(), without_b()));
   EXPECT_EQ(Pairs(both, 2),
             (PairList{{1, 1}, {1, 5}, {3, 1}, {3, 5}, {4, 3}, {6, 6}}));
-  Relation diff = RunAll(plan::Except(KeyJoin(), without_b()));
+  Relation diff = Run(plan::Except(KeyJoin(), without_b()));
   EXPECT_EQ(Pairs(diff, 2), (PairList{{1, 4}, {3, 4}}));
-  Relation all = RunAll(plan::Union(without_b(), KeyJoin()));
+  Relation all = Run(plan::Union(without_b(), KeyJoin()));
   EXPECT_EQ(Pairs(all, 2), (PairList{{1, 1}, {1, 5}, {3, 1}, {3, 5}, {4, 3},
                                      {6, 6}, {1, 4}, {3, 4}}));
 }

@@ -44,9 +44,8 @@ TEST(LintFixtures, TaskGroupWithoutWaitTriggers) {
 }
 
 TEST(LintFixtures, ExecutorTaskGroupWithoutWaitTriggers) {
-  // The morsel-parallel native operators put fork/join code in src/engine;
-  // the taskgroup-wait rule must catch an unjoined group there too (it is
-  // not scoped to src/parallel).
+  // The taskgroup-wait rule must catch an unjoined group outside
+  // src/parallel too (it is not scoped to that directory).
   ExpectOnlyRule("src/engine/missing_wait_executor.cc", "taskgroup-wait");
 }
 
@@ -64,10 +63,6 @@ TEST(LintFixtures, TodoWithoutOwnerTriggers) {
 
 TEST(LintFixtures, InlineMetricNameTriggers) {
   ExpectOnlyRule("src/exec/inline_metric_name.cc", "metric-registry");
-}
-
-TEST(LintFixtures, MorselLoopWithoutCheckpointTriggers) {
-  ExpectOnlyRule("src/parallel/missing_checkpoint.cc", "governor-checkpoint");
 }
 
 TEST(LintFixtures, CleanFileIsClean) {
@@ -186,46 +181,6 @@ TEST(LintContent, MetricRegistryScopedToSrcOutsideRegistryHeader) {
                           "counter(\"pref.x.y\");  "
                           "// lint:allow(metric-registry) migration\n")
                   .empty());
-}
-
-TEST(LintContent, GovernorCheckpointRuleMechanics) {
-  // A lambda body with the checkpoint at its top is clean.
-  const std::string with_checkpoint =
-      "ParallelFor(plan, [&](size_t, const Morsel& m) {\n"
-      "  GovernorCheckpoint(parallel);\n"
-      "  Work(m);\n"
-      "});\n";
-  EXPECT_TRUE(LintContent("src/palgebra/p_ops.cc", with_checkpoint).empty());
-
-  // The same body without it trips, including through the traced variant.
-  const std::string without =
-      "ParallelForTraced(plan, span, [&](size_t, const Morsel& m) {\n"
-      "  Work(m);\n"
-      "});\n";
-  std::vector<Violation> v = LintContent("src/engine/executor.cc", without);
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_EQ(v[0].rule, "governor-checkpoint");
-  EXPECT_EQ(v[0].line, 1);
-
-  // Forwarding a named callable carries no body to inspect — the callable's
-  // construction site is where the rule applies. Declarations likewise.
-  const std::string forward =
-      "void ParallelForTraced(const MorselPlan& plan, obs::Span* parent,\n"
-      "    const std::function<void(size_t, const Morsel&)>& fn);\n"
-      "void F(const MorselPlan& plan, const Body& fn) {\n"
-      "  ParallelFor(plan, fn);\n"
-      "}\n";
-  EXPECT_TRUE(LintContent("src/parallel/morsel.cc", forward).empty());
-
-  // lint:allow inside the call span suppresses, and code outside src/ is
-  // out of scope entirely.
-  const std::string allowed =
-      "ParallelFor(plan, [&](size_t, const Morsel& m) {\n"
-      "  // wrapper only. lint:allow(governor-checkpoint)\n"
-      "  fn(m);\n"
-      "});\n";
-  EXPECT_TRUE(LintContent("src/parallel/morsel.cc", allowed).empty());
-  EXPECT_TRUE(LintContent("tests/morsel_test.cc", without).empty());
 }
 
 TEST(LintContent, CommentedOutCodeDoesNotTriggerCodeRules) {

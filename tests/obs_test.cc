@@ -45,24 +45,6 @@ TEST(ExecStatsTest, MergeAccumulatesEveryCounter) {
   EXPECT_EQ(total.score_entries_written, 20u);
 }
 
-TEST(ExecStatsTest, MergeAllEqualsSequentialMergesInContainerOrder) {
-  std::vector<ExecStats> parts = {MakeStats(0), MakeStats(100), MakeStats(7)};
-  ExecStats merged_all;
-  merged_all.MergeAll(parts);
-  ExecStats merged_seq;
-  for (const ExecStats& part : parts) merged_seq.Merge(part);
-  EXPECT_EQ(merged_all.tuples_materialized, merged_seq.tuples_materialized);
-  EXPECT_EQ(merged_all.score_entries_written, merged_seq.score_entries_written);
-  EXPECT_EQ(merged_all.engine_queries, merged_seq.engine_queries);
-  // The join-point merge is pure addition, so it is permutation-invariant —
-  // task order affects only *when* counters land, never the totals.
-  std::vector<ExecStats> reversed(parts.rbegin(), parts.rend());
-  ExecStats merged_rev;
-  merged_rev.MergeAll(reversed);
-  EXPECT_EQ(merged_rev.tuples_materialized, merged_all.tuples_materialized);
-  EXPECT_EQ(merged_rev.operator_invocations, merged_all.operator_invocations);
-}
-
 // ---------------------------------------------------------------------------
 // Histogram bucket boundaries.
 
@@ -220,7 +202,7 @@ TEST(SpanTest, BuildsAndRendersHierarchy) {
   prefer->rows_in = 42;
   prefer->rows_out = 42;
   prefer->score_entries = 7;
-  prefer->detail = "morsels=4 slots=2";
+  prefer->detail = "index";
   EXPECT_DOUBLE_EQ(root->ChildMicros(), 1500.0);
 
   std::string timed = root->ToString();
@@ -230,7 +212,7 @@ TEST(SpanTest, BuildsAndRendersHierarchy) {
   EXPECT_NE(untimed.find("Scan[MOVIES]  (rows=42)"), std::string::npos);
   EXPECT_NE(
       untimed.find(
-          "Prefer[p1]  (rows=42 -> 42 score_entries=7 morsels=4 slots=2)"),
+          "Prefer[p1]  (rows=42 -> 42 score_entries=7 index)"),
       std::string::npos);
 
   std::string json = root->ToJson(/*include_timing=*/false);
@@ -321,8 +303,6 @@ Session* SharedImdbSession() {
 ParallelContext ForcedContext(size_t threads) {
   ParallelContext ctx;
   ctx.threads = threads;
-  ctx.morsel_size = 64;
-  ctx.min_parallel_rows = 64;
   return ctx;
 }
 
@@ -483,9 +463,9 @@ TEST(TraceTest, OptionsTraceCollectsWithoutExplain) {
 }
 
 // The determinism contract: the timing-free rendering of a trace is
-// byte-identical run to run for a fixed ParallelContext — at threads=1 and
-// equally at threads=8 (morsel split and adoption order depend only on the
-// context and the data, never on the scheduling).
+// byte-identical run to run — at threads=1 and equally at threads=8 (the
+// plug-ins' concurrent queries are adopted in plan order, never in
+// scheduling order).
 TEST(TraceTest, SpanTreeIsDeterministicAcrossRunsAndThreadCounts) {
   Session* session = SharedImdbSession();
   const std::string sql = ImdbWorkload()[0].sql;
@@ -570,8 +550,10 @@ TEST(ThreadPoolTelemetryTest, ParallelQueryExecutesPoolTasks) {
   (void)global;  // The registry is exercised implicitly via Engine.
 
   ThreadPoolTelemetry before = ThreadPool::Shared().telemetry();
+  // IMDB-1 has two preferences: PlugInBasic issues their two rewritten
+  // queries as one concurrent batch.
   QueryOptions options;
-  options.strategy = StrategyKind::kFtP;
+  options.strategy = StrategyKind::kPlugInBasic;
   options.parallel = ForcedContext(8);
   auto result = session->Query(ImdbWorkload()[0].sql, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -11,7 +11,7 @@
 // The aggregate functions are re-implemented here from their definitions.
 // Nothing is shared with the engine beyond expression evaluation, the plan
 // and the catalog: no optimizer, no ScoreRelation, no hashing, no cache, no
-// morsels, no temp tables. Every strategy × optimizer {on, off} × threads
+// temp tables. Every strategy × optimizer {on, off} × threads
 // {1, 2} × result cache {off, cold, warm} must return the oracle's answer
 // on ≥500 fuzzed queries and on
 // Table II at a tiny scale. Scores and confidences match within kMaxUlps:
@@ -460,8 +460,6 @@ size_t CheckAgainstOracle(Session* session, const std::vector<std::string>& quer
             options.strategy = kind;
             options.optimize = optimize;
             options.parallel.threads = threads;
-            options.parallel.morsel_size = 16;
-            options.parallel.min_parallel_rows = 16;
             options.cache = std::string_view(cache) != "off";
             if (std::string_view(cache) == "cold") session->engine().cache()->Clear();
             std::string label =

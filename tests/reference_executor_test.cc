@@ -1,9 +1,9 @@
 // An independent reference for the native executor. RefEval below evaluates
 // a conventional plan straight from the operator definitions: every operator
 // materializes its full output, joins are nested loops, and duplicate
-// elimination is a linear search — no indexes, no hashing, no morsels, no
-// row-id views. ExecutePlan must return the same schema, key columns and
-// rows, *in the same order*, at threads {1, 2, 8}. (A left-outer,
+// elimination is a linear search — no indexes, no hashing, no row-id views.
+// ExecutePlan must return the same schema, key columns and rows, *in the
+// same order*. (A left-outer,
 // right-inner nested loop emits matches in the order a build-right /
 // probe-left hash join does, and both sorts are stable with the same
 // comparator, so row order is comparable too.)
@@ -155,40 +155,26 @@ StatusOr<RefRel> RefEval(const PlanNode& node, Catalog* catalog) {
   return Status::Internal("unknown plan kind");
 }
 
-ParallelContext ForcedContext(size_t threads) {
-  ParallelContext ctx;
-  ctx.threads = threads;
-  ctx.morsel_size = 64;
-  ctx.min_parallel_rows = 64;
-  return ctx;
-}
-
 // Rows compared so far, so a suite can check it did not only compare empty
 // results.
 size_t rows_compared = 0;
 
-// Checks ExecutePlan against RefEval on `plan` at threads {1, 2, 8}.
+// Checks ExecutePlan against RefEval on `plan`.
 void ExpectMatchesReference(const PlanNode& plan, Catalog* catalog,
                             const std::string& label) {
   StatusOr<RefRel> expected = RefEval(plan, catalog);
   ASSERT_TRUE(expected.ok()) << label << ": " << expected.status().ToString();
   rows_compared += expected->rows.size();
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ParallelContext ctx = ForcedContext(threads);
-    NativeExecOptions options;
-    options.parallel = &ctx;
-    ExecStats stats;
-    StatusOr<RowView> view = ExecutePlan(plan, catalog, &stats, options);
-    ASSERT_TRUE(view.ok()) << label << ": " << view.status().ToString();
-    StatusOr<Relation> actual = view->Gather();
-    EXPECT_EQ(actual->schema(), expected->schema) << label;
-    EXPECT_EQ(actual->key_columns(), expected->keys) << label;
-    ASSERT_EQ(actual->NumRows(), expected->rows.size())
-        << label << " threads=" << threads << "\n" << plan.ToString();
-    EXPECT_TRUE(actual->rows() == expected->rows)
-        << label << " threads=" << threads << ": rows or their order differ\n"
-        << plan.ToString();
-  }
+  ExecStats stats;
+  StatusOr<RowView> view = ExecutePlan(plan, catalog, &stats);
+  ASSERT_TRUE(view.ok()) << label << ": " << view.status().ToString();
+  StatusOr<Relation> actual = view->Gather();
+  EXPECT_EQ(actual->schema(), expected->schema) << label;
+  EXPECT_EQ(actual->key_columns(), expected->keys) << label;
+  ASSERT_EQ(actual->NumRows(), expected->rows.size())
+      << label << "\n" << plan.ToString();
+  EXPECT_TRUE(actual->rows() == expected->rows)
+      << label << ": rows or their order differ\n" << plan.ToString();
 }
 
 // Both the plan as built and its NativeOptimize rewrite.

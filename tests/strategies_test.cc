@@ -189,8 +189,6 @@ class GBUViewTempTest : public StrategiesTest {
     for (size_t threads : {1, 2, 8}) {
       ParallelContext ctx;
       ctx.threads = threads;
-      ctx.morsel_size = 2;
-      ctx.min_parallel_rows = 1;
       engine_.set_parallel_context(ctx);
       PRelation bu = Run(StrategyKind::kBU, plan);
       PRelation gbu = Run(StrategyKind::kGBU, plan);

@@ -1,22 +1,23 @@
 // Tests for the parallel execution substrate: the work-stealing ThreadPool
 // and TaskGroup (shutdown, exception propagation, stealing under skew) and
-// the Morsel/ParallelFor layer (partitioning, determinism, caller
-// participation, error paths).
+// ParallelInvoke, the plug-ins' fan-out of delegated queries (every function
+// once, inline when serial, errors after the join).
 
 #include "parallel/thread_pool.h"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/governor.h"
 #include "gtest/gtest.h"
-#include "parallel/morsel.h"
 
 namespace prefdb {
 namespace {
@@ -202,101 +203,69 @@ TEST(ThreadPoolTest, StealsQueuedTasksFromBusyWorker) {
   EXPECT_GE(pool.steal_count(), 1u);
 }
 
-TEST(MorselPlanTest, EmptyInputHasNoMorsels) {
-  ParallelContext ctx = ParallelContext::Hardware();
-  MorselPlan plan = MorselPlan::Make(0, ctx);
-  EXPECT_TRUE(plan.serial());
-  EXPECT_EQ(plan.morsel_count(), 0u);
-}
-
-TEST(MorselPlanTest, SmallInputFallsBackToSerial) {
+ParallelContext Threads(size_t threads) {
   ParallelContext ctx;
-  ctx.threads = 8;
-  ctx.morsel_size = 16;
-  ctx.min_parallel_rows = 1000;
-  MorselPlan plan = MorselPlan::Make(999, ctx);
-  EXPECT_TRUE(plan.serial());
-  ASSERT_EQ(plan.morsel_count(), 1u);
-  EXPECT_EQ(plan.morsel(0).begin, 0u);
-  EXPECT_EQ(plan.morsel(0).end, 999u);
+  ctx.threads = threads;
+  return ctx;
 }
 
-TEST(MorselPlanTest, SerialContextAlwaysSerial) {
-  MorselPlan plan = MorselPlan::Make(1 << 20, ParallelContext::Serial());
-  EXPECT_TRUE(plan.serial());
-}
-
-TEST(MorselPlanTest, PartitionsCoverInputExactly) {
-  ParallelContext ctx;
-  ctx.threads = 4;
-  ctx.morsel_size = 100;
-  ctx.min_parallel_rows = 0;
-  MorselPlan plan = MorselPlan::Make(1050, ctx);
-  EXPECT_FALSE(plan.serial());
-  EXPECT_EQ(plan.morsel_count(), 11u);
-  EXPECT_EQ(plan.slots(), 4u);
-  size_t expected_begin = 0;
-  for (size_t i = 0; i < plan.morsel_count(); ++i) {
-    EXPECT_EQ(plan.morsel(i).begin, expected_begin);
-    EXPECT_EQ(plan.morsel(i).index, i);
-    expected_begin = plan.morsel(i).end;
-  }
-  EXPECT_EQ(expected_begin, 1050u);
-  EXPECT_EQ(plan.morsel(10).size(), 50u);  // Trailing partial morsel.
-}
-
-TEST(MorselPlanTest, SlotsCappedByThreadBudget) {
-  ParallelContext ctx;
-  ctx.threads = 2;
-  ctx.morsel_size = 10;
-  ctx.min_parallel_rows = 0;
-  EXPECT_EQ(MorselPlan::Make(1000, ctx).slots(), 2u);
-  ctx.threads = 64;
-  EXPECT_EQ(MorselPlan::Make(30, ctx).slots(), 3u);  // Capped by morsels.
-}
-
-TEST(ParallelForTest, VisitsEveryRowExactlyOnce) {
-  ParallelContext ctx;
-  ctx.threads = 8;
-  ctx.morsel_size = 64;
-  ctx.min_parallel_rows = 0;
-  constexpr size_t kRows = 10'000;
-  MorselPlan plan = MorselPlan::Make(kRows, ctx);
-  std::vector<std::atomic<int>> visits(kRows);
-  ParallelFor(plan, [&](size_t slot, const Morsel& m) {
-    EXPECT_LT(slot, plan.slots());
-    for (size_t i = m.begin; i < m.end; ++i) visits[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < kRows; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "row " << i;
+TEST(ParallelInvokeTest, RunsEveryFunctionExactlyOnce) {
+  constexpr size_t kFunctions = 64;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    std::vector<std::atomic<int>> runs(kFunctions);
+    std::vector<std::function<void()>> fns;
+    for (size_t i = 0; i < kFunctions; ++i) {
+      fns.push_back([&runs, i] { runs[i].fetch_add(1); });
+    }
+    ParallelInvoke(Threads(threads), fns);
+    for (size_t i = 0; i < kFunctions; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "function " << i << " threads=" << threads;
+    }
   }
 }
 
-TEST(ParallelForTest, PropagatesWorkerException) {
-  ParallelContext ctx;
-  ctx.threads = 4;
-  ctx.morsel_size = 8;
-  ctx.min_parallel_rows = 0;
-  MorselPlan plan = MorselPlan::Make(1000, ctx);
-  EXPECT_THROW(ParallelFor(plan,
-                           [&](size_t, const Morsel& m) {
-                             if (m.index == 5) {
-                               throw std::runtime_error("morsel failed");
-                             }
-                           }),
-               std::runtime_error);
+TEST(ParallelInvokeTest, SerialContextAndSingleFunctionRunInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  // A serial context with many functions, and a wide context with one.
+  for (auto [threads, count] : {std::pair<size_t, size_t>{1, 16}, {8, 1}}) {
+    std::vector<size_t> order;
+    std::vector<std::function<void()>> fns;
+    for (size_t i = 0; i < count; ++i) {
+      fns.push_back([&order, caller, i] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);  // Unsynchronized: inline runs only.
+      });
+    }
+    ParallelInvoke(Threads(threads), fns);
+    ASSERT_EQ(order.size(), count) << "threads=" << threads;
+    for (size_t i = 0; i < count; ++i) EXPECT_EQ(order[i], i);
+  }
 }
 
-TEST(ParallelForTest, SerialPlanRunsInlineOnCaller) {
-  MorselPlan plan = MorselPlan::Make(100, ParallelContext::Serial());
-  std::thread::id caller = std::this_thread::get_id();
-  size_t rows_seen = 0;
-  ParallelFor(plan, [&](size_t slot, const Morsel& m) {
-    EXPECT_EQ(slot, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    rows_seen += m.size();
-  });
-  EXPECT_EQ(rows_seen, 100u);
+TEST(ParallelInvokeTest, RethrowsFirstErrorAfterEveryFunctionFinished) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    constexpr size_t kFunctions = 16;
+    std::atomic<size_t> finished{0};
+    std::vector<std::function<void()>> fns;
+    for (size_t i = 0; i < kFunctions; ++i) {
+      fns.push_back([&finished, i] {
+        if (i == 1) throw std::runtime_error("first");
+        if (i == 9) throw std::runtime_error("second");
+        // Slow siblings: the rethrow must wait for them.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+      });
+    }
+    try {
+      ParallelInvoke(Threads(threads), fns);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "first") << "threads=" << threads;
+    }
+    // Every function that did not throw ran to completion before the
+    // rethrow.
+    EXPECT_EQ(finished.load(), kFunctions - 2) << "threads=" << threads;
+  }
 }
 
 }  // namespace

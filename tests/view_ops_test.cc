@@ -5,7 +5,7 @@
 // and must produce exactly what it produces on the same rows gathered into
 // an owning relation (the materialized semantics, read through
 // ToScoredRelation): the same rows in the same order, bit-identical pairs
-// and the same ExecStats, at threads {1, 2, 8}.
+// and the same ExecStats.
 
 #include <functional>
 #include <string>
@@ -34,14 +34,6 @@ Catalog* TestCatalog() {
     return new Catalog(std::move(*generated));
   }();
   return catalog;
-}
-
-ParallelContext Forced(size_t threads) {
-  ParallelContext ctx;
-  ctx.threads = threads;
-  ctx.morsel_size = 64;
-  ctx.min_parallel_rows = 64;
-  return ctx;
 }
 
 RowView RunPlan(const PlanPtr& plan) {
@@ -121,79 +113,67 @@ std::vector<Shape> Shapes() {
   return shapes;
 }
 
-using UnaryOp = std::function<StatusOr<PRelation>(
-    const PRelation&, const ParallelContext*, ExecStats*)>;
+using UnaryOp = std::function<StatusOr<PRelation>(const PRelation&, ExecStats*)>;
 
 std::vector<std::pair<std::string, UnaryOp>> Operators() {
   static const FSum fsum;
   std::vector<std::pair<std::string, UnaryOp>> ops;
-  ops.push_back({"select", [](const PRelation& in, const ParallelContext* ctx,
-                              ExecStats* stats) {
-                   return PSelect(*Ge(Col("year"), Lit(int64_t{2000})), in, stats, ctx);
+  ops.push_back({"select", [](const PRelation& in, ExecStats* stats) {
+                   return PSelect(*Ge(Col("year"), Lit(int64_t{2000})), in, stats);
                  }});
-  ops.push_back({"project", [](const PRelation& in, const ParallelContext*,
-                               ExecStats* stats) {
+  ops.push_back({"project", [](const PRelation& in, ExecStats* stats) {
                    return PProject({"year", "title"}, in, stats);
                  }});
-  ops.push_back({"prefer", [](const PRelation& in, const ParallelContext* ctx,
-                              ExecStats* stats) {
+  ops.push_back({"prefer", [](const PRelation& in, ExecStats* stats) {
                    return EvalPrefer(*Pref("p", Ge(Col("year"), Lit(int64_t{1995})),
                                            Recency(),
                                            0.8),
-                                     in, fsum, nullptr, stats, ctx);
+                                     in, fsum, nullptr, stats);
                  }});
-  ops.push_back({"join", [](const PRelation& in, const ParallelContext* ctx,
-                            ExecStats* stats) {
+  ops.push_back({"join", [](const PRelation& in, ExecStats* stats) {
                    return PJoin(*Eq(Col("MOVIES.d_id"), Col("DIRECTORS.d_id")), in,
-                                PreferredDirectors(), fsum, stats, ctx);
+                                PreferredDirectors(), fsum, stats);
                  }});
-  ops.push_back({"join_right", [](const PRelation& in, const ParallelContext* ctx,
-                                  ExecStats* stats) {
+  ops.push_back({"join_right", [](const PRelation& in, ExecStats* stats) {
                    return PJoin(*Eq(Col("DIRECTORS.d_id"), Col("MOVIES.d_id")),
-                                PreferredDirectors(), in, fsum, stats, ctx);
+                                PreferredDirectors(), in, fsum, stats);
                  }});
-  ops.push_back({"nested_loop_join",
-                 [](const PRelation& in, const ParallelContext* ctx, ExecStats* stats) {
+  ops.push_back({"nested_loop_join", [](const PRelation& in, ExecStats* stats) {
                    return PJoin(*And(Lt(Col("MOVIES.d_id"), Col("DIRECTORS.d_id")),
                                      Le(Col("DIRECTORS.d_id"), Lit(int64_t{3}))),
-                                in, PreferredDirectors(), fsum, stats, ctx);
+                                in, PreferredDirectors(), fsum, stats);
                  }});
-  ops.push_back({"semijoin", [](const PRelation& in, const ParallelContext* ctx,
-                                ExecStats* stats) {
+  ops.push_back({"semijoin", [](const PRelation& in, ExecStats* stats) {
                    return PSemiJoin(*Eq(Col("MOVIES.d_id"), Col("DIRECTORS.d_id")), in,
-                                    PreferredDirectors(), stats, ctx);
+                                    PreferredDirectors(), stats);
                  }});
   auto recent = [](const PRelation& in) {
     ExecStats scratch;
     return *PSelect(*Ge(Col("year"), Lit(int64_t{2000})), in, &scratch);
   };
-  ops.push_back({"union", [recent](const PRelation& in, const ParallelContext* ctx,
-                                   ExecStats* stats) {
-                   return PUnion(recent(in), in, fsum, stats, ctx);
+  ops.push_back({"union", [recent](const PRelation& in, ExecStats* stats) {
+                   return PUnion(recent(in), in, fsum, stats);
                  }});
-  ops.push_back({"union_owning",
-                 [recent](const PRelation& in, const ParallelContext* ctx,
-                          ExecStats* stats) {
+  ops.push_back({"union_owning", [recent](const PRelation& in, ExecStats* stats) {
                    PRelation right = recent(in);
                    return PUnion(in, PRelation(right.Gather(), right.pairs), fsum,
-                                 stats, ctx);
+                                 stats);
                  }});
-  ops.push_back({"intersect", [recent](const PRelation& in, const ParallelContext* ctx,
-                                       ExecStats* stats) {
-                   return PIntersect(in, recent(in), fsum, stats, ctx);
+  ops.push_back({"intersect", [recent](const PRelation& in, ExecStats* stats) {
+                   return PIntersect(in, recent(in), fsum, stats);
                  }});
-  ops.push_back({"except", [recent](const PRelation& in, const ParallelContext* ctx,
-                                    ExecStats* stats) {
-                   return PDiff(in, recent(in), stats, ctx);
+  ops.push_back({"except", [recent](const PRelation& in, ExecStats* stats) {
+                   return PDiff(in, recent(in), stats);
                  }});
-  ops.push_back({"distinct", [](const PRelation& in, const ParallelContext*,
-                                ExecStats* stats) { return PDistinct(in, stats); }});
-  ops.push_back({"sort", [](const PRelation& in, const ParallelContext*,
-                            ExecStats* stats) {
+  ops.push_back({"distinct", [](const PRelation& in, ExecStats* stats) {
+                   return PDistinct(in, stats);
+                 }});
+  ops.push_back({"sort", [](const PRelation& in, ExecStats* stats) {
                    return PSort({{"year", true}}, in, stats);
                  }});
-  ops.push_back({"limit", [](const PRelation& in, const ParallelContext*,
-                             ExecStats* stats) { return PLimit(25, in, stats); }});
+  ops.push_back({"limit", [](const PRelation& in, ExecStats* stats) {
+                   return PLimit(25, in, stats);
+                 }});
   return ops;
 }
 
@@ -213,30 +193,26 @@ TEST(ViewOpsTest, EveryOperatorMatchesMaterializedSemanticsOnEveryShape) {
       if (joins && HasColumn(shape.input, "DIRECTORS.d_id")) continue;
       if (op_name == "project" && !HasColumn(shape.input, "MOVIES.title")) continue;
       const std::string label = shape.name + " / " + op_name;
-      ParallelContext serial = Forced(1);
       ExecStats expected_stats;
-      StatusOr<PRelation> expected = op(gathered, &serial, &expected_stats);
+      StatusOr<PRelation> expected = op(gathered, &expected_stats);
       ASSERT_TRUE(expected.ok()) << label << ": " << expected.status().ToString();
       const Relation expected_rows = ToScoredRelation(*expected);
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        ParallelContext ctx = Forced(threads);
-        ExecStats stats;
-        StatusOr<PRelation> actual = op(shape.input, &ctx, &stats);
-        ASSERT_TRUE(actual.ok()) << label << ": " << actual.status().ToString();
-        ASSERT_EQ(actual->pairs.size(), actual->NumRows()) << label;
-        const Relation actual_rows = ToScoredRelation(*actual);
-        EXPECT_EQ(actual_rows.schema(), expected_rows.schema()) << label;
-        EXPECT_EQ(actual_rows.key_columns(), expected_rows.key_columns()) << label;
-        EXPECT_TRUE(actual_rows.rows() == expected_rows.rows())
-            << label << " threads=" << threads << ": rows, order or pairs differ";
-        EXPECT_EQ(stats.tuples_materialized, expected_stats.tuples_materialized)
-            << label;
-        EXPECT_EQ(stats.score_entries_written, expected_stats.score_entries_written)
-            << label;
-        EXPECT_EQ(stats.operator_invocations, expected_stats.operator_invocations)
-            << label;
-        compared += actual_rows.NumRows();
-      }
+      ExecStats stats;
+      StatusOr<PRelation> actual = op(shape.input, &stats);
+      ASSERT_TRUE(actual.ok()) << label << ": " << actual.status().ToString();
+      ASSERT_EQ(actual->pairs.size(), actual->NumRows()) << label;
+      const Relation actual_rows = ToScoredRelation(*actual);
+      EXPECT_EQ(actual_rows.schema(), expected_rows.schema()) << label;
+      EXPECT_EQ(actual_rows.key_columns(), expected_rows.key_columns()) << label;
+      EXPECT_TRUE(actual_rows.rows() == expected_rows.rows())
+          << label << ": rows, order or pairs differ";
+      EXPECT_EQ(stats.tuples_materialized, expected_stats.tuples_materialized)
+          << label;
+      EXPECT_EQ(stats.score_entries_written, expected_stats.score_entries_written)
+          << label;
+      EXPECT_EQ(stats.operator_invocations, expected_stats.operator_invocations)
+          << label;
+      compared += actual_rows.NumRows();
     }
   }
   EXPECT_GT(compared, 10000u);

@@ -269,60 +269,6 @@ void CheckMetricRegistryRule(const std::string& path,
   }
 }
 
-void CheckGovernorCheckpointRule(const std::string& path,
-                                 std::string_view content,
-                                 std::vector<Violation>* out) {
-  constexpr std::string_view kRule = "governor-checkpoint";
-  if (!PathUnder(path, "src/")) return;
-  // Every morsel-loop body handed to ParallelFor/ParallelForTraced must
-  // contain a cancellation checkpoint, or a governed query can stall for an
-  // entire parallel region before noticing a trip. Only call sites with an
-  // inline lambda body are checked: calls that forward a named callable
-  // (and the declarations themselves) carry no braces inside the argument
-  // parens, and the callable's own construction site is where the body —
-  // and therefore the checkpoint — lives.
-  constexpr std::string_view kCalls[] = {"ParallelForTraced(",
-                                         "ParallelFor("};
-  for (std::string_view call : kCalls) {
-    for (size_t pos = FindToken(content, call);
-         pos != std::string_view::npos;
-         pos = FindToken(content, call, pos + 1)) {
-      size_t open = pos + call.size() - 1;
-      int depth = 0;
-      size_t close = std::string_view::npos;
-      bool has_body = false;
-      for (size_t j = open; j < content.size(); ++j) {
-        char c = content[j];
-        if (c == '(') {
-          ++depth;
-        } else if (c == ')') {
-          if (--depth == 0) {
-            close = j;
-            break;
-          }
-        } else if (c == '{') {
-          has_body = true;
-        }
-      }
-      if (close == std::string_view::npos) continue;  // Unbalanced: not ours.
-      if (!has_body) continue;  // Declaration or named-callable forward.
-      std::string_view span = content.substr(pos, close - pos + 1);
-      if (span.find("GovernorCheckpoint") != std::string_view::npos) continue;
-      if (span.find("lint:allow(governor-checkpoint)") !=
-          std::string_view::npos) {
-        continue;
-      }
-      int line = 1 + static_cast<int>(
-                         std::count(content.begin(), content.begin() + pos, '\n'));
-      out->push_back({path, line, std::string(kRule),
-                      "morsel-loop body without a cancellation checkpoint: "
-                      "call GovernorCheckpoint(...) at the top of the lambda "
-                      "so a governed query unwinds within one morsel of a "
-                      "trip (DESIGN.md, Query governor)"});
-    }
-  }
-}
-
 }  // namespace
 
 std::string FormatViolation(const Violation& v) {
@@ -342,7 +288,6 @@ std::vector<Violation> LintContent(const std::string& path,
   CheckCacheDeterminismRule(normalized, lines, &out);
   CheckTodoRule(normalized, lines, &out);
   CheckMetricRegistryRule(normalized, lines, &out);
-  CheckGovernorCheckpointRule(normalized, content, &out);
   return out;
 }
 

@@ -1,7 +1,7 @@
 // telemetry_smoke: the live half of scripts/run_checks.sh's telemetry
 // stage. Builds a small IMDB-style database, runs a representative workload
-// (including an armed SLOWLOG and an EXPLAIN ANALYZE ... FORMAT CHROME at
-// TraceLevel::kMorsel), optionally writes the Chrome trace document for
+// (including an armed SLOWLOG and an EXPLAIN ANALYZE ... FORMAT CHROME, one
+// span per operator), optionally writes the Chrome trace document for
 // trace_check, then starts the telemetry server on an ephemeral port and
 // prints exactly one machine-readable line:
 //
@@ -76,13 +76,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Morsel-level Chrome trace through the EXPLAIN ANALYZE verb; the
+  // Operator-level Chrome trace through the EXPLAIN ANALYZE verb; the
   // rendering in explain_analyze is the deterministic untimed export.
-  QueryOptions chrome_options;
-  chrome_options.trace_level = obs::TraceLevel::kMorsel;
-  auto chrome = session.Query(
-      std::string("EXPLAIN ANALYZE ") + kWorkloadSql + " FORMAT CHROME",
-      chrome_options);
+  auto chrome = session.Query(std::string("EXPLAIN ANALYZE ") + kWorkloadSql +
+                              " FORMAT CHROME");
   if (!chrome.ok()) return Fail("FORMAT CHROME query", chrome.status());
   if (chrome->explain_analyze.empty()) {
     std::fprintf(stderr, "telemetry_smoke: FORMAT CHROME produced no output\n");
