@@ -159,6 +159,7 @@ if [ "$RUN_TELEMETRY" -eq 1 ]; then
     # The exposition must carry the counter families the smoke workload
     # touches plus the scrape-time gauges (src/obs/metric_names.h).
     for needle in '# TYPE pref_cache_hits counter' \
+                  '# TYPE pref_cache_bytes gauge' \
                   '# TYPE pref_native_scan_rows counter' \
                   '# TYPE pref_pool_queue_depth gauge' \
                   '# TYPE pref_querylog_size gauge'; do

@@ -46,9 +46,29 @@ size_t EstimateViewBytes(const RowView& view) {
   return bytes;
 }
 
-size_t EstimateEntryBytes(const CachedResult& entry) {
-  return sizeof(CachedResult) + SchemaBytes(entry.schema) +
-         entry.key_columns.size() * sizeof(size_t) + entry.rows.Bytes();
+size_t EntryBytes(const RowView& view, const PlanNode& plan,
+                  const Catalog& catalog) {
+  // The stores not to count: the scanned tables', then each one counted.
+  std::vector<const ColumnStore*> seen;
+  std::vector<const PlanNode*> stack = {&plan};
+  while (!stack.empty()) {
+    const PlanNode* node = stack.back();
+    stack.pop_back();
+    if (node->kind == PlanKind::kScan) {
+      StatusOr<Table*> table = catalog.GetTable(node->table_name);
+      if (table.ok()) seen.push_back(&(*table)->store());
+    }
+    for (const PlanPtr& child : node->children) stack.push_back(child.get());
+  }
+  size_t bytes = sizeof(CachedResult) + SchemaBytes(view.schema) +
+                 view.key_columns.size() * sizeof(size_t) +
+                 view.ids.size() * sizeof(uint32_t);
+  for (const ColumnStore* source : view.sources) {
+    if (std::find(seen.begin(), seen.end(), source) != seen.end()) continue;
+    seen.push_back(source);
+    bytes += source->Bytes();
+  }
+  return bytes;
 }
 
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs) {
@@ -62,142 +82,117 @@ QueryCache::QueryCache(obs::MetricsRegistry* metrics, size_t max_bytes)
     miss_counter_ = metrics_->counter(obs::kPrefCacheMisses);
     eviction_counter_ = metrics_->counter(obs::kPrefCacheEvictions);
     admission_counter_ = metrics_->counter(obs::kPrefCacheAdmissionRejected);
-    PublishGauges();
+    PublishGauges(Stats());
   }
 }
 
 void QueryCache::set_max_bytes(size_t max_bytes) {
   max_bytes_.store(max_bytes, std::memory_order_relaxed);
-  size_t budget = ShardBudget();
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    EvictLocked(&shard, budget);
+  Stats totals;
+  {
+    MutexLock lock(&mu_);
+    EvictLocked(max_bytes);
+    totals = totals_;
   }
-  PublishGauges();
+  PublishGauges(totals);
 }
 
 void QueryCache::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    entry_count_.fetch_sub(shard.index.size(), std::memory_order_relaxed);
-    total_bytes_.fetch_sub(shard.bytes, std::memory_order_relaxed);
-    shard.index.clear();
-    shard.lru.clear();
-    shard.bytes = 0;
+  Stats totals;
+  {
+    MutexLock lock(&mu_);
+    index_.clear();
+    lru_.clear();
+    totals_.entries = 0;
+    totals_.bytes = 0;
+    totals = totals_;
   }
-  PublishGauges();
+  PublishGauges(totals);
 }
 
 std::shared_ptr<const CachedResult> QueryCache::Lookup(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
   std::shared_ptr<const CachedResult> result;
   {
-    MutexLock lock(&shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    MutexLock lock(&mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
       result = it->second->second;
+      ++totals_.hits;
+    } else {
+      ++totals_.misses;
     }
   }
-  if (result != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hit_counter_ != nullptr) hit_counter_->Increment();
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (miss_counter_ != nullptr) miss_counter_->Increment();
-  }
+  obs::Counter* counter = result != nullptr ? hit_counter_ : miss_counter_;
+  if (counter != nullptr) counter->Increment();
   return result;
 }
 
-Admission QueryCache::Admit(size_t bytes, const ExecStats& stats) {
+Admission QueryCache::Insert(const CacheKey& key,
+                             std::shared_ptr<const CachedResult> value) {
+  const size_t budget = max_bytes();
   Admission verdict = Admission::kAdmitted;
-  if (bytes > ShardBudget()) {
+  if (value->bytes > budget) {
     verdict = Admission::kOversize;
-  } else if (stats.rows_scanned + stats.tuples_materialized == 0) {
+  } else if (value->stats.rows_scanned + value->stats.tuples_materialized == 0) {
     verdict = Admission::kTrivial;
   }
   if (verdict != Admission::kAdmitted) {
-    admission_rejected_.fetch_add(1, std::memory_order_relaxed);
+    {
+      MutexLock lock(&mu_);
+      ++totals_.admission_rejected;
+    }
     if (admission_counter_ != nullptr) admission_counter_->Increment();
+    return verdict;
   }
+  Stats totals;
+  {
+    MutexLock lock(&mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      // Replace in place (a concurrent miss on the same key raced us here;
+      // both computed the same result, keep the newer one).
+      totals_.bytes -= it->second->second->bytes;
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+    totals_.bytes += value->bytes;
+    lru_.emplace_front(key, std::move(value));
+    index_[key] = lru_.begin();
+    ++totals_.insertions;
+    EvictLocked(budget);
+    totals = totals_;
+  }
+  PublishGauges(totals);
   return verdict;
 }
 
-void QueryCache::Insert(const CacheKey& key,
-                        std::shared_ptr<CachedResult> value) {
-  if (value == nullptr) return;
-  if (value->bytes == 0) value->bytes = EstimateEntryBytes(*value);
-  if (Admit(value->bytes, value->stats) != Admission::kAdmitted) return;
-  size_t budget = ShardBudget();
-
-  Shard& shard = ShardFor(key);
-  {
-    MutexLock lock(&shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Replace in place (a concurrent miss on the same key raced us here;
-      // both computed the same result, keep the newer one).
-      shard.bytes -= it->second->second->bytes;
-      total_bytes_.fetch_sub(it->second->second->bytes,
-                             std::memory_order_relaxed);
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-      entry_count_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    shard.bytes += value->bytes;
-    total_bytes_.fetch_add(value->bytes, std::memory_order_relaxed);
-    shard.lru.emplace_front(key, std::move(value));
-    shard.index[key] = shard.lru.begin();
-    entry_count_.fetch_add(1, std::memory_order_relaxed);
-    insertions_.fetch_add(1, std::memory_order_relaxed);
-    EvictLocked(&shard, budget);
+void QueryCache::EvictLocked(size_t budget) {
+  size_t evicted = 0;
+  while (totals_.bytes > budget && !lru_.empty()) {
+    auto& victim = lru_.back();
+    totals_.bytes -= victim.second->bytes;
+    index_.erase(victim.first);
+    lru_.pop_back();
+    ++evicted;
   }
-  PublishGauges();
-}
-
-void QueryCache::EvictLocked(Shard* shard, size_t budget) {
-  while (shard->bytes > budget && !shard->lru.empty()) {
-    auto& victim = shard->lru.back();
-    shard->bytes -= victim.second->bytes;
-    total_bytes_.fetch_sub(victim.second->bytes, std::memory_order_relaxed);
-    shard->index.erase(victim.first);
-    shard->lru.pop_back();
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (eviction_counter_ != nullptr) eviction_counter_->Increment();
+  totals_.entries = index_.size();
+  totals_.evictions += evicted;
+  if (eviction_counter_ != nullptr && evicted > 0) {
+    eviction_counter_->Increment(evicted);
   }
 }
 
-void QueryCache::PublishGauges() {
+void QueryCache::PublishGauges(const Stats& totals) {
   if (metrics_ == nullptr) return;
-  metrics_->SetGauge(obs::kPrefCacheBytes,
-                     static_cast<double>(
-                         total_bytes_.load(std::memory_order_relaxed)));
+  metrics_->SetGauge(obs::kPrefCacheBytes, static_cast<double>(totals.bytes));
   metrics_->SetGauge(obs::kPrefCacheEntries,
-                     static_cast<double>(
-                         entry_count_.load(std::memory_order_relaxed)));
-}
-
-std::vector<size_t> QueryCache::ShardBytes() const {
-  std::vector<size_t> bytes(kShards);
-  for (size_t i = 0; i < kShards; ++i) {
-    MutexLock lock(&shards_[i].mu);
-    bytes[i] = shards_[i].bytes;
-  }
-  return bytes;
+                     static_cast<double>(totals.entries));
 }
 
 QueryCache::Stats QueryCache::snapshot() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.insertions = insertions_.load(std::memory_order_relaxed);
-  stats.admission_rejected =
-      admission_rejected_.load(std::memory_order_relaxed);
-  stats.entries = entry_count_.load(std::memory_order_relaxed);
-  stats.bytes = total_bytes_.load(std::memory_order_relaxed);
-  return stats;
+  MutexLock lock(&mu_);
+  return totals_;
 }
 
 std::string QueryCache::ToString() const {

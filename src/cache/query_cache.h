@@ -22,10 +22,11 @@
 namespace prefdb {
 namespace cache {
 
-/// One cached result: the rows of a delegated engine query, copied into a
-/// column store (one typed column per output column) with their schema and
-/// key, plus the ExecStats delta recorded while computing it on the miss
-/// path.
+/// One cached result: the row-id view a delegated engine query returned
+/// (its ids, the stores they index and the pins that keep those stores
+/// alive), plus the ExecStats delta recorded while computing it on the miss
+/// path. A hit hands out a copy of the view: the id array is copied, no
+/// value is.
 ///
 /// The stats delta is the trick that keeps counters deterministic: a hit
 /// *replays* the delta into the caller's ExecStats instead of executing, so
@@ -34,24 +35,19 @@ namespace cache {
 /// the savings show up in wall time and the pref.cache.* metrics, never as
 /// counter drift the equivalence tests would have to special-case.
 struct CachedResult {
-  Schema schema;
-  std::vector<size_t> key_columns;
-  ColumnStore rows;
+  RowView view;
   ExecStats stats;
-  /// The entry's footprint, EstimateEntryBytes; filled by Insert when
-  /// left 0.
+  /// The entry's footprint (EntryBytes), set by whoever builds it.
   size_t bytes = 0;
-
-  /// The view of every row of the entry, pinning `self` (this entry).
-  RowView View(std::shared_ptr<const CachedResult> self) const {
-    return RowView::Of(schema, key_columns, rows, std::move(self));
-  }
 };
 
-/// What a cache entry costs resident: its column store's arrays
-/// (ColumnStore::Bytes) plus the entry and its schema. Deterministic (same
-/// rows, same estimate), so the byte budget behaves reproducibly in tests.
-size_t EstimateEntryBytes(const CachedResult& entry);
+/// What an entry holding `view`, the result of `plan`, costs resident: its
+/// id array, schema and key, plus every distinct store it reads that is not
+/// the store of a table `plan` scans (a union's gathered rows). The scanned
+/// tables are the catalog's and resident anyway. Deterministic (same view,
+/// same estimate), so the byte budget behaves reproducibly in tests.
+size_t EntryBytes(const RowView& view, const PlanNode& plan,
+                  const Catalog& catalog);
 
 /// Rough heap footprint of a view's rows gathered into a Relation, and of
 /// row-aligned pairs, used by the governor's memory accounting. Strings
@@ -59,11 +55,11 @@ size_t EstimateEntryBytes(const CachedResult& entry);
 size_t EstimateViewBytes(const RowView& view);
 size_t EstimatePairsBytes(const std::vector<ScoreConf>& pairs);
 
-/// The admission policy's verdict on one value (QueryCache::Admit).
+/// The admission policy's verdict on one value (QueryCache::Insert).
 enum class Admission {
   kAdmitted,
-  /// Bigger than a whole shard's budget slice: admitting it would evict an
-  /// entire shard for one key.
+  /// Bigger than the whole budget: admitting it would evict every entry and
+  /// still not fit.
   kOversize,
   /// The ExecStats delta records zero rows scanned and zero tuples
   /// materialized: a recompute costs nothing, so caching it could only
@@ -71,12 +67,13 @@ enum class Admission {
   kTrivial,
 };
 
-/// A thread-safe, sharded LRU result cache with a byte budget.
+/// A thread-safe LRU result cache with one byte budget.
 ///
 /// Entries are held as shared_ptr<const CachedResult>: a Lookup returns a
 /// pin, so eviction (which merely drops the cache's own reference) can run
 /// concurrently with readers still consuming the result — no reader ever
-/// observes a freed relation, and no lock is held while copying row data.
+/// observes a freed entry. One mutex guards the list, the index and the
+/// totals; a lookup holds it for one hash probe and one list splice.
 ///
 /// Disabled by default: the seed semantics (every query recomputed) are
 /// preserved until a session opts in via the `SET CACHE ON` pragma,
@@ -85,8 +82,8 @@ class QueryCache {
  public:
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB.
 
-  /// `metrics` (nullable) receives the pref.cache.{hits,misses,evictions}
-  /// counters and the pref.cache.{bytes,entries} gauges.
+  /// `metrics` (nullable) receives the pref.cache.{hits,misses,evictions,
+  /// admission_rejected} counters and the pref.cache.{bytes,entries} gauges.
   explicit QueryCache(obs::MetricsRegistry* metrics = nullptr,
                       size_t max_bytes = kDefaultMaxBytes);
 
@@ -111,18 +108,16 @@ class QueryCache {
   /// still skews the hit/miss counters, hence [[nodiscard]].
   [[nodiscard]] std::shared_ptr<const CachedResult> Lookup(const CacheKey& key);
 
-  /// Stores `value` under `key` (replacing any existing entry), computing
-  /// value->bytes (EstimateEntryBytes) if unset, then evicts LRU-last until
-  /// the shard fits its budget slice. Values that Admit() rejects are not stored.
-  void Insert(const CacheKey& key, std::shared_ptr<CachedResult> value);
+  /// Offers `value` (its bytes already set) under `key`. The admission
+  /// policy decides on value->bytes and value->stats: a rejected value is
+  /// not stored, and the verdict says why (each rejection increments the
+  /// pref.cache.admission_rejected counter). An admitted value replaces any
+  /// entry under `key`, then LRU-last entries are evicted until the cache
+  /// fits its budget.
+  Admission Insert(const CacheKey& key,
+                   std::shared_ptr<const CachedResult> value);
 
-  /// The admission policy, callable before a value is built so a rejected
-  /// result is never copied: why a value of `bytes` whose miss execution
-  /// recorded `stats` is not worth a slot (Admission), or kAdmitted. Each
-  /// rejection increments the pref.cache.admission_rejected counter.
-  Admission Admit(size_t bytes, const ExecStats& stats);
-
-  /// Point-in-time totals (atomics; exact when quiescent).
+  /// Point-in-time totals.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -134,47 +129,16 @@ class QueryCache {
   };
   Stats snapshot() const;
 
-  /// Resident bytes per shard, indexed by shard number — the source for the
-  /// per-shard pref.cache.shard_bytes.<i> telemetry gauges. Takes each
-  /// shard lock briefly; the vector is a point-in-time snapshot, not an
-  /// atomic cross-shard view.
-  std::vector<size_t> ShardBytes() const;
-
-  /// Number of LRU shards (the length of ShardBytes()).
-  static constexpr size_t shard_count() { return kShards; }
-
   std::string ToString() const;
 
  private:
-  static constexpr size_t kShards = 8;
-
-  struct Shard {
-    mutable Mutex mu;
-    // Front = most recently used. The index maps key -> list position.
-    std::list<std::pair<CacheKey, std::shared_ptr<const CachedResult>>> lru
-        PREFDB_GUARDED_BY(mu);
-    std::unordered_map<CacheKey, decltype(lru)::iterator, CacheKeyHash> index
-        PREFDB_GUARDED_BY(mu);
-    size_t bytes PREFDB_GUARDED_BY(mu) = 0;
-  };
-
-  Shard& ShardFor(const CacheKey& key) {
-    return shards_[CacheKeyHash()(key) % kShards];
-  }
-  size_t ShardBudget() const { return max_bytes() / kShards; }
-  // Pops LRU-last entries until `shard` fits `budget`.
-  void EvictLocked(Shard* shard, size_t budget) PREFDB_REQUIRES(shard->mu);
-  void PublishGauges();
+  // Pops LRU-last entries until the cache fits `budget`.
+  void EvictLocked(size_t budget) PREFDB_REQUIRES(mu_);
+  // Sets the pref.cache.{bytes,entries} gauges to `totals`.
+  void PublishGauges(const Stats& totals);
 
   std::atomic<bool> enabled_{false};
   std::atomic<size_t> max_bytes_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> admission_rejected_{0};
-  std::atomic<size_t> total_bytes_{0};
-  std::atomic<size_t> entry_count_{0};
 
   obs::MetricsRegistry* metrics_;
   obs::Counter* hit_counter_ = nullptr;       // "pref.cache.hits"
@@ -182,7 +146,13 @@ class QueryCache {
   obs::Counter* eviction_counter_ = nullptr;  // "pref.cache.evictions"
   obs::Counter* admission_counter_ = nullptr;  // "pref.cache.admission_rejected"
 
-  Shard shards_[kShards];
+  mutable Mutex mu_;
+  // Front = most recently used. The index maps key -> list position.
+  std::list<std::pair<CacheKey, std::shared_ptr<const CachedResult>>> lru_
+      PREFDB_GUARDED_BY(mu_);
+  std::unordered_map<CacheKey, decltype(lru_)::iterator, CacheKeyHash> index_
+      PREFDB_GUARDED_BY(mu_);
+  Stats totals_ PREFDB_GUARDED_BY(mu_);
 };
 
 }  // namespace cache

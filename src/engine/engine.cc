@@ -41,8 +41,10 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
       if (!native_optimizer_enabled_) {
         return ExecutePlan(query, &catalog_, s, exec);
       }
+      obs::SpanScope optimize(span, "native.optimize");
       ASSIGN_OR_RETURN(NativeOptimizerResult optimized,
                        NativeOptimize(query, catalog_));
+      optimize.Finish();
       return ExecutePlan(*optimized.plan, &catalog_, s, exec);
     } catch (const QueryAbortedException& aborted) {
       return aborted.status();
@@ -85,7 +87,7 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
       stats->Merge(entry->stats);
       obs::AppendDetail(span, "cache=hit");
       query_micros_->Record(watch.ElapsedMicros());
-      RowView hit = entry->View(entry);
+      RowView hit = entry->view;
       RETURN_IF_ERROR(charge(hit));
       return hit;
     }
@@ -102,12 +104,18 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
         result = std::move(admitted);
       } else if (governor == nullptr || !governor->tripped()) {
         // Only untripped results are admitted: a query that failed, was
-        // cancelled mid-flight or hit a fault point never populates a
-        // shard, so later queries cannot reuse poisoned state. Admission
-        // is decided on the entry's column store, so an oversize result is
-        // copied once and dropped.
-        cache::Admission verdict = cache::Admission::kAdmitted;
-        result = InsertGathered(key, std::move(*result), local, &verdict);
+        // cancelled mid-flight or hit a fault point never populates the
+        // cache, so later queries cannot reuse poisoned state. The entry is
+        // the view itself, so admission costs no copy of a value: an
+        // admitted miss returns a copy of the entry's view (its ids), a
+        // rejected one its own view.
+        auto entry = std::make_shared<cache::CachedResult>();
+        entry->bytes = cache::EntryBytes(*result, query, catalog_);
+        entry->stats = local;
+        entry->view = std::move(*result);
+        const cache::Admission verdict = cache_.Insert(key, entry);
+        result = verdict == cache::Admission::kAdmitted ? entry->view
+                                                        : std::move(entry->view);
         switch (verdict) {
           case cache::Admission::kAdmitted:
             break;
@@ -130,21 +138,6 @@ StatusOr<RowView> Engine::ExecuteConcurrent(const PlanNode& query,
   }
   query_micros_->Record(watch.ElapsedMicros());
   return result;
-}
-
-RowView Engine::InsertGathered(const cache::CacheKey& key, RowView view,
-                               const ExecStats& stats, cache::Admission* verdict) {
-  auto entry = std::make_shared<cache::CachedResult>();
-  entry->schema = view.schema;
-  entry->key_columns = view.key_columns;
-  entry->rows = view.GatherColumns();
-  NoteRowsGathered(view.NumRows());
-  entry->stats = stats;
-  entry->bytes = cache::EstimateEntryBytes(*entry);
-  *verdict = cache_.Admit(entry->bytes, stats);
-  if (*verdict != cache::Admission::kAdmitted) return view;
-  cache_.Insert(key, entry);
-  return entry->View(entry);
 }
 
 StatusOr<Relation> Engine::ExecuteUnoptimized(const PlanNode& query) {

@@ -50,17 +50,12 @@ class Engine {
     // registered, at 0, for the benchmarks that read it.
     metrics_.counter(obs::kPrefNativeParallelRegions);
     // Live gauges: refreshed at every metrics export (scrape time), so
-    // /metrics always reflects the current cache residency, pool pressure
-    // and query-log occupancy without the hot paths publishing continuously.
+    // /metrics always reflects the current pool pressure and query-log
+    // occupancy without the hot paths publishing continuously (the cache
+    // sets its pref.cache.{bytes,entries} gauges as they change).
     // The hook captures `this`; it dies with metrics_ (a member), so it
     // cannot outlive the state it reads.
     metrics_.AddRefreshHook([this] {
-      std::vector<size_t> shard_bytes = cache_.ShardBytes();
-      for (size_t i = 0; i < shard_bytes.size(); ++i) {
-        metrics_.SetGauge(
-            std::string(obs::kPrefCacheShardBytesPrefix) + std::to_string(i),
-            static_cast<double>(shard_bytes[i]));
-      }
       metrics_.SetGauge(
           obs::kPrefPoolQueueDepth,
           static_cast<double>(ThreadPool::Shared().queue_depth()));
@@ -105,10 +100,11 @@ class Engine {
   /// the view pins the tables it reads.
   ///
   /// When the result cache is enabled, the query is fingerprinted first: a
-  /// hit returns a view of the cached relation (no copy) and replays its
-  /// ExecStats delta into `stats` (so counters match an uncached execution
-  /// exactly); a miss executes, gathers the result once into a new entry
-  /// when the cache admits it, and returns a view of that entry. `span`
+  /// hit returns a copy of the cached view (its ids, no value) and replays
+  /// its ExecStats delta into `stats` (so counters match an uncached
+  /// execution exactly); a miss executes and offers its view to the cache
+  /// as the entry. Either way the caller gets the view an uncached run
+  /// returns, the same rows of the same tables. `span`
   /// (nullable) receives the outcome, surfaced by EXPLAIN ANALYZE:
   /// "cache=hit", "cache=miss", "cache=miss(rejected:oversize)" or
   /// "cache=miss(rejected:trivial)" when the admission policy turned the
@@ -175,13 +171,6 @@ class Engine {
   const obs::QueryLog& query_log() const { return query_log_; }
 
  private:
-  /// Copies a miss result `view` into a cache entry (a column store) and
-  /// offers it to the cache under `key`. Returns a view of the entry, which
-  /// aliases its rows, when the cache admitted it; else `view` unchanged,
-  /// with the admission's verdict in `verdict`.
-  RowView InsertGathered(const cache::CacheKey& key, RowView view,
-                         const ExecStats& stats, cache::Admission* verdict);
-
   Catalog catalog_;
   ExecStats stats_;
   obs::MetricsRegistry metrics_;

@@ -783,6 +783,8 @@ class PlugInStrategy final : public Strategy {
       RETURN_IF_ERROR(ExecuteBasic(*q_np, np_shape, prefs, agg, engine, stats,
                                    s, &scores));
     }
+    // R_NP's rows find their pairs in R_P by key.
+    obs::SpanScope align(s, "AlignScores");
     return PRelation(std::move(r_np), scores);
   }
 

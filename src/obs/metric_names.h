@@ -27,10 +27,6 @@ inline constexpr std::string_view kPrefCacheAdmissionRejected =
     "pref.cache.admission_rejected";
 inline constexpr std::string_view kPrefCacheBytes = "pref.cache.bytes";
 inline constexpr std::string_view kPrefCacheEntries = "pref.cache.entries";
-/// Per-shard resident bytes gauges: the shard index is appended, e.g.
-/// "pref.cache.shard_bytes.3".
-inline constexpr std::string_view kPrefCacheShardBytesPrefix =
-    "pref.cache.shard_bytes.";
 
 // --- Native executor (src/engine) ---------------------------------------
 inline constexpr std::string_view kPrefNativeScanRows = "pref.native.scan_rows";
@@ -49,8 +45,8 @@ inline constexpr std::string_view kPrefNativeParallelRegions =
     "pref.native.parallel_regions";
 
 // --- Preference-aware execution (src/exec, src/engine) ----------------
-/// Rows copied out of row-id views: the answer's survivors, cache inserts
-/// and the root of a conventional Engine::Execute.
+/// Rows copied out of row-id views: the answer's survivors and the root of
+/// a conventional Engine::Execute.
 inline constexpr std::string_view kPrefExecRowsGathered =
     "pref.exec.rows_gathered";
 

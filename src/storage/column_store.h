@@ -106,9 +106,9 @@ class TypedColumn {
   std::vector<Value> values_;
 };
 
-/// The rows of a base table, a cache entry or a union's gathered rows, as
-/// one TypedColumn per column. Immutable once built; row-id views
-/// (storage/row_view.h) index it.
+/// The rows of a base table or a union's gathered rows, as one TypedColumn
+/// per column. Immutable once built; row-id views (storage/row_view.h)
+/// index it.
 class ColumnStore {
  public:
   ColumnStore() = default;

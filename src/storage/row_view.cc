@@ -74,22 +74,6 @@ Relation RowView::Gather() const {
   return out;
 }
 
-ColumnStore RowView::GatherColumns() const {
-  const size_t n = NumRows();
-  std::vector<TypedColumn> out;
-  out.reserve(columns.size());
-  std::vector<ValueView> cells(n);
-  for (size_t c = 0; c < columns.size(); ++c) {
-    const TypedColumn& col = Column(c);
-    const size_t input = columns[c].input;
-    for (size_t k = 0; k < n; ++k) {
-      cells[k] = col.View(Id(k, input));
-    }
-    out.push_back(TypedColumn::Build(cells));
-  }
-  return ColumnStore(std::move(out), n);
-}
-
 size_t ViewKeyHash(const ViewKey& key) {
   size_t h = 0x345678;
   for (size_t c : key.columns) h = h * 1000003 ^ key.view.View(key.row, c).Hash();

@@ -21,17 +21,17 @@ struct ColumnSource {
 /// An intermediate result as row ids (late materialization), shared by the
 /// native executor and the p-algebra, and the contents of a view-backed
 /// temporary table (Table::CreateView). A row is one uint32_t per joined
-/// input, indexing that input's column store: a table's, a cache entry's or
-/// one a union gathered. `columns` maps each output column to (input,
+/// input, indexing that input's column store: a table's or one a union
+/// gathered. `columns` maps each output column to (input,
 /// column). Operators only produce and remap ids; kernels read cells
 /// through the typed accessors (Column, View), and values are copied when a
 /// consumer gathers rows out of the view. The operator kernels over views
 /// live in engine/row_view.h.
 ///
-/// A view pins what it reads: `owned` holds a reference to every table,
-/// cache entry or gathered store its sources point into, so a view stays
-/// readable after ExecutePlan returns, after a temp table is dropped, after
-/// a base table is reloaded and after a cache entry is evicted.
+/// A view pins what it reads: `owned` holds a reference to every table or
+/// gathered store its sources point into, so a view stays readable after
+/// ExecutePlan returns, after a temp table is dropped, after a base table is
+/// reloaded and after the cache entry it was copied from is evicted.
 struct RowView {
   Schema schema;
   std::vector<size_t> key_columns;
@@ -88,9 +88,6 @@ struct RowView {
   /// Copies rows out of the view.
   Tuple GatherRow(size_t r) const;
   Relation Gather() const;
-  /// Copies the rows into one column store, column by column, without
-  /// building a Tuple.
-  ColumnStore GatherColumns() const;
 };
 
 /// The values of row `row` of `view` at `columns`, read in place: a key

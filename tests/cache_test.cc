@@ -1,16 +1,20 @@
 // The preference-aware query cache (src/cache): plan/preference
-// fingerprinting, the sharded LRU with its byte budget, version-based
+// fingerprinting, the LRU with its byte budget, the bytes an entry counts, version-based
 // invalidation on catalog mutation, the SET CACHE pragma, and — the
 // correctness contract — that warm (cached) executions are bit-identical
 // to cold ones, counters included, for every strategy.
 
+#include <algorithm>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "cache/fingerprint.h"
 #include "cache/query_cache.h"
 #include "common/fault_injection.h"
+#include "datagen/imdb_gen.h"
 #include "exec/runner.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
@@ -18,6 +22,7 @@
 #include "parser/parser.h"
 #include "plan/plan.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace prefdb {
 namespace {
@@ -157,13 +162,7 @@ TEST_F(FingerprintTest, PreferNodeTracksPreferenceContent) {
 }
 
 // ---------------------------------------------------------------------------
-// The sharded LRU store.
-
-// Keys with lo == 0 hash to `hi`, so hi = shard + 8*i pins them to a shard —
-// which makes per-shard LRU order and budgets deterministic to test.
-CacheKey ShardKey(size_t shard, uint64_t i) {
-  return CacheKey{shard + 8 * i, 0};
-}
+// The LRU store.
 
 std::shared_ptr<CachedResult> EntryOfBytes(size_t bytes) {
   auto entry = std::make_shared<CachedResult>();
@@ -180,9 +179,9 @@ TEST(QueryCacheTest, DisabledByDefault) {
 }
 
 TEST(QueryCacheTest, LruEvictionOrder) {
-  QueryCache cache(nullptr, /*max_bytes=*/8 * 1000);  // 1000 bytes per shard.
+  QueryCache cache(nullptr, /*max_bytes=*/1000);
   cache.set_enabled(true);
-  CacheKey k1 = ShardKey(0, 1), k2 = ShardKey(0, 2), k3 = ShardKey(0, 3);
+  CacheKey k1{1, 0}, k2{2, 0}, k3{3, 0};
   cache.Insert(k1, EntryOfBytes(400));
   cache.Insert(k2, EntryOfBytes(400));
   // Touch k1 so k2 becomes the eviction victim.
@@ -198,18 +197,19 @@ TEST(QueryCacheTest, LruEvictionOrder) {
 }
 
 TEST(QueryCacheTest, ByteBudgetRejectsOversizeAndShrinksOnLimit) {
-  QueryCache cache(nullptr, /*max_bytes=*/8 * 1000);
+  QueryCache cache(nullptr, /*max_bytes=*/1000);
   cache.set_enabled(true);
-  // An entry larger than a whole shard budget is not stored at all.
-  cache.Insert(ShardKey(0, 1), EntryOfBytes(5000));
-  EXPECT_EQ(cache.Lookup(ShardKey(0, 1)), nullptr);
+  // An entry larger than the whole budget is not stored at all.
+  EXPECT_EQ(cache.Insert(CacheKey{1, 0}, EntryOfBytes(5000)),
+            cache::Admission::kOversize);
+  EXPECT_EQ(cache.Lookup(CacheKey{1, 0}), nullptr);
   EXPECT_EQ(cache.snapshot().entries, 0u);
 
-  cache.Insert(ShardKey(0, 2), EntryOfBytes(400));
-  cache.Insert(ShardKey(0, 3), EntryOfBytes(400));
+  cache.Insert(CacheKey{2, 0}, EntryOfBytes(400));
+  cache.Insert(CacheKey{3, 0}, EntryOfBytes(400));
   EXPECT_EQ(cache.snapshot().entries, 2u);
   // Shrinking the budget evicts immediately.
-  cache.set_max_bytes(8 * 500);
+  cache.set_max_bytes(500);
   EXPECT_EQ(cache.snapshot().entries, 1u);
   // Clear drops everything.
   cache.Clear();
@@ -218,36 +218,36 @@ TEST(QueryCacheTest, ByteBudgetRejectsOversizeAndShrinksOnLimit) {
 }
 
 TEST(QueryCacheTest, PinnedEntriesSurviveEviction) {
-  QueryCache cache(nullptr, /*max_bytes=*/8 * 1000);
+  QueryCache cache(nullptr, /*max_bytes=*/1000);
   cache.set_enabled(true);
   auto stored = EntryOfBytes(600);
-  cache.Insert(ShardKey(0, 1), stored);
+  cache.Insert(CacheKey{1, 0}, stored);
   // A reader holds the entry while it gets evicted by a newer insert.
-  std::shared_ptr<const CachedResult> pinned = cache.Lookup(ShardKey(0, 1));
+  std::shared_ptr<const CachedResult> pinned = cache.Lookup(CacheKey{1, 0});
   ASSERT_NE(pinned, nullptr);
-  cache.Insert(ShardKey(0, 2), EntryOfBytes(600));
-  EXPECT_EQ(cache.Lookup(ShardKey(0, 1)), nullptr);
+  cache.Insert(CacheKey{2, 0}, EntryOfBytes(600));
+  EXPECT_EQ(cache.Lookup(CacheKey{1, 0}), nullptr);
   // The pinned snapshot is still fully usable.
   EXPECT_EQ(pinned->bytes, 600u);
-  EXPECT_EQ(pinned->rows.NumRows(), 0u);
+  EXPECT_EQ(pinned->view.NumRows(), 0u);
 }
 
 TEST(QueryCacheTest, AdmissionPolicyRejectsOversizeAndTrivialEntries) {
   obs::MetricsRegistry metrics;
-  QueryCache cache(&metrics, /*max_bytes=*/8 * 1000);  // 1000 bytes/shard.
+  QueryCache cache(&metrics, /*max_bytes=*/1000);
   cache.set_enabled(true);
 
-  // Oversize: bigger than a whole shard's budget slice.
-  cache.Insert(ShardKey(0, 1), EntryOfBytes(5000));
-  EXPECT_EQ(cache.Lookup(ShardKey(0, 1)), nullptr);
+  // Oversize: bigger than the whole budget.
+  cache.Insert(CacheKey{1, 0}, EntryOfBytes(5000));
+  EXPECT_EQ(cache.Lookup(CacheKey{1, 0}), nullptr);
   EXPECT_EQ(cache.snapshot().admission_rejected, 1u);
 
   // Trivial recompute: the miss execution touched no rows, so a hit would
   // save nothing — not worth displacing useful entries.
   auto trivial = std::make_shared<CachedResult>();
   trivial->bytes = 100;
-  cache.Insert(ShardKey(0, 2), trivial);
-  EXPECT_EQ(cache.Lookup(ShardKey(0, 2)), nullptr);
+  cache.Insert(CacheKey{2, 0}, trivial);
+  EXPECT_EQ(cache.Lookup(CacheKey{2, 0}), nullptr);
   EXPECT_EQ(cache.snapshot().admission_rejected, 2u);
   EXPECT_EQ(cache.snapshot().insertions, 0u);
 
@@ -256,16 +256,18 @@ TEST(QueryCacheTest, AdmissionPolicyRejectsOversizeAndTrivialEntries) {
   auto useful = std::make_shared<CachedResult>();
   useful->bytes = 100;
   useful->stats.tuples_materialized = 42;
-  cache.Insert(ShardKey(0, 3), useful);
-  EXPECT_NE(cache.Lookup(ShardKey(0, 3)), nullptr);
+  cache.Insert(CacheKey{3, 0}, useful);
+  EXPECT_NE(cache.Lookup(CacheKey{3, 0}), nullptr);
   QueryCache::Stats stats = cache.snapshot();
   EXPECT_EQ(stats.admission_rejected, 2u);
   EXPECT_EQ(stats.insertions, 1u);
 
-  // Admit names the reason without building a value.
-  EXPECT_EQ(cache.Admit(5000, useful->stats), cache::Admission::kOversize);
-  EXPECT_EQ(cache.Admit(100, ExecStats()), cache::Admission::kTrivial);
-  EXPECT_EQ(cache.Admit(100, useful->stats), cache::Admission::kAdmitted);
+  // Insert names the reason.
+  auto oversize = std::make_shared<CachedResult>(*useful);
+  oversize->bytes = 5000;
+  EXPECT_EQ(cache.Insert(CacheKey{4, 0}, oversize), cache::Admission::kOversize);
+  EXPECT_EQ(cache.Insert(CacheKey{5, 0}, trivial), cache::Admission::kTrivial);
+  EXPECT_EQ(cache.Insert(CacheKey{6, 0}, useful), cache::Admission::kAdmitted);
   EXPECT_EQ(cache.snapshot().admission_rejected, 4u);
   // The registry counter mirrors the snapshot field, and ToString surfaces
   // the rejection count for SHOW CACHE-style diagnostics.
@@ -276,7 +278,7 @@ TEST(QueryCacheTest, AdmissionPolicyRejectsOversizeAndTrivialEntries) {
 TEST(QueryCacheTest, HitMissCounters) {
   QueryCache cache(nullptr);
   cache.set_enabled(true);
-  CacheKey k = ShardKey(3, 7);
+  CacheKey k{3, 7};
   EXPECT_EQ(cache.Lookup(k), nullptr);
   cache.Insert(k, EntryOfBytes(10));
   EXPECT_NE(cache.Lookup(k), nullptr);
@@ -383,7 +385,7 @@ TEST(CacheEquivalenceTest, WarmRepeatBitIdenticalForEveryStrategy) {
 }
 
 // A query that trips the governor — or hits an injected fault on the very
-// insert path — must never populate a shard: later warm runs may not reuse
+// insert path — must never populate the cache: later warm runs may not reuse
 // a result whose execution did not complete cleanly.
 TEST(CacheEquivalenceTest, FailedQueriesAreNeverAdmitted) {
   Session session(MakeMovieCatalog());
@@ -658,7 +660,7 @@ TEST(CacheEquivalenceTest, AdmissionRejectionShowsItsReason) {
   options.strategy = StrategyKind::kFtP;
   options.trace = true;
 
-  // Oversize: an 8-byte budget leaves one byte per shard.
+  // Oversize: an 8-byte budget.
   Session small(MakeMovieCatalog());
   ASSERT_TRUE(small.Query("SET CACHE ON").ok());
   ASSERT_TRUE(small.Query("SET CACHE LIMIT 8").ok());
@@ -690,6 +692,134 @@ TEST(CacheEquivalenceTest, AdmissionRejectionShowsItsReason) {
   ASSERT_EQ(q_np.size(), 1u) << Tree(*trivial);
   EXPECT_EQ(q_np[0]->detail, "cache=miss(rejected:trivial)");
   EXPECT_EQ(empty.engine().cache()->snapshot().admission_rejected, 1u);
+}
+
+// A timing-free span tree without what the cache itself traces: its
+// `cache=…` details, and the engine's native.* spans, which a hit skips.
+std::string WithoutCacheTraces(const std::string& tree) {
+  static const std::regex kCacheDetail(" ?cache=[a-z]+(\\([a-z:]+\\))?");
+  static const std::regex kNoAttrs("  \\(\\)$");
+  std::istringstream lines(tree);
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.compare(line.find_first_not_of(' '), 7, "native.") == 0) continue;
+    line = std::regex_replace(line, kCacheDetail, "");
+    out += std::regex_replace(line, kNoAttrs, "") + "\n";
+  }
+  return out;
+}
+
+// With the cache on, a query runs the view it runs with the cache off: the
+// cold and the warm run trace the same tree as an uncached run once the
+// cache's own traces are taken out. GBU's temps over base tables keep
+// `base=<TABLE>`, so their region joins probe the tables' indexes.
+TEST(CacheEquivalenceTest, CacheOnTracesMatchCacheOff) {
+  ImdbOptions imdb;
+  imdb.scale = 0.0004;
+  imdb.seed = 11;
+  StatusOr<Catalog> catalog = GenerateImdb(imdb);
+  ASSERT_TRUE(catalog.ok());
+  Session session(std::move(*catalog));
+  // BU and GBU over Prefer(Scan), then Table II's IMDB joins.
+  std::vector<std::string> queries = {
+      "SELECT title, year FROM MOVIES PREFERRING (year >= 2000) SCORE "
+      "recency(year, 2011) CONF 0.9 RANKED"};
+  for (const WorkloadQuery& q : ImdbWorkload()) queries.push_back(q.sql);
+  size_t bases = 0;
+  for (const std::string& sql : queries) {
+    for (StrategyKind kind :
+         {StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
+          StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
+      session.engine().cache()->Clear();
+      QueryOptions options;
+      options.strategy = kind;
+      options.trace = true;
+      std::string trees[3];  // Cache off, cold, warm.
+      for (int run = 0; run < 3; ++run) {
+        options.cache = run > 0;
+        StatusOr<QueryResult> result = session.Query(sql, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        trees[run] = WithoutCacheTraces(result->trace->ToString(false));
+      }
+      EXPECT_EQ(trees[1], trees[0]) << StrategyKindName(kind) << " cold: " << sql;
+      EXPECT_EQ(trees[2], trees[0]) << StrategyKindName(kind) << " warm: " << sql;
+      for (size_t pos = 0; (pos = trees[0].find("base=", pos)) != std::string::npos;
+           ++pos) {
+        ++bases;
+      }
+    }
+  }
+  EXPECT_GT(bases, 0u);
+}
+
+// An entry counts its id array, schema and key, and each store it reads
+// that no table of its plan holds: a union's gathered rows. The tables are
+// the catalog's and not counted.
+TEST(CacheEntryBytesTest, CountsIdsAndGatheredStoresNotTables) {
+  Engine engine{MakeMovieCatalog()};
+  engine.cache()->set_enabled(true);
+  auto entry_of = [&](const PlanNode& plan) {
+    ExecStats stats;
+    EXPECT_TRUE(engine.ExecuteConcurrent(plan, &stats).ok());
+    StatusOr<PlanFingerprint> fp = FingerprintPlan(plan, engine.catalog(), 1);
+    EXPECT_TRUE(fp.ok());
+    std::shared_ptr<const CachedResult> entry = engine.cache()->Lookup(fp->key);
+    EXPECT_NE(entry, nullptr);
+    return entry;
+  };
+  // What an entry counts besides its ids.
+  auto fixed = [](const CachedResult& entry) {
+    return entry.bytes - entry.view.ids.size() * sizeof(uint32_t);
+  };
+  const Table* movies = *engine.catalog().GetTable("MOVIES");
+  const Table* directors = *engine.catalog().GetTable("DIRECTORS");
+
+  auto join = [](PlanPtr movies_input) {
+    return plan::Join(eb::Eq(eb::Col("MOVIES.d_id"), eb::Col("DIRECTORS.d_id")),
+                      std::move(movies_input), plan::Scan("DIRECTORS"));
+  };
+  PlanPtr all = join(plan::Scan("MOVIES"));
+  PlanPtr some = join(plan::Select(eb::Ge(eb::Col("year"), eb::Lit(int64_t{2008})),
+                                   plan::Scan("MOVIES")));
+  std::shared_ptr<const CachedResult> all_entry = entry_of(*all);
+  std::shared_ptr<const CachedResult> some_entry = entry_of(*some);
+  ASSERT_TRUE(all_entry != nullptr && some_entry != nullptr);
+  // The entry reads the tables' own stores.
+  const std::vector<const ColumnStore*>& sources = all_entry->view.sources;
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_NE(std::find(sources.begin(), sources.end(), &movies->store()), sources.end());
+  EXPECT_NE(std::find(sources.begin(), sources.end(), &directors->store()),
+            sources.end());
+  EXPECT_EQ(all_entry->view.NumRows(), 5u);
+  EXPECT_EQ(some_entry->view.NumRows(), 2u);
+  EXPECT_EQ(all_entry->bytes, cache::EntryBytes(all_entry->view, *all, engine.catalog()));
+  // Only the ids grow with the rows.
+  EXPECT_EQ(fixed(*all_entry), fixed(*some_entry));
+  // The tables are left out because the plan scans them: under a plan that
+  // scans neither, their stores would count.
+  EXPECT_EQ(cache::EntryBytes(all_entry->view, *plan::Scan("GENRES"), engine.catalog()),
+            all_entry->bytes + movies->store().Bytes() + directors->store().Bytes());
+
+  // A union with right-only rows (Scoop) gathers both inputs into a store
+  // of its own, which its entry counts; its left input alone has the same
+  // schema and key and reads MOVIES.
+  auto recent = [] {
+    return plan::Select(eb::Ge(eb::Col("year"), eb::Lit(int64_t{2008})),
+                        plan::Scan("MOVIES"));
+  };
+  PlanPtr left = recent();
+  PlanPtr both = plan::Union(
+      recent(), plan::Select(eb::Le(eb::Col("duration"), eb::Lit(int64_t{120})),
+                             plan::Scan("MOVIES")));
+  std::shared_ptr<const CachedResult> left_entry = entry_of(*left);
+  std::shared_ptr<const CachedResult> union_entry = entry_of(*both);
+  ASSERT_TRUE(left_entry != nullptr && union_entry != nullptr);
+  EXPECT_EQ(left_entry->view.sources[0], &movies->store());
+  ASSERT_EQ(union_entry->view.width(), 1u);
+  const ColumnStore* gathered = union_entry->view.sources[0];
+  EXPECT_NE(gathered, &movies->store());
+  EXPECT_EQ(union_entry->view.NumRows(), 3u);
+  EXPECT_EQ(fixed(*union_entry), fixed(*left_entry) + gathered->Bytes());
 }
 
 TEST(CacheEquivalenceTest, MetricsRegistryExposesCacheCounters) {
@@ -768,7 +898,7 @@ TEST(CacheConcurrencyTest, ConcurrentHitsAndMissesAreSafe) {
 
 TEST(CacheConcurrencyTest, ConcurrentInsertEvictChurnIsSafe) {
   // A budget small enough that concurrent inserts continuously evict.
-  QueryCache cache(nullptr, /*max_bytes=*/8 * 256);
+  QueryCache cache(nullptr, /*max_bytes=*/256);
   cache.set_enabled(true);
   constexpr int kThreads = 8;
   std::vector<std::thread> workers;
@@ -788,7 +918,7 @@ TEST(CacheConcurrencyTest, ConcurrentInsertEvictChurnIsSafe) {
   }
   for (std::thread& worker : workers) worker.join();
   QueryCache::Stats stats = cache.snapshot();
-  EXPECT_LE(stats.bytes, 8 * 256u);
+  EXPECT_LE(stats.bytes, 256u);
 }
 
 }  // namespace

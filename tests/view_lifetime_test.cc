@@ -1,10 +1,10 @@
-// Row-id views outlive the calls that made them: a view pins every table,
-// cache entry and gathered row vector it reads. These tests read views
-// after what they read is gone from the catalog or the cache (run them
-// under ASan: a view that did not pin its rows reads freed memory),
-// including GBU regions whose temp tables are views, check
-// that a cache hit aliases its entry instead of copying it, and count the
-// rows a preference query copies out of views (pref.exec.rows_gathered).
+// Row-id views outlive the calls that made them: a view pins every table
+// and gathered store it reads. These tests read views after what they read
+// is gone from the catalog or the cache (run them under ASan: a view that
+// did not pin its rows reads freed memory), including GBU regions whose
+// temp tables are views, check that a cache entry is the miss's view over
+// the tables' own stores, and count the rows a preference query copies out
+// of views (pref.exec.rows_gathered), with the cache off, cold and warm.
 
 #include <atomic>
 #include <functional>
@@ -127,7 +127,8 @@ class CachedViewTest : public ::testing::Test {
   Engine engine_;
 };
 
-TEST_F(CachedViewTest, HitAliasesTheEntryRows) {
+TEST_F(CachedViewTest, HitAndMissReadTheEntryViewsSources) {
+  obs::Counter* gathered = engine_.metrics().counter(obs::kPrefExecRowsGathered);
   ExecStats stats;
   StatusOr<RowView> miss = engine_.ExecuteConcurrent(*Query(), &stats);
   StatusOr<RowView> hit = engine_.ExecuteConcurrent(*Query(), &stats);
@@ -135,12 +136,19 @@ TEST_F(CachedViewTest, HitAliasesTheEntryRows) {
   std::shared_ptr<const cache::CachedResult> entry = Entry();
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(engine_.cache()->snapshot().hits, 2u);  // The hit, then Entry().
-  // Both the admitted miss and the hit read the entry's own column store.
+  // The entry, the admitted miss and the hit read MOVIES' own store, the
+  // same rows of it; no row was copied.
+  const ColumnStore* movies = &(*engine_.catalog().GetTable("MOVIES"))->store();
+  ASSERT_EQ(entry->view.width(), 1u);
   ASSERT_EQ(hit->width(), 1u);
-  EXPECT_EQ(hit->sources[0], &entry->rows);
-  EXPECT_EQ(miss->sources[0], &entry->rows);
-  EXPECT_EQ(&hit->Column(0), &entry->rows.column(0));
+  EXPECT_EQ(entry->view.sources[0], movies);
+  EXPECT_EQ(hit->sources[0], movies);
+  EXPECT_EQ(miss->sources[0], movies);
+  EXPECT_EQ(&hit->Column(0), &movies->column(0));
+  EXPECT_EQ(hit->ids, entry->view.ids);
+  EXPECT_EQ(miss->ids, entry->view.ids);
   EXPECT_EQ(hit->NumRows(), 4u);
+  EXPECT_EQ(gathered->value(), 0u);
 }
 
 TEST_F(CachedViewTest, HitViewOutlivesEviction) {
@@ -207,9 +215,9 @@ PlanPtr SelfJoinRegionPlan(int inputs) {
 // The rows and exact pairs of a p-relation, in order.
 std::vector<Tuple> Scored(const PRelation& p) { return ToScoredRelation(p).rows(); }
 
-// A cache so small that each shard holds one entry: the region's ten
-// delegated scans, one per alias, evict entries that the region's temps are
-// views of while the query runs.
+// A cache that holds one entry: the region's ten delegated scans, one per
+// alias, evict the entries whose views the region's temps copied while the
+// query runs.
 TEST(GbuTempViewTest, TempOverCacheEntryEvictedMidQuery) {
   Engine engine(MakeMovieCatalog());
   PlanPtr plan = SelfJoinRegionPlan(10);
@@ -217,16 +225,14 @@ TEST(GbuTempViewTest, TempOverCacheEntryEvictedMidQuery) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_EQ(reference->NumRows(), 5u);
 
-  // Every entry is one alias' scan of MOVIES.
-  StatusOr<Relation> scan = engine.Execute(*plan::Scan("MOVIES", "A1"));
-  ASSERT_TRUE(scan.ok());
-  cache::CachedResult one;
-  one.schema = scan->schema();
-  one.key_columns = scan->key_columns();
-  one.rows = ColumnStore::FromRows(scan->rows(), scan->schema().size());
-  const size_t entry = cache::EstimateEntryBytes(one);
+  // Every entry is one alias' scan of MOVIES, all of one size.
   engine.cache()->set_enabled(true);
-  engine.cache()->set_max_bytes(cache::QueryCache::shard_count() * entry);
+  ExecStats scan_stats;
+  ASSERT_TRUE(engine.ExecuteConcurrent(*plan::Scan("MOVIES", "A1"), &scan_stats).ok());
+  const size_t entry = engine.cache()->snapshot().bytes;
+  ASSERT_GT(entry, 0u);
+  engine.cache()->Clear();
+  engine.cache()->set_max_bytes(entry);
   // Cold, then over whatever survived; the second result is read after the
   // cache is emptied as well.
   for (int round = 0; round < 2; ++round) {
@@ -234,7 +240,7 @@ TEST(GbuTempViewTest, TempOverCacheEntryEvictedMidQuery) {
     StatusOr<PRelation> gbu = RunStrategy(StrategyKind::kGBU, *plan, &engine);
     ASSERT_TRUE(gbu.ok()) << gbu.status().ToString();
     if (round == 0) {
-      // Ten entries in eight one-entry shards: at least two evicted.
+      // Ten entries in a one-entry cache: at least two evicted.
       EXPECT_GE(engine.cache()->snapshot().evictions - evictions, 2u);
     } else {
       engine.cache()->Clear();
@@ -333,8 +339,9 @@ TEST(GbuTempViewTest, ConcurrentGbuRegionsSurviveConcurrentEviction) {
 }
 
 // Every row a TOP 20 preference query copies out of a view is a row of the
-// answer. GBU's temp tables are views of the prefer subtrees' results and
-// copy nothing.
+// answer, with the cache off, cold and warm. GBU's temp tables are views of
+// the prefer subtrees' results and copy nothing, and a cache entry is the
+// miss's view.
 TEST(RowsGatheredTest, TopKQueriesGatherOnlyTheirAnswer) {
   ImdbOptions options;
   options.scale = 0.0004;
@@ -351,23 +358,27 @@ TEST(RowsGatheredTest, TopKQueriesGatherOnlyTheirAnswer) {
   for (StrategyKind kind : {StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
                             StrategyKind::kPlugInBasic,
                             StrategyKind::kPlugInCombined}) {
-    QueryOptions query;
-    query.strategy = kind;
-    query.trace = true;
-    const uint64_t before = gathered->value();
-    StatusOr<QueryResult> result = session.Query(sql, query);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->relation.NumRows(), 20u);
-    size_t temps = 0;
-    std::vector<const obs::Span*> stack = {result->trace.get()};
-    while (!stack.empty()) {
-      const obs::Span* span = stack.back();
-      stack.pop_back();
-      if (span->name == "RegisterTemp") ++temps;
-      for (const obs::SpanPtr& child : span->children) stack.push_back(child.get());
+    session.engine().cache()->Clear();
+    for (const char* run : {"off", "cold", "warm"}) {
+      QueryOptions query;
+      query.strategy = kind;
+      query.trace = true;
+      query.cache = std::string_view(run) != "off";
+      const uint64_t before = gathered->value();
+      StatusOr<QueryResult> result = session.Query(sql, query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->relation.NumRows(), 20u);
+      size_t temps = 0;
+      std::vector<const obs::Span*> stack = {result->trace.get()};
+      while (!stack.empty()) {
+        const obs::Span* span = stack.back();
+        stack.pop_back();
+        if (span->name == "RegisterTemp") ++temps;
+        for (const obs::SpanPtr& child : span->children) stack.push_back(child.get());
+      }
+      EXPECT_EQ(temps > 0, kind == StrategyKind::kGBU) << StrategyKindName(kind) << " " << run;
+      EXPECT_EQ(gathered->value() - before, 20u) << StrategyKindName(kind) << " " << run;
     }
-    EXPECT_EQ(temps > 0, kind == StrategyKind::kGBU) << StrategyKindName(kind);
-    EXPECT_EQ(gathered->value() - before, 20u) << StrategyKindName(kind);
   }
 }
 
