@@ -106,10 +106,11 @@ class QueryGovernor {
 };
 
 /// The unwinding vehicle for governor trips inside void contexts — row
-/// loops, TaskGroup tasks — where a Status cannot be returned. It rides the
-/// existing exception plumbing (TaskGroup captures per-task exceptions and
-/// Wait() rethrows the first after joining every sibling; scope guards such
-/// as GBU's TempTableGuard release their resources during the unwind). The
+/// loops, ParallelInvoke functions — where a Status cannot be returned. It
+/// rides the existing exception plumbing (ParallelInvoke captures each
+/// function's exception and rethrows the lowest-indexed one after every
+/// function has finished; scope guards such as GBU's TempTableGuard release
+/// their resources during the unwind). The
 /// public API still never throws: Session::Run and Engine::ExecuteConcurrent
 /// convert it back to the carried Status at the subsystem boundary.
 class QueryAbortedException : public std::exception {

@@ -203,7 +203,7 @@ StatusOr<QueryResult> Session::Run(const ParsedQuery& parsed,
   record.millis = millis;
   record.cache_hits = cache_after.hits - cache_before.hits;
   record.cache_misses = cache_after.misses - cache_before.misses;
-  record.threads = options.parallel.ResolvedThreads();
+  record.threads = options.parallel.threads;
   const bool slow = query_log.slowlog_enabled() &&
                     millis >= query_log.slow_threshold_ms();
 

@@ -5,10 +5,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
-#include "cache/fingerprint.h"
 #include "cache/query_cache.h"
 #include "common/fault_injection.h"
 #include "common/governor.h"
@@ -143,54 +141,24 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 // own ExecStats; the per-query stats are merged into `stats` in plan order
 // at the join point, so counter totals match serial execution.
 //
-// Identical plans (same fingerprint, including referenced-table versions)
-// are detected up front and executed once; each duplicate shares the unique
-// execution's view and *replays* its ExecStats delta, so counter totals
-// still match executing every plan.
-//
-// With a non-null `span`, each executed query gets a child span named by
-// `labels`, built under a detached holder of its own and adopted in plan
-// order at the join (the same discipline as the stats merge), so the trace
-// is the same at every thread count; deduplicated plans get a span
-// annotated "dedup".
+// With a non-null `span`, each query gets a child span named by `labels`,
+// built under a detached holder of its own and adopted in plan order at the
+// join (the same discipline as the stats merge), so the trace is the same
+// at every thread count.
 StatusOr<std::vector<RowView>> ExecuteEngineQueries(
     const std::vector<const PlanNode*>& plans, Engine* engine,
     ExecStats* stats, obs::Span* span, const std::vector<std::string>& labels) {
   const size_t n = plans.size();
-
-  // rep[i] is the index of the first plan with i's fingerprint (i itself
-  // when unique or unfingerprintable).
-  std::vector<size_t> rep(n);
-  for (size_t i = 0; i < n; ++i) rep[i] = i;
-  if (n >= 2) {
-    const uint64_t seed = engine->native_optimizer_enabled() ? 1 : 0;
-    std::unordered_map<cache::CacheKey, size_t, cache::CacheKeyHash> first;
-    first.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<cache::PlanFingerprint> fp =
-          cache::FingerprintPlan(*plans[i], engine->catalog(), seed);
-      if (!fp.ok()) continue;
-      auto [it, inserted] = first.emplace(fp->key, i);
-      if (!inserted) rep[i] = it->second;
-    }
-  }
-  std::vector<size_t> unique;
-  unique.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (rep[i] == i) unique.push_back(i);
-  }
-
   std::vector<std::optional<StatusOr<RowView>>> partials(n);
   std::vector<ExecStats> partial_stats(n);
-  std::vector<obs::SpanPtr> holders(unique.size());
+  std::vector<obs::SpanPtr> holders(n);
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(unique.size());
-  for (size_t u = 0; u < unique.size(); ++u) {
-    if (span != nullptr) holders[u] = obs::Span::Detached("task");
+  tasks.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (span != nullptr) holders[i] = obs::Span::Detached("task");
     tasks.push_back([&partials, &partial_stats, &plans, &holders, &labels,
-                     &unique, engine, u] {
-      const size_t i = unique[u];
-      obs::SpanScope scope(holders[u].get(), labels[i]);
+                     engine, i] {
+      obs::SpanScope scope(holders[i].get(), labels[i]);
       partials[i] =
           engine->ExecuteConcurrent(*plans[i], &partial_stats[i], scope.get());
       if (partials[i]->ok()) {
@@ -207,15 +175,9 @@ StatusOr<std::vector<RowView>> ExecuteEngineQueries(
   std::vector<RowView> results;
   results.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const size_t r = rep[i];
-    stats->Merge(partial_stats[r]);
-    RETURN_IF_ERROR(partials[r]->status());
-    if (r != i && span != nullptr) {
-      obs::SpanScope dup(span, labels[i]);
-      obs::SetDetail(dup.get(), "dedup");
-      obs::SetRowsOut(dup.get(), (*partials[r])->NumRows());
-    }
-    results.push_back(**partials[r]);  // A view: copies ids, not values.
+    stats->Merge(partial_stats[i]);
+    RETURN_IF_ERROR(partials[i]->status());
+    results.push_back(std::move(**partials[i]));
   }
   return results;
 }

@@ -24,7 +24,7 @@ struct QueryRecord {
   size_t rows_out = 0;          // Final result cardinality (0 on failure).
   uint64_t cache_hits = 0;      // pref.cache.hits delta over this query.
   uint64_t cache_misses = 0;    // pref.cache.misses delta over this query.
-  size_t threads = 1;           // Resolved parallel thread budget.
+  size_t threads = 1;           // QueryOptions::parallel.threads.
   bool failed = false;
   std::string failure_message;  // Session::last_failure() message.
   /// Status code name of the failure ("Cancelled", "DeadlineExceeded",

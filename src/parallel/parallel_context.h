@@ -14,7 +14,7 @@ namespace prefdb {
 /// row order, counters and traces are the same at every thread count.
 struct ParallelContext {
   /// Maximum number of delegated queries a plug-in strategy runs at once.
-  /// 0 means "use the hardware concurrency"; 1 means serial.
+  /// 0 and 1 both mean serial.
   size_t threads = 1;
 
   /// Cooperative query governor consulted at cancellation checkpoints
@@ -23,9 +23,6 @@ struct ParallelContext {
   /// Session::Run points this at a stack-local governor for the duration
   /// of one query; the object outlives every task observing the context.
   const QueryGovernor* governor = nullptr;
-
-  /// `threads` with 0 resolved to the hardware concurrency (at least 1).
-  size_t ResolvedThreads() const;
 };
 
 }  // namespace prefdb

@@ -1,7 +1,8 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
+#include <memory>
 #include <utility>
 
 #include "common/string_util.h"
@@ -19,10 +20,9 @@ std::string ThreadPoolTelemetry::ToString() const {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   size_t n = std::max<size_t>(1, num_threads);
-  queues_.resize(n);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -38,101 +38,41 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
-    queues_[next_queue_].push_back(
-        {std::move(task), std::chrono::steady_clock::now()});
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back({std::move(task), std::chrono::steady_clock::now()});
   }
   cv_.NotifyOne();
 }
 
-size_t ThreadPool::steal_count() const {
-  MutexLock lock(&mu_);
-  return steal_count_;
-}
-
 size_t ThreadPool::queue_depth() const {
   MutexLock lock(&mu_);
-  size_t depth = 0;
-  for (const auto& queue : queues_) depth += queue.size();
-  return depth;
+  return queue_.size();
 }
 
 ThreadPoolTelemetry ThreadPool::telemetry() const {
   MutexLock lock(&mu_);
   ThreadPoolTelemetry t;
   t.tasks_executed = tasks_executed_;
-  t.steals = steal_count_;
-  t.help_drains = help_drains_;
   t.queue_wait_micros = queue_wait_micros_;
   return t;
 }
 
-void ThreadPool::NoteDequeued(const QueuedTask& task) {
-  ++tasks_executed_;
-  queue_wait_micros_ +=
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - task.submitted)
-          .count();
-}
-
-bool ThreadPool::NextTask(size_t worker_index, std::function<void()>* task) {
-  std::deque<QueuedTask>& own = queues_[worker_index];
-  if (!own.empty()) {
-    NoteDequeued(own.front());
-    *task = std::move(own.front().fn);
-    own.pop_front();
-    return true;
-  }
-  // Steal from the back of a sibling's deque, scanning round-robin from the
-  // next worker so no single victim is preferred.
-  for (size_t off = 1; off < queues_.size(); ++off) {
-    std::deque<QueuedTask>& victim =
-        queues_[(worker_index + off) % queues_.size()];
-    if (!victim.empty()) {
-      NoteDequeued(victim.back());
-      *task = std::move(victim.back().fn);
-      victim.pop_back();
-      ++steal_count_;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  {
-    MutexLock lock(&mu_);
-    for (std::deque<QueuedTask>& queue : queues_) {
-      if (!queue.empty()) {
-        NoteDequeued(queue.front());
-        ++help_drains_;
-        task = std::move(queue.front().fn);
-        queue.pop_front();
-        break;
-      }
-    }
-  }
-  if (!task) return false;
-  task();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  mu_.Lock();
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
-    if (NextTask(worker_index, &task)) {
-      mu_.Unlock();
-      task();
-      task = nullptr;  // Release captures before re-locking.
-      mu_.Lock();
-      continue;
+    {
+      MutexLock lock(&mu_);
+      while (queue_.empty() && !shutting_down_) cv_.Wait(&mu_);
+      if (queue_.empty()) return;  // Shutting down, and the queue is drained.
+      ++tasks_executed_;
+      queue_wait_micros_ += std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() -
+                                queue_.front().submitted)
+                                .count();
+      task = std::move(queue_.front().fn);
+      queue_.pop_front();
     }
-    if (shutting_down_) break;  // All queues drained.
-    cv_.Wait(&mu_);
+    task();  // Its captures are released before the lock is taken again.
   }
-  mu_.Unlock();
 }
 
 ThreadPool& ThreadPool::Shared() {
@@ -143,87 +83,74 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
-void TaskGroup::Run(std::function<void()> fn) {
-  {
-    MutexLock lock(&mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, fn = std::move(fn)] {
-    std::exception_ptr err;
+namespace {
+
+// The state of one ParallelInvoke batch, shared by the caller and its
+// helper tasks. A helper may start after the caller has returned, so it
+// owns the batch too; it reads the caller's `fns` and `errors` only after
+// claiming an index, and the caller waits for every helper that did.
+struct Batch {
+  Batch(const std::vector<std::function<void()>>* fns,
+        std::vector<std::exception_ptr>* errors)
+      : fns(fns), errors(errors), size(fns->size()) {}
+
+  const std::vector<std::function<void()>>* fns;  // The caller's.
+  // The caller's too, so every exception is released on the caller's
+  // thread. Each function's exception lands in its own slot, written by
+  // the one thread that claimed it and read by the caller after the join.
+  std::vector<std::exception_ptr>* errors;
+  const size_t size;
+  Mutex mu;
+  CondVar idle;
+  size_t next PREFDB_GUARDED_BY(mu) = 0;     // The claim cursor.
+  size_t running PREFDB_GUARDED_BY(mu) = 0;  // Threads inside a function.
+};
+
+// Claims and runs functions until the cursor is exhausted.
+void Drain(Batch* batch) {
+  batch->mu.Lock();
+  while (batch->next < batch->size) {
+    const size_t i = batch->next++;
+    ++batch->running;
+    batch->mu.Unlock();
     try {
-      fn();
+      (*batch->fns)[i]();
     } catch (...) {
-      err = std::current_exception();
+      (*batch->errors)[i] = std::current_exception();
     }
-    // The decrement, the error publication and the notify happen under the
-    // lock: once Wait() observes pending_ == 0 the group may be destroyed,
-    // so this task must be done touching members before releasing it.
-    MutexLock lock(&mu_);
-    if (err && !error_) error_ = err;
-    --pending_;
-    cv_.NotifyAll();
-  });
-}
-
-void TaskGroup::HelpUntilDone() {
-  for (;;) {
-    {
-      MutexLock lock(&mu_);
-      if (pending_ == 0) return;
-    }
-    // Run queued work (any group's) rather than sleeping: this is what
-    // keeps nested joins deadlock-free when every pool worker is itself
-    // blocked in a Wait.
-    if (pool_->TryRunOneTask()) continue;
-    // Every queue was empty, so all of this group's pending tasks are
-    // running on other threads (tasks are enqueued only by the owner, who
-    // is here). Their completion decrements pending_ and notifies under
-    // mu_, so blocking cannot miss the wakeup.
-    MutexLock lock(&mu_);
-    while (pending_ != 0) cv_.Wait(&mu_);
-    return;
+    batch->mu.Lock();
+    --batch->running;
   }
+  if (batch->running == 0) batch->idle.NotifyAll();
+  batch->mu.Unlock();
 }
 
-void TaskGroup::Wait() {
-  HelpUntilDone();
-  MutexLock lock(&mu_);
-  if (error_) {
-    std::exception_ptr error = std::exchange(error_, nullptr);
-    std::rethrow_exception(error);
-  }
-}
-
-void TaskGroup::WaitNoThrow() { HelpUntilDone(); }
+}  // namespace
 
 void ParallelInvoke(const ParallelContext& ctx,
                     const std::vector<std::function<void()>>& fns) {
-  // Each function's exception lands in its own slot, so a failure neither
-  // stops the batch nor races another one.
   std::vector<std::exception_ptr> errors(fns.size());
-  std::atomic<size_t> cursor{0};
-  auto drain = [&fns, &errors, &cursor] {
-    size_t i;
-    while ((i = cursor.fetch_add(1, std::memory_order_relaxed)) < fns.size()) {
-      try {
-        fns[i]();
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
+  auto batch = std::make_shared<Batch>(&fns, &errors);
+  const size_t workers = std::min(ctx.threads, fns.size());
+  std::exception_ptr submit_error;
+  try {
+    for (size_t w = 1; w < workers; ++w) {
+      ThreadPool::Shared().Submit([batch] { Drain(batch.get()); });
     }
-  };
-  const size_t workers = std::min(ctx.ResolvedThreads(), fns.size());
-  if (workers <= 1) {
-    drain();
-  } else {
-    TaskGroup group(&ThreadPool::Shared());
-    for (size_t w = 1; w < workers; ++w) group.Run(drain);
-    drain();  // The caller works too.
-    group.Wait();
+  } catch (...) {
+    // Fewer helpers than asked: the batch still runs, and the helpers
+    // already queued are joined below before anything is rethrown.
+    submit_error = std::current_exception();
+  }
+  Drain(batch.get());  // The caller works too, and alone if no helper starts.
+  {
+    MutexLock lock(&batch->mu);
+    while (batch->running != 0) batch->idle.Wait(&batch->mu);
   }
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
+  if (submit_error) std::rethrow_exception(submit_error);
 }
 
 }  // namespace prefdb

@@ -5,7 +5,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "parallel/thread_pool.h"
 
 namespace prefdb {
 
@@ -15,14 +14,6 @@ class CleanCounter {
   void Bump() {
     MutexLock lock(&mu_);
     ++count_;
-  }
-
-  void BumpAll(int n) {
-    TaskGroup group(&ThreadPool::Shared());
-    for (int i = 0; i < n; ++i) {
-      group.Run([this] { Bump(); });
-    }
-    group.Wait();
   }
 
  private:

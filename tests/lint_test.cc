@@ -39,16 +39,6 @@ TEST(LintFixtures, UnguardedWrapperMutexTriggers) {
   ExpectOnlyRule("src/parallel/unguarded_wrapper.cc", "mutex-guarded-by");
 }
 
-TEST(LintFixtures, TaskGroupWithoutWaitTriggers) {
-  ExpectOnlyRule("src/parallel/missing_wait.cc", "taskgroup-wait");
-}
-
-TEST(LintFixtures, ExecutorTaskGroupWithoutWaitTriggers) {
-  // The taskgroup-wait rule must catch an unjoined group outside
-  // src/parallel too (it is not scoped to that directory).
-  ExpectOnlyRule("src/engine/missing_wait_executor.cc", "taskgroup-wait");
-}
-
 TEST(LintFixtures, CatalogMutationOutsideEngineTriggers) {
   ExpectOnlyRule("src/exec/catalog_mutation.cc", "catalog-mutation");
 }
@@ -110,23 +100,6 @@ TEST(LintContent, MutexLockLocalIsNotAMutexDecl) {
   EXPECT_TRUE(LintContent("src/x/c.cc", content).empty());
 }
 
-TEST(LintContent, TaskGroupWaitSameLineCounts) {
-  const std::string content =
-      "void F(ThreadPool* p) { TaskGroup g(p); g.Run([]{}); g.Wait(); }\n";
-  EXPECT_TRUE(LintContent("src/x/c.cc", content).empty());
-}
-
-TEST(LintContent, TaskGroupClassDeclarationsDoNotTrigger) {
-  const std::string content =
-      "class TaskGroup {\n"
-      " public:\n"
-      "  explicit TaskGroup(ThreadPool* pool);\n"
-      "  TaskGroup(const TaskGroup&) = delete;\n"
-      "};\n"
-      "TaskGroup::TaskGroup(ThreadPool* pool) : pool_(pool) {}\n";
-  EXPECT_TRUE(LintContent("src/parallel/tp.h", content).empty());
-}
-
 TEST(LintContent, CatalogMutationAllowedUnderEngine) {
   const std::string content = "Catalog* mutable_catalog() { return &c_; }\n";
   EXPECT_TRUE(LintContent("src/engine/engine.h", content).empty());
@@ -184,9 +157,7 @@ TEST(LintContent, MetricRegistryScopedToSrcOutsideRegistryHeader) {
 }
 
 TEST(LintContent, CommentedOutCodeDoesNotTriggerCodeRules) {
-  const std::string content =
-      "// std::mutex old_mu_;\n"
-      "// TaskGroup g(&pool);\n";
+  const std::string content = "// std::mutex old_mu_;\n";
   EXPECT_TRUE(LintContent("src/x/c.cc", content).empty());
 }
 

@@ -3,8 +3,10 @@
 // contract), EXPLAIN ANALYZE for every strategy, the Session failure
 // report, and the ExecStats merge discipline the span adoption mirrors.
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/imdb_gen.h"
@@ -557,7 +559,17 @@ TEST(ThreadPoolTelemetryTest, ParallelQueryExecutesPoolTasks) {
   options.parallel = ForcedContext(8);
   auto result = session->Query(ImdbWorkload()[0].sql, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // ParallelInvoke does not wait for a helper task that has not started
+  // (the calling thread may have run the whole batch), so the helper may be
+  // dequeued just after the query returns.
   ThreadPoolTelemetry after = ThreadPool::Shared().telemetry();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (after.tasks_executed == before.tasks_executed &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = ThreadPool::Shared().telemetry();
+  }
   EXPECT_GT(after.tasks_executed, before.tasks_executed);
   EXPECT_GE(after.queue_wait_micros, before.queue_wait_micros);
   EXPECT_FALSE(after.ToString().empty());

@@ -1,7 +1,8 @@
-// Tests for the parallel execution substrate: the work-stealing ThreadPool
-// and TaskGroup (shutdown, exception propagation, stealing under skew) and
-// ParallelInvoke, the plug-ins' fan-out of delegated queries (every function
-// once, inline when serial, errors after the join).
+// Tests for the parallel execution substrate: the one-queue ThreadPool
+// (every task runs, shutdown drains the queue) and ParallelInvoke, the
+// plug-ins' fan-out of delegated queries (every function once, inline when
+// serial, errors after the join, cancellation joined, and completion on the
+// caller alone when nested or when every pool worker is busy).
 
 #include "parallel/thread_pool.h"
 
@@ -9,8 +10,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -34,14 +36,27 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
 }
 
 TEST(ThreadPoolTest, ExecutesEveryTask) {
+  constexpr int kTasks = 1000;
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 1000; ++i) {
-    group.Run([&counter] { counter.fetch_add(1); });
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == kTasks) cv.notify_all();
+    });
   }
-  group.Wait();
-  EXPECT_EQ(counter.load(), 1000);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return done == kTasks; }));
+  }
+  ThreadPoolTelemetry telemetry = pool.telemetry();
+  EXPECT_EQ(telemetry.tasks_executed, static_cast<uint64_t>(kTasks));
+  EXPECT_EQ(telemetry.steals, 0u);
+  EXPECT_EQ(telemetry.help_drains, 0u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks) {
@@ -56,152 +71,44 @@ TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks) {
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolTest, WaitHelpsRunQueuedTasks) {
-  // The helping join: a thread blocked in Wait() drains queued pool tasks
-  // instead of sleeping, so group tasks may legitimately run on the waiting
-  // thread as well as on pool threads. Every task still runs exactly once.
-  ThreadPool pool(2);
-  std::set<std::thread::id> ids;
-  std::mutex mu;
-  std::atomic<int> ran{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 64; ++i) {
-    group.Run([&] {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ids.insert(std::this_thread::get_id());
-      }
-      ran.fetch_add(1);
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_GE(ids.size(), 1u);
-}
-
-TEST(ThreadPoolTest, NestedForkJoinDoesNotDeadlock) {
-  // With a single worker, outer tasks blocked in an inner Wait() would
-  // starve their queued inner tasks forever if waiting threads only
-  // slept — the helping join is what lets nested fork/join (BU subtree
-  // evaluation spawning morsel loops) complete.
-  ThreadPool pool(1);
-  std::atomic<int> inner_ran{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 4; ++i) {
-    outer.Run([&] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 8; ++j) {
-        inner.Run([&] { inner_ran.fetch_add(1); });
-      }
-      inner.Wait();
-    });
-  }
-  outer.Wait();
-  EXPECT_EQ(inner_ran.load(), 32);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughTaskGroup) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 10; ++i) {
-    group.Run([&completed, i] {
-      if (i == 3) throw std::runtime_error("task 3 failed");
-      completed.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The failure does not cancel the rest of the batch.
-  EXPECT_EQ(completed.load(), 9);
-}
-
-TEST(ThreadPoolTest, WaitRethrowsFirstExceptionOnly) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  for (int i = 0; i < 8; ++i) {
-    group.Run([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // A second Wait() returns cleanly: the error was consumed.
-  group.Wait();
-}
-
-// Governor cancellation racing normal completion: some tasks finish before
-// the trip, some hit a tripped checkpoint and unwind. Wait() must join
-// every sibling (no task still touching `completed` after it returns) and
-// rethrow the first captured QueryAbortedException with the trip's code.
-TEST(ThreadPoolTest, WaitJoinsAllSiblingsWhenCancellationRacesCompletion) {
-  for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(8);
-    QueryGovernor governor;
-    std::atomic<int> completed{0};
-    std::atomic<int> started{0};
-    TaskGroup group(&pool);
-    for (int i = 0; i < 64; ++i) {
-      group.Run([&] {
-        // Exactly one task — the 32nd to start — trips the governor
-        // mid-batch; earlier finishers race past, later ones unwind.
-        if (started.fetch_add(1, std::memory_order_relaxed) + 1 == 32) {
-          governor.Cancel();
-        }
-        GovernorCheckpoint(&governor);
-        completed.fetch_add(1, std::memory_order_relaxed);
+// Occupies every worker of the shared pool until destroyed: exactly
+// num_threads() blocking tasks, no more. The constructor returns once all
+// of them are running, so every task queued before them has finished.
+class SharedPoolBlocker {
+ public:
+  SharedPoolBlocker() : workers_(ThreadPool::Shared().num_threads()) {
+    for (size_t i = 0; i < workers_; ++i) {
+      ThreadPool::Shared().Submit([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++started_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+        ++finished_;
+        cv_.notify_all();
       });
     }
-    bool threw = false;
-    try {
-      group.Wait();
-    } catch (const QueryAbortedException& aborted) {
-      threw = true;
-      EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
-    }
-    ASSERT_TRUE(threw) << "round " << round;
-    // Every task either completed or unwound; none is still in flight.
-    EXPECT_EQ(started.load(), 64) << "round " << round;
-    EXPECT_LT(completed.load(), 64) << "round " << round;
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return started_ == workers_; });
   }
-}
 
-// Stealing under skew: one task blocks a worker until every short task has
-// run. Round-robin submission parks half the short tasks behind the blocked
-// worker, so the test can only terminate if the other worker steals them —
-// completion itself proves stealing, and the counter confirms it. The test
-// thread waits for the short tasks before joining: TaskGroup::Wait is a
-// helping join, and draining the parked tasks itself would leave no task for
-// the free worker to steal.
-TEST(ThreadPoolTest, StealsQueuedTasksFromBusyWorker) {
-  ThreadPool pool(2);
-  constexpr int kShortTasks = 32;
-  std::mutex mu;
-  std::condition_variable cv;
-  int done = 0;
+  SharedPoolBlocker(const SharedPoolBlocker&) = delete;
+  SharedPoolBlocker& operator=(const SharedPoolBlocker&) = delete;
 
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    bool all_done = cv.wait_for(lock, std::chrono::seconds(30),
-                                [&] { return done == kShortTasks; });
-    EXPECT_TRUE(all_done) << "short tasks were not stolen from the blocked "
-                             "worker's queue";
-  });
-  TaskGroup group(&pool);
-  for (int i = 0; i < kShortTasks; ++i) {
-    group.Run([&] {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-      }
-      cv.notify_all();
-    });
+  ~SharedPoolBlocker() {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return finished_ == workers_; });
   }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    bool all_done = cv.wait_for(lock, std::chrono::seconds(30),
-                                [&] { return done == kShortTasks; });
-    EXPECT_TRUE(all_done) << "short tasks did not finish on the pool";
-  }
-  group.Wait();
-  EXPECT_GE(pool.steal_count(), 1u);
-}
+
+ private:
+  const size_t workers_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t started_ = 0;
+  size_t finished_ = 0;
+  bool released_ = false;
+};
 
 ParallelContext Threads(size_t threads) {
   ParallelContext ctx;
@@ -266,6 +173,98 @@ TEST(ParallelInvokeTest, RethrowsFirstErrorAfterEveryFunctionFinished) {
     // rethrow.
     EXPECT_EQ(finished.load(), kFunctions - 2) << "threads=" << threads;
   }
+}
+
+// Governor cancellation racing normal completion: some functions finish
+// before the trip, some hit a tripped checkpoint and unwind. ParallelInvoke
+// must join every function that started (none still in flight once it
+// throws) and rethrow a QueryAbortedException with the trip's code.
+TEST(ParallelInvokeTest, JoinsEveryStartedFunctionWhenCancellationRacesCompletion) {
+  constexpr int kFunctions = 64;
+  for (int round = 0; round < 20; ++round) {
+    QueryGovernor governor;
+    std::atomic<int> started{0};
+    std::atomic<int> completed{0};
+    std::atomic<int> in_flight{0};
+    std::vector<std::function<void()>> fns;
+    for (int i = 0; i < kFunctions; ++i) {
+      fns.push_back([&] {
+        in_flight.fetch_add(1);
+        struct Leave {
+          std::atomic<int>* in_flight;
+          ~Leave() { in_flight->fetch_sub(1); }
+        } leave{&in_flight};
+        // Exactly one function, the 32nd to start, trips the governor
+        // mid-batch; earlier finishers race past, later ones unwind.
+        if (started.fetch_add(1) + 1 == kFunctions / 2) governor.Cancel();
+        GovernorCheckpoint(&governor);
+        completed.fetch_add(1);
+      });
+    }
+    bool threw = false;
+    try {
+      ParallelInvoke(Threads(8), fns);
+    } catch (const QueryAbortedException& aborted) {
+      threw = true;
+      EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
+      EXPECT_EQ(in_flight.load(), 0) << "round " << round;
+    }
+    ASSERT_TRUE(threw) << "round " << round;
+    EXPECT_EQ(started.load(), kFunctions) << "round " << round;
+    EXPECT_LT(completed.load(), kFunctions) << "round " << round;
+  }
+}
+
+// Functions that themselves call ParallelInvoke, while every shared-pool
+// worker is busy: no helper of either level can start, so the callers run
+// both levels alone. Then the same with the workers free, where the nested
+// calls also run on pool workers.
+TEST(ParallelInvokeTest, NestedCallsCompleteWhileEveryPoolWorkerIsBusy) {
+  for (bool blocked : {true, false}) {
+    std::atomic<int> inner_ran{0};
+    std::vector<std::function<void()>> outer;
+    for (int i = 0; i < 4; ++i) {
+      outer.push_back([&inner_ran] {
+        std::vector<std::function<void()>> inner;
+        for (int j = 0; j < 8; ++j) {
+          inner.push_back([&inner_ran] { inner_ran.fetch_add(1); });
+        }
+        ParallelInvoke(Threads(4), inner);
+      });
+    }
+    {
+      std::optional<SharedPoolBlocker> blocker;
+      if (blocked) blocker.emplace();
+      ParallelInvoke(Threads(4), outer);
+    }
+    EXPECT_EQ(inner_ran.load(), 32) << "blocked=" << blocked;
+  }
+}
+
+// With every shared-pool worker blocked, a two-thread ParallelInvoke
+// returns once the caller has run every function itself; its helper is
+// still queued. When the workers are freed the helper starts after the
+// batch is over and returns without reading the caller's functions, which
+// are freed by then (a read would be a heap-use-after-free under ASan).
+TEST(ParallelInvokeTest, CallerRunsEveryFunctionWhenThePoolIsSaturated) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(6);
+  {
+    SharedPoolBlocker blocker;
+    auto fns = std::make_unique<std::vector<std::function<void()>>>();
+    for (size_t i = 0; i < ran_on.size(); ++i) {
+      fns->push_back([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
+    }
+    ParallelInvoke(Threads(2), *fns);
+    fns.reset();
+    EXPECT_EQ(ThreadPool::Shared().queue_depth(), 1u);  // The helper.
+  }
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << "function " << i;
+  }
+  // A second blocker starts only once every task queued before it,
+  // the helper included, has finished.
+  SharedPoolBlocker drained;
 }
 
 }  // namespace

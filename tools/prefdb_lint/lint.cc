@@ -106,25 +106,6 @@ std::optional<MutexDecl> ParseMutexDecl(std::string_view code) {
   return decl;
 }
 
-/// Matches the declaration of a TaskGroup variable and returns its name:
-///   [prefdb::]TaskGroup <name> ( | { | ; | =
-std::optional<std::string> ParseTaskGroupDecl(std::string_view code) {
-  std::string_view s = TrimLeft(code);
-  if (!ConsumeWord(&s, "prefdb::TaskGroup") && !ConsumeWord(&s, "TaskGroup")) {
-    return std::nullopt;
-  }
-  s = TrimLeft(s);
-  size_t i = 0;
-  while (i < s.size() && IsIdentChar(s[i])) ++i;
-  if (i == 0) return std::nullopt;  // "TaskGroup(" / "TaskGroup::" / "TaskGroup*"
-  std::string name(s.substr(0, i));
-  std::string_view rest = TrimLeft(s.substr(i));
-  if (rest.empty()) return std::nullopt;
-  char c = rest.front();
-  if (c == '(' || c == '{' || c == ';' || c == '=') return name;
-  return std::nullopt;
-}
-
 // Sources of nondeterminism forbidden in src/cache/ — a fingerprint that
 // depends on any of these stops being a pure function of its inputs.
 constexpr std::string_view kNondeterministicTokens[] = {
@@ -157,28 +138,6 @@ void CheckMutexRule(const std::string& path,
                       "Mutex '" + decl->name + "' guards no field: add " +
                           "PREFDB_GUARDED_BY(" + decl->name +
                           ") to the data it protects"});
-    }
-  }
-}
-
-void CheckTaskGroupRule(const std::string& path,
-                        const std::vector<std::string_view>& lines,
-                        std::vector<Violation>* out) {
-  constexpr std::string_view kRule = "taskgroup-wait";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (LineAllows(lines[i], kRule)) continue;
-    std::optional<std::string> name = ParseTaskGroupDecl(CodeOf(lines[i]));
-    if (!name) continue;
-    std::string wait_call = *name + ".Wait(";
-    bool waited = false;
-    for (size_t j = i; j < lines.size() && !waited; ++j) {
-      waited = FindToken(CodeOf(lines[j]), wait_call) != std::string_view::npos;
-    }
-    if (!waited) {
-      out->push_back({path, static_cast<int>(i + 1), std::string(kRule),
-                      "TaskGroup '" + *name + "' is never joined: call " +
-                          *name + ".Wait() before it goes out of scope or "
-                          "task exceptions are lost"});
     }
   }
 }
@@ -283,7 +242,6 @@ std::vector<Violation> LintContent(const std::string& path,
   const std::string normalized = NormalizePath(path);
   std::vector<std::string_view> lines = SplitLines(content);
   CheckMutexRule(normalized, lines, content, &out);
-  CheckTaskGroupRule(normalized, lines, &out);
   CheckCatalogRule(normalized, lines, &out);
   CheckCacheDeterminismRule(normalized, lines, &out);
   CheckTodoRule(normalized, lines, &out);

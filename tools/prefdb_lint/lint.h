@@ -19,9 +19,6 @@
 ///                       `Mutex` member named N requires at least one
 ///                       `GUARDED_BY(N)` in the same file, otherwise the
 ///                       lock provably protects nothing.
-///   taskgroup-wait      A `TaskGroup g(...)` local must be joined with
-///                       `g.Wait()` in the same file; a group destroyed
-///                       without Wait loses task exceptions.
 ///   catalog-mutation    `mutable_catalog()` may only be called under
 ///                       src/engine/ — everything else goes through
 ///                       Engine::RegisterTempTable / DropTempTable so temp

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
           "usage: prefdb_lint [path...]\n"
           "Lints .h/.cc files for prefdb invariants:\n"
           "  mutex-guarded-by   mutex members must be annotated wrappers\n"
-          "  taskgroup-wait     every TaskGroup must be joined with Wait()\n"
           "  catalog-mutation   mutable_catalog() only under src/engine/\n"
           "  cache-determinism  no clocks/randomness/env in src/cache/\n"
           "  todo-owner         TODOs must name an owner\n"
