@@ -19,9 +19,9 @@ if [ "$#" -ge 1 ]; then shift; fi
 # explicit --target build below with "No rule to make target".
 cmake -B "$BUILD_DIR" -S . -DPREFDB_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$BUILD_DIR" -j --target \
-  thread_pool_test parallel_equivalence_test obs_test cache_test \
-  telemetry_test governor_test fault_injection_test
+# `parallel_tests` (tests/CMakeLists.txt) builds every test labeled
+# `parallel`, from the same list that sets the label.
+cmake --build "$BUILD_DIR" -j --target parallel_tests
 
 # halt_on_error: fail fast on the first report instead of drowning it in
 # follow-on races; second_deadlock_stack: full stacks for lock inversions.

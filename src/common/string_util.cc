@@ -57,17 +57,6 @@ std::string ToUpper(std::string_view s) {
   return out;
 }
 
-bool EqualsIgnoreCase(std::string_view s, std::string_view other) {
-  if (s.size() != other.size()) return false;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(s[i])) !=
-        std::tolower(static_cast<unsigned char>(other[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string_view StripWhitespace(std::string_view s) {
   size_t begin = 0;
   while (begin < s.size() && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;

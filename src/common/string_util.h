@@ -23,8 +23,20 @@ std::string ToLower(std::string_view s);
 /// ASCII upper-casing.
 std::string ToUpper(std::string_view s);
 
+/// ASCII lower-casing of one character (what std::tolower does in the C
+/// locale, without the call).
+constexpr char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// True if `s` equals `other` ignoring ASCII case.
-bool EqualsIgnoreCase(std::string_view s, std::string_view other);
+inline bool EqualsIgnoreCase(std::string_view s, std::string_view other) {
+  if (s.size() != other.size()) return false;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (AsciiLower(s[i]) != AsciiLower(other[i])) return false;
+  }
+  return true;
+}
 
 /// Strips leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);

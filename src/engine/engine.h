@@ -121,9 +121,10 @@ class Engine {
   void NoteRowsGathered(size_t rows) { rows_gathered_->Increment(rows); }
 
   /// The paper's `EXPLAIN [query]`: returns the join order the native
-  /// optimizer would choose, without executing (negligible overhead). The
-  /// extended optimizer uses this to match its subtree arrangement to the
-  /// native one (§VI-A, rule "match the native join order").
+  /// optimizer would choose, without executing. The extended optimizer
+  /// reads the same order off the native optimizer's ordering step
+  /// (NativeJoinOrder) to match its subtree arrangement to the native one
+  /// (§VI-A, rule "match the native join order").
   StatusOr<std::vector<std::string>> ExplainJoinOrder(const PlanNode& query) const;
 
   /// Human-readable optimized plan (EXPLAIN output).

@@ -34,6 +34,16 @@ struct NativeOptimizerResult {
 StatusOr<NativeOptimizerResult> NativeOptimize(const PlanNode& input,
                                                const Catalog& catalog);
 
+/// The join order NativeOptimize picks for the join cluster of `units`
+/// (joined in order) under the conjuncts of `predicates`, read off its own
+/// ordering step without building the plan. Prefer operators inside the
+/// units are looked through, as if stripped: the extended optimizer matches
+/// its join arrangement to the order the native optimizer gives the
+/// non-preference skeleton (§VI-A).
+StatusOr<std::vector<std::string>> NativeJoinOrder(
+    const std::vector<const PlanNode*>& units,
+    const std::vector<const Expr*>& predicates, const Catalog& catalog);
+
 /// Estimated output cardinality of an arbitrary conventional plan, using
 /// the catalog statistics and the selectivity model in cardinality.h.
 double EstimatePlanCardinality(const PlanNode& node, const Catalog& catalog);

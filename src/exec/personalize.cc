@@ -20,17 +20,6 @@ PlanPtr* AttachPoint(PlanPtr* root) {
   return current;
 }
 
-bool PreferenceBinds(const Preference& pref, const Schema& schema) {
-  if (!ExprBindsTo(pref.condition(), schema)) return false;
-  ExprPtr scoring = pref.scoring().expr().Clone();
-  if (!scoring->Bind(schema).ok()) return false;
-  if (pref.membership() != nullptr &&
-      !schema.HasColumn(pref.membership()->local_column)) {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<std::string> PlanRelations(const PlanNode& plan) {
@@ -65,7 +54,7 @@ StatusOr<size_t> InjectProfile(ParsedQuery* query, const Profile& profile,
 
   size_t injected = 0;
   for (const PreferencePtr& pref : candidates) {
-    if (!PreferenceBinds(*pref, shape.schema)) continue;  // E.g. ambiguous.
+    if (!pref->BindsTo(shape.schema)) continue;  // E.g. ambiguous.
     if (has_project) {
       PlanNode* project = attach->get();
       // Extend the projection with the attributes the preference needs,

@@ -9,21 +9,26 @@
 
 namespace prefdb {
 
+// The query's clock starts before parsing, so QueryResult::millis and the
+// root span cover the parse and its `Parse` span nests inside the root.
 StatusOr<QueryResult> Session::Query(std::string_view prefsql,
                                      const QueryOptions& options) {
+  const Stopwatch watch;
   ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(prefsql, engine_.catalog()));
-  return Run(parsed, options);
+  return RunTimed(parsed, options, watch, watch.ElapsedMicros());
 }
 
 StatusOr<QueryResult> Session::QueryPersonalized(std::string_view prefsql,
                                                  const Profile& profile,
                                                  const QueryOptions& options) {
+  const Stopwatch watch;
   ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(prefsql, engine_.catalog()));
+  const double parse_micros = watch.ElapsedMicros();
   if (parsed.cache_pragma.kind == CachePragmaKind::kNone) {
     RETURN_IF_ERROR(
         InjectProfile(&parsed, profile, engine_.catalog()).status());
   }
-  return Run(parsed, options);
+  return RunTimed(parsed, options, watch, parse_micros);
 }
 
 QueryResult Session::ApplyCachePragma(const CachePragma& pragma) {
@@ -99,6 +104,13 @@ QueryResult Session::ApplyFaultPragma(const FaultPragma& pragma) {
 
 StatusOr<QueryResult> Session::Run(const ParsedQuery& parsed,
                                    const QueryOptions& options) {
+  return RunTimed(parsed, options, Stopwatch(), -1.0);
+}
+
+StatusOr<QueryResult> Session::RunTimed(const ParsedQuery& parsed,
+                                        const QueryOptions& options,
+                                        const Stopwatch& watch,
+                                        double parse_micros) {
   last_failure_.reset();
   if (parsed.cache_pragma.kind != CachePragmaKind::kNone) {
     return ApplyCachePragma(parsed.cache_pragma);
@@ -115,7 +127,6 @@ StatusOr<QueryResult> Session::Run(const ParsedQuery& parsed,
   if (parsed.fault_pragma.present) {
     return ApplyFaultPragma(parsed.fault_pragma);
   }
-  Stopwatch watch;
 
   // Per-query governor: lives on this frame for the duration of one query
   // (sessions run one query at a time, and the engine's parallel context
@@ -149,6 +160,9 @@ StatusOr<QueryResult> Session::Run(const ParsedQuery& parsed,
   bool tracing = options.trace || parsed.explain_analyze ||
                  query_log.slowlog_enabled();
   obs::SpanPtr root = tracing ? obs::Span::Detached("Query") : nullptr;
+  if (root != nullptr && parse_micros >= 0.0) {
+    root->AddChild("Parse")->micros = parse_micros;
+  }
   std::unique_ptr<Strategy> strategy = MakeStrategy(options.strategy);
   // Cache counters are sampled around the execution so the query record
   // carries this query's hit/miss delta (sessions run one query at a time).
@@ -278,7 +292,7 @@ StatusOr<QueryResult> Session::RunInternal(const ParsedQuery& parsed,
   if (options.optimize && plan_driven) {
     obs::SpanScope opt_scope(root, "ExtendedOptimize");
     ExtendedOptimizer optimizer(&engine_, options.optimizer);
-    ASSIGN_OR_RETURN(optimized, optimizer.Optimize(*parsed.plan));
+    ASSIGN_OR_RETURN(optimized, optimizer.Optimize(*parsed.plan, opt_scope.get()));
     plan = optimized.get();
   }
 

@@ -127,6 +127,11 @@ class Session {
   }
 
  private:
+  /// Run() on a clock started at `watch`; `parse_micros` (when >= 0) is how
+  /// long parsing took, recorded as the trace's `Parse` span.
+  StatusOr<QueryResult> RunTimed(const ParsedQuery& parsed,
+                                 const QueryOptions& options,
+                                 const Stopwatch& watch, double parse_micros);
   StatusOr<QueryResult> RunInternal(const ParsedQuery& parsed,
                                     const QueryOptions& options,
                                     Strategy* strategy, ExecStats* stats,

@@ -510,9 +510,43 @@ std::string InListExpr::ToString() const {
 // --------------------------------------------------------------------------
 // Free helpers
 
+// The const twin of Bind: the same checks, in a walk that neither clones
+// nor records an index, so a binding test allocates nothing.
 bool ExprBindsTo(const Expr& expr, const Schema& schema) {
-  ExprPtr copy = expr.Clone();
-  return copy->Bind(schema).ok();
+  auto both = [&schema](const auto& e) {
+    return ExprBindsTo(e.left(), schema) && ExprBindsTo(e.right(), schema);
+  };
+  switch (expr.kind()) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumnRef:
+      return schema.HasColumn(static_cast<const ColumnRefExpr&>(expr).name());
+    case ExprKind::kComparison:
+      return both(static_cast<const ComparisonExpr&>(expr));
+    case ExprKind::kLogical:
+      return both(static_cast<const LogicalExpr&>(expr));
+    case ExprKind::kArithmetic:
+      return both(static_cast<const ArithmeticExpr&>(expr));
+    case ExprKind::kNot:
+      return ExprBindsTo(static_cast<const NotExpr&>(expr).operand(), schema);
+    case ExprKind::kInList:
+      return ExprBindsTo(static_cast<const InListExpr&>(expr).operand(), schema);
+    case ExprKind::kFunction: {
+      const auto& e = static_cast<const FunctionExpr&>(expr);
+      const int fn = FindFunction(e.name());
+      const int arity = static_cast<int>(e.args().size());
+      return fn >= 0 && arity >= kFunctions[fn].min_arity &&
+             arity <= kFunctions[fn].max_arity &&
+             std::all_of(e.args().begin(), e.args().end(),
+                         [&](const ExprPtr& arg) { return ExprBindsTo(*arg, schema); });
+    }
+  }
+  return false;
+}
+
+Status CheckBinds(const Expr& expr, const Schema& schema) {
+  if (ExprBindsTo(expr, schema)) return Status::OK();
+  return expr.Clone()->Bind(schema);
 }
 
 std::vector<ExprPtr> SplitConjuncts(ExprPtr expr) {
@@ -528,6 +562,17 @@ std::vector<ExprPtr> SplitConjuncts(ExprPtr expr) {
   }
   out.push_back(std::move(expr));
   return out;
+}
+
+void CollectConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
+  if (expr.kind() == ExprKind::kLogical &&
+      static_cast<const LogicalExpr&>(expr).op() == LogicalOp::kAnd) {
+    const auto& logical = static_cast<const LogicalExpr&>(expr);
+    CollectConjuncts(logical.left(), out);
+    CollectConjuncts(logical.right(), out);
+    return;
+  }
+  out->push_back(&expr);
 }
 
 namespace {

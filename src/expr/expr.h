@@ -273,13 +273,23 @@ class InListExpr final : public Expr {
 // ---------------------------------------------------------------------------
 // Free helpers used by the optimizer and the preference layer.
 
-/// True if every column referenced by `expr` resolves (unambiguously) in
-/// `schema`. Does not mutate `expr`.
+/// True if `expr` would Bind to `schema`: every column reference resolves
+/// (unambiguously) and every function exists with its arity. Neither
+/// mutates nor clones `expr`.
 bool ExprBindsTo(const Expr& expr, const Schema& schema);
+
+/// The Status `Bind` would return for `expr` against `schema`, without
+/// binding `expr`: a copy is bound only when the check fails, to build the
+/// error.
+Status CheckBinds(const Expr& expr, const Schema& schema);
 
 /// Splits a conjunction tree into its conjuncts (consumes `expr`).
 /// A non-AND expression yields a single-element vector.
 std::vector<ExprPtr> SplitConjuncts(ExprPtr expr);
+
+/// Appends the conjuncts of `expr` (searching through ANDs, left operand
+/// first) without taking them apart: SplitConjuncts for a tree that stays.
+void CollectConjuncts(const Expr& expr, std::vector<const Expr*>* out);
 
 /// Rebuilds a left-deep AND tree from `conjuncts`. An empty vector yields
 /// a literal TRUE.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "engine/cardinality.h"
@@ -31,18 +32,6 @@ std::vector<PreferencePtr> CollectPrefers(const PlanNode& input) {
 }
 
 namespace {
-
-// True if the preference's condition and scoring bind against `schema`.
-bool PreferenceBindsTo(const Preference& pref, const Schema& schema) {
-  if (!ExprBindsTo(pref.condition(), schema)) return false;
-  ExprPtr scoring = pref.scoring().expr().Clone();
-  if (!scoring->Bind(schema).ok()) return false;
-  if (pref.membership() != nullptr &&
-      !schema.HasColumn(pref.membership()->local_column)) {
-    return false;
-  }
-  return true;
-}
 
 // Names (aliases and table names) of the base relations in a subtree.
 void CollectRelationNames(const PlanNode& node, std::vector<std::string>* out) {
@@ -88,28 +77,59 @@ class Rewriter {
   Rewriter(const Engine* engine, const ExtendedOptimizerOptions& options)
       : engine_(engine), options_(options) {}
 
-  StatusOr<PlanPtr> Run(const PlanNode& input) {
+  // Applies the enabled rules in order, each under its own span. `schema`
+  // is the input's output schema, which every rule preserves.
+  StatusOr<PlanPtr> Run(const PlanNode& input, const Schema& schema,
+                        obs::Span* span) {
     PlanPtr plan = input.Clone();
     if (options_.push_selections) {
+      obs::SpanScope rule(span, "PushSelections");
       ASSIGN_OR_RETURN(plan, PushSelections(std::move(plan)));
     }
     if (options_.push_prefer || options_.push_prefer_over_binary) {
+      obs::SpanScope rule(span, "PushPrefers");
       ASSIGN_OR_RETURN(plan, PushPrefers(std::move(plan)));
     }
     if (options_.reorder_prefers) {
+      obs::SpanScope rule(span, "ReorderPreferChains");
       ASSIGN_OR_RETURN(plan, ReorderPreferChains(std::move(plan)));
     }
     if (options_.left_deep || options_.match_native_join_order) {
+      obs::SpanScope rule(span, "ReorderJoins");
       ASSIGN_OR_RETURN(plan, ReorderJoins(std::move(plan)));
     }
+    shapes_.clear();  // ReorderJoins built and freed joins: see ShapeOf.
     if (options_.push_projections) {
-      ASSIGN_OR_RETURN(plan, PruneProjections(std::move(plan)));
+      obs::SpanScope rule(span, "PruneProjections");
+      ASSIGN_OR_RETURN(plan, PruneProjections(std::move(plan), schema));
     }
     return plan;
   }
 
  private:
   const Catalog& catalog() const { return engine_->catalog(); }
+
+  // The shape of `node`, derived once per node. The pushdown rules only
+  // add and remove Select and Prefer nodes, which keep their input's shape:
+  // the lookup looks through them, and every other node keeps its shape
+  // and its address. ReorderJoins frees and builds joins, so it looks up
+  // only the units of a cluster, before it rearranges any of them.
+  StatusOr<const PlanShape*> ShapeOf(const PlanNode& node) {
+    const PlanNode* base = &node;
+    while (base->kind == PlanKind::kSelect || base->kind == PlanKind::kPrefer) {
+      base = &base->child();
+    }
+    auto it = shapes_.find(base);
+    if (it != shapes_.end()) return &it->second;
+    std::vector<PlanShape> children;
+    children.reserve(base->children.size());
+    for (const PlanPtr& child : base->children) {
+      ASSIGN_OR_RETURN(const PlanShape* shape, ShapeOf(*child));
+      children.push_back(*shape);
+    }
+    ASSIGN_OR_RETURN(PlanShape shape, DeriveNodeShape(*base, children, catalog()));
+    return &shapes_.emplace(base, std::move(shape)).first->second;
+  }
 
   // ----- Rule 1: selection pushdown -------------------------------------
 
@@ -130,59 +150,34 @@ class Rewriter {
   // Pushes a single conjunct as deep as it can go, wrapping a Select at the
   // deepest node whose output it binds to.
   StatusOr<PlanPtr> PushOneSelection(ExprPtr pred, PlanPtr node) {
+    auto binds = [&](size_t i) -> StatusOr<bool> {
+      ASSIGN_OR_RETURN(const PlanShape* shape, ShapeOf(node->child(i)));
+      return ExprBindsTo(*pred, shape->schema);
+    };
+    auto into = [&](size_t i) -> StatusOr<PlanPtr> {
+      ASSIGN_OR_RETURN(node->children[i], PushOneSelection(std::move(pred),
+                                                           std::move(node->children[i])));
+      return std::move(node);
+    };
     switch (node->kind) {
-      case PlanKind::kSelect: {
-        // Merge into the existing selection (conjuncts stay split below it).
-        ASSIGN_OR_RETURN(node->children[0],
-                         PushOneSelection(std::move(pred),
-                                          std::move(node->children[0])));
-        return node;
-      }
-      case PlanKind::kPrefer: {
-        // Prop. 4.1: σ and λ commute (selection never references
-        // score/conf, which are not plan columns).
-        ASSIGN_OR_RETURN(node->children[0],
-                         PushOneSelection(std::move(pred),
-                                          std::move(node->children[0])));
-        return node;
-      }
+      case PlanKind::kSelect:  // Merge (conjuncts stay split below it).
+      case PlanKind::kPrefer:  // Prop. 4.1: σ and λ commute (selection never
+                               // references score/conf, not plan columns).
       case PlanKind::kDistinct:
-      case PlanKind::kSort: {
-        ASSIGN_OR_RETURN(node->children[0],
-                         PushOneSelection(std::move(pred),
-                                          std::move(node->children[0])));
-        return node;
-      }
-      case PlanKind::kProject: {
-        // Push through if the predicate still binds underneath (projection
-        // only narrows columns).
-        ASSIGN_OR_RETURN(PlanShape child_shape,
-                         DerivePlanShape(node->child(), catalog()));
-        if (ExprBindsTo(*pred, child_shape.schema)) {
-          ASSIGN_OR_RETURN(node->children[0],
-                           PushOneSelection(std::move(pred),
-                                            std::move(node->children[0])));
-          return node;
-        }
-        return plan::Select(std::move(pred), std::move(node));
+      case PlanKind::kSort:
+      case PlanKind::kExcept:  // σ(A − B) = σ(A) − B.
+        return into(0);
+      case PlanKind::kProject:  // Projection only narrows columns.
+      case PlanKind::kSemiJoin: {
+        ASSIGN_OR_RETURN(bool below, binds(0));
+        if (below) return into(0);
+        break;
       }
       case PlanKind::kJoin: {
-        ASSIGN_OR_RETURN(PlanShape left_shape,
-                         DerivePlanShape(node->child(0), catalog()));
-        ASSIGN_OR_RETURN(PlanShape right_shape,
-                         DerivePlanShape(node->child(1), catalog()));
-        if (ExprBindsTo(*pred, left_shape.schema)) {
-          ASSIGN_OR_RETURN(node->children[0],
-                           PushOneSelection(std::move(pred),
-                                            std::move(node->children[0])));
-          return node;
-        }
-        if (ExprBindsTo(*pred, right_shape.schema)) {
-          ASSIGN_OR_RETURN(node->children[1],
-                           PushOneSelection(std::move(pred),
-                                            std::move(node->children[1])));
-          return node;
-        }
+        ASSIGN_OR_RETURN(bool left, binds(0));
+        if (left) return into(0);
+        ASSIGN_OR_RETURN(bool right, binds(1));
+        if (right) return into(1);
         // Cross-relation predicate: fold into the join condition.
         std::vector<ExprPtr> parts;
         parts.push_back(std::move(node->predicate));
@@ -190,39 +185,17 @@ class Rewriter {
         node->predicate = CombineConjuncts(std::move(parts));
         return node;
       }
-      case PlanKind::kSemiJoin: {
-        ASSIGN_OR_RETURN(PlanShape left_shape,
-                         DerivePlanShape(node->child(0), catalog()));
-        if (ExprBindsTo(*pred, left_shape.schema)) {
-          ASSIGN_OR_RETURN(node->children[0],
-                           PushOneSelection(std::move(pred),
-                                            std::move(node->children[0])));
-          return node;
-        }
-        return plan::Select(std::move(pred), std::move(node));
-      }
       case PlanKind::kUnion:
       case PlanKind::kIntersect: {
         // σ distributes over ∪ and ∩.
         ASSIGN_OR_RETURN(node->children[0],
-                         PushOneSelection(pred->Clone(),
-                                          std::move(node->children[0])));
-        ASSIGN_OR_RETURN(node->children[1],
-                         PushOneSelection(std::move(pred),
-                                          std::move(node->children[1])));
-        return node;
-      }
-      case PlanKind::kExcept: {
-        // σ(A − B) = σ(A) − B.
-        ASSIGN_OR_RETURN(node->children[0],
-                         PushOneSelection(std::move(pred),
-                                          std::move(node->children[0])));
-        return node;
+                         PushOneSelection(pred->Clone(), std::move(node->children[0])));
+        return into(1);
       }
       case PlanKind::kScan:
       case PlanKind::kLimit:
         // Limit is order-sensitive: never push a selection through it.
-        return plan::Select(std::move(pred), std::move(node));
+        break;
     }
     return plan::Select(std::move(pred), std::move(node));
   }
@@ -240,6 +213,20 @@ class Rewriter {
   }
 
   StatusOr<PlanPtr> PushOnePrefer(PreferencePtr pref, PlanPtr node) {
+    // Whether the preference may move into child `i`: it binds there and,
+    // below a binary operator, that input holds its target relations and
+    // the move pays off.
+    auto fits = [&](size_t i, bool binary) -> StatusOr<bool> {
+      ASSIGN_OR_RETURN(const PlanShape* shape, ShapeOf(node->child(i)));
+      return pref->BindsTo(shape->schema) &&
+             (!binary || (SideContainsTargets(*pref, node->child(i)) &&
+                          PushdownPaysOff(*node, node->child(i))));
+    };
+    auto into = [&](size_t i) -> StatusOr<PlanPtr> {
+      ASSIGN_OR_RETURN(node->children[i], PushOnePrefer(std::move(pref),
+                                                        std::move(node->children[i])));
+      return std::move(node);
+    };
     switch (node->kind) {
       case PlanKind::kPrefer:
       case PlanKind::kDistinct:
@@ -247,13 +234,9 @@ class Rewriter {
         // λ commutes with other λ (Prop. 4.3) and with order/duplicate
         // operators (it neither filters nor reorders tuples).
         if (!options_.push_prefer) break;
-        ASSIGN_OR_RETURN(PlanShape child_shape,
-                         DerivePlanShape(node->child(), catalog()));
-        if (!PreferenceBindsTo(*pref, child_shape.schema)) break;
-        ASSIGN_OR_RETURN(node->children[0],
-                         PushOnePrefer(std::move(pref),
-                                       std::move(node->children[0])));
-        return node;
+        ASSIGN_OR_RETURN(bool fit, fits(0, false));
+        if (fit) return into(0);
+        break;
       }
       case PlanKind::kUnion:
         // λ_p(A ∪ B) is NOT λ_p(A) ∪ B: tuples only in B would lose their
@@ -269,28 +252,11 @@ class Rewriter {
         // one input moves to that input. For ∩ and − it may move to the
         // *left* input only (every result tuple comes from there).
         if (!options_.push_prefer_over_binary) break;
-        ASSIGN_OR_RETURN(PlanShape left_shape,
-                         DerivePlanShape(node->child(0), catalog()));
-        if (PreferenceBindsTo(*pref, left_shape.schema) &&
-            SideContainsTargets(*pref, node->child(0)) &&
-            PushdownPaysOff(*node, node->child(0))) {
-          ASSIGN_OR_RETURN(node->children[0],
-                           PushOnePrefer(std::move(pref),
-                                         std::move(node->children[0])));
-          return node;
-        }
-        if (node->kind == PlanKind::kJoin) {
-          ASSIGN_OR_RETURN(PlanShape right_shape,
-                           DerivePlanShape(node->child(1), catalog()));
-          if (PreferenceBindsTo(*pref, right_shape.schema) &&
-              SideContainsTargets(*pref, node->child(1)) &&
-              PushdownPaysOff(*node, node->child(1))) {
-            ASSIGN_OR_RETURN(node->children[1],
-                             PushOnePrefer(std::move(pref),
-                                           std::move(node->children[1])));
-            return node;
-          }
-        }
+        ASSIGN_OR_RETURN(bool left, fits(0, true));
+        if (left) return into(0);
+        if (node->kind != PlanKind::kJoin) break;
+        ASSIGN_OR_RETURN(bool right, fits(1, true));
+        if (right) return into(1);
         break;  // Multi-relational: stays above the binary operator.
       }
       case PlanKind::kSelect:
@@ -331,7 +297,7 @@ class Rewriter {
       chain.push_back(current->preference);
       current = std::move(current->children[0]);
     }
-    ASSIGN_OR_RETURN(PlanShape base_shape, DerivePlanShape(*current, catalog()));
+    ASSIGN_OR_RETURN(const PlanShape* base_shape, ShapeOf(*current));
     struct Ranked {
       PreferencePtr pref;
       double selectivity;
@@ -340,7 +306,7 @@ class Rewriter {
     ranked.reserve(chain.size());
     for (PreferencePtr& p : chain) {
       double sel =
-          EstimateSelectivity(p->condition(), base_shape.schema, catalog());
+          EstimateSelectivity(p->condition(), base_shape->schema, catalog());
       ranked.push_back({std::move(p), sel});
     }
     // Ascending selectivity, evaluated bottom-up: the most selective
@@ -366,13 +332,20 @@ class Rewriter {
       }
       return node;
     }
-    ASSIGN_OR_RETURN(PlanShape original_shape, DerivePlanShape(*node, catalog()));
-
     // Flatten the join cluster into units (subtrees that are not inner
     // joins) and predicate conjuncts.
     std::vector<PlanPtr> units;
     std::vector<ExprPtr> predicates;
     RETURN_IF_ERROR(FlattenJoins(std::move(node), &units, &predicates));
+    // The units' schemas, which rearranging their own clusters preserves;
+    // the cluster's schema is theirs in flatten order.
+    std::vector<Schema> schemas;
+    Schema original;
+    for (const PlanPtr& unit : units) {
+      ASSIGN_OR_RETURN(const PlanShape* shape, ShapeOf(*unit));
+      original = std::move(original).Concat(shape->schema);
+      schemas.push_back(shape->schema);
+    }
     for (PlanPtr& unit : units) {
       ASSIGN_OR_RETURN(unit, ReorderJoins(std::move(unit)));
     }
@@ -387,14 +360,13 @@ class Rewriter {
 
     // Rebuild left-deep in the chosen order.
     PlanPtr current = std::move(units[order[0]]);
-    ASSIGN_OR_RETURN(PlanShape current_shape, DerivePlanShape(*current, catalog()));
+    Schema current_schema = std::move(schemas[order[0]]);
     for (size_t i = 1; i < order.size(); ++i) {
       PlanPtr next = std::move(units[order[i]]);
-      ASSIGN_OR_RETURN(PlanShape next_shape, DerivePlanShape(*next, catalog()));
-      Schema combined = current_shape.schema.Concat(next_shape.schema);
+      current_schema = std::move(current_schema).Concat(schemas[order[i]]);
       std::vector<ExprPtr> applicable;
       for (auto it = predicates.begin(); it != predicates.end();) {
-        if (ExprBindsTo(**it, combined)) {
+        if (ExprBindsTo(**it, current_schema)) {
           applicable.push_back(std::move(*it));
           it = predicates.erase(it);
         } else {
@@ -403,7 +375,6 @@ class Rewriter {
       }
       current = plan::Join(CombineConjuncts(std::move(applicable)),
                            std::move(current), std::move(next));
-      current_shape.schema = combined;
     }
     if (!predicates.empty()) {
       current = plan::Select(CombineConjuncts(std::move(predicates)),
@@ -412,11 +383,10 @@ class Rewriter {
 
     // Join reordering permutes columns; restore the original schema so the
     // plan's output shape is invariant under optimization.
-    ASSIGN_OR_RETURN(PlanShape actual, DerivePlanShape(*current, catalog()));
-    if (!(actual.schema == original_shape.schema)) {
+    if (!(current_schema == original)) {
       std::vector<std::string> columns;
-      columns.reserve(original_shape.schema.size());
-      for (const Column& c : original_shape.schema.columns()) {
+      columns.reserve(original.size());
+      for (const Column& c : original.columns()) {
         columns.push_back(c.FullName());
       }
       current = plan::Project(std::move(columns), std::move(current));
@@ -443,33 +413,20 @@ class Rewriter {
     return Status::OK();
   }
 
-  // Unit order following the native engine's EXPLAIN on the non-preference
-  // skeleton of the cluster (the paper's rule: match the join order the
-  // native optimizer would pick, so the delegated fragments run the way the
-  // DBMS wants to run them).
+  // Unit order following the native optimizer's join order for the
+  // non-preference skeleton of the cluster (the paper's rule: match the join
+  // order the native optimizer would pick, so the delegated fragments run
+  // the way the DBMS wants to run them).
   StatusOr<std::vector<size_t>> NativeOrder(
       const std::vector<PlanPtr>& units, const std::vector<ExprPtr>& predicates) {
-    // Build the skeleton: strip prefers from each unit and reassemble a
-    // join cluster in the current order.
-    PlanPtr skeleton;
-    for (const PlanPtr& unit : units) {
-      PlanPtr stripped = StripPrefers(*unit);
-      if (!skeleton) {
-        skeleton = std::move(stripped);
-      } else {
-        skeleton = plan::Join(eb_true(), std::move(skeleton), std::move(stripped));
-      }
-    }
-    // Reattach all predicates at the top so the native optimizer sees them.
-    std::vector<ExprPtr> preds;
-    preds.reserve(predicates.size());
-    for (const ExprPtr& p : predicates) preds.push_back(p->Clone());
-    if (!preds.empty()) {
-      skeleton = plan::Select(CombineConjuncts(std::move(preds)),
-                              std::move(skeleton));
-    }
+    std::vector<const PlanNode*> roots;
+    roots.reserve(units.size());
+    for (const PlanPtr& unit : units) roots.push_back(unit.get());
+    std::vector<const Expr*> conjuncts;
+    conjuncts.reserve(predicates.size());
+    for (const ExprPtr& p : predicates) conjuncts.push_back(p.get());
     ASSIGN_OR_RETURN(std::vector<std::string> alias_order,
-                     engine_->ExplainJoinOrder(*skeleton));
+                     NativeJoinOrder(roots, conjuncts, catalog()));
 
     // Map each unit to its first alias position in the native order.
     std::vector<std::pair<size_t, size_t>> keyed;  // (position, unit index)
@@ -516,19 +473,14 @@ class Rewriter {
     for (const PlanPtr& c : node.children) CollectAliases(*c, out);
   }
 
-  static ExprPtr eb_true() {
-    return std::make_unique<LiteralExpr>(Value::Int(1));
-  }
-
   // ----- Rule 2: projection pushdown (column pruning) ---------------------
 
-  StatusOr<PlanPtr> PruneProjections(PlanPtr node) {
+  StatusOr<PlanPtr> PruneProjections(PlanPtr node, const Schema& schema) {
     std::vector<std::string> referenced;
     CollectReferencedColumns(*node, &referenced);
     // The plan's output columns are always live: with no root projection
     // (SELECT *), every column reaches the result and nothing may be pruned.
-    ASSIGN_OR_RETURN(PlanShape root_shape, DerivePlanShape(*node, catalog()));
-    for (const Column& c : root_shape.schema.columns()) {
+    for (const Column& c : schema.columns()) {
       referenced.push_back(c.FullName());
     }
     return InsertScanProjections(std::move(node), referenced);
@@ -572,11 +524,11 @@ class Rewriter {
     for (size_t i = 0; i < shape.schema.size(); ++i) {
       const Column& col = shape.schema.column(i);
       bool used = false;
-      for (const std::string& name : referenced) {
+      for (std::string_view name : referenced) {
         // Match either the bare or qualified spelling.
         size_t dot = name.find('.');
-        std::string qualifier = dot == std::string::npos ? "" : name.substr(0, dot);
-        std::string bare = dot == std::string::npos ? name : name.substr(dot + 1);
+        std::string_view qualifier = dot == name.npos ? "" : name.substr(0, dot);
+        std::string_view bare = dot == name.npos ? name : name.substr(dot + 1);
         if (!EqualsIgnoreCase(bare, col.name)) continue;
         if (!qualifier.empty() && !EqualsIgnoreCase(qualifier, col.qualifier)) {
           continue;
@@ -592,14 +544,16 @@ class Rewriter {
 
   const Engine* engine_;
   const ExtendedOptimizerOptions& options_;
+  std::unordered_map<const PlanNode*, PlanShape> shapes_;  // See ShapeOf.
 };
 
 }  // namespace
 
-StatusOr<PlanPtr> ExtendedOptimizer::Optimize(const PlanNode& input) const {
+StatusOr<PlanPtr> ExtendedOptimizer::Optimize(const PlanNode& input,
+                                              obs::Span* span) const {
   ASSIGN_OR_RETURN(PlanShape original, DerivePlanShape(input, engine_->catalog()));
   Rewriter rewriter(engine_, options_);
-  ASSIGN_OR_RETURN(PlanPtr optimized, rewriter.Run(input));
+  ASSIGN_OR_RETURN(PlanPtr optimized, rewriter.Run(input, original.schema, span));
   ASSIGN_OR_RETURN(PlanShape rewritten,
                    DerivePlanShape(*optimized, engine_->catalog()));
   if (!(rewritten.schema == original.schema)) {

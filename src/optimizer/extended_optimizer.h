@@ -2,6 +2,7 @@
 #define PREFDB_OPTIMIZER_EXTENDED_OPTIMIZER_H_
 
 #include "engine/engine.h"
+#include "obs/trace.h"
 #include "plan/plan.h"
 
 namespace prefdb {
@@ -24,8 +25,9 @@ struct ExtendedOptimizerOptions {
   /// their conditional parts (Prop. 4.3).
   bool reorder_prefers = true;
   /// Rearrange join clusters into left-deep trees; when
-  /// `match_native_join_order` is set, the order is taken from the native
-  /// engine's EXPLAIN, otherwise a greedy cardinality order is used.
+  /// `match_native_join_order` is set, the order is the native optimizer's
+  /// for the cluster's non-preference skeleton (NativeJoinOrder), otherwise
+  /// a greedy cardinality order is used.
   bool left_deep = true;
   bool match_native_join_order = true;
   /// Extension (off by default to reproduce the paper's behaviour): make
@@ -53,15 +55,19 @@ struct ExtendedOptimizerOptions {
 /// The preference-aware (extended-plan) query optimizer. Applies the
 /// paper's heuristic rules, leveraging the algebraic properties of the
 /// prefer operator (Prop. 4.1-4.4), and validates that the rewritten plan
-/// has the same output shape as the input. The native engine is consulted
-/// (its EXPLAIN) but never modified — this is the "hybrid" posture.
+/// has the same output shape as the input. The native optimizer is
+/// consulted (its join order) but never modified — the "hybrid" posture.
 class ExtendedOptimizer {
  public:
   ExtendedOptimizer(const Engine* engine, ExtendedOptimizerOptions options)
       : engine_(engine), options_(options) {}
 
-  /// Rewrites `input` into a more efficient extended plan.
-  StatusOr<PlanPtr> Optimize(const PlanNode& input) const;
+  /// Rewrites `input` into a more efficient extended plan. With a `span`,
+  /// each rule that runs records a child span under it, named after the
+  /// rule: PushSelections, PushPrefers, ReorderPreferChains, ReorderJoins,
+  /// PruneProjections.
+  StatusOr<PlanPtr> Optimize(const PlanNode& input,
+                             obs::Span* span = nullptr) const;
 
  private:
   const Engine* engine_;

@@ -1,20 +1,22 @@
 #include "parser/lexer.h"
 
-#include <cctype>
-
 #include "common/string_util.h"
 
 namespace prefdb {
 
 namespace {
 
+// ASCII character classes, as <cctype> has them in the C locale.
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+  const char lower = AsciiLower(c);
+  return (lower >= 'a' && lower <= 'z') || c == '_';
 }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
 
 // Keywords of PrefSQL. Anything else alphabetic is an identifier.
 constexpr std::string_view kKeywords[] = {
@@ -28,22 +30,26 @@ constexpr std::string_view kKeywords[] = {
     "STATEMENT_TIMEOUT", "MEMORY", "FAULT", "AFTER",
 };
 
-bool IsKeyword(const std::string& upper) {
+// The keyword `word` spells (in any case), or empty.
+std::string_view AsKeyword(std::string_view word) {
   for (std::string_view kw : kKeywords) {
-    if (upper == kw) return true;
+    if (EqualsIgnoreCase(word, kw)) return kw;
   }
-  return false;
+  return {};
 }
 
 }  // namespace
 
 StatusOr<std::vector<Token>> Tokenize(std::string_view text) {
   std::vector<Token> tokens;
+  // PrefSQL averages about one token per five bytes: reserving one per four
+  // keeps the vector from growing on typical queries.
+  tokens.reserve(text.size() / 4 + 1);
   size_t i = 0;
   const size_t n = text.size();
   while (i < n) {
     char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -60,22 +66,20 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view text) {
         i = k;
         continue;
       }
-      std::string word(text.substr(i, j - i));
-      std::string upper = ToUpper(word);
-      if (IsKeyword(upper)) {
-        tokens.push_back({TokenKind::kKeyword, std::move(upper), start});
+      std::string_view word = text.substr(i, j - i);
+      std::string_view keyword = AsKeyword(word);
+      if (!keyword.empty()) {
+        tokens.push_back({TokenKind::kKeyword, std::string(keyword), start});
       } else {
-        tokens.push_back({TokenKind::kIdentifier, std::move(word), start});
+        tokens.push_back({TokenKind::kIdentifier, std::string(word), start});
       }
       i = j;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n && std::isdigit(static_cast<unsigned char>(text[i + 1])))) {
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(text[i + 1]))) {
       size_t j = i;
       bool saw_dot = false;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(text[j])) ||
-                       (!saw_dot && text[j] == '.'))) {
+      while (j < n && (IsDigit(text[j]) || (!saw_dot && text[j] == '.'))) {
         if (text[j] == '.') saw_dot = true;
         ++j;
       }

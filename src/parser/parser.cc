@@ -1,6 +1,8 @@
 #include "parser/parser.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -135,15 +137,11 @@ class Parser {
       RETURN_IF_ERROR(ExpectKeyword("ANALYZE"));
       query.explain_analyze = true;
     }
-    ASSIGN_OR_RETURN(PlanPtr plan, ParseSelectBlock(&query));
+    std::optional<PlanShape> shape;
+    ASSIGN_OR_RETURN(PlanPtr plan, ParseSelectBlock(&query, &shape));
     while (PeekKeyword("UNION") || PeekKeyword("INTERSECT") ||
            PeekKeyword("EXCEPT")) {
       std::string op = Advance().text;
-      ParsedQuery rhs_meta;
-      ASSIGN_OR_RETURN(PlanPtr rhs, ParseSelectBlock(&rhs_meta));
-      for (PreferencePtr& p : rhs_meta.preferences) {
-        query.preferences.push_back(std::move(p));
-      }
       // Each block's projection carries that block's preference attributes
       // (for result-level strategies); blocks of a set operation may differ
       // in those extras, so normalize both operands to the user's select
@@ -151,9 +149,17 @@ class Parser {
       // projection, and projection preserves keys, so nothing is lost.
       if (!query.output_columns.empty()) {
         plan = plan::Project(query.output_columns, std::move(plan));
+        Track(*plan, &shape);
+      }
+      ParsedQuery rhs_meta;
+      std::optional<PlanShape> rhs_shape;
+      ASSIGN_OR_RETURN(PlanPtr rhs, ParseSelectBlock(&rhs_meta, &rhs_shape));
+      for (PreferencePtr& p : rhs_meta.preferences) {
+        query.preferences.push_back(std::move(p));
       }
       if (!rhs_meta.output_columns.empty()) {
         rhs = plan::Project(rhs_meta.output_columns, std::move(rhs));
+        Track(*rhs, &rhs_shape);
       }
       if (op == "UNION") {
         plan = plan::Union(std::move(plan), std::move(rhs));
@@ -162,6 +168,7 @@ class Parser {
       } else {
         plan = plan::Except(std::move(plan), std::move(rhs));
       }
+      Track(*plan, &shape, &rhs_shape);
     }
 
     // USING AGG <name>
@@ -239,8 +246,9 @@ class Parser {
         }
         // Sort columns that the projection dropped must be carried through
         // (SQL permits ordering by non-selected columns).
-        EnsureProjected(plan.get(), keys);
+        EnsureProjected(plan.get(), keys, &shape);
         plan = plan::Sort(std::move(keys), std::move(plan));
+        Track(*plan, &shape);
         continue;
       }
       if (PeekKeyword("LIMIT")) {
@@ -275,6 +283,11 @@ class Parser {
     return query;  // Implicitly moved into the StatusOr (C++20 [class.copy.elision]).
   }
 
+  /// The first failure of the plan's output validation: the parser derives
+  /// the plan's shape one node at a time as it builds it (Track), and the
+  /// failure is reported once the whole text has parsed.
+  const Status& invalid() const { return invalid_; }
+
   StatusOr<ExprPtr> ParseStandaloneExpression() {
     ASSIGN_OR_RETURN(ExprPtr expr, ParseExpr());
     if (Peek().kind != TokenKind::kEnd) {
@@ -286,7 +299,10 @@ class Parser {
  private:
   // ----- One SELECT block -------------------------------------------------
 
-  StatusOr<PlanPtr> ParseSelectBlock(ParsedQuery* query) {
+  // Parses one SELECT block; `shape` receives the shape of its plan (empty
+  // when that does not derive, see Track).
+  StatusOr<PlanPtr> ParseSelectBlock(ParsedQuery* query,
+                                     std::optional<PlanShape>* shape) {
     RETURN_IF_ERROR(ExpectKeyword("SELECT"));
     bool distinct = false;
     if (PeekKeyword("DISTINCT")) {
@@ -332,14 +348,14 @@ class Parser {
 
     // Shape before preferences, for resolving preference target relations
     // and the automatic projections.
-    ASSIGN_OR_RETURN(PlanShape shape, DerivePlanShape(*tree, *catalog_));
+    ASSIGN_OR_RETURN(PlanShape block, DerivePlanShape(*tree, *catalog_));
 
     std::vector<PreferencePtr> prefs;
     if (PeekKeyword("PREFERRING")) {
       Advance();
       while (true) {
         ASSIGN_OR_RETURN(PreferencePtr pref,
-                         ParsePreference(shape.schema, first_alias,
+                         ParsePreference(block.schema, first_alias,
                                          query->preferences.size() +
                                              prefs.size() + 1));
         prefs.push_back(std::move(pref));
@@ -348,14 +364,10 @@ class Parser {
       }
     }
 
-    for (const PreferencePtr& pref : prefs) {
-      tree = plan::Prefer(pref, std::move(tree));
-      query->preferences.push_back(pref);
-    }
-
     // Projection: the select list plus every attribute a prefer operator
     // needs (the paper's parser-added projections). Keys survive
     // automatically (kProject semantics).
+    std::vector<std::string> unique;
     if (!select_all) {
       std::vector<std::string> columns = select_list;
       for (const PreferencePtr& pref : prefs) {
@@ -367,21 +379,30 @@ class Parser {
         }
       }
       // Deduplicate by resolved column index to avoid duplicate columns.
-      std::vector<std::string> unique;
       std::vector<size_t> seen;
       for (const std::string& name : columns) {
-        ASSIGN_OR_RETURN(size_t idx, shape.schema.FindColumn(name));
+        ASSIGN_OR_RETURN(size_t idx, block.schema.FindColumn(name));
         if (std::find(seen.begin(), seen.end(), idx) == seen.end()) {
           seen.push_back(idx);
           unique.push_back(name);
         }
       }
+    }
+
+    *shape = std::move(block);
+    for (const PreferencePtr& pref : prefs) {
+      tree = plan::Prefer(pref, std::move(tree));
+      Track(*tree, shape);
+      query->preferences.push_back(pref);
+    }
+    if (!select_all) {
       tree = plan::Project(std::move(unique), std::move(tree));
+      Track(*tree, shape);
       if (query->output_columns.empty()) {
         query->output_columns = std::move(select_list);
       }
     }
-
+    // Distinct (like Limit) keeps its input's shape and checks nothing.
     if (distinct) tree = plan::Distinct(std::move(tree));
     return tree;
   }
@@ -409,7 +430,7 @@ class Parser {
   StatusOr<PreferencePtr> ParsePreference(const Schema& schema,
                                           const std::string& default_relation,
                                           size_t ordinal) {
-    std::string name = StrFormat("p%zu", ordinal);
+    std::string name = "p" + std::to_string(ordinal);
     if (Peek().kind == TokenKind::kIdentifier && PeekAt(1).IsSymbol(":")) {
       name = Advance().text;
       Advance();  // ':'
@@ -443,13 +464,11 @@ class Parser {
 
     // Validate against the block schema and derive the target relations
     // from the qualifiers of the referenced columns.
-    ExprPtr cond_check = condition->Clone();
-    Status st = cond_check->Bind(schema);
+    Status st = CheckBinds(*condition, schema);
     if (!st.ok()) {
       return Error("preference condition: " + st.message());
     }
-    ExprPtr scoring_check = scoring_expr->Clone();
-    st = scoring_check->Bind(schema);
+    st = CheckBinds(*scoring_expr, schema);
     if (!st.ok()) {
       return Error("preference scoring: " + st.message());
     }
@@ -676,24 +695,56 @@ class Parser {
     return Error("unexpected token in expression");
   }
 
-  // Appends sort columns missing from the first projection under `node`
-  // (walking through Distinct/Sort/Limit) so a later ORDER BY can resolve
-  // them. No-op when no projection exists (SELECT *) or the node is a set
-  // operation (whose inputs must stay union-compatible).
-  void EnsureProjected(PlanNode* node, const std::vector<SortKey>& keys) {
-    while (node != nullptr && (node->kind == PlanKind::kDistinct ||
-                               node->kind == PlanKind::kSort ||
-                               node->kind == PlanKind::kLimit)) {
+  // Appends sort columns missing from the first projection under `plan`
+  // (walking through Distinct/Sort/Limit, which keep its shape: `shape`) so
+  // a later ORDER BY can resolve them. No-op when no projection exists
+  // (SELECT *), the node is a set operation (whose inputs must stay
+  // union-compatible) or the projection does not derive.
+  void EnsureProjected(PlanNode* plan, const std::vector<SortKey>& keys,
+                       std::optional<PlanShape>* shape) {
+    PlanNode* node = plan;
+    while (node->kind == PlanKind::kDistinct || node->kind == PlanKind::kSort ||
+           node->kind == PlanKind::kLimit) {
       node = node->mutable_child();
     }
-    if (node == nullptr || node->kind != PlanKind::kProject) return;
-    auto shape = DerivePlanShape(*node, *catalog_);
-    if (!shape.ok()) return;
+    if (node->kind != PlanKind::kProject || !shape->has_value()) return;
+    const size_t before = node->project_columns.size();
     for (const SortKey& key : keys) {
-      if (!shape->schema.HasColumn(key.column)) {
+      if (!(*shape)->schema.HasColumn(key.column)) {
         node->project_columns.push_back(key.column);
       }
     }
+    if (node->project_columns.size() == before) return;
+    // The projection widened: derive the plan's shape anew.
+    StatusOr<PlanShape> widened = DerivePlanShape(*plan, *catalog_);
+    if (widened.ok()) {
+      *shape = std::move(*widened);
+    } else {
+      shape->reset();
+      if (invalid_.ok()) invalid_ = widened.status();
+    }
+  }
+
+  // Derives the shape of `node`, just built over plans of shape `shape` (and
+  // `right`, for a set operation), into `shape`: one step of the plan's
+  // output validation. The first failure is kept for invalid(), and nothing
+  // above it is derived.
+  void Track(const PlanNode& node, std::optional<PlanShape>* shape,
+             std::optional<PlanShape>* right = nullptr) {
+    if (!shape->has_value() || (right != nullptr && !right->has_value())) {
+      shape->reset();
+      return;
+    }
+    PlanShape inputs[] = {std::move(**shape),
+                          right != nullptr ? std::move(**right) : PlanShape()};
+    StatusOr<PlanShape> derived = DeriveNodeShape(
+        node, std::span<PlanShape>(inputs, right != nullptr ? 2 : 1), *catalog_);
+    if (derived.ok()) {
+      *shape = std::move(*derived);
+      return;
+    }
+    shape->reset();
+    if (invalid_.ok()) invalid_ = derived.status();
   }
 
   // ----- Token helpers -----------------------------------------------------
@@ -778,6 +829,7 @@ class Parser {
   std::vector<Token> tokens_;
   const Catalog* catalog_;
   size_t pos_ = 0;
+  Status invalid_;
 };
 
 }  // namespace
@@ -787,11 +839,9 @@ StatusOr<ParsedQuery> ParseQuery(std::string_view text, const Catalog& catalog) 
   Parser parser(std::move(tokens), &catalog);
   ASSIGN_OR_RETURN(ParsedQuery query, parser.ParseQuery());
   query.text_hash = FnvMix(kFnvOffsetBasis, text);
-  // Final validation: the extended plan must derive a shape. Pragma
+  // Output validation: the extended plan must derive a shape. Pragma
   // statements (SET CACHE ...) carry no plan.
-  if (query.plan != nullptr) {
-    RETURN_IF_ERROR(DerivePlanShape(*query.plan, catalog).status());
-  }
+  RETURN_IF_ERROR(parser.invalid());
   return query;
 }
 

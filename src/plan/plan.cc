@@ -37,6 +37,13 @@ std::string_view PlanKindName(PlanKind kind) {
 }
 
 PlanPtr PlanNode::Clone() const {
+  PlanPtr copy = CloneNode();
+  copy->children.reserve(children.size());
+  for (const PlanPtr& c : children) copy->children.push_back(c->Clone());
+  return copy;
+}
+
+PlanPtr PlanNode::CloneNode() const {
   auto copy = std::make_unique<PlanNode>();
   copy->kind = kind;
   copy->table_name = table_name;
@@ -46,8 +53,6 @@ PlanPtr PlanNode::Clone() const {
   copy->preference = preference;  // Shared; immutable.
   copy->sort_keys = sort_keys;
   copy->limit = limit;
-  copy->children.reserve(children.size());
-  for (const PlanPtr& c : children) copy->children.push_back(c->Clone());
   return copy;
 }
 
@@ -106,9 +111,8 @@ size_t PlanNode::CountKind(PlanKind target) const {
 
 namespace {
 
-Status CheckBinds(const Expr& expr, const Schema& schema, const char* what) {
-  ExprPtr copy = expr.Clone();
-  Status st = copy->Bind(schema);
+Status CheckPredicate(const Expr& expr, const Schema& schema, const char* what) {
+  Status st = CheckBinds(expr, schema);
   if (!st.ok()) {
     return Status::InvalidArgument(StrFormat("%s does not bind: %s", what,
                                              st.message().c_str()));
@@ -143,24 +147,34 @@ Status CheckSetOpCompatible(const PlanShape& left, const PlanShape& right,
 }  // namespace
 
 StatusOr<PlanShape> DerivePlanShape(const PlanNode& node, const Catalog& catalog) {
+  std::vector<PlanShape> children;
+  children.reserve(node.children.size());
+  for (const PlanPtr& child : node.children) {
+    ASSIGN_OR_RETURN(PlanShape shape, DerivePlanShape(*child, catalog));
+    children.push_back(std::move(shape));
+  }
+  return DeriveNodeShape(node, children, catalog);
+}
+
+StatusOr<PlanShape> DeriveNodeShape(const PlanNode& node,
+                                    std::span<PlanShape> children,
+                                    const Catalog& catalog) {
   switch (node.kind) {
     case PlanKind::kScan: {
       ASSIGN_OR_RETURN(Table * table, catalog.GetTable(node.table_name));
       PlanShape shape;
-      shape.schema = table->schema();
-      if (!node.alias.empty() && node.alias != node.table_name) {
-        shape.schema = shape.schema.WithQualifier(node.alias);
-      }
+      shape.schema = node.alias.empty() || node.alias == node.table_name
+                         ? table->schema()
+                         : table->schema().WithQualifier(node.alias);
       shape.key_columns = table->primary_key();
       return shape;
     }
-    case PlanKind::kSelect: {
-      ASSIGN_OR_RETURN(PlanShape shape, DerivePlanShape(node.child(), catalog));
-      RETURN_IF_ERROR(CheckBinds(*node.predicate, shape.schema, "selection"));
-      return shape;
-    }
+    case PlanKind::kSelect:
+      RETURN_IF_ERROR(
+          CheckPredicate(*node.predicate, children[0].schema, "selection"));
+      return std::move(children[0]);
     case PlanKind::kProject: {
-      ASSIGN_OR_RETURN(PlanShape input, DerivePlanShape(node.child(), catalog));
+      const PlanShape& input = children[0];
       ASSIGN_OR_RETURN(ProjectionResolution res,
                        ResolveProjection(input, node.project_columns));
       PlanShape shape;
@@ -169,50 +183,40 @@ StatusOr<PlanShape> DerivePlanShape(const PlanNode& node, const Catalog& catalog
       return shape;
     }
     case PlanKind::kJoin: {
-      ASSIGN_OR_RETURN(PlanShape left, DerivePlanShape(node.child(0), catalog));
-      ASSIGN_OR_RETURN(PlanShape right, DerivePlanShape(node.child(1), catalog));
-      PlanShape shape;
-      shape.schema = left.schema.Concat(right.schema);
-      shape.key_columns = left.key_columns;
-      for (size_t k : right.key_columns) {
-        shape.key_columns.push_back(k + left.schema.size());
-      }
-      RETURN_IF_ERROR(CheckBinds(*node.predicate, shape.schema, "join condition"));
+      PlanShape shape = std::move(children[0]);
+      const PlanShape& right = children[1];
+      const size_t offset = shape.schema.size();
+      shape.schema = std::move(shape.schema).Concat(right.schema);
+      for (size_t k : right.key_columns) shape.key_columns.push_back(k + offset);
+      RETURN_IF_ERROR(
+          CheckPredicate(*node.predicate, shape.schema, "join condition"));
       return shape;
     }
     case PlanKind::kSemiJoin: {
-      ASSIGN_OR_RETURN(PlanShape left, DerivePlanShape(node.child(0), catalog));
-      ASSIGN_OR_RETURN(PlanShape right, DerivePlanShape(node.child(1), catalog));
-      Schema combined = left.schema.Concat(right.schema);
+      Schema combined = children[0].schema.Concat(children[1].schema);
       RETURN_IF_ERROR(
-          CheckBinds(*node.predicate, combined, "semijoin condition"));
-      return left;
+          CheckPredicate(*node.predicate, combined, "semijoin condition"));
+      return std::move(children[0]);
     }
     case PlanKind::kUnion:
     case PlanKind::kIntersect:
-    case PlanKind::kExcept: {
-      ASSIGN_OR_RETURN(PlanShape left, DerivePlanShape(node.child(0), catalog));
-      ASSIGN_OR_RETURN(PlanShape right, DerivePlanShape(node.child(1), catalog));
-      RETURN_IF_ERROR(
-          CheckSetOpCompatible(left, right, PlanKindName(node.kind)));
-      return left;
-    }
+    case PlanKind::kExcept:
+      RETURN_IF_ERROR(CheckSetOpCompatible(children[0], children[1],
+                                           PlanKindName(node.kind)));
+      return std::move(children[0]);
     case PlanKind::kDistinct:
     case PlanKind::kLimit:
-      return DerivePlanShape(node.child(), catalog);
-    case PlanKind::kSort: {
-      ASSIGN_OR_RETURN(PlanShape shape, DerivePlanShape(node.child(), catalog));
+      return std::move(children[0]);
+    case PlanKind::kSort:
       for (const SortKey& k : node.sort_keys) {
-        RETURN_IF_ERROR(shape.schema.FindColumn(k.column).status());
+        RETURN_IF_ERROR(children[0].schema.FindColumn(k.column).status());
       }
-      return shape;
-    }
+      return std::move(children[0]);
     case PlanKind::kPrefer: {
-      ASSIGN_OR_RETURN(PlanShape shape, DerivePlanShape(node.child(), catalog));
-      RETURN_IF_ERROR(CheckBinds(node.preference->condition(), shape.schema,
-                                 "preference condition"));
-      ExprPtr scoring = node.preference->scoring().expr().Clone();
-      Status st = scoring->Bind(shape.schema);
+      const PlanShape& shape = children[0];
+      RETURN_IF_ERROR(CheckPredicate(node.preference->condition(), shape.schema,
+                                     "preference condition"));
+      Status st = CheckBinds(node.preference->scoring().expr(), shape.schema);
       if (!st.ok()) {
         return Status::InvalidArgument("preference scoring does not bind: " +
                                        st.message());
@@ -221,7 +225,7 @@ StatusOr<PlanShape> DerivePlanShape(const PlanNode& node, const Catalog& catalog
         return Status::InvalidArgument(
             "prefer requires a keyed input (score relations are keyed)");
       }
-      return shape;
+      return std::move(children[0]);
     }
   }
   return Status::Internal("unknown plan kind");

@@ -2,6 +2,7 @@
 #define PREFDB_PLAN_PLAN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,9 @@ struct PlanNode {
   /// Deep copy (expressions cloned; preferences shared — they are immutable).
   PlanPtr Clone() const;
 
+  /// Copy of this node alone, without its children.
+  PlanPtr CloneNode() const;
+
   /// Multi-line indented rendering of the subtree, e.g.
   ///   Prefer[p3]
   ///     Select[year = 2011]
@@ -101,6 +105,14 @@ struct PlanShape {
 /// predicates that do not bind. This doubles as plan validation: both
 /// optimizers call it before and after rewriting.
 StatusOr<PlanShape> DerivePlanShape(const PlanNode& node, const Catalog& catalog);
+
+/// One step of DerivePlanShape: `node`'s shape from its children's shapes
+/// (`children`, in child order; consumed), with the same checks and
+/// messages. For passes that build or walk a plan bottom-up and carry each
+/// subtree's shape with it instead of re-deriving it.
+StatusOr<PlanShape> DeriveNodeShape(const PlanNode& node,
+                                    std::span<PlanShape> children,
+                                    const Catalog& catalog);
 
 /// How a kProject node maps input columns to output columns.
 struct ProjectionResolution {

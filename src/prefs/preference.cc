@@ -15,11 +15,12 @@ Preference::Preference(std::string name, std::vector<std::string> relations,
       relations_(std::move(relations)),
       condition_(std::move(condition)),
       scoring_(std::move(scoring)),
-      confidence_(std::clamp(confidence, 0.0, 1.0)) {
-  content_hash_ = ComputeContentHash();
-}
+      confidence_(std::clamp(confidence, 0.0, 1.0)) {}
 
-uint64_t Preference::ComputeContentHash() const {
+uint64_t Preference::ContentHash() const {
+  if (uint64_t cached = content_hash_.load(std::memory_order_relaxed)) {
+    return cached;
+  }
   // Conditional and scoring parts hash via their canonical rendering
   // (Expr::ToString is deterministic and injective up to semantics the
   // evaluator distinguishes). Relation names are case-normalized like the
@@ -36,6 +37,7 @@ uint64_t Preference::ComputeContentHash() const {
     h = FnvMix(h, membership_.local_column);
     h = FnvMix(h, membership_.member_column);
   }
+  content_hash_.store(h, std::memory_order_relaxed);
   return h;
 }
 
@@ -78,7 +80,6 @@ PreferencePtr Preference::Membership(std::string name, std::string relation,
       std::move(condition), std::move(scoring), confidence);
   pref->has_membership_ = true;
   pref->membership_ = std::move(membership);
-  pref->content_hash_ = pref->ComputeContentHash();
   return pref;
 }
 
@@ -89,6 +90,12 @@ std::vector<std::string> Preference::ReferencedColumns() const {
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return cols;
+}
+
+bool Preference::BindsTo(const Schema& schema) const {
+  return ExprBindsTo(*condition_, schema) &&
+         ExprBindsTo(scoring_.expr(), schema) &&
+         (!has_membership_ || schema.HasColumn(membership_.local_column));
 }
 
 std::string Preference::ToString() const {

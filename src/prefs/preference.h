@@ -1,6 +1,8 @@
 #ifndef PREFDB_PREFS_PREFERENCE_H_
 #define PREFDB_PREFS_PREFERENCE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,20 +95,26 @@ class Preference {
   /// All columns referenced by the condition or scoring parts.
   std::vector<std::string> ReferencedColumns() const;
 
+  /// True if the preference can be evaluated over `schema`: its condition
+  /// and scoring parts bind and its membership's local column resolves.
+  bool BindsTo(const Schema& schema) const;
+
   /// A stable hash of the preference's *content*: target relations,
   /// conditional part, scoring part, confidence and membership spec — but
   /// not the name, so a renamed (or anonymous re-stated) preference keeps
   /// its identity. This is what the query cache keys on: editing one
   /// preference of a profile changes only its own hash, so only cache
   /// entries depending on the edited preference are invalidated.
-  uint64_t ContentHash() const { return content_hash_; }
+  /// Computed on first use: only the cache and profiles read it, and most
+  /// parsed preferences never reach either. Thread-safe, since shared
+  /// preferences are read from the plug-ins' pool tasks: a race computes
+  /// the same value twice.
+  uint64_t ContentHash() const;
 
   /// Renders "p[GENRES] = (genre = 'Comedy', 1.0, 0.8)".
   std::string ToString() const;
 
  private:
-  uint64_t ComputeContentHash() const;
-
   std::string name_;
   std::vector<std::string> relations_;
   ExprPtr condition_;
@@ -114,7 +122,7 @@ class Preference {
   double confidence_;
   bool has_membership_ = false;
   MembershipSpec membership_;
-  uint64_t content_hash_ = 0;
+  mutable std::atomic<uint64_t> content_hash_{0};  // 0: not computed yet.
 };
 
 }  // namespace prefdb

@@ -43,25 +43,31 @@ Status Catalog::CreateTable(std::string name, Schema schema,
   return AddTable(std::move(table));
 }
 
+const std::shared_ptr<Table>* Catalog::Find(const std::string& name) const {
+  const bool upper = std::none_of(name.begin(), name.end(), [](char c) {
+    return c >= 'a' && c <= 'z';
+  });
+  auto it = upper ? tables_.find(name) : tables_.find(ToUpper(name));
+  return it == tables_.end() ? nullptr : &it->second;
+}
+
 StatusOr<Table*> Catalog::GetTable(const std::string& name) const {
-  ASSIGN_OR_RETURN(std::shared_ptr<Table> table, PinTable(name));
-  return table.get();
+  MutexLock lock(&mu_);
+  const std::shared_ptr<Table>* table = Find(name);
+  if (table == nullptr) return Status::NotFound("table not found: " + name);
+  return table->get();
 }
 
 StatusOr<std::shared_ptr<Table>> Catalog::PinTable(const std::string& name) const {
-  std::string key = ToUpper(name);
   MutexLock lock(&mu_);
-  auto it = tables_.find(key);
-  if (it == tables_.end()) {
-    return Status::NotFound("table not found: " + name);
-  }
-  return it->second;
+  const std::shared_ptr<Table>* table = Find(name);
+  if (table == nullptr) return Status::NotFound("table not found: " + name);
+  return *table;
 }
 
 bool Catalog::HasTable(const std::string& name) const {
-  std::string key = ToUpper(name);
   MutexLock lock(&mu_);
-  return tables_.count(key) > 0;
+  return Find(name) != nullptr;
 }
 
 void Catalog::DropTable(const std::string& name) {

@@ -71,6 +71,11 @@ class Catalog {
   // contents are immutable after creation and their lazy index/stats
   // builds are internally synchronized).
   mutable Mutex mu_;
+  // The entry for `name`, or null. Most callers pass the upper-cased
+  // spelling the map is keyed by, which needs no copy.
+  const std::shared_ptr<Table>* Find(const std::string& name) const
+      PREFDB_REQUIRES(mu_);
+
   // Keyed by upper-cased name.
   std::unordered_map<std::string, std::shared_ptr<Table>> tables_
       PREFDB_GUARDED_BY(mu_);

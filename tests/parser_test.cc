@@ -263,6 +263,79 @@ TEST_F(ParserTest, PreferenceConditionMustBind) {
   EXPECT_NE(st.message().find("preference condition"), std::string::npos);
 }
 
+// The exact error text of a column or function that does not bind, in each
+// place an expression can stand: binding checks run without cloning, and
+// build the message only when they fail.
+TEST_F(ParserTest, BindFailureMessagesAreExact) {
+  const std::string join =
+      "SELECT title FROM MOVIES JOIN GENRES ON MOVIES.m_id = GENRES.m_id ";
+  const std::pair<std::string, std::string> cases[] = {
+      // WHERE
+      {"SELECT title FROM MOVIES WHERE nope = 1",
+       "InvalidArgument: selection does not bind: column not found: nope"},
+      {join + "WHERE m_id = 1",
+       "InvalidArgument: selection does not bind: ambiguous column reference: "
+       "m_id"},
+      {"SELECT title FROM MOVIES WHERE abs(year, 1) > 0",
+       "InvalidArgument: selection does not bind: function abs expects 1..1 "
+       "arguments, got 2"},
+      // JOIN ... ON
+      {"SELECT title FROM MOVIES JOIN GENRES ON MOVIES.m_id = GENRES.nope",
+       "InvalidArgument: join condition does not bind: column not found: "
+       "GENRES.nope"},
+      {"SELECT title FROM MOVIES JOIN GENRES ON m_id = GENRES.m_id",
+       "InvalidArgument: join condition does not bind: ambiguous column "
+       "reference: m_id"},
+      {"SELECT title FROM MOVIES JOIN GENRES ON abs(MOVIES.m_id, 2) = "
+       "GENRES.m_id",
+       "InvalidArgument: join condition does not bind: function abs expects "
+       "1..1 arguments, got 2"},
+      // Preference condition
+      {"SELECT title FROM MOVIES PREFERRING (nope = 1) SCORE 1 CONF 1",
+       "InvalidArgument: parse error at offset 61: preference condition: "
+       "column not found: nope"},
+      {join + "PREFERRING (m_id = 1) SCORE 1 CONF 1",
+       "InvalidArgument: parse error at offset 102: preference condition: "
+       "ambiguous column reference: m_id"},
+      {"SELECT title FROM MOVIES PREFERRING (recency(year) > 0) SCORE 1 CONF 1",
+       "InvalidArgument: parse error at offset 70: preference condition: "
+       "function recency expects 2..2 arguments, got 1"},
+      // Preference scoring expression
+      {"SELECT title FROM MOVIES PREFERRING (year > 2000) "
+       "SCORE recency(nope, 2011) CONF 1",
+       "InvalidArgument: parse error at offset 82: preference scoring: column "
+       "not found: nope"},
+      {join + "PREFERRING (year > 2000) SCORE recency(m_id, 3) CONF 1",
+       "InvalidArgument: parse error at offset 120: preference scoring: "
+       "ambiguous column reference: m_id"},
+      {"SELECT title FROM MOVIES PREFERRING (year > 2000) "
+       "SCORE recency(year) CONF 1",
+       "InvalidArgument: parse error at offset 76: preference scoring: "
+       "function recency expects 2..2 arguments, got 1"},
+  };
+  for (const auto& [sql, message] : cases) {
+    EXPECT_EQ(ParseErrorStatus(sql).ToString(), message) << sql;
+  }
+}
+
+// The parser derives the plan's shape node by node as it builds it, and
+// reports a failure there only after the whole text has parsed, as a
+// validation of the finished plan would.
+TEST_F(ParserTest, PlanValidationFailsAfterParsing) {
+  EXPECT_EQ(ParseErrorStatus(
+                "SELECT title FROM MOVIES UNION SELECT title, year FROM MOVIES")
+                .ToString(),
+            "InvalidArgument: Union inputs have different arity (2 vs 3)");
+  EXPECT_EQ(ParseErrorStatus("SELECT title FROM MOVIES ORDER BY nope").ToString(),
+            "NotFound: column not found: nope");
+  EXPECT_EQ(ParseErrorStatus("SELECT * FROM MOVIES ORDER BY nope").ToString(),
+            "NotFound: column not found: nope");
+  // A syntax error later in the text wins over the plan's validation.
+  EXPECT_EQ(
+      ParseErrorStatus("SELECT title FROM MOVIES ORDER BY nope LIMIT x").ToString(),
+      "InvalidArgument: parse error at offset 45: expected integer LIMIT count");
+}
+
 TEST_F(ParserTest, FullKitchenSinkQueryParses) {
   ParsedQuery q = Parse(
       "SELECT title, director FROM MOVIES "
