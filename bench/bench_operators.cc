@@ -125,31 +125,55 @@ void BM_PairLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PairLookup)->Arg(0)->Arg(1);
 
-void BM_TopKFilter(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  PRelation input = MakeScoredRelation(n, 0.5, 11);
-  Relation scored = ToScoredRelation(input);
-  FilterSpec spec = FilterSpec::TopK(10);
+// The filters as a query runs them: ApplyFiltersAndProject over the
+// evaluated p-relation, ranking row indices and copying out the survivors.
+void RunFilters(benchmark::State& state, const PRelation& input,
+                const std::vector<FilterSpec>& specs) {
   for (auto _ : state) {
-    auto result = ApplyFilter(scored, spec);
+    auto result = ApplyFiltersAndProject(input, specs, {});
     benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(input.NumRows()) *
+                          state.iterations());
+}
+
+void BM_TopKFilter(benchmark::State& state) {
+  RunFilters(state, MakeScoredRelation(static_cast<size_t>(state.range(0)), 0.5, 11),
+             {FilterSpec::TopK(10)});
 }
 BENCHMARK(BM_TopKFilter)->Arg(10000)->Arg(100000);
 
 void BM_SkylineFilter(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  PRelation input = MakeScoredRelation(n, 0.5, 13);
-  Relation scored = ToScoredRelation(input);
-  FilterSpec spec = FilterSpec::NotDominated();
-  for (auto _ : state) {
-    auto result = ApplyFilter(scored, spec);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+  RunFilters(state, MakeScoredRelation(static_cast<size_t>(state.range(0)), 0.5, 13),
+             {FilterSpec::NotDominated()});
 }
 BENCHMARK(BM_SkylineFilter)->Arg(10000)->Arg(100000);
+
+// RANKED over a sweep answer's shape: 1,000 rows, a composite (int, int,
+// dict) key, half of the rows at the default pair.
+void BM_RankAll(benchmark::State& state) {
+  constexpr size_t kRows = 1000;
+  Rng rng(17);
+  Relation rel(Schema({{"R", "a", ValueType::kInt},
+                       {"R", "b", ValueType::kInt},
+                       {"R", "role", ValueType::kString},
+                       {"R", "year", ValueType::kInt}}));
+  rel.set_key_columns({0, 1, 2});
+  static const char* const kRoles[] = {"actor", "director", "producer", "writer"};
+  for (size_t i = 0; i < kRows; ++i) {
+    rel.AddRow({Value::Int(rng.Uniform(0, 400)), Value::Int(rng.Uniform(0, 400)),
+                Value::String(kRoles[rng.Uniform(0, 3)]),
+                Value::Int(rng.Uniform(1950, 2011))});
+  }
+  PRelation input(std::move(rel));
+  for (ScoreConf& pair : input.pairs) {
+    if (rng.Bernoulli(0.5)) {
+      pair = ScoreConf::Known(rng.UniformReal(0.0, 1.0), rng.UniformReal(0.1, 1.0));
+    }
+  }
+  RunFilters(state, input, {FilterSpec::RankAll()});
+}
+BENCHMARK(BM_RankAll);
 
 }  // namespace
 }  // namespace prefdb

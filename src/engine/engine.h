@@ -59,6 +59,10 @@ class Engine {
       metrics_.SetGauge(
           obs::kPrefPoolQueueDepth,
           static_cast<double>(ThreadPool::Shared().queue_depth()));
+      // The pool's count only grows: the counter catches up to it.
+      obs::Counter* claims = metrics_.counter(obs::kPrefPoolHelperClaims);
+      const uint64_t total = ThreadPool::Shared().telemetry().helper_claims;
+      if (total > claims->value()) claims->Increment(total - claims->value());
       metrics_.SetGauge(obs::kPrefQuerylogSize,
                         static_cast<double>(query_log_.size()));
       metrics_.SetGauge(obs::kPrefQuerylogDropped,

@@ -309,7 +309,8 @@ StatusOr<QueryResult> Session::RunInternal(const ParsedQuery& parsed,
   // the row-id views: the surviving rows, already projected.
   ASSIGN_OR_RETURN(Relation final_rel,
                    ApplyFiltersAndProject(evaluated, parsed.filters,
-                                          parsed.output_columns));
+                                          parsed.output_columns,
+                                          filter_scope.get()));
   engine_.NoteRowsGathered(final_rel.NumRows());
   obs::SetRowsOut(filter_scope.get(), final_rel.NumRows());
 

@@ -67,6 +67,9 @@ inline constexpr std::string_view kPrefGovernorFaultsInjected =
 // --- Live telemetry gauges (refreshed at scrape time) -------------------
 inline constexpr std::string_view kPrefPoolQueueDepth =
     "pref.pool.queue_depth";
+/// ThreadPoolTelemetry::helper_claims of the shared pool (a counter).
+inline constexpr std::string_view kPrefPoolHelperClaims =
+    "pref.pool.helper_claims";
 inline constexpr std::string_view kPrefQuerylogSize = "pref.querylog.size";
 inline constexpr std::string_view kPrefQuerylogDropped =
     "pref.querylog.dropped";

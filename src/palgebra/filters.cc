@@ -281,23 +281,148 @@ class RankOrder {
   FilterTarget secondary_;
 };
 
+// One row packed for ranking: its pair's two targets, read once, and its
+// row index, which also locates its key codes.
+struct RankEntry {
+  double primary;
+  double secondary;
+  uint32_t row;
+};
+
+// RankOrder over packed entries: the key cells are int64 codes, `width`
+// per row at codes[row * width], that compare as the cells do.
+struct PackedOrder {
+  const int64_t* codes;
+  size_t width;
+
+  bool operator()(const RankEntry& a, const RankEntry& b) const {
+    if (a.primary != b.primary) return a.primary > b.primary;
+    if (a.secondary != b.secondary) return a.secondary > b.secondary;
+    const int64_t* x = codes + size_t{a.row} * width;
+    const int64_t* y = codes + size_t{b.row} * width;
+    for (size_t j = 0; j < width; ++j) {
+      if (x[j] != y[j]) return x[j] < y[j];
+    }
+    return a.row < b.row;
+  }
+};
+
+// Puts the smallest entries of [first, last) in order in [first, middle).
+// A full sort is skipped when the range is in order; returns whether it was.
+using EntryIt = std::vector<RankEntry>::iterator;
+bool OrderPrefix(EntryIt first, EntryIt middle, EntryIt last, const PackedOrder& order) {
+  if (middle < last) {
+    std::partial_sort(first, middle, last, order);
+    return false;
+  }
+  if (std::is_sorted(first, last, order)) return true;
+  std::sort(first, last, order);
+  return false;
+}
+
+const char* LayoutName(ColumnLayout layout) {
+  static constexpr const char* kNames[] = {"int", "double", "dict", "arena", "value"};
+  return kNames[static_cast<size_t>(layout)];
+}
+
+// Orders `ids` by RankOrder, keeps the first `limit` and says on `span`
+// which ranking ran. A scored pair (ScoreConf::Known: finite score, conf
+// above 0) ranks above the default pair ⟨⊥, 0⟩ under either target. So when
+// `limit` keeps every scored row and every key is kInt or kDict, the scored
+// rows' entries are sorted apart, and the default rows, which tie on both
+// targets, follow in key order, as many as `limit` still needs. A key cell
+// packs as an int64 code that compares as Value::Compare does: a kInt value
+// behind a null flag (0 NULL, 1 not) if the column has NULLs, a kDict code
+// plus one (0 NULL). Otherwise RankOrder sorts the indices: a TOP k the
+// scored rows fill compares few rows past their pairs, and other layouts
+// have no code.
+void RankIds(const PRelation& p, FilterTarget primary, size_t limit,
+             std::vector<uint32_t>* ids, obs::Span* span) {
+  const std::vector<RankKey> keys = RankKeys(p);
+  const TypedColumn* unpackable = nullptr;
+  size_t width = 0;
+  for (const RankKey& key : keys) {
+    const ColumnLayout layout = key.column->layout();
+    const bool packable = layout == ColumnLayout::kInt || layout == ColumnLayout::kDict;
+    if (!packable) unpackable = key.column;
+    width += layout == ColumnLayout::kInt && key.column->has_nulls() ? 2 : 1;
+  }
+  size_t num_scored = 0;
+  for (uint32_t id : *ids) num_scored += p.pairs[id].IsDefault() ? 0 : 1;
+  const size_t num_defaults = ids->size() - num_scored;
+
+  if (unpackable != nullptr || limit < num_scored) {
+    const RankOrder order(p, keys, primary);
+    if (limit < ids->size()) {
+      std::partial_sort(ids->begin(), ids->begin() + limit, ids->end(), order);
+      ids->resize(limit);
+    } else {
+      std::sort(ids->begin(), ids->end(), order);
+    }
+    if (span == nullptr) return;
+    obs::AppendDetail(
+        span, unpackable != nullptr
+                  ? StrFormat("rank=comparator(%s key)", LayoutName(unpackable->layout()))
+                  : StrFormat("rank=top-k keys=%zu scored=%zu default=%zu",
+                              keys.size(), num_scored, num_defaults));
+    return;
+  }
+
+  // The scored rows' entries, then the default rows', each in `ids` order.
+  const FilterTarget secondary =
+      primary == FilterTarget::kScore ? FilterTarget::kConf : FilterTarget::kScore;
+  std::vector<RankEntry> entries(ids->size());
+  size_t next_scored = 0;
+  size_t next_default = num_scored;
+  for (uint32_t id : *ids) {
+    const ScoreConf& pair = p.pairs[id];
+    entries[pair.IsDefault() ? next_default++ : next_scored++] = {
+        PairTarget(pair, primary), PairTarget(pair, secondary), id};
+  }
+  const size_t from_defaults = std::min(limit - num_scored, num_defaults);
+  const EntryIt tail = entries.begin() + num_scored;
+  std::vector<int64_t> codes(p.NumRows() * width);
+  for (EntryIt e = entries.begin(); e != (from_defaults > 0 ? entries.end() : tail);
+       ++e) {
+    int64_t* code = codes.data() + size_t{e->row} * width;
+    for (const RankKey& key : keys) {
+      const TypedColumn& col = *key.column;
+      const uint32_t r = p.view.Id(e->row, key.input);
+      if (col.layout() == ColumnLayout::kDict) {
+        const uint32_t c = col.codes()[r];
+        *code++ = c == TypedColumn::kNullCode ? 0 : c + int64_t{1};
+      } else if (col.has_nulls()) {
+        *code++ = col.NullBit(r) ? 0 : 1;
+        *code++ = col.ints()[r];  // 0 for NULL.
+      } else {
+        *code++ = col.ints()[r];
+      }
+    }
+  }
+  const PackedOrder order{codes.data(), width};
+  OrderPrefix(entries.begin(), tail, tail, order);
+  const bool in_order =
+      from_defaults == 0 || OrderPrefix(tail, tail + from_defaults, entries.end(), order);
+  ids->resize(num_scored + from_defaults);
+  for (size_t i = 0; i < ids->size(); ++i) (*ids)[i] = entries[i].row;
+  if (span == nullptr) return;
+  obs::AppendDetail(
+      span, StrFormat("rank=packed keys=%zu scored=%zu default=%zu defaults=%s",
+                      keys.size(), num_scored, num_defaults,
+                      from_defaults == 0 ? "skipped"
+                      : in_order         ? "in-order"
+                                         : "sorted"));
+}
+
 // One filter over the surviving row indices `ids` of `p`: ApplyFilter's
 // semantics for the scored-form kinds, FilterByMinMatches' for kMinMatches.
+// The ranking kinds say on `span` which ranking ran (RankIds).
 Status FilterIndices(const PRelation& p, const FilterSpec& spec,
-                     std::vector<uint32_t>* ids) {
+                     std::vector<uint32_t>* ids, obs::Span* span) {
   switch (spec.kind) {
-    case FilterSpec::Kind::kTopK: {
-      const std::vector<RankKey> keys = RankKeys(p);
-      RankOrder order(p, keys, spec.target);
-      if (ids->size() > spec.k) {
-        std::partial_sort(ids->begin(), ids->begin() + spec.k, ids->end(),
-                          order);
-        ids->resize(spec.k);
-      } else {
-        std::sort(ids->begin(), ids->end(), order);
-      }
+    case FilterSpec::Kind::kTopK:
+      RankIds(p, spec.target, spec.k, ids, span);
       return Status::OK();
-    }
     case FilterSpec::Kind::kThreshold: {
       std::erase_if(*ids, [&](uint32_t i) {
         double v = PairTarget(p.pairs[i], spec.target);
@@ -305,18 +430,15 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
       });
       return Status::OK();
     }
-    case FilterSpec::Kind::kRankAll: {
-      const std::vector<RankKey> keys = RankKeys(p);
-      std::sort(ids->begin(), ids->end(), RankOrder(p, keys, FilterTarget::kScore));
+    case FilterSpec::Kind::kRankAll:
+      RankIds(p, FilterTarget::kScore, ids->size(), ids, span);
       return Status::OK();
-    }
     case FilterSpec::Kind::kMinMatches:
       std::erase_if(*ids, [&](uint32_t i) { return p.pairs[i].count() < spec.k; });
       return Status::OK();
     case FilterSpec::Kind::kNotDominated: {
       // ApplyFilter's skyline scan, over the pairs of the sorted indices.
-      const std::vector<RankKey> keys = RankKeys(p);
-      std::sort(ids->begin(), ids->end(), RankOrder(p, keys, FilterTarget::kScore));
+      RankIds(p, FilterTarget::kScore, ids->size(), ids, span);
       double best_conf = -std::numeric_limits<double>::infinity();
       double best_conf_score = 0.0;
       size_t kept = 0;
@@ -347,7 +469,7 @@ StatusOr<Relation> ApplyFilters(const PRelation& input,
 
 StatusOr<Relation> ApplyFiltersAndProject(
     const PRelation& input, const std::vector<FilterSpec>& specs,
-    const std::vector<std::string>& output_columns) {
+    const std::vector<std::string>& output_columns, obs::Span* span) {
   if (input.pairs.size() != input.NumRows()) {
     return Status::Internal("p-relation pairs are not row-aligned");
   }
@@ -361,7 +483,7 @@ StatusOr<Relation> ApplyFiltersAndProject(
   std::iota(ids.begin(), ids.end(), 0u);
   for (const FilterSpec& spec : specs) {
     if (spec.kind == FilterSpec::Kind::kMinMatches) {
-      RETURN_IF_ERROR(FilterIndices(input, spec, &ids));
+      RETURN_IF_ERROR(FilterIndices(input, spec, &ids, span));
     }
   }
   bool checked_columns = false;
@@ -374,7 +496,7 @@ StatusOr<Relation> ApplyFiltersAndProject(
       RETURN_IF_ERROR(FindScoreColumns(scored_schema, &score_idx, &conf_idx));
       checked_columns = true;
     }
-    RETURN_IF_ERROR(FilterIndices(input, spec, &ids));
+    RETURN_IF_ERROR(FilterIndices(input, spec, &ids, span));
   }
 
   // Columns of the scored form to emit: all of them, or the requested ones

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/trace.h"
 #include "palgebra/p_relation.h"
 
 namespace prefdb {
@@ -67,10 +68,11 @@ StatusOr<Relation> ApplyFilters(const PRelation& input,
 /// ApplyFilters, emitting each surviving row already projected onto
 /// `output_columns` followed by `score` and `conf` (resolved against the
 /// scored schema); empty `output_columns` keeps every column. What a
-/// session returns as the query result.
+/// session returns as the query result. Each ranking filter appends which
+/// ranking ran to `span`'s detail (`rank=...`, DESIGN.md §3).
 StatusOr<Relation> ApplyFiltersAndProject(
     const PRelation& input, const std::vector<FilterSpec>& specs,
-    const std::vector<std::string>& output_columns);
+    const std::vector<std::string>& output_columns, obs::Span* span = nullptr);
 
 /// Keeps the tuples whose pair was contributed by at least `min_matches`
 /// preference applications (the paper's "satisfy a minimum number of

@@ -11,11 +11,12 @@ namespace prefdb {
 
 std::string ThreadPoolTelemetry::ToString() const {
   return StrFormat(
-      "tasks_executed=%llu steals=%llu help_drains=%llu "
+      "tasks_executed=%llu steals=%llu help_drains=%llu helper_claims=%llu "
       "queue_wait_micros=%.1f",
       static_cast<unsigned long long>(tasks_executed),
       static_cast<unsigned long long>(steals),
-      static_cast<unsigned long long>(help_drains), queue_wait_micros);
+      static_cast<unsigned long long>(help_drains),
+      static_cast<unsigned long long>(helper_claims), queue_wait_micros);
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -52,8 +53,14 @@ ThreadPoolTelemetry ThreadPool::telemetry() const {
   MutexLock lock(&mu_);
   ThreadPoolTelemetry t;
   t.tasks_executed = tasks_executed_;
+  t.helper_claims = helper_claims_;
   t.queue_wait_micros = queue_wait_micros_;
   return t;
+}
+
+void ThreadPool::NoteHelperClaim() {
+  MutexLock lock(&mu_);
+  ++helper_claims_;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -106,13 +113,15 @@ struct Batch {
   size_t running PREFDB_GUARDED_BY(mu) = 0;  // Threads inside a function.
 };
 
-// Claims and runs functions until the cursor is exhausted.
-void Drain(Batch* batch) {
+// Claims and runs functions until the cursor is exhausted. A helper's
+// claims are counted before they run, so before the caller's join returns.
+void Drain(Batch* batch, bool helper) {
   batch->mu.Lock();
   while (batch->next < batch->size) {
     const size_t i = batch->next++;
     ++batch->running;
     batch->mu.Unlock();
+    if (helper) ThreadPool::Shared().NoteHelperClaim();
     try {
       (*batch->fns)[i]();
     } catch (...) {
@@ -135,14 +144,14 @@ void ParallelInvoke(const ParallelContext& ctx,
   std::exception_ptr submit_error;
   try {
     for (size_t w = 1; w < workers; ++w) {
-      ThreadPool::Shared().Submit([batch] { Drain(batch.get()); });
+      ThreadPool::Shared().Submit([batch] { Drain(batch.get(), true); });
     }
   } catch (...) {
     // Fewer helpers than asked: the batch still runs, and the helpers
     // already queued are joined below before anything is rethrown.
     submit_error = std::current_exception();
   }
-  Drain(batch.get());  // The caller works too, and alone if no helper starts.
+  Drain(batch.get(), false);  // The caller works too, and alone if no helper starts.
   {
     MutexLock lock(&batch->mu);
     while (batch->running != 0) batch->idle.Wait(&batch->mu);

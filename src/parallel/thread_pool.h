@@ -19,6 +19,8 @@ namespace prefdb {
 /// A consistent snapshot of a pool's lifetime telemetry (all counters taken
 /// under one lock). `queue_wait_micros` is the summed submit-to-dequeue
 /// latency over all executed tasks — queue pressure in aggregate.
+/// `helper_claims` counts the ParallelInvoke functions run by the pool's
+/// helper tasks, not by their callers (0 while the pool is saturated).
 /// `steals` and `help_drains` always read 0: the one-queue pool neither
 /// steals nor runs tasks on a joining thread. They are kept because the
 /// benchmark still reports them.
@@ -26,6 +28,7 @@ struct ThreadPoolTelemetry {
   uint64_t tasks_executed = 0;
   uint64_t steals = 0;
   uint64_t help_drains = 0;
+  uint64_t helper_claims = 0;
   double queue_wait_micros = 0.0;
 
   std::string ToString() const;
@@ -55,6 +58,9 @@ class ThreadPool {
   /// Full lifetime telemetry snapshot (tasks, aggregate queue-wait time).
   ThreadPoolTelemetry telemetry() const;
 
+  /// Counts one function a ParallelInvoke helper task claimed.
+  void NoteHelperClaim();
+
   /// Tasks currently queued (instantaneous; the source for the
   /// pref.pool.queue_depth telemetry gauge).
   size_t queue_depth() const;
@@ -80,6 +86,7 @@ class ThreadPool {
   std::deque<QueuedTask> queue_ PREFDB_GUARDED_BY(mu_);
   std::vector<std::thread> workers_;  // Const after construction.
   uint64_t tasks_executed_ PREFDB_GUARDED_BY(mu_) = 0;
+  uint64_t helper_claims_ PREFDB_GUARDED_BY(mu_) = 0;
   double queue_wait_micros_ PREFDB_GUARDED_BY(mu_) = 0.0;
   bool shutting_down_ PREFDB_GUARDED_BY(mu_) = false;
 };

@@ -1,11 +1,16 @@
 #include "palgebra/filters.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace prefdb {
@@ -14,6 +19,7 @@ namespace {
 using testing_util::D;
 using testing_util::I;
 using testing_util::N;
+using testing_util::S;
 
 // A scored relation with one id column plus score/conf: the form produced by
 // ToScoredRelation.
@@ -347,6 +353,198 @@ TEST(FiltersDifferentialTest, ProjectingVariantProjectsTheFilteredRows) {
     EXPECT_EQ(projected->rows()[i], (Tuple{f[2], f[0], f[3], f[4]}));
   }
   EXPECT_FALSE(ApplyFiltersAndProject(p, specs, {"missing"}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Packed ranking: key layouts and row shapes that reach every path of the
+// packed order (int and dict codes, NULL flags, any key count, the default
+// rows' tail in and out of key order) and the comparator fallback, each
+// checked against the reference definition.
+
+// One column's cells, drawn per row.
+using CellMaker = std::function<Value(Rng*, size_t row)>;
+
+// A p-relation of `n` rows over `cells` (every column of the key), in row
+// order or shuffled. Pairs: about half the rows stay at ⟨⊥, 0⟩, the rest
+// draw from few values (ties are common), with score 0 and the smallest
+// conf among them. Known(0.5, 0.0) normalizes to the default pair.
+PRelation KeyedScored(Rng* rng, size_t n, const std::vector<CellMaker>& cells,
+                      bool shuffle) {
+  std::vector<Column> columns;
+  for (size_t c = 0; c < cells.size(); ++c) {
+    columns.push_back({"T", "c" + std::to_string(c), ValueType::kInt});
+  }
+  Relation rel{Schema(columns)};
+  std::vector<size_t> key(cells.size());
+  for (size_t c = 0; c < key.size(); ++c) key[c] = c;
+  rel.set_key_columns(key);
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Tuple row;
+    for (const CellMaker& make : cells) row.push_back(make(rng, i));
+    rows.push_back(std::move(row));
+  }
+  if (shuffle) {
+    for (size_t i = rows.size(); i > 1; --i) {
+      std::swap(rows[i - 1], rows[rng->Uniform(0, static_cast<int64_t>(i) - 1)]);
+    }
+  } else {
+    std::sort(rows.begin(), rows.end());
+  }
+  for (Tuple& row : rows) rel.AddRow(std::move(row));
+  PRelation p(std::move(rel));
+  static constexpr double kScores[] = {0.0, 0.5, 0.5, 0.9};
+  static const double kConfs[] = {std::numeric_limits<double>::denorm_min(), 0.0,
+                                  0.6, 1.2};
+  for (ScoreConf& pair : p.pairs) {
+    if (rng->Bernoulli(0.5)) continue;
+    pair = ScoreConf::Known(kScores[rng->Uniform(0, 3)], kConfs[rng->Uniform(0, 3)]);
+  }
+  return p;
+}
+
+size_t ScoredRows(const PRelation& p) {
+  size_t scored = 0;
+  for (const ScoreConf& pair : p.pairs) scored += pair.IsDefault() ? 0 : 1;
+  return scored;
+}
+
+// Every ranking filter at every TOP k boundary, both targets.
+void ExpectEveryRankingMatches(const PRelation& p) {
+  const size_t n = p.NumRows();
+  const size_t scored = ScoredRows(p);
+  for (size_t k : {size_t{0}, size_t{1}, scored, scored + 1, n, n + 5}) {
+    for (FilterTarget target : {FilterTarget::kScore, FilterTarget::kConf}) {
+      ExpectSameFiltered(p, {FilterSpec::TopK(k, target)});
+    }
+  }
+  ExpectSameFiltered(p, {FilterSpec::RankAll()});
+  ExpectSameFiltered(p, {FilterSpec::NotDominated()});
+  ExpectSameFiltered(p, {FilterSpec::Threshold(FilterTarget::kScore, 0.5),
+                         FilterSpec::TopK(3, FilterTarget::kConf)});
+}
+
+CellMaker OneOf(std::vector<Value> domain) {
+  return [domain](Rng* rng, size_t) {
+    return domain[rng->Uniform(0, static_cast<int64_t>(domain.size()) - 1)];
+  };
+}
+
+std::vector<ColumnLayout> KeyLayouts(const PRelation& p) {
+  std::vector<ColumnLayout> layouts;
+  for (size_t k : p.key_columns()) layouts.push_back(p.view.Column(k).layout());
+  return layouts;
+}
+
+TEST(FiltersPackedTest, IntKeyWithNullAndInt64Min) {
+  // A NULL must rank before INT64_MIN: an encoding that stores NULL as
+  // INT64_MIN ties them and falls back to row order.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Rng rng(41);
+  for (bool shuffle : {false, true}) {
+    PRelation p = KeyedScored(
+        &rng, 40,
+        {OneOf({N(), I(kMin), I(kMin), I(-1), I(0),
+                   I(std::numeric_limits<int64_t>::max())})},
+        shuffle);
+    ASSERT_EQ(KeyLayouts(p), std::vector<ColumnLayout>{ColumnLayout::kInt});
+    ASSERT_TRUE(p.view.Column(0).has_nulls());
+    ExpectEveryRankingMatches(p);
+  }
+}
+
+TEST(FiltersPackedTest, DictKeyWithNulls) {
+  Rng rng(43);
+  for (bool shuffle : {false, true}) {
+    PRelation p =
+        KeyedScored(&rng, 40, {OneOf({N(), S("a"), S("b"), S("ab"), S("")})}, shuffle);
+    ASSERT_EQ(KeyLayouts(p), std::vector<ColumnLayout>{ColumnLayout::kDict});
+    ExpectEveryRankingMatches(p);
+  }
+}
+
+TEST(FiltersPackedTest, OneToEightKeyColumns) {
+  // Alternating int and dict columns over small domains, so rows tie on
+  // the leading keys and later ones decide.
+  Rng rng(47);
+  for (size_t keys = 1; keys <= 8; ++keys) {
+    std::vector<CellMaker> cells;
+    for (size_t c = 0; c < keys; ++c) {
+      cells.push_back(c % 2 == 0 ? OneOf({N(), I(1), I(2)})
+                                 : OneOf({S("x"), S("y"), N()}));
+    }
+    for (bool shuffle : {false, true}) {
+      PRelation p = KeyedScored(&rng, 60, cells, shuffle);
+      for (size_t c = 0; c < keys; ++c) {
+        ASSERT_EQ(KeyLayouts(p)[c],
+                  c % 2 == 0 ? ColumnLayout::kInt : ColumnLayout::kDict);
+      }
+      ExpectEveryRankingMatches(p);
+    }
+  }
+}
+
+TEST(FiltersPackedTest, ArenaAndDoubleKeysTakeTheComparator) {
+  Rng rng(53);
+  const CellMaker distinct = [](Rng* rng, size_t row) {
+    return rng->Bernoulli(0.1) ? N()
+                               : Value::String("s" + std::to_string(row % 37));
+  };
+  const CellMaker doubles = OneOf({N(), D(-0.5), D(0.0), D(2.5)});
+  const CellMaker ints = OneOf({I(1), I(2)});
+  for (bool shuffle : {false, true}) {
+    for (const std::vector<CellMaker>& cells :
+         {std::vector<CellMaker>{distinct}, std::vector<CellMaker>{doubles},
+          std::vector<CellMaker>{ints, distinct, doubles}}) {
+      PRelation p = KeyedScored(&rng, 40, cells, shuffle);
+      const std::vector<ColumnLayout> layouts = KeyLayouts(p);
+      ASSERT_TRUE(std::find(layouts.begin(), layouts.end(), ColumnLayout::kArena) !=
+                      layouts.end() ||
+                  std::find(layouts.begin(), layouts.end(), ColumnLayout::kDouble) !=
+                      layouts.end());
+      ExpectEveryRankingMatches(p);
+    }
+  }
+}
+
+// The detail ApplyFiltersAndProject leaves on its span.
+std::string RankDetail(const PRelation& p, const std::vector<FilterSpec>& specs) {
+  obs::SpanPtr span = obs::Span::Detached("FilterAndProject");
+  EXPECT_TRUE(ApplyFiltersAndProject(p, specs, {}, span.get()).ok());
+  return span->detail;
+}
+
+TEST(FiltersPackedTest, SpanSaysWhichRankingRan) {
+  Rng rng(59);
+  const CellMaker ints = OneOf({I(1), I(2), I(3), I(4)});
+  const CellMaker dict = OneOf({S("a"), S("b")});
+  PRelation sorted = KeyedScored(&rng, 30, {ints, dict}, /*shuffle=*/false);
+  const size_t scored = ScoredRows(sorted);
+  const std::string counts =
+      "rank=packed keys=2 scored=" + std::to_string(scored) +
+      " default=" + std::to_string(sorted.NumRows() - scored);
+  EXPECT_EQ(RankDetail(sorted, {FilterSpec::RankAll()}), counts + " defaults=in-order");
+  EXPECT_EQ(RankDetail(sorted, {FilterSpec::TopK(scored)}), counts + " defaults=skipped");
+  // A TOP k that the scored rows fill sorts indices, reading keys in place.
+  ASSERT_GT(scored, 1u);
+  EXPECT_EQ(RankDetail(sorted, {FilterSpec::TopK(scored - 1)}),
+            "rank=top-k" + counts.substr(counts.find(' ')));
+
+  // Default rows out of key order: row order descends through the keys.
+  Relation rel(Schema({{"T", "id", ValueType::kInt}}));
+  rel.set_key_columns({0});
+  for (int64_t id = 4; id >= 1; --id) rel.AddRow({I(id)});
+  PRelation reversed(std::move(rel));
+  reversed.pairs[0] = ScoreConf::Known(0.5, 1.0);
+  EXPECT_EQ(RankDetail(reversed, {FilterSpec::TopK(2), FilterSpec::NotDominated()}),
+            "rank=packed keys=1 scored=1 default=3 defaults=sorted "
+            "rank=packed keys=1 scored=1 default=1 defaults=in-order");
+
+  PRelation arena = KeyedScored(
+      &rng, 30, {[](Rng*, size_t row) { return Value::String(std::to_string(row)); }},
+      true);
+  EXPECT_EQ(RankDetail(arena, {FilterSpec::RankAll()}), "rank=comparator(arena key)");
+  EXPECT_EQ(RankDetail(arena, {FilterSpec::Threshold(FilterTarget::kConf, 0.5)}), "");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // report, and the ExecStats merge discipline the span adoption mirrors.
 
 #include <chrono>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "engine/exec_stats.h"
 #include "exec/runner.h"
 #include "gtest/gtest.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -439,6 +441,44 @@ TEST(ExplainAnalyzeTest, GbuRegionPhasesAppear) {
       << r->explain_analyze;
 }
 
+// The FilterAndProject span's detail, for an EXPLAIN ANALYZE of `sql`.
+std::string FilterDetail(Session* session, const std::string& sql) {
+  auto r = session->Query("EXPLAIN ANALYZE " + sql, QueryOptions());
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return "";
+  std::vector<const obs::Span*> spans = obs::FindSpans(*r->trace, "FilterAndProject");
+  EXPECT_EQ(spans.size(), 1u) << r->explain_analyze;
+  EXPECT_NE(r->explain_analyze.find(spans[0]->detail), std::string::npos);
+  return spans.empty() ? "" : spans[0]->detail;
+}
+
+// FilterAndProject says which ranking ran: IMDB-1's key (int and dict
+// columns) is packed, and a table keyed by mostly distinct strings (an
+// arena column) takes the comparator.
+TEST(ExplainAnalyzeTest, FilterAndProjectSaysWhichRankingRan) {
+  const std::string packed = FilterDetail(SharedImdbSession(), ImdbWorkload()[0].sql);
+  EXPECT_TRUE(std::regex_match(
+      packed, std::regex("rank=packed keys=[1-9][0-9]* scored=[1-9][0-9]* "
+                         "default=[0-9]+ defaults=(in-order|sorted)")))
+      << packed;
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .CreateTable("PEOPLE",
+                               Schema({{"", "name", ValueType::kString},
+                                       {"", "age", ValueType::kInt}}),
+                               {{testing_util::S("Ann"), testing_util::I(31)},
+                                {testing_util::S("Bob"), testing_util::I(25)},
+                                {testing_util::S("Cy"), testing_util::I(40)}},
+                               {"name"})
+                  .ok());
+  Session people(std::move(catalog));
+  EXPECT_EQ(FilterDetail(&people,
+                         "SELECT name FROM PEOPLE "
+                         "PREFERRING (age >= 30) SCORE 0.5 CONF 1 RANKED"),
+            "rank=comparator(arena key)");
+}
+
 TEST(TraceTest, DisabledByDefault) {
   Session session(MakeMovieCatalog());
   auto result = session.Query(
@@ -573,6 +613,13 @@ TEST(ThreadPoolTelemetryTest, ParallelQueryExecutesPoolTasks) {
   EXPECT_GT(after.tasks_executed, before.tasks_executed);
   EXPECT_GE(after.queue_wait_micros, before.queue_wait_micros);
   EXPECT_FALSE(after.ToString().empty());
+  // An export brings the engine's pref.pool.helper_claims counter up to
+  // the pool's count.
+  EXPECT_NE(session->engine().metrics().ToPrometheus().find(
+                "# TYPE pref_pool_helper_claims counter"),
+            std::string::npos);
+  EXPECT_GE(session->engine().metrics().counter(obs::kPrefPoolHelperClaims)->value(),
+            after.helper_claims);
 }
 
 }  // namespace

@@ -56,6 +56,7 @@ TEST(ThreadPoolTest, ExecutesEveryTask) {
   EXPECT_EQ(telemetry.tasks_executed, static_cast<uint64_t>(kTasks));
   EXPECT_EQ(telemetry.steals, 0u);
   EXPECT_EQ(telemetry.help_drains, 0u);
+  EXPECT_EQ(telemetry.helper_claims, 0u);  // No ParallelInvoke ran on it.
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
@@ -246,9 +247,14 @@ TEST(ParallelInvokeTest, NestedCallsCompleteWhileEveryPoolWorkerIsBusy) {
 // still queued. When the workers are freed the helper starts after the
 // batch is over and returns without reading the caller's functions, which
 // are freed by then (a read would be a heap-use-after-free under ASan).
+uint64_t SharedHelperClaims() {
+  return ThreadPool::Shared().telemetry().helper_claims;
+}
+
 TEST(ParallelInvokeTest, CallerRunsEveryFunctionWhenThePoolIsSaturated) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran_on(6);
+  const uint64_t claims_before = SharedHelperClaims();
   {
     SharedPoolBlocker blocker;
     auto fns = std::make_unique<std::vector<std::function<void()>>>();
@@ -265,6 +271,30 @@ TEST(ParallelInvokeTest, CallerRunsEveryFunctionWhenThePoolIsSaturated) {
   // A second blocker starts only once every task queued before it,
   // the helper included, has finished.
   SharedPoolBlocker drained;
+  // The late helper found the batch drained: it claimed nothing.
+  EXPECT_EQ(SharedHelperClaims(), claims_before);
+}
+
+// With free workers, a helper claims the function the caller cannot reach:
+// each of the two functions waits until both have started, so the batch
+// completes early only if a helper ran one of them. The wait is bounded; a
+// batch the caller ran alone leaves the claim count unchanged and fails.
+TEST(ParallelInvokeTest, HelpersClaimFunctionsWhenWorkersAreFree) {
+  const uint64_t claims_before = SharedHelperClaims();
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::vector<std::function<void()>> fns;
+  for (int i = 0; i < 2; ++i) {
+    fns.push_back([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(30), [&] { return started == 2; });
+    });
+  }
+  ParallelInvoke(Threads(2), fns);
+  EXPECT_GE(SharedHelperClaims() - claims_before, 1u);
 }
 
 }  // namespace
