@@ -9,6 +9,7 @@
 #include "expr/expr_builder.h"
 #include "palgebra/filters.h"
 #include "palgebra/p_ops.h"
+#include "palgebra/score_relation.h"
 
 namespace prefdb {
 namespace {
@@ -106,24 +107,78 @@ BENCHMARK(BM_PJoin)->Arg(1000)->Arg(10000)->Arg(50000);
 
 // A row's pair: Arg(0) reads the row-aligned pairs by position (inside an
 // operator pipeline), Arg(1) probes the pk-keyed R_P with the row's key read
-// in place (GBU's and the plug-ins' re-association by key).
+// as codes (GBU's and the plug-ins' re-association by key).
 void BM_PairLookup(benchmark::State& state) {
   constexpr size_t kRows = 100000;
   PRelation input = MakeScoredRelation(kRows, 0.5, 7);
-  ScoreRelation by_key = input.ToScoreRelation();
+  const std::vector<ScoreRelation::Keys> keys = {{input.view, input.key_columns()}};
+  ScoreRelation by_key(keys);
+  for (size_t r = 0; r < kRows; ++r) by_key.Set(keys[0], r, input.pairs[r]);
   const bool keyed = state.range(0) == 1;
   size_t i = 0;
   for (auto _ : state) {
     size_t row = i++ % kRows;
     if (keyed) {
-      benchmark::DoNotOptimize(
-          by_key.Lookup(ViewKey{input.view, row, input.key_columns()}));
+      benchmark::DoNotOptimize(by_key.Lookup(keys[0], row));
     } else {
       benchmark::DoNotOptimize(input.pairs[row]);
     }
   }
 }
 BENCHMARK(BM_PairLookup)->Arg(0)->Arg(1);
+
+// A plug-in's aggregate step at IMDB-3's shape: a 7-column key (six ints and
+// a repeating string), 4,500 R_NP rows, four partials of 750 rows folded
+// into R_P, then every R_NP row aligned with its pair. Arg(0): the partials
+// view R_NP's store (key codes); Arg(1): each partial is a copy in a store
+// of its own (interned keys).
+void BM_ScoreRelationFoldAlign(benchmark::State& state) {
+  constexpr size_t kRows = 4500;
+  constexpr size_t kPartials = 4;
+  constexpr size_t kPartialRows = 750;
+  const char* genres[] = {"Action", "Comedy", "Drama", "Horror", "Sci-Fi"};
+  std::vector<Column> columns;
+  for (int c = 0; c < 6; ++c) {
+    columns.push_back({"R", "k" + std::to_string(c), ValueType::kInt});
+  }
+  columns.push_back({"R", "genre", ValueType::kString});
+  Relation rel{Schema(columns)};
+  rel.set_key_columns({0, 1, 2, 3, 4, 5, 6});
+  Rng rng(11);
+  for (size_t i = 0; i < kRows; ++i) {
+    Tuple row;
+    for (int c = 0; c < 6; ++c) row.push_back(Value::Int(rng.Uniform(0, 1 << 20)));
+    row.push_back(Value::String(genres[i % 5]));
+    rel.AddRow(std::move(row));
+  }
+  const RowView r_np = RowView::Wrap(rel);
+  std::vector<RowView> partials;
+  for (size_t p = 0; p < kPartials; ++p) {
+    std::vector<uint32_t> rows;
+    for (size_t i = 0; i < kPartialRows; ++i) {
+      rows.push_back(static_cast<uint32_t>(rng.Uniform(0, kRows - 1)));
+    }
+    partials.push_back(r_np.Rows(rows));
+    if (state.range(0) == 1) partials.back() = RowView::Wrap(partials.back().Gather());
+  }
+  FSum agg;
+  for (auto _ : state) {
+    std::vector<ScoreRelation::Keys> keys = {{r_np, r_np.key_columns}};
+    for (const RowView& partial : partials) {
+      keys.emplace_back(partial, partial.key_columns);
+    }
+    ScoreRelation scores(keys);
+    for (size_t p = 0; p < kPartials; ++p) {
+      for (size_t r = 0; r < kPartialRows; ++r) {
+        scores.Fold(keys[p + 1], r, ScoreConf::Known(0.5, 0.8), agg);
+      }
+    }
+    benchmark::DoNotOptimize(scores.Align(keys[0]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(kPartials * kPartialRows + kRows) *
+                          state.iterations());
+}
+BENCHMARK(BM_ScoreRelationFoldAlign)->Arg(0)->Arg(1);
 
 // The filters as a query runs them: ApplyFiltersAndProject over the
 // evaluated p-relation, ranking row indices and copying out the survivors.

@@ -313,6 +313,7 @@ StatusOr<QueryResult> Session::RunInternal(const ParsedQuery& parsed,
                                           filter_scope.get()));
   engine_.NoteRowsGathered(final_rel.NumRows());
   obs::SetRowsOut(filter_scope.get(), final_rel.NumRows());
+  filter_scope.Finish();
 
   QueryResult result;
   result.relation = std::move(final_rel);

@@ -13,6 +13,7 @@
 #include "common/string_util.h"
 #include "optimizer/extended_optimizer.h"
 #include "palgebra/p_ops.h"
+#include "palgebra/score_relation.h"
 #include "parallel/thread_pool.h"
 
 namespace prefdb {
@@ -146,7 +147,7 @@ StatusOr<PRelation> ApplyPrefersOnResult(const std::vector<PreferencePtr>& prefs
 // join (the same discipline as the stats merge), so the trace is the same
 // at every thread count.
 StatusOr<std::vector<RowView>> ExecuteEngineQueries(
-    const std::vector<const PlanNode*>& plans, Engine* engine,
+    const std::vector<PlanPtr>& plans, Engine* engine,
     ExecStats* stats, obs::Span* span, const std::vector<std::string>& labels) {
   const size_t n = plans.size();
   std::vector<std::optional<StatusOr<RowView>>> partials(n);
@@ -639,8 +640,10 @@ class GBUStrategy final : public Strategy {
       int input = -1;  // The region input whose id names the temp row, or
                        // -1: found by key.
       std::vector<uint32_t> position;  // Temp row by that input's id.
-      ScoreRelation scores;  // R_P of the temp, when `input` is -1.
-      std::vector<size_t> key;  // The output rows' key columns then.
+      // When `input` is -1: the keys of the temp's rows, then of the output
+      // rows, and the temp's R_P over them.
+      std::vector<ScoreRelation::Keys> keys;
+      std::optional<ScoreRelation> scores;
     };
     const RowView& view = out->view;
     std::vector<ResolvedTemp> resolved;
@@ -664,14 +667,11 @@ class GBUStrategy final : public Strategy {
       if (identifying >= 0) {
         rt.input = first + identifying;
       } else {
+        rt.keys = {{rows, rows.key_columns}, {view, key_indices}};
+        rt.scores.emplace(rt.keys);
         for (size_t r = 0; r < rows.NumRows(); ++r) {
-          if (temp.pairs[r].IsDefault()) continue;
-          Tuple key;
-          key.reserve(rows.key_columns.size());
-          for (size_t k : rows.key_columns) key.push_back(rows.Get(r, k));
-          rt.scores.Set(key, temp.pairs[r]);
+          if (!temp.pairs[r].IsDefault()) rt.scores->Set(rt.keys[0], r, temp.pairs[r]);
         }
-        rt.key = std::move(key_indices);
       }
       resolved.push_back(std::move(rt));
     }
@@ -684,7 +684,7 @@ class GBUStrategy final : public Strategy {
         const ScoreConf& temp_pair =
             rt.input >= 0
                 ? rt.temp->pairs[rt.position[view.Row(i)[rt.input]]]
-                : rt.scores.Lookup(ViewKey{view, i, rt.key});
+                : rt.scores->Lookup(rt.keys[1], i);
         pair = CombineCounted(agg, pair, temp_pair);
       }
       if (!pair.IsDefault()) {
@@ -732,147 +732,110 @@ class PlugInStrategy final : public Strategy {
     obs::SetRowsOut(q_scope.get(), r_np.NumRows());
     q_scope.Finish();
 
-    // The rewritten queries return rows of their own, not positions in
-    // R_NP: their scores accumulate in the pk-keyed R_P, and R_NP's rows
+    // Rewrite, then materialize: the rewritten queries are independent, so
+    // they are issued to the engine concurrently (up to the parallel
+    // context's thread budget).
+    Rewrites rewrites;
+    RETURN_IF_ERROR(Rewrite(*q_np, prefs, engine->catalog(), &rewrites));
+    ASSIGN_OR_RETURN(std::vector<RowView> partials,
+                     ExecuteEngineQueries(rewrites.plans, engine, stats, s,
+                                          rewrites.labels));
+
+    // Aggregate. The rewritten queries return rows of their own, not
+    // positions in R_NP: their scores accumulate in the pk-keyed R_P, in
+    // preference order for deterministic score folding, and R_NP's rows
     // find their pairs in it by key at the end.
-    ASSIGN_OR_RETURN(PlanShape np_shape,
-                     DerivePlanShape(*q_np, engine->catalog()));
-    ScoreRelation scores;
-    if (combined_) {
-      RETURN_IF_ERROR(ExecuteCombined(*q_np, np_shape, prefs, agg, engine,
-                                      stats, s, &scores));
-    } else {
-      RETURN_IF_ERROR(ExecuteBasic(*q_np, np_shape, prefs, agg, engine, stats,
-                                   s, &scores));
+    std::vector<ScoreRelation::Keys> keys = {{r_np, r_np.key_columns}};
+    for (const RowView& partial : partials) {
+      keys.emplace_back(partial, partial.key_columns);
     }
-    // R_NP's rows find their pairs in R_P by key.
+    ScoreRelation scores(keys);
+    for (size_t m = 0; m < rewrites.merges.size(); ++m) {
+      const auto [pref, q] = rewrites.merges[m];
+      obs::SpanScope merge(s, StrFormat("MergePartial[%s]", pref->name().c_str()));
+      obs::SetRowsIn(merge.get(), partials[q].NumRows());
+      ScoreWriteScope writes(merge.get(), stats);
+      RETURN_IF_ERROR(
+          MergePartial(*pref, partials[q], keys[q + 1], agg, stats, &scores));
+      obs::AppendDetail(merge.get(), scores.Describe());
+      // R_P holds codes, not views: a partial is freed once merged.
+      if (m + 1 == rewrites.merges.size() || rewrites.merges[m + 1].second != q) {
+        partials[q] = RowView();
+      }
+    }
     obs::SpanScope align(s, "AlignScores");
-    return PRelation(std::move(r_np), scores);
+    std::vector<ScoreConf> pairs = scores.Align(keys[0]);
+    obs::AppendDetail(align.get(), scores.Describe());
+    return PRelation(std::move(r_np), std::move(pairs));
   }
 
  private:
-  // Basic plug-in: one rewritten query per preference. Each rewrite embeds
-  // the preference's conditional part as a hard filter on Q_NP (Rewrite),
-  // is executed by the DBMS (Materialize), and its rows are scored and
-  // merged into the answer (Aggregate). The rewritten queries are
-  // independent, so they are issued to the engine concurrently (up to the
-  // parallel context's thread budget); aggregation stays in preference
-  // order for deterministic score folding.
-  Status ExecuteBasic(const PlanNode& q_np, const PlanShape& np_shape,
-                      const std::vector<PreferencePtr>& prefs,
-                      const AggregateFunction& agg, Engine* engine,
-                      ExecStats* stats, obs::Span* span, ScoreRelation* scores) {
-    std::vector<PlanPtr> rewrites;
+  // The rewritten queries, their span labels, and the (preference, query)
+  // merges in folding order.
+  struct Rewrites {
+    std::vector<PlanPtr> plans;
     std::vector<std::string> labels;
-    rewrites.reserve(prefs.size());
-    labels.reserve(prefs.size());
-    for (const PreferencePtr& pref : prefs) {
-      PlanPtr rewritten = q_np.Clone();
-      rewritten = plan::Select(pref->CloneCondition(), std::move(rewritten));
-      if (pref->membership() != nullptr) {
-        const MembershipSpec& m = *pref->membership();
-        ASSIGN_OR_RETURN(std::string local_full,
-                         ResolveFullName(np_shape, m.local_column));
-        rewritten = plan::SemiJoin(
-            eb_eq(local_full, m.member_relation + "." + m.member_column),
-            std::move(rewritten), plan::Scan(m.member_relation));
-      }
-      rewrites.push_back(std::move(rewritten));
-      labels.push_back(StrFormat("RewriteQuery[%s]", pref->name().c_str()));
-    }
-    std::vector<const PlanNode*> plans;
-    plans.reserve(rewrites.size());
-    for (const PlanPtr& plan : rewrites) plans.push_back(plan.get());
-    ASSIGN_OR_RETURN(std::vector<RowView> partials,
-                     ExecuteEngineQueries(plans, engine, stats, span, labels));
-    for (size_t i = 0; i < prefs.size(); ++i) {
-      obs::SpanScope merge(
-          span, StrFormat("MergePartial[%s]", prefs[i]->name().c_str()));
-      obs::SetRowsIn(merge.get(), partials[i].NumRows());
-      ScoreWriteScope writes(merge.get(), stats);
-      RETURN_IF_ERROR(MergePartial(*prefs[i], partials[i], agg, stats, scores));
-    }
-    return Status::OK();
-  }
+    std::vector<std::pair<const Preference*, size_t>> merges;
+  };
 
-  // Combined plug-in: a single rewritten query whose filter is the
-  // disjunction of all (non-membership) preference conditions; rows of the
-  // combined result are then tested per preference client-side. Membership
-  // preferences are handled by materializing the member relation once. The
-  // disjunction query and the per-membership queries are mutually
-  // independent and issued to the engine concurrently.
-  Status ExecuteCombined(const PlanNode& q_np, const PlanShape& np_shape,
-                         const std::vector<PreferencePtr>& prefs,
-                         const AggregateFunction& agg, Engine* engine,
-                         ExecStats* stats, obs::Span* span,
-                         ScoreRelation* scores) {
-    std::vector<const Preference*> plain;
-    std::vector<const Preference*> membership;
-    for (const PreferencePtr& pref : prefs) {
-      (pref->membership() == nullptr ? plain : membership).push_back(pref.get());
-    }
-
-    std::vector<PlanPtr> rewrites;
-    std::vector<std::string> labels;
-    if (!plain.empty()) {
+  // Basic plug-in: one rewritten query per preference, embedding its
+  // conditional part as a hard filter on Q_NP. Combined plug-in: a single
+  // rewritten query whose filter is the disjunction of all non-membership
+  // preference conditions; its rows are tested per preference client-side
+  // (MergePartial). In both, a membership preference's query also
+  // semi-joins the member relation; only it needs Q_NP's shape, to resolve
+  // its local column.
+  Status Rewrite(const PlanNode& q_np, const std::vector<PreferencePtr>& prefs,
+                 const Catalog& catalog, Rewrites* out) const {
+    if (combined_) {
       ExprPtr disjunction;
-      for (const Preference* pref : plain) {
+      for (const PreferencePtr& pref : prefs) {
+        if (pref->membership() != nullptr) continue;
         ExprPtr cond = pref->CloneCondition();
         disjunction = disjunction
                           ? std::make_unique<LogicalExpr>(LogicalOp::kOr,
                                                           std::move(disjunction),
                                                           std::move(cond))
                           : std::move(cond);
+        out->merges.emplace_back(pref.get(), 0);
       }
-      rewrites.push_back(plan::Select(std::move(disjunction), q_np.Clone()));
-      labels.push_back("CombinedQuery");
-    }
-    for (const Preference* pref : membership) {
-      const MembershipSpec& m = *pref->membership();
-      ASSIGN_OR_RETURN(std::string local_full,
-                       ResolveFullName(np_shape, m.local_column));
-      rewrites.push_back(plan::SemiJoin(
-          eb_eq(local_full, m.member_relation + "." + m.member_column),
-          plan::Select(pref->CloneCondition(), q_np.Clone()),
-          plan::Scan(m.member_relation)));
-      labels.push_back(
-          StrFormat("MembershipQuery[%s]", pref->name().c_str()));
-    }
-
-    std::vector<const PlanNode*> plans;
-    plans.reserve(rewrites.size());
-    for (const PlanPtr& plan : rewrites) plans.push_back(plan.get());
-    ASSIGN_OR_RETURN(std::vector<RowView> materialized,
-                     ExecuteEngineQueries(plans, engine, stats, span, labels));
-
-    size_t next = 0;
-    if (!plain.empty()) {
-      const RowView& matched = materialized[next++];
-      for (const Preference* pref : plain) {
-        obs::SpanScope merge(span,
-                             StrFormat("MergePartial[%s]", pref->name().c_str()));
-        obs::SetRowsIn(merge.get(), matched.NumRows());
-        ScoreWriteScope writes(merge.get(), stats);
-        RETURN_IF_ERROR(MergePartial(*pref, matched, agg, stats, scores));
+      if (disjunction != nullptr) {
+        out->plans.push_back(plan::Select(std::move(disjunction), q_np.Clone()));
+        out->labels.push_back("CombinedQuery");
       }
     }
-    for (const Preference* pref : membership) {
-      const RowView& matched = materialized[next++];
-      obs::SpanScope merge(span,
-                           StrFormat("MergePartial[%s]", pref->name().c_str()));
-      obs::SetRowsIn(merge.get(), matched.NumRows());
-      ScoreWriteScope writes(merge.get(), stats);
-      RETURN_IF_ERROR(MergePartial(*pref, matched, agg, stats, scores));
+    std::optional<PlanShape> np_shape;
+    for (const PreferencePtr& pref : prefs) {
+      const MembershipSpec* m = pref->membership();
+      if (combined_ && m == nullptr) continue;
+      out->merges.emplace_back(pref.get(), out->plans.size());
+      PlanPtr rewritten = plan::Select(pref->CloneCondition(), q_np.Clone());
+      if (m != nullptr) {
+        if (!np_shape.has_value()) {
+          ASSIGN_OR_RETURN(np_shape, DerivePlanShape(q_np, catalog));
+        }
+        ASSIGN_OR_RETURN(std::string local_full,
+                         ResolveFullName(*np_shape, m->local_column));
+        rewritten = plan::SemiJoin(
+            eb_eq(local_full, m->member_relation + "." + m->member_column),
+            std::move(rewritten), plan::Scan(m->member_relation));
+      }
+      out->plans.push_back(std::move(rewritten));
+      out->labels.push_back(StrFormat("%s[%s]",
+                                      combined_ ? "MembershipQuery" : "RewriteQuery",
+                                      pref->name().c_str()));
     }
     return Status::OK();
   }
 
   // Scores the rows of a partial (rewritten-query) result under `pref` and
-  // folds them into the answer's score relation by key, probed in place.
-  // Re-checks the conditional part, since the combined rewrite over-fetches
-  // (disjunction), compiled over the partial's columns. Only the columns
-  // the scoring expression and the key use are read out of its view.
+  // folds them into the answer's score relation by key, read as codes
+  // through `keys`. Re-checks the conditional part, since the combined
+  // rewrite over-fetches (disjunction), compiled over the partial's
+  // columns. Only the columns the scoring expression and the key use are
+  // read out of its view.
   Status MergePartial(const Preference& pref, const RowView& partial,
+                      const ScoreRelation::Keys& keys,
                       const AggregateFunction& agg, ExecStats* stats,
                       ScoreRelation* scores) {
     ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, partial));
@@ -882,8 +845,7 @@ class PlugInStrategy final : public Strategy {
     for (uint32_t i : matching) {
       std::optional<double> score = bound.Score(i, &scratch);
       if (!score.has_value()) continue;
-      scores->Fold(ViewKey{partial, i, partial.key_columns},
-                   ScoreConf::Known(*score, pref.confidence()), agg);
+      scores->Fold(keys, i, ScoreConf::Known(*score, pref.confidence()), agg);
       ++stats->score_entries_written;
     }
     return Status::OK();

@@ -7,26 +7,6 @@
 
 namespace prefdb {
 
-PRelation::PRelation(RowView rows, const ScoreRelation& score_rel)
-    : view(std::move(rows)) {
-  pairs.reserve(view.NumRows());
-  for (size_t i = 0; i < view.NumRows(); ++i) {
-    pairs.push_back(score_rel.Lookup(ViewKey{view, i, view.key_columns}));
-  }
-}
-
-ScoreRelation PRelation::ToScoreRelation() const {
-  ScoreRelation out;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (pairs[i].IsDefault()) continue;
-    Tuple key;
-    key.reserve(view.key_columns.size());
-    for (size_t k : view.key_columns) key.push_back(view.Get(i, k));
-    out.Set(key, pairs[i]);
-  }
-  return out;
-}
-
 std::string PRelation::ToString(size_t max_rows) const {
   size_t scored = 0;
   for (const ScoreConf& pair : pairs) scored += pair.IsDefault() ? 0 : 1;

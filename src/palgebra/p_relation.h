@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "engine/row_view.h"
-#include "palgebra/score_relation.h"
+#include "prefs/score_conf.h"
 #include "types/relation.h"
 
 namespace prefdb {
@@ -36,19 +36,12 @@ struct PRelation {
       : PRelation(RowView::Wrap(relation)) {}
   PRelation(const Relation& relation, std::vector<ScoreConf> row_pairs)
       : PRelation(RowView::Wrap(relation), std::move(row_pairs)) {}
-  /// Re-associates each row with its pair in `score_rel` by the row's key.
-  PRelation(RowView rows, const ScoreRelation& score_rel);
-  PRelation(const Relation& relation, const ScoreRelation& score_rel)
-      : PRelation(RowView::Wrap(relation), score_rel) {}
 
   const Schema& schema() const { return view.schema; }
   const std::vector<size_t>& key_columns() const { return view.key_columns; }
   size_t NumRows() const { return view.NumRows(); }
   /// Copies the rows out of the view.
   Relation Gather() const { return view.Gather(); }
-
-  /// The pk-keyed score relation R_P of the non-default pairs.
-  ScoreRelation ToScoreRelation() const;
 
   std::string ToString(size_t max_rows = 20) const;
 };

@@ -1,13 +1,15 @@
 #ifndef PREFDB_PALGEBRA_SCORE_RELATION_H_
 #define PREFDB_PALGEBRA_SCORE_RELATION_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "prefs/agg_func.h"
 #include "prefs/score_conf.h"
 #include "storage/row_view.h"
-#include "types/tuple.h"
 
 namespace prefdb {
 
@@ -16,87 +18,100 @@ namespace prefdb {
 /// score/confidence pairs of tuples with *non-default* pairs only, so
 /// |R_P| <= |R|. A lookup miss yields the default pair ⟨⊥, 0⟩.
 ///
-/// Keys are tuples of the owning relation's key-column values, in the
-/// relation's canonical key order. Inside an operator pipeline scores are
-/// row-aligned (PRelation::pairs); R_P is built only where row identity is
-/// lost and tuples must be re-associated with their pairs by key: the
-/// plug-ins' merge of rewritten-query rows, and a GBU region temp whose
-/// region inputs cannot be told apart from others, whose rows no single id
-/// names (a many-to-many join), or whose rows a union copied into a new
-/// source.
-/// Both probe it with a ViewKey, hashing the view row's key columns in
-/// place.
+/// Inside an operator pipeline scores are row-aligned (PRelation::pairs);
+/// R_P is built only where rows must be re-associated with their pairs by
+/// key: the plug-ins' merge of rewritten-query rows, and GBU's region temps
+/// whose rows no id finds (RecombineScores).
+///
+/// Keys are read from view rows (Keys) and stored as int64 codes in one
+/// open-addressing table over flat arrays: per entry a row of codes, a
+/// null mask, the hash and the pair. Each key column's code is fixed for
+/// the table by every view declared at construction:
+///   * kInt in every view: the value;
+///   * one kDict TypedColumn read by every view: its dictionary code;
+///   * otherwise (kDouble/kArena/kValue, or views over different stores,
+///     such as a union's gathered rows): an id interned by Value equality,
+///     so Int(1) and Double(1.0) share one.
+/// A NULL cell sets its bit of the null mask, so NULL matches NULL (as
+/// Tuple equality does). Keys are copied as codes: no view is referenced
+/// after a call returns, so a view may be freed once it has been folded.
 class ScoreRelation {
  public:
-  ScoreRelation() = default;
+  static constexpr size_t kMaxKeyColumns = 64;
 
-  /// The pair for `key`; ⟨⊥, 0⟩ if absent.
-  const ScoreConf& Lookup(const Tuple& key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? kDefault : it->second;
+  /// Where the key of a view's rows is read: `columns` of `view`, in the
+  /// relation's canonical key order. A call that reads through it needs
+  /// the view, and the stores it pins, unchanged until it returns.
+  class Keys {
+   public:
+    Keys(const RowView& view, const std::vector<size_t>& columns);
+
+   private:
+    friend class ScoreRelation;
+    const RowView* view_;
+    // Per key column: the view input whose id indexes it, and the column.
+    std::vector<std::pair<uint32_t, const TypedColumn*>> columns_;
+  };
+
+  /// An empty R_P over the keys of `sources`, every view that will fold
+  /// into or probe it (the same number of key columns, at most
+  /// kMaxKeyColumns).
+  explicit ScoreRelation(const std::vector<Keys>& sources);
+
+  /// The pair for the key of row `row`; ⟨⊥, 0⟩ if absent.
+  const ScoreConf& Lookup(const Keys& keys, size_t row) const;
+  /// The pair of every row of the Keys' view, in row order.
+  std::vector<ScoreConf> Align(const Keys& keys) const;
+
+  /// Sets the pair for the key of row `row`. Default pairs are not stored
+  /// (and erase any existing entry), maintaining the non-default-only
+  /// invariant.
+  void Set(const Keys& keys, size_t row, const ScoreConf& pair) {
+    Store(keys, row, pair, nullptr);
   }
-
-  /// The pair for the key of a view row, read in place; ⟨⊥, 0⟩ if absent.
-  const ScoreConf& Lookup(const ViewKey& key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? kDefault : it->second;
-  }
-
-  /// Sets the pair for `key`. Default pairs are not stored (and erase any
-  /// existing entry), maintaining the non-default-only invariant.
-  void Set(const Tuple& key, const ScoreConf& pair) {
-    if (pair.IsDefault()) {
-      map_.erase(key);
-    } else {
-      map_[key] = pair;
-    }
-  }
-
-  /// Folds `pair` into the entry under the key of a row: the entry becomes
-  /// CombineCounted(agg, entry, pair). An existing entry is updated through
-  /// one hash probe; the key is copied only when a new entry is inserted.
-  void Fold(const ViewKey& key, const ScoreConf& pair,
+  /// Folds `pair` into the entry under the key of row `row`: the entry
+  /// becomes CombineCounted(agg, entry, pair), a default result erasing it.
+  void Fold(const Keys& keys, size_t row, const ScoreConf& pair,
             const AggregateFunction& agg) {
-    auto it = map_.find(key);
-    ScoreConf combined =
-        CombineCounted(agg, it == map_.end() ? kDefault : it->second, pair);
-    if (it == map_.end()) {
-      if (combined.IsDefault()) return;
-      Tuple copy;
-      copy.reserve(key.columns.size());
-      for (size_t c : key.columns) copy.emplace_back(key.view.View(key.row, c));
-      map_.emplace(std::move(copy), combined);
-    } else if (combined.IsDefault()) {
-      map_.erase(it);
-    } else {
-      it->second = combined;
-    }
+    Store(keys, row, pair, &agg);
   }
 
   /// Number of non-default entries (the paper's |R_P|).
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
+  size_t size() const { return live_; }
+  bool empty() const { return live_ == 0; }
 
+  /// "keys=codes entries=N", or "keys=interned entries=N" when some key
+  /// column is interned: the detail of the spans that fold and align.
+  std::string Describe() const;
+  /// Entries by their key codes (NULL for a NULL cell).
   std::string ToString(size_t max_entries = 20) const;
 
  private:
-  // TupleHash / TupleEq, also over view keys.
-  struct KeyHash : TupleHash {
-    using TupleHash::operator();
-    size_t operator()(const ViewKey& key) const { return ViewKeyHash(key); }
-  };
-  struct KeyEq : TupleEq {
-    using TupleEq::operator();
-    bool operator()(const ViewKey& a, const Tuple& b) const {
-      return ViewKeyEquals(a, b);
-    }
-    bool operator()(const Tuple& a, const ViewKey& b) const {
-      return ViewKeyEquals(b, a);
-    }
-  };
+  enum class Code : uint8_t { kInt, kDict, kInterned };
+  using InternMap = std::unordered_map<Value, int64_t, ValueHash>;
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  // Encodes the key of row `row` into `key`, `*nulls` and `*hash`,
+  // interning new values into `intern` (this table's map). With a null
+  // `intern`, false when a value was never interned: no entry has the key.
+  bool Encode(const Keys& keys, size_t row, InternMap* intern, int64_t* key,
+              uint64_t* nulls, size_t* hash) const;
+  // The slot holding the entry with this key, or the empty slot ending its
+  // probe sequence.
+  size_t Find(const int64_t* key, uint64_t nulls, size_t hash) const;
+  void Store(const Keys& keys, size_t row, const ScoreConf& pair,
+             const AggregateFunction* agg);
 
   static const ScoreConf kDefault;
-  std::unordered_map<Tuple, ScoreConf, KeyHash, KeyEq> map_;
+  size_t width_;
+  std::vector<Code> code_;       // Per key column.
+  std::vector<uint32_t> slots_;  // Entry index, or kEmpty.
+  std::vector<int64_t> keys_;    // width_ codes per entry.
+  std::vector<uint64_t> nulls_;  // Per entry: bit k set, column k is NULL.
+  std::vector<size_t> hashes_;
+  std::vector<ScoreConf> pairs_;  // A default pair marks an erased entry.
+  size_t live_ = 0;
+  InternMap interned_;
 };
 
 }  // namespace prefdb

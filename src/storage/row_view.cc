@@ -74,18 +74,4 @@ Relation RowView::Gather() const {
   return out;
 }
 
-size_t ViewKeyHash(const ViewKey& key) {
-  size_t h = 0x345678;
-  for (size_t c : key.columns) h = h * 1000003 ^ key.view.View(key.row, c).Hash();
-  return h;
-}
-
-bool ViewKeyEquals(const ViewKey& key, const Tuple& tuple) {
-  if (key.columns.size() != tuple.size()) return false;
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    if (key.view.View(key.row, key.columns[i]) != tuple[i].view()) return false;
-  }
-  return true;
-}
-
 }  // namespace prefdb

@@ -90,18 +90,6 @@ struct RowView {
   Relation Gather() const;
 };
 
-/// The values of row `row` of `view` at `columns`, read in place: a key
-/// that hashes (ViewKeyHash) and compares (ViewKeyEquals) like the tuple
-/// ProjectTuple(view.GatherRow(row), columns), so tuple-keyed hash
-/// containers can be probed by a view row's key without copying it.
-struct ViewKey {
-  const RowView& view;
-  size_t row;
-  const std::vector<size_t>& columns;
-};
-size_t ViewKeyHash(const ViewKey& key);
-bool ViewKeyEquals(const ViewKey& key, const Tuple& tuple);
-
 }  // namespace prefdb
 
 #endif  // PREFDB_STORAGE_ROW_VIEW_H_

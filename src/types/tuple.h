@@ -23,11 +23,7 @@ Tuple ProjectTuple(const Tuple& tuple, const std::vector<size_t>& indices);
 std::string TupleToString(const Tuple& tuple);
 
 /// Hash functor over whole tuples, consistent with element-wise equality.
-/// Transparent, so a container may add lookups by keys that hash and
-/// compare like tuples (ScoreRelation probes by a view row's key).
 struct TupleHash {
-  using is_transparent = void;
-
   size_t operator()(const Tuple& t) const {
     size_t h = 0x345678;
     for (const Value& v : t) {
@@ -38,10 +34,7 @@ struct TupleHash {
 };
 
 /// Equality functor over whole tuples (element-wise Value equality).
-/// Transparent, like TupleHash.
 struct TupleEq {
-  using is_transparent = void;
-
   bool operator()(const Tuple& a, const Tuple& b) const {
     if (a.size() != b.size()) return false;
     for (size_t i = 0; i < a.size(); ++i) {

@@ -15,6 +15,8 @@ namespace {
 
 using namespace eb;  // NOLINT
 using testing_util::ExpectSameRows;
+using testing_util::KeyedPairs;
+using testing_util::WithPairs;
 
 struct PropertyCase {
   const AggregateFunction* agg;
@@ -37,7 +39,7 @@ class AlgebraPropertyTest : public ::testing::TestWithParam<PropertyCase> {
                   Value::Double(rng->UniformReal(0.0, 1.0)),
                   Value::String(kTags[rng->Uniform(0, 2)])});
     }
-    ScoreRelation scores;
+    KeyedPairs scores;
     for (size_t i = 0; i < n; ++i) {
       if (rng->Bernoulli(0.4)) {
         scores.Set({Value::Int(static_cast<int64_t>(i))},
@@ -45,7 +47,7 @@ class AlgebraPropertyTest : public ::testing::TestWithParam<PropertyCase> {
                                     rng->UniformReal(0.05, 1.5)));
       }
     }
-    return PRelation(std::move(rel), scores);
+    return WithPairs(rel, scores);
   }
 
   // Random relation T(tid, rid) joining into R on rid = R.id.
@@ -57,7 +59,7 @@ class AlgebraPropertyTest : public ::testing::TestWithParam<PropertyCase> {
       rel.AddRow({Value::Int(static_cast<int64_t>(i)),
                   Value::Int(rng->Uniform(0, static_cast<int64_t>(r_size) - 1))});
     }
-    ScoreRelation scores;
+    KeyedPairs scores;
     for (size_t i = 0; i < n; ++i) {
       if (rng->Bernoulli(0.3)) {
         scores.Set({Value::Int(static_cast<int64_t>(i))},
@@ -65,7 +67,7 @@ class AlgebraPropertyTest : public ::testing::TestWithParam<PropertyCase> {
                                     rng->UniformReal(0.05, 1.0)));
       }
     }
-    return PRelation(std::move(rel), scores);
+    return WithPairs(rel, scores);
   }
 
   // A random preference over R's attributes.
@@ -220,7 +222,7 @@ TEST_P(AlgebraPropertyTest, PreferPushesOverIntersect) {
     // B: a filtered copy of A with different scores.
     auto b_or = PSelect(*RandomSelection(&rng), a, &stats_);
     ASSERT_TRUE(b_or.ok());
-    ScoreRelation b_scores;
+    KeyedPairs b_scores;
     Relation b_rows = b_or->Gather();
     for (const Tuple& row : b_rows.rows()) {
       if (rng.Bernoulli(0.5)) {
@@ -229,7 +231,7 @@ TEST_P(AlgebraPropertyTest, PreferPushesOverIntersect) {
                                       rng.UniformReal(0.05, 1.0)));
       }
     }
-    PRelation b(std::move(b_rows), b_scores);
+    PRelation b = WithPairs(b_rows, b_scores);
     PreferencePtr p = RandomPref(&rng, round);
 
     auto met = PIntersect(a, b, agg, &stats_);

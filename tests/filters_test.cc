@@ -18,8 +18,10 @@ namespace {
 
 using testing_util::D;
 using testing_util::I;
+using testing_util::KeyedPairs;
 using testing_util::N;
 using testing_util::S;
+using testing_util::WithPairs;
 
 // A scored relation with one id column plus score/conf: the form produced by
 // ToScoredRelation.
@@ -146,11 +148,11 @@ TEST(FiltersTest, MinMatchesFiltersOnCount) {
   Relation rel(Schema({{"T", "id", ValueType::kInt}}));
   rel.set_key_columns({0});
   for (int64_t i = 1; i <= 3; ++i) rel.AddRow({I(i)});
-  ScoreRelation scores;
+  KeyedPairs scores;
   scores.Set({I(1)}, ScoreConf::Known(0.9, 1.0));               // 1 match.
   scores.Set({I(2)}, ScoreConf::Known(0.5, 2.0).WithCount(2));  // 2 matches.
   // id 3 unscored: 0 matches.
-  PRelation p(std::move(rel), scores);
+  PRelation p = WithPairs(rel, scores);
 
   PRelation two = FilterByMinMatches(p, 2);
   ASSERT_EQ(two.NumRows(), 1u);
@@ -187,12 +189,12 @@ TEST(FiltersTest, ApplyFiltersChainsInOrder) {
   Relation rel(Schema({{"T", "id", ValueType::kInt}}));
   rel.set_key_columns({0});
   for (int64_t i = 1; i <= 5; ++i) rel.AddRow({I(i)});
-  ScoreRelation scores;
+  KeyedPairs scores;
   for (int64_t i = 1; i <= 5; ++i) {
     scores.Set({I(i)}, ScoreConf::Known(0.1 * static_cast<double>(i),
                                         0.2 * static_cast<double>(i)));
   }
-  PRelation p(std::move(rel), scores);
+  PRelation p = WithPairs(rel, scores);
   // Threshold on conf then top-2 by score.
   auto out = ApplyFilters(
       p, {FilterSpec::Threshold(FilterTarget::kConf, 0.6), FilterSpec::TopK(2)});

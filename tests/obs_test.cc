@@ -479,6 +479,53 @@ TEST(ExplainAnalyzeTest, FilterAndProjectSaysWhichRankingRan) {
             "rank=comparator(arena key)");
 }
 
+// The plug-ins' fold and align spans say which key codes their R_P read and
+// how many entries it holds: IMDB-3's key (int and dict columns of the base
+// tables) is read as codes; a table keyed by mostly distinct strings (an
+// arena column) is interned.
+TEST(ExplainAnalyzeTest, PlugInScoreSpansSayWhichKeyPathRan) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .CreateTable("PEOPLE",
+                               Schema({{"", "name", ValueType::kString},
+                                       {"", "age", ValueType::kInt}}),
+                               {{testing_util::S("Ann"), testing_util::I(31)},
+                                {testing_util::S("Bob"), testing_util::I(25)},
+                                {testing_util::S("Cy"), testing_util::I(40)}},
+                               {"name"})
+                  .ok());
+  Session people(std::move(catalog));
+  const std::regex codes("(.* )?keys=codes entries=[1-9][0-9]*");
+  for (StrategyKind kind : {StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
+    QueryOptions options;
+    options.strategy = kind;
+    auto r = SharedImdbSession()->Query("EXPLAIN ANALYZE " + ImdbWorkload()[2].sql,
+                                        options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::vector<const obs::Span*> merges = obs::FindSpans(*r->trace, "MergePartial");
+    std::vector<const obs::Span*> align = obs::FindSpans(*r->trace, "AlignScores");
+    ASSERT_FALSE(merges.empty());
+    ASSERT_EQ(align.size(), 1u);
+    for (const obs::Span* merge : merges) {
+      EXPECT_TRUE(std::regex_match(merge->detail, codes)) << merge->detail;
+    }
+    EXPECT_TRUE(std::regex_match(align[0]->detail, codes)) << align[0]->detail;
+    // Alignment reads the R_P the last merge left.
+    const std::string& last = merges.back()->detail;
+    EXPECT_EQ(last.substr(last.find("keys=")), align[0]->detail);
+    EXPECT_NE(r->explain_analyze.find(align[0]->detail), std::string::npos);
+
+    auto interned = people.Query(
+        "EXPLAIN ANALYZE SELECT name FROM PEOPLE "
+        "PREFERRING (age >= 30) SCORE 0.5 CONF 1 RANKED",
+        options);
+    ASSERT_TRUE(interned.ok()) << interned.status().ToString();
+    align = obs::FindSpans(*interned->trace, "AlignScores");
+    ASSERT_EQ(align.size(), 1u);
+    EXPECT_EQ(align[0]->detail, "keys=interned entries=2");
+  }
+}
+
 TEST(TraceTest, DisabledByDefault) {
   Session session(MakeMovieCatalog());
   auto result = session.Query(

@@ -9,8 +9,11 @@ namespace {
 
 using namespace eb;  // NOLINT
 using testing_util::I;
+using testing_util::KeyedPairs;
 using testing_util::MakeMovieCatalog;
 using testing_util::S;
+using testing_util::ScoresByKey;
+using testing_util::WithPairs;
 
 class POpsTest : public ::testing::Test {
  protected:
@@ -20,9 +23,9 @@ class POpsTest : public ::testing::Test {
   PRelation Load(const std::string& table,
                  std::vector<std::pair<Tuple, ScoreConf>> scores = {}) {
     Table* t = *catalog_.GetTable(table);
-    ScoreRelation by_key;
+    KeyedPairs by_key;
     for (auto& [key, pair] : scores) by_key.Set(key, pair);
-    return PRelation(t->Gather(), by_key);
+    return WithPairs(t->Gather(), by_key);
   }
 
   Catalog catalog_;
@@ -37,9 +40,9 @@ TEST_F(POpsTest, SelectKeepsPairsOfSurvivors) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), 3u);  // m1, m2, m5.
   // m1 survives with its pair; m3's entry is pruned.
-  EXPECT_DOUBLE_EQ(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9);
-  EXPECT_TRUE(out->ToScoreRelation().Lookup({I(3)}).IsDefault());
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
+  EXPECT_DOUBLE_EQ(ScoresByKey(*out).Lookup({I(1)}).score(), 0.9);
+  EXPECT_TRUE(ScoresByKey(*out).Lookup({I(3)}).IsDefault());
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);
 }
 
 TEST_F(POpsTest, ProjectPreservesScoresThroughKeyPermutation) {
@@ -143,10 +146,10 @@ TEST_F(POpsTest, UnionCombinesSharedTuples) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), 5u);  // Same five movies, deduplicated.
   // m1 in both: F_S(⟨0.8,1⟩, ⟨0.2,1⟩) = ⟨0.5, 2⟩.
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.5, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 2.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).score(), 0.5, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).conf(), 2.0, 1e-12);
   // m2 only scored on Alice's side.
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(2)}).score(), 0.4, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(2)}).score(), 0.4, 1e-12);
 }
 
 TEST_F(POpsTest, UnionOfDisjointSelectionsKeepsAllTuples) {
@@ -166,8 +169,8 @@ TEST_F(POpsTest, IntersectCombinesWithAggregate) {
   auto out = PIntersect(a, b, fsum_, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), 5u);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.5, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 2.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).score(), 0.5, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).conf(), 2.0, 1e-12);
 }
 
 TEST_F(POpsTest, DiffKeepsLeftPairs) {
@@ -176,7 +179,7 @@ TEST_F(POpsTest, DiffKeepsLeftPairs) {
   auto out = PDiff(a, recent, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), 4u);  // Everything except Wall Street (2010).
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).score(), 0.9, 1e-12);
 }
 
 TEST_F(POpsTest, SetOpsRejectIncompatibleInputs) {
@@ -211,8 +214,8 @@ TEST_F(POpsTest, LimitPrunesDroppedScores) {
   auto out = PLimit(2, movies, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), 2u);  // m1, m2 in storage order.
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);  // m5's pair pruned.
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.9, 1e-12);
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);  // m5's pair pruned.
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).score(), 0.9, 1e-12);
 }
 
 TEST_F(POpsTest, StatsCountScoreEntries) {

@@ -13,6 +13,7 @@ using namespace eb;  // NOLINT
 using testing_util::I;
 using testing_util::MakeMovieCatalog;
 using testing_util::S;
+using testing_util::ScoresByKey;
 
 class PreferOpTest : public ::testing::Test {
  protected:
@@ -41,10 +42,10 @@ TEST_F(PreferOpTest, Example8PaAssignsRecencyScores) {
   auto out = EvalPrefer(*pa, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // Every movie is from >= 2000, so all five are scored S_m = year/2011.
-  EXPECT_EQ(out->ToScoreRelation().size(), 5u);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 2008.0 / 2011.0, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 1.0, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 2004.0 / 2011.0, 1e-12);
+  EXPECT_EQ(ScoresByKey(*out).size(), 5u);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).score(), 2008.0 / 2011.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).conf(), 1.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(3)}).score(), 2004.0 / 2011.0, 1e-12);
 }
 
 TEST_F(PreferOpTest, Example8PbStacksOnPa) {
@@ -65,12 +66,12 @@ TEST_F(PreferOpTest, Example8PbStacksOnPa) {
   double s_pa = 2008.0 / 2011.0;
   double s_pb = 1.0 - 4.0 / 120.0;
   double expected_score = (1.0 * s_pa + 0.5 * s_pb) / 1.5;
-  ScoreConf m1 = out->ToScoreRelation().Lookup({I(1)});
+  ScoreConf m1 = ScoresByKey(*out).Lookup({I(1)});
   EXPECT_NEAR(m1.score(), expected_score, 1e-12);
   EXPECT_NEAR(m1.conf(), 1.5, 1e-12);
 
   // Wall Street (m2): 133 min — only p_a applies.
-  ScoreConf m2 = out->ToScoreRelation().Lookup({I(2)});
+  ScoreConf m2 = ScoresByKey(*out).Lookup({I(2)});
   EXPECT_NEAR(m2.score(), 2010.0 / 2011.0, 1e-12);
   EXPECT_NEAR(m2.conf(), 1.0, 1e-12);
 }
@@ -85,8 +86,8 @@ TEST_F(PreferOpTest, ConditionalNeverFiltersTuples) {
   auto out = EvalPrefer(*p, genres, fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), before);
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);  // Only (m5, Comedy) scored.
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);  // Only (m5, Comedy) scored.
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
 }
 
 TEST_F(PreferOpTest, AtomicPreferenceScoresExactlyOneTuple) {
@@ -94,9 +95,9 @@ TEST_F(PreferOpTest, AtomicPreferenceScoresExactlyOneTuple) {
   PreferencePtr p1 = Preference::Atomic("MOVIES", "m_id", Value::Int(3), 0.8);
   auto out = EvalPrefer(*p1, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 0.8, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).conf(), 1.0, 1e-12);
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(3)}).score(), 0.8, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(3)}).conf(), 1.0, 1e-12);
 }
 
 TEST_F(PreferOpTest, NullScoringAttributeContributesNothing) {
@@ -115,8 +116,8 @@ TEST_F(PreferOpTest, NullScoringAttributeContributesNothing) {
   ExecStats stats;
   auto out = EvalPrefer(*p, input, FSum(), &catalog, &stats);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
-  EXPECT_TRUE(out->ToScoreRelation().Lookup({I(2)}).IsDefault());
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);
+  EXPECT_TRUE(ScoresByKey(*out).Lookup({I(2)}).IsDefault());
 }
 
 TEST_F(PreferOpTest, MembershipPreferenceScoresJoinPartners) {
@@ -127,9 +128,9 @@ TEST_F(PreferOpTest, MembershipPreferenceScoresJoinPartners) {
   auto out = EvalPrefer(*p7, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumRows(), 5u);  // Nothing filtered.
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).score(), 1.0, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3)}).conf(), 0.9, 1e-12);
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(3)}).score(), 1.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(3)}).conf(), 0.9, 1e-12);
 }
 
 TEST_F(PreferOpTest, MembershipWithExtraCondition) {
@@ -139,7 +140,7 @@ TEST_F(PreferOpTest, MembershipWithExtraCondition) {
   auto out = EvalPrefer(*p, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // m3 is 2004, fails the extra condition: nothing scored.
-  EXPECT_EQ(out->ToScoreRelation().size(), 0u);
+  EXPECT_EQ(ScoresByKey(*out).size(), 0u);
 }
 
 TEST_F(PreferOpTest, MembershipRequiresCatalog) {
@@ -168,8 +169,8 @@ TEST_F(PreferOpTest, MaxConfAggregateKeepsStrongestEvidence) {
   ASSERT_TRUE(first.ok());
   auto out = EvalPrefer(*strong, *first, fmax, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).score(), 0.3, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1)}).conf(), 0.9, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).score(), 0.3, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1)}).conf(), 0.9, 1e-12);
 }
 
 TEST_F(PreferOpTest, KeylessRelationScoresEachTuple) {

@@ -11,6 +11,7 @@ namespace {
 using testing_util::I;
 using testing_util::MakeMovieCatalog;
 using testing_util::S;
+using testing_util::ScoresByKey;
 
 class QualitativeTest : public ::testing::Test {
  protected:
@@ -27,7 +28,7 @@ class QualitativeTest : public ::testing::Test {
                  Tuple key) {
     auto out = EvalPrefer(*pref, input, fsum_, &catalog_, &stats_);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
-    return out.ok() ? out->ToScoreRelation().Lookup(key) : ScoreConf();
+    return out.ok() ? ScoresByKey(*out).Lookup(key) : ScoreConf();
   }
 
   Catalog catalog_;
@@ -44,7 +45,7 @@ TEST_F(QualitativeTest, LikeScoresOne) {
   // Non-matching tuples untouched.
   auto out = EvalPrefer(*like, Genres(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);
 }
 
 TEST_F(QualitativeTest, DislikeScoresZeroNotBottom) {
@@ -68,7 +69,7 @@ TEST_F(QualitativeTest, DislikeDragsCombinedScoreDown) {
   auto out = EvalPrefer(*dislike, *liked, fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // F_S(⟨1,1⟩, ⟨0,1⟩) = ⟨0.5, 2⟩.
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1), S("Drama")}).score(), 0.5, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1), S("Drama")}).score(), 0.5, 1e-12);
 }
 
 TEST_F(QualitativeTest, RankingSpacesScoresEvenly) {
@@ -78,11 +79,11 @@ TEST_F(QualitativeTest, RankingSpacesScoresEvenly) {
       0.9);
   auto out = EvalPrefer(*ranking, Genres(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1), S("Drama")}).score(), 0.5, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(3), S("Sport")}).score(), 0.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1), S("Drama")}).score(), 0.5, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(3), S("Sport")}).score(), 0.0, 1e-12);
   // Thriller is not ranked: unaffected (⊥).
-  EXPECT_TRUE(out->ToScoreRelation().Lookup({I(4), S("Thriller")}).IsDefault());
+  EXPECT_TRUE(ScoresByKey(*out).Lookup({I(4), S("Thriller")}).IsDefault());
 }
 
 TEST_F(QualitativeTest, RankingSingleValueScoresOne) {
@@ -98,8 +99,8 @@ TEST_F(QualitativeTest, PreferOverIsBinaryRanking) {
       "GENRES", "genre", Value::String("Comedy"), Value::String("Drama"), 1.0);
   auto out = EvalPrefer(*p, Genres(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
-  EXPECT_NEAR(out->ToScoreRelation().Lookup({I(1), S("Drama")}).score(), 0.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(5), S("Comedy")}).score(), 1.0, 1e-12);
+  EXPECT_NEAR(ScoresByKey(*out).Lookup({I(1), S("Drama")}).score(), 0.0, 1e-12);
 }
 
 TEST_F(QualitativeTest, WithContextRestrictsScope) {
@@ -114,9 +115,9 @@ TEST_F(QualitativeTest, WithContextRestrictsScope) {
   auto out = EvalPrefer(*contextual, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // Wall Street (2010, 133 min): in context and long — scored.
-  EXPECT_FALSE(out->ToScoreRelation().Lookup({I(2)}).IsDefault());
+  EXPECT_FALSE(ScoresByKey(*out).Lookup({I(2)}).IsDefault());
   // Million Dollar Baby (2004, 132 min): long but out of context.
-  EXPECT_TRUE(out->ToScoreRelation().Lookup({I(3)}).IsDefault());
+  EXPECT_TRUE(ScoresByKey(*out).Lookup({I(3)}).IsDefault());
 }
 
 TEST_F(QualitativeTest, WithContextPreservesMembership) {
@@ -129,8 +130,8 @@ TEST_F(QualitativeTest, WithContextPreservesMembership) {
   auto out = EvalPrefer(*contextual, Movies(), fsum_, &catalog_, &stats_);
   ASSERT_TRUE(out.ok());
   // m3 (2004, has award): in context — scored; nothing else is.
-  EXPECT_EQ(out->ToScoreRelation().size(), 1u);
-  EXPECT_FALSE(out->ToScoreRelation().Lookup({I(3)}).IsDefault());
+  EXPECT_EQ(ScoresByKey(*out).size(), 1u);
+  EXPECT_FALSE(ScoresByKey(*out).Lookup({I(3)}).IsDefault());
 }
 
 TEST_F(QualitativeTest, NamesAreDescriptive) {

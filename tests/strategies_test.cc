@@ -11,8 +11,10 @@ namespace {
 
 using namespace eb;  // NOLINT
 using testing_util::I;
+using testing_util::KeyedPairs;
 using testing_util::MakeMovieCatalog;
 using testing_util::S;
+using testing_util::ScoresByKey;
 
 class StrategiesTest : public ::testing::Test {
  protected:
@@ -61,7 +63,7 @@ TEST_F(StrategiesTest, FtPScoresCorrectTuples) {
   PRelation result = Run(StrategyKind::kFtP, *SimpleExtendedPlan());
   // year >= 2005: m1 (Drama), m2 (Drama), m4 (Thriller), m5 (Comedy).
   EXPECT_EQ(result.NumRows(), 4u);
-  EXPECT_EQ(result.ToScoreRelation().size(), 1u);
+  EXPECT_EQ(ScoresByKey(result).size(), 1u);
   // Scoop/Comedy got ⟨1.0, 0.8⟩.
   bool found = false;
   for (size_t i = 0; i < result.NumRows(); ++i) {
@@ -102,7 +104,7 @@ TEST_F(StrategiesTest, GBUHandlesOperatorsAbovePrefer) {
   PlanPtr p = plan::Project({"title", "genre"}, SimpleExtendedPlan());
   PRelation result = Run(StrategyKind::kGBU, *p);
   EXPECT_EQ(result.NumRows(), 4u);
-  EXPECT_EQ(result.ToScoreRelation().size(), 1u);
+  EXPECT_EQ(ScoresByKey(result).size(), 1u);
 }
 
 TEST_F(StrategiesTest, PlugInBasicIssuesOneQueryPerPreference) {
@@ -131,7 +133,7 @@ TEST_F(StrategiesTest, SetOpsBelowPreferHandledByBUAndGBU) {
   for (StrategyKind kind : {StrategyKind::kBU, StrategyKind::kGBU}) {
     PRelation result = Run(kind, *p);
     EXPECT_EQ(result.NumRows(), 5u) << StrategyKindName(kind);
-    EXPECT_EQ(result.ToScoreRelation().size(), 3u) << StrategyKindName(kind);
+    EXPECT_EQ(ScoresByKey(result).size(), 3u) << StrategyKindName(kind);
   }
 
   // FtP and the plug-ins refuse: tuple origin is lost in the flat result.
@@ -327,8 +329,8 @@ TEST_F(StrategiesTest, MembershipPreferenceAcrossStrategies) {
         StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
     PRelation result = Run(kind, *p);
     EXPECT_EQ(result.NumRows(), 5u) << StrategyKindName(kind);
-    ASSERT_EQ(result.ToScoreRelation().size(), 1u) << StrategyKindName(kind);
-    EXPECT_NEAR(result.ToScoreRelation().Lookup({I(3)}).conf(), 0.9, 1e-12)
+    ASSERT_EQ(ScoresByKey(result).size(), 1u) << StrategyKindName(kind);
+    EXPECT_NEAR(ScoresByKey(result).Lookup({I(3)}).conf(), 0.9, 1e-12)
         << StrategyKindName(kind);
   }
 }
@@ -365,7 +367,7 @@ TEST(MembershipNullTest, NullLocalKeyHasNoMemberInAnyStrategy) {
     ASSERT_TRUE(result.ok()) << StrategyKindName(kind) << ": "
                              << result.status().ToString();
     EXPECT_EQ(result->NumRows(), 3u) << StrategyKindName(kind);
-    ScoreRelation scores = result->ToScoreRelation();
+    KeyedPairs scores = ScoresByKey(*result);
     const ScoreConf& a = scores.Lookup({S("a")});
     EXPECT_TRUE(a.has_score()) << StrategyKindName(kind);
     EXPECT_DOUBLE_EQ(a.score(), 1.0) << StrategyKindName(kind);
@@ -388,7 +390,7 @@ TEST_F(StrategiesTest, MultiRelationalPreferenceAcrossStrategies) {
         StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
     PRelation result = Run(kind, *p);
     // Dramas from >= 2008: m1 and m2.
-    EXPECT_EQ(result.ToScoreRelation().size(), 2u) << StrategyKindName(kind);
+    EXPECT_EQ(ScoresByKey(result).size(), 2u) << StrategyKindName(kind);
   }
 }
 

@@ -12,6 +12,37 @@ RowView TableView(const std::shared_ptr<Table>& table) {
   return RowView::Of(table->schema(), table->primary_key(), table->store(), table);
 }
 
+void KeyedPairs::Set(const Tuple& key, const ScoreConf& pair) {
+  if (pair.IsDefault()) {
+    map_.erase(key);
+  } else {
+    map_[key] = pair;
+  }
+}
+
+ScoreConf KeyedPairs::Lookup(const Tuple& key) const {
+  auto it = map_.find(key);
+  return it == map_.end() ? ScoreConf() : it->second;
+}
+
+KeyedPairs ScoresByKey(const PRelation& p) {
+  KeyedPairs out;
+  for (size_t i = 0; i < p.NumRows(); ++i) {
+    if (p.pairs[i].IsDefault()) continue;
+    out.Set(ProjectTuple(p.view.GatherRow(i), p.key_columns()), p.pairs[i]);
+  }
+  return out;
+}
+
+PRelation WithPairs(const Relation& relation, const KeyedPairs& scores) {
+  std::vector<ScoreConf> pairs;
+  pairs.reserve(relation.NumRows());
+  for (const Tuple& row : relation.rows()) {
+    pairs.push_back(scores.Lookup(relation.KeyOf(row)));
+  }
+  return PRelation(relation, std::move(pairs));
+}
+
 Catalog MakeMovieCatalog() {
   Catalog catalog;
   Status st = catalog.CreateTable(

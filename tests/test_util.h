@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "palgebra/p_relation.h"
 #include "storage/catalog.h"
 #include "types/relation.h"
 
@@ -34,6 +35,27 @@ inline Value I(int64_t v) { return Value::Int(v); }
 inline Value D(double v) { return Value::Double(v); }
 inline Value S(const char* v) { return Value::String(v); }
 inline Value N() { return Value::Null(); }
+
+/// R_P as a plain tuple-keyed map: the non-default pairs by key, a miss
+/// yielding ⟨⊥, 0⟩. Tests state expected scores by key with it.
+class KeyedPairs {
+ public:
+  /// Stores `pair` under `key`; a default pair erases the entry.
+  void Set(const Tuple& key, const ScoreConf& pair);
+  ScoreConf Lookup(const Tuple& key) const;
+  size_t size() const { return map_.size(); }
+  bool empty() const { return map_.empty(); }
+
+ private:
+  std::map<Tuple, ScoreConf> map_;
+};
+
+/// The non-default pairs of `p` by each row's key (a later row wins).
+KeyedPairs ScoresByKey(const PRelation& p);
+
+/// `relation` as a p-relation, each row's pair looked up in `scores` by the
+/// row's key.
+PRelation WithPairs(const Relation& relation, const KeyedPairs& scores);
 
 /// Sorts a relation's rows (lexicographic Value order) for order-insensitive
 /// comparison.
