@@ -129,7 +129,8 @@ BENCHMARK(BM_PairLookup)->Arg(0)->Arg(1);
 
 // A plug-in's aggregate step at IMDB-3's shape: a 7-column key (six ints and
 // a repeating string), 4,500 R_NP rows, four partials of 750 rows folded
-// into R_P, then every R_NP row aligned with its pair. Arg(0): the partials
+// into R_P (sized for the partials' rows, as the plug-ins size it), then
+// every R_NP row aligned with its pair. Arg(0): the partials
 // view R_NP's store (key codes); Arg(1): each partial is a copy in a store
 // of its own (interned keys).
 void BM_ScoreRelationFoldAlign(benchmark::State& state) {
@@ -167,7 +168,7 @@ void BM_ScoreRelationFoldAlign(benchmark::State& state) {
     for (const RowView& partial : partials) {
       keys.emplace_back(partial, partial.key_columns);
     }
-    ScoreRelation scores(keys);
+    ScoreRelation scores(keys, kPartials * kPartialRows);
     for (size_t p = 0; p < kPartials; ++p) {
       for (size_t r = 0; r < kPartialRows; ++r) {
         scores.Fold(keys[p + 1], r, ScoreConf::Known(0.5, 0.8), agg);

@@ -12,7 +12,9 @@
 // runs. Serial, cache off. Span names fold
 // at '[' as in perfbench (Prefer[p1] and Prefer[p2] are one "Prefer" row).
 // Under the spans, a GBU cell lists its temp tables (RegisterTemp details)
-// and whether each join build over a temp probed a base table's index.
+// and whether each join build over a temp probed a base table's index; a
+// plug-in cell lists its delegated queries (Q_NP and each rewrite), each
+// with the rows it returned and the rows its joins probed.
 
 #include <algorithm>
 #include <cstdio>
@@ -71,6 +73,27 @@ void CollectTemps(const obs::Span& span, std::vector<std::string>* temps,
   for (const obs::SpanPtr& child : span.children) CollectTemps(*child, temps, builds);
 }
 
+// Rows probed by the hash and nested-loop joins under `span`.
+size_t ProbeRows(const obs::Span& span) {
+  size_t rows = span.name == "native.join.probe" && span.rows_in != obs::Span::kUnset
+                    ? span.rows_in
+                    : 0;
+  for (const obs::SpanPtr& child : span.children) rows += ProbeRows(*child);
+  return rows;
+}
+
+// A plug-in's delegated queries: Q_NP, then its rewrites, in plan order.
+void CollectQueries(const obs::Span& span, std::vector<std::string>* queries) {
+  for (const char* label :
+       {"EngineQuery[", "RewriteQuery[", "MembershipQuery[", "CombinedQuery"}) {
+    if (span.name.rfind(label, 0) != 0) continue;
+    queries->push_back(StrFormat("%s rows=%zu probe=%zu", span.name.c_str(),
+                                 span.rows_out, ProbeRows(span)));
+    return;
+  }
+  for (const obs::SpanPtr& child : span.children) CollectQueries(*child, queries);
+}
+
 std::string JoinParts(const std::vector<std::string>& parts) {
   std::string out;
   for (const std::string& part : parts) out += (out.empty() ? "" : " | ") + part;
@@ -90,6 +113,7 @@ void RunCell(Session* session, const WorkloadQuery& query, StrategyKind kind,
   std::map<std::string, std::vector<double>> self;
   std::vector<std::string> temps;
   std::vector<std::string> builds;
+  std::vector<std::string> queries;
   for (int i = 0; i < runs; ++i) {
     StatusOr<QueryResult> result = session->Query(query.sql, traced);
     if (!result.ok()) {
@@ -100,7 +124,10 @@ void RunCell(Session* session, const WorkloadQuery& query, StrategyKind kind,
     std::map<std::string, double> folded;
     FoldSelfTimes(*result->trace, &folded);
     for (const auto& [name, ms] : folded) self[name].push_back(ms);
-    if (i == 0) CollectTemps(*result->trace, &temps, &builds);
+    if (i == 0) {
+      CollectTemps(*result->trace, &temps, &builds);
+      CollectQueries(*result->trace, &queries);
+    }
   }
 
   std::printf("== %s %s  untraced median %.3f ms (%d runs)\n", query.name.c_str(),
@@ -112,6 +139,9 @@ void RunCell(Session* session, const WorkloadQuery& query, StrategyKind kind,
   if (kind == StrategyKind::kGBU) {
     std::printf("  temps: %s\n", JoinParts(temps).c_str());
     std::printf("  builds over temps: %s\n", JoinParts(builds).c_str());
+  }
+  if (kind == StrategyKind::kPlugInBasic || kind == StrategyKind::kPlugInCombined) {
+    for (const std::string& query : queries) std::printf("  query: %s\n", query.c_str());
   }
 }
 

@@ -81,16 +81,34 @@ struct Unit {
   double cardinality = 0.0;
 };
 
+// A semi-join that filters a cluster: its predicate, its optimized member
+// side, and the unit holding its local columns.
+struct SemiJoinFilter {
+  const Expr* predicate;
+  Unit member;
+  size_t unit = 0;  // An index into Cluster::units.
+};
+
+// The filters of a chain of Selects and SemiJoins that ends on a Project:
+// what may sink through it into the cluster under it. PlanCluster takes
+// those that bind below the Project and leaves the rest here.
+struct Filters {
+  std::vector<const Expr*> conjuncts;
+  std::vector<SemiJoinFilter> semijoins;
+};
+
 // A flattened join cluster after predicate placement and the greedy
 // ordering step: what NativeOptimize builds its left-deep tree from, and
 // what NativeJoinOrder reads the order off.
 struct Cluster {
   std::vector<Unit> units;  // Cardinalities include their pushed conjuncts.
+  Schema schema;            // The cluster's own: its units' in flatten order.
   std::vector<std::vector<const Expr*>> pushed;  // Per unit, in push order.
   std::vector<size_t> order;  // Units, outermost first.
   // conditions[k]: the conjuncts of the join that adds units[order[k + 1]].
   std::vector<std::vector<const Expr*>> conditions;
   std::vector<const Expr*> residual;  // Conjuncts no join could take.
+  std::vector<SemiJoinFilter> semijoins;  // Sunk into the cluster.
 };
 
 ExprPtr Combine(const std::vector<const Expr*>& conjuncts) {
@@ -98,6 +116,28 @@ ExprPtr Combine(const std::vector<const Expr*>& conjuncts) {
   copies.reserve(conjuncts.size());
   for (const Expr* c : conjuncts) copies.push_back(c->Clone());
   return CombineConjuncts(std::move(copies));
+}
+
+// Drops the constant-TRUE conjuncts at `first` and after: the padding of
+// prior rewrites and a membership preference's `(true)` condition.
+void DropTrue(std::vector<const Expr*>* conjuncts, size_t first) {
+  auto constant_true = [](const Expr* e) {
+    return e->kind() == ExprKind::kLiteral &&
+           IsTruthy(static_cast<const LiteralExpr*>(e)->value());
+  };
+  conjuncts->erase(std::remove_if(conjuncts->begin() + static_cast<long>(first),
+                                  conjuncts->end(), constant_true),
+                   conjuncts->end());
+}
+
+// The Project that a chain of Selects and SemiJoins starting at `node`
+// (the chain's left inputs) ends on, or null.
+const PlanNode* ProjectUnderFilters(const PlanNode& node) {
+  const PlanNode* n = &node;
+  while (n->kind == PlanKind::kSelect || n->kind == PlanKind::kSemiJoin) {
+    n = &n->child(0);
+  }
+  return n != &node && n->kind == PlanKind::kProject ? n : nullptr;
 }
 
 class NativeOptimizer {
@@ -109,6 +149,9 @@ class NativeOptimizer {
     // rejects extended plans up front, and NativeJoinOrder orders Q_NP's
     // units straight from the extended plan.
     if (node.kind == PlanKind::kPrefer) return Optimize(node.child());
+    if (const PlanNode* project = ProjectUnderFilters(node)) {
+      return Sink(node, *project);
+    }
     if (node.kind == PlanKind::kJoin || node.kind == PlanKind::kSelect) {
       ASSIGN_OR_RETURN(Cluster cluster, PlanCluster({&node}, {}));
       return Build(std::move(cluster));
@@ -127,11 +170,13 @@ class NativeOptimizer {
   }
 
   // Flattens the join cluster of `roots` (joined in order) and the
-  // conjuncts of `predicates` into optimized units, pushes every conjunct
-  // that binds to a single unit onto it, then orders the units greedily by
+  // conjuncts of `predicates` into optimized units, takes the filters of
+  // `sink` that bind to the cluster's schema, pushes every conjunct that
+  // binds to a single unit onto it, then orders the units greedily by
   // estimated cardinality, preferring connected (non-cross) joins.
   StatusOr<Cluster> PlanCluster(const std::vector<const PlanNode*>& roots,
-                                const std::vector<const Expr*>& predicates) {
+                                const std::vector<const Expr*>& predicates,
+                                Filters* sink = nullptr) {
     Cluster c;
     std::vector<const Expr*> conjuncts;
     for (const Expr* p : predicates) CollectConjuncts(*p, &conjuncts);
@@ -139,6 +184,8 @@ class NativeOptimizer {
       RETURN_IF_ERROR(Flatten(*root, &c.units, &conjuncts));
     }
     std::vector<Unit>& units = c.units;
+    for (const Unit& u : units) c.schema = std::move(c.schema).Concat(u.shape.schema);
+    if (sink != nullptr) Take(sink, &c, &conjuncts);
 
     // A conjunct that binds reads the stats of the same columns over every
     // schema it binds to, so its selectivity is estimated once.
@@ -242,32 +289,88 @@ class NativeOptimizer {
  private:
   Status Flatten(const PlanNode& node, std::vector<Unit>* units,
                  std::vector<const Expr*>* conjuncts) {
+    const size_t first = conjuncts->size();
     switch (node.kind) {
       case PlanKind::kPrefer:
         return Flatten(node.child(), units, conjuncts);
       case PlanKind::kSelect:
+        // Filters over a Project make a unit, sinking through it (Optimize).
+        if (ProjectUnderFilters(node) != nullptr) break;
         CollectConjuncts(*node.predicate, conjuncts);
+        DropTrue(conjuncts, first);
         return Flatten(node.child(), units, conjuncts);
-      case PlanKind::kJoin: {
-        const size_t first = conjuncts->size();
+      case PlanKind::kJoin:
         CollectConjuncts(*node.predicate, conjuncts);
-        // Drop constant TRUE padding introduced by prior rewrites.
-        auto padding = [](const Expr* e) {
-          return e->kind() == ExprKind::kLiteral &&
-                 IsTruthy(static_cast<const LiteralExpr*>(e)->value());
-        };
-        conjuncts->erase(std::remove_if(conjuncts->begin() + static_cast<long>(first),
-                                        conjuncts->end(), padding),
-                         conjuncts->end());
+        DropTrue(conjuncts, first);
         RETURN_IF_ERROR(Flatten(node.child(0), units, conjuncts));
         return Flatten(node.child(1), units, conjuncts);
-      }
-      default: {
-        ASSIGN_OR_RETURN(Unit unit, Optimize(node));
-        units->push_back(std::move(unit));
-        return Status::OK();
-      }
+      default:
+        break;
     }
+    ASSIGN_OR_RETURN(Unit unit, Optimize(node));
+    units->push_back(std::move(unit));
+    return Status::OK();
+  }
+
+  // Select(p, Project(c, X)) becomes Project(c, Select(p', X)), and
+  // SemiJoin(m, Project(c, X), S) becomes Project(c, SemiJoin(m, X, S)), for
+  // the chain of Selects and SemiJoins from `top` down to `project`. p' is
+  // the conjuncts of p that bind to X's own schema: a name that is unique
+  // above the Project but ambiguous below it stays above. A semi-join sinks
+  // when one unit of X holds its local columns. X's cluster places what
+  // sinks (Take, Build); the rest stays above the Project.
+  StatusOr<Unit> Sink(const PlanNode& top, const PlanNode& project) {
+    Filters filters;
+    for (const PlanNode* n = &top; n != &project; n = &n->child(0)) {
+      if (n->kind == PlanKind::kSelect) {
+        CollectConjuncts(*n->predicate, &filters.conjuncts);
+        continue;
+      }
+      ASSIGN_OR_RETURN(Unit member, Optimize(n->child(1)));
+      filters.semijoins.push_back({n->predicate.get(), std::move(member)});
+    }
+    DropTrue(&filters.conjuncts, 0);
+    ASSIGN_OR_RETURN(Cluster cluster, PlanCluster({&project.child()}, {}, &filters));
+    ASSIGN_OR_RETURN(Unit below, Build(std::move(cluster)));
+    PlanPtr copy = project.CloneNode();
+    copy->children.push_back(std::move(below.plan));
+    ASSIGN_OR_RETURN(Unit current, Attach(std::move(copy), {&below.shape, 1},
+                                          {&below.cardinality, 1}));
+    if (!filters.conjuncts.empty()) {
+      ASSIGN_OR_RETURN(current, Attach(plan::Select(Combine(filters.conjuncts),
+                                                    std::move(current.plan)),
+                                       {&current.shape, 1}, {&current.cardinality, 1}));
+    }
+    for (SemiJoinFilter& f : filters.semijoins) {
+      ASSIGN_OR_RETURN(current, AttachSemiJoin(&f, std::move(current)));
+    }
+    return current;
+  }
+
+  // Moves the filters of `sink` that bind below the Project into `c`:
+  // conjuncts that bind to the cluster's own schema join `conjuncts`, to be
+  // pushed like the cluster's own, and a semi-join goes to the one unit
+  // that holds its local columns.
+  void Take(Filters* sink, Cluster* c, std::vector<const Expr*>* conjuncts) {
+    auto below = std::stable_partition(
+        sink->conjuncts.begin(), sink->conjuncts.end(),
+        [c](const Expr* e) { return !ExprBindsTo(*e, c->schema); });
+    conjuncts->insert(conjuncts->end(), below, sink->conjuncts.end());
+    sink->conjuncts.erase(below, sink->conjuncts.end());
+
+    std::vector<SemiJoinFilter> above;
+    for (SemiJoinFilter& f : sink->semijoins) {
+      auto unit = std::find_if(c->units.begin(), c->units.end(), [&f](const Unit& u) {
+        return ExprBindsTo(*f.predicate, u.shape.schema.Concat(f.member.shape.schema));
+      });
+      if (unit == c->units.end()) {
+        above.push_back(std::move(f));
+        continue;
+      }
+      f.unit = static_cast<size_t>(unit - c->units.begin());
+      c->semijoins.push_back(std::move(f));
+    }
+    sink->semijoins = std::move(above);
   }
 
   void RecordAliases(const PlanNode& node) {
@@ -278,22 +381,31 @@ class NativeOptimizer {
     for (const PlanPtr& c : node.children) RecordAliases(*c);
   }
 
-  // Builds `c`'s left-deep tree: each unit under its pushed conjuncts,
-  // joined in order, under the residual conjuncts. Join reordering permutes
-  // the output column order, so a projection restores the cluster's own
-  // schema: callers (and the preference layer's score relations) see an
-  // unchanged shape.
+  // Builds `c`'s left-deep tree: each unit under one Select of its pushed
+  // conjuncts (so that a scan fuses them all), joined in order, under the
+  // residual conjuncts. A sunk semi-join sits directly on its unit when that
+  // unit is the first, else right above the join that adds it: never under
+  // a join's build side, which would cost the build its persistent index.
+  // Join reordering permutes the output column order, so a projection
+  // restores the cluster's own schema: callers (and the preference layer's
+  // score relations) see an unchanged shape.
   StatusOr<Unit> Build(Cluster c) {
-    Schema schema;  // The cluster's own: its units' in flatten order.
-    for (const Unit& u : c.units) schema = std::move(schema).Concat(u.shape.schema);
     auto unit = [&c](size_t i) {
       Unit u = std::move(c.units[i]);
-      for (const Expr* p : c.pushed[i]) {
-        u.plan = plan::Select(p->Clone(), std::move(u.plan));
+      if (!c.pushed[i].empty()) {
+        u.plan = plan::Select(Combine(c.pushed[i]), std::move(u.plan));
       }
       return u;
     };
-    Unit current = unit(c.order[0]);
+    // The semi-joins placed at unit `i`.
+    auto semijoins = [this, &c](size_t i, Unit current) -> StatusOr<Unit> {
+      for (SemiJoinFilter& f : c.semijoins) {
+        if (f.unit != i) continue;
+        ASSIGN_OR_RETURN(current, AttachSemiJoin(&f, std::move(current)));
+      }
+      return current;
+    };
+    ASSIGN_OR_RETURN(Unit current, semijoins(c.order[0], unit(c.order[0])));
     for (size_t k = 1; k < c.order.size(); ++k) {
       Unit next = unit(c.order[k]);
       PlanShape shapes[] = {std::move(current.shape), std::move(next.shape)};
@@ -303,18 +415,28 @@ class NativeOptimizer {
                                          std::move(current.plan),
                                          std::move(next.plan)),
                               shapes, cards));
+      ASSIGN_OR_RETURN(current, semijoins(c.order[k], std::move(current)));
     }
     if (!c.residual.empty()) {
       ASSIGN_OR_RETURN(current, Attach(plan::Select(Combine(c.residual),
                                                     std::move(current.plan)),
                                        {&current.shape, 1}, {&current.cardinality, 1}));
     }
-    if (current.shape.schema == schema) return current;
+    if (current.shape.schema == c.schema) return current;
     std::vector<std::string> columns;
-    columns.reserve(schema.size());
-    for (const Column& col : schema.columns()) columns.push_back(col.FullName());
+    columns.reserve(c.schema.size());
+    for (const Column& col : c.schema.columns()) columns.push_back(col.FullName());
     return Attach(plan::Project(std::move(columns), std::move(current.plan)),
                   {&current.shape, 1}, {&current.cardinality, 1});
+  }
+
+  // `f` (its member side consumed) over `left`.
+  StatusOr<Unit> AttachSemiJoin(SemiJoinFilter* f, Unit left) {
+    PlanShape shapes[] = {std::move(left.shape), std::move(f->member.shape)};
+    const double cards[] = {left.cardinality, f->member.cardinality};
+    return Attach(plan::SemiJoin(f->predicate->Clone(), std::move(left.plan),
+                                 std::move(f->member.plan)),
+                  shapes, cards);
   }
 
   // A unit for `node`, built over children whose shapes and cardinalities

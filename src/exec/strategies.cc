@@ -735,8 +735,8 @@ class PlugInStrategy final : public Strategy {
     // Rewrite, then materialize: the rewritten queries are independent, so
     // they are issued to the engine concurrently (up to the parallel
     // context's thread budget).
-    Rewrites rewrites;
-    RETURN_IF_ERROR(Rewrite(*q_np, prefs, engine->catalog(), &rewrites));
+    ASSIGN_OR_RETURN(PlugInRewrites rewrites,
+                     RewriteForPlugIn(*q_np, prefs, combined_, engine->catalog()));
     ASSIGN_OR_RETURN(std::vector<RowView> partials,
                      ExecuteEngineQueries(rewrites.plans, engine, stats, s,
                                           rewrites.labels));
@@ -744,22 +744,26 @@ class PlugInStrategy final : public Strategy {
     // Aggregate. The rewritten queries return rows of their own, not
     // positions in R_NP: their scores accumulate in the pk-keyed R_P, in
     // preference order for deterministic score folding, and R_NP's rows
-    // find their pairs in it by key at the end.
+    // find their pairs in it by key at the end. R_P is sized for every
+    // partial row: each folds into at most one new entry.
     std::vector<ScoreRelation::Keys> keys = {{r_np, r_np.key_columns}};
+    size_t partial_rows = 0;
     for (const RowView& partial : partials) {
       keys.emplace_back(partial, partial.key_columns);
+      partial_rows += partial.NumRows();
     }
-    ScoreRelation scores(keys);
+    ScoreRelation scores(keys, partial_rows);
     for (size_t m = 0; m < rewrites.merges.size(); ++m) {
-      const auto [pref, q] = rewrites.merges[m];
-      obs::SpanScope merge(s, StrFormat("MergePartial[%s]", pref->name().c_str()));
-      obs::SetRowsIn(merge.get(), partials[q].NumRows());
-      ScoreWriteScope writes(merge.get(), stats);
-      RETURN_IF_ERROR(
-          MergePartial(*pref, partials[q], keys[q + 1], agg, stats, &scores));
-      obs::AppendDetail(merge.get(), scores.Describe());
+      const PlugInRewrites::Merge& merge = rewrites.merges[m];
+      const size_t q = merge.query;
+      obs::SpanScope scope(s, StrFormat("MergePartial[%s]", merge.pref->name().c_str()));
+      obs::SetRowsIn(scope.get(), partials[q].NumRows());
+      ScoreWriteScope writes(scope.get(), stats);
+      RETURN_IF_ERROR(MergePartial(*merge.pref, partials[q], keys[q + 1],
+                                   merge.filtered, agg, stats, &scores));
+      obs::AppendDetail(scope.get(), scores.Describe());
       // R_P holds codes, not views: a partial is freed once merged.
-      if (m + 1 == rewrites.merges.size() || rewrites.merges[m + 1].second != q) {
+      if (m + 1 == rewrites.merges.size() || rewrites.merges[m + 1].query != q) {
         partials[q] = RowView();
       }
     }
@@ -770,79 +774,23 @@ class PlugInStrategy final : public Strategy {
   }
 
  private:
-  // The rewritten queries, their span labels, and the (preference, query)
-  // merges in folding order.
-  struct Rewrites {
-    std::vector<PlanPtr> plans;
-    std::vector<std::string> labels;
-    std::vector<std::pair<const Preference*, size_t>> merges;
-  };
-
-  // Basic plug-in: one rewritten query per preference, embedding its
-  // conditional part as a hard filter on Q_NP. Combined plug-in: a single
-  // rewritten query whose filter is the disjunction of all non-membership
-  // preference conditions; its rows are tested per preference client-side
-  // (MergePartial). In both, a membership preference's query also
-  // semi-joins the member relation; only it needs Q_NP's shape, to resolve
-  // its local column.
-  Status Rewrite(const PlanNode& q_np, const std::vector<PreferencePtr>& prefs,
-                 const Catalog& catalog, Rewrites* out) const {
-    if (combined_) {
-      ExprPtr disjunction;
-      for (const PreferencePtr& pref : prefs) {
-        if (pref->membership() != nullptr) continue;
-        ExprPtr cond = pref->CloneCondition();
-        disjunction = disjunction
-                          ? std::make_unique<LogicalExpr>(LogicalOp::kOr,
-                                                          std::move(disjunction),
-                                                          std::move(cond))
-                          : std::move(cond);
-        out->merges.emplace_back(pref.get(), 0);
-      }
-      if (disjunction != nullptr) {
-        out->plans.push_back(plan::Select(std::move(disjunction), q_np.Clone()));
-        out->labels.push_back("CombinedQuery");
-      }
-    }
-    std::optional<PlanShape> np_shape;
-    for (const PreferencePtr& pref : prefs) {
-      const MembershipSpec* m = pref->membership();
-      if (combined_ && m == nullptr) continue;
-      out->merges.emplace_back(pref.get(), out->plans.size());
-      PlanPtr rewritten = plan::Select(pref->CloneCondition(), q_np.Clone());
-      if (m != nullptr) {
-        if (!np_shape.has_value()) {
-          ASSIGN_OR_RETURN(np_shape, DerivePlanShape(q_np, catalog));
-        }
-        ASSIGN_OR_RETURN(std::string local_full,
-                         ResolveFullName(*np_shape, m->local_column));
-        rewritten = plan::SemiJoin(
-            eb_eq(local_full, m->member_relation + "." + m->member_column),
-            std::move(rewritten), plan::Scan(m->member_relation));
-      }
-      out->plans.push_back(std::move(rewritten));
-      out->labels.push_back(StrFormat("%s[%s]",
-                                      combined_ ? "MembershipQuery" : "RewriteQuery",
-                                      pref->name().c_str()));
-    }
-    return Status::OK();
-  }
-
   // Scores the rows of a partial (rewritten-query) result under `pref` and
   // folds them into the answer's score relation by key, read as codes
-  // through `keys`. Re-checks the conditional part, since the combined
-  // rewrite over-fetches (disjunction), compiled over the partial's
-  // columns. Only the columns the scoring expression and the key use are
-  // read out of its view.
+  // through `keys`. Unless the query `filtered` them by the conditional
+  // part already, re-checks it, compiled over the partial's columns: the
+  // combined rewrite over-fetches (disjunction). Only the columns the
+  // scoring expression and the key use are read out of its view.
   Status MergePartial(const Preference& pref, const RowView& partial,
-                      const ScoreRelation::Keys& keys,
+                      const ScoreRelation::Keys& keys, bool filtered,
                       const AggregateFunction& agg, ExecStats* stats,
                       ScoreRelation* scores) {
     ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, partial));
     ScratchRow scratch = bound.MakeScratch();
     std::vector<uint32_t> matching;
-    bound.Matching(0, partial.NumRows(), &matching);
-    for (uint32_t i : matching) {
+    if (!filtered) bound.Matching(0, partial.NumRows(), &matching);
+    const size_t n = filtered ? partial.NumRows() : matching.size();
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = filtered ? k : matching[k];
       std::optional<double> score = bound.Score(i, &scratch);
       if (!score.has_value()) continue;
       scores->Fold(keys, i, ScoreConf::Known(*score, pref.confidence()), agg);
@@ -851,22 +799,59 @@ class PlugInStrategy final : public Strategy {
     return Status::OK();
   }
 
-  static StatusOr<std::string> ResolveFullName(const PlanShape& shape,
-                                               const std::string& column) {
-    ASSIGN_OR_RETURN(size_t idx, shape.schema.FindColumn(column));
-    return shape.schema.column(idx).FullName();
-  }
-
-  static ExprPtr eb_eq(const std::string& left, const std::string& right) {
-    return std::make_unique<ComparisonExpr>(
-        CompareOp::kEq, std::make_unique<ColumnRefExpr>(left),
-        std::make_unique<ColumnRefExpr>(right));
-  }
-
   bool combined_;
 };
 
 }  // namespace
+
+StatusOr<PlugInRewrites> RewriteForPlugIn(const PlanNode& q_np,
+                                          const std::vector<PreferencePtr>& prefs,
+                                          bool combined, const Catalog& catalog) {
+  PlugInRewrites out;
+  if (combined) {
+    ExprPtr disjunction;
+    for (const PreferencePtr& pref : prefs) {
+      if (pref->membership() != nullptr) continue;
+      ExprPtr cond = pref->CloneCondition();
+      disjunction = disjunction
+                        ? std::make_unique<LogicalExpr>(LogicalOp::kOr,
+                                                        std::move(disjunction),
+                                                        std::move(cond))
+                        : std::move(cond);
+      out.merges.push_back({pref.get(), 0, false});
+    }
+    if (disjunction != nullptr) {
+      out.plans.push_back(plan::Select(std::move(disjunction), q_np.Clone()));
+      out.labels.push_back("CombinedQuery");
+    }
+  }
+  // Only a membership preference's query needs Q_NP's shape, to resolve
+  // its local column.
+  std::optional<PlanShape> np_shape;
+  for (const PreferencePtr& pref : prefs) {
+    const MembershipSpec* m = pref->membership();
+    if (combined && m == nullptr) continue;
+    out.merges.push_back({pref.get(), out.plans.size(), true});
+    PlanPtr rewritten = plan::Select(pref->CloneCondition(), q_np.Clone());
+    if (m != nullptr) {
+      if (!np_shape.has_value()) {
+        ASSIGN_OR_RETURN(np_shape, DerivePlanShape(q_np, catalog));
+      }
+      ASSIGN_OR_RETURN(size_t local, np_shape->schema.FindColumn(m->local_column));
+      rewritten = plan::SemiJoin(
+          std::make_unique<ComparisonExpr>(
+              CompareOp::kEq,
+              std::make_unique<ColumnRefExpr>(np_shape->schema.column(local).FullName()),
+              std::make_unique<ColumnRefExpr>(m->member_relation + "." +
+                                              m->member_column)),
+          std::move(rewritten), plan::Scan(m->member_relation));
+    }
+    out.plans.push_back(std::move(rewritten));
+    out.labels.push_back(StrFormat("%s[%s]", combined ? "MembershipQuery" : "RewriteQuery",
+                                   pref->name().c_str()));
+  }
+  return out;
+}
 
 std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind) {
   switch (kind) {

@@ -80,6 +80,33 @@ class Strategy {
 /// Creates the strategy implementation for `kind`.
 std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind);
 
+/// The conventional queries a plug-in strategy sends the engine after Q_NP,
+/// and how their rows fold into the answer's scores.
+struct PlugInRewrites {
+  /// A preference's rows to fold: the query that returns them, and whether
+  /// that query already filtered them by the preference's condition.
+  struct Merge {
+    const Preference* pref;
+    size_t query;
+    bool filtered;
+  };
+  std::vector<PlanPtr> plans;
+  /// Span labels, per plan: `RewriteQuery[p]`, `MembershipQuery[p]` or
+  /// `CombinedQuery`.
+  std::vector<std::string> labels;
+  std::vector<Merge> merges;  // In folding order.
+};
+
+/// The rewrites of `q_np` for `prefs` (which they point into). PlugInBasic
+/// (`combined` false): one query per preference, embedding its conditional
+/// part as a hard filter on Q_NP. PlugInCombined: a single query whose
+/// filter is the disjunction of all non-membership preference conditions;
+/// its rows are tested per preference when merged. In both, a membership
+/// preference's query also semi-joins the member relation.
+StatusOr<PlugInRewrites> RewriteForPlugIn(const PlanNode& q_np,
+                                          const std::vector<PreferencePtr>& prefs,
+                                          bool combined, const Catalog& catalog);
+
 }  // namespace prefdb
 
 #endif  // PREFDB_EXEC_STRATEGY_H_

@@ -1,6 +1,7 @@
 #include "palgebra/score_relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,8 +16,11 @@ ScoreRelation::Keys::Keys(const RowView& view, const std::vector<size_t>& column
   for (size_t c : columns) columns_.emplace_back(view.columns[c].input, &view.Column(c));
 }
 
-ScoreRelation::ScoreRelation(const std::vector<Keys>& sources)
-    : width_(sources.front().columns_.size()), code_(width_), slots_(16, kEmpty) {
+ScoreRelation::ScoreRelation(const std::vector<Keys>& sources, size_t expected)
+    : width_(sources.front().columns_.size()),
+      code_(width_),
+      // A power of two at least twice `expected`: at most half full.
+      slots_(std::bit_ceil(std::max<size_t>(16, 2 * expected)), kEmpty) {
   for (size_t k = 0; k < width_; ++k) {
     bool ints = true;
     bool one_dict = true;
@@ -59,7 +63,7 @@ bool ScoreRelation::Encode(const Keys& keys, size_t row, InternMap* intern,
         key[k] = 0;
         null = cell.is_null();
         if (null) break;
-        auto it = interned_.find(Value(cell));
+        auto it = interned_.find(cell);
         if (it == interned_.end()) {
           if (intern == nullptr) return false;
           it = intern->emplace(Value(cell), static_cast<int64_t>(interned_.size())).first;

@@ -55,8 +55,8 @@ class ScoreRelation {
 
   /// An empty R_P over the keys of `sources`, every view that will fold
   /// into or probe it (the same number of key columns, at most
-  /// kMaxKeyColumns).
-  explicit ScoreRelation(const std::vector<Keys>& sources);
+  /// kMaxKeyColumns), sized to hold `expected` entries without growing.
+  explicit ScoreRelation(const std::vector<Keys>& sources, size_t expected = 0);
 
   /// The pair for the key of row `row`; ⟨⊥, 0⟩ if absent.
   const ScoreConf& Lookup(const Keys& keys, size_t row) const;
@@ -88,7 +88,20 @@ class ScoreRelation {
 
  private:
   enum class Code : uint8_t { kInt, kDict, kInterned };
-  using InternMap = std::unordered_map<Value, int64_t, ValueHash>;
+  // Interned values, probed by a cell's ValueView: a lookup copies nothing.
+  static ValueView ViewOf(const Value& v) { return v.view(); }
+  static ValueView ViewOf(const ValueView& v) { return v; }
+  struct InternHash {
+    using is_transparent = void;
+    template <class T>
+    size_t operator()(const T& v) const { return ViewOf(v).Hash(); }
+  };
+  struct InternEq {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const { return ViewOf(a) == ViewOf(b); }
+  };
+  using InternMap = std::unordered_map<Value, int64_t, InternHash, InternEq>;
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
   // Encodes the key of row `row` into `key`, `*nulls` and `*hash`,

@@ -8,6 +8,7 @@
 //   PREFDB_REGENERATE_GOLDEN=1 ./frontend_golden_test
 // rewrites tests/golden/frontend_plans.txt in the source tree.
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,7 +17,7 @@
 #include "datagen/dblp_gen.h"
 #include "datagen/imdb_gen.h"
 #include "exec/runner.h"
-#include "expr/expr_builder.h"
+#include "exec/strategy.h"
 #include "gtest/gtest.h"
 #include "optimizer/extended_optimizer.h"
 #include "parser/parser.h"
@@ -44,13 +45,6 @@ void CollectDelegated(const PlanNode& node, std::vector<const PlanNode*>* out) {
     return;
   }
   for (const PlanPtr& child : node.children) CollectDelegated(*child, out);
-}
-
-ExprPtr MemberEq(const PlanShape& shape, const MembershipSpec& m) {
-  StatusOr<size_t> idx = shape.schema.FindColumn(m.local_column);
-  std::string local =
-      idx.ok() ? shape.schema.column(*idx).FullName() : m.local_column;
-  return eb::Eq(eb::Col(local), eb::Col(m.member_relation + "." + m.member_column));
 }
 
 // Everything the front end produces for one query text.
@@ -92,30 +86,25 @@ std::string Describe(Session* session, const std::string& name,
   out += "-- join order\n" +
          (order.ok() ? StrJoin(*order, ", ") : order.status().ToString()) + "\n";
 
-  // The plug-ins' rewrites, built the way PlugInBasic and PlugInCombined
-  // build them (src/exec/strategies.cc).
-  StatusOr<PlanShape> np_shape = DerivePlanShape(*q_np, engine.catalog());
-  if (!np_shape.ok()) return out + "error: " + np_shape.status().ToString() + "\n";
-  ExprPtr disjunction;
-  for (const PreferencePtr& pref : CollectPrefers(plan)) {
-    PlanPtr rewrite = plan::Select(pref->CloneCondition(), q_np->Clone());
-    if (pref->membership() != nullptr) {
-      const MembershipSpec& m = *pref->membership();
-      rewrite = plan::SemiJoin(MemberEq(*np_shape, m), std::move(rewrite),
-                               plan::Scan(m.member_relation));
-      AppendExplain(engine, "MembershipQuery[" + pref->name() + "]",
-                    *rewrite, &out);
-    } else {
-      ExprPtr cond = pref->CloneCondition();
-      disjunction = disjunction ? eb::Or(std::move(disjunction), std::move(cond))
-                                : std::move(cond);
-    }
-    AppendExplain(engine, "RewriteQuery[" + pref->name() + "]", *rewrite, &out);
+  // The plug-ins' rewrites (RewriteForPlugIn): per preference,
+  // PlugInCombined's MembershipQuery (a membership preference's) and
+  // PlugInBasic's RewriteQuery, then PlugInCombined's CombinedQuery.
+  const std::vector<PreferencePtr> prefs = CollectPrefers(plan);
+  StatusOr<PlugInRewrites> basic = RewriteForPlugIn(*q_np, prefs, false, engine.catalog());
+  StatusOr<PlugInRewrites> combined = RewriteForPlugIn(*q_np, prefs, true, engine.catalog());
+  if (!basic.ok()) return out + "error: " + basic.status().ToString() + "\n";
+  if (!combined.ok()) return out + "error: " + combined.status().ToString() + "\n";
+  auto explain = [&](const PlugInRewrites& rewrites, const std::string& label) {
+    auto it = std::find(rewrites.labels.begin(), rewrites.labels.end(), label);
+    if (it == rewrites.labels.end()) return;
+    AppendExplain(engine, label, *rewrites.plans[static_cast<size_t>(
+                                     it - rewrites.labels.begin())], &out);
+  };
+  for (const PreferencePtr& pref : prefs) {
+    explain(*combined, "MembershipQuery[" + pref->name() + "]");
+    explain(*basic, "RewriteQuery[" + pref->name() + "]");
   }
-  if (disjunction != nullptr) {
-    PlanPtr combined = plan::Select(std::move(disjunction), q_np->Clone());
-    AppendExplain(engine, "CombinedQuery", *combined, &out);
-  }
+  explain(*combined, "CombinedQuery");
   return out;
 }
 
