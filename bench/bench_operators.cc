@@ -1,12 +1,15 @@
 // Operator micro-benchmarks (google-benchmark): the cost of the building
 // blocks the end-to-end numbers are made of — aggregate-function
-// combination, prefer evaluation, p-relation joins, pair lookup and the
-// filtering operators.
+// combination, prefer evaluation (and the prefer pass over MOVIES under
+// each kind of score), p-relation joins, pair lookup and the filtering
+// operators.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "datagen/imdb_gen.h"
 #include "expr/expr_builder.h"
+#include "parser/parser.h"
 #include "palgebra/filters.h"
 #include "palgebra/p_ops.h"
 #include "palgebra/score_relation.h"
@@ -80,6 +83,41 @@ void BM_PreferSelectivity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreferSelectivity)->Arg(10)->Arg(100)->Arg(500)->Arg(1000);
+
+// One prefer pass over the whole of MOVIES (IMDB at scale 0.0025, as
+// perfbench generates it): every row matches σ_true and is scored by
+// Arg(0) a literal, Arg(1) a built-in (recency(year, 2011)), Arg(2) p_5's
+// arithmetic over two built-ins; Arg(3) is a membership preference (movies
+// with an award, probing AWARDS' m_id index) scored by a literal.
+void BM_PreferPass(benchmark::State& state) {
+  static Catalog* const catalog = [] {
+    ImdbOptions options;
+    options.scale = 0.0025;
+    options.seed = 3;
+    return new Catalog(std::move(GenerateImdb(options)).value());
+  }();
+  const char* const kScores[] = {
+      "1.0", "recency(year, 2011)",
+      "0.5 * recency(year, 2011) + 0.5 * around(duration, 120)", "1.0"};
+  Table* movies = catalog->GetTable("MOVIES").value();
+  const RowView view =
+      RowView::Of(movies->schema(), movies->primary_key(), movies->store(), nullptr);
+  const bool member = state.range(0) == 3;
+  PreferencePtr pref =
+      member ? Preference::Membership("p", "MOVIES", {"AWARDS", "m_id", "m_id"}, True(),
+                                      ScoringFunction::Constant(1.0), 0.9)
+             : Preference::Generic("p", "MOVIES", True(),
+                                   ScoringFunction(ParseExpression(kScores[state.range(0)]).value()),
+                                   0.9);
+  FSum agg;
+  ExecStats stats;
+  for (auto _ : state) {
+    auto result = EvalPrefer(*pref, PRelation(view), agg, catalog, &stats);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(view.NumRows()) * state.iterations());
+}
+BENCHMARK(BM_PreferPass)->DenseRange(0, 3);
 
 void BM_PJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

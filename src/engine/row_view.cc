@@ -8,9 +8,6 @@ namespace prefdb {
 
 namespace {
 
-// How many probe rows ahead an index-served join prefetches.
-constexpr size_t kPrefetchAhead = 8;
-
 // Whole-row hash and equality through views, consistent with TupleHash /
 // TupleEq over the gathered rows.
 size_t RowHash(const RowView& view, size_t r) {
@@ -34,7 +31,7 @@ bool RowEq(const RowView& a, size_t i, const RowView& b, size_t j) {
 // copied out of the row-major id array.
 class Streams {
  public:
-  Streams(const RowView& view, const CompiledPredicate& program, uint32_t first,
+  Streams(const RowView& view, const ColumnProgram& program, uint32_t first,
           std::vector<const uint32_t*>* ptrs)
       : view_(view), program_(program), first_(first), ptrs_(ptrs) {
     if (ptrs_->size() < first + view.width()) ptrs_->resize(first + view.width());
@@ -63,7 +60,7 @@ class Streams {
 
  private:
   const RowView& view_;
-  const CompiledPredicate& program_;
+  const ColumnProgram& program_;
   uint32_t first_;
   std::vector<const uint32_t*>* ptrs_;
   std::vector<std::vector<uint32_t>> buffers_;
@@ -114,22 +111,6 @@ class RowSet {
 
 }  // namespace
 
-ScratchRow::ScratchRow(const Schema& schema, const Expr& bound)
-    : scratch_(schema.size()) {
-  std::vector<std::string> names;
-  bound.CollectColumns(&names);
-  for (const std::string& name : names) {
-    // Bind already resolved every name against `schema`.
-    used_.push_back(static_cast<size_t>(schema.FindColumnOrNegative(name)));
-  }
-  std::sort(used_.begin(), used_.end());
-  used_.erase(std::unique(used_.begin(), used_.end()), used_.end());
-}
-
-void ScratchRow::Load(const RowView& view, size_t r) {
-  for (size_t c : used_) scratch_[c] = view.Get(r, c);
-}
-
 std::vector<ColumnInput> ColumnInputsOf(const RowView& view,
                                         uint32_t first_stream) {
   std::vector<ColumnInput> inputs;
@@ -153,6 +134,23 @@ void ViewPredicate::Select(size_t begin, size_t end,
       out->push_back(static_cast<uint32_t>(at + sel[k]));
     }
   }
+}
+
+size_t ViewScore::Score(const uint32_t* rows, size_t n, uint32_t* kept,
+                        double* scores) {
+  std::vector<const uint32_t*> ptrs;
+  Streams streams(*view_, program_, 0, &ptrs);
+  size_t m = 0;
+  for (size_t at = 0; at < n; at += CompiledScore::kBatch) {
+    const size_t c = std::min(CompiledScore::kBatch, n - at);
+    streams.Point(at, c, rows == nullptr ? nullptr : rows + at);
+    const size_t k = program_.Score(ptrs.data(), c, kept + m, scores + m);
+    for (size_t j = m; j < m + k; ++j) {
+      kept[j] = rows == nullptr ? static_cast<uint32_t>(at + kept[j]) : rows[at + kept[j]];
+    }
+    m += k;
+  }
+  return m;
 }
 
 StatusOr<std::optional<EquiKeys>> FindEquiKeys(const Expr& predicate,

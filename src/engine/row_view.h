@@ -23,22 +23,8 @@ namespace prefdb {
 /// "No row": an absent side of a set-operation match, or an empty chain.
 constexpr uint32_t kNoRow = UINT32_MAX;
 
-/// An expression bound to a view's schema, evaluated with Expr::Eval
-/// against rows that exist only as ids: the columns it reads are copied
-/// into a reused scratch tuple, the others stay NULL and are never read.
-/// Scoring expressions read rows this way.
-class ScratchRow {
- public:
-  ScratchRow(const Schema& schema, const Expr& bound);
-
-  /// Copies the columns in use of row `r` of `view` into the scratch row.
-  void Load(const RowView& view, size_t r);
-  const Tuple& tuple() const { return scratch_; }
-
- private:
-  Tuple scratch_;
-  std::vector<size_t> used_;
-};
+/// How many rows ahead a probe of a table's persistent index prefetches.
+constexpr size_t kPrefetchAhead = 8;
 
 /// Where the columns of `view` are read from, for a CompiledPredicate over
 /// its schema: view column c reads its typed column through the ids of its
@@ -60,6 +46,26 @@ class ViewPredicate {
  private:
   const RowView* view_;
   CompiledPredicate program_;
+};
+
+/// A numeric expression bound to a view's schema, compiled over the view's
+/// typed columns (CompiledScore): a scoring function's S over view rows.
+class ViewScore {
+ public:
+  ViewScore(const RowView& view, const Expr& bound)
+      : view_(&view), program_(bound, ColumnInputsOf(view)) {}
+
+  /// Scores the rows at positions rows[0..n), or 0..n-1 when `rows` is null:
+  /// writes the positions whose score is not ⊥, in order, to `kept` and
+  /// their scores to `scores` (room for n each; `kept` must not alias
+  /// `rows`); returns how many.
+  size_t Score(const uint32_t* rows, size_t n, uint32_t* kept, double* scores);
+
+  const CompiledScore& program() const { return program_; }
+
+ private:
+  const RowView* view_;
+  CompiledScore program_;
 };
 
 /// The hash-join shape of a join predicate: the key column of its first

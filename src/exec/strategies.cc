@@ -760,7 +760,8 @@ class PlugInStrategy final : public Strategy {
       obs::SetRowsIn(scope.get(), partials[q].NumRows());
       ScoreWriteScope writes(scope.get(), stats);
       RETURN_IF_ERROR(MergePartial(*merge.pref, partials[q], keys[q + 1],
-                                   merge.filtered, agg, stats, &scores));
+                                   merge.filtered, agg, stats, &scores,
+                                   scope.get()));
       obs::AppendDetail(scope.get(), scores.Describe());
       // R_P holds codes, not views: a partial is freed once merged.
       if (m + 1 == rewrites.merges.size() || rewrites.merges[m + 1].query != q) {
@@ -778,24 +779,25 @@ class PlugInStrategy final : public Strategy {
   // folds them into the answer's score relation by key, read as codes
   // through `keys`. Unless the query `filtered` them by the conditional
   // part already, re-checks it, compiled over the partial's columns: the
-  // combined rewrite over-fetches (disjunction). Only the columns the
-  // scoring expression and the key use are read out of its view.
+  // combined rewrite over-fetches (disjunction). S is compiled over the
+  // partial's columns too, and scores every matching row in one call.
   Status MergePartial(const Preference& pref, const RowView& partial,
                       const ScoreRelation::Keys& keys, bool filtered,
                       const AggregateFunction& agg, ExecStats* stats,
-                      ScoreRelation* scores) {
+                      ScoreRelation* scores, obs::Span* span) {
     ASSIGN_OR_RETURN(ViewPreference bound, ViewPreference::Bind(pref, partial));
-    ScratchRow scratch = bound.MakeScratch();
+    obs::AppendDetail(span, bound.ScoreDetail());
     std::vector<uint32_t> matching;
     if (!filtered) bound.Matching(0, partial.NumRows(), &matching);
     const size_t n = filtered ? partial.NumRows() : matching.size();
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = filtered ? k : matching[k];
-      std::optional<double> score = bound.Score(i, &scratch);
-      if (!score.has_value()) continue;
-      scores->Fold(keys, i, ScoreConf::Known(*score, pref.confidence()), agg);
-      ++stats->score_entries_written;
+    std::vector<uint32_t> kept(n);
+    std::vector<double> values(n);
+    const size_t m = bound.Score(filtered ? nullptr : matching.data(), n, kept.data(),
+                                 values.data());
+    for (size_t j = 0; j < m; ++j) {
+      scores->Fold(keys, kept[j], ScoreConf::Known(values[j], pref.confidence()), agg);
     }
+    stats->score_entries_written += m;
     return Status::OK();
   }
 

@@ -144,9 +144,37 @@ const uint32_t* Iota() {
 
 }  // namespace
 
+void ColumnProgram::Use(uint32_t column) {
+  const uint32_t s = inputs_[column].stream;
+  if (s >= reads_stream_.size()) reads_stream_.resize(s + 1, false);
+  reads_stream_[s] = true;
+}
+
+std::vector<uint32_t> ColumnProgram::FallbackReads(const Expr& e) {
+  std::vector<uint32_t> reads;
+  CollectBound(e, &reads);
+  std::sort(reads.begin(), reads.end());
+  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+  // A position past the schema evaluates to NULL in Expr::Eval; the
+  // scratch tuple leaves it out the same way.
+  std::erase_if(reads, [&](uint32_t c) { return c >= inputs_.size(); });
+  for (uint32_t c : reads) Use(c);
+  ++fallbacks_;
+  return reads;
+}
+
+void ColumnProgram::Load(const std::vector<uint32_t>& reads,
+                         const uint32_t* const* streams, uint32_t t,
+                         Tuple* scratch) const {
+  for (uint32_t c : reads) {
+    const ColumnInput& ci = inputs_[c];
+    (*scratch)[c] = ci.column->Get(streams[ci.stream][t]);
+  }
+}
+
 CompiledPredicate::CompiledPredicate(const Expr& bound,
                                      std::vector<ColumnInput> inputs)
-    : inputs_(std::move(inputs)) {
+    : ColumnProgram(std::move(inputs)) {
   root_ = Compile(bound);
 }
 
@@ -155,25 +183,11 @@ uint32_t CompiledPredicate::Add(Node node) {
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
-void CompiledPredicate::Use(uint32_t column) {
-  const uint32_t s = inputs_[column].stream;
-  if (s >= reads_stream_.size()) reads_stream_.resize(s + 1, false);
-  reads_stream_[s] = true;
-}
-
 uint32_t CompiledPredicate::Fallback(const Expr& e) {
   Node node;
   node.op = Op::kFallback;
   node.expr = &e;
-  CollectBound(e, &node.reads);
-  std::sort(node.reads.begin(), node.reads.end());
-  node.reads.erase(std::unique(node.reads.begin(), node.reads.end()),
-                   node.reads.end());
-  // A position past the schema evaluates to NULL in Expr::Eval; the
-  // scratch tuple leaves it out the same way.
-  std::erase_if(node.reads, [&](uint32_t c) { return c >= inputs_.size(); });
-  for (uint32_t c : node.reads) Use(c);
-  ++fallbacks_;
+  node.reads = FallbackReads(e);
   return Add(std::move(node));
 }
 
@@ -348,10 +362,7 @@ size_t CompiledPredicate::RunLeaf(const Node& node,
     size_t k = 0;
     for (size_t j = 0; j < n; ++j) {
       const uint32_t t = sel[j];
-      for (uint32_t c : node.reads) {
-        const ColumnInput& ci = inputs_[c];
-        scratch[c] = ci.column->Get(streams[ci.stream][t]);
-      }
+      Load(node.reads, streams, t, &scratch);
       out[k] = t;
       k += IsTruthy(node.expr->Eval(scratch)) ? 1 : 0;
     }
@@ -474,6 +485,137 @@ size_t CompiledPredicate::RunLeaf(const Node& node,
                   [&](uint32_t r) { return Truthy(col.View(r)); });
     default:
       return 0;
+  }
+}
+
+CompiledScore::CompiledScore(const Expr& bound, std::vector<ColumnInput> inputs)
+    : ColumnProgram(std::move(inputs)) {
+  Compile(bound);
+  registers_.resize(nodes_.size() * kBatch);
+  for (uint32_t k = 0; k < nodes_.size(); ++k) {
+    if (nodes_[k].op == Op::kConst) std::fill_n(Register(k), kBatch, nodes_[k].value);
+  }
+}
+
+uint32_t CompiledScore::Add(Node node) {
+  nodes_.push_back(std::move(node));
+  return static_cast<uint32_t>(nodes_.size() - 1);
+}
+
+uint32_t CompiledScore::Compile(const Expr& e) {
+  Node node;
+  switch (e.kind()) {
+    case ExprKind::kLiteral:
+      node.value = Numeric::Of(static_cast<const LiteralExpr&>(e).value().view());
+      return Add(std::move(node));
+    case ExprKind::kColumnRef: {
+      // Outside the schema Expr::Eval reads NULL, and a string is never a
+      // number: both are the constant ⊥.
+      const int c = static_cast<const ColumnRefExpr&>(e).index();
+      if (c >= 0 && static_cast<size_t>(c) < inputs_.size() &&
+          inputs_[c].column->layout() != ColumnLayout::kDict &&
+          inputs_[c].column->layout() != ColumnLayout::kArena) {
+        node.op = Op::kColumn;
+        node.column = static_cast<uint32_t>(c);
+        Use(node.column);
+      }
+      return Add(std::move(node));
+    }
+    case ExprKind::kArithmetic: {
+      const auto& a = static_cast<const ArithmeticExpr&>(e);
+      node.op = Op::kArithmetic;
+      node.arith = a.op();
+      node.args = {Compile(a.left()), Compile(a.right())};
+      break;
+    }
+    case ExprKind::kFunction: {
+      const auto& f = static_cast<const FunctionExpr&>(e);
+      node.fn = FindNumericFunction(f.name());
+      if (node.fn != nullptr) {
+        node.op = Op::kCall;
+        for (const ExprPtr& arg : f.args()) node.args.push_back(Compile(*arg));
+        break;
+      }
+      [[fallthrough]];
+    }
+    default:
+      node.op = Op::kFallback;
+      node.expr = &e;
+      node.reads = FallbackReads(e);
+      return Add(std::move(node));
+  }
+  // Over constants only (literals, or columns that read as ⊥, which every
+  // compiled node treats as NULL), the node folds into the constant
+  // Expr::Eval gives it. Its operands are the last nodes compiled.
+  for (uint32_t arg : node.args) {
+    if (nodes_[arg].op != Op::kConst) return Add(std::move(node));
+  }
+  nodes_.resize(nodes_.size() - node.args.size());
+  Node folded;
+  folded.value = Numeric::Of(e.Eval(Tuple()).view());
+  return Add(std::move(folded));
+}
+
+size_t CompiledScore::Score(const uint32_t* const* streams, size_t n,
+                            uint32_t* kept, double* scores) {
+  for (uint32_t k = 0; k < nodes_.size(); ++k) Run(k, streams, n);
+  const Numeric* root = Register(static_cast<uint32_t>(nodes_.size() - 1));
+  size_t m = 0;
+  for (size_t t = 0; t < n; ++t) {
+    kept[m] = static_cast<uint32_t>(t);
+    scores[m] = std::clamp(root[t].AsDouble(), 0.0, 1.0);
+    m += root[t].is_null() ? 0 : 1;
+  }
+  return m;
+}
+
+void CompiledScore::Run(uint32_t index, const uint32_t* const* streams, size_t n) {
+  const Node& node = nodes_[index];
+  Numeric* out = Register(index);
+  switch (node.op) {
+    case Op::kConst:
+      return;  // Filled when compiled.
+    case Op::kColumn: {
+      const ColumnInput& in = inputs_[node.column];
+      const TypedColumn& col = *in.column;
+      const uint32_t* rows = streams[in.stream];
+      const bool ints = col.layout() == ColumnLayout::kInt;
+      if (ints || col.layout() == ColumnLayout::kDouble) {
+        for (size_t t = 0; t < n; ++t) {
+          const uint32_t r = rows[t];
+          out[t] = col.NullBit(r) ? Numeric()
+                   : ints         ? Numeric::Int(col.ints()[r])
+                                  : Numeric::Double(col.doubles()[r]);
+        }
+      } else {
+        for (size_t t = 0; t < n; ++t) out[t] = Numeric::Of(col.View(rows[t]));
+      }
+      return;
+    }
+    case Op::kArithmetic: {
+      const Numeric* l = Register(node.args[0]);
+      const Numeric* r = Register(node.args[1]);
+      for (size_t t = 0; t < n; ++t) out[t] = Arithmetic(node.arith, l[t], r[t]);
+      return;
+    }
+    case Op::kCall: {
+      Numeric operands[FunctionExpr::kMaxArity];
+      for (size_t t = 0; t < n; ++t) {
+        for (size_t k = 0; k < node.args.size(); ++k) {
+          operands[k] = Register(node.args[k])[t];
+        }
+        out[t] = node.fn(operands);
+      }
+      return;
+    }
+    case Op::kFallback: {
+      Tuple scratch(inputs_.size());
+      for (size_t t = 0; t < n; ++t) {
+        Load(node.reads, streams, static_cast<uint32_t>(t), &scratch);
+        out[t] = Numeric::Of(node.expr->Eval(scratch).view());
+      }
+      return;
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/string_util.h"
 
@@ -260,41 +262,9 @@ Status ArithmeticExpr::Bind(const Schema& schema) {
 }
 
 Value ArithmeticExpr::Eval(const Tuple& tuple) const {
-  Value l = left_->Eval(tuple);
-  Value r = right_->Eval(tuple);
-  if (!l.is_numeric() || !r.is_numeric()) return Value::Null();
-  if (op_ == ArithmeticOp::kDiv) {
-    double denom = r.NumericValue();
-    if (denom == 0.0) return Value::Null();
-    return Value::Double(l.NumericValue() / denom);
-  }
-  if (l.is_int() && r.is_int()) {
-    int64_t a = l.AsInt();
-    int64_t b = r.AsInt();
-    switch (op_) {
-      case ArithmeticOp::kAdd:
-        return Value::Int(a + b);
-      case ArithmeticOp::kSub:
-        return Value::Int(a - b);
-      case ArithmeticOp::kMul:
-        return Value::Int(a * b);
-      case ArithmeticOp::kDiv:
-        break;  // Handled above.
-    }
-  }
-  double a = l.NumericValue();
-  double b = r.NumericValue();
-  switch (op_) {
-    case ArithmeticOp::kAdd:
-      return Value::Double(a + b);
-    case ArithmeticOp::kSub:
-      return Value::Double(a - b);
-    case ArithmeticOp::kMul:
-      return Value::Double(a * b);
-    case ArithmeticOp::kDiv:
-      break;
-  }
-  return Value::Null();
+  return Arithmetic(op_, Numeric::Of(left_->Eval(tuple).view()),
+                    Numeric::Of(right_->Eval(tuple).view()))
+      .ToValue();
 }
 
 ExprPtr ArithmeticExpr::Clone() const {
@@ -326,18 +296,60 @@ struct ScalarFunction {
   const char* name;
   int min_arity;
   int max_arity;
-  Value (*eval)(const std::vector<Value>& args);
+  Value (*eval)(std::span<const Value> args);
+  NumericFunction numeric;  // Null unless every argument is read as a number.
 };
 
 double Clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
-Value EvalAbs(const std::vector<Value>& a) {
-  if (!a[0].is_numeric()) return Value::Null();
-  if (a[0].is_int()) return Value::Int(std::abs(a[0].AsInt()));
-  return Value::Double(std::fabs(a[0].AsDouble()));
+Numeric Abs(const Numeric* a) {
+  // |INT64_MIN| is no int64: it takes the double path.
+  if (a[0].type == ValueType::kInt && a[0].bits != INT64_MIN) {
+    return Numeric::Int(std::abs(a[0].bits));
+  }
+  if (a[0].is_null()) return {};
+  return Numeric::Double(std::fabs(a[0].AsDouble()));
 }
 
-Value EvalMin(const std::vector<Value>& a) {
+// std::min(std::max(v, lo), hi), which is what std::clamp computes; it is
+// also defined when lo > hi, which std::clamp requires not to hold.
+Numeric Clamp(const Numeric* a) {
+  if (a[0].is_null() || a[1].is_null() || a[2].is_null()) return {};
+  return Numeric::Double(
+      std::min(std::max(a[0].AsDouble(), a[1].AsDouble()), a[2].AsDouble()));
+}
+
+// The paper's S_m(attr, x) = attr / x, clamped to [0, 1]: favours recency.
+Numeric Recency(const Numeric* a) {
+  if (a[0].is_null() || a[1].is_null()) return {};
+  const double x = a[1].AsDouble();
+  if (x == 0.0) return {};
+  return Numeric::Double(Clamp01(a[0].AsDouble() / x));
+}
+
+// The paper's S_d(attr, x) = 1 - |attr - x| / x, clamped to [0, 1]:
+// favours values near the target x.
+Numeric Around(const Numeric* a) {
+  if (a[0].is_null() || a[1].is_null()) return {};
+  const double x = a[1].AsDouble();
+  if (x == 0.0) return {};
+  return Numeric::Double(Clamp01(1.0 - std::fabs(a[0].AsDouble() - x) / x));
+}
+
+// The paper's S_r(rating) = 0.1 * rating, as a named convenience.
+Numeric RatingScore(const Numeric* a) {
+  if (a[0].is_null()) return {};
+  return Numeric::Double(Clamp01(0.1 * a[0].AsDouble()));
+}
+
+template <NumericFunction F>
+Value EvalNumeric(std::span<const Value> a) {
+  Numeric args[FunctionExpr::kMaxArity];
+  for (size_t k = 0; k < a.size(); ++k) args[k] = Numeric::Of(a[k].view());
+  return F(args).ToValue();
+}
+
+Value EvalMin(std::span<const Value> a) {
   Value best = a[0];
   for (const Value& v : a) {
     if (v.is_null()) return Value::Null();
@@ -346,7 +358,7 @@ Value EvalMin(const std::vector<Value>& a) {
   return best;
 }
 
-Value EvalMax(const std::vector<Value>& a) {
+Value EvalMax(std::span<const Value> a) {
   Value best = a[0];
   for (const Value& v : a) {
     if (v.is_null()) return Value::Null();
@@ -355,48 +367,17 @@ Value EvalMax(const std::vector<Value>& a) {
   return best;
 }
 
-Value EvalClamp(const std::vector<Value>& a) {
-  if (!a[0].is_numeric() || !a[1].is_numeric() || !a[2].is_numeric()) {
-    return Value::Null();
-  }
-  return Value::Double(
-      std::clamp(a[0].NumericValue(), a[1].NumericValue(), a[2].NumericValue()));
-}
-
-// The paper's S_m(attr, x) = attr / x, clamped to [0, 1]: favours recency.
-Value EvalRecency(const std::vector<Value>& a) {
-  if (!a[0].is_numeric() || !a[1].is_numeric()) return Value::Null();
-  double x = a[1].NumericValue();
-  if (x == 0.0) return Value::Null();
-  return Value::Double(Clamp01(a[0].NumericValue() / x));
-}
-
-// The paper's S_d(attr, x) = 1 - |attr - x| / x, clamped to [0, 1]:
-// favours values near the target x.
-Value EvalAround(const std::vector<Value>& a) {
-  if (!a[0].is_numeric() || !a[1].is_numeric()) return Value::Null();
-  double x = a[1].NumericValue();
-  if (x == 0.0) return Value::Null();
-  return Value::Double(Clamp01(1.0 - std::fabs(a[0].NumericValue() - x) / x));
-}
-
-// The paper's S_r(rating) = 0.1 * rating, as a named convenience.
-Value EvalRatingScore(const std::vector<Value>& a) {
-  if (!a[0].is_numeric()) return Value::Null();
-  return Value::Double(Clamp01(0.1 * a[0].NumericValue()));
-}
-
 constexpr ScalarFunction kFunctions[] = {
-    {"abs", 1, 1, &EvalAbs},
-    {"min", 2, 8, &EvalMin},
-    {"max", 2, 8, &EvalMax},
-    {"clamp", 3, 3, &EvalClamp},
-    {"recency", 2, 2, &EvalRecency},
-    {"around", 2, 2, &EvalAround},
-    {"rating_score", 1, 1, &EvalRatingScore},
+    {"abs", 1, 1, &EvalNumeric<&Abs>, &Abs},
+    {"min", 2, 8, &EvalMin, nullptr},
+    {"max", 2, 8, &EvalMax, nullptr},
+    {"clamp", 3, 3, &EvalNumeric<&Clamp>, &Clamp},
+    {"recency", 2, 2, &EvalNumeric<&Recency>, &Recency},
+    {"around", 2, 2, &EvalNumeric<&Around>, &Around},
+    {"rating_score", 1, 1, &EvalNumeric<&RatingScore>, &RatingScore},
 };
 
-int FindFunction(const std::string& lower_name) {
+int FindFunction(std::string_view lower_name) {
   for (size_t i = 0; i < std::size(kFunctions); ++i) {
     if (lower_name == kFunctions[i].name) return static_cast<int>(i);
   }
@@ -404,6 +385,11 @@ int FindFunction(const std::string& lower_name) {
 }
 
 }  // namespace
+
+NumericFunction FindNumericFunction(std::string_view lower_name) {
+  const int id = FindFunction(lower_name);
+  return id < 0 ? nullptr : kFunctions[id].numeric;
+}
 
 FunctionExpr::FunctionExpr(std::string name, std::vector<ExprPtr> args)
     : Expr(ExprKind::kFunction), name_(ToLower(name)), args_(std::move(args)) {}
@@ -432,10 +418,9 @@ Status FunctionExpr::Bind(const Schema& schema) {
 
 Value FunctionExpr::Eval(const Tuple& tuple) const {
   if (fn_id_ < 0) return Value::Null();
-  std::vector<Value> vals;
-  vals.reserve(args_.size());
-  for (const ExprPtr& arg : args_) vals.push_back(arg->Eval(tuple));
-  return kFunctions[fn_id_].eval(vals);
+  Value vals[kMaxArity];
+  for (size_t k = 0; k < args_.size(); ++k) vals[k] = args_[k]->Eval(tuple);
+  return kFunctions[fn_id_].eval({vals, args_.size()});
 }
 
 ExprPtr FunctionExpr::Clone() const {

@@ -1,8 +1,11 @@
 #ifndef PREFDB_EXPR_EXPR_H_
 #define PREFDB_EXPR_EXPR_H_
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -45,6 +48,67 @@ std::string_view ArithmeticOpName(ArithmeticOp op);
 /// NULL and numeric zero are false; any other numeric is true; strings are
 /// true iff non-empty. (A simplified two-valued logic: NULL acts as false.)
 bool IsTruthy(const Value& v);
+
+/// A value as arithmetic and the numeric functions see it: ⊥ (NULL or not
+/// a number), an int or a double. Expr::Eval and compiled scores
+/// (expr/compiled_predicate.h) compute through the same functions below.
+struct Numeric {
+  ValueType type = ValueType::kNull;  // kNull (⊥), kInt or kDouble.
+  int64_t bits = 0;  // The int, or the double's bits: 16 bytes in all.
+
+  static Numeric Int(int64_t v) { return {ValueType::kInt, v}; }
+  static Numeric Double(double v) {
+    return {ValueType::kDouble, std::bit_cast<int64_t>(v)};
+  }
+  static Numeric Of(const ValueView& v) {
+    return v.type == ValueType::kInt      ? Int(v.i)
+           : v.type == ValueType::kDouble ? Double(v.d)
+                                          : Numeric();
+  }
+  bool is_null() const { return type == ValueType::kNull; }
+  /// The int widened to double, or the double (Value::NumericValue).
+  double AsDouble() const {
+    return type == ValueType::kInt ? static_cast<double>(bits)
+                                   : std::bit_cast<double>(bits);
+  }
+  Value ToValue() const {
+    return type == ValueType::kInt      ? Value::Int(bits)
+           : type == ValueType::kDouble ? Value::Double(AsDouble())
+                                        : Value::Null();
+  }
+};
+
+/// l <op> r: ⊥ if either operand is; ÷ yields a double, ⊥ for a zero
+/// divisor; int ∘ int stays an int unless the result overflows int64, when
+/// it yields the result computed in doubles (as SQLite promotes to REAL).
+inline Numeric Arithmetic(ArithmeticOp op, Numeric l, Numeric r) {
+  if (l.is_null() || r.is_null()) return {};
+  if (op == ArithmeticOp::kDiv) {
+    const double denom = r.AsDouble();
+    if (denom == 0.0) return {};
+    return Numeric::Double(l.AsDouble() / denom);
+  }
+  if (l.type == ValueType::kInt && r.type == ValueType::kInt) {
+    int64_t v = 0;
+    if (!(op == ArithmeticOp::kAdd   ? __builtin_add_overflow(l.bits, r.bits, &v)
+          : op == ArithmeticOp::kSub ? __builtin_sub_overflow(l.bits, r.bits, &v)
+                                     : __builtin_mul_overflow(l.bits, r.bits, &v))) {
+      return Numeric::Int(v);
+    }
+  }
+  const double a = l.AsDouble();
+  const double b = r.AsDouble();
+  return Numeric::Double(op == ArithmeticOp::kAdd   ? a + b
+                         : op == ArithmeticOp::kSub ? a - b
+                                                    : a * b);
+}
+
+/// A scalar function of numeric arguments and result (abs, clamp, recency,
+/// around, rating_score): FunctionExpr::Eval's result for args[0..arity).
+using NumericFunction = Numeric (*)(const Numeric* args);
+/// The NumericFunction named `lower_name`; null for min, max (they also
+/// order strings) and unknown names.
+NumericFunction FindNumericFunction(std::string_view lower_name);
 
 /// Immutable-shape expression tree with explicit binding.
 ///
@@ -196,7 +260,8 @@ class NotExpr final : public Expr {
   ExprPtr operand_;
 };
 
-/// left <op> right on numerics; NULL if either operand is non-numeric.
+/// left <op> right on numerics (Arithmetic); NULL if either operand is
+/// non-numeric.
 class ArithmeticExpr final : public Expr {
  public:
   ArithmeticExpr(ArithmeticOp op, ExprPtr left, ExprPtr right)
@@ -223,9 +288,12 @@ class ArithmeticExpr final : public Expr {
 /// A call to a registered scalar function. The built-in registry includes
 /// general scalars (abs, min, max, clamp) and the paper's scoring shapes:
 /// recency(a, x) = a / x (the paper's S_m) and around(a, x) = 1 - |a - x| / x
-/// (the paper's S_d), both clamped to [0, 1].
+/// (the paper's S_d), both clamped to [0, 1]. Functions take at most
+/// kMaxArity arguments.
 class FunctionExpr final : public Expr {
  public:
+  static constexpr size_t kMaxArity = 8;
+
   FunctionExpr(std::string name, std::vector<ExprPtr> args);
 
   const std::string& name() const { return name_; }

@@ -116,6 +116,36 @@ StatusOr<PRelation> SetOp(PlanKind kind, const PRelation& left,
   return out;
 }
 
+// Keeps the rows whose key in `column` has a member in `index`, by the SQL
+// `=` of the plug-ins' semijoin: a NULL key has none, even if the member
+// relation holds NULL. A kInt key is probed as an int64, prefetching a few
+// rows ahead as the join probe does.
+void KeepMembers(const RowView& view, size_t column, const HashIndex& index,
+                 std::vector<uint32_t>* rows) {
+  const TypedColumn& col = view.Column(column);
+  const size_t input = view.columns[column].input;
+  const int64_t* keys = col.layout() == ColumnLayout::kInt ? col.ints() : nullptr;
+  uint32_t* r = rows->data();
+  const size_t n = rows->size();
+  size_t k = 0;
+  for (size_t j = 0; j < n; ++j) {
+    bool member;
+    if (keys != nullptr) {
+      if (j + kPrefetchAhead < n) {
+        index.PrefetchInt(keys[view.Id(r[j + kPrefetchAhead], input)]);
+      }
+      const uint32_t id = view.Id(r[j], input);
+      member = !col.NullBit(id) && !index.LookupInt(keys[id]).empty();
+    } else {
+      const ValueView key = view.View(r[j], column);
+      member = !key.is_null() && !index.Lookup(key).empty();
+    }
+    r[k] = r[j];
+    k += member ? 1 : 0;
+  }
+  rows->resize(k);
+}
+
 }  // namespace
 
 StatusOr<ViewPreference> ViewPreference::Bind(const Preference& pref,
@@ -280,41 +310,37 @@ StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
   }
 
   // The scoring pass is tuple-local: each matching row folds its
-  // contribution into its own pair, in place.
+  // contribution into its own pair, in place. S(r) = ⊥ contributes nothing.
   const size_t n = view.NumRows();
   GovernorCheckpoint(governor);
   // The ticker bounds cancellation latency by rows, checking once per batch
   // of input rows.
   GovernorTicker ticker(governor, /*period=*/1);
-  ScratchRow scratch = bound.MakeScratch();
   std::vector<uint32_t> matching;
+  std::vector<uint32_t> kept(CompiledPredicate::kBatch);
+  std::vector<double> scores(CompiledPredicate::kBatch);
   size_t contributions = 0;
   for (size_t begin = 0; begin < n; begin += CompiledPredicate::kBatch) {
     ticker.Tick();
     matching.clear();
     bound.Matching(begin, std::min(n, begin + CompiledPredicate::kBatch),
                    &matching);
-    for (uint32_t i : matching) {
-      if (member_index != nullptr) {
-        // Membership is the SQL `=` the plug-ins' semijoin evaluates: a
-        // NULL local key has no member, even when the member relation
-        // holds a NULL key.
-        const ValueView key = view.View(i, local_col);
-        if (key.is_null() || member_index->Lookup(key).empty()) {
-          continue;  // Membership not satisfied: tuple unaffected.
-        }
-      }
-      // S(r) = ⊥ contributes nothing.
-      std::optional<double> score = bound.Score(i, &scratch);
-      if (!score.has_value()) continue;
-      out.pairs[i] = CombineCounted(
-          agg, out.pairs[i], ScoreConf::Known(*score, pref.confidence()));
-      ++contributions;
+    if (member_index != nullptr) KeepMembers(view, local_col, *member_index, &matching);
+    const size_t m = bound.Score(matching.data(), matching.size(), kept.data(),
+                                 scores.data());
+    for (size_t j = 0; j < m; ++j) {
+      // ⟨⊥, 0⟩ is every aggregate function's identity (agg_func.h): a
+      // row's first contribution is the contributed pair itself.
+      ScoreConf& pair = out.pairs[kept[j]];
+      const ScoreConf known = ScoreConf::Known(scores[j], pref.confidence());
+      pair = pair.IsDefault() ? known : CombineCounted(agg, pair, known);
     }
+    contributions += m;
   }
   stats->score_entries_written += contributions;
   stats->tuples_materialized += n;
   AnnotateSpan(span, n, n);
+  obs::AppendDetail(span, bound.ScoreDetail());
   return out;
 }
 

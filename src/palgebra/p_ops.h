@@ -2,6 +2,7 @@
 #define PREFDB_PALGEBRA_P_OPS_H_
 
 #include "common/governor.h"
+#include "common/string_util.h"
 #include "engine/exec_stats.h"
 #include "obs/trace.h"
 #include "palgebra/p_relation.h"
@@ -115,8 +116,8 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
 
 /// A preference's conditional part σ_φ and scoring function S, bound for
 /// the rows of one view: the condition compiled over the view's typed
-/// columns (ViewPredicate), the scoring expression evaluated with
-/// Expr::Eval on a scratch row, for matching rows only. Shared by the
+/// columns (ViewPredicate), and S compiled over them too (ViewScore),
+/// scoring a batch of matching rows into a score array. Shared by the
 /// prefer operator and the plug-ins' merge of rewritten-query rows. The
 /// view must outlive it.
 class ViewPreference {
@@ -130,30 +131,31 @@ class ViewPreference {
     condition_.Select(begin, end, out);
   }
 
-  /// A scratch row for calls to Score (it loads only the columns the
-  /// scoring expression reads).
-  ScratchRow MakeScratch() const {
-    return ScratchRow(view_->schema, scoring_.expr());
+  /// S over the rows at positions rows[0..n) (or 0..n-1), which satisfy φ:
+  /// writes the positions whose S(r) is not ⊥, in order, to `kept` and S(r)
+  /// to `scores` (ViewScore::Score).
+  size_t Score(const uint32_t* rows, size_t n, uint32_t* kept, double* scores) {
+    return score_.Score(rows, n, kept, scores);
   }
 
-  /// S(r) for row `r` of the view; nullopt when S(r) = ⊥. Call it for rows
-  /// that satisfy φ.
-  std::optional<double> Score(size_t r, ScratchRow* scratch) const {
-    scratch->Load(*view_, r);
-    return scoring_.Score(scratch->tuple());
+  /// "score=compiled", or "score=fallback(n)" when n leaves of S's program
+  /// call Expr::Eval: the detail of the span that scores.
+  std::string ScoreDetail() const {
+    const size_t n = score_.program().fallback_count();
+    return n == 0 ? "score=compiled" : StrFormat("score=fallback(%zu)", n);
   }
 
  private:
   ViewPreference(const RowView& view, ExprPtr condition, ScoringFunction scoring)
-      : view_(&view),
-        condition_expr_(std::move(condition)),
+      : condition_expr_(std::move(condition)),
         condition_(view, *condition_expr_),
-        scoring_(std::move(scoring)) {}
+        scoring_(std::move(scoring)),
+        score_(view, scoring_.expr()) {}
 
-  const RowView* view_;
   ExprPtr condition_expr_;  // Read by the compiled condition's fallbacks.
   ViewPredicate condition_;
-  ScoringFunction scoring_;
+  ScoringFunction scoring_;  // Read by the compiled score's fallbacks.
+  ViewScore score_;
 };
 
 /// The prefer operator λ_{p,F} (paper Def. in §IV-C): evaluates preference
@@ -170,8 +172,10 @@ class ViewPreference {
 ///
 /// Takes its input by value (callers move it in) and updates `pairs[i]` in
 /// place; the view passes through untouched. The pass runs the compiled
-/// condition over the view's columns a batch at a time, then scores the
-/// matching rows (ViewPreference); `governor` ticks once per batch.
+/// condition over the view's columns a batch at a time, checks membership
+/// (a kInt local key probes the index as an int64), then scores the
+/// matching rows with the compiled S (ViewPreference); `governor` ticks
+/// once per batch. The span's detail says how S ran (ScoreDetail).
 StatusOr<PRelation> EvalPrefer(const Preference& pref, PRelation input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,

@@ -5,12 +5,17 @@
 // expr_test and expr_functions_test, the predicate pool of query_fuzz_test's
 // query generator (with its parameter ranges, combined at random), and
 // random trees over all node kinds. The table has INT, DOUBLE (NaN, -0.0)
-// and STRING ("" included) columns in every layout, NULLs in every column,
-// and one mixed-type column.
+// and STRING ("" included) columns in every layout, NULLs in every column
+// but one, and one mixed-type column.
+//
+// The same table checks compiled scores (CompiledScore) against
+// ScoringFunction::Score bit for bit: arithmetic and built-in expressions
+// over every column, with the ÷0, x = 0, NULL and int64 overflow corners.
 
 #include "expr/compiled_predicate.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -22,6 +27,7 @@
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
+#include "prefs/scoring.h"
 
 namespace prefdb {
 namespace {
@@ -47,7 +53,8 @@ Schema TableSchema() {
                  {"T", "rating", ValueType::kDouble},
                  {"T", "genre", ValueType::kString},
                  {"T", "title", ValueType::kString},
-                 {"T", "mixed", ValueType::kInt}});
+                 {"T", "mixed", ValueType::kInt},
+                 {"T", "big", ValueType::kInt}});
 }
 
 // Rows with NULLs in every column, NaN and -0.0 among the doubles, the
@@ -92,6 +99,11 @@ std::vector<Tuple> TableRows() {
       default:
         mixed = Value::Null();
     }
+    // No NULLs, and the int64 extremes now and then.
+    const int64_t kBig[] = {INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1,
+                            int64_t{3037000500}, -int64_t{3037000500}};
+    const int64_t big = rng.Bernoulli(0.3) ? kBig[rng.Uniform(0, 5)]
+                                           : rng.Uniform(-2, 2011);
     const std::string title =
         rng.Bernoulli(0.05)
             ? ""
@@ -105,7 +117,8 @@ std::vector<Tuple> TableRows() {
                         static_cast<double>(rng.Uniform(10, 100)) / 10.0)),
                     maybe_null(Value::String(kGenres[rng.Uniform(0, 4)])),
                     maybe_null(Value::String(title)),
-                    mixed});
+                    mixed,
+                    Value::Int(big)});
   }
   return rows;
 }
@@ -200,6 +213,8 @@ TEST_F(CompiledPredicateTest, ColumnsTakeEveryLayout) {
   EXPECT_EQ(store().column(6).layout(), ColumnLayout::kDict);
   EXPECT_EQ(store().column(7).layout(), ColumnLayout::kArena);
   EXPECT_EQ(store().column(8).layout(), ColumnLayout::kValue);
+  EXPECT_EQ(store().column(9).layout(), ColumnLayout::kInt);
+  EXPECT_FALSE(store().column(9).has_nulls());
 }
 
 // The shapes of expr_test: comparisons of each operator, NULL operands,
@@ -394,6 +409,191 @@ TEST_F(CompiledPredicateTest, FallbackOnlyForNodesOutsideTheProgram) {
   EXPECT_EQ(count(Lt(Col("year"), Col("duration"))), 0u);
   EXPECT_EQ(count(And(Like(Col("title"), Lit("%x")), Gt(Add(Col("year"), Lit(int64_t{1})),
                                                          Lit(int64_t{3})))),
+            2u);
+}
+
+// --- Compiled scores --------------------------------------------------------
+
+class CompiledScoreTest : public CompiledPredicateTest {
+ protected:
+  // The reference: ScoringFunction::Score of the row `streams` select, with
+  // column c read through stream c % width.
+  static void ExpectSameScores(const Expr& bound, size_t width,
+                               const std::string& what) {
+    std::vector<ColumnInput> inputs;
+    for (size_t c = 0; c < store().NumColumns(); ++c) {
+      inputs.push_back({&store().column(c), static_cast<uint32_t>(c % width)});
+    }
+    CompiledScore program(bound, inputs);
+    ScoringFunction reference(bound.Clone());
+    ASSERT_TRUE(reference.Bind(TableSchema()).ok()) << what;
+    std::vector<std::vector<uint32_t>> ids(width, std::vector<uint32_t>(kRows));
+    for (size_t s = 0; s < width; ++s) {
+      for (size_t t = 0; t < kRows; ++t) {
+        ids[s][t] = static_cast<uint32_t>((t * (s == 0 ? 1 : 37) + s * 11) % kRows);
+      }
+    }
+    uint32_t kept[CompiledScore::kBatch];
+    double scores[CompiledScore::kBatch];
+    for (size_t at = 0; at < kRows; at += CompiledScore::kBatch) {
+      const size_t n = std::min(CompiledScore::kBatch, kRows - at);
+      std::vector<const uint32_t*> streams;
+      for (const auto& stream : ids) streams.push_back(stream.data() + at);
+      const size_t m = program.Score(streams.data(), n, kept, scores);
+      size_t j = 0;
+      for (size_t t = 0; t < n; ++t) {
+        Tuple row(store().NumColumns());
+        for (size_t c = 0; c < row.size(); ++c) row[c] = rows()[ids[c % width][at + t]][c];
+        const std::optional<double> want = reference.Score(row);
+        const bool got = j < m && kept[j] == t;
+        ASSERT_EQ(got, want.has_value()) << what << " at candidate " << at + t;
+        if (!got) continue;
+        ASSERT_EQ(std::bit_cast<uint64_t>(scores[j]), std::bit_cast<uint64_t>(*want))
+            << what << " at candidate " << at + t << ": " << scores[j] << " vs " << *want;
+        ++j;
+      }
+      ASSERT_EQ(j, m) << what;
+    }
+  }
+
+  static void CheckScore(ExprPtr expr) {
+    const std::string what = expr->ToString();
+    ASSERT_TRUE(expr->Bind(TableSchema()).ok()) << what;
+    ExpectSameScores(*expr, 1, what);
+    ExpectSameScores(*expr, 2, what);
+  }
+
+  static size_t Fallbacks(ExprPtr expr) {
+    EXPECT_TRUE(expr->Bind(TableSchema()).ok());
+    std::vector<ColumnInput> inputs;
+    for (size_t c = 0; c < store().NumColumns(); ++c) {
+      inputs.push_back({&store().column(c), 0});
+    }
+    return CompiledScore(*expr, inputs).fallback_count();
+  }
+};
+
+const char* const kScoreColumns[] = {"m_id",   "year",  "duration", "d_id",
+                                     "votes",  "rating", "genre",   "title",
+                                     "mixed",  "big"};
+
+// scoring_test's and expr_test's numeric shapes, and the paper's scoring
+// functions, over every column.
+TEST_F(CompiledScoreTest, ScoringAndExprTestShapes) {
+  for (double v : {0.8, 3.0, -1.0, 0.0, -0.0, 1.0}) CheckScore(Lit(v));
+  CheckScore(Lit(std::numeric_limits<double>::quiet_NaN()));
+  CheckScore(Lit(std::numeric_limits<double>::infinity()));
+  CheckScore(Lit(int64_t{1}));
+  CheckScore(Lit("x"));
+  CheckScore(Null());
+  CheckScore(Add(Mul(Lit(0.5), Fn("recency", Vec(Col("year"), Lit(int64_t{2011})))),
+                 Mul(Lit(0.5), Fn("around", Vec(Col("duration"), Lit(int64_t{120}))))));
+  for (const char* c : kScoreColumns) {
+    CheckScore(Col(c));
+    CheckScore(Mul(Col(c), Lit(int64_t{10})));
+    CheckScore(Mul(Lit(0.1), Col(c)));
+    CheckScore(Add(Col(c), Lit(int64_t{3})));
+    CheckScore(Sub(Col(c), Lit(int64_t{3})));
+    CheckScore(Div(Col(c), Lit(2.0)));
+    CheckScore(Div(Col(c), Lit(int64_t{0})));
+    CheckScore(Div(Lit(int64_t{1}), Col(c)));
+    CheckScore(Add(Col(c), Col("duration")));
+    CheckScore(Fn("recency", Vec(Col(c), Lit(int64_t{2011}))));
+    CheckScore(Fn("recency", Vec(Lit(int64_t{2000}), Col(c))));
+    CheckScore(Fn("around", Vec(Col(c), Lit(int64_t{120}))));
+    CheckScore(Fn("around", Vec(Lit(int64_t{120}), Col(c))));
+    CheckScore(Fn("rating_score", Vec(Col(c))));
+    CheckScore(Fn("abs", Vec(Col(c))));
+    CheckScore(Fn("clamp", Vec(Col(c), Lit(int64_t{2}), Lit(8.5))));
+    CheckScore(Fn("clamp", Vec(Lit(0.5), Col(c), Col("rating"))));
+  }
+}
+
+// Division by zero, x = 0 in the built-ins, NULL and non-numeric operands,
+// and the int64 overflow of + − × and abs, which promote to double.
+TEST_F(CompiledScoreTest, Corners) {
+  CheckScore(Fn("recency", Vec(Col("year"), Lit(int64_t{0}))));
+  CheckScore(Fn("around", Vec(Col("year"), Lit(-0.0))));
+  CheckScore(Fn("recency", Vec(Col("year"), Null())));
+  CheckScore(Fn("rating_score", Vec(Lit("7"))));
+  CheckScore(Div(Col("year"), Sub(Col("big"), Col("big"))));
+  CheckScore(Div(Col("big"), Lit(-0.0)));
+  CheckScore(Mul(Lit(1e-18), Add(Col("big"), Col("big"))));
+  CheckScore(Mul(Lit(1e-18), Sub(Col("big"), Col("big"))));
+  CheckScore(Mul(Lit(1e-18), Sub(Lit(int64_t{0}), Col("big"))));
+  CheckScore(Mul(Lit(1e-36), Mul(Col("big"), Col("big"))));
+  CheckScore(Mul(Lit(1e-18), Add(Col("big"), Lit(int64_t{1}))));
+  CheckScore(Mul(Lit(1e-18), Fn("abs", Vec(Col("big")))));
+  CheckScore(Sub(Fn("abs", Vec(Col("big"))), Lit(INT64_MAX)));
+  CheckScore(Mul(Lit(1e-18), Add(Lit(INT64_MAX), Lit(int64_t{1}))));  // Folded.
+  CheckScore(Fn("clamp", Vec(Col("rating"), Lit(8.0), Lit(2.0))));  // lo > hi.
+}
+
+// Random arithmetic and built-in trees over every column and literals of
+// every type; comparisons, min and max inside them are fallback leaves.
+TEST_F(CompiledScoreTest, RandomTrees) {
+  Rng rng(2027);
+  auto literal = [&]() -> ExprPtr {
+    switch (rng.Uniform(0, 8)) {
+      case 0:
+        return Lit(rng.Uniform(-5, 2011));
+      case 1:
+        return Lit(static_cast<double>(rng.Uniform(-10, 300)) / 4.0);
+      case 2:
+        return Lit(int64_t{0});
+      case 3:
+        return Null();
+      case 4:
+        return Lit(std::numeric_limits<double>::quiet_NaN());
+      case 5:
+        return Lit(rng.Bernoulli(0.5) ? INT64_MAX : INT64_MIN);
+      case 6:
+        return Lit(std::string(rng.Bernoulli(0.5) ? "Drama" : ""));
+      case 7:
+        return Lit(-0.0);
+      default:
+        return Lit(0.5);
+    }
+  };
+  const ArithmeticOp kOps[] = {ArithmeticOp::kAdd, ArithmeticOp::kSub,
+                               ArithmeticOp::kMul, ArithmeticOp::kDiv};
+  const char* kFns[] = {"recency", "around", "rating_score", "abs", "clamp",
+                        "min", "max"};
+  const int kArity[] = {2, 2, 1, 1, 3, 2, 3};
+  std::function<ExprPtr(int)> tree = [&](int depth) -> ExprPtr {
+    switch (depth == 0 ? rng.Uniform(0, 1) : rng.Uniform(0, 4)) {
+      case 0:
+        return Col(kScoreColumns[rng.Uniform(0, 9)]);
+      case 1:
+        return literal();
+      case 2:
+        return std::make_unique<ArithmeticExpr>(kOps[rng.Uniform(0, 3)],
+                                                tree(depth - 1), tree(depth - 1));
+      case 3: {
+        const auto f = static_cast<size_t>(rng.Uniform(0, 6));
+        std::vector<ExprPtr> args;
+        for (int k = 0; k < kArity[f]; ++k) args.push_back(tree(depth - 1));
+        return Fn(kFns[f], std::move(args));
+      }
+      default:
+        return Cmp(static_cast<CompareOp>(rng.Uniform(0, 5)), tree(depth - 1),
+                   tree(depth - 1));
+    }
+  };
+  for (int i = 0; i < 800; ++i) CheckScore(tree(3));
+}
+
+TEST_F(CompiledScoreTest, FallbackOnlyForNodesOutsideTheProgram) {
+  // The workloads' scores.
+  EXPECT_EQ(Fallbacks(Lit(0.9)), 0u);
+  EXPECT_EQ(Fallbacks(Fn("rating_score", Vec(Col("rating")))), 0u);
+  EXPECT_EQ(Fallbacks(Add(Mul(Lit(0.5), Fn("recency", Vec(Col("year"), Lit(int64_t{2011})))),
+                          Mul(Lit(0.5), Fn("around", Vec(Col("duration"), Lit(int64_t{120})))))),
+            0u);
+  EXPECT_EQ(Fallbacks(Fn("clamp", Vec(Fn("abs", Vec(Col("mixed"))), Col("big"), Col("genre")))),
+            0u);
+  EXPECT_EQ(Fallbacks(Add(Fn("min", Vec(Col("year"), Col("votes"))),
+                          Mul(Lit(0.5), Gt(Col("year"), Lit(int64_t{2000}))))),
             2u);
 }
 

@@ -112,6 +112,33 @@ TEST(ExprTest, ArithmeticSemantics) {
   EXPECT_TRUE(EvalOn(Add(Col("s"), Lit(int64_t{1})), t, s).is_null());
 }
 
+// An int result past int64 is the result computed in doubles (SQLite
+// promotes to REAL); one that fits stays an int.
+TEST(ExprTest, IntOverflowPromotesToDouble) {
+  Tuple t;
+  Schema s;
+  const double two63 = 9223372036854775808.0;
+  EXPECT_EQ(EvalOn(Add(Lit(INT64_MAX), Lit(int64_t{1})), t, s), Value::Double(two63));
+  EXPECT_EQ(EvalOn(Sub(Lit(INT64_MIN), Lit(int64_t{1})), t, s), Value::Double(-two63));
+  EXPECT_EQ(EvalOn(Sub(Lit(int64_t{0}), Lit(INT64_MIN)), t, s), Value::Double(two63));
+  EXPECT_EQ(EvalOn(Mul(Lit(INT64_MAX), Lit(int64_t{2})), t, s),
+            Value::Double(2.0 * two63));
+  EXPECT_EQ(EvalOn(Mul(Lit(int64_t{3037000500}), Lit(int64_t{3037000500})), t, s),
+            Value::Double(3037000500.0 * 3037000500.0));
+  EXPECT_EQ(EvalOn(Fn("abs", [] {
+                     std::vector<ExprPtr> v;
+                     v.push_back(Lit(INT64_MIN));
+                     return v;
+                   }()),
+                   t, s),
+            Value::Double(two63));
+  EXPECT_EQ(EvalOn(Add(Lit(INT64_MAX - 1), Lit(int64_t{1})), t, s), Value::Int(INT64_MAX));
+  EXPECT_EQ(EvalOn(Sub(Lit(INT64_MIN + 1), Lit(int64_t{1})), t, s), Value::Int(INT64_MIN));
+  EXPECT_EQ(EvalOn(Mul(Lit(int64_t{3037000499}), Lit(int64_t{3037000499})), t, s),
+            Value::Int(int64_t{3037000499} * 3037000499));
+  EXPECT_TRUE(EvalOn(Add(Lit(INT64_MAX), Lit(int64_t{1})), t, s).is_double());
+}
+
 TEST(ExprTest, InListSemantics) {
   Tuple t{Value::Int(5), Value::Double(0), Value::String("x")};
   Schema s = TestSchema();

@@ -526,6 +526,40 @@ TEST(ExplainAnalyzeTest, PlugInScoreSpansSayWhichKeyPathRan) {
   }
 }
 
+// Every span that scores says how S ran: a built-in over a column compiles
+// (score=compiled); a comparison inside S is a fallback leaf calling
+// Expr::Eval (score=fallback(1)). FtP, BU and GBU score in Prefer spans,
+// the plug-ins in MergePartial spans.
+TEST(ExplainAnalyzeTest, ScoringSpansSayHowTheScoreRan) {
+  struct Case {
+    const char* score;
+    const char* detail;
+  } kCases[] = {{"recency(year, 2011)", "score=compiled"},
+                {"0.5 * (year > 2005)", "score=fallback(1)"}};
+  for (const Case& c : kCases) {
+    for (StrategyKind kind : {StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
+                              StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined}) {
+      Session session(MakeMovieCatalog());
+      QueryOptions options;
+      options.strategy = kind;
+      options.trace = true;
+      auto r = session.Query(
+          std::string("SELECT title FROM MOVIES PREFERRING (duration > 100) SCORE ") +
+              c.score + " CONF 1 RANKED",
+          options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const bool plugin =
+          kind == StrategyKind::kPlugInBasic || kind == StrategyKind::kPlugInCombined;
+      const std::vector<const obs::Span*> spans =
+          obs::FindSpans(*r->trace, plugin ? "MergePartial[" : "Prefer[");
+      ASSERT_EQ(spans.size(), 1u) << StrategyKindName(kind);
+      const std::string& detail = spans[0]->detail;
+      EXPECT_EQ(detail.substr(0, detail.find(' ')), c.detail)
+          << StrategyKindName(kind) << ": " << detail;
+    }
+  }
+}
+
 TEST(TraceTest, DisabledByDefault) {
   Session session(MakeMovieCatalog());
   auto result = session.Query(
