@@ -2,17 +2,20 @@
 // blocks the end-to-end numbers are made of — aggregate-function
 // combination, prefer evaluation (and the prefer pass over MOVIES under
 // each kind of score), p-relation joins, pair lookup and the filtering
-// operators.
+// operators, and a query's answer as its reader pays for it.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "datagen/imdb_gen.h"
+#include "engine/engine.h"
+#include "exec/strategy.h"
 #include "expr/expr_builder.h"
 #include "parser/parser.h"
 #include "palgebra/filters.h"
 #include "palgebra/p_ops.h"
 #include "palgebra/score_relation.h"
+#include "workload/workload.h"
 
 namespace prefdb {
 namespace {
@@ -219,13 +222,17 @@ void BM_ScoreRelationFoldAlign(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreRelationFoldAlign)->Arg(0)->Arg(1);
 
-// The filters as a query runs them: ApplyFiltersAndProject over the
-// evaluated p-relation, ranking row indices and copying out the survivors.
+// The filters as a query runs them, and a full read of the answer:
+// ApplyFiltersAndProject over (a copy of, made untimed) the evaluated
+// p-relation ranks row indices, and rows() builds the survivors' rows.
 void RunFilters(benchmark::State& state, const PRelation& input,
                 const std::vector<FilterSpec>& specs) {
   for (auto _ : state) {
-    auto result = ApplyFiltersAndProject(input, specs, {});
-    benchmark::DoNotOptimize(result);
+    state.PauseTiming();
+    PRelation evaluated = input;
+    state.ResumeTiming();
+    auto result = ApplyFiltersAndProject(std::move(evaluated), specs, {});
+    benchmark::DoNotOptimize(result->rows().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(input.NumRows()) *
                           state.iterations());
@@ -268,6 +275,61 @@ void BM_RankAll(benchmark::State& state) {
   RunFilters(state, input, {FilterSpec::RankAll()});
 }
 BENCHMARK(BM_RankAll);
+
+// A query's answer and what reading it costs, over IMDB-1's answer (Table
+// II; IMDB at scale 0.0025, seed 3, as perfbench generates it): RANKED over
+// the p-relation FtP evaluates. Each iteration hands a copy of that
+// p-relation (made untimed) to ApplyFiltersAndProject, as Session::Query
+// moves in its own, and then `build` reads nothing, `read_rows` reads
+// every row and `print20` prints the first 20 rows. The answer is
+// destroyed inside the timing, as a caller's would be.
+enum class AnswerRead { kNone, kAllRows, kPrint20 };
+
+struct EvaluatedQuery {
+  std::unique_ptr<Engine> engine;
+  ParsedQuery parsed;
+  PRelation evaluated;
+};
+
+const EvaluatedQuery& Imdb1() {
+  static const EvaluatedQuery* const query = [] {
+    ImdbOptions options;
+    options.scale = 0.0025;
+    options.seed = 3;
+    auto* q = new EvaluatedQuery;
+    q->engine = std::make_unique<Engine>(std::move(GenerateImdb(options)).value());
+    q->parsed = ParseQuery(ImdbWorkload()[0].sql, q->engine->catalog()).value();
+    FSum agg;
+    ExecStats stats;
+    q->evaluated = MakeStrategy(StrategyKind::kFtP)
+                       ->ExecuteWithStats(*q->parsed.plan, agg, q->engine.get(), &stats)
+                       .value();
+    return q;
+  }();
+  return *query;
+}
+
+void BM_Answer(benchmark::State& state, AnswerRead read) {
+  const EvaluatedQuery& query = Imdb1();
+  size_t rows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PRelation evaluated = query.evaluated;
+    state.ResumeTiming();
+    auto answer = ApplyFiltersAndProject(std::move(evaluated), query.parsed.filters,
+                                         query.parsed.output_columns);
+    rows = answer->NumRows();
+    if (read == AnswerRead::kAllRows) {
+      benchmark::DoNotOptimize(answer->rows().data());
+    } else if (read == AnswerRead::kPrint20) {
+      benchmark::DoNotOptimize(answer->ToString(20));
+    }
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK_CAPTURE(BM_Answer, build, AnswerRead::kNone);
+BENCHMARK_CAPTURE(BM_Answer, read_rows, AnswerRead::kAllRows);
+BENCHMARK_CAPTURE(BM_Answer, print20, AnswerRead::kPrint20);
 
 }  // namespace
 }  // namespace prefdb

@@ -1,6 +1,7 @@
 #ifndef PREFDB_ENGINE_ENGINE_H_
 #define PREFDB_ENGINE_ENGINE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ class Engine {
       : catalog_(std::move(catalog)),
         query_count_(metrics_.counter("engine.queries")),
         query_micros_(metrics_.histogram("engine.query_micros")),
-        rows_gathered_(metrics_.counter(obs::kPrefExecRowsGathered)) {
+        rows_gathered_(metrics_.SharedCounter(obs::kPrefExecRowsGathered)) {
     // Resolve the native executor's counters once so each delegated query
     // hands the executor pre-looked-up handles (no registry locking on the
     // per-operator path).
@@ -123,6 +124,11 @@ class Engine {
 
   /// Counts rows copied out of a row-id view (pref.exec.rows_gathered).
   void NoteRowsGathered(size_t rows) { rows_gathered_->Increment(rows); }
+  /// That counter, co-owned: a query's answer counts the rows it builds
+  /// when read, which may be after the engine is gone.
+  const std::shared_ptr<obs::Counter>& rows_gathered() const {
+    return rows_gathered_;
+  }
 
   /// The paper's `EXPLAIN [query]`: returns the join order the native
   /// optimizer would choose, without executing. The extended optimizer
@@ -183,7 +189,7 @@ class Engine {
   obs::QueryLog query_log_;
   obs::Counter* query_count_;     // "engine.queries"
   obs::Histogram* query_micros_;  // "engine.query_micros"
-  obs::Counter* rows_gathered_;   // "pref.exec.rows_gathered"
+  std::shared_ptr<obs::Counter> rows_gathered_;  // "pref.exec.rows_gathered"
   NativeExecMetrics native_metrics_;  // "pref.native.*"
   bool native_optimizer_enabled_ = true;
   ParallelContext parallel_;

@@ -305,13 +305,14 @@ StatusOr<QueryResult> Session::RunInternal(const ParsedQuery& parsed,
 
   obs::SpanScope filter_scope(root, "FilterAndProject");
   obs::SetRowsIn(filter_scope.get(), evaluated.NumRows());
-  // The answer is the one place a preference query copies values out of
-  // the row-id views: the surviving rows, already projected.
+  // The answer holds the evaluated p-relation and the ranked survivors; the
+  // one place a preference query copies values out of the row-id views is
+  // the answer's rows(), counted when a caller reads them.
   ASSIGN_OR_RETURN(Relation final_rel,
-                   ApplyFiltersAndProject(evaluated, parsed.filters,
+                   ApplyFiltersAndProject(std::move(evaluated), parsed.filters,
                                           parsed.output_columns,
-                                          filter_scope.get()));
-  engine_.NoteRowsGathered(final_rel.NumRows());
+                                          filter_scope.get(),
+                                          engine_.rows_gathered()));
   obs::SetRowsOut(filter_scope.get(), final_rel.NumRows());
   filter_scope.Finish();
 

@@ -86,10 +86,14 @@ std::string Histogram::ToString() const {
 }
 
 Counter* MetricsRegistry::counter(std::string_view name) {
+  return SharedCounter(name).get();
+}
+
+std::shared_ptr<Counter> MetricsRegistry::SharedCounter(std::string_view name) {
   MutexLock lock(&mu_);
-  std::unique_ptr<Counter>& slot = counters_[std::string(name)];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  std::shared_ptr<Counter>& slot = counters_[std::string(name)];
+  if (slot == nullptr) slot = std::make_shared<Counter>();
+  return slot;
 }
 
 Histogram* MetricsRegistry::histogram(std::string_view name,

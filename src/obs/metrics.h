@@ -114,6 +114,10 @@ class MetricsRegistry {
 
   /// Returns the counter registered under `name`, creating it on first use.
   Counter* counter(std::string_view name);
+  /// counter(name), co-owned by the caller: for a holder that may outlive
+  /// the registry (a query's late-materialized answer counts the rows it
+  /// builds whenever it is read).
+  std::shared_ptr<Counter> SharedCounter(std::string_view name);
 
   /// Returns the histogram registered under `name`, creating it with
   /// `upper_bounds` (or the default latency ladder when empty) on first use.
@@ -164,7 +168,7 @@ class MetricsRegistry {
   mutable Mutex mu_;
   // The maps are guarded; the Counter/Gauge/Histogram objects they point to
   // are internally atomic and accessed lock-free through stable pointers.
-  std::map<std::string, std::unique_ptr<Counter>> counters_
+  std::map<std::string, std::shared_ptr<Counter>> counters_
       PREFDB_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       PREFDB_GUARDED_BY(mu_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <numeric>
 
 #include "common/string_util.h"
@@ -281,16 +282,17 @@ class RankOrder {
   FilterTarget secondary_;
 };
 
-// One row packed for ranking: its pair's two targets, read once, and its
-// row index, which also locates its key codes.
+// One row packed for ranking: its pair's two targets, read once, its row
+// index and where its key codes start.
 struct RankEntry {
   double primary;
   double secondary;
   uint32_t row;
+  uint32_t slot;
 };
 
 // RankOrder over packed entries: the key cells are int64 codes, `width`
-// per row at codes[row * width], that compare as the cells do.
+// per entry at codes[slot * width], that compare as the cells do.
 struct PackedOrder {
   const int64_t* codes;
   size_t width;
@@ -298,8 +300,8 @@ struct PackedOrder {
   bool operator()(const RankEntry& a, const RankEntry& b) const {
     if (a.primary != b.primary) return a.primary > b.primary;
     if (a.secondary != b.secondary) return a.secondary > b.secondary;
-    const int64_t* x = codes + size_t{a.row} * width;
-    const int64_t* y = codes + size_t{b.row} * width;
+    const int64_t* x = codes + size_t{a.slot} * width;
+    const int64_t* y = codes + size_t{b.slot} * width;
     for (size_t j = 0; j < width; ++j) {
       if (x[j] != y[j]) return x[j] < y[j];
     }
@@ -372,30 +374,32 @@ void RankIds(const PRelation& p, FilterTarget primary, size_t limit,
   const FilterTarget secondary =
       primary == FilterTarget::kScore ? FilterTarget::kConf : FilterTarget::kScore;
   std::vector<RankEntry> entries(ids->size());
-  size_t next_scored = 0;
-  size_t next_default = num_scored;
+  uint32_t next_scored = 0;
+  uint32_t next_default = static_cast<uint32_t>(num_scored);
   for (uint32_t id : *ids) {
     const ScoreConf& pair = p.pairs[id];
-    entries[pair.IsDefault() ? next_default++ : next_scored++] = {
-        PairTarget(pair, primary), PairTarget(pair, secondary), id};
+    const uint32_t slot = pair.IsDefault() ? next_default++ : next_scored++;
+    entries[slot] = {PairTarget(pair, primary), PairTarget(pair, secondary), id, slot};
   }
+  // Only the entries that will be ordered get codes: the scored ones, and
+  // the default ones when some of them are kept.
   const size_t from_defaults = std::min(limit - num_scored, num_defaults);
   const EntryIt tail = entries.begin() + num_scored;
-  std::vector<int64_t> codes(p.NumRows() * width);
-  for (EntryIt e = entries.begin(); e != (from_defaults > 0 ? entries.end() : tail);
-       ++e) {
-    int64_t* code = codes.data() + size_t{e->row} * width;
+  const EntryIt packed_end = from_defaults > 0 ? entries.end() : tail;
+  std::vector<int64_t> codes;
+  codes.reserve(static_cast<size_t>(packed_end - entries.begin()) * width);
+  for (EntryIt e = entries.begin(); e != packed_end; ++e) {
     for (const RankKey& key : keys) {
       const TypedColumn& col = *key.column;
       const uint32_t r = p.view.Id(e->row, key.input);
       if (col.layout() == ColumnLayout::kDict) {
         const uint32_t c = col.codes()[r];
-        *code++ = c == TypedColumn::kNullCode ? 0 : c + int64_t{1};
+        codes.push_back(c == TypedColumn::kNullCode ? 0 : c + int64_t{1});
       } else if (col.has_nulls()) {
-        *code++ = col.NullBit(r) ? 0 : 1;
-        *code++ = col.ints()[r];  // 0 for NULL.
+        codes.push_back(col.NullBit(r) ? 0 : 1);
+        codes.push_back(col.ints()[r]);  // 0 for NULL.
       } else {
-        *code++ = col.ints()[r];
+        codes.push_back(col.ints()[r]);
       }
     }
   }
@@ -460,6 +464,75 @@ Status FilterIndices(const PRelation& p, const FilterSpec& spec,
   return Status::Internal("unknown filter kind");
 }
 
+// A query's answer, late-materialized: the evaluated p-relation, the ranked
+// survivors' row indices and, per output column, the view column it reads
+// or the pair's score or conf. The p-relation's view pins what it reads, so
+// the answer stays readable after its session, temp tables or cache entry
+// are gone. Rows are built only when read: all of them once for
+// Relation::rows(), which counts them on `rows_built`, or the printed ones
+// for ToString.
+class Answer final : public Relation::RowSource {
+ public:
+  Answer(PRelation input, std::vector<uint32_t> ids,
+         const std::vector<size_t>& scored_columns,
+         std::shared_ptr<obs::Counter> rows_built)
+      : input_(std::move(input)),
+        ids_(std::move(ids)),
+        rows_built_(std::move(rows_built)) {
+    // Each view column's typed column is resolved once.
+    const size_t score_col = input_.schema().size();
+    columns_.reserve(scored_columns.size());
+    for (size_t c : scored_columns) {
+      if (c < score_col) {
+        columns_.push_back({&input_.view.Column(c), input_.view.columns[c].input,
+                            Cell::kView});
+      } else {
+        columns_.push_back({nullptr, 0, c == score_col ? Cell::kScore : Cell::kConf});
+      }
+    }
+  }
+
+  size_t NumRows() const override { return ids_.size(); }
+
+  Tuple Row(size_t i) const override {
+    const uint32_t id = ids_[i];
+    const ScoreConf& pair = input_.pairs[id];
+    Tuple row;
+    row.reserve(columns_.size());
+    for (const OutputColumn& column : columns_) {
+      switch (column.cell) {
+        case Cell::kView:
+          row.emplace_back(column.column->View(input_.view.Id(id, column.input)));
+          break;
+        case Cell::kScore:
+          row.push_back(pair.has_score() ? Value::Double(pair.score()) : Value::Null());
+          break;
+        case Cell::kConf:
+          row.push_back(Value::Double(pair.conf()));
+          break;
+      }
+    }
+    return row;
+  }
+
+  void OnBuilt() const override {
+    if (rows_built_ != nullptr) rows_built_->Increment(ids_.size());
+  }
+
+ private:
+  enum class Cell : uint8_t { kView, kScore, kConf };
+  struct OutputColumn {
+    const TypedColumn* column;  // kView: the column, indexed by ids of `input`.
+    size_t input;
+    Cell cell;
+  };
+
+  PRelation input_;
+  std::vector<uint32_t> ids_;
+  std::vector<OutputColumn> columns_;
+  std::shared_ptr<obs::Counter> rows_built_;
+};
+
 }  // namespace
 
 StatusOr<Relation> ApplyFilters(const PRelation& input,
@@ -468,8 +541,9 @@ StatusOr<Relation> ApplyFilters(const PRelation& input,
 }
 
 StatusOr<Relation> ApplyFiltersAndProject(
-    const PRelation& input, const std::vector<FilterSpec>& specs,
-    const std::vector<std::string>& output_columns, obs::Span* span) {
+    PRelation input, const std::vector<FilterSpec>& specs,
+    const std::vector<std::string>& output_columns, obs::Span* span,
+    std::shared_ptr<obs::Counter> rows_built) {
   if (input.pairs.size() != input.NumRows()) {
     return Status::Internal("p-relation pairs are not row-aligned");
   }
@@ -477,8 +551,10 @@ StatusOr<Relation> ApplyFiltersAndProject(
   scored_schema.AddColumn(Column{"", "score", ValueType::kDouble});
   scored_schema.AddColumn(Column{"", "conf", ValueType::kDouble});
 
-  // Filters pick and order row indices; nothing is copied until the
-  // survivors are known. Match-count filters come first (see filters.h).
+  // Filters pick and order row indices; no value is copied. Match-count
+  // filters come first (see filters.h).
+  obs::SpanScope rank_scope(span, "Rank");
+  obs::SetRowsIn(rank_scope.get(), input.NumRows());
   std::vector<uint32_t> ids(input.NumRows());
   std::iota(ids.begin(), ids.end(), 0u);
   for (const FilterSpec& spec : specs) {
@@ -498,6 +574,8 @@ StatusOr<Relation> ApplyFiltersAndProject(
     }
     RETURN_IF_ERROR(FilterIndices(input, spec, &ids, span));
   }
+  obs::SetRowsOut(rank_scope.get(), ids.size());
+  rank_scope.Finish();
 
   // Columns of the scored form to emit: all of them, or the requested ones
   // followed by score and conf.
@@ -517,36 +595,13 @@ StatusOr<Relation> ApplyFiltersAndProject(
     }
   }
 
-  // The answer's one copy: each survivor's values, read through the view.
-  // Each view column's typed column is resolved once.
-  const RowView& view = input.view;
-  const size_t score_col = input.schema().size();
-  std::vector<RankKey> sources(indices.size(), RankKey{nullptr, 0});
-  for (size_t j = 0; j < indices.size(); ++j) {
-    if (indices[j] < score_col) {
-      sources[j] = {&view.Column(indices[j]), view.columns[indices[j]].input};
-    }
-  }
-  Relation out(output_columns.empty() ? scored_schema
-                                      : scored_schema.Select(indices));
-  if (output_columns.empty()) out.set_key_columns(input.key_columns());
-  out.Reserve(ids.size());
-  for (uint32_t id : ids) {
-    const ScoreConf& pair = input.pairs[id];
-    Tuple projected;
-    projected.reserve(indices.size());
-    for (size_t j = 0; j < indices.size(); ++j) {
-      if (sources[j].column != nullptr) {
-        projected.emplace_back(sources[j].column->View(view.Id(id, sources[j].input)));
-      } else if (indices[j] == score_col) {
-        projected.push_back(pair.has_score() ? Value::Double(pair.score())
-                                             : Value::Null());
-      } else {
-        projected.push_back(Value::Double(pair.conf()));
-      }
-    }
-    out.AddRow(std::move(projected));
-  }
+  std::vector<size_t> keys =
+      output_columns.empty() ? input.key_columns() : std::vector<size_t>{};
+  Relation out(output_columns.empty() ? std::move(scored_schema)
+                                      : scored_schema.Select(indices),
+               std::make_unique<Answer>(std::move(input), std::move(ids), indices,
+                                        std::move(rows_built)));
+  out.set_key_columns(std::move(keys));
   return out;
 }
 

@@ -1,10 +1,12 @@
 #ifndef PREFDB_PALGEBRA_FILTERS_H_
 #define PREFDB_PALGEBRA_FILTERS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "palgebra/p_relation.h"
 
@@ -60,19 +62,31 @@ StatusOr<Relation> ApplyFilter(const Relation& scored, const FilterSpec& spec);
 /// kMinMatches specs are applied first (the match count lives in the pairs,
 /// not in the scored columns). Equal to folding ApplyFilter over
 /// ToScoredRelation(FilterByMinMatches(input, ...)), but the filters pick
-/// and order row indices — TOP k by a partial sort — and only the surviving
-/// rows are materialized, once.
+/// and order row indices — TOP k by a partial sort — and the result is
+/// late-materialized over a copy of `input` (see ApplyFiltersAndProject).
 StatusOr<Relation> ApplyFilters(const PRelation& input,
                                 const std::vector<FilterSpec>& specs);
 
-/// ApplyFilters, emitting each surviving row already projected onto
+/// ApplyFilters, emitting each surviving row projected onto
 /// `output_columns` followed by `score` and `conf` (resolved against the
 /// scored schema); empty `output_columns` keeps every column. What a
-/// session returns as the query result. Each ranking filter appends which
-/// ranking ran to `span`'s detail (`rank=...`, DESIGN.md §3).
+/// session returns as the query result.
+///
+/// The result is late-materialized (types/relation.h): it holds `input`,
+/// the survivors' row indices in rank order and the output columns, and
+/// copies no value. Its rows are built from the view and the pairs when a
+/// caller first reads rows(), which adds their number to `rows_built`
+/// (nullable; pref.exec.rows_gathered for a session). `input`'s view pins
+/// the tables and stores it reads, so the result stays readable after they
+/// leave the catalog or the cache.
+///
+/// The ranking runs in a `Rank` child of `span`; each ranking filter
+/// appends which ranking ran to `span`'s own detail (`rank=...`,
+/// DESIGN.md §3).
 StatusOr<Relation> ApplyFiltersAndProject(
-    const PRelation& input, const std::vector<FilterSpec>& specs,
-    const std::vector<std::string>& output_columns, obs::Span* span = nullptr);
+    PRelation input, const std::vector<FilterSpec>& specs,
+    const std::vector<std::string>& output_columns, obs::Span* span = nullptr,
+    std::shared_ptr<obs::Counter> rows_built = nullptr);
 
 /// Keeps the tuples whose pair was contributed by at least `min_matches`
 /// preference applications (the paper's "satisfy a minimum number of

@@ -18,7 +18,7 @@ namespace prefdb {
 /// so a pair is found by row position, never by hashing a key. The paper's
 /// pk-keyed score relation R_P (§VI) is built only where row identity is
 /// lost (see score_relation.h). Values are copied out of the view once,
-/// for the answer (ApplyFiltersAndProject).
+/// when a caller reads the answer's rows (ApplyFiltersAndProject).
 struct PRelation {
   RowView view;
   std::vector<ScoreConf> pairs;

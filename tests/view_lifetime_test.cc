@@ -3,11 +3,15 @@
 // is gone from the catalog or the cache (run them under ASan: a view that
 // did not pin its rows reads freed memory), including GBU regions whose
 // temp tables are views, check that a cache entry is the miss's view over
-// the tables' own stores, and count the rows a preference query copies out
-// of views (pref.exec.rows_gathered), with the cache off, cold and warm.
+// the tables' own stores, count the rows a preference query copies out of
+// views (pref.exec.rows_gathered), with the cache off, cold and warm, and
+// read a query's late-materialized answer after its session, its tables and
+// its cache entries are gone, and from several threads at once.
 
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -339,9 +343,10 @@ TEST(GbuTempViewTest, ConcurrentGbuRegionsSurviveConcurrentEviction) {
 }
 
 // Every row a TOP 20 preference query copies out of a view is a row of the
-// answer, with the cache off, cold and warm. GBU's temp tables are views of
-// the prefer subtrees' results and copy nothing, and a cache entry is the
-// miss's view.
+// answer, with the cache off, cold and warm, and it is copied only when a
+// caller reads the answer's rows: the query itself copies none. GBU's temp
+// tables are views of the prefer subtrees' results and copy nothing, and a
+// cache entry is the miss's view.
 TEST(RowsGatheredTest, TopKQueriesGatherOnlyTheirAnswer) {
   ImdbOptions options;
   options.scale = 0.0004;
@@ -376,11 +381,133 @@ TEST(RowsGatheredTest, TopKQueriesGatherOnlyTheirAnswer) {
         if (span->name == "RegisterTemp") ++temps;
         for (const obs::SpanPtr& child : span->children) stack.push_back(child.get());
       }
-      EXPECT_EQ(temps > 0, kind == StrategyKind::kGBU) << StrategyKindName(kind) << " " << run;
-      EXPECT_EQ(gathered->value() - before, 20u) << StrategyKindName(kind) << " " << run;
+      const std::string name = std::string(StrategyKindName(kind)) + " " + run;
+      EXPECT_EQ(temps > 0, kind == StrategyKind::kGBU) << name;
+      // Unread, then printed: printing builds only the rows it shows, and
+      // counts none.
+      EXPECT_EQ(gathered->value() - before, 0u) << name;
+      EXPECT_NE(result->relation.ToString(3).find("(17 more)"), std::string::npos)
+          << name;
+      EXPECT_EQ(gathered->value() - before, 0u) << name;
+      // Read twice, and through a copy: the rows are built once.
+      EXPECT_EQ(result->relation.rows().size(), 20u) << name;
+      const QueryResult copy = *result;
+      EXPECT_EQ(&copy.relation.rows(), &result->relation.rows()) << name;
+      EXPECT_EQ(gathered->value() - before, 20u) << name;
     }
   }
 }
+
+// A RANKED join query over generated IMDB data, run by each strategy: its
+// answer is read after what it reads is gone.
+class AnswerLifetimeTest : public ::testing::TestWithParam<StrategyKind> {
+ protected:
+  static constexpr const char* kSql =
+      "SELECT title, genre FROM MOVIES JOIN GENRES ON MOVIES.m_id = GENRES.m_id "
+      "PREFERRING (genre = 'Drama') SCORE 1.0 CONF 0.8, (year >= 2000) SCORE "
+      "recency(year, 2011) CONF 0.9 RANKED";
+
+  static Catalog Imdb() {
+    ImdbOptions options;
+    options.scale = 0.0004;
+    options.seed = 5;
+    StatusOr<Catalog> catalog = GenerateImdb(options);
+    EXPECT_TRUE(catalog.ok());
+    return std::move(*catalog);
+  }
+
+  static QueryOptions Options(bool cache) {
+    QueryOptions options;
+    options.strategy = GetParam();
+    options.cache = cache;
+    return options;
+  }
+
+  // The answer as read from a session that is left alone.
+  static std::vector<Tuple> Expected() {
+    Session session(Imdb());
+    StatusOr<QueryResult> result = session.Query(kSql, Options(false));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return {};
+    EXPECT_GT(result->relation.NumRows(), 20u);
+    return result->relation.rows();
+  }
+};
+
+TEST_P(AnswerLifetimeTest, RowsReadAfterTheSessionIsDestroyed) {
+  auto session = std::make_unique<Session>(Imdb());
+  StatusOr<QueryResult> result = session->Query(kSql, Options(true));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  session.reset();
+  EXPECT_TRUE(result->relation.rows() == Expected());
+}
+
+TEST_P(AnswerLifetimeTest, RowsReadAfterTheBaseTablesAreDroppedAndReloaded) {
+  Session session(Imdb());
+  StatusOr<QueryResult> result = session.Query(kSql, Options(false));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const char* name : {"MOVIES", "GENRES"}) {
+    // Reloaded without its last row, so a reader of the new table differs.
+    Table* old = *session.engine().catalog().GetTable(name);
+    const Schema schema = old->schema();
+    std::vector<std::string> keys;
+    for (size_t k : old->primary_key()) keys.push_back(schema.column(k).name);
+    std::vector<Tuple> rows = old->Gather().rows();
+    rows.pop_back();
+    session.engine().mutable_catalog()->DropTable(name);
+    ASSERT_TRUE(
+        session.engine().mutable_catalog()->CreateTable(name, schema, rows, keys).ok());
+  }
+  EXPECT_TRUE(result->relation.rows() == Expected());
+}
+
+TEST_P(AnswerLifetimeTest, RowsReadAfterTheCacheEntriesAreEvicted) {
+  Session session(Imdb());
+  ASSERT_TRUE(session.Query(kSql, Options(true)).ok());
+  const uint64_t hits = session.engine().cache()->snapshot().hits;
+  StatusOr<QueryResult> warm = session.Query(kSql, Options(true));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  // The warm run read cache entries (GBU's prefer subtrees' scans; its
+  // region query reads temps and is never cached).
+  EXPECT_GT(session.engine().cache()->snapshot().hits, hits);
+  session.engine().cache()->Clear();
+  EXPECT_EQ(session.engine().cache()->snapshot().entries, 0u);
+  EXPECT_TRUE(warm->relation.rows() == Expected());
+}
+
+// Two threads read one shared const answer and two more a copy of it, all
+// before it was built, while two others print it, one through each (TSan:
+// one build, no race, and no print reads the source after its release).
+TEST_P(AnswerLifetimeTest, ConcurrentReadersOfOneAnswerAndItsCopy) {
+  const std::vector<Tuple> expected = Expected();
+  Session session(Imdb());
+  StatusOr<QueryResult> result = session.Query(kSql, Options(false));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string printed = Relation(result->relation.schema(), expected).ToString(5);
+  const QueryResult& shared = *result;
+  const QueryResult copy = shared;
+  std::vector<int> mismatches(6, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 6; ++t) {
+    readers.emplace_back([&, t] {
+      const Relation& answer = t % 2 == 0 ? shared.relation : copy.relation;
+      const bool match =
+          t < 4 ? answer.rows() == expected : answer.ToString(5) == printed;
+      if (!match) ++mismatches[t];
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (int t = 0; t < 6; ++t) EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+  EXPECT_EQ(&shared.relation.rows(), &copy.relation.rows());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, AnswerLifetimeTest,
+    ::testing::Values(StrategyKind::kFtP, StrategyKind::kBU, StrategyKind::kGBU,
+                      StrategyKind::kPlugInBasic, StrategyKind::kPlugInCombined),
+    [](const ::testing::TestParamInfo<StrategyKind>& info) {
+      return std::string(StrategyKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace prefdb
