@@ -6,9 +6,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "common/rng.h"
 #include "datagen/imdb_gen.h"
 #include "engine/engine.h"
+#include "engine/row_view.h"
 #include "exec/strategy.h"
 #include "expr/expr_builder.h"
 #include "parser/parser.h"
@@ -87,18 +90,24 @@ void BM_PreferSelectivity(benchmark::State& state) {
 }
 BENCHMARK(BM_PreferSelectivity)->Arg(10)->Arg(100)->Arg(500)->Arg(1000);
 
-// One prefer pass over the whole of MOVIES (IMDB at scale 0.0025, as
-// perfbench generates it): every row matches σ_true and is scored by
-// Arg(0) a literal, Arg(1) a built-in (recency(year, 2011)), Arg(2) p_5's
-// arithmetic over two built-ins; Arg(3) is a membership preference (movies
-// with an award, probing AWARDS' m_id index) scored by a literal.
-void BM_PreferPass(benchmark::State& state) {
+// IMDB at scale 0.0025, seed 3: the data perfbench generates.
+Catalog* PerfbenchImdb() {
   static Catalog* const catalog = [] {
     ImdbOptions options;
     options.scale = 0.0025;
     options.seed = 3;
     return new Catalog(std::move(GenerateImdb(options)).value());
   }();
+  return catalog;
+}
+
+// One prefer pass over the whole of MOVIES (IMDB at scale 0.0025, as
+// perfbench generates it): every row matches σ_true and is scored by
+// Arg(0) a literal, Arg(1) a built-in (recency(year, 2011)), Arg(2) p_5's
+// arithmetic over two built-ins; Arg(3) is a membership preference (movies
+// with an award, probing AWARDS' m_id index) scored by a literal.
+void BM_PreferPass(benchmark::State& state) {
+  Catalog* const catalog = PerfbenchImdb();
   const char* const kScores[] = {
       "1.0", "recency(year, 2011)",
       "0.5 * recency(year, 2011) + 0.5 * around(duration, 120)", "1.0"};
@@ -145,6 +154,77 @@ void BM_PJoin(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_PJoin)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// One HashIndex lookup per MOVIES m_id, in a shuffled order, over CAST's
+// m_id column (32,045 rows over 3,933 dense surrogate ids at perfbench's
+// scale): `dense` indexes the column as it is (direct-addressed), `hashed`
+// the same keys spread 1009 apart, which the index must hash.
+void BM_IndexLookup(benchmark::State& state, bool dense) {
+  Catalog* const catalog = PerfbenchImdb();
+  const int64_t spread = dense ? 1 : 1009;
+  const TypedColumn& cast = catalog->GetTable("CAST").value()->store().column(0);
+  std::vector<ValueView> cells;
+  for (uint32_t r = 0; r < cast.size(); ++r) {
+    cells.push_back(ValueView::Int(cast.ints()[r] * spread));
+  }
+  const TypedColumn column = TypedColumn::Build(cells);
+  const HashIndex index(column);
+  if (index.dense() != dense) state.SkipWithError("unexpected index layout");
+  const TypedColumn& movies = catalog->GetTable("MOVIES").value()->store().column(0);
+  std::vector<int64_t> probes(movies.ints(), movies.ints() + movies.size());
+  Rng rng(11);
+  for (size_t i = probes.size(); i > 1; --i) {
+    std::swap(probes[i - 1], probes[rng.Uniform(0, static_cast<int64_t>(i) - 1)]);
+  }
+  for (int64_t& key : probes) key *= spread;
+  for (auto _ : state) {
+    size_t found = 0;
+    for (int64_t key : probes) found += index.LookupInt(key).size();
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(probes.size()) * state.iterations());
+}
+BENCHMARK_CAPTURE(BM_IndexLookup, dense, true);
+BENCHMARK_CAPTURE(BM_IndexLookup, hashed, false);
+
+// The join kernel probing CAST's persistent (dense) m_id index, by output
+// width: Arg(1) MOVIES ⋉ CAST, Arg(2) MOVIES ⋈ CAST, Arg(4) ((MOVIES ⋈
+// RATINGS) ⋈ GENRES) ⋈ CAST, whose width-3 left side is joined untimed.
+// Items are output rows.
+void BM_JoinRows(benchmark::State& state) {
+  Catalog* const catalog = PerfbenchImdb();
+  auto view_of = [&](const char* name) {
+    Table* table = catalog->GetTable(name).value();
+    return RowView::Of(table->schema(), table->primary_key(), table->store(), nullptr);
+  };
+  // Joins `left` with `right` on left.m_id = right.m_id.
+  auto join = [](const RowView& left, const RowView& right, bool semi,
+                 const HashIndex* index) {
+    ExprPtr predicate = Eq(Col("MOVIES.m_id"), Col(right.schema.column(0).FullName()));
+    ExprPtr bound = predicate->Clone();
+    if (!bound->Bind(left.schema.Concat(right.schema)).ok()) std::abort();
+    const EquiKeys keys = *FindEquiKeys(*predicate, left.schema, right.schema).value();
+    const JoinBuild build(right, keys, index);
+    return JoinRows(left, right, *bound, semi, &build, nullptr, nullptr);
+  };
+  const int64_t width = state.range(0);
+  RowView left = view_of("MOVIES");
+  if (width == 4) {
+    left = join(join(left, view_of("RATINGS"), false, nullptr), view_of("GENRES"), false,
+                nullptr);
+  }
+  const RowView cast = view_of("CAST");
+  const HashIndex* index = &catalog->GetTable("CAST").value()->EnsureIndex(0);
+  size_t rows = 0;
+  for (auto _ : state) {
+    RowView out = join(left, cast, width == 1, index);
+    rows = out.NumRows();
+    benchmark::DoNotOptimize(out.ids.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_JoinRows)->Arg(1)->Arg(2)->Arg(4);
 
 // A row's pair: Arg(0) reads the row-aligned pairs by position (inside an
 // operator pipeline), Arg(1) probes the pk-keyed R_P with the row's key read

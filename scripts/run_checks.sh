@@ -9,7 +9,9 @@
 #   tsan    ThreadSanitizer pass over the parallel-labeled tests
 #           (scripts/run_tsan.sh, build-tsan)
 #   bench   perfbench/smoke_test.py: every answer right and the exact
-#           counts stable, at a tiny scale, on all three workloads
+#           counts stable, at a tiny scale, on all three workloads; then
+#           one short run of bench_operators' BM_IndexLookup and
+#           BM_JoinRows rows (fails if one reports an error)
 #   telemetry  boots tools/telemetry_smoke (real HTTP server on an ephemeral
 #           port), curls /healthz and /metrics, checks the Prometheus
 #           exposition carries the pref_* metric families, and validates the
@@ -88,6 +90,17 @@ fi
 if [ "$RUN_BENCH" -eq 1 ]; then
   echo "== bench: perfbench smoke test (answers and exact counts) =="
   python3 perfbench/smoke_test.py
+
+  echo "== bench: join-kernel micro-benchmark smoke (one short run each) =="
+  cmake -B build -S . >/dev/null
+  cmake --build build -j --target bench_operators
+  BENCH_OUT=$(build/bench/bench_operators \
+    --benchmark_filter='^BM_(IndexLookup|JoinRows)/' --benchmark_min_time=0.01)
+  echo "$BENCH_OUT"
+  if grep -q "ERROR OCCURRED" <<<"$BENCH_OUT"; then
+    echo "bench_operators: a benchmark reported an error" >&2
+    exit 1
+  fi
 fi
 
 if [ "$RUN_FAULTS" -eq 1 ]; then

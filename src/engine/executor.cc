@@ -209,8 +209,9 @@ class Executor {
     // Hash join: build on the right input, probe with the left. A right
     // input that is a full scan of a base table, or of a temp whose view is
     // the identity over one, is already indexed: the table's persistent
-    // HashIndex on the key column (built on first use) lists the matching
-    // row ids, which are that scan's view positions.
+    // HashIndex on the key column (built on first use, direct-addressed
+    // over dense int keys) lists the matching row ids, which are that
+    // scan's view positions; the build span names its layout.
     // Any other right input gets a per-query JoinTable. Without an
     // equi-conjunct it is a nested-loop join.
     std::optional<JoinBuild> build;
@@ -220,8 +221,9 @@ class Executor {
       obs::SetRowsIn(build_scope.get(), nr);
       const HashIndex* index = nullptr;
       if (node.child(1).kind == PlanKind::kScan && right.base_table != nullptr) {
-        obs::AppendDetail(build_scope.get(), "index");
         index = &right.base_table->EnsureIndex(right.columns[keys->right].column);
+        obs::AppendDetail(build_scope.get(),
+                          index->dense() ? "index dense" : "index hashed");
         Bump(metrics_.join_index_hits, 1);
       }
       build.emplace(right, *keys, index);

@@ -294,6 +294,12 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
     inputs.insert(inputs.end(), right_inputs.begin(), right_inputs.end());
     program.emplace(bound, std::move(inputs));
   }
+  // The probe collects the matched positions; the output ids are written
+  // from them in one pass at the end.
+  std::vector<uint32_t> matched_left;
+  std::vector<uint32_t> matched_right;
+  matched_left.reserve(nl);
+  if (!semi) matched_right.reserve(nl);
   // `for_each_match(i, ticker, visit)` calls visit(j) for the right
   // positions j that may match left row i, ascending, until it returns true.
   auto probe = [&](const auto& for_each_match) {
@@ -302,12 +308,8 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
     // need not wait for the end of the cross product.
     GovernorTicker ticker(governor);
     auto emit = [&](uint32_t i, uint32_t j) {
-      left.AppendRow(i, &out.ids);
-      if (!semi) right.AppendRow(j, &out.ids);
-      if (positions != nullptr) {
-        positions->left.push_back(i);
-        if (!semi) positions->right.push_back(j);
-      }
+      matched_left.push_back(i);
+      if (!semi) matched_right.push_back(j);
     };
     if (!test) {
       for (size_t i = 0; i < nl; ++i) {
@@ -417,6 +419,19 @@ RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
     }
   }
 
+  const size_t m = matched_left.size();
+  const size_t lw = left.width();
+  const size_t rw = semi ? 0 : right.width();
+  out.ids.resize(m * (lw + rw));
+  uint32_t* dst = out.ids.data();
+  for (size_t k = 0; k < m; ++k) {
+    dst = std::copy_n(left.Row(matched_left[k]), lw, dst);
+    if (!semi) dst = std::copy_n(right.Row(matched_right[k]), rw, dst);
+  }
+  if (positions != nullptr) {
+    positions->left = std::move(matched_left);
+    positions->right = std::move(matched_right);
+  }
   return out;
 }
 

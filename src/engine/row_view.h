@@ -174,9 +174,10 @@ struct JoinPositions {
 /// build side with each left row's key; else a nested loop. Candidate
 /// pairs the key match does not decide are tested a batch at a time by the
 /// predicate compiled over both views' columns. Output order: left order,
-/// then each left row's matches in ascending right position.
-/// `positions` (nullable) receives the matched positions. The nested loop
-/// also ticks `governor` per candidate pair.
+/// then each left row's matches in ascending right position. The probe
+/// collects the matched positions and the output ids are written from them
+/// in one pass; `positions` (nullable) then receives those arrays by move.
+/// The nested loop also ticks `governor` per candidate pair.
 RowView JoinRows(const RowView& left, const RowView& right, const Expr& bound,
                  bool semi, const JoinBuild* build,
                  const QueryGovernor* governor, JoinPositions* positions);

@@ -53,8 +53,8 @@ ScoreConf FNoisyOr::Combine(const ScoreConf& a, const ScoreConf& b) const {
   return ScoreConf::Known(score, a.conf() + b.conf());
 }
 
-ScoreConf CombineCounted(const AggregateFunction& agg, const ScoreConf& a,
-                         const ScoreConf& b) {
+ScoreConf CombineCountedKnown(const AggregateFunction& agg, const ScoreConf& a,
+                              const ScoreConf& b) {
   ScoreConf combined = agg.Combine(a, b);
   if (combined.IsDefault()) return combined;
   return combined.WithCount(a.count() + b.count());

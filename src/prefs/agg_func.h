@@ -72,13 +72,27 @@ class FNoisyOr final : public AggregateFunction {
   std::string_view name() const override { return "noisyor"; }
 };
 
+/// CombineCounted without the inline identity cases: calls agg.Combine for
+/// any two pairs.
+ScoreConf CombineCountedKnown(const AggregateFunction& agg, const ScoreConf& a,
+                              const ScoreConf& b);
+
 /// Combines two pairs with `agg` and maintains the orthogonal match count:
 /// the result (if not the identity) carries count(a) + count(b). Every
 /// operator that merges score/confidence pairs routes through this helper,
 /// so "satisfies at least n preferences" filtering (paper §V) is available
 /// regardless of the aggregate function in use.
-ScoreConf CombineCounted(const AggregateFunction& agg, const ScoreConf& a,
-                         const ScoreConf& b);
+///
+/// ⟨⊥, 0⟩ is every aggregate's identity and counts 0, so a default pair on
+/// either side returns the other pair inline, exactly as the out-of-line
+/// CombineCountedKnown would; only two known pairs reach the virtual
+/// Combine.
+inline ScoreConf CombineCounted(const AggregateFunction& agg,
+                                const ScoreConf& a, const ScoreConf& b) {
+  if (a.IsDefault()) return b;
+  if (b.IsDefault()) return a;
+  return CombineCountedKnown(agg, a, b);
+}
 
 /// Looks up an aggregate function by registry name (case-insensitive).
 /// Returned pointer has static storage duration.

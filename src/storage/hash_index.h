@@ -19,14 +19,24 @@ namespace prefdb {
 /// serves `col = literal` scans and joins whose build side is a full base
 /// table scan from it, and membership preferences probe the member table's.
 ///
-/// Layout: open addressing over slots `{hash, key, begin, end}`, sized to
-/// about twice the number of distinct keys (not rows). A slot names the
-/// range of one `positions` array that holds its key's row positions,
-/// ascending. Over a kInt column the key is the int64 itself, inline in the
-/// slot, and a probe compares integers; NULL rows are one range of their
-/// own. Over any other layout `key` is the row of the key's first
-/// occurrence, and probes compare against the column in place. The indexed
-/// column must therefore outlive the index.
+/// Layout: where a kInt column's non-NULL keys span a range [min, max]
+/// whose offsets array (4 bytes per key in range, plus one) is no larger
+/// than the slot array the hashed layout would allocate, the index is
+/// direct-addressed (CSR): key k's rows are `positions[offsets[k - min] ..
+/// offsets[k - min + 1])`, and a probe is one subtraction and a bounds
+/// check. The column alone decides this at build time; surrogate ids, the
+/// join keys of every Table II query, are dense.
+///
+/// Any other column is hashed: open addressing over slots `{hash, key,
+/// begin, end}`, sized to about twice the number of distinct keys (not
+/// rows). A slot names the range of `positions` that holds its key's row
+/// positions. Over a kInt column the key is the int64 itself, inline in the
+/// slot, and a probe compares integers. Over any other layout `key` is the
+/// row of the key's first occurrence, and probes compare against the column
+/// in place. The indexed column must therefore outlive the index.
+///
+/// In both layouts a key's positions ascend, and the NULL rows of a kInt
+/// column are one range of their own.
 ///
 /// Keys match by Value::operator== (Int(1) and Double(1.0) are one key,
 /// Int(2^53 + 1) and Double(2^53) are not), and NULL is a key like any
@@ -44,6 +54,11 @@ class HashIndex {
   }
   /// Lookup(ValueView::Int(key)); over a kInt column, one inline probe.
   std::span<const uint32_t> LookupInt(int64_t key) const {
+    if (dense_) {
+      const uint64_t at = DenseOffset(key);
+      if (at >= span_) return {};
+      return {positions_.data() + offsets_[at], offsets_[at + 1] - offsets_[at]};
+    }
     if (!int_keys_) return Lookup(ValueView::Int(key));
     const Slot& slot = slots_[FindInt(key, HashInt64(key))];
     return {positions_.data() + slot.begin, slot.end - slot.begin};
@@ -52,14 +67,26 @@ class HashIndex {
   /// True when the index keys are the int64 values of a kInt column, so
   /// LookupInt and PrefetchInt take the inline path.
   bool int_keys() const { return int_keys_; }
+  /// True when the index is direct-addressed (the CSR layout above).
+  bool dense() const { return dense_; }
 
-  /// Starts loading the slot a LookupInt(key) begins at into the cache. A
-  /// probe loop over a persistent (hence often cold) index issues it a few
-  /// keys ahead, so the slot misses of consecutive probes overlap.
+  /// Starts loading the offsets entry or slot a LookupInt(key) begins at
+  /// into the cache. A probe loop over a persistent (hence often cold) index
+  /// issues it a few keys ahead, so the misses of consecutive probes
+  /// overlap.
   void PrefetchInt(int64_t key) const {
+    if (dense_) {
+      const uint64_t at = DenseOffset(key);
+      if (at < span_) __builtin_prefetch(&offsets_[at]);
+      return;
+    }
     __builtin_prefetch(&slots_[Home(HashInt64(key))]);
   }
   void Prefetch(const ValueView& key) const {
+    if (dense_) {
+      if (key.type == ValueType::kInt) PrefetchInt(key.i);
+      return;
+    }
     __builtin_prefetch(&slots_[Home(key.Hash())]);
   }
 
@@ -74,11 +101,16 @@ class HashIndex {
     uint32_t end = 0;  // 0 marks an unused slot (a used range is non-empty).
   };
 
+  // The offset of int key `key` from the dense range's minimum; wraps to a
+  // value >= span_ below the minimum, so one comparison bounds it.
+  uint64_t DenseOffset(int64_t key) const {
+    return static_cast<uint64_t>(key) - static_cast<uint64_t>(min_);
+  }
   size_t Home(size_t hash) const {
     return (hash * 0x9e3779b97f4a7c15ULL >> 17) & mask_;
   }
-  // The slot holding int key `key` of an int-keyed index, or the unused
-  // slot where it would go.
+  // The slot holding int key `key` of a hashed int-keyed index, or the
+  // unused slot where it would go.
   size_t FindInt(int64_t key, size_t hash) const {
     size_t s = Home(hash);
     while (slots_[s].end != 0 && (slots_[s].hash != hash || slots_[s].key != key)) {
@@ -91,17 +123,27 @@ class HashIndex {
   // Sets the slot table to `capacity` (a power of two) slots and re-inserts
   // the used slots of the old one by hash.
   void Resize(size_t capacity);
+  // Builds the dense layout over a kInt column, or returns false (leaving
+  // the index empty) when the offsets array would be larger than the slots.
+  bool BuildDense();
+  void BuildHashed();
 
   const TypedColumn* column_;
   bool int_keys_;
+  bool dense_ = false;
   size_t num_keys_ = 0;
-  size_t mask_ = 0;
-  std::vector<Slot> slots_;
   std::vector<uint32_t> positions_;  // Row positions grouped by key.
   // The NULL rows of an int-keyed index (NULL keys of other layouts have a
   // slot like any key).
   uint32_t null_begin_ = 0;
   uint32_t null_end_ = 0;
+  // Dense layout: keys min_ .. min_ + span_ - 1, span_ + 1 offsets.
+  int64_t min_ = 0;
+  uint64_t span_ = 0;
+  std::vector<uint32_t> offsets_;
+  // Hashed layout.
+  size_t mask_ = 0;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace prefdb

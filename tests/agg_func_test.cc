@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -179,6 +180,30 @@ TEST_P(AggFunctionLaws, IdentityElement) {
         << f.name() << " with " << x.ToString();
     EXPECT_TRUE(f.Combine(x, ScoreConf::Identity()).ApproxEquals(x, 1e-12))
         << f.name() << " with " << x.ToString();
+  }
+}
+
+// CombineCounted answers a default operand inline; the result must be the
+// one the out-of-line path computes through Combine, value and count, for
+// every pairing of default and known pairs (counts 0 to 3).
+TEST_P(AggFunctionLaws, InlineIdentityMatchesOutOfLine) {
+  const AggregateFunction& f = *GetParam();
+  std::vector<ScoreConf> pairs = RandomPairs(400, 53);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    pairs[i] = pairs[i].WithCount(static_cast<uint32_t>(i % 4));
+  }
+  for (size_t i = 0; i + 1 < pairs.size(); ++i) {
+    for (const auto& [a, b] : {std::pair(pairs[i], pairs[i + 1]),
+                               std::pair(ScoreConf::Identity(), pairs[i]),
+                               std::pair(pairs[i], ScoreConf::Identity())}) {
+      const ScoreConf inline_result = CombineCounted(f, a, b);
+      const ScoreConf out_of_line = CombineCountedKnown(f, a, b);
+      EXPECT_EQ(inline_result.has_score(), out_of_line.has_score()) << f.name();
+      EXPECT_EQ(inline_result.score(), out_of_line.score()) << f.name();
+      EXPECT_EQ(inline_result.conf(), out_of_line.conf()) << f.name();
+      EXPECT_EQ(inline_result.count(), out_of_line.count())
+          << f.name() << ": " << a.ToString() << " " << b.ToString();
+    }
   }
 }
 

@@ -309,7 +309,7 @@ TEST_F(RowIdEdgeTest, NullKeysNeverMatchAndIntMatchesDoubleAndNanMatchesNan) {
   EXPECT_EQ(rel.key_columns(), (std::vector<size_t>{0, 2}));
   // Seven build rows hold five distinct keys: 2, NULL, NaN, 'x', 9. R is a
   // base table, so its index serves the build, and says so.
-  EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5 index)"),
+  EXPECT_NE(last_trace_.find("native.join.build  (rows=7 -> 5 index hashed)"),
             std::string::npos)
       << last_trace_;
 }
@@ -330,7 +330,7 @@ void AddTemporaryViewOfR(Catalog* catalog, const std::string& name) {
 
 TEST_F(RowIdEdgeTest, IndexServedJoinMatchesPerQueryBuild) {
   Relation indexed = Run(KeyJoin());
-  ASSERT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos);
+  ASSERT_NE(last_trace_.find("(rows=7 -> 5 index hashed)"), std::string::npos);
   // A temporary table, a filtered scan and a join output as build sides all
   // take the per-query build, with the same rows in the same order.
   AddTemporaryViewOfR(&catalog_, "__gbu_tmp_r");
@@ -367,7 +367,7 @@ TEST_F(RowIdEdgeTest, IndexServedSemiJoinAndResidualConjunct) {
 TEST_F(RowIdEdgeTest, AliasedSelfJoinThroughIndex) {
   Relation rel = Run(plan::Join(Eq(Col("A.k"), Col("B.k")), plan::Scan("R", "A"),
                                    plan::Scan("R", "B")));
-  EXPECT_NE(last_trace_.find("(rows=7 -> 5 index)"), std::string::npos) << last_trace_;
+  EXPECT_NE(last_trace_.find("(rows=7 -> 5 index hashed)"), std::string::npos) << last_trace_;
   // Each non-NULL row meets every row sharing its key, in row order.
   EXPECT_EQ(Pairs(rel, 3), (PairList{{1, 1}, {1, 4}, {1, 5}, {3, 3}, {4, 1}, {4, 4},
                                      {4, 5}, {5, 1}, {5, 4}, {5, 5}, {6, 6}, {7, 7}}));

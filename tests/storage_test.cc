@@ -129,18 +129,144 @@ TEST(HashIndexTest, AbsentKeyAndEmptyRelation) {
 }
 
 TEST(HashIndexTest, GrowsThroughSeveralRehashes) {
-  // 5000 distinct keys from a 16-slot start: about nine doublings.
+  // 5000 distinct keys from a 16-slot start: about nine doublings. The keys
+  // are 1009 apart, too sparse for the dense layout, so the slots rehash.
   std::vector<Value> keys;
-  for (int64_t i = 0; i < 10000; ++i) keys.push_back(I(i % 5000));
+  for (int64_t i = 0; i < 10000; ++i) keys.push_back(I(i % 5000 * 1009));
   TypedColumn rel = OneColumn(std::move(keys));
   HashIndex index(rel);
+  ASSERT_FALSE(index.dense());
   EXPECT_EQ(index.NumKeys(), 5000u);
   for (int64_t k = 0; k < 5000; ++k) {
-    ASSERT_EQ(ToVector(index.Lookup(I(k))),
+    ASSERT_EQ(ToVector(index.Lookup(I(k * 1009))),
               (Positions{static_cast<uint32_t>(k), static_cast<uint32_t>(k + 5000)}))
         << "key " << k;
+    ASSERT_TRUE(index.Lookup(I(k * 1009 + 1)).empty()) << "key " << k;
   }
-  EXPECT_TRUE(index.Lookup(I(5000)).empty());
+  EXPECT_TRUE(index.Lookup(I(5000 * 1009)).empty());
+}
+
+// A kInt column whose keys are dense is direct-addressed: negative keys,
+// NULLs among them, probes just outside [min, max] and a double probe.
+TEST(HashIndexTest, DenseLayoutOverNegativeKeysAndNulls) {
+  TypedColumn col = OneColumn({I(-3), N(), I(2), I(0), I(-3), N(), I(2), I(-1)});
+  ASSERT_EQ(col.layout(), ColumnLayout::kInt);
+  HashIndex index(col);
+  ASSERT_TRUE(index.dense());
+  EXPECT_TRUE(index.int_keys());
+  EXPECT_EQ(index.NumKeys(), 5u);  // -3, -1, 0, 2 and NULL.
+  EXPECT_EQ(ToVector(index.Lookup(I(-3))), (Positions{0, 4}));
+  EXPECT_EQ(ToVector(index.Lookup(I(-1))), (Positions{7}));
+  EXPECT_EQ(ToVector(index.Lookup(I(0))), (Positions{3}));
+  EXPECT_EQ(ToVector(index.Lookup(I(2))), (Positions{2, 6}));
+  EXPECT_EQ(ToVector(index.Lookup(N())), (Positions{1, 5}));
+  // Gaps inside the range, and one past either end.
+  EXPECT_TRUE(index.Lookup(I(-2)).empty());
+  EXPECT_TRUE(index.Lookup(I(1)).empty());
+  EXPECT_TRUE(index.LookupInt(-4).empty());
+  EXPECT_TRUE(index.LookupInt(3).empty());
+  EXPECT_TRUE(index.LookupInt(std::numeric_limits<int64_t>::min()).empty());
+  EXPECT_TRUE(index.LookupInt(std::numeric_limits<int64_t>::max()).empty());
+  // A double equal to an int key finds its rows; any other does not.
+  EXPECT_EQ(ToVector(index.Lookup(D(2.0))), (Positions{2, 6}));
+  EXPECT_TRUE(index.Lookup(D(2.5)).empty());
+  EXPECT_TRUE(index.Lookup(D(3.0)).empty());
+  EXPECT_TRUE(index.Lookup(S("2")).empty());
+}
+
+TEST(HashIndexTest, DenseLayoutOverOneKeyEmptyAndNullColumns) {
+  TypedColumn one = OneColumn({I(7), I(7), I(7)});
+  HashIndex single(one);
+  ASSERT_TRUE(single.dense());
+  EXPECT_EQ(single.NumKeys(), 1u);
+  EXPECT_EQ(ToVector(single.Lookup(I(7))), (Positions{0, 1, 2}));
+  EXPECT_TRUE(single.Lookup(I(6)).empty());
+  EXPECT_TRUE(single.Lookup(I(8)).empty());
+  EXPECT_TRUE(single.Lookup(N()).empty());
+
+  TypedColumn empty = OneColumn({});
+  ASSERT_EQ(empty.layout(), ColumnLayout::kInt);
+  HashIndex none(empty);
+  EXPECT_TRUE(none.dense());
+  EXPECT_EQ(none.NumKeys(), 0u);
+  EXPECT_TRUE(none.Lookup(I(0)).empty());
+  EXPECT_TRUE(none.Lookup(N()).empty());
+
+  TypedColumn nulls = OneColumn({N(), N()});
+  ASSERT_EQ(nulls.layout(), ColumnLayout::kInt);
+  HashIndex only_null(nulls);
+  EXPECT_TRUE(only_null.dense());
+  EXPECT_EQ(only_null.NumKeys(), 1u);
+  EXPECT_EQ(ToVector(only_null.Lookup(N())), (Positions{0, 1}));
+  EXPECT_TRUE(only_null.Lookup(I(0)).empty());
+}
+
+// INT64_MIN and INT64_MAX in one column: max - min + 1 wraps, and the index
+// must hash rather than size a range from it.
+TEST(HashIndexTest, FullInt64RangeFallsBackToHashing) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  TypedColumn col = OneColumn({I(hi), I(0), I(lo), I(hi)});
+  HashIndex index(col);
+  EXPECT_FALSE(index.dense());
+  EXPECT_TRUE(index.int_keys());
+  EXPECT_EQ(index.NumKeys(), 3u);
+  EXPECT_EQ(ToVector(index.Lookup(I(lo))), (Positions{2}));
+  EXPECT_EQ(ToVector(index.Lookup(I(hi))), (Positions{0, 3}));
+  EXPECT_TRUE(index.Lookup(I(lo + 1)).empty());
+  // A dense range at the bottom of int64: probes far above it wrap past the
+  // range, not into it.
+  TypedColumn low = OneColumn({I(lo + 2), I(lo)});
+  HashIndex bottom(low);
+  ASSERT_TRUE(bottom.dense());
+  EXPECT_EQ(ToVector(bottom.Lookup(I(lo))), (Positions{1}));
+  EXPECT_EQ(ToVector(bottom.Lookup(I(lo + 2))), (Positions{0}));
+  EXPECT_TRUE(bottom.Lookup(I(hi)).empty());
+  EXPECT_TRUE(bottom.Lookup(I(0)).empty());
+}
+
+// Both layouts against a naive map over random kInt columns with NULLs:
+// keys spread `stride` apart from a random (possibly negative) base, so
+// some columns are dense and some hashed.
+TEST(HashIndexTest, BothIntLayoutsMatchNaiveMap) {
+  Rng rng(20261021);
+  size_t dense = 0;
+  size_t hashed = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int64_t rows = rng.Uniform(1, 500);
+    const int64_t domain = rng.Uniform(1, rows + 1);
+    const int64_t stride = rng.Bernoulli(0.5) ? 1 : rng.Uniform(2, 100);
+    const int64_t base = rng.Uniform(-1000000, 1000000);
+    std::vector<Value> keys;
+    for (int64_t i = 0; i < rows; ++i) {
+      keys.push_back(rng.Bernoulli(0.1) ? N() : I(base + stride * rng.Uniform(0, domain)));
+    }
+    TypedColumn col = OneColumn(keys);
+    ASSERT_EQ(col.layout(), ColumnLayout::kInt);
+    HashIndex index(col);
+    ++(index.dense() ? dense : hashed);
+    std::map<Value, Positions> naive;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      naive[keys[i]].push_back(static_cast<uint32_t>(i));
+    }
+    ASSERT_EQ(index.NumKeys(), naive.size()) << "round " << round;
+    for (const auto& [key, positions] : naive) {
+      ASSERT_EQ(ToVector(index.Lookup(key)), positions)
+          << "round " << round << " key " << key.ToString();
+    }
+    // Every key in reach, its neighbours, and one step past either end.
+    for (int64_t d = -1; d <= domain + 1; ++d) {
+      for (int64_t off = -1; off <= 1; ++off) {
+        const int64_t probe = base + stride * d + off;
+        auto it = naive.find(I(probe));
+        Positions expected = it == naive.end() ? Positions{} : it->second;
+        ASSERT_EQ(ToVector(index.LookupInt(probe)), expected)
+            << "round " << round << " probe " << probe;
+      }
+    }
+  }
+  EXPECT_GT(dense, 50u);
+  EXPECT_GT(hashed, 50u);
 }
 
 // Lookup against a naive ordered map from key to positions, over random

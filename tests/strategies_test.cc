@@ -312,7 +312,7 @@ TEST_F(GBUViewTempTest, BuildOverIdentityTempProbesTheBaseTableIndex) {
   EXPECT_NE(trace.find("RegisterTemp  (rows=6 -> 6 view base=GENRES)"),
             std::string::npos)
       << trace;
-  EXPECT_NE(trace.find("native.join.build  (rows=6 -> 5 index)"), std::string::npos)
+  EXPECT_NE(trace.find("native.join.build  (rows=6 -> 5 index dense)"), std::string::npos)
       << trace;
   EXPECT_EQ(hits->value() - before, 1u);
   ExpectGbuMatchesBu(*p);
